@@ -10,15 +10,18 @@ point of Q'.  Families:
   only on a rational rotation number rho.
 * b1, b2, c1, c2, d: the involution is u -> -u/(1 + f(z0) u) in the offset
   coordinate u = z - z0, with a family-specific rational coefficient f.
+
+The per-family facts used here (the translation giving rho, the coefficient
+f and the singular tangency parameters) live in :mod:`dualbill.families`.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
+from .families import ALL_FAMILY_TAGS, FAMILIES, FamilySpec
 from .geometry import (
     OnConicError,
     PhasePoint,
@@ -43,9 +46,6 @@ __all__ = [
 ]
 
 FamilyTag = Literal["a1", "a2", "b1", "b2", "c1", "c2", "d"]
-ALL_FAMILY_TAGS: tuple[str, ...] = ("a1", "a2", "b1", "b2", "c1", "c2", "d")
-
-_CUBE_ROOTS_OF_UNITY = tuple(cmath.exp(2j * cmath.pi * k / 3) for k in range(3))
 
 
 class SingularTangencyError(ValueError):
@@ -64,7 +64,7 @@ class BilliardFamily:
     n: int | None = None
 
     def __post_init__(self):
-        if self.tag not in ALL_FAMILY_TAGS:
+        if self.tag not in FAMILIES:
             raise ValueError(f"unknown family tag {self.tag!r}")
         if self.is_a:
             if self.n is None or self.n < 1:
@@ -73,32 +73,24 @@ class BilliardFamily:
             raise ValueError(f"family {self.tag!r} takes no N parameter")
 
     @property
+    def spec(self) -> FamilySpec:
+        return FAMILIES[self.tag]
+
+    @property
     def is_a(self) -> bool:
-        return self.tag in ("a1", "a2")
+        return self.spec.takes_n
 
     @property
     def rho(self) -> Fraction:
-        """Rotation parameter of the a-family involution."""
-        if self.tag == "a1":
-            return 2 - Fraction(2, 2 * self.n + 1)
-        if self.tag == "a2":
-            return 2 - Fraction(1, self.n + 1)
-        raise ValueError(f"family {self.tag!r} has no rotation parameter")
+        """Rotation parameter of the a-family involution, 2 - shift(N)."""
+        if not self.is_a:
+            raise ValueError(f"family {self.tag!r} has no rotation parameter")
+        return 2 - self.spec.shift(self.n)
 
     def singular_tangency_parameters(self) -> list[SphereValue]:
         """z-parameters of the singular tangency points (the base points on
         the parabola), including the infinite point where applicable."""
-        e = _CUBE_ROOTS_OF_UNITY
-        table = {
-            "a1": [SphereValue(0), INF],
-            "a2": [SphereValue(0), INF],
-            "b1": [SphereValue(0), SphereValue(1), INF],
-            "b2": [SphereValue(1j), SphereValue(-1j), INF],
-            "c1": [SphereValue(e[0]), SphereValue(e[1]), SphereValue(e[2])],
-            "c2": [SphereValue(0), SphereValue(1), INF],
-            "d": [SphereValue(0), SphereValue(1), INF],
-        }
-        return table[self.tag]
+        return list(self.spec.singular_parameters)
 
     def label(self) -> str:
         return f"{self.tag}({self.n})" if self.is_a else self.tag
@@ -106,30 +98,21 @@ class BilliardFamily:
     @staticmethod
     def parse(tag: str, n: int | None = None) -> "BilliardFamily":
         tag = tag.lower()
-        if tag in ("a1", "a2"):
+        if tag in FAMILIES and FAMILIES[tag].takes_n:
             return BilliardFamily(tag, 1 if n is None else n)
         return BilliardFamily(tag)
 
 
 def f_coefficient(family: BilliardFamily, z0: complex | SphereValue) -> SphereValue:
     """Involution coefficient f(z0) for the b/c/d families (inf at poles)."""
-    if family.is_a:
+    f = family.spec.f
+    if f is None:
         raise ValueError("a-families use the rotation form, not a coefficient f")
     z0 = SphereValue.coerce(z0)
     if z0.is_inf:
         raise SingularTangencyError("coefficient undefined at the infinite point")
-    z = z0.value
-    tag = family.tag
     try:
-        if tag == "b1":
-            return SphereValue(5 * z - 3) / (2 * z * (z - 1))
-        if tag == "b2":
-            return SphereValue(3 * z) / (z * z + 1)
-        if tag == "c1":
-            return SphereValue(4 * z * z) / (z**3 - 1)
-        if tag == "c2":
-            return SphereValue(8 * z - 4) / (3 * z * (z - 1))
-        return SphereValue(7 * z - 4) / (3 * z * (z - 1))  # d
+        return f(z0.value)
     except SpherePoleError as exc:  # 0/0 at a common zero cannot happen here
         raise SingularTangencyError(str(exc)) from exc
 

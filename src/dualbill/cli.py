@@ -1,17 +1,18 @@
 """Command-line front end: orbits, checks, curve data and period
 computations, emitted as JSON lines or RFC-4180 CSV.
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
-3 dynamic singularity at the requested start.
+Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error
+(one line on stderr), 3 dynamic singularity at the requested start.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
+import random
 import sys
-from dataclasses import dataclass
 
 from .billiards import ALL_FAMILY_TAGS, BilliardFamily, SingularTangencyError, orbit
 from .curves import (
@@ -34,6 +35,8 @@ from .integrals import (
 )
 from .numerics import INF, SphereValue, Tolerance, principal_sqrt
 from .verify import (
+    ABEL_CASES,
+    CONSERVATION_CASES,
     check_abel_translation,
     check_area_form,
     check_conservation,
@@ -48,6 +51,15 @@ from .verify import (
 
 USAGE_ERROR = 2
 SINGULAR_ERROR = 3
+
+
+class UsageError(Exception):
+    """Bad input: reported as one line on stderr with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _fmt_float(x: float) -> str:
@@ -134,60 +146,47 @@ def _parse_lambda(text: str) -> SphereValue:
     try:
         re_part = float(parts[0])
         im_part = float(parts[1]) if len(parts) > 1 else 0.0
-    except (ValueError, IndexError) as exc:
+        finite = math.isfinite(re_part) and math.isfinite(im_part)
+    except ValueError:
+        finite = False
+    if not finite:
         raise argparse.ArgumentTypeError(
-            "lambda must be RE, RE,IM, or the token 'inf'"
-        ) from exc
+            "lambda must be finite RE, RE,IM, or the token 'inf'"
+        )
     return SphereValue(complex(re_part, im_part))
 
 
-def _family_from(args) -> BilliardFamily:
-    return BilliardFamily.parse(args.family, args.n)
+def _checked(kind, ok, what: str):
+    """Argument type: a ``kind`` number for which ``ok`` holds."""
 
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
 
-def _tolerance_from(args) -> Tolerance:
-    return Tolerance(args.abs_eps, args.rel_eps, args.inf_threshold)
-
-
-@dataclass
-class RunConfig:
-    """Parsed command configuration; values round-trip through the record
-    serialization (complex as re/im pairs, infinity as the string 'inf')."""
-
-    family: str
-    n: int | None
-    lam: SphereValue | None
-    seed: int
-    steps: int
-    fmt: str
-    output: str | None
-    tolerance: Tolerance
-
-    @staticmethod
-    def from_args(args) -> "RunConfig":
-        return RunConfig(
-            family=getattr(args, "family", None),
-            n=getattr(args, "n", None),
-            lam=getattr(args, "lam", None),
-            seed=_seed_of(args),
-            steps=getattr(args, "steps", 0),
-            fmt=args.format,
-            output=args.output,
-            tolerance=_tolerance_from(args),
-        )
+    return parse
 
 
 def _writer_for(args):
-    if args.output:
+    if not args.output:
+        return RecordWriter(args.format, sys.stdout), sys.stdout
+    try:
         stream = open(args.output, "w", encoding="utf-8", newline="")
-    else:
-        stream = sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
     return RecordWriter(args.format, stream), stream
+
+
+_N_TYPE = _checked(int, lambda n: n >= 1, "an integer N >= 1")
 
 
 def _add_common(sub):
     sub.add_argument("--family", choices=ALL_FAMILY_TAGS, required=True)
-    sub.add_argument("--n", type=int, default=None, help="N for the a-families")
+    sub.add_argument("--n", type=_N_TYPE, default=None, help="N for the a-families")
     sub.add_argument(
         "--lambda", dest="lam", type=_parse_lambda, default=None,
         help="level value: RE, RE,IM or 'inf'",
@@ -199,9 +198,6 @@ def _add_output(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="path (default: stdout)")
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--abs-eps", type=float, default=1e-10)
-    sub.add_argument("--rel-eps", type=float, default=1e-9)
-    sub.add_argument("--inf-threshold", type=float, default=1e12)
 
 
 def _seed_of(args) -> int:
@@ -212,21 +208,16 @@ def _seed_of(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    import random
-
-    config = RunConfig.from_args(args)
-    family = _family_from(args)
-    if config.lam is None or config.lam.is_inf:
-        print("orbit needs a finite --lambda", file=sys.stderr)
-        return USAGE_ERROR
-    lam = config.lam.value
-    tol = config.tolerance
-    rng = random.Random(config.seed)
+    family = BilliardFamily.parse(args.family, args.n)
+    if args.lam is None or args.lam.is_inf:
+        raise UsageError("orbit needs a finite --lambda")
+    lam = args.lam.value
+    tol = Tolerance(args.abs_eps, args.rel_eps, args.inf_threshold)
     try:
         if args.start_tau is not None:
             x0 = lift_fiber(family, lam, args.start_tau, args.branch)
-        elif family.tag in ("c1", "c2"):
-            q = point_on_level(family, lam, rng)
+        elif family.spec.level_curves == "elliptic":
+            q = point_on_level(family, lam, random.Random(_seed_of(args)))
             z, w = q.affine_pair()
             s = principal_sqrt(z * z - w)
             x0 = PhasePoint(q, conic_point(z + s if args.branch == "+" else z - s))
@@ -236,9 +227,8 @@ def cmd_orbit(args) -> int:
         print(f"start point is singular: {exc}", file=sys.stderr)
         return SINGULAR_ERROR
     except (ValueError, RuntimeError) as exc:
-        print(f"cannot build the start point: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    rec = orbit(family, x0, config.steps, tol)
+        raise UsageError(f"cannot build the start point: {exc}") from exc
+    rec = orbit(family, x0, args.steps, tol)
     if rec.reason == "hit-singularity" and rec.steps_taken == 0:
         print(f"start point is singular: {rec.detail}", file=sys.stderr)
         return SINGULAR_ERROR
@@ -288,8 +278,6 @@ def _named_check(name: str, args, seed: int):
     if name == "involution":
         return [check_involution(family, 1000, seed, corrupt=corrupt)]
     if name == "conservation":
-        from .verify import CONSERVATION_CASES
-
         cases = (
             [(lam, None, "+")]
             if lam is not None
@@ -306,8 +294,10 @@ def _named_check(name: str, args, seed: int):
     if name == "translation":
         return [check_translation(family, lam if lam is not None else 1.0, 50, seed, corrupt=corrupt)]
     if name == "abel":
-        lamv = lam if lam is not None else (1.0 if family.tag == "d" else 2.0)
-        start = 1.3 if family.tag == "d" else 2.7
+        # a family without a frozen case (b2) takes the first (b1) one
+        cases = {tag: (cl, ct) for tag, cl, ct, _ in ABEL_CASES}
+        case_lam, start = cases.get(family.tag, ABEL_CASES[0][1:3])
+        lamv = lam if lam is not None else case_lam
         return [check_abel_translation(family, lamv, 20, seed, start=start, corrupt=corrupt)]
     if name == "area":
         return [check_area_form(family, 200, seed, corrupt=corrupt)]
@@ -332,8 +322,7 @@ def cmd_check(args) -> int:
             for name in args.names:
                 reports.extend(_named_check(name, args, seed))
         except (ValueError, RuntimeError, AttributeError, TypeError) as exc:
-            print(str(exc), file=sys.stderr)
-            return USAGE_ERROR
+            raise UsageError(str(exc)) from exc
     writer, stream = _writer_for(args)
     try:
         for r in reports:
@@ -345,10 +334,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    family = _family_from(args)
+    family = BilliardFamily.parse(args.family, args.n)
     if args.lam is None:
-        print("curve needs --lambda", file=sys.stderr)
-        return USAGE_ERROR
+        raise UsageError("curve needs --lambda")
     lam = args.lam
     writer, stream = _writer_for(args)
     try:
@@ -356,16 +344,14 @@ def cmd_curve(args) -> int:
             try:
                 pts = branch_points(family, lam.value if not lam.is_inf else lam)
             except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return USAGE_ERROR
+                raise UsageError(str(exc)) from exc
             for k, b in enumerate(pts):
                 writer.write({"kind": "branch-point", "index": k, "parameter": b})
         if args.components:
             try:
                 comps = critical_fiber_components(family, lam)
             except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return USAGE_ERROR
+                raise UsageError(str(exc)) from exc
             for k, comp in enumerate(comps):
                 writer.write(
                     {
@@ -378,12 +364,14 @@ def cmd_curve(args) -> int:
                     }
                 )
         if args.periods:
-            if family.tag not in ("b1", "b2", "d") or lam.is_inf or not is_regular(family, lam):
-                print("periods need a b/d family at a regular value", file=sys.stderr)
-                return USAGE_ERROR
-            model = elliptic_model(family, lam.value)
+            if not family.spec.elliptic_fiber or lam.is_inf or not is_regular(family, lam):
+                raise UsageError("periods need a b/d family at a regular value")
+            try:
+                model = elliptic_model(family, lam.value)
+                closure = lattice_closure_residual(model)
+            except (ValueError, RuntimeError) as exc:
+                raise UsageError(f"cannot compute the periods: {exc}") from exc
             w1, w2 = model.periods
-            closure = lattice_closure_residual(model)
             writer.write(
                 {
                     "kind": "periods",
@@ -393,17 +381,12 @@ def cmd_curve(args) -> int:
                 }
             )
         if args.parametrize:
-            if family.tag in ("c1", "c2"):
-                print(
-                    "c-family level curves are elliptic: no rational parametrization",
-                    file=sys.stderr,
+            if family.spec.level_curves == "elliptic":
+                raise UsageError(
+                    "c-family level curves are elliptic: no rational parametrization"
                 )
-                return USAGE_ERROR
             if lam.is_inf or not is_regular(family, lam):
-                print("--parametrize needs a regular value", file=sys.stderr)
-                return USAGE_ERROR
-            import random
-
+                raise UsageError("--parametrize needs a regular value")
             rng = random.Random(_seed_of(args))
             for k in range(args.parametrize):
                 t = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -427,10 +410,10 @@ def cmd_families(args) -> int:
     writer, stream = _writer_for(args)
     try:
         for tag in ALL_FAMILY_TAGS:
-            fam = BilliardFamily.parse(tag, 1 if tag in ("a1", "a2") else None)
+            fam = BilliardFamily.parse(tag)
             record = {
                 "family": tag,
-                "takes_n": tag in ("a1", "a2"),
+                "takes_n": fam.spec.takes_n,
                 "base_points": [
                     {"z": p.coords[0], "w": p.coords[1], "t": p.coords[2]}
                     for p in indeterminacy_set(fam)
@@ -445,7 +428,7 @@ def cmd_families(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dualbill",
         description="Rationally integrable dual billiards on the parabola: "
         "orbits, invariants, curve data and property checks.",
@@ -454,7 +437,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orbit = sub.add_parser("orbit", help="iterate the billiard map")
     _add_common(p_orbit)
-    p_orbit.add_argument("--steps", type=int, default=100)
+    p_orbit.add_argument(
+        "--steps", type=_checked(int, lambda n: n >= 0, "a step count >= 0"), default=100
+    )
+    positive = _checked(float, lambda x: x > 0, "a positive number")
+    p_orbit.add_argument("--abs-eps", type=positive, default=1e-10)
+    p_orbit.add_argument("--rel-eps", type=positive, default=1e-9)
+    p_orbit.add_argument("--inf-threshold", type=positive, default=1e12)
     p_orbit.add_argument(
         "--start-tau", "--start-t", dest="start_tau", type=complex, default=None,
         help="start parameter on the level curve",
@@ -466,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("names", nargs="*", help="check kinds or name prefixes")
     p_check.add_argument("--all", action="store_true")
     p_check.add_argument("--family", choices=ALL_FAMILY_TAGS, default=None)
-    p_check.add_argument("--n", type=int, default=None)
+    p_check.add_argument("--n", type=_N_TYPE, default=None)
     p_check.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
     p_check.add_argument(
         "--corrupt", action="store_true",
@@ -501,6 +490,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return USAGE_ERROR
     except BrokenPipeError:
         return 0
 

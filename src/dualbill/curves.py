@@ -8,6 +8,11 @@ a level curve by its invariant fiber branches where the curve crosses the
 parabola transversally; for the b and d families those branch parameters
 feed a genus-one model y^2 = p(t) whose periods are computed by contour
 quadrature.
+
+What kind of curve and fiber a family has, its critical values and which
+family b2 is the image of are read from :mod:`dualbill.families`; the
+per-family algorithms (parametrizations, lifts, inverses, branch points and
+the critical cells) sit here, one lookup table each.
 """
 
 from __future__ import annotations
@@ -22,20 +27,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .billiards import BilliardFamily
-from .geometry import (
-    E_INFINITY,
-    PhasePoint,
-    ProjectivePoint,
-    b_family_equivalence,
-    conic_point,
-)
+from .geometry import E_INFINITY, EPS_CUBE_ROOT, PhasePoint, ProjectivePoint, conic_point
 from .integrals import (
     BiPoly,
     coefficients_a1,
     coefficients_a2,
+    critical_values,
     first_integral,
     indeterminacy_set,
-    critical_values,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -174,7 +173,27 @@ def _param_d(lam: complex, t: SphereValue, _cs) -> tuple[SphereValue, SphereValu
     return z, w, ratio
 
 
-_PARAM_FUNCS = {"a1": _param_a1, "a2": _param_a2, "b1": _param_b1, "d": _param_d}
+#: rational parametrization of the level curves and, for the a-families,
+#: the default denominator coefficients it takes
+_PARAM_FUNCS = {
+    "a1": (_param_a1, coefficients_a1),
+    "a2": (_param_a2, coefficients_a2),
+    "b1": (_param_b1, None),
+    "d": (_param_d, None),
+}
+
+
+def _model_tag(family: BilliardFamily) -> str:
+    """Tag whose curve parameter the family uses (an image family uses its
+    base family's)."""
+    image = family.spec.image_of
+    return family.tag if image is None else image.base
+
+
+def _to_base(family: BilliardFamily, x: PhasePoint) -> tuple[BilliardFamily, PhasePoint]:
+    """An image family's phase point carried back to its base family."""
+    image = family.spec.image_of
+    return BilliardFamily(image.base), PhasePoint(image.inverse(x.q), image.inverse(x.p))
 
 
 def parametrize_level(
@@ -195,22 +214,58 @@ def parametrize_level(
     lam = _require_regular(family, lam)
     lamv = lam.value
     t = SphereValue.coerce(t)
-    tag = family.tag
-    if tag in ("c1", "c2"):
+    spec = family.spec
+    if spec.level_curves == "elliptic":
         raise ValueError(
             "c-family level curves are elliptic and have no rational parametrization"
         )
-    if tag == "b2":
-        base = parametrize_level(BilliardFamily("b1"), lamv, t)
-        return b_family_equivalence()(base)
-    if family.is_a:
-        cs = list(coefficients) if coefficients is not None else (
-            coefficients_a1(family.n) if tag == "a1" else coefficients_a2(family.n)
-        )
-    else:
-        cs = None
-    z, w, ratio = _PARAM_FUNCS[tag](lamv, t, cs)
+    if spec.image_of is not None:
+        base = parametrize_level(BilliardFamily(spec.image_of.base), lamv, t)
+        return spec.image_of.map(base)
+    param, default_cs = _PARAM_FUNCS[family.tag]
+    cs = None
+    if default_cs is not None:
+        cs = list(coefficients) if coefficients is not None else default_cs(family.n)
+    z, w, ratio = param(lamv, t, cs)
     return _point_from_sphere_pair(z, w, ratio)
+
+
+def _lift_a1(family: BilliardFamily, lamv: complex, tv: SphereValue, branch: str) -> PhasePoint:
+    if tv.is_inf:
+        raise ValueError("the a1 lift needs a finite parameter")
+    tau = tv.value
+    cs = coefficients_a1(family.n)
+    sq = principal_sqrt(lamv)
+    prod = _a_products(cs, tau * tau)
+    sgn = 1.0 if branch == "+" else -1.0
+    z0 = 1j * sq * (tau + sgn) * prod
+    q = parametrize_level(family, lamv, tau)
+    return PhasePoint(q, conic_point(z0))
+
+
+def _lift_a2(family: BilliardFamily, lamv: complex, tv: SphereValue, branch: str) -> PhasePoint:
+    if tv.is_inf:
+        raise ValueError("the a2 lift needs a finite parameter")
+    tau = tv.value
+    if tau == 0:
+        raise ValueError("tau = 0 is a ramification point of the a2 fiber")
+    q = parametrize_level(family, lamv, tau * tau)
+    z, _ = q.affine_pair()
+    z0 = (tau + 1.0) / tau * z
+    return PhasePoint(q, conic_point(z0))
+
+
+def _lift_by_sheet(family: BilliardFamily, lamv: complex, tv: SphereValue, branch: str) -> PhasePoint:
+    q = parametrize_level(family, lamv, tv)
+    if q.is_infinite:
+        raise ValueError("cannot lift a point on the infinity line by the sheet rule")
+    z, w = q.affine_pair()
+    s = principal_sqrt(z * z - w)
+    z0 = z + s if branch == "+" else z - s
+    return PhasePoint(q, conic_point(z0))
+
+
+_LIFTS = {"a1": _lift_a1, "a2": _lift_a2}
 
 
 def lift_fiber(family: BilliardFamily, lam, t, branch: str = "+") -> PhasePoint:
@@ -225,60 +280,16 @@ def lift_fiber(family: BilliardFamily, lam, t, branch: str = "+") -> PhasePoint:
         raise ValueError("branch must be '+' or '-'")
     lam = _require_regular(family, lam)
     lamv = lam.value
-    tv = SphereValue.coerce(t)
-    tag = family.tag
-    if tag == "a1":
-        if tv.is_inf:
-            raise ValueError("the a1 lift needs a finite parameter")
-        tau = tv.value
-        cs = coefficients_a1(family.n)
-        sq = principal_sqrt(lamv)
-        prod = _a_products(cs, tau * tau)
-        sgn = 1.0 if branch == "+" else -1.0
-        z0 = 1j * sq * (tau + sgn) * prod
-        q = parametrize_level(family, lamv, tau)
-        return PhasePoint(q, conic_point(z0))
-    if tag == "a2":
-        if tv.is_inf:
-            raise ValueError("the a2 lift needs a finite parameter")
-        tau = tv.value
-        if tau == 0:
-            raise ValueError("tau = 0 is a ramification point of the a2 fiber")
-        q = parametrize_level(family, lamv, tau * tau)
-        z, _ = q.affine_pair()
-        z0 = (tau + 1.0) / tau * z
-        return PhasePoint(q, conic_point(z0))
-    if tag == "b2":
-        base = lift_fiber(BilliardFamily("b1"), lamv, t, branch)
-        psi = b_family_equivalence()
-        return PhasePoint(psi(base.q), psi(base.p))
-    q = parametrize_level(family, lamv, tv)
-    if q.is_infinite:
-        raise ValueError("cannot lift a point on the infinity line by the sheet rule")
-    z, w = q.affine_pair()
-    s = principal_sqrt(z * z - w)
-    z0 = z + s if branch == "+" else z - s
-    return PhasePoint(q, conic_point(z0))
+    image = family.spec.image_of
+    if image is not None:
+        base = lift_fiber(BilliardFamily(image.base), lamv, t, branch)
+        return PhasePoint(image.map(base.q), image.map(base.p))
+    lift = _LIFTS.get(family.tag, _lift_by_sheet)
+    return lift(family, lamv, SphereValue.coerce(t), branch)
 
 
-def curve_parameter(family: BilliardFamily, x: PhasePoint) -> SphereValue:
-    """Curve parameter of a phase point (rational inverse of the
-    parametrization; for a-families the tangency point resolves the sign)."""
-    tag = family.tag
-    if tag == "b2":
-        psi_inv = b_family_equivalence().inverse()
-        return curve_parameter(BilliardFamily("b1"), PhasePoint(psi_inv(x.q), psi_inv(x.p)))
-    if x.q.is_infinite:
-        raise ValueError("curve parameter at an infinite point is not implemented")
-    z, w = x.q.affine_pair()
-    if tag == "b1":
-        return _div(z * z - w, z * (z - 1.0))
-    if tag == "d":
-        g0 = (
-            w + 8 * z * z + 4 * w * w + 5 * w * z * z - 14 * z * w - 4 * z**3
-        )
-        return _div(-g0, (w - z * z) * (w - z))
-    # a-families: tau = z/(z0 - z) on the component where z0 = (tau+1)/tau * z
+def _fiber_ratio(x: PhasePoint, z: complex, w: complex) -> SphereValue:
+    """tau = z/(z0 - z) on the a-family component where z0 = (tau+1)/tau * z."""
     z0s = x.p.z_sphere()
     if z0s.is_inf:
         raise ValueError("tangency at infinity has no finite fiber parameter")
@@ -288,55 +299,77 @@ def curve_parameter(family: BilliardFamily, x: PhasePoint) -> SphereValue:
     return SphereValue(z / (z0 - z))
 
 
-def _a1_branch_of(x: PhasePoint, lam: complex, n: int) -> str:
-    """Which a1 fiber component a phase point lies on ('+' or '-')."""
-    tau = curve_parameter(BilliardFamily("a1", n), x)
-    probe = lift_fiber(BilliardFamily("a1", n), lam, tau.value, "+")
-    return "+" if probe.p.eq(x.p) else "-"
+#: rational inverse of the parametrization, from the point (z, w) of Q
+_CURVE_PARAMETERS = {
+    "b1": lambda x, z, w: _div(z * z - w, z * (z - 1.0)),
+    "d": lambda x, z, w: _div(
+        -(w + 8 * z * z + 4 * w * w + 5 * w * z * z - 14 * z * w - 4 * z**3),
+        (w - z * z) * (w - z),
+    ),
+}
+
+
+def curve_parameter(family: BilliardFamily, x: PhasePoint) -> SphereValue:
+    """Curve parameter of a phase point (rational inverse of the
+    parametrization; for a-families the tangency point resolves the sign)."""
+    if family.spec.image_of is not None:
+        return curve_parameter(*_to_base(family, x))
+    if x.q.is_infinite:
+        raise ValueError("curve parameter at an infinite point is not implemented")
+    z, w = x.q.affine_pair()
+    return _CURVE_PARAMETERS.get(family.tag, _fiber_ratio)(x, z, w)
 
 
 # ---------------------------------------------------------------------------
 # branch points and elliptic models
 
-def _branch_quadratic(lam: complex) -> list[complex]:
-    return poly_roots(Polynomial([4.0 * lam, -4.0 * lam, 1.0]))
+def _branch_b1(lam: complex) -> list[SphereValue]:
+    quadratic = poly_roots(Polynomial([4.0 * lam, -4.0 * lam, 1.0]))
+    return [SphereValue(lam / (lam - 1.0)), INF] + [SphereValue(r) for r in quadratic]
 
 
-def _branch_cubic_d(lam: complex) -> list[complex]:
-    return poly_roots(
+def _branch_d(lam: complex) -> list[SphereValue]:
+    cubic = poly_roots(
         Polynomial(
             [9.0, -36.0 * lam, 36.0 * lam * lam - 3.0 * lam, 9.0 * lam * lam + lam]
         )
     )
+    return [SphereValue(-4.0)] + [SphereValue(r) for r in cubic]
+
+
+#: branch parameters of the fiber's double cover; families not listed have
+#: a fiber of two global sheets
+_BRANCH_POINTS = {
+    "a2": lambda lam: [SphereValue(0.0), INF],
+    "b1": _branch_b1,
+    "d": _branch_d,
+}
 
 
 def branch_points(family: BilliardFamily, lam) -> list[SphereValue]:
     """Curve parameters where the fiber's double cover of the level curve
     branches (empty when the fiber splits into two sheets globally)."""
     lam = _require_regular(family, lam)
-    lamv = lam.value
-    tag = family.tag
-    if tag == "a1" or tag in ("c1", "c2"):
-        return []
-    if tag == "a2":
-        return [SphereValue(0.0), INF]
-    if tag in ("b1", "b2"):
-        out = [SphereValue(lamv / (lamv - 1.0)), INF]
-        return out + [SphereValue(r) for r in _branch_quadratic(lamv)]
-    return [SphereValue(-4.0)] + [SphereValue(r) for r in _branch_cubic_d(lamv)]
+    branches = _BRANCH_POINTS.get(_model_tag(family))
+    return [] if branches is None else branches(lam.value)
+
+
+#: descending coefficients of p(t) for the elliptic fibers
+_ELLIPTIC_POLYS = {
+    "b1": lambda lam: np.polymul([1.0 - lam, lam], [1.0, -4.0 * lam, 4.0 * lam]),
+    "d": lambda lam: np.polymul(
+        [1.0, 4.0],
+        [9.0 * lam * lam + lam, 36.0 * lam * lam - 3.0 * lam, -36.0 * lam, 9.0],
+    ),
+}
 
 
 def elliptic_poly(family: BilliardFamily, lam) -> np.ndarray:
     """Descending coefficients of p(t) in the genus-one model y^2 = p(t)."""
     lam = _require_regular(family, lam)
-    lamv = lam.value
-    if family.tag in ("b1", "b2"):
-        return np.polymul([1.0 - lamv, lamv], [1.0, -4.0 * lamv, 4.0 * lamv])
-    if family.tag == "d":
-        return np.polymul(
-            [1.0, 4.0],
-            [9.0 * lamv * lamv + lamv, 36.0 * lamv * lamv - 3.0 * lamv, -36.0 * lamv, 9.0],
-        )
+    poly = _ELLIPTIC_POLYS.get(_model_tag(family))
+    if poly is not None:
+        return poly(lam.value)
     raise ValueError(
         f"family {family.label()} has no square-root elliptic model in t"
     )
@@ -513,6 +546,15 @@ def lattice_closure_residual(model: EllipticModel) -> float:
     return abs(model.lattice_reduce(extra))
 
 
+#: h(t) with z(P) - z(Q) = h(t) y on the model y^2 = p(t)
+_SHEET_FACTORS = {
+    "b1": lambda lam, t: t / (lam * (t - 1.0) * (4.0 - t)),
+    "d": lambda lam, t: (lam * t * t + 12.0 * lam * t - 9.0) / (
+        lam * t * (3.0 + t) * ((8.0 * lam + 1.0) * t - 5.0) * (t + 4.0)
+    ),
+}
+
+
 def sheet_sqrt(family: BilliardFamily, lam, x: PhasePoint) -> tuple[complex, complex]:
     """(t, y) coordinates of a phase point on the model y^2 = p(t).
 
@@ -521,24 +563,16 @@ def sheet_sqrt(family: BilliardFamily, lam, x: PhasePoint) -> tuple[complex, com
     """
     lam = SphereValue.coerce(lam)
     lamv = lam.value
-    tag = family.tag
-    if tag == "b2":
-        psi_inv = b_family_equivalence().inverse()
-        return sheet_sqrt(
-            BilliardFamily("b1"), lamv, PhasePoint(psi_inv(x.q), psi_inv(x.p))
-        )
+    if family.spec.image_of is not None:
+        base, xb = _to_base(family, x)
+        return sheet_sqrt(base, lamv, xb)
+    sheet = _SHEET_FACTORS.get(family.tag)
+    if sheet is None:
+        raise ValueError("sheet coordinates exist only for the b and d families")
     t = curve_parameter(family, x).value
     z, _w = x.q.affine_pair()
     z0 = x.p.z_sphere().value
-    if tag == "b1":
-        h = t / (lamv * (t - 1.0) * (4.0 - t))
-    elif tag == "d":
-        h = (lamv * t * t + 12.0 * lamv * t - 9.0) / (
-            lamv * t * (3.0 + t) * ((8.0 * lamv + 1.0) * t - 5.0) * (t + 4.0)
-        )
-    else:
-        raise ValueError("sheet coordinates exist only for the b and d families")
-    return t, (z0 - z) / h
+    return t, (z0 - z) / sheet(lamv, t)
 
 
 # ---------------------------------------------------------------------------
@@ -556,10 +590,6 @@ class CurveComponent:
     @property
     def degree(self) -> int:
         return self.poly.total_degree
-
-
-def _pp(z: SphereValue, w: SphereValue, ratio: SphereValue) -> ProjectivePoint:
-    return _point_from_sphere_pair(z, w, ratio)
 
 
 def _line_param(a: complex, b: complex, c: complex):
@@ -607,7 +637,7 @@ def _cubic_b1_level1_param(t: complex) -> ProjectivePoint:
     z = _div(tv, (tv - 1.0) * (4.0 - tv))
     w = _div(tv * tv * (3.0 - tv), (tv - 1.0) * (4.0 - tv) ** 2)
     ratio = _div(tv * (3.0 - tv), 4.0 - tv) if z.is_inf and w.is_inf else INF
-    return _pp(z, w, ratio)
+    return _point_from_sphere_pair(z, w, ratio)
 
 
 def _conic_b1_43_1_param(t: complex) -> ProjectivePoint:
@@ -617,7 +647,7 @@ def _conic_b1_43_1_param(t: complex) -> ProjectivePoint:
     tv = t.value
     z = _div(tv, 4.0 * (tv - 1.0))
     w = _div(3.0 * tv * tv, 16.0 * (tv - 1.0))
-    return _pp(z, w, INF if not (z.is_inf and w.is_inf) else SphereValue(3 * tv / 4))
+    return _point_from_sphere_pair(z, w, INF if not (z.is_inf and w.is_inf) else SphereValue(3 * tv / 4))
 
 
 def _conic_b1_43_2_param(tau: complex) -> ProjectivePoint:
@@ -627,7 +657,7 @@ def _conic_b1_43_2_param(tau: complex) -> ProjectivePoint:
     tv = tau.value
     z = _div(tv - 9.0, 3.0 * tv)
     w = _div((tv - 9.0) * (tv + 3.0), tv * tv)
-    return _pp(z, w, INF)
+    return _point_from_sphere_pair(z, w, INF)
 
 
 def _cubic_d_13_1_param(t: complex) -> ProjectivePoint:
@@ -641,7 +671,7 @@ def _cubic_d_13_1_param(t: complex) -> ProjectivePoint:
         ratio = _div((tv + 9.0) * (tv + 1.0), tv * (tv + 4.0))
     else:
         ratio = INF
-    return _pp(z, w, ratio)
+    return _point_from_sphere_pair(z, w, ratio)
 
 
 def _cubic_d_13_2_param(tau: complex) -> ProjectivePoint:
@@ -655,7 +685,7 @@ def _cubic_d_13_2_param(tau: complex) -> ProjectivePoint:
         ratio = _div((2.0 * tv + 27.0) * (2.0 * tv - 9.0), tv * (tv + 9.0))
     else:
         ratio = INF
-    return _pp(z, w, ratio)
+    return _point_from_sphere_pair(z, w, ratio)
 
 
 def _quartic_d_932_param(t: complex) -> ProjectivePoint:
@@ -672,13 +702,13 @@ def _quartic_d_932_param(t: complex) -> ProjectivePoint:
         ratio = _div((tv + 8.0) * (3.0 * tv + 8.0) * (3.0 * tv + 4.0), tv * (3.0 + tv) * (9.0 * tv + 32.0))
     else:
         ratio = INF
-    return _pp(z, w, ratio)
+    return _point_from_sphere_pair(z, w, ratio)
 
 
 def _d_generic_param(lam: complex):
     def param(t: complex) -> ProjectivePoint:
         z, w, ratio = _param_d(lam, SphereValue.coerce(t), None)
-        return _pp(z, w, ratio)
+        return _point_from_sphere_pair(z, w, ratio)
 
     return param
 
@@ -699,41 +729,197 @@ _QUARTIC_D_932 = BiPoly.from_terms(
     (40, 4, 0), (-108, 3, 0), (72, 2, 0), (37, 2, 1), (-54, 1, 1), (9, 0, 1), (4, 0, 2)
 )
 _CONIC_D_932 = BiPoly.from_terms((1, 0, 1), (8, 2, 0), (-9, 1, 1))  # w + 8z^2 - 9zw
-_CONIC_D_C = BiPoly.from_terms((1, 0, 1), (8, 2, 0))  # w + 8z^2
-_CUBIC_D_S = BiPoly.from_terms(
-    (1, 0, 1), (8, 2, 0), (4, 0, 2), (5, 2, 1), (-14, 1, 1), (-4, 3, 0)
+
+
+_C2_CONICS = (
+    BiPoly.from_terms((1, 0, 1), (8, 2, 0)),  # w + 8z^2
+    (_W - _Z).power(2).scale(9) + _W - _Z * _Z,
+    (_Z - _ONE).power(2).scale(9) + _W - _Z * _Z,
 )
-_LINE_Z1 = _Z - _ONE
-_LINE_ZW = _Z - _W
-_CONIC_B1_INF = _W + _Z * _Z * 3
+# 4 nu z^2 + 3 (mu w^2 + 1) + 6 z (w + mu) + 5 nu w over (mu, nu) = (1, 1)
+# and the two conjugate pairs of cube roots of unity
+_EB = EPS_CUBE_ROOT.conjugate()
+_C1_CONICS = tuple(
+    BiPoly({(2, 0): 4 * nu, (0, 2): 3 * mu, (0, 0): 3, (1, 1): 6, (1, 0): 6 * mu, (0, 1): 5 * nu})
+    for mu, nu in ((1.0, 1.0), (_EB, EPS_CUBE_ROOT), (EPS_CUBE_ROOT, _EB))
+)
 
 
-def _c2_conics() -> list[BiPoly]:
-    c1 = _CONIC_D_C  # w + 8z^2
-    c2 = (_W - _Z).power(2).scale(9) + _W - _Z * _Z
-    c3 = (_Z - _ONE).power(2).scale(9) + _W - _Z * _Z
-    return [c1, c2, c3]
+# ---------------------------------------------------------------------------
+# critical cells: the components of each critical level curve and the fiber
+# over it, keyed by (family, value); lam = 0 (the parabola) is common to all
+
+@dataclass(frozen=True)
+class FiberComponent:
+    genus: int
+    covering: str  # "bijective" | "double"
+    over: str
+    branch_parameters: tuple[SphereValue, ...] = ()
 
 
-def _c1_conics() -> list[BiPoly]:
-    e = cmath.exp(-2j * math.pi / 3)
-    eb = e.conjugate()
+@dataclass(frozen=True)
+class FiberModel:
+    family: BilliardFamily
+    lam: SphereValue
+    components: tuple[FiberComponent, ...]
+
+    @property
+    def component_count(self) -> int:
+        return len(self.components)
+
+
+def _sheets(over: str) -> tuple[FiberComponent, ...]:
+    """Two bijective rational fiber components over one curve component."""
+    return (FiberComponent(0, "bijective", over),) * 2
+
+
+def _double(over: str) -> tuple[FiberComponent, ...]:
+    return (FiberComponent(0, "double", over),)
+
+
+def _listed(*entries):
+    """Components given as (name, polynomial, parametrization), simple."""
+    return lambda family, lam: [CurveComponent(n, p, 1, pr) for n, p, pr in entries]
+
+
+def _den_factors(*entries):
+    """Components at lam = inf: the integral's denominator factors, named as
+    (name, parametrization built from the factor or None)."""
+
+    def build(family, lam):
+        den = first_integral(family).den_factors
+        return [
+            CurveComponent(name, poly, mult, None if param is None else param(poly))
+            for (name, param), (poly, mult) in zip(entries, den)
+        ]
+
+    return build
+
+
+def _a_at_infinity(*head):
+    """The a-family pole divisor: the ``head`` components, then one parabola
+    w = c z^2 per denominator coefficient c."""
+
+    def build(family, lam):
+        cs = _PARAM_FUNCS[family.tag][1](family.n)
+        parabolas = ((f"parabola w = {c} z^2", None) for c in cs)
+        return _den_factors(*head, *parabolas)(family, lam)
+
+    return build
+
+
+def _image_components(family, lam):
+    """The base family's components mapped by the projective equivalence."""
+    image = family.spec.image_of
     out = []
-    for mu, nu in ((1.0, 1.0), (eb, e), (e, eb)):
-        # 4 mu' z^2 + 3 (mu w^2 + 1) + 6 z (w + mu) + 5 mu' w with mu' = conj pattern
-        out.append(
-            BiPoly(
-                {
-                    (2, 0): 4 * nu,
-                    (0, 2): 3 * mu,
-                    (0, 0): 3,
-                    (1, 1): 6,
-                    (1, 0): 6 * mu,
-                    (0, 1): 5 * nu,
-                }
-            )
-        )
+    for comp in critical_fiber_components(BilliardFamily(image.base), lam):
+        poly = _substitute_projective(comp.poly, image.inverse.matrix)
+        param = _compose_param(image.map, comp.parametrize)
+        out.append(CurveComponent(comp.name + " (b-equivalence image)", poly, 1, param))
     return out
+
+
+def _line(a: complex, b: complex, c: complex):
+    return lambda poly: _line_param(a, b, c)
+
+
+def _through_origin(poly: BiPoly):
+    return _conic_param_through(poly, 0.0, 0.0)
+
+
+_SIX_CONICS = sum((_sheets(f"conic #{k}") for k in range(3)), ())
+
+_CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...] | None]] = {
+    ("a1", INF): (_a_at_infinity(), None),
+    ("a2", INF): (_a_at_infinity(("line z = 0", _line(1.0, 0.0, 0.0))), None),
+    ("b1", INF): (
+        _den_factors(
+            ("conic w + 3z^2", None),
+            ("line z = 1", _line(1.0, 0.0, -1.0)),
+            ("line z = w", _line(1.0, -1.0, 0.0)),
+        ),
+        None,
+    ),
+    ("b1", SphereValue(1)): (
+        _listed(
+            ("line z = 0", _Z, _line_param(1.0, 0.0, 0.0)),
+            ("cubic", _CUBIC_B1_LEVEL1, _cubic_b1_level1_param),
+        ),
+        _double("line") + _sheets("cubic"),
+    ),
+    ("b1", SphereValue(Fraction(4, 3))): (
+        _listed(
+            ("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1, _conic_b1_43_1_param),
+            ("conic w = z(4-3z)", _CONIC_B1_43_2, _conic_b1_43_2_param),
+        ),
+        _double("conic #0") + _double("conic #1"),
+    ),
+    ("b2", INF): (
+        _listed(
+            ("conic z^2+w^2+w+1", _Z * _Z + _W * _W + _W + _ONE, None),
+            ("line z = i", _Z - BiPoly.const(1j), _line_param(1.0, 0.0, -1j)),
+            ("line z = -i", _Z + BiPoly.const(1j), _line_param(1.0, 0.0, 1j)),
+        ),
+        None,
+    ),
+    ("b2", SphereValue(1)): (
+        _image_components,
+        _double("conic (b-equivalence image of a line)") + _sheets("cubic"),
+    ),
+    ("b2", SphereValue(Fraction(4, 3))): (
+        _image_components,
+        _double("conic #0") + _double("conic #1"),
+    ),
+    ("c1", SphereValue(Fraction(27, 64))): (
+        _listed(*((f"conic #{k}", p, None) for k, p in enumerate(_C1_CONICS))),
+        _SIX_CONICS,
+    ),
+    ("c1", INF): (_den_factors(("cubic 1 + w^3 - 2zw", None)), _sheets("cubic")),
+    ("c2", SphereValue(Fraction(-9, 64))): (
+        _listed(
+            ("conic w + 8z^2", _C2_CONICS[0], _through_origin(_C2_CONICS[0])),
+            ("conic 9(w-z)^2 + w - z^2", _C2_CONICS[1], None),
+            ("conic 9(z-1)^2 + w - z^2", _C2_CONICS[2], None),
+        ),
+        _SIX_CONICS,
+    ),
+    ("c2", INF): (_den_factors(("cubic", None)), _sheets("cubic")),
+    ("d", INF): (
+        _den_factors(
+            ("conic w + 8z^2", _through_origin),
+            ("line z = 1", _line(1.0, 0.0, -1.0)),
+            ("cubic", None),
+        ),
+        _sheets("conic w + 8z^2") + _double("line z = 1") + _sheets("cubic"),
+    ),
+    ("d", SphereValue(Fraction(-1, 3))): (
+        _listed(
+            ("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1, _cubic_d_13_1_param),
+            ("cubic", _CUBIC_D_13_2, _cubic_d_13_2_param),
+        ),
+        _double("cubic #0") + _double("cubic #1"),
+    ),
+    ("d", SphereValue(Fraction(-9, 32))): (
+        _listed(
+            ("quartic", _QUARTIC_D_932, _quartic_d_932_param),
+            ("conic w + 8z^2 - 9zw", _CONIC_D_932, _through_origin(_CONIC_D_932)),
+        ),
+        _sheets("quartic") + _double("conic"),
+    ),
+    # the level curve is critical (degenerate cusp) but the fiber keeps the
+    # generic elliptic double-cover structure
+    ("d", SphereValue(Fraction(-1, 4))): (
+        lambda family, lam: [
+            CurveComponent(
+                "irreducible sextic (degenerate cusp at the origin)",
+                first_integral(family).level_polynomial(Fraction(-1, 4)),
+                1,
+                _d_generic_param(-0.25),
+            )
+        ],
+        (FiberComponent(1, "double", "level curve"),),
+    ),
+}
 
 
 def critical_fiber_components(family: BilliardFamily, lam) -> list[CurveComponent]:
@@ -746,110 +932,16 @@ def critical_fiber_components(family: BilliardFamily, lam) -> list[CurveComponen
     lam = SphereValue.coerce(lam)
     if is_regular(family, lam):
         raise ValueError(f"{lam!r} is a regular value of family {family.label()}")
-    tag = family.tag
-    integ = first_integral(family)
     if lam == SphereValue(0):
         return [
-            CurveComponent("parabola", _CONIC_GAMMA, integ.zero_order, _gamma_param)
+            CurveComponent(
+                "parabola", _CONIC_GAMMA, first_integral(family).zero_order, _gamma_param
+            )
         ]
-    if tag == "a1" and lam.is_inf:
-        return [
-            CurveComponent(f"parabola w = {c} z^2", _W - _Z * _Z * c, 2, None)
-            for c in coefficients_a1(family.n)
-        ]
-    if tag == "a2" and lam.is_inf:
-        comps = [CurveComponent("line z = 0", _Z, 1, _line_param(1.0, 0.0, 0.0))]
-        comps += [
-            CurveComponent(f"parabola w = {c} z^2", _W - _Z * _Z * c, 1, None)
-            for c in coefficients_a2(family.n)
-        ]
-        return comps
-    if tag == "b1":
-        if lam.is_inf:
-            return [
-                CurveComponent("conic w + 3z^2", _CONIC_B1_INF, 1, None),
-                CurveComponent("line z = 1", _LINE_Z1, 1, _line_param(1.0, 0.0, -1.0)),
-                CurveComponent("line z = w", _LINE_ZW, 1, _line_param(1.0, -1.0, 0.0)),
-            ]
-        if lam == SphereValue(1):
-            return [
-                CurveComponent("line z = 0", _Z, 1, _line_param(1.0, 0.0, 0.0)),
-                CurveComponent("cubic", _CUBIC_B1_LEVEL1, 1, _cubic_b1_level1_param),
-            ]
-        if lam == SphereValue(Fraction(4, 3)):
-            return [
-                CurveComponent("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1, 1, _conic_b1_43_1_param),
-                CurveComponent("conic w = z(4-3z)", _CONIC_B1_43_2, 1, _conic_b1_43_2_param),
-            ]
-    if tag == "b2":
-        if lam.is_inf:
-            return [
-                CurveComponent(
-                    "conic z^2+w^2+w+1", _Z * _Z + _W * _W + _W + _ONE, 1, None
-                ),
-                CurveComponent("line z = i", _Z - BiPoly.const(1j), 1, _line_param(1.0, 0.0, -1j)),
-                CurveComponent("line z = -i", _Z + BiPoly.const(1j), 1, _line_param(1.0, 0.0, 1j)),
-            ]
-        if lam == SphereValue(1) or lam == SphereValue(Fraction(4, 3)):
-            base = critical_fiber_components(BilliardFamily("b1"), lam)
-            m_inv = b_family_equivalence().inverse().matrix
-            out = []
-            for comp in base:
-                poly = _substitute_projective(comp.poly, m_inv)
-                param = _compose_param(comp.parametrize)
-                out.append(CurveComponent(comp.name + " (b-equivalence image)", poly, 1, param))
-            return out
-    if tag == "c1" and lam == SphereValue(Fraction(27, 64)):
-        return [
-            CurveComponent(f"conic #{k}", p, 1, None) for k, p in enumerate(_c1_conics())
-        ]
-    if tag == "c1" and lam.is_inf:
-        return [CurveComponent("cubic 1 + w^3 - 2zw", _ONE + _W.power(3) - _Z * _W * 2, 2, None)]
-    if tag == "c2" and lam == SphereValue(Fraction(-9, 64)):
-        names = ["conic w + 8z^2", "conic 9(w-z)^2 + w - z^2", "conic 9(z-1)^2 + w - z^2"]
-        polys = _c2_conics()
-        params = [_conic_param_through(polys[0], 0.0, 0.0), None, None]
-        return [
-            CurveComponent(nm, p, 1, pr) for nm, p, pr in zip(names, polys, params)
-        ]
-    if tag == "c2" and lam.is_inf:
-        return [CurveComponent("cubic", _cubic_c2_poly(), 2, None)]
-    if tag == "d":
-        if lam.is_inf:
-            return [
-                CurveComponent("conic w + 8z^2", _CONIC_D_C, 1, _conic_param_through(_CONIC_D_C, 0.0, 0.0)),
-                CurveComponent("line z = 1", _LINE_Z1, 1, _line_param(1.0, 0.0, -1.0)),
-                CurveComponent("cubic", _CUBIC_D_S, 1, None),
-            ]
-        if lam == SphereValue(Fraction(-1, 3)):
-            return [
-                CurveComponent("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1, 1, _cubic_d_13_1_param),
-                CurveComponent("cubic", _CUBIC_D_13_2, 1, _cubic_d_13_2_param),
-            ]
-        if lam == SphereValue(Fraction(-9, 32)):
-            return [
-                CurveComponent("quartic", _QUARTIC_D_932, 1, _quartic_d_932_param),
-                CurveComponent("conic w + 8z^2 - 9zw", _CONIC_D_932, 1, _conic_param_through(_CONIC_D_932, 0.0, 0.0)),
-            ]
-        if lam == SphereValue(Fraction(-1, 4)):
-            poly = integ.level_polynomial(Fraction(-1, 4))
-            return [
-                CurveComponent(
-                    "irreducible sextic (degenerate cusp at the origin)",
-                    poly,
-                    1,
-                    _d_generic_param(-0.25),
-                )
-            ]
-    raise ValueError(
-        f"no component table for family {family.label()} at {lam!r}"
-    )
-
-
-def _cubic_c2_poly() -> BiPoly:
-    return BiPoly.from_terms(
-        (8, 3, 0), (-8, 2, 1), (-8, 2, 0), (-1, 0, 2), (-1, 0, 1), (10, 1, 1)
-    )
+    cell = _CELLS.get((family.tag, lam))
+    if cell is None:
+        raise ValueError(f"no component table for family {family.label()} at {lam!r}")
+    return cell[0](family, lam)
 
 
 def _gamma_param(t: complex) -> ProjectivePoint:
@@ -893,10 +985,9 @@ def _substitute_projective(poly: BiPoly, matrix: np.ndarray) -> BiPoly:
     return BiPoly(out)
 
 
-def _compose_param(base):
+def _compose_param(psi, base):
     if base is None:
         return None
-    psi = b_family_equivalence()
 
     def param(t: complex) -> ProjectivePoint:
         return psi(base(t))
@@ -930,25 +1021,6 @@ def _as_fraction(x: complex) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # fiber and level-curve summaries
 
-@dataclass(frozen=True)
-class FiberComponent:
-    genus: int
-    covering: str  # "bijective" | "double"
-    over: str
-    branch_parameters: tuple[SphereValue, ...] = ()
-
-
-@dataclass(frozen=True)
-class FiberModel:
-    family: BilliardFamily
-    lam: SphereValue
-    components: tuple[FiberComponent, ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-
 def fiber_type(family: BilliardFamily, lam) -> FiberModel:
     """Component/genus/covering table of the invariant fiber over {R = lam}.
 
@@ -957,114 +1029,24 @@ def fiber_type(family: BilliardFamily, lam) -> FiberModel:
     a-family multiple fibers at infinity) are not modeled.
     """
     lam = SphereValue.coerce(lam)
-    tag = family.tag
     if is_regular(family, lam):
-        if tag == "a1":
-            comp = FiberComponent(0, "bijective", "level curve")
-            return FiberModel(family, lam, (comp, comp))
-        if tag == "a2":
-            return FiberModel(
-                family,
-                lam,
-                (
-                    FiberComponent(
-                        0,
-                        "double",
-                        "level curve",
-                        (SphereValue(0.0), INF),
-                    ),
-                ),
-            )
-        if tag in ("c1", "c2"):
-            comp = FiberComponent(1, "bijective", "level curve")
-            return FiberModel(family, lam, (comp, comp))
+        spec = family.spec
+        genus = 1 if spec.elliptic_fiber or spec.level_curves == "elliptic" else 0
         branch = tuple(branch_points(family, lam))
+        if not branch:  # two global sheets over the level curve
+            comp = FiberComponent(genus, "bijective", "level curve")
+            return FiberModel(family, lam, (comp, comp))
         return FiberModel(
-            family, lam, (FiberComponent(1, "double", "level curve", branch),)
+            family, lam, (FiberComponent(genus, "double", "level curve", branch),)
         )
     if lam == SphereValue(0):
         return FiberModel(
             family, lam, (FiberComponent(0, "bijective", "parabola (multiple)"),)
         )
-    if tag == "b1" or tag == "b2":
-        if lam == SphereValue(1):
-            line = "line" if tag == "b1" else "conic (b-equivalence image of a line)"
-            return FiberModel(
-                family,
-                lam,
-                (
-                    FiberComponent(0, "double", line),
-                    FiberComponent(0, "bijective", "cubic"),
-                    FiberComponent(0, "bijective", "cubic"),
-                ),
-            )
-        if lam == SphereValue(Fraction(4, 3)):
-            return FiberModel(
-                family,
-                lam,
-                (
-                    FiberComponent(0, "double", "conic #0"),
-                    FiberComponent(0, "double", "conic #1"),
-                ),
-            )
-    if tag in ("c1", "c2"):
-        if lam.is_inf:
-            return FiberModel(
-                family,
-                lam,
-                (
-                    FiberComponent(0, "bijective", "cubic"),
-                    FiberComponent(0, "bijective", "cubic"),
-                ),
-            )
-        comps = []
-        for k in range(3):
-            comps += [
-                FiberComponent(0, "bijective", f"conic #{k}"),
-                FiberComponent(0, "bijective", f"conic #{k}"),
-            ]
-        return FiberModel(family, lam, tuple(comps))
-    if tag == "d":
-        if lam.is_inf:
-            return FiberModel(
-                family,
-                lam,
-                (
-                    FiberComponent(0, "bijective", "conic w + 8z^2"),
-                    FiberComponent(0, "bijective", "conic w + 8z^2"),
-                    FiberComponent(0, "double", "line z = 1"),
-                    FiberComponent(0, "bijective", "cubic"),
-                    FiberComponent(0, "bijective", "cubic"),
-                ),
-            )
-        if lam == SphereValue(Fraction(-1, 3)):
-            return FiberModel(
-                family,
-                lam,
-                (
-                    FiberComponent(0, "double", "cubic #0"),
-                    FiberComponent(0, "double", "cubic #1"),
-                ),
-            )
-        if lam == SphereValue(Fraction(-9, 32)):
-            return FiberModel(
-                family,
-                lam,
-                (
-                    FiberComponent(0, "bijective", "quartic"),
-                    FiberComponent(0, "bijective", "quartic"),
-                    FiberComponent(0, "double", "conic"),
-                ),
-            )
-        if lam == SphereValue(Fraction(-1, 4)):
-            # the level curve is critical (degenerate cusp) but the fiber keeps
-            # the generic elliptic double-cover structure
-            return FiberModel(
-                family,
-                lam,
-                (FiberComponent(1, "double", "level curve"),),
-            )
-    raise ValueError(f"no fiber table for family {family.label()} at {lam!r}")
+    cell = _CELLS.get((family.tag, lam))
+    if cell is None or cell[1] is None:
+        raise ValueError(f"no fiber table for family {family.label()} at {lam!r}")
+    return FiberModel(family, lam, cell[1])
 
 
 @dataclass(frozen=True)
@@ -1094,7 +1076,7 @@ def level_curve_model(family: BilliardFamily, lam) -> LevelCurveModel:
     lamv = lam.value
     lamx = _as_fraction(lamv)
     implicit = integ.level_polynomial(lamx if lamx is not None else lamv)
-    if family.tag in ("c1", "c2"):
+    if family.spec.level_curves == "elliptic":
         return LevelCurveModel(family, lam, "elliptic", None, None, implicit)
 
     def param(t: complex) -> ProjectivePoint:

@@ -7,6 +7,10 @@ exact rationals, expanded once from the factored closed forms.  Evaluation
 at infinite points goes through homogenization to the common degree; near a
 base point (where numerator and denominator share a zero) evaluation is
 refused inside a guard radius.
+
+The polynomial factors of each integral are tabulated here, one entry per
+family; the base points and the critical value table are read from the
+family's record in :mod:`dualbill.families`.
 """
 
 from __future__ import annotations
@@ -15,12 +19,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .billiards import BilliardFamily
-from .geometry import E_INFINITY, EPS_CUBE_ROOT, ProjectivePoint
+from .geometry import ProjectivePoint
 from .numerics import INF, SphereValue
 
 __all__ = [
@@ -341,24 +345,16 @@ class RationalIntegral:
         )
 
     def eval(self, point: ProjectivePoint, *, guard: float = BASE_POINT_GUARD) -> SphereValue:
-        for bp in indeterminacy_set(self.family):
+        for bp in self.family.spec.base_points:
             cross = np.cross(point.coords, bp.coords)
             if float(np.linalg.norm(cross)) <= guard:
                 raise IndeterminacyError(
                     f"{point} is within {guard:g} of the base point {bp}"
                 )
-        chart = int(np.argmax(np.abs(point.coords)))
-        zc, wc, tc = point.coords
-        pivot = point.coords[chart]
-        if chart == 0:
-            ab = (wc / pivot, tc / pivot)
-        elif chart == 1:
-            ab = (zc / pivot, tc / pivot)
-        else:
-            ab = (zc / pivot, wc / pivot)
+        chart, a, b = _chart_coords(point)
         d = self.degree
-        nv = _eval_factored(self.num_factors, d, chart, ab[0], ab[1])
-        dv = _eval_factored(self.den_factors, d, chart, ab[0], ab[1])
+        nv = _eval_factored(self.num_factors, d, chart, a, b)
+        dv = _eval_factored(self.den_factors, d, chart, a, b)
         if dv == 0:
             if nv == 0:
                 raise IndeterminacyError(f"0/0 at {point}")
@@ -373,78 +369,33 @@ class RationalIntegral:
         return self.num - self.den.scale(lam)
 
 
-def _expand_a1(n: int) -> tuple[BiPoly, BiPoly]:
-    num = _CONIC.power(2 * n + 1)
-    den = _ONE
-    for c in coefficients_a1(n):
-        den = den * (_W - _Z * _Z * c).power(2)
-    return num, den
+_CUBIC_C2 = BiPoly.from_terms((8, 3, 0), (-8, 2, 1), (-8, 2, 0), (-1, 0, 2), (-1, 0, 1), (10, 1, 1))
+# w + 8z^2 + 4w^2 + 5wz^2 - 14zw - 4z^3
+_CUBIC_D = BiPoly.from_terms((1, 0, 1), (8, 2, 0), (4, 0, 2), (5, 2, 1), (-14, 1, 1), (-4, 3, 0))
 
-
-def _expand_a2(n: int) -> tuple[BiPoly, BiPoly]:
-    num = _CONIC.power(n + 1)
-    den = _Z
-    for c in coefficients_a2(n):
-        den = den * (_W - _Z * _Z * c)
-    return num, den
-
-
-def _den_b1() -> BiPoly:
-    return (_W + _Z * _Z * 3) * (_Z - _ONE) * (_Z - _W)
-
-
-def _den_b2() -> BiPoly:
-    return (_Z * _Z + _W * _W + _W + _ONE) * (_Z * _Z + _ONE)
-
-
-def _cubic_c1() -> BiPoly:
-    return _ONE + _W.power(3) - _Z * _W * 2
-
-
-def _cubic_c2() -> BiPoly:
-    return BiPoly.from_terms(
-        (8, 3, 0), (-8, 2, 1), (-8, 2, 0), (-1, 0, 2), (-1, 0, 1), (10, 1, 1)
-    )
-
-
-def _cubic_d() -> BiPoly:
-    # w + 8z^2 + 4w^2 + 5wz^2 - 14zw - 4z^3
-    return BiPoly.from_terms(
-        (1, 0, 1), (8, 2, 0), (4, 0, 2), (5, 2, 1), (-14, 1, 1), (-4, 3, 0)
-    )
-
-
-def _den_d() -> BiPoly:
-    return (_W + _Z * _Z * 8) * (_Z - _ONE) * _cubic_d()
+#: per family: the power of (w - z^2) in the numerator and the denominator's
+#: factors with their multiplicities, as functions of N
+_FACTORS: dict[str, Callable[[int | None], tuple[int, Factors]]] = {
+    "a1": lambda n: (2 * n + 1, tuple((_W - _Z * _Z * c, 2) for c in coefficients_a1(n))),
+    "a2": lambda n: (
+        n + 1,
+        ((_Z, 1),) + tuple((_W - _Z * _Z * c, 1) for c in coefficients_a2(n)),
+    ),
+    "b1": lambda n: (2, ((_W + _Z * _Z * 3, 1), (_Z - _ONE, 1), (_Z - _W, 1))),
+    "b2": lambda n: (2, ((_Z * _Z + _W * _W + _W + _ONE, 1), (_Z * _Z + _ONE, 1))),
+    "c1": lambda n: (3, ((_ONE + _W.power(3) - _Z * _W * 2, 2),)),
+    "c2": lambda n: (3, ((_CUBIC_C2, 2),)),
+    "d": lambda n: (3, ((_W + _Z * _Z * 8, 1), (_Z - _ONE, 1), (_CUBIC_D, 1))),
+}
 
 
 @lru_cache(maxsize=None)
 def _integral_cached(tag: str, n: int | None) -> RationalIntegral:
-    family = BilliardFamily(tag, n)
-    if tag == "a1":
-        num, den = _expand_a1(n)
-        k = 2 * n + 1
-        den_f = tuple((_W - _Z * _Z * c, 2) for c in coefficients_a1(n))
-    elif tag == "a2":
-        num, den = _expand_a2(n)
-        k = n + 1
-        den_f = ((_Z, 1),) + tuple((_W - _Z * _Z * c, 1) for c in coefficients_a2(n))
-    elif tag == "b1":
-        num, den, k = _CONIC.power(2), _den_b1(), 2
-        den_f = ((_W + _Z * _Z * 3, 1), (_Z - _ONE, 1), (_Z - _W, 1))
-    elif tag == "b2":
-        num, den, k = _CONIC.power(2), _den_b2(), 2
-        den_f = ((_Z * _Z + _W * _W + _W + _ONE, 1), (_Z * _Z + _ONE, 1))
-    elif tag == "c1":
-        num, den, k = _CONIC.power(3), _cubic_c1().power(2), 3
-        den_f = ((_cubic_c1(), 2),)
-    elif tag == "c2":
-        num, den, k = _CONIC.power(3), _cubic_c2().power(2), 3
-        den_f = ((_cubic_c2(), 2),)
-    else:
-        num, den, k = _CONIC.power(3), _den_d(), 3
-        den_f = ((_W + _Z * _Z * 8, 1), (_Z - _ONE, 1), (_cubic_d(), 1))
-    return RationalIntegral(family, num, den, k, ((_CONIC, k),), den_f)
+    k, den_f = _FACTORS[tag](n)
+    den = _ONE
+    for poly, mult in den_f:
+        den = den * poly.power(mult)
+    return RationalIntegral(BilliardFamily(tag, n), _CONIC.power(k), den, k, ((_CONIC, k),), den_f)
 
 
 def first_integral(family: BilliardFamily) -> RationalIntegral:
@@ -548,155 +499,31 @@ def hessian_projective(
 
 def indeterminacy_set(family: BilliardFamily) -> list[ProjectivePoint]:
     """Base points of the integral (= singularities of the billiard)."""
-    e = EPS_CUBE_ROOT
-    eb = e.conjugate()
-    origin = ProjectivePoint.affine(0.0, 0.0)
-    one_one = ProjectivePoint.affine(1.0, 1.0)
-    table = {
-        "a1": [origin, E_INFINITY],
-        "a2": [origin, E_INFINITY],
-        "b1": [origin, one_one, E_INFINITY],
-        "b2": [
-            ProjectivePoint.affine(1j, -1.0),
-            ProjectivePoint.affine(-1j, -1.0),
-            E_INFINITY,
-        ],
-        "c1": [
-            one_one,
-            ProjectivePoint.affine(eb, e),
-            ProjectivePoint.affine(e, eb),
-        ],
-        "c2": [origin, one_one, E_INFINITY],
-        "d": [origin, one_one, E_INFINITY],
-    }
-    return table[family.tag]
+    return list(family.spec.base_points)
 
 
 def critical_values(family: BilliardFamily) -> list[SphereValue]:
     """All critical values of the integral, in the general sense (including
     critical indeterminacy values)."""
-    table = {
-        "a1": [SphereValue(0), INF],
-        "a2": [SphereValue(0), INF],
-        "b1": [SphereValue(0), SphereValue(1), SphereValue(Fraction(4, 3)), INF],
-        "b2": [SphereValue(0), SphereValue(1), SphereValue(Fraction(4, 3)), INF],
-        "c1": [SphereValue(0), SphereValue(Fraction(27, 64)), INF],
-        "c2": [SphereValue(0), SphereValue(Fraction(-9, 64)), INF],
-        "d": [
-            SphereValue(0),
-            SphereValue(Fraction(-1, 3)),
-            SphereValue(Fraction(-1, 4)),
-            SphereValue(Fraction(-9, 32)),
-            INF,
-        ],
-    }
-    return table[family.tag]
+    return [row.value for row in family.spec.critical]
 
 
-def _critical_point_table(tag: str) -> dict[SphereValue, list[ProjectivePoint]]:
-    e = EPS_CUBE_ROOT
-    eb = e.conjugate()
-    aff = ProjectivePoint.affine
-    if tag == "b1":
-        return {
-            INF: [aff(1.0, -3.0), aff(-1 / 3, -1 / 3)],
-            SphereValue(1): [aff(0.0, -1.0)],
-            SphereValue(Fraction(4, 3)): [aff(1 / 3, 1.0)],
-            SphereValue(0): [],
-        }
-    if tag == "b2":
-        # images of the b1 critical points under the b-family equivalence
-        return {
-            INF: [aff(-1j, 0.0), aff(1j, 0.0)],
-            SphereValue(1): [ProjectivePoint(1.0, 0.0, 0.0)],
-            SphereValue(Fraction(4, 3)): [aff(0.0, -2.0)],
-            SphereValue(0): [],
-        }
-    if tag == "c1":
-        return {
-            SphereValue(Fraction(27, 64)): [
-                aff(eb / 2, e),
-                aff(0.5, 1.0),
-                aff(e / 2, eb),
-            ],
-            SphereValue(0): [],
-            INF: [],
-        }
-    if tag == "c2":
-        return {
-            SphereValue(Fraction(-9, 64)): [
-                aff(1.25, 1.0),
-                aff(-0.25, -0.5),
-                aff(0.5, -2.0),
-            ],
-            SphereValue(0): [],
-            INF: [],
-        }
-    if tag == "d":
-        return {
-            SphereValue(Fraction(-1, 3)): [aff(2 / 5, 8 / 5)],
-            SphereValue(Fraction(-9, 32)): [aff(1 / 10, -4 / 5)],
-            SphereValue(Fraction(-1, 4)): [],
-            INF: [aff(1.0, -8.0), aff(-0.5, -2.0)],
-            SphereValue(0): [],
-        }
-    # a-families: the critical set is a union of multiple level curves;
-    # there are no isolated true critical points.
-    return {SphereValue(0): [], INF: []}
+def _critical_row(family: BilliardFamily, lam):
+    lam = SphereValue.coerce(lam)
+    for row in family.spec.critical:
+        if row.value == lam:
+            return row
+    raise ValueError(f"{lam!r} is not a critical value of family {family.label()}")
 
 
 def true_critical_points(family: BilliardFamily, lam) -> list[ProjectivePoint]:
     """Isolated critical points of R away from indeterminacies, per value."""
-    lam = SphereValue.coerce(lam)
-    table = _critical_point_table(family.tag)
-    for key, pts in table.items():
-        if key == lam:
-            return list(pts)
-    raise ValueError(f"{lam!r} is not a critical value of family {family.label()}")
+    return list(_critical_row(family, lam).points)
 
 
 def critical_indeterminacies(family: BilliardFamily, lam) -> list[ProjectivePoint]:
     """Base points that are critical for the given value."""
-    lam = SphereValue.coerce(lam)
-    aff = ProjectivePoint.affine
-    origin, one_one = aff(0.0, 0.0), aff(1.0, 1.0)
-    zero, inf = SphereValue(0), INF
-    tag = family.tag
-    if tag in ("a1", "a2"):
-        table = {
-            zero: [origin, E_INFINITY],
-            inf: [E_INFINITY] if tag == "a2" else [origin, E_INFINITY],
-        }
-    elif tag == "b1":
-        table = {
-            zero: [origin, one_one, E_INFINITY],
-            SphereValue(1): [one_one],
-            SphereValue(Fraction(4, 3)): [],
-            inf: [],
-        }
-    elif tag == "b2":
-        table = {
-            zero: [aff(1j, -1.0), aff(-1j, -1.0), E_INFINITY],
-            SphereValue(1): [E_INFINITY],
-            SphereValue(Fraction(4, 3)): [],
-            inf: [],
-        }
-    elif tag in ("c1", "c2"):
-        bps = indeterminacy_set(family)
-        mid = SphereValue(Fraction(27, 64) if tag == "c1" else Fraction(-9, 64))
-        table = {zero: list(bps), inf: list(bps), mid: []}
-    else:  # d
-        table = {
-            zero: [origin, one_one, E_INFINITY],
-            SphereValue(Fraction(-1, 3)): [],
-            SphereValue(Fraction(-1, 4)): [origin],
-            SphereValue(Fraction(-9, 32)): [one_one],
-            inf: [one_one],
-        }
-    for key, pts in table.items():
-        if key == lam:
-            return pts
-    raise ValueError(f"{lam!r} is not a critical value of family {family.label()}")
+    return list(_critical_row(family, lam).indeterminacies)
 
 
 @dataclass(frozen=True)
@@ -709,13 +536,5 @@ class CriticalTable:
 
 
 def critical_table(family: BilliardFamily) -> CriticalTable:
-    rows = []
-    for lam in critical_values(family):
-        rows.append(
-            (
-                lam,
-                tuple(true_critical_points(family, lam)),
-                tuple(critical_indeterminacies(family, lam)),
-            )
-        )
-    return CriticalTable(family, tuple(rows))
+    rows = tuple((r.value, r.points, r.indeterminacies) for r in family.spec.critical)
+    return CriticalTable(family, rows)

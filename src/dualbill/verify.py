@@ -4,7 +4,9 @@ library into named reports.
 Every check draws its own RNG stream from (suite seed, check name), so the
 full suite gives byte-identical reports for a fixed seed regardless of
 execution order.  Each check also has a corruption hook used by the
-harness's negative tests: with ``corrupt=True`` it must fail.
+harness's negative tests: with ``corrupt=True`` it must fail.  A sampling
+check that evaluates no sample at all fails, with the dropped samples
+counted per exception class in its witness.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import cmath
 import hashlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -20,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .billiards import (
+    ALL_FAMILY_TAGS,
     BilliardFamily,
     PhasePoint,
     billiard_map,
@@ -42,14 +46,11 @@ from .geometry import (
     conic_point,
 )
 from .integrals import (
-    critical_values,
-    critical_indeterminacies,
     eval_integral,
     first_integral,
     gradient_projective,
     hessian_projective,
     indeterminacy_set,
-    true_critical_points,
 )
 from .numerics import DEFAULT_TOL, INF, SphereValue, Tolerance, principal_sqrt
 
@@ -100,6 +101,21 @@ class CheckReport:
 def _rng_for(seed: int, name: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
+
+
+def _verdict(
+    name: str, family: BilliardFamily, params: dict, worst: float, witness: dict | None,
+    bound: float, dropped: Counter | None = None, evaluated: int | None = None,
+) -> CheckReport:
+    """Pass when ``worst`` is within ``bound``.  Sampling checks also give
+    ``evaluated``; with none evaluated they fail whatever ``worst`` is."""
+    if evaluated == 0:
+        witness = {"evaluated": 0, "dropped": dict(sorted(dropped.items()))}
+        return CheckReport(name, family.label(), params, "fail", worst, witness)
+    status = "pass" if worst <= bound else "fail"
+    return CheckReport(
+        name, family.label(), params, status, worst, witness if status == "fail" else None
+    )
 
 
 def sample_phase_point(
@@ -154,12 +170,14 @@ def check_involution(
     rng = _rng_for(seed, f"involution:{family.label()}")
     worst = 0.0
     witness = None
+    dropped = Counter()
     for k in range(samples):
         x = sample_phase_point(family, rng, conditioned=False)
         try:
             once = involution(family, x.p, x.q)
             twice = involution(family, x.p, once)
-        except Exception:
+        except Exception as exc:
+            dropped[type(exc).__name__] += 1
             continue
         z_in = x.q.z_sphere()
         z_back = twice.z_sphere()
@@ -174,14 +192,9 @@ def check_involution(
         if res > worst:
             worst = res
             witness = {"sample": k, "z0": repr(z0), "z1": repr(z_in)}
-    status = "pass" if worst <= 1e-9 else "fail"
-    return CheckReport(
-        f"involution:{family.label()}",
-        family.label(),
-        {"samples": samples, "seed": seed},
-        status,
-        worst,
-        witness if status == "fail" else None,
+    return _verdict(
+        f"involution:{family.label()}", family, {"samples": samples, "seed": seed},
+        worst, witness, 1e-9, dropped, samples - dropped.total(),
     )
 
 
@@ -239,12 +252,15 @@ def check_conservation(
     target = lam * (1 + 1e-3) if corrupt else lam
     worst = 0.0
     witness = None
+    dropped = Counter()
     for k, x in enumerate(rec.points):
         try:
             val = eval_integral(family, x.q)
-        except Exception:
+        except Exception as exc:
+            dropped[type(exc).__name__] += 1
             continue
         if val.is_inf:
+            dropped["infinite value"] += 1
             continue
         res = abs(val.value - target) / max(1.0, abs(target))
         if res > worst:
@@ -256,10 +272,9 @@ def check_conservation(
             name, family.label(), params, "skipped", worst,
             {"reason": rec.reason, "detail": rec.detail, "steps_taken": rec.steps_taken},
         )
-    status = "pass" if worst <= threshold else "fail"
-    return CheckReport(
-        name, family.label(), params, status, worst,
-        witness if status == "fail" else None,
+    return _verdict(
+        name, family, params, worst, witness, threshold, dropped,
+        len(rec.points) - dropped.total(),
     )
 
 
@@ -290,7 +305,7 @@ def check_translation(
     point (which fixes the square-root branch of z/sqrt(z^2 - w)); the
     common difference must match 2/(2N+1) resp. 1/(N+1) to 1e-9.
     """
-    if not family.is_a:
+    if family.spec.shift is None:
         raise ValueError("translation dynamics applies to the a-families")
     name = f"translation:{family.label()}:lam={lam}"
     x0 = lift_fiber(family, lam, start, branch)
@@ -303,9 +318,7 @@ def check_translation(
         )
     taus = [curve_parameter(family, x).value for x in rec.points]
     diffs = [b - a for a, b in zip(taus, taus[1:])]
-    expected = (
-        Fraction(2, 2 * family.n + 1) if family.tag == "a1" else Fraction(1, family.n + 1)
-    )
+    expected = family.spec.shift(family.n)
     shift = float(expected) * (1 + 1e-3 if corrupt else 1)
     worst = 0.0
     witness = None
@@ -316,11 +329,7 @@ def check_translation(
             witness = {"step": k, "diff": repr(dv)}
     params["measured_shift"] = repr(sum(diffs) / len(diffs))
     params["expected_shift"] = f"{expected.numerator}/{expected.denominator}"
-    status = "pass" if worst <= 1e-9 else "fail"
-    return CheckReport(
-        name, family.label(), params, status, worst,
-        witness if status == "fail" else None,
-    )
+    return _verdict(name, family, params, worst, witness, 1e-9)
 
 
 #: frozen Abel-translation cases: (family tag, lambda, start t, branch)
@@ -341,7 +350,7 @@ def check_abel_translation(
     corrupt: bool = False,
 ) -> CheckReport:
     """Orbit steps integrate the fiber differential to a constant mod lattice."""
-    if family.tag not in ("b1", "b2", "d"):
+    if not family.spec.elliptic_fiber:
         raise ValueError("Abel translation applies to the b and d families")
     name = f"abel:{family.label()}:lam={lam}"
     params = {"lam": repr(lam), "steps": steps, "seed": seed, "start": repr(start)}
@@ -372,11 +381,7 @@ def check_abel_translation(
         if res > worst:
             worst = res
             witness = {"step": k, "value": repr(v)}
-    status = "pass" if worst <= 1e-5 else "fail"
-    return CheckReport(
-        name, family.label(), params, status, worst,
-        witness if status == "fail" else None,
-    )
+    return _verdict(name, family, params, worst, witness, 1e-5)
 
 
 def check_area_form(
@@ -387,21 +392,22 @@ def check_area_form(
     rng = _rng_for(seed, name)
     worst = 0.0
     witness = None
+    dropped = Counter()
     for k in range(samples):
         x = sample_phase_point(family, rng)
         try:
             res = area_pullback_residual(family, x)
-        except Exception:
+        except Exception as exc:
+            dropped[type(exc).__name__] += 1
             continue
         if corrupt:
             res += 1e-3
         if res > worst:
             worst = res
             witness = {"sample": k, "q": repr(x.q), "p": repr(x.p)}
-    status = "pass" if worst <= 1e-6 else "fail"
-    return CheckReport(
-        name, family.label(), {"samples": samples, "seed": seed}, status, worst,
-        witness if status == "fail" else None,
+    return _verdict(
+        name, family, {"samples": samples, "seed": seed}, worst, witness, 1e-6,
+        dropped, samples - dropped.total(),
     )
 
 
@@ -413,12 +419,14 @@ def check_jacobian(
     rng = _rng_for(seed, name)
     worst = 0.0
     witness = None
+    dropped = Counter()
     for k in range(samples):
         x = sample_phase_point(family, rng)
         try:
             closed = halfstep_jacobian(family, x)
             mat, _ = chart_jacobian(family, x)
-        except Exception:
+        except Exception as exc:
+            dropped[type(exc).__name__] += 1
             continue
         fd = complex(np.linalg.det(mat))
         if corrupt:
@@ -427,64 +435,58 @@ def check_jacobian(
         if res > worst:
             worst = res
             witness = {"sample": k, "q": repr(x.q), "p": repr(x.p)}
-    status = "pass" if worst <= 1e-6 else "fail"
-    return CheckReport(
-        name, family.label(), {"samples": samples, "seed": seed}, status, worst,
-        witness if status == "fail" else None,
+    return _verdict(
+        name, family, {"samples": samples, "seed": seed}, worst, witness, 1e-6,
+        dropped, samples - dropped.total(),
     )
 
 
 # --------------------------------------------------------------------------
 # table verification
 
-def _incidence_table(tag: str) -> list[tuple]:
-    """(lam, point, how many listed components must contain it)."""
-    aff = ProjectivePoint.affine
-    four3 = Fraction(4, 3)
-    if tag == "b1":
-        return [
-            (INF, aff(1.0, -3.0), 2),
-            (INF, aff(-1 / 3, -1 / 3), 2),
-            (SphereValue(1), aff(0.0, -1.0), 2),
-            (SphereValue(1), aff(0.0, 0.0), 2),
-            (SphereValue(1), E_INFINITY, 2),
-            (four3, aff(1 / 3, 1.0), 2),
-            (four3, aff(0.0, 0.0), 2),
-            (four3, aff(1.0, 1.0), 2),
-            (four3, E_INFINITY, 2),
-        ]
-    if tag == "b2":
-        return [
-            (INF, aff(1j, 0.0), 2),
-            (INF, aff(-1j, 0.0), 2),
-        ]
-    if tag == "c1":
-        e = cmath.exp(-2j * math.pi / 3)
-        eb = e.conjugate()
-        lam = Fraction(27, 64)
-        pts = [aff(eb / 2, e), aff(0.5, 1.0), aff(e / 2, eb), aff(eb, e), aff(e, eb), aff(1.0, 1.0)]
-        return [(lam, p, 2) for p in pts]
-    if tag == "c2":
-        lam = Fraction(-9, 64)
-        pts = [
-            aff(1.25, 1.0),
-            aff(-0.25, -0.5),
-            aff(0.5, -2.0),
-            aff(0.0, 0.0),
-            aff(1.0, 1.0),
-            E_INFINITY,
-        ]
-        return [(lam, p, 2) for p in pts]
-    if tag == "d":
-        return [
-            (Fraction(-1, 3), aff(2 / 5, 8 / 5), 2),
-            (Fraction(-9, 32), aff(1 / 10, -4 / 5), 2),
-            (INF, aff(1.0, -8.0), 2),
-            (INF, aff(-0.5, -2.0), 2),
-            (INF, aff(1.0, 1.0), 2),
-            (INF, E_INFINITY, 3),
-        ]
-    return []
+_aff = ProjectivePoint.affine
+_e = cmath.exp(-2j * math.pi / 3)
+_eb = _e.conjugate()
+#: per family: (lam, point, how many listed components must contain it)
+_INCIDENCE: dict[str, list[tuple]] = {
+    "b1": [
+        (INF, _aff(1.0, -3.0), 2),
+        (INF, _aff(-1 / 3, -1 / 3), 2),
+        (SphereValue(1), _aff(0.0, -1.0), 2),
+        (SphereValue(1), _aff(0.0, 0.0), 2),
+        (SphereValue(1), E_INFINITY, 2),
+        (Fraction(4, 3), _aff(1 / 3, 1.0), 2),
+        (Fraction(4, 3), _aff(0.0, 0.0), 2),
+        (Fraction(4, 3), _aff(1.0, 1.0), 2),
+        (Fraction(4, 3), E_INFINITY, 2),
+    ],
+    "b2": [
+        (INF, _aff(1j, 0.0), 2),
+        (INF, _aff(-1j, 0.0), 2),
+    ],
+    "c1": [
+        (Fraction(27, 64), p, 2)
+        for p in (
+            _aff(_eb / 2, _e), _aff(0.5, 1.0), _aff(_e / 2, _eb),
+            _aff(_eb, _e), _aff(_e, _eb), _aff(1.0, 1.0),
+        )
+    ],
+    "c2": [
+        (Fraction(-9, 64), p, 2)
+        for p in (
+            _aff(1.25, 1.0), _aff(-0.25, -0.5), _aff(0.5, -2.0),
+            _aff(0.0, 0.0), _aff(1.0, 1.0), E_INFINITY,
+        )
+    ],
+    "d": [
+        (Fraction(-1, 3), _aff(2 / 5, 8 / 5), 2),
+        (Fraction(-9, 32), _aff(1 / 10, -4 / 5), 2),
+        (INF, _aff(1.0, -8.0), 2),
+        (INF, _aff(-0.5, -2.0), 2),
+        (INF, _aff(1.0, 1.0), 2),
+        (INF, E_INFINITY, 3),
+    ],
+}
 
 
 def _component_value(poly, point: ProjectivePoint) -> float:
@@ -533,8 +535,9 @@ def check_tables(
         note(abs(w * t - z * z), "incidence: base point on parabola", bp)
         for label, poly in (("num", integ.num), ("den", integ.den)):
             note(_component_value(poly, pt), f"incidence: base point kills {label}", bp)
-    for lam in critical_values(family):
-        for cp in true_critical_points(family, lam):
+    for row in family.spec.critical:
+        lam = row.value
+        for cp in row.points:
             pt = displaced(cp)
             recip = lam.is_inf
             if not recip:
@@ -550,21 +553,16 @@ def check_tables(
             hess = hessian_projective(family, pt, reciprocal=recip)
             deth = abs(np.linalg.det(hess))
             note(0.0 if deth >= 1e-6 else 1.0, "hessian: Morse nondegeneracy", cp)
-        for ip in critical_indeterminacies(family, lam):
+        for ip in row.indeterminacies:
             if not any(ip.eq(bp) for bp in indeterminacy_set(family)):
                 note(1.0, "incidence: critical indeterminacy is a base point", ip)
-    for lam, point, expected in _incidence_table(family.tag):
+    for lam, point, expected in _INCIDENCE.get(family.tag, []):
         comps = critical_fiber_components(family, SphereValue.coerce(lam))
         pt = displaced(point)
         residuals = sorted(_component_value(c.poly, pt) for c in comps)
         note(residuals[min(expected, len(residuals)) - 1], f"incidence: on {expected} components", point)
-    status = "pass" if worst <= 1e-8 else "fail"
-    return CheckReport(
-        name, family.label(),
-        {"checks": checks, "seed": seed, "worst_by_kind": by_kind},
-        status, worst,
-        witness if status == "fail" else None,
-    )
+    params = {"checks": checks, "seed": seed, "worst_by_kind": by_kind}
+    return _verdict(name, family, params, worst, witness, 1e-8)
 
 
 def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
@@ -663,28 +661,10 @@ class CheckSuite:
 
 def default_suite(seed: int = 42, tolerance: Tolerance = DEFAULT_TOL) -> CheckSuite:
     suite = CheckSuite(seed, tolerance)
-    families = [
-        BilliardFamily("a1", 1),
-        BilliardFamily("a1", 2),
-        BilliardFamily("a1", 3),
-        BilliardFamily("a2", 1),
-        BilliardFamily("a2", 2),
-        BilliardFamily("a2", 3),
-        BilliardFamily("b1"),
-        BilliardFamily("b2"),
-        BilliardFamily("c1"),
-        BilliardFamily("c2"),
-        BilliardFamily("d"),
-    ]
-    base = [
-        BilliardFamily("a1", 1),
-        BilliardFamily("a2", 1),
-        BilliardFamily("b1"),
-        BilliardFamily("b2"),
-        BilliardFamily("c1"),
-        BilliardFamily("c2"),
-        BilliardFamily("d"),
-    ]
+    # one instance per family (N = 1); the involution runs N = 1, 2, 3 too
+    base = [BilliardFamily.parse(t) for t in ALL_FAMILY_TAGS]
+    families = [BilliardFamily(f.tag, n) for f in base if f.is_a for n in (1, 2, 3)]
+    families += [f for f in base if not f.is_a]
     for fam in families:
         suite.add(
             f"involution:{fam.label()}",

@@ -279,3 +279,67 @@ class TestEnvSeed:
         assert out_env == out_flag
         _, out_default = run_cli(["check", "involution", "--family", "b1"], capsys)
         assert out_default != out_env  # default seed is 42
+
+
+class TestBadInput:
+    """Bad input exits 2 with one line on stderr and no traceback."""
+
+    @staticmethod
+    def usage_error(args, capsys):
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert len(err.strip().splitlines()) == 1, err
+        assert "Traceback" not in err
+        return err
+
+    def test_nan_lambda(self, capsys):
+        err = self.usage_error(["orbit", "--family", "b1", "--lambda", "nan"], capsys)
+        assert "lambda" in err and "critical" not in err
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "out.jsonl"
+        err = self.usage_error(
+            ["orbit", "--family", "b1", "--lambda", "2", "--output", str(path)], capsys
+        )
+        assert "cannot write" in err
+
+    def test_negative_steps(self, capsys):
+        self.usage_error(
+            ["orbit", "--family", "b1", "--lambda", "2", "--steps", "-3"], capsys
+        )
+
+    def test_zero_tolerance(self, capsys):
+        self.usage_error(
+            ["orbit", "--family", "b1", "--lambda", "2", "--abs-eps", "0"], capsys
+        )
+
+    def test_zero_n(self, capsys):
+        self.usage_error(["orbit", "--family", "a1", "--n", "0", "--lambda", "1"], capsys)
+
+    @pytest.mark.parametrize("family,lam", [("b1", "1.000001"), ("d", "-0.2812")])
+    def test_periods_that_do_not_converge(self, family, lam, capsys):
+        err = self.usage_error(
+            ["curve", "--family", family, f"--lambda={lam}", "--periods"], capsys
+        )
+        assert "cannot compute the periods" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "involution", "--family", "b1"],
+            ["curve", "--family", "b1", "--lambda", "2", "--branch-points"],
+            ["families"],
+        ],
+    )
+    def test_tolerance_flags_belong_to_orbit(self, args, capsys):
+        self.usage_error(args + ["--abs-eps", "5"], capsys)
+
+    def test_orbit_reads_tolerance_flags(self, capsys):
+        code, out = run_cli(
+            ["orbit", "--family", "b1", "--lambda", "2", "--steps", "3",
+             "--abs-eps", "1e-11", "--rel-eps", "1e-10", "--inf-threshold", "1e13"],
+            capsys,
+        )
+        assert code == 0
+        assert len(parse_jsonl(out)) == 4

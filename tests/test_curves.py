@@ -23,7 +23,7 @@ from dualbill.curves import (
     tangency_gap,
 )
 from dualbill.geometry import E_INFINITY, ProjectivePoint, conic_point
-from dualbill.integrals import eval_integral
+from dualbill.integrals import critical_values, eval_integral
 from dualbill.numerics import INF, SphereValue
 from dualbill.verify import _rng_for
 
@@ -339,6 +339,102 @@ class TestCriticalComponents:
         assert quartic.poly.is_exact()
         pt = quartic.parametrize(-4.0)
         assert pt.eq(ProjectivePoint.affine(0.1, -0.8))  # the critical point
+
+
+# every critical cell: components as (name, degree, multiplicity,
+# parametrized) and the fiber as (genus, covering, over) per component; None
+# where fiber_type has no table
+_B, _D = "bijective", "double"
+_SIX_CONICS = [(0, _B, f"conic #{k}") for k in range(3) for _ in range(2)]
+_PARABOLA = ([("parabola", 2, 3, True)], [(0, _B, "parabola (multiple)")])
+_PARABOLA_SQ = ([("parabola", 2, 2, True)], [(0, _B, "parabola (multiple)")])
+_B_43 = [(0, _D, "conic #0"), (0, _D, "conic #1")]
+_IMG = " (b-equivalence image)"
+CRITICAL_CELLS = {
+    ("a1", 0): _PARABOLA,
+    ("a1", INF): ([("parabola w = -8 z^2", 2, 2, False)], None),
+    ("a2", 0): _PARABOLA_SQ,
+    ("a2", INF): ([("line z = 0", 1, 1, True), ("parabola w = -3 z^2", 2, 1, False)], None),
+    ("b1", 0): _PARABOLA_SQ,
+    ("b1", 1): (
+        [("line z = 0", 1, 1, True), ("cubic", 3, 1, True)],
+        [(0, _D, "line"), (0, _B, "cubic"), (0, _B, "cubic")],
+    ),
+    ("b1", Fraction(4, 3)): (
+        [("conic w = 3z^2/(4z-1)", 2, 1, True), ("conic w = z(4-3z)", 2, 1, True)], _B_43
+    ),
+    ("b1", INF): (
+        [("conic w + 3z^2", 2, 1, False), ("line z = 1", 1, 1, True), ("line z = w", 1, 1, True)],
+        None,
+    ),
+    ("b2", 0): _PARABOLA_SQ,
+    ("b2", 1): (
+        [("line z = 0" + _IMG, 1, 1, True), ("cubic" + _IMG, 3, 1, True)],
+        [(0, _D, "conic (b-equivalence image of a line)"), (0, _B, "cubic"), (0, _B, "cubic")],
+    ),
+    ("b2", Fraction(4, 3)): (
+        [("conic w = 3z^2/(4z-1)" + _IMG, 2, 1, True), ("conic w = z(4-3z)" + _IMG, 2, 1, True)],
+        _B_43,
+    ),
+    ("b2", INF): (
+        [("conic z^2+w^2+w+1", 2, 1, False), ("line z = i", 1, 1, True), ("line z = -i", 1, 1, True)],
+        None,
+    ),
+    ("c1", 0): _PARABOLA,
+    ("c1", Fraction(27, 64)): ([(f"conic #{k}", 2, 1, False) for k in range(3)], _SIX_CONICS),
+    ("c1", INF): ([("cubic 1 + w^3 - 2zw", 3, 2, False)], [(0, _B, "cubic")] * 2),
+    ("c2", 0): _PARABOLA,
+    ("c2", Fraction(-9, 64)): (
+        [
+            ("conic w + 8z^2", 2, 1, True),
+            ("conic 9(w-z)^2 + w - z^2", 2, 1, False),
+            ("conic 9(z-1)^2 + w - z^2", 2, 1, False),
+        ],
+        _SIX_CONICS,
+    ),
+    ("c2", INF): ([("cubic", 3, 2, False)], [(0, _B, "cubic")] * 2),
+    ("d", 0): _PARABOLA,
+    ("d", Fraction(-1, 3)): (
+        [("cubic w(4z-1) = -z^2(5z-8)", 3, 1, True), ("cubic", 3, 1, True)],
+        [(0, _D, "cubic #0"), (0, _D, "cubic #1")],
+    ),
+    ("d", Fraction(-1, 4)): (
+        [("irreducible sextic (degenerate cusp at the origin)", 6, 1, True)],
+        [(1, _D, "level curve")],
+    ),
+    ("d", Fraction(-9, 32)): (
+        [("quartic", 4, 1, True), ("conic w + 8z^2 - 9zw", 2, 1, True)],
+        [(0, _B, "quartic"), (0, _B, "quartic"), (0, _D, "conic")],
+    ),
+    ("d", INF): (
+        [("conic w + 8z^2", 2, 1, True), ("line z = 1", 1, 1, True), ("cubic", 3, 1, False)],
+        [(0, _B, "conic w + 8z^2")] * 2 + [(0, _D, "line z = 1")] + [(0, _B, "cubic")] * 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", ["a1", "a2", "b1", "b2", "c1", "c2", "d"])
+def test_critical_cells_pinned(tag):
+    fam = BilliardFamily.parse(tag)
+    values = critical_values(fam)
+    assert len(values) == sum(1 for t, _ in CRITICAL_CELLS if t == tag)
+    for lam in values:
+        comps, fiber = next(
+            cell for (t, v), cell in CRITICAL_CELLS.items()
+            if t == tag and SphereValue.coerce(v) == lam
+        )
+        got = [
+            (c.name, c.degree, c.multiplicity, c.parametrize is not None)
+            for c in critical_fiber_components(fam, lam)
+        ]
+        assert got == comps, (tag, lam)
+        if fiber is None:
+            with pytest.raises(ValueError):
+                fiber_type(fam, lam)
+            continue
+        model = fiber_type(fam, lam)
+        assert [(c.genus, c.covering, c.over) for c in model.components] == fiber, (tag, lam)
+        assert model.component_count == len(fiber)
 
 
 class TestFiberTables:

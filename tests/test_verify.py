@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dualbill import verify
 from dualbill.billiards import BilliardFamily
 from dualbill.verify import (
     CheckReport,
@@ -118,3 +119,27 @@ class TestDeterminism:
         a = check_involution(B1, 50, 1)
         b = check_involution(B1, 50, 2)
         assert a.worst != b.worst
+
+
+class TestNothingEvaluated:
+    """A sampling check whose every sample raises fails; it never passes
+    with worst = 0 on no evidence."""
+
+    @staticmethod
+    def boom(*args, **kwargs):
+        raise ZeroDivisionError("forced")
+
+    @pytest.mark.parametrize(
+        "target,run,count",
+        [
+            ("involution", lambda: verify.check_involution(B1, 5, 1), 5),
+            ("area_pullback_residual", lambda: verify.check_area_form(B1, 5, 1), 5),
+            ("halfstep_jacobian", lambda: verify.check_jacobian(B1, 5, 1), 5),
+            ("eval_integral", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
+        ],
+    )
+    def test_every_sample_raising_fails(self, monkeypatch, target, run, count):
+        monkeypatch.setattr(verify, target, self.boom)
+        report = run()
+        assert report.status == "fail"
+        assert report.witness == {"evaluated": 0, "dropped": {"ZeroDivisionError": count}}
