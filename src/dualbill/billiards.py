@@ -30,7 +30,7 @@ from .geometry import (
     on_conic,
     tangency_points,
 )
-from .numerics import DEFAULT_TOL, INF, SphereValue, SpherePoleError, Tolerance, chordal_distance
+from .numerics import INF, INF_THRESHOLD, SphereValue, SpherePoleError, chordal_distance
 
 __all__ = [
     "FamilyTag",
@@ -138,21 +138,16 @@ def _point_on_tangent(z0: complex, z1: SphereValue) -> ProjectivePoint:
     return ProjectivePoint.affine(z, 2.0 * z0 * z - z0 * z0)
 
 
-def _check_singular(
-    family: BilliardFamily,
-    z0: SphereValue,
-    radius: float,
-    tol: Tolerance = DEFAULT_TOL,
-) -> None:
+def _check_singular(family: BilliardFamily, z0: SphereValue, radius: float) -> None:
     """Reject tangency parameters too near a singular one.
 
     Finite singular parameters use the affine distance; the infinite point
-    is considered hit once |z0| reaches the tolerance's infinity threshold
-    (escaping orbits legitimately grow large before that).
+    is considered hit once |z0| reaches INF_THRESHOLD (escaping orbits
+    legitimately grow large before that).
     """
     for s in family.singular_tangency_parameters():
         if s.is_inf:
-            hit = z0.is_inf or abs(z0.value) >= tol.inf_threshold
+            hit = z0.is_inf or abs(z0.value) >= INF_THRESHOLD
         else:
             hit = (not z0.is_inf) and abs(z0.value - s.value) <= radius
         if hit:
@@ -162,28 +157,25 @@ def _check_singular(
             )
 
 
-def involution(
-    family: BilliardFamily,
-    p: ProjectivePoint,
-    q: ProjectivePoint,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    singular_radius: float = 1e-12,
-) -> ProjectivePoint:
+#: the involution is refused this close to a singular tangency parameter
+SINGULAR_RADIUS = 1e-12
+
+
+def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
     """Image of Q under the tangent-line involution at P.
 
     P must be a nonsingular affine point of the parabola with Q on its
     tangent line.  The image where the involution has its pole is the
     infinite point of the line, returned as a valid projective point.
     """
-    if not on_conic(p, tol):
+    if not on_conic(p):
         raise ValueError(f"P = {p} is not on the parabola")
     z0s = p.z_sphere()
     if z0s.is_inf:
         raise SingularTangencyError(
             "involution at the infinite point is outside the affine chart"
         )
-    _check_singular(family, z0s, singular_radius)
+    _check_singular(family, z0s, SINGULAR_RADIUS)
     z0 = z0s.value
     # z-coordinate of Q on the line (infinite point allowed)
     if q.is_infinite:
@@ -205,9 +197,7 @@ def involution(
     return _point_on_tangent(z0, z_img)
 
 
-def billiard_map(
-    family: BilliardFamily, x: PhasePoint, tol: Tolerance = DEFAULT_TOL
-) -> PhasePoint:
+def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     """One application of the phase map F: (Q, P) -> (sigma_P(Q), P').
 
     P' is the tangency point of sigma_P(Q) other than P (the candidate
@@ -219,14 +209,14 @@ def billiard_map(
     if family.is_a and not z0s.is_inf and z0s.value == 0:
         # Vertex tangency: the involution degenerates to the constant map
         # onto the vertex, the fiberwise continuation of the dynamics.
-        if q.eq(p, tol):
+        if q.eq(p):
             return PhasePoint(p, p)
         vertex = conic_point(0.0)
         return PhasePoint(vertex, vertex)
-    q_img = involution(family, p, q, tol)
-    if on_conic(q_img, tol):
+    q_img = involution(family, p, q)
+    if on_conic(q_img):
         return PhasePoint(q_img, q_img)
-    pair = tangency_points(q_img, tol)
+    pair = tangency_points(q_img)
     if chordal_distance(pair.plus.z_sphere(), pair.minus.z_sphere()) <= 1e-13:
         raise DegenerateTangencyError(
             f"the tangency candidates of {q_img} coincide; P' is ambiguous"
@@ -256,22 +246,15 @@ SINGULARITY_GUARD = 1e-8
 DOMAIN_BOUND = 1e100
 
 
-def orbit(
-    family: BilliardFamily,
-    x0: PhasePoint,
-    n: int,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    guard: float = SINGULARITY_GUARD,
-) -> OrbitRecord:
+def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
     """Up to n iterates of the phase map, stopping early near singularities."""
-    x0.validate(tol)
+    x0.validate()
     points = [x0]
     x = x0
     for _ in range(n):
         z0s = x.p.z_sphere()
         try:
-            _check_singular(family, z0s, guard)
+            _check_singular(family, z0s, SINGULARITY_GUARD)
         except SingularTangencyError as exc:
             return OrbitRecord(points, "hit-singularity", str(exc))
         if z0s.is_inf:
@@ -279,7 +262,7 @@ def orbit(
                 points, "left-numeric-domain", "tangency point at infinity"
             )
         try:
-            x = billiard_map(family, x, tol)
+            x = billiard_map(family, x)
         except (SingularTangencyError, OnConicError) as exc:
             return OrbitRecord(points, "hit-singularity", str(exc))
         except (DegenerateTangencyError, SpherePoleError) as exc:
@@ -294,7 +277,7 @@ def orbit(
                         points, "left-numeric-domain", "affine coordinates blew up"
                     )
         try:
-            x.validate(tol)  # incidence residual of each recorded iterate
+            x.validate()  # incidence residual of each recorded iterate
         except ValueError as exc:
             return OrbitRecord(points, "left-numeric-domain", str(exc))
         points.append(x)

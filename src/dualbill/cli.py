@@ -22,18 +22,18 @@ from .curves import (
     elliptic_model,
     is_regular,
     lattice_closure_residual,
+    lift_by_sheet,
     lift_fiber,
     parametrize_level,
     point_on_level,
 )
-from .geometry import PhasePoint, conic_point
 from .integrals import (
     IndeterminacyError,
     critical_values,
     eval_integral,
     indeterminacy_set,
 )
-from .numerics import INF, SphereValue, Tolerance, principal_sqrt
+from .numerics import INF, SphereValue
 from .verify import (
     ABEL_CASES,
     CONSERVATION_CASES,
@@ -212,15 +212,12 @@ def cmd_orbit(args) -> int:
     if args.lam is None or args.lam.is_inf:
         raise UsageError("orbit needs a finite --lambda")
     lam = args.lam.value
-    tol = Tolerance(args.abs_eps, args.rel_eps, args.inf_threshold)
     try:
         if args.start_tau is not None:
             x0 = lift_fiber(family, lam, args.start_tau, args.branch)
         elif family.spec.level_curves == "elliptic":
             q = point_on_level(family, lam, random.Random(_seed_of(args)))
-            z, w = q.affine_pair()
-            s = principal_sqrt(z * z - w)
-            x0 = PhasePoint(q, conic_point(z + s if args.branch == "+" else z - s))
+            x0 = lift_by_sheet(q, args.branch)
         else:
             x0 = lift_fiber(family, lam, 1.7 if family.is_a else 2.7, args.branch)
     except SingularTangencyError as exc:
@@ -228,7 +225,7 @@ def cmd_orbit(args) -> int:
         return SINGULAR_ERROR
     except (ValueError, RuntimeError) as exc:
         raise UsageError(f"cannot build the start point: {exc}") from exc
-    rec = orbit(family, x0, args.steps, tol)
+    rec = orbit(family, x0, args.steps)
     if rec.reason == "hit-singularity" and rec.steps_taken == 0:
         print(f"start point is singular: {rec.detail}", file=sys.stderr)
         return SINGULAR_ERROR
@@ -440,10 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit.add_argument(
         "--steps", type=_checked(int, lambda n: n >= 0, "a step count >= 0"), default=100
     )
-    positive = _checked(float, lambda x: x > 0, "a positive number")
-    p_orbit.add_argument("--abs-eps", type=positive, default=1e-10)
-    p_orbit.add_argument("--rel-eps", type=positive, default=1e-9)
-    p_orbit.add_argument("--inf-threshold", type=positive, default=1e12)
     p_orbit.add_argument(
         "--start-tau", "--start-t", dest="start_tau", type=complex, default=None,
         help="start parameter on the level curve",

@@ -37,11 +37,9 @@ from .integrals import (
     indeterminacy_set,
 )
 from .numerics import (
-    DEFAULT_TOL,
     INF,
     BranchedSqrt,
     SphereValue,
-    Tolerance,
     chordal_distance,
     plan_route,
     principal_sqrt,
@@ -55,6 +53,7 @@ __all__ = [
     "is_regular",
     "parametrize_level",
     "lift_fiber",
+    "lift_by_sheet",
     "curve_parameter",
     "sheet_sqrt",
     "branch_points",
@@ -79,10 +78,10 @@ _W = BiPoly.var_w()
 _ONE = BiPoly.const(1)
 
 
-def is_regular(family: BilliardFamily, lam, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_regular(family: BilliardFamily, lam) -> bool:
     """Whether lam avoids every critical value of the family's integral."""
     lam = SphereValue.coerce(lam)
-    return not any(sphere_eq(lam, c, tol) for c in critical_values(family))
+    return not any(sphere_eq(lam, c) for c in critical_values(family))
 
 
 def _require_regular(family: BilliardFamily, lam) -> SphereValue:
@@ -174,7 +173,7 @@ def _param_d(lam: complex, t: SphereValue, _cs) -> tuple[SphereValue, SphereValu
 
 
 #: rational parametrization of the level curves and, for the a-families,
-#: the default denominator coefficients it takes
+#: the denominator coefficients it takes
 _PARAM_FUNCS = {
     "a1": (_param_a1, coefficients_a1),
     "a2": (_param_a2, coefficients_a2),
@@ -196,20 +195,12 @@ def _to_base(family: BilliardFamily, x: PhasePoint) -> tuple[BilliardFamily, Pha
     return BilliardFamily(image.base), PhasePoint(image.inverse(x.q), image.inverse(x.p))
 
 
-def parametrize_level(
-    family: BilliardFamily,
-    lam,
-    t,
-    *,
-    coefficients: Sequence[complex] | None = None,
-) -> ProjectivePoint:
+def parametrize_level(family: BilliardFamily, lam, t) -> ProjectivePoint:
     """Point of the level curve {R = lam} at curve parameter t.
 
     Families a1/a2/b1/d use their rational parametrizations; b2 is the
     b-equivalence image of the b1 curve.  Parametrization poles return the
-    projective limit point.  The optional ``coefficients`` override the
-    a-family denominator coefficients (conservation is only guaranteed for
-    the canonical ones).
+    projective limit point.
     """
     lam = _require_regular(family, lam)
     lamv = lam.value
@@ -222,10 +213,8 @@ def parametrize_level(
     if spec.image_of is not None:
         base = parametrize_level(BilliardFamily(spec.image_of.base), lamv, t)
         return spec.image_of.map(base)
-    param, default_cs = _PARAM_FUNCS[family.tag]
-    cs = None
-    if default_cs is not None:
-        cs = list(coefficients) if coefficients is not None else default_cs(family.n)
+    param, coefficients = _PARAM_FUNCS[family.tag]
+    cs = None if coefficients is None else coefficients(family.n)
     z, w, ratio = param(lamv, t, cs)
     return _point_from_sphere_pair(z, w, ratio)
 
@@ -255,8 +244,9 @@ def _lift_a2(family: BilliardFamily, lamv: complex, tv: SphereValue, branch: str
     return PhasePoint(q, conic_point(z0))
 
 
-def _lift_by_sheet(family: BilliardFamily, lamv: complex, tv: SphereValue, branch: str) -> PhasePoint:
-    q = parametrize_level(family, lamv, tv)
+def lift_by_sheet(q: ProjectivePoint, branch: str) -> PhasePoint:
+    """Phase point over the affine point q on the tangency sheet z +/- s,
+    s the principal branch of sqrt(z^2 - w)."""
     if q.is_infinite:
         raise ValueError("cannot lift a point on the infinity line by the sheet rule")
     z, w = q.affine_pair()
@@ -284,8 +274,11 @@ def lift_fiber(family: BilliardFamily, lam, t, branch: str = "+") -> PhasePoint:
     if image is not None:
         base = lift_fiber(BilliardFamily(image.base), lamv, t, branch)
         return PhasePoint(image.map(base.q), image.map(base.p))
-    lift = _LIFTS.get(family.tag, _lift_by_sheet)
-    return lift(family, lamv, SphereValue.coerce(t), branch)
+    t = SphereValue.coerce(t)
+    lift = _LIFTS.get(family.tag)
+    if lift is None:
+        return lift_by_sheet(parametrize_level(family, lamv, t), branch)
+    return lift(family, lamv, t, branch)
 
 
 def _fiber_ratio(x: PhasePoint, z: complex, w: complex) -> SphereValue:
@@ -299,8 +292,11 @@ def _fiber_ratio(x: PhasePoint, z: complex, w: complex) -> SphereValue:
     return SphereValue(z / (z0 - z))
 
 
-#: rational inverse of the parametrization, from the point (z, w) of Q
+#: rational inverse of the parametrization, from the point (z, w) of Q;
+#: the elliptic c-family level curves have none
 _CURVE_PARAMETERS = {
+    "a1": _fiber_ratio,
+    "a2": _fiber_ratio,
     "b1": lambda x, z, w: _div(z * z - w, z * (z - 1.0)),
     "d": lambda x, z, w: _div(
         -(w + 8 * z * z + 4 * w * w + 5 * w * z * z - 14 * z * w - 4 * z**3),
@@ -314,10 +310,13 @@ def curve_parameter(family: BilliardFamily, x: PhasePoint) -> SphereValue:
     parametrization; for a-families the tangency point resolves the sign)."""
     if family.spec.image_of is not None:
         return curve_parameter(*_to_base(family, x))
+    inverse = _CURVE_PARAMETERS.get(family.tag)
+    if inverse is None:
+        raise ValueError(f"family {family.label()} has no rational curve parameter")
     if x.q.is_infinite:
         raise ValueError("curve parameter at an infinite point is not implemented")
     z, w = x.q.affine_pair()
-    return _CURVE_PARAMETERS.get(family.tag, _fiber_ratio)(x, z, w)
+    return inverse(x, z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +406,6 @@ def branched_leg_integral(
     anchor_value: complex,
     *,
     end_at_branch: complex | None = None,
-    rel: float = 1e-10,
 ) -> complex:
     """Integral of dt/y along a polyline, y the branch of sqrt(p) that takes
     the value ``anchor_value`` at the first node.
@@ -435,13 +433,13 @@ def branched_leg_integral(
                     v = np.asarray(v)
                     return _s * 2.0 * v * _amp / br(_tb + _amp * v * v)
 
-                total += -segment_integrate(g, 0.0, 1.0, rel=rel)
+                total += -segment_integrate(g, 0.0, 1.0)
             else:
 
                 def g(s, _s=sgn, _a=a, _d=d):
                     return _s * _d / br(_a + _d * np.asarray(s))
 
-                total += segment_integrate(g, sa, sb, rel=rel)
+                total += segment_integrate(g, sa, sb)
             if j < len(boundaries) - 2:
                 sign = -sign
     return total
@@ -1026,7 +1024,8 @@ def fiber_type(family: BilliardFamily, lam) -> FiberModel:
 
     Regular values follow the generic table; the tabulated critical cells
     are reproduced exactly.  Critical cells without a published table (the
-    a-family multiple fibers at infinity) are not modeled.
+    a-family multiple fibers and the b1 and b2 fibers at infinity) are not
+    modeled.
     """
     lam = SphereValue.coerce(lam)
     if is_regular(family, lam):
@@ -1085,13 +1084,11 @@ def level_curve_model(family: BilliardFamily, lam) -> LevelCurveModel:
     return LevelCurveModel(family, lam, "rational-parametrized", param, None, implicit)
 
 
-def point_on_level(
-    family: BilliardFamily,
-    lam,
-    rng: random.Random,
-    *,
-    attempts: int = 64,
-) -> ProjectivePoint:
+#: random lines tried before slicing gives up
+SLICE_ATTEMPTS = 64
+
+
+def point_on_level(family: BilliardFamily, lam, rng: random.Random) -> ProjectivePoint:
     """A point of {R = lam} found by slicing with random lines.
 
     Works for every family (the only route for the c-families, whose level
@@ -1102,7 +1099,7 @@ def point_on_level(
         raise ValueError("slicing expects a finite level value")
     integ = first_integral(family)
     base = indeterminacy_set(family)
-    for _ in range(attempts):
+    for _ in range(SLICE_ATTEMPTS):
         p0 = (
             complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),
             complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)),

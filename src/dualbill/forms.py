@@ -26,7 +26,7 @@ from .curves import (
 )
 from .geometry import PhasePoint, ProjectivePoint, tangency_near
 from .integrals import gradient
-from .numerics import DEFAULT_TOL, Tolerance, plan_route
+from .numerics import plan_route
 
 __all__ = [
     "TangentSample",
@@ -63,9 +63,10 @@ class TangentSample:
             raise ValueError("tangent sample vectors are (near) dependent")
 
     @staticmethod
-    def standard(x: PhasePoint, scale: complex = 1.0) -> "TangentSample":
+    def standard(x: PhasePoint) -> "TangentSample":
+        """The vectors (1, 2 z0) along the tangent line at P and (0, 1)."""
         z0 = x.p.z_sphere().value
-        return TangentSample(x, (scale, 2.0 * z0 * scale), (0.0, scale))
+        return TangentSample(x, (1.0, 2.0 * z0), (0.0, 1.0))
 
     def det(self) -> complex:
         return self.v1[0] * self.v2[1] - self.v1[1] * self.v2[0]
@@ -101,11 +102,7 @@ def halfstep_jacobian(family: BilliardFamily, x: PhasePoint) -> complex:
 
 
 def chart_map(
-    family: BilliardFamily,
-    z: complex,
-    w: complex,
-    p_hint: complex,
-    tol: Tolerance = DEFAULT_TOL,
+    family: BilliardFamily, z: complex, w: complex, p_hint: complex
 ) -> tuple[complex, complex, complex]:
     """The phase map expressed in the (z, w) chart near a sheet.
 
@@ -113,8 +110,8 @@ def chart_map(
     returns (z*, w*, z0) with z0 the tangency parameter actually used.
     """
     q = ProjectivePoint.affine(z, w)
-    p = tangency_near(q, p_hint, tol)
-    x_img = billiard_map(family, PhasePoint(q, p), tol)
+    p = tangency_near(q, p_hint)
+    x_img = billiard_map(family, PhasePoint(q, p))
     zi = x_img.q.z_sphere()
     wi_num = x_img.q.w / x_img.q.t if x_img.q.t != 0 else None
     if zi.is_inf or wi_num is None:
@@ -122,28 +119,28 @@ def chart_map(
     return zi.value, wi_num, p.z_sphere().value
 
 
-def chart_jacobian(
-    family: BilliardFamily, x: PhasePoint, *, step: float | None = None
-) -> tuple[np.ndarray, PhasePoint]:
+#: chart_jacobian steps by STEP_SCALE times the squared tangency distance,
+#: but never by less than STEP_FLOOR
+STEP_SCALE = 1e-3
+STEP_FLOOR = 1e-8
+
+
+def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[np.ndarray, PhasePoint]:
     """Finite-difference differential of the phase map in the (z, w) chart.
 
     Returns the 2x2 matrix and the image phase point.  The sheet is tracked
     by tangency continuity, so the stencil stays on the branch of x.  The
-    default step scales with the squared distance of Q and its image from
-    the tangency point: that distance sets the curvature of the square-root
+    step scales with the squared distance of Q and its image from the
+    tangency point: that distance sets the curvature of the square-root
     sheet, and quadratic scaling keeps the relative truncation error flat.
     """
     z, w = x.q.affine_pair()
     z0 = x.p.z_sphere().value
     x_img = billiard_map(family, x)
-    if step is not None:
-        h = step
-    else:
-        off_in = abs(z - z0)
-        zi = x_img.q.z_sphere()
-        off_out = abs(zi.value - z0) if not zi.is_inf else 1.0
-        h = 1e-3 * min(off_in, off_out, 1.0) ** 2
-        h = max(h, 1e-8)
+    off_in = abs(z - z0)
+    zi = x_img.q.z_sphere()
+    off_out = abs(zi.value - z0) if not zi.is_inf else 1.0
+    h = max(STEP_SCALE * min(off_in, off_out, 1.0) ** 2, STEP_FLOOR)
 
     def f(zz, ww):
         zi, wi, _ = chart_map(family, zz, ww, z0)

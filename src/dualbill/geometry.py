@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, INF, SphereValue, Tolerance, principal_sqrt
+from .numerics import ABS_EPS, INF, REL_EPS, SphereValue, chordal_distance, principal_sqrt
 
 __all__ = [
     "OnConicError",
@@ -87,10 +87,10 @@ class ProjectivePoint:
             return INF
         return SphereValue(self.z / self.t)
 
-    def eq(self, other: "ProjectivePoint", tol: Tolerance = DEFAULT_TOL) -> bool:
+    def eq(self, other: "ProjectivePoint") -> bool:
         cross = np.cross(self.coords, other.coords)
         scale = float(np.linalg.norm(self.coords) * np.linalg.norm(other.coords))
-        return float(np.linalg.norm(cross)) <= max(tol.abs_eps, tol.rel_eps * scale)
+        return float(np.linalg.norm(cross)) <= max(ABS_EPS, REL_EPS * scale)
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -121,7 +121,7 @@ def conic_point(z0: SphereValue | complex) -> ProjectivePoint:
     return ProjectivePoint(v, v * v, 1.0)
 
 
-def on_conic(p: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> bool:
+def on_conic(p: ProjectivePoint) -> bool:
     """Whether p satisfies w*t = z^2 projectively.
 
     Purely relative: the compared products shrink quadratically in the
@@ -131,29 +131,27 @@ def on_conic(p: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> bool:
     z, w, t = p.coords
     res = abs(w * t - z * z)
     scale = max(abs(z) ** 2, abs(w * t))
-    return res <= tol.rel_eps * scale
+    return res <= REL_EPS * scale
 
 
-def tangent_line(p: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def tangent_line(p: ProjectivePoint) -> np.ndarray:
     """Homogeneous covector of the projective tangent line to the parabola at p.
 
     For affine p = (z0, z0^2) this is the line w = 2 z0 z - z0^2; at the
     infinite point E it is the infinity line t = 0.
     """
-    if not on_conic(p, tol):
+    if not on_conic(p):
         raise OnConicError(f"{p} is not on the parabola")
-    if p.eq(E_INFINITY, tol):
+    if p.eq(E_INFINITY):
         return np.array([0.0, 0.0, 1.0], dtype=complex)
     z0 = p.z / p.t
     return np.array([-2.0 * z0, 1.0, z0 * z0], dtype=complex)
 
 
-def line_contains(
-    line: np.ndarray, p: ProjectivePoint, tol: Tolerance = DEFAULT_TOL
-) -> bool:
+def line_contains(line: np.ndarray, p: ProjectivePoint) -> bool:
     res = abs(np.dot(line, p.coords))
     scale = float(np.linalg.norm(line) * np.linalg.norm(p.coords))
-    return res <= max(tol.abs_eps, tol.rel_eps * scale)
+    return res <= max(ABS_EPS, REL_EPS * scale)
 
 
 class PhasePoint(NamedTuple):
@@ -162,10 +160,10 @@ class PhasePoint(NamedTuple):
     q: ProjectivePoint
     p: ProjectivePoint
 
-    def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        if not on_conic(self.p, tol):
+    def validate(self) -> None:
+        if not on_conic(self.p):
             raise ValueError(f"P = {self.p} is not on the parabola")
-        if not line_contains(tangent_line(self.p, tol), self.q, tol):
+        if not line_contains(tangent_line(self.p), self.q):
             raise ValueError(f"Q = {self.q} is not on the tangent line at {self.p}")
 
     def z0(self) -> SphereValue:
@@ -185,7 +183,7 @@ class TangencyPair(NamedTuple):
 NEAR_BRANCH_THRESHOLD = 1e-4
 
 
-def tangency_points(q: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> TangencyPair:
+def tangency_points(q: ProjectivePoint) -> TangencyPair:
     """The two points of the parabola whose tangent lines pass through q.
 
     For affine q = (z, w) the tangency parameters are z +/- sqrt(z^2 - w)
@@ -193,7 +191,7 @@ def tangency_points(q: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> Tangenc
     pair (E, (c/2, c^2/4)) where [1 : c : 0].  Points on the parabola itself
     are rejected: the two tangency points collide there.
     """
-    if on_conic(q, tol):
+    if on_conic(q):
         raise OnConicError(f"{q} lies on the parabola; tangency points collide")
     if q.is_infinite:
         # lines through [1 : c : 0]: the infinity line (tangent at E) and the
@@ -207,13 +205,9 @@ def tangency_points(q: ProjectivePoint, tol: Tolerance = DEFAULT_TOL) -> Tangenc
     return TangencyPair(conic_point(z + s), conic_point(z - s), near)
 
 
-def tangency_near(
-    q: ProjectivePoint, hint: SphereValue | complex, tol: Tolerance = DEFAULT_TOL
-) -> ProjectivePoint:
+def tangency_near(q: ProjectivePoint, hint: SphereValue | complex) -> ProjectivePoint:
     """Tangency point of q whose parameter is nearest to ``hint`` (chordal)."""
-    from .numerics import chordal_distance
-
-    pair = tangency_points(q, tol)
+    pair = tangency_points(q)
     dp = chordal_distance(pair.plus.z_sphere(), hint)
     dm = chordal_distance(pair.minus.z_sphere(), hint)
     return pair.plus if dp <= dm else pair.minus

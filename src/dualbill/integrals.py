@@ -42,7 +42,6 @@ __all__ = [
     "indeterminacy_set",
     "critical_values",
     "true_critical_points",
-    "critical_indeterminacies",
     "CriticalTable",
     "critical_table",
 ]
@@ -344,12 +343,12 @@ class RationalIntegral:
             self.den.homogenized_chart(d, chart),
         )
 
-    def eval(self, point: ProjectivePoint, *, guard: float = BASE_POINT_GUARD) -> SphereValue:
+    def eval(self, point: ProjectivePoint) -> SphereValue:
         for bp in self.family.spec.base_points:
             cross = np.cross(point.coords, bp.coords)
-            if float(np.linalg.norm(cross)) <= guard:
+            if float(np.linalg.norm(cross)) <= BASE_POINT_GUARD:
                 raise IndeterminacyError(
-                    f"{point} is within {guard:g} of the base point {bp}"
+                    f"{point} is within {BASE_POINT_GUARD:g} of the base point {bp}"
                 )
         chart, a, b = _chart_coords(point)
         d = self.degree
@@ -360,9 +359,6 @@ class RationalIntegral:
                 raise IndeterminacyError(f"0/0 at {point}")
             return INF
         return SphereValue(nv / dv)
-
-    def eval_affine(self, z: complex, w: complex) -> SphereValue:
-        return self.eval(ProjectivePoint.affine(z, w))
 
     def level_polynomial(self, lam) -> BiPoly:
         """num - lam * den (lam exact Fraction keeps the table exact)."""
@@ -508,22 +504,13 @@ def critical_values(family: BilliardFamily) -> list[SphereValue]:
     return [row.value for row in family.spec.critical]
 
 
-def _critical_row(family: BilliardFamily, lam):
+def true_critical_points(family: BilliardFamily, lam) -> list[ProjectivePoint]:
+    """Isolated critical points of R away from indeterminacies, per value."""
     lam = SphereValue.coerce(lam)
     for row in family.spec.critical:
         if row.value == lam:
-            return row
+            return list(row.points)
     raise ValueError(f"{lam!r} is not a critical value of family {family.label()}")
-
-
-def true_critical_points(family: BilliardFamily, lam) -> list[ProjectivePoint]:
-    """Isolated critical points of R away from indeterminacies, per value."""
-    return list(_critical_row(family, lam).points)
-
-
-def critical_indeterminacies(family: BilliardFamily, lam) -> list[ProjectivePoint]:
-    """Base points that are critical for the given value."""
-    return list(_critical_row(family, lam).indeterminacies)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,17 @@
-"""Complex arithmetic on the Riemann sphere, tolerances, root finding and
-contour quadrature.
+"""Complex arithmetic on the Riemann sphere, comparison thresholds, root
+finding and segment quadrature.
 
 Everything downstream (geometry, dynamics, curve models, verification) is
 built on the primitives in this module: values that may be the point at
-infinity, a shared tolerance policy, polynomial root finding, finite
-differences, and Gauss-Legendre contour integration with square-root
-endpoint desingularization and global branch tracking.
+infinity, the comparison thresholds, polynomial root finding, and
+Gauss-Legendre segment quadrature with global square-root branch tracking.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,14 +20,13 @@ __all__ = [
     "principal_sqrt",
     "SphereValue",
     "INF",
-    "Tolerance",
-    "DEFAULT_TOL",
+    "ABS_EPS",
+    "REL_EPS",
+    "INF_THRESHOLD",
     "sphere_eq",
     "chordal_distance",
     "Polynomial",
     "roots",
-    "finite_diff_jacobian",
-    "contour_integrate",
     "segment_integrate",
     "BranchedSqrt",
     "plan_route",
@@ -156,28 +153,12 @@ class SphereValue:
 INF = SphereValue(infinite=True)
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Shared comparison policy.
-
-    abs_eps / rel_eps bound finite comparisons; values of modulus above
-    inf_threshold are classified as infinite when compared against the
-    point at infinity (coarse chordal-metric cutoff).
-    """
-
-    abs_eps: float = 1e-10
-    rel_eps: float = 1e-9
-    inf_threshold: float = 1e12
-
-    def __post_init__(self):
-        if not (self.abs_eps > 0 and self.rel_eps > 0 and self.inf_threshold > 0):
-            raise ValueError("tolerance parameters must be strictly positive")
-
-    def close(self, a: complex, b: complex) -> bool:
-        return abs(a - b) <= max(self.abs_eps, self.rel_eps * max(abs(a), abs(b)))
-
-
-DEFAULT_TOL = Tolerance()
+#: finite values within ABS_EPS, or within REL_EPS relative to the larger
+#: modulus, compare equal
+ABS_EPS = 1e-10
+REL_EPS = 1e-9
+#: values of modulus at least this compare equal to the point at infinity
+INF_THRESHOLD = 1e12
 
 
 def principal_sqrt(x: complex) -> complex:
@@ -203,19 +184,21 @@ def chordal_distance(a: SphereValue | complex, b: SphereValue | complex) -> floa
     return abs(av - bv) / math.sqrt((1.0 + abs(av) ** 2) * (1.0 + abs(bv) ** 2))
 
 
-def sphere_eq(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+def sphere_eq(a, b) -> bool:
     """Tolerant equality on the sphere.
 
-    Finite values compare with the abs/rel rule; values of modulus above
-    ``tol.inf_threshold`` are classified as infinite, so e.g. 1e18 compares
-    equal to infinity under the default threshold 1e12.
+    Finite values compare with the ABS_EPS/REL_EPS rule; values of modulus
+    at least INF_THRESHOLD are classified as infinite, so e.g. 1e18 compares
+    equal to infinity.
     """
     a = SphereValue.coerce(a)
     b = SphereValue.coerce(b)
-    if not a.is_inf and not b.is_inf and tol.close(a.value, b.value):
-        return True
-    a_inf = a.is_inf or abs(a.value) >= tol.inf_threshold
-    b_inf = b.is_inf or abs(b.value) >= tol.inf_threshold
+    if not a.is_inf and not b.is_inf:
+        av, bv = a.value, b.value
+        if abs(av - bv) <= max(ABS_EPS, REL_EPS * max(abs(av), abs(bv))):
+            return True
+    a_inf = a.is_inf or abs(a.value) >= INF_THRESHOLD
+    b_inf = b.is_inf or abs(b.value) >= INF_THRESHOLD
     return a_inf and b_inf
 
 
@@ -298,32 +281,14 @@ def roots(p: Polynomial | Sequence[complex]) -> list[complex]:
     return polished
 
 
-def finite_diff_jacobian(
-    f: Callable[[complex, complex], tuple[complex, complex]],
-    at: tuple[complex, complex],
-    step: float,
-) -> complex:
-    """Central-difference Jacobian determinant of a holomorphic 2-to-2 map."""
-    z, w = at
-    zp, zm = z + step, z - step
-    wp, wm = w + step, w - step
-    fz_p = f(zp, w)
-    fz_m = f(zm, w)
-    fw_p = f(z, wp)
-    fw_m = f(z, wm)
-    # divide by the realized stencil widths so affine maps come out exact
-    dz, dw = zp - zm, wp - wm
-    a11 = (fz_p[0] - fz_m[0]) / dz
-    a21 = (fz_p[1] - fz_m[1]) / dz
-    a12 = (fw_p[0] - fw_m[0]) / dw
-    a22 = (fw_p[1] - fw_m[1]) / dw
-    return a11 * a22 - a12 * a21
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+#: two successive dyadic refinements must agree to this relative accuracy
+QUAD_REL = 1e-10
+#: quadrature gives up after this many dyadic refinements
+QUAD_MAX_SPLITS = 12
 
 
 def _panel(f, a: complex, b: complex) -> complex:
@@ -336,23 +301,23 @@ def _panel(f, a: complex, b: complex) -> complex:
     return complex(half * np.sum(_GL_WEIGHTS * vals))
 
 
-def _refine(f, a: complex, b: complex, rel: float, max_splits: int = 12) -> complex:
+def _refine(f, a: complex, b: complex) -> complex:
     prev = None
     prev_abs = None
     incs: list[float] = []
     n = 1
-    for _ in range(max_splits):
+    for _ in range(QUAD_MAX_SPLITS):
         nodes = [a + (b - a) * k / n for k in range(n + 1)]
         panels = [_panel(f, nodes[k], nodes[k + 1]) for k in range(n)]
         total = sum(panels)
         total_abs = sum(abs(p) for p in panels)
         inc = abs(total_abs - prev_abs) if prev_abs is not None else None
-        if prev is not None and abs(total - prev) <= rel * max(1.0, abs(total)):
+        if prev is not None and abs(total - prev) <= QUAD_REL * max(1.0, abs(total)):
             # guard against a principal-value pole on the path: the value
             # series can cancel to convergence while the magnitude series
             # keeps growing by a constant per refinement, so accept only a
             # settled or twice-decaying magnitude series
-            settled = inc <= 1e3 * rel * max(1.0, total_abs)
+            settled = inc <= 1e3 * QUAD_REL * max(1.0, total_abs)
             decaying = (
                 len(incs) >= 2
                 and inc <= 0.6 * incs[-1]
@@ -370,47 +335,15 @@ def _refine(f, a: complex, b: complex, rel: float, max_splits: int = 12) -> comp
     )
 
 
-def segment_integrate(
-    f,
-    a: complex,
-    b: complex,
-    *,
-    sqrt_singularity_at_b: bool = False,
-    rel: float = 1e-10,
-) -> complex:
+def segment_integrate(f, a: complex, b: complex) -> complex:
     """Integral of f(t) dt over the straight segment [a, b].
 
-    With ``sqrt_singularity_at_b`` the substitution t = b + (a-b) v^2 removes
-    a declared square-root singularity at the endpoint b before quadrature.
+    64 Gauss-Legendre nodes per panel with dyadic panel refinement until two
+    successive refinements agree to QUAD_REL.  f must accept an ndarray of
+    points and be finite along the segment.
     """
-    if not sqrt_singularity_at_b:
-        d = b - a
-        return _refine(lambda s: f(a + d * s) * d, 0.0, 1.0, rel)
-    A = a - b
-
-    def g(v):
-        v = np.asarray(v)
-        return f(b + A * v * v) * 2.0 * v * A
-
-    # v runs 1 -> 0 along the segment a -> b
-    return -_refine(g, 0.0, 1.0, rel)
-
-
-def contour_integrate(f, path: Sequence[complex], *, rel: float = 1e-10) -> complex:
-    """Composite Gauss-Legendre quadrature of f(t) dt along a polyline.
-
-    64 nodes per panel with dyadic panel refinement until two successive
-    refinements agree to ``rel``. f must accept an ndarray of points and be
-    finite along the path; declared endpoint singularities are handled by
-    :func:`segment_integrate`.
-    """
-    pts = [complex(p) for p in path]
-    if len(pts) < 2:
-        raise ValueError("path needs at least two nodes")
-    total = 0j
-    for k in range(len(pts) - 1):
-        total += segment_integrate(f, pts[k], pts[k + 1], rel=rel)
-    return total
+    d = b - a
+    return _refine(lambda s: f(a + d * s) * d, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +392,12 @@ class BranchedSqrt:
         return sorted(out)
 
 
+#: a segment is bent at most this many times around obstacles
+ROUTE_MAX_DEPTH = 8
+
+
 def plan_route(
-    path: Sequence[complex],
-    obstacles: Sequence[complex],
-    clearance: float,
-    *,
-    max_depth: int = 8,
+    path: Sequence[complex], obstacles: Sequence[complex], clearance: float
 ) -> list[complex]:
     """Bend a polyline so no segment passes within ``clearance`` of an obstacle.
 
@@ -476,7 +409,7 @@ def plan_route(
     out = [pts[0]]
     for i in range(len(pts) - 1):
         seg = [pts[i], pts[i + 1]]
-        for _ in range(max_depth):
+        for _ in range(ROUTE_MAX_DEPTH):
             changed = False
             refined = [seg[0]]
             for k in range(len(seg) - 1):

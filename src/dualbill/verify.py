@@ -34,12 +34,15 @@ from .curves import (
     critical_fiber_components,
     curve_parameter,
     elliptic_model,
+    is_regular,
+    lift_by_sheet,
     lift_fiber,
     point_on_level,
 )
 from .forms import abel_steps, area_pullback_residual, chart_jacobian, halfstep_jacobian
 from .geometry import (
     E_INFINITY,
+    ProjectiveMap,
     ProjectivePoint,
     b_family_equivalence,
     c_family_equivalence,
@@ -52,7 +55,7 @@ from .integrals import (
     hessian_projective,
     indeterminacy_set,
 )
-from .numerics import DEFAULT_TOL, INF, SphereValue, Tolerance, principal_sqrt
+from .numerics import INF, SphereValue
 
 __all__ = [
     "CheckReport",
@@ -104,17 +107,19 @@ def _rng_for(seed: int, name: str) -> random.Random:
 
 
 def _verdict(
-    name: str, family: BilliardFamily, params: dict, worst: float, witness: dict | None,
-    bound: float, dropped: Counter | None = None, evaluated: int | None = None,
+    name: str, family: BilliardFamily | None, params: dict, worst: float,
+    witness: dict | None, bound: float, dropped: Counter | None = None,
+    evaluated: int | None = None,
 ) -> CheckReport:
     """Pass when ``worst`` is within ``bound``.  Sampling checks also give
     ``evaluated``; with none evaluated they fail whatever ``worst`` is."""
+    label = None if family is None else family.label()
     if evaluated == 0:
         witness = {"evaluated": 0, "dropped": dict(sorted(dropped.items()))}
-        return CheckReport(name, family.label(), params, "fail", worst, witness)
+        return CheckReport(name, label, params, "fail", worst, witness)
     status = "pass" if worst <= bound else "fail"
     return CheckReport(
-        name, family.label(), params, status, worst, witness if status == "fail" else None
+        name, label, params, status, worst, witness if status == "fail" else None
     )
 
 
@@ -215,10 +220,11 @@ def _start_point(
 ) -> PhasePoint:
     if t0 is not None:
         return lift_fiber(family, lam, t0, branch)
-    q = point_on_level(family, lam, rng)
-    z, w = q.affine_pair()
-    s = principal_sqrt(z * z - w)
-    return PhasePoint(q, conic_point(z + s if branch == "+" else z - s))
+    return lift_by_sheet(point_on_level(family, lam, rng), branch)
+
+
+#: relative drift of the integral along an orbit that conservation allows
+CONSERVATION_BOUND = 1e-7
 
 
 def check_conservation(
@@ -230,12 +236,8 @@ def check_conservation(
     start: complex | None = None,
     branch: str = "+",
     corrupt: bool = False,
-    threshold: float = 1e-7,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> CheckReport:
     """The integral is constant along orbits: max |R(Q_k) - lam| rel."""
-    from .curves import is_regular
-
     if not is_regular(family, lam):
         raise ValueError(
             f"conservation checks need a regular level value, got {lam!r}"
@@ -248,7 +250,7 @@ def check_conservation(
                 start, branch = ct, cb
                 break
     x0 = _start_point(family, lam, start, branch, rng)
-    rec = orbit(family, x0, steps, tol)
+    rec = orbit(family, x0, steps)
     target = lam * (1 + 1e-3) if corrupt else lam
     worst = 0.0
     witness = None
@@ -273,7 +275,7 @@ def check_conservation(
             {"reason": rec.reason, "detail": rec.detail, "steps_taken": rec.steps_taken},
         )
     return _verdict(
-        name, family, params, worst, witness, threshold, dropped,
+        name, family, params, worst, witness, CONSERVATION_BOUND, dropped,
         len(rec.points) - dropped.total(),
     )
 
@@ -574,8 +576,6 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
     if corrupt:
         m = psi.matrix.copy()
         m[0, 0] += 1e-3
-        from .geometry import ProjectiveMap
-
         psi = ProjectiveMap(m)
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
     c1, c2 = BilliardFamily("c1"), BilliardFamily("c2")
@@ -588,9 +588,10 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
             worst = res
             witness = {"what": what, "where": repr(where)}
 
-    count = 0
+    evaluated = 0
     attempts = 0
-    while count < 100 and attempts < 2000:
+    dropped = Counter()
+    while evaluated < 100 and attempts < 2000:
         attempts += 1
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -600,9 +601,11 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
             rb2 = eval_integral(b2, psi(pt))
             rc2 = eval_integral(c2, pt)
             rc1 = eval_integral(c1, mc(pt))
-        except Exception:
+        except Exception as exc:
+            dropped[type(exc).__name__] += 1
             continue
         if rb1.is_inf or rb2.is_inf or rc1.is_inf or rc2.is_inf:
+            dropped["infinite value"] += 1
             continue
         note(
             abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value)),
@@ -615,7 +618,7 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
             pt,
         )
         note(abs(eval_integral(b1, pt).value - rb1.value), "identity sanity", pt)
-        count += 1
+        evaluated += 1
     # lifted-map commutation on phase points
     count = 0
     attempts = 0
@@ -636,10 +639,9 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
         pres = float(np.linalg.norm(np.cross(img.p.coords, fy.p.coords)))
         note(max(qres, pres), "billiard-map commutation", x.q)
         count += 1
-    status = "pass" if worst <= 1e-9 else "fail"
-    return CheckReport(
-        name, None, {"samples": 100, "seed": seed}, status, worst,
-        witness if status == "fail" else None,
+    return _verdict(
+        name, None, {"samples": 100, "seed": seed}, worst, witness, 1e-9,
+        dropped, evaluated,
     )
 
 
@@ -648,19 +650,18 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
 
 @dataclass
 class CheckSuite:
-    """Ordered list of named checks with one seed and a tolerance policy;
-    running the same suite twice gives byte-identical reports."""
+    """Ordered list of named checks with one seed; running the same suite
+    twice gives byte-identical reports."""
 
     seed: int
-    tolerance: Tolerance = DEFAULT_TOL
     entries: list[tuple[str, Callable[[], CheckReport]]] = field(default_factory=list)
 
     def add(self, name: str, fn: Callable[[], CheckReport]) -> None:
         self.entries.append((name, fn))
 
 
-def default_suite(seed: int = 42, tolerance: Tolerance = DEFAULT_TOL) -> CheckSuite:
-    suite = CheckSuite(seed, tolerance)
+def default_suite(seed: int = 42) -> CheckSuite:
+    suite = CheckSuite(seed)
     # one instance per family (N = 1); the involution runs N = 1, 2, 3 too
     base = [BilliardFamily.parse(t) for t in ALL_FAMILY_TAGS]
     families = [BilliardFamily(f.tag, n) for f in base if f.is_a for n in (1, 2, 3)]
@@ -675,7 +676,7 @@ def default_suite(seed: int = 42, tolerance: Tolerance = DEFAULT_TOL) -> CheckSu
             suite.add(
                 f"conservation:{fam.label()}:lam={lam}",
                 lambda fam=fam, lam=lam, t0=t0, br=br: check_conservation(
-                    fam, lam, 500, seed, start=t0, branch=br, tol=tolerance
+                    fam, lam, 500, seed, start=t0, branch=br
                 ),
             )
     for tag, n, lam, t0 in TRANSLATION_CASES:

@@ -12,6 +12,7 @@ from dualbill.billiards import (
 )
 from dualbill.curves import lift_fiber
 from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
+from dualbill.numerics import INF, sphere_eq
 from dualbill.verify import sample_phase_point, _rng_for
 
 
@@ -181,6 +182,24 @@ class TestOrbit:
         rec = orbit(fam, PhasePoint(q, p), 5)
         assert rec.reason == "hit-singularity"
         assert rec.steps_taken == 0
+
+    # the two long-orbit stops that the comparison constants of numerics
+    # decide, pinned step for step
+    def test_degenerate_tangency_stop(self):
+        fam = BilliardFamily("a1", 2)
+        rec = orbit(fam, lift_fiber(fam, 1.0, 1.7, "+"), 300)
+        assert (rec.steps_taken, rec.reason) == (198, "left-numeric-domain")
+        assert rec.detail.startswith("the tangency candidates of")
+
+    def test_escape_to_the_infinite_singularity(self):
+        # |z0| reaches 1e12 and compares equal to the singular parameter inf
+        fam = BilliardFamily("a2", 3)
+        rec = orbit(fam, lift_fiber(fam, 3.0, 1.7, "+"), 300)
+        assert (rec.steps_taken, rec.reason) == (54, "hit-singularity")
+        assert "singular parameter inf" in rec.detail
+        assert abs(rec.points[-1].p.z_sphere().value) >= 1e12
+        assert sphere_eq(1e12, INF)
+        assert not sphere_eq(0.99e12, INF)
 
     @staticmethod
     def _progression_deviation(fam, z0, offset):

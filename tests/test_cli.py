@@ -224,6 +224,17 @@ class TestCFamilyOrbit:
                 continue
             assert abs(complex(v["re"], v["im"]) - 1.0) <= 1e-7
 
+    @pytest.mark.parametrize("family", ["c1", "c2"])
+    def test_no_curve_parameter(self, family, capsys):
+        # elliptic level curves have no rational parameter to report
+        code, out = run_cli(
+            ["orbit", "--family", family, "--lambda", "1", "--steps", "2"], capsys
+        )
+        assert code == 0
+        recs = parse_jsonl(out)
+        assert len(recs) == 3
+        assert all(rec["parameter"] is None for rec in recs)
+
     def test_reducible_components_listing(self, capsys):
         code, out = run_cli(
             ["curve", "--family", "b1", "--lambda", "1", "--components"], capsys
@@ -330,16 +341,8 @@ class TestBadInput:
             ["check", "involution", "--family", "b1"],
             ["curve", "--family", "b1", "--lambda", "2", "--branch-points"],
             ["families"],
+            ["orbit", "--family", "b1", "--lambda", "2"],
         ],
     )
-    def test_tolerance_flags_belong_to_orbit(self, args, capsys):
-        self.usage_error(args + ["--abs-eps", "5"], capsys)
-
-    def test_orbit_reads_tolerance_flags(self, capsys):
-        code, out = run_cli(
-            ["orbit", "--family", "b1", "--lambda", "2", "--steps", "3",
-             "--abs-eps", "1e-11", "--rel-eps", "1e-10", "--inf-threshold", "1e13"],
-            capsys,
-        )
-        assert code == 0
-        assert len(parse_jsonl(out)) == 4
+    def test_no_subcommand_takes_tolerance_flags(self, args, capsys):
+        self.usage_error(args + ["--abs-eps", "1e-10"], capsys)

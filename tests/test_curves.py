@@ -16,6 +16,7 @@ from dualbill.curves import (
     fiber_type,
     lattice_closure_residual,
     level_curve_model,
+    lift_by_sheet,
     lift_fiber,
     parametrize_level,
     point_on_level,
@@ -78,22 +79,6 @@ class TestParametrize:
         with pytest.raises(ValueError):
             parametrize_level(BilliardFamily("c1"), 1.0, 0.5)
 
-    def test_custom_coefficients_still_on_curve(self):
-        # arbitrary coefficient lists parametrize the generalized level
-        # curve; only the canonical coefficients make it billiard-invariant
-        from dualbill.integrals import BiPoly
-
-        cs = [complex(-2.5, 0.3)]
-        lam = 1.3
-        z_, w_ = BiPoly.var_z(), BiPoly.var_w()
-        num = (w_ - z_ * z_).power(3)
-        den = (w_ - z_ * z_ * cs[0]).power(2)
-        for t in (0.7, 1.9 + 0.4j):
-            pt = parametrize_level(BilliardFamily("a1", 1), lam, t, coefficients=cs)
-            z, w = pt.affine_pair()
-            val = num(z, w) / den(z, w)
-            assert abs(val - lam) <= 1e-9 * max(1.0, abs(lam))
-
     def test_base_point_incidence(self):
         lam = 2.0
         b1 = BilliardFamily("b1")
@@ -149,6 +134,13 @@ class TestLift:
                     assert abs(got.value - t) <= 1e-9 * max(1.0, abs(t))
                 else:
                     assert abs(got.value - t) <= 1e-9 * max(1.0, abs(t))
+
+    @pytest.mark.parametrize("tag", ["c1", "c2"])
+    def test_c_families_have_no_curve_parameter(self, tag):
+        fam = BilliardFamily(tag)
+        x = lift_by_sheet(point_on_level(fam, 1.0, random.Random(3)), "+")
+        with pytest.raises(ValueError, match="no rational curve parameter"):
+            curve_parameter(fam, x)
 
 
 class TestBranchPoints:

@@ -136,6 +136,7 @@ class TestNothingEvaluated:
             ("area_pullback_residual", lambda: verify.check_area_form(B1, 5, 1), 5),
             ("halfstep_jacobian", lambda: verify.check_jacobian(B1, 5, 1), 5),
             ("eval_integral", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
+            ("eval_integral", lambda: verify.check_equivalences(3), 2000),
         ],
     )
     def test_every_sample_raising_fails(self, monkeypatch, target, run, count):
