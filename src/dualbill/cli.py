@@ -34,20 +34,7 @@ from .integrals import (
     indeterminacy_set,
 )
 from .numerics import INF, SphereValue
-from .verify import (
-    ABEL_CASES,
-    CONSERVATION_CASES,
-    check_abel_translation,
-    check_area_form,
-    check_conservation,
-    check_equivalences,
-    check_involution,
-    check_jacobian,
-    check_tables,
-    check_translation,
-    default_suite,
-    run_suite,
-)
+from .verify import check_equivalences, checks_for, default_suite, run_suite
 
 USAGE_ERROR = 2
 SINGULAR_ERROR = 3
@@ -74,9 +61,10 @@ def _json_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
-        return _fmt_float(v)
+        # JSON has no inf or nan: spell them as strings, like the point at infinity
+        return _fmt_float(v) if math.isfinite(v) else f'"{_fmt_float(v)}"'
     if isinstance(v, complex):
-        return '{"re":%s,"im":%s}' % (_fmt_float(v.real), _fmt_float(v.imag))
+        return '{"re":%s,"im":%s}' % (_json_value(v.real), _json_value(v.imag))
     if isinstance(v, SphereValue):
         return '"inf"' if v.is_inf else _json_value(v.value)
     if isinstance(v, str):
@@ -154,6 +142,13 @@ def _parse_lambda(text: str) -> SphereValue:
             "lambda must be finite RE, RE,IM, or the token 'inf'"
         )
     return SphereValue(complex(re_part, im_part))
+
+
+def _finite_lambda(text: str) -> complex:
+    lam = _parse_lambda(text)
+    if lam.is_inf:
+        raise argparse.ArgumentTypeError("checks need a finite lambda: RE or RE,IM")
+    return lam.value
 
 
 def _checked(kind, ok, what: str):
@@ -265,54 +260,20 @@ def cmd_orbit(args) -> int:
 
 
 def _named_check(name: str, args, seed: int):
-    family = BilliardFamily.parse(args.family, args.n) if args.family else None
-    lam = args.lam.value if args.lam is not None and not args.lam.is_inf else None
-    corrupt = getattr(args, "corrupt", False)
-    if name != "equivalences" and family is None:
+    if name == "equivalences":
+        return [check_equivalences(seed, corrupt=args.corrupt)]
+    if args.family is None:
         raise ValueError(
             f"check {name!r} needs --family (or use --all for the full suite)"
         )
-    if name == "involution":
-        return [check_involution(family, 1000, seed, corrupt=corrupt)]
-    if name == "conservation":
-        cases = (
-            [(lam, None, "+")]
-            if lam is not None
-            else CONSERVATION_CASES[family.tag]
-        )
-        out = []
-        for cl, ct, cb in cases:
-            out.append(
-                check_conservation(
-                    family, cl, 500, seed, start=ct, branch=cb, corrupt=corrupt
-                )
-            )
-        return out
-    if name == "translation":
-        return [check_translation(family, lam if lam is not None else 1.0, 50, seed, corrupt=corrupt)]
-    if name == "abel":
-        # a family without a frozen case (b2) takes the first (b1) one
-        cases = {tag: (cl, ct) for tag, cl, ct, _ in ABEL_CASES}
-        case_lam, start = cases.get(family.tag, ABEL_CASES[0][1:3])
-        lamv = lam if lam is not None else case_lam
-        return [check_abel_translation(family, lamv, 20, seed, start=start, corrupt=corrupt)]
-    if name == "area":
-        return [check_area_form(family, 200, seed, corrupt=corrupt)]
-    if name == "jacobian":
-        return [check_jacobian(family, 200, seed, corrupt=corrupt)]
-    if name == "tables":
-        return [check_tables(family, seed, corrupt=corrupt)]
-    if name == "equivalences":
-        return [check_equivalences(seed, corrupt=corrupt)]
-    raise ValueError(f"unknown check {name!r}")
+    family = BilliardFamily.parse(args.family, args.n)
+    return [fn() for _, fn in checks_for(name, family, seed, args.lam, args.corrupt)]
 
 
 def cmd_check(args) -> int:
     seed = _seed_of(args)
     if args.all or not args.names:
-        suite = default_suite(seed)
-        names = args.names or None
-        reports = run_suite(suite, names)
+        reports = run_suite(default_suite(seed), args.names or None)
     else:
         try:
             reports = []
@@ -449,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--all", action="store_true")
     p_check.add_argument("--family", choices=ALL_FAMILY_TAGS, default=None)
     p_check.add_argument("--n", type=_N_TYPE, default=None)
-    p_check.add_argument("--lambda", dest="lam", type=_parse_lambda, default=None)
+    p_check.add_argument("--lambda", dest="lam", type=_finite_lambda, default=None)
     p_check.add_argument(
         "--corrupt", action="store_true",
         help="harness self-test: run the named checks with corrupted inputs "

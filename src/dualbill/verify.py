@@ -4,9 +4,14 @@ library into named reports.
 Every check draws its own RNG stream from (suite seed, check name), so the
 full suite gives byte-identical reports for a fixed seed regardless of
 execution order.  Each check also has a corruption hook used by the
-harness's negative tests: with ``corrupt=True`` it must fail.  A sampling
-check that evaluates no sample at all fails, with the dropped samples
-counted per exception class in its witness.
+harness's negative tests: with ``corrupt=True`` it must fail.
+
+Every check turns residuals into a verdict by one rule: it keeps the worst
+residual with a witness of its sample and passes when that worst is within
+its bound.  A NaN residual becomes the worst and stays the worst, so it
+fails.  A sample whose residual cannot be computed is dropped and counted
+per exception class; a check that evaluates no sample fails, with those
+counts as its witness.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .numerics import INF, SphereValue
 __all__ = [
     "CheckReport",
     "CheckSuite",
+    "checks_for",
     "default_suite",
     "run_suite",
     "sample_phase_point",
@@ -106,32 +112,48 @@ def _rng_for(seed: int, name: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _verdict(
-    name: str, family: BilliardFamily | None, params: dict, worst: float,
-    witness: dict | None, bound: float, dropped: Counter | None = None,
-    evaluated: int | None = None,
-) -> CheckReport:
-    """Pass when ``worst`` is within ``bound``.  Sampling checks also give
-    ``evaluated``; with none evaluated they fail whatever ``worst`` is."""
-    label = None if family is None else family.label()
-    if evaluated == 0:
-        witness = {"evaluated": 0, "dropped": dict(sorted(dropped.items()))}
-        return CheckReport(name, label, params, "fail", worst, witness)
-    status = "pass" if worst <= bound else "fail"
-    return CheckReport(
-        name, label, params, status, worst, witness if status == "fail" else None
-    )
+@dataclass
+class _Residuals:
+    """The verdict rule of every check (see the module docstring); the
+    witness is built only when the worst residual changes."""
+
+    worst: float = 0.0
+    witness: dict | None = None
+    evaluated: int = 0
+    dropped: Counter = field(default_factory=Counter)
+
+    def note(self, res: float, witness: Callable[[], dict], *, count: bool = True) -> None:
+        """Record one residual; ``count`` makes it an evaluated sample."""
+        self.evaluated += count
+        if not math.isnan(self.worst) and not res <= self.worst:
+            self.worst = res
+            self.witness = witness()
+
+    def report(
+        self, name: str, family: BilliardFamily | None, params: dict, bound: float
+    ) -> CheckReport:
+        """Pass when the worst residual is within ``bound``; with nothing
+        evaluated, fail whatever the worst is."""
+        if not self.evaluated:
+            status, witness = "fail", {"evaluated": 0, "dropped": dict(sorted(self.dropped.items()))}
+        elif self.worst <= bound:
+            status, witness = "pass", None
+        else:
+            status, witness = "fail", self.witness
+        label = None if family is None else family.label()
+        return CheckReport(name, label, params, status, self.worst, witness)
+
+
+#: radius of the disks around singular tangency parameters that samples avoid
+SINGULAR_GUARD = 0.2
 
 
 def sample_phase_point(
-    family: BilliardFamily,
-    rng: random.Random,
-    *,
-    conditioned: bool = True,
-    guard: float = 0.2,
+    family: BilliardFamily, rng: random.Random, *, conditioned: bool = True
 ) -> PhasePoint:
     """Random phase point: tangency parameter uniform on the annulus
-    0.1 <= |z0| <= 3 minus guard disks, offset uniform on 0.05 <= |u| <= 2.
+    0.1 <= |z0| <= 3 minus the ``SINGULAR_GUARD`` disks, offset uniform on
+    0.05 <= |u| <= 2.
 
     With ``conditioned`` the involution image must stay at a moderate
     distance from the tangency point, which keeps finite differences and
@@ -141,7 +163,7 @@ def sample_phase_point(
         r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
         z0 = r * cmath.exp(2j * math.pi * rng.random())
         if any(
-            (not s.is_inf) and abs(z0 - s.value) < guard
+            (not s.is_inf) and abs(z0 - s.value) < SINGULAR_GUARD
             for s in family.singular_tangency_parameters()
         ):
             continue
@@ -164,26 +186,41 @@ def sample_phase_point(
             return x
 
 
+def _sampled(
+    kind: str, family: BilliardFamily, samples: int, seed: int, bound: float,
+    residual: Callable[[PhasePoint], float], *, conditioned: bool = True,
+    where: Callable[[PhasePoint], dict] = lambda x: {"q": repr(x.q), "p": repr(x.p)},
+) -> CheckReport:
+    """Evaluate ``residual`` on random phase points; a sample whose residual
+    raises is dropped, and the witness is ``where`` of the worst sample."""
+    name = f"{kind}:{family.label()}"
+    rng = _rng_for(seed, name)
+    acc = _Residuals()
+    for k in range(samples):
+        x = sample_phase_point(family, rng, conditioned=conditioned)
+        try:
+            res = residual(x)
+        except Exception as exc:
+            acc.dropped[type(exc).__name__] += 1
+            continue
+        acc.note(res, lambda: {"sample": k, **where(x)})
+    return acc.report(name, family, {"samples": samples, "seed": seed}, bound)
+
+
+def _skipped(name: str, family: BilliardFamily, params: dict, rec, worst=0.0) -> CheckReport:
+    """The report of an orbit check whose orbit stopped early."""
+    witness = {"reason": rec.reason, "detail": rec.detail, "steps_taken": rec.steps_taken}
+    return CheckReport(name, family.label(), params, "skipped", worst, witness)
+
+
 def check_involution(
-    family: BilliardFamily,
-    samples: int = 1000,
-    seed: int = 0,
-    *,
-    corrupt: bool = False,
+    family: BilliardFamily, samples: int = 1000, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
     """sigma_P o sigma_P = id and sigma_P(P) = P on random samples."""
-    rng = _rng_for(seed, f"involution:{family.label()}")
-    worst = 0.0
-    witness = None
-    dropped = Counter()
-    for k in range(samples):
-        x = sample_phase_point(family, rng, conditioned=False)
-        try:
-            once = involution(family, x.p, x.q)
-            twice = involution(family, x.p, once)
-        except Exception as exc:
-            dropped[type(exc).__name__] += 1
-            continue
+
+    def residual(x: PhasePoint) -> float:
+        once = involution(family, x.p, x.q)
+        twice = involution(family, x.p, once)
         z_in = x.q.z_sphere()
         z_back = twice.z_sphere()
         if z_in.is_inf or z_back.is_inf:
@@ -193,13 +230,11 @@ def check_involution(
             res = abs(back - z_in.value) / max(1.0, abs(z_in.value))
         fixed = involution(family, x.p, x.p)
         z0 = x.p.z_sphere().value
-        res = max(res, abs(fixed.z_sphere().value - z0) / max(1.0, abs(z0)))
-        if res > worst:
-            worst = res
-            witness = {"sample": k, "z0": repr(z0), "z1": repr(z_in)}
-    return _verdict(
-        f"involution:{family.label()}", family, {"samples": samples, "seed": seed},
-        worst, witness, 1e-9, dropped, samples - dropped.total(),
+        return max(res, abs(fixed.z_sphere().value - z0) / max(1.0, abs(z0)))
+
+    return _sampled(
+        "involution", family, samples, seed, 1e-9, residual, conditioned=False,
+        where=lambda x: {"z0": repr(x.p.z_sphere().value), "z1": repr(x.q.z_sphere())},
     )
 
 
@@ -252,32 +287,22 @@ def check_conservation(
     x0 = _start_point(family, lam, start, branch, rng)
     rec = orbit(family, x0, steps)
     target = lam * (1 + 1e-3) if corrupt else lam
-    worst = 0.0
-    witness = None
-    dropped = Counter()
+    acc = _Residuals()
     for k, x in enumerate(rec.points):
         try:
             val = eval_integral(family, x.q)
         except Exception as exc:
-            dropped[type(exc).__name__] += 1
+            acc.dropped[type(exc).__name__] += 1
             continue
         if val.is_inf:
-            dropped["infinite value"] += 1
+            acc.dropped["infinite value"] += 1
             continue
         res = abs(val.value - target) / max(1.0, abs(target))
-        if res > worst:
-            worst = res
-            witness = {"step": k, "q": repr(x.q)}
+        acc.note(res, lambda: {"step": k, "q": repr(x.q)})
     params = {"lam": repr(lam), "steps": steps, "seed": seed}
     if rec.reason != "completed":
-        return CheckReport(
-            name, family.label(), params, "skipped", worst,
-            {"reason": rec.reason, "detail": rec.detail, "steps_taken": rec.steps_taken},
-        )
-    return _verdict(
-        name, family, params, worst, witness, CONSERVATION_BOUND, dropped,
-        len(rec.points) - dropped.total(),
-    )
+        return _skipped(name, family, params, rec, acc.worst)
+    return acc.report(name, family, params, CONSERVATION_BOUND)
 
 
 #: frozen translation-dynamics cases: (family tag, N, lambda, start tau)
@@ -314,24 +339,17 @@ def check_translation(
     rec = orbit(family, x0, steps)
     params = {"lam": repr(lam), "steps": steps, "seed": seed, "start": repr(start)}
     if rec.reason != "completed":
-        return CheckReport(
-            name, family.label(), params, "skipped", 0.0,
-            {"reason": rec.reason, "steps_taken": rec.steps_taken},
-        )
+        return _skipped(name, family, params, rec)
     taus = [curve_parameter(family, x).value for x in rec.points]
     diffs = [b - a for a, b in zip(taus, taus[1:])]
     expected = family.spec.shift(family.n)
     shift = float(expected) * (1 + 1e-3 if corrupt else 1)
-    worst = 0.0
-    witness = None
+    acc = _Residuals()
     for k, dv in enumerate(diffs):
-        res = min(abs(dv - shift), abs(dv + shift))
-        if res > worst:
-            worst = res
-            witness = {"step": k, "diff": repr(dv)}
+        acc.note(min(abs(dv - shift), abs(dv + shift)), lambda: {"step": k, "diff": repr(dv)})
     params["measured_shift"] = repr(sum(diffs) / len(diffs))
     params["expected_shift"] = f"{expected.numerator}/{expected.denominator}"
-    return _verdict(name, family, params, worst, witness, 1e-9)
+    return acc.report(name, family, params, 1e-9)
 
 
 #: frozen Abel-translation cases: (family tag, lambda, start t, branch)
@@ -359,10 +377,7 @@ def check_abel_translation(
     x0 = lift_fiber(family, lam, start, branch)
     rec = orbit(family, x0, steps)
     if rec.reason != "completed":
-        return CheckReport(
-            name, family.label(), params, "skipped", 0.0,
-            {"reason": rec.reason, "steps_taken": rec.steps_taken},
-        )
+        return _skipped(name, family, params, rec)
     model = elliptic_model(family, lam)
     rts = model.sorted_roots()
     for x in rec.points:
@@ -375,72 +390,38 @@ def check_abel_translation(
     vals = abel_steps(family, lam, rec.points, model)
     if corrupt:
         vals = [v + 1e-3 * k for k, v in enumerate(vals)]
-    base = vals[0]
-    worst = 0.0
-    witness = None
+    acc = _Residuals()
     for k, v in enumerate(vals):
-        res = abs(model.lattice_reduce(v - base))
-        if res > worst:
-            worst = res
-            witness = {"step": k, "value": repr(v)}
-    return _verdict(name, family, params, worst, witness, 1e-5)
+        acc.note(abs(model.lattice_reduce(v - vals[0])), lambda: {"step": k, "value": repr(v)})
+    return acc.report(name, family, params, 1e-5)
 
 
 def check_area_form(
     family: BilliardFamily, samples: int = 200, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
     """Finite-difference pullback test of the invariant area form."""
-    name = f"area:{family.label()}"
-    rng = _rng_for(seed, name)
-    worst = 0.0
-    witness = None
-    dropped = Counter()
-    for k in range(samples):
-        x = sample_phase_point(family, rng)
-        try:
-            res = area_pullback_residual(family, x)
-        except Exception as exc:
-            dropped[type(exc).__name__] += 1
-            continue
-        if corrupt:
-            res += 1e-3
-        if res > worst:
-            worst = res
-            witness = {"sample": k, "q": repr(x.q), "p": repr(x.p)}
-    return _verdict(
-        name, family, {"samples": samples, "seed": seed}, worst, witness, 1e-6,
-        dropped, samples - dropped.total(),
-    )
+
+    def residual(x: PhasePoint) -> float:
+        res = area_pullback_residual(family, x)
+        return res + 1e-3 if corrupt else res
+
+    return _sampled("area", family, samples, seed, 1e-6, residual)
 
 
 def check_jacobian(
     family: BilliardFamily, samples: int = 200, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
     """Closed-form half-step Jacobian against central finite differences."""
-    name = f"jacobian:{family.label()}"
-    rng = _rng_for(seed, name)
-    worst = 0.0
-    witness = None
-    dropped = Counter()
-    for k in range(samples):
-        x = sample_phase_point(family, rng)
-        try:
-            closed = halfstep_jacobian(family, x)
-            mat, _ = chart_jacobian(family, x)
-        except Exception as exc:
-            dropped[type(exc).__name__] += 1
-            continue
+
+    def residual(x: PhasePoint) -> float:
+        closed = halfstep_jacobian(family, x)
+        mat, _ = chart_jacobian(family, x)
         fd = complex(np.linalg.det(mat))
         if corrupt:
             closed *= 1 + 1e-3
-        res = abs(closed - fd) / max(1.0, abs(closed))
-        if res > worst:
-            worst = res
-            witness = {"sample": k, "q": repr(x.q), "p": repr(x.p)}
-    return _verdict(
-        name, family, {"samples": samples, "seed": seed}, worst, witness, 1e-6,
-        dropped, samples - dropped.total(),
-    )
+        return abs(closed - fd) / max(1.0, abs(closed))
+
+    return _sampled("jacobian", family, samples, seed, 1e-6, residual)
 
 
 # --------------------------------------------------------------------------
@@ -504,26 +485,18 @@ def _component_value(poly, point: ProjectivePoint) -> float:
     return abs(total) / max(scale, 1e-300)
 
 
-def check_tables(
-    family: BilliardFamily, seed: int = 0, *, corrupt: bool = False
-) -> CheckReport:
+def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False) -> CheckReport:
     """Re-verify every tabulated critical value, critical point, base point
     and component-intersection point by direct evaluation."""
     name = f"tables:{family.label()}"
-    worst = 0.0
-    witness = None
-    checks = 0
+    acc = _Residuals()
     shift = 1e-3 if corrupt else 0.0
     by_kind: dict[str, float] = {}
 
     def note(res: float, what: str, where):
-        nonlocal worst, witness, checks
-        checks += 1
         kind = what.split(":")[0]
         by_kind[kind] = max(by_kind.get(kind, 0.0), res)
-        if res > worst:
-            worst = res
-            witness = {"what": what, "where": repr(where)}
+        acc.note(res, lambda: {"what": what, "where": repr(where)})
 
     def displaced(p: ProjectivePoint) -> ProjectivePoint:
         if shift == 0.0:
@@ -563,8 +536,8 @@ def check_tables(
         pt = displaced(point)
         residuals = sorted(_component_value(c.poly, pt) for c in comps)
         note(residuals[min(expected, len(residuals)) - 1], f"incidence: on {expected} components", point)
-    params = {"checks": checks, "seed": seed, "worst_by_kind": by_kind}
-    return _verdict(name, family, params, worst, witness, 1e-8)
+    params = {"checks": acc.evaluated, "seed": seed, "worst_by_kind": by_kind}
+    return acc.report(name, family, params, 1e-8)
 
 
 def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
@@ -579,19 +552,13 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
         psi = ProjectiveMap(m)
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
     c1, c2 = BilliardFamily("c1"), BilliardFamily("c2")
-    worst = 0.0
-    witness = None
+    acc = _Residuals()
 
-    def note(res: float, what: str, where):
-        nonlocal worst, witness
-        if res > worst:
-            worst = res
-            witness = {"what": what, "where": repr(where)}
+    def note(res: float, what: str, where, count: bool = False):
+        acc.note(res, lambda: {"what": what, "where": repr(where)}, count=count)
 
-    evaluated = 0
     attempts = 0
-    dropped = Counter()
-    while evaluated < 100 and attempts < 2000:
+    while acc.evaluated < 100 and attempts < 2000:
         attempts += 1
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -602,23 +569,17 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
             rc2 = eval_integral(c2, pt)
             rc1 = eval_integral(c1, mc(pt))
         except Exception as exc:
-            dropped[type(exc).__name__] += 1
+            acc.dropped[type(exc).__name__] += 1
             continue
         if rb1.is_inf or rb2.is_inf or rc1.is_inf or rc2.is_inf:
-            dropped["infinite value"] += 1
+            acc.dropped["infinite value"] += 1
             continue
-        note(
-            abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value)),
-            "b-integral equivalence",
-            pt,
-        )
-        note(
-            abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value)),
-            "c-integral equivalence",
-            pt,
-        )
+        # one evaluated sample per point; the map commutation below counts none
+        b_res = abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value))
+        note(b_res, "b-integral equivalence", pt, count=True)
+        c_res = abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value))
+        note(c_res, "c-integral equivalence", pt)
         note(abs(eval_integral(b1, pt).value - rb1.value), "identity sanity", pt)
-        evaluated += 1
     # lifted-map commutation on phase points
     count = 0
     attempts = 0
@@ -639,10 +600,7 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
         pres = float(np.linalg.norm(np.cross(img.p.coords, fy.p.coords)))
         note(max(qres, pres), "billiard-map commutation", x.q)
         count += 1
-    return _verdict(
-        name, None, {"samples": 100, "seed": seed}, worst, witness, 1e-9,
-        dropped, evaluated,
-    )
+    return acc.report(name, None, {"samples": 100, "seed": seed}, 1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -660,45 +618,65 @@ class CheckSuite:
         self.entries.append((name, fn))
 
 
+def checks_for(
+    kind: str,
+    family: BilliardFamily,
+    seed: int,
+    lam: complex | None = None,
+    corrupt: bool = False,
+) -> list[tuple[str, Callable[[], CheckReport]]]:
+    """The named checks of one kind on one family.
+
+    Without ``lam`` these are the frozen cases of the family; with it, that
+    level.  A family with no frozen translation case runs lambda = 1.0 from
+    tau = 1.7, and b2's Abel check takes b1's case.  The entries look the
+    check functions up in this module when they run.
+    """
+    label = family.label()
+    single = {
+        "involution": lambda: check_involution(family, 1000, seed, corrupt=corrupt),
+        "area": lambda: check_area_form(family, 200, seed, corrupt=corrupt),
+        "jacobian": lambda: check_jacobian(family, 200, seed, corrupt=corrupt),
+        "tables": lambda: check_tables(family, seed, corrupt=corrupt),
+    }
+    if kind in single:
+        return [(f"{kind}:{label}", single[kind])]
+    if kind == "conservation":
+        # a given level finds its frozen start inside check_conservation
+        cases = CONSERVATION_CASES[family.tag] if lam is None else [(lam, None, "+")]
+        def run(cl, ct, cb):
+            return check_conservation(family, cl, 500, seed, start=ct, branch=cb, corrupt=corrupt)
+    elif kind == "translation":
+        frozen = [
+            (cl, ct, "+") for tag, n, cl, ct in TRANSLATION_CASES if (tag, n) == (family.tag, family.n)
+        ] or [(1.0, 1.7, "+")]
+        cases = frozen if lam is None else [(lam, *frozen[0][1:])]
+        def run(cl, ct, cb):
+            return check_translation(family, cl, 50, seed, start=ct, branch=cb, corrupt=corrupt)
+    elif kind == "abel":
+        frozen = [c[1:] for c in ABEL_CASES if c[0] == family.tag] or [ABEL_CASES[0][1:]]
+        cases = frozen if lam is None else [(lam, *frozen[0][1:])]
+        def run(cl, ct, cb):
+            return check_abel_translation(family, cl, 20, seed, start=ct, branch=cb, corrupt=corrupt)
+    else:
+        raise ValueError(f"unknown check {kind!r}")
+    return [(f"{kind}:{label}:lam={c[0]}", lambda c=c: run(*c)) for c in cases]
+
+
 def default_suite(seed: int = 42) -> CheckSuite:
     suite = CheckSuite(seed)
     # one instance per family (N = 1); the involution runs N = 1, 2, 3 too
     base = [BilliardFamily.parse(t) for t in ALL_FAMILY_TAGS]
-    families = [BilliardFamily(f.tag, n) for f in base if f.is_a for n in (1, 2, 3)]
-    families += [f for f in base if not f.is_a]
-    for fam in families:
-        suite.add(
-            f"involution:{fam.label()}",
-            lambda fam=fam: check_involution(fam, 1000, seed),
-        )
-    for fam in base:
-        for lam, t0, br in CONSERVATION_CASES[fam.tag]:
-            suite.add(
-                f"conservation:{fam.label()}:lam={lam}",
-                lambda fam=fam, lam=lam, t0=t0, br=br: check_conservation(
-                    fam, lam, 500, seed, start=t0, branch=br
-                ),
-            )
-    for tag, n, lam, t0 in TRANSLATION_CASES:
-        fam = BilliardFamily(tag, n)
-        suite.add(
-            f"translation:{fam.label()}:lam={lam}",
-            lambda fam=fam, lam=lam, t0=t0: check_translation(fam, lam, 50, seed, start=t0),
-        )
-    for tag, lam, t0, br in ABEL_CASES:
-        fam = BilliardFamily(tag)
-        suite.add(
-            f"abel:{fam.label()}:lam={lam}",
-            lambda fam=fam, lam=lam, t0=t0, br=br: check_abel_translation(
-                fam, lam, 20, seed, start=t0, branch=br
-            ),
-        )
-    for fam in base:
-        suite.add(f"area:{fam.label()}", lambda fam=fam: check_area_form(fam, 200, seed))
-    for fam in base:
-        suite.add(f"jacobian:{fam.label()}", lambda fam=fam: check_jacobian(fam, 200, seed))
-    for fam in base:
-        suite.add(f"tables:{fam.label()}", lambda fam=fam: check_tables(fam, seed))
+    families = {
+        "involution": [BilliardFamily(f.tag, n) for f in base if f.is_a for n in (1, 2, 3)]
+        + [f for f in base if not f.is_a],
+        "translation": [BilliardFamily(tag, n) for tag, n, _, _ in TRANSLATION_CASES],
+        "abel": [BilliardFamily(tag) for tag, _, _, _ in ABEL_CASES],
+    }
+    for kind in ("involution", "conservation", "translation", "abel", "area", "jacobian", "tables"):
+        for fam in families.get(kind, base):
+            for name, fn in checks_for(kind, fam, seed):
+                suite.add(name, fn)
     suite.add("equivalences", lambda: check_equivalences(seed))
     return suite
 

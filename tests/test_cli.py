@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from dualbill.cli import main
+from dualbill.cli import RecordWriter, main
 
 
 def run_cli(args, capsys):
@@ -111,6 +111,23 @@ class TestCheck:
         code, _ = run_cli(["check", "nonsense", "--family", "b1"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "named,suite_name",
+        [
+            (["translation", "--family", "a1", "--n", "2"], "translation:a1(2):lam=3.0"),
+            (["tables", "--family", "b1"], "tables:b1"),
+            (["abel", "--family", "d"], "abel:d:lam=1.0"),
+        ],
+    )
+    def test_named_check_is_the_suite_line(self, named, suite_name, capsys):
+        # without --lambda a named check runs the suite's frozen case
+        code, out = run_cli(["check", *named, "--seed", "5"], capsys)
+        assert code == 0
+        code, suite_out = run_cli(["check", suite_name, "--all", "--seed", "5"], capsys)
+        assert code == 0
+        assert json.loads(suite_out)["name"] == suite_name
+        assert out == suite_out
+
 
 class TestCurve:
     def test_branch_points(self, capsys):
@@ -183,6 +200,22 @@ class TestFormatting:
         # round-trip: parsing the emitted digits reproduces the double
         w1 = rec["period1"]
         assert float(repr(w1["im"])) == w1["im"]
+
+    def test_non_finite_floats_are_json_strings(self):
+        def strict(token):
+            raise ValueError(f"bare {token} is not JSON")
+
+        stream = io.StringIO()
+        RecordWriter("json", stream).write(
+            {"worst": math.inf, "low": -math.inf, "bad": math.nan,
+             "z": complex(math.inf, math.nan), "ok": 0.5}
+        )
+        rec = json.loads(stream.getvalue(), parse_constant=strict)
+        assert rec == {"worst": "inf", "low": "-inf", "bad": "nan",
+                       "z": {"re": "inf", "im": "nan"}, "ok": 0.5}
+        stream = io.StringIO()
+        RecordWriter("csv", stream).write({"worst": math.inf, "z": complex(math.nan, 1.0)})
+        assert stream.getvalue().splitlines()[1] == "inf,nan,1"
 
     def test_lambda_parsing(self, capsys):
         code, out = run_cli(
@@ -314,6 +347,13 @@ class TestBadInput:
             ["orbit", "--family", "b1", "--lambda", "2", "--output", str(path)], capsys
         )
         assert "cannot write" in err
+
+    @pytest.mark.parametrize(
+        "kind,family", [("conservation", "b1"), ("translation", "a1"), ("abel", "b1")]
+    )
+    def test_check_needs_a_finite_lambda(self, kind, family, capsys):
+        err = self.usage_error(["check", kind, "--family", family, "--lambda", "inf"], capsys)
+        assert "lambda" in err
 
     def test_negative_steps(self, capsys):
         self.usage_error(

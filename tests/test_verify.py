@@ -1,9 +1,12 @@
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
-from dualbill import verify
+from dualbill import cli, verify
 from dualbill.billiards import BilliardFamily
+from dualbill.numerics import SphereValue
 from dualbill.verify import (
     CheckReport,
     check_abel_translation,
@@ -144,3 +147,57 @@ class TestNothingEvaluated:
         report = run()
         assert report.status == "fail"
         assert report.witness == {"evaluated": 0, "dropped": {"ZeroDivisionError": count}}
+
+
+class TestNaNResidual:
+    """A NaN residual becomes the worst and fails its check with a witness;
+    comparisons with NaN are false, so a plain running maximum misses it."""
+
+    @pytest.mark.parametrize(
+        "target,value,run",
+        [
+            ("involution", SimpleNamespace(z_sphere=lambda: SphereValue(math.nan)),
+             lambda: verify.check_involution(B1, 5, 1)),
+            ("area_pullback_residual", math.nan, lambda: verify.check_area_form(B1, 5, 1)),
+            ("halfstep_jacobian", complex(math.nan, 0.0), lambda: verify.check_jacobian(B1, 5, 1)),
+            ("eval_integral", SphereValue(math.nan),
+             lambda: verify.check_conservation(B1, 2.0, 5, 1)),
+            ("eval_integral", SphereValue(math.nan), lambda: verify.check_equivalences(1)),
+        ],
+        ids=["involution", "area", "jacobian", "conservation", "equivalences"],
+    )
+    def test_nan_residual_fails(self, monkeypatch, target, value, run):
+        monkeypatch.setattr(verify, target, lambda *args, **kwargs: value)
+        report = run()
+        assert report.status == "fail"
+        assert math.isnan(report.worst)
+        assert report.witness is not None and "evaluated" not in report.witness
+
+
+class TestCaseTable:
+    def test_checks_run_through_module_globals(self, monkeypatch, capsys):
+        # the benchmark times each check by replacing verify.check_* in place
+        calls = []
+        original = verify.check_tables
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].label())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_tables", counting)
+        reports = run_suite(default_suite(1), ["tables"])
+        assert len(calls) == len(reports) == 7
+        calls.clear()
+        assert cli.main(["check", "tables", "--family", "b1"]) == 0
+        capsys.readouterr()
+        assert calls == ["b1"]
+
+    def test_fallback_cases(self):
+        # no frozen case: translation runs lambda = 1.0, b2's Abel check b1's level
+        a1_4 = BilliardFamily("a1", 4)
+        assert [n for n, _ in verify.checks_for("translation", a1_4, 1)] == [
+            "translation:a1(4):lam=1.0"
+        ]
+        assert [n for n, _ in verify.checks_for("abel", BilliardFamily("b2"), 1)] == [
+            "abel:b2:lam=2.0"
+        ]
