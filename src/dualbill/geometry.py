@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,10 +28,27 @@ __all__ = [
     "c_family_equivalence",
     "order3_symmetries",
     "EPS_CUBE_ROOT",
+    "cross_norm",
 ]
 
 #: primitive cube root of unity used by the c-family tables, e^(-2*pi*i/3)
 EPS_CUBE_ROOT = cmath.exp(-2j * math.pi / 3)
+
+
+def _norm(v: Sequence[complex]) -> float:
+    return math.hypot(*map(abs, v))
+
+
+def cross_norm(u: Sequence[complex], v: Sequence[complex]) -> float:
+    """Euclidean norm of the cross product of two complex 3-vectors, in
+    scalar arithmetic; it vanishes exactly when the vectors are proportional.
+
+    Pass Python complex sequences (``coords.tolist()``) on hot paths: numpy
+    scalars work, but their arithmetic is several times slower.
+    """
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    return math.hypot(abs(u1 * v2 - u2 * v1), abs(u2 * v0 - u0 * v2), abs(u0 * v1 - u1 * v0))
 
 
 class OnConicError(ValueError):
@@ -88,9 +105,8 @@ class ProjectivePoint:
         return SphereValue(self.z / self.t)
 
     def eq(self, other: "ProjectivePoint") -> bool:
-        cross = np.cross(self.coords, other.coords)
-        scale = float(np.linalg.norm(self.coords) * np.linalg.norm(other.coords))
-        return float(np.linalg.norm(cross)) <= max(ABS_EPS, REL_EPS * scale)
+        u, v = self.coords.tolist(), other.coords.tolist()
+        return cross_norm(u, v) <= max(ABS_EPS, REL_EPS * _norm(u) * _norm(v))
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
@@ -149,9 +165,9 @@ def tangent_line(p: ProjectivePoint) -> np.ndarray:
 
 
 def line_contains(line: np.ndarray, p: ProjectivePoint) -> bool:
-    res = abs(np.dot(line, p.coords))
-    scale = float(np.linalg.norm(line) * np.linalg.norm(p.coords))
-    return res <= max(ABS_EPS, REL_EPS * scale)
+    u, v = line.tolist(), p.coords.tolist()
+    res = abs(u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    return res <= max(ABS_EPS, REL_EPS * _norm(u) * _norm(v))
 
 
 class PhasePoint(NamedTuple):

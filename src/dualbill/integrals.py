@@ -4,9 +4,11 @@ critical value / critical point tables.
 
 Each integral is a ratio of bivariate polynomials whose coefficients are
 exact rationals, expanded once from the factored closed forms.  Evaluation
-at infinite points goes through homogenization to the common degree; near a
-base point (where numerator and denominator share a zero) evaluation is
-refused inside a guard radius.
+homogenizes both factored forms to the common degree and multiplies them
+out exactly in integers at the float point, so its value is the true ratio
+correctly rounded, at infinite points too; near a base point (where
+numerator and denominator share a zero) evaluation is refused inside a
+guard radius.
 
 The polynomial factors of each integral are tabulated here, one entry per
 family; the base points and the critical value table are read from the
@@ -18,13 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .billiards import BilliardFamily
-from .geometry import ProjectivePoint
+from .geometry import ProjectivePoint, cross_norm
 from .numerics import INF, SphereValue
 
 __all__ = [
@@ -294,22 +296,80 @@ def coefficients_a2(n: int) -> list[Fraction]:
 Factors = tuple[tuple[BiPoly, int], ...]
 
 
-def _eval_factored(factors: Factors, common_degree: int, chart: int, a: complex, b: complex) -> complex:
-    """Evaluate the common-degree homogenization of a factored polynomial in
-    an affine chart.  Keeping the factors unexpanded avoids the catastrophic
-    cancellation an expanded table suffers near its zero divisor."""
-    val = 1.0 + 0j
-    degsum = 0
+def _integer_factors(factors: Factors, degree: int) -> tuple[int, list]:
+    """The homogenization to ``degree`` of a factored polynomial as factors
+    with integer coefficients, each a list of (coefficient, exponents of z,
+    w and t) with its multiplicity, and the positive integer by which their
+    product exceeds the polynomial.  The padding power of t is one more
+    factor."""
+    scale, out, pad = 1, [], degree
     for poly, mult in factors:
-        d_i = poly.total_degree
-        pv = poly.homogenized_chart(d_i, chart)(a, b)
-        val *= pv**mult
-        degsum += d_i * mult
-    pad = common_degree - degsum
+        d = poly.total_degree
+        lcm = math.lcm(*(Fraction(c).denominator for c in poly.coeffs.values()))
+        out.append(([(int(c * lcm), (i, j, d - i - j)) for (i, j), c in poly.coeffs.items()], mult))
+        scale *= lcm**mult
+        pad -= d * mult
     if pad:
-        tcoord = b if chart in (0, 1) else 1.0 + 0j
-        val *= tcoord**pad
-    return val
+        out.append(([(1, (0, 0, pad))], 1))
+    return scale, out
+
+
+class _IntegerForms:
+    """The tables of exact evaluation: the numerator and the denominator
+    homogenized to one degree, as products of factors with integer
+    coefficients over integer scales.
+
+    Every monomial the factors take is one product of an earlier monomial
+    and a coordinate; ``steps`` lists them in order after z, w and t, as
+    (index of the earlier monomial, index of the coordinate), and each
+    factor term names its monomial by index.
+    """
+
+    __slots__ = ("steps", "num", "den", "num_scale", "den_scale")
+
+    def __init__(self, num_factors: Factors, den_factors: Factors, degree: int):
+        self.num_scale, num = _integer_factors(num_factors, degree)
+        self.den_scale, den = _integer_factors(den_factors, degree)
+        index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
+        self.steps: list[tuple[int, int]] = []
+        wanted = {e for f, _ in num + den for _, e in f}
+        for e in sorted(wanted, key=sum):
+            self._monomial(e, index)
+        self.num, self.den = (
+            tuple((tuple((c, index[e]) for c, e in f), mult) for f, mult in forms)
+            for forms in (num, den)
+        )
+
+    def _monomial(self, e: tuple[int, int, int], index: dict) -> int:
+        if e not in index:
+            parents = [(e[:a] + (e[a] - 1,) + e[a + 1:], a) for a in range(3) if e[a]]
+            parent, axis = next((p for p in parents if p[0] in index), parents[0])
+            self.steps.append((self._monomial(parent, index), axis))
+            index[e] = len(index)
+        return index[e]
+
+    def monomials(self, coords: list[int]) -> list[tuple[int, int]]:
+        """Every monomial's value at the Gaussian integers (zr, zi, wr, wi,
+        tr, ti)."""
+        vals = [(coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5])]
+        for p, a in self.steps:
+            (ar, ai), (br, bi) = vals[p], vals[a]
+            vals.append((ar * br - ai * bi, ar * bi + ai * br))
+        return vals
+
+
+def _product(factors, vals: list[tuple[int, int]]) -> tuple[int, int]:
+    """Product of integer factors, exactly, from their monomial values."""
+    nr, ni = 1, 0
+    for terms, mult in factors:
+        fr = fi = 0
+        for c, m in terms:
+            mr, mi = vals[m]
+            fr += c * mr
+            fi += c * mi
+        for _ in range(mult):
+            nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
+    return nr, ni
 
 
 @dataclass(frozen=True)
@@ -317,7 +377,7 @@ class RationalIntegral:
     """A first integral numerator/denominator pair with exact coefficients.
 
     Expanded tables drive gradients and polynomial identities; evaluation
-    itself goes through the factored forms.
+    itself multiplies out the factored forms exactly.
     """
 
     family: BilliardFamily
@@ -343,22 +403,47 @@ class RationalIntegral:
             self.den.homogenized_chart(d, chart),
         )
 
+    @cached_property
+    def _exact(self) -> tuple[_IntegerForms, tuple]:
+        """The integer tables of :meth:`eval`, and the base points with
+        their coordinates as Python complex numbers."""
+        forms = _IntegerForms(self.num_factors, self.den_factors, self.degree)
+        return forms, tuple((bp, bp.coords.tolist()) for bp in self.family.spec.base_points)
+
     def eval(self, point: ProjectivePoint) -> SphereValue:
-        for bp in self.family.spec.base_points:
-            cross = np.cross(point.coords, bp.coords)
-            if float(np.linalg.norm(cross)) <= BASE_POINT_GUARD:
+        """R at the point, exact and then correctly rounded.
+
+        The float coordinates are Gaussian integers over one power of two,
+        which cancels from the ratio of two forms of equal degree, so both
+        forms are multiplied out in integers and divided once at the end.
+        A non-finite coordinate gives a NaN value.
+        """
+        forms, base = self._exact
+        coords = point.coords.tolist()
+        for bp, bc in base:
+            if cross_norm(coords, bc) <= BASE_POINT_GUARD:
                 raise IndeterminacyError(
                     f"{point} is within {BASE_POINT_GUARD:g} of the base point {bp}"
                 )
-        chart, a, b = _chart_coords(point)
-        d = self.degree
-        nv = _eval_factored(self.num_factors, d, chart, a, b)
-        dv = _eval_factored(self.den_factors, d, chart, a, b)
-        if dv == 0:
-            if nv == 0:
+        try:
+            ratios = [x.as_integer_ratio() for c in coords for x in (c.real, c.imag)]
+        except (ValueError, OverflowError):  # nan or inf
+            return SphereValue(complex(math.nan, math.nan))
+        common = max(q for _, q in ratios)
+        vals = forms.monomials([p * (common // q) for p, q in ratios])
+        nr, ni = _product(forms.num, vals)
+        dr, di = _product(forms.den, vals)
+        if dr == 0 and di == 0:
+            if nr == 0 and ni == 0:
                 raise IndeterminacyError(f"0/0 at {point}")
             return INF
-        return SphereValue(nv / dv)
+        # R = (N / num_scale) / (D / den_scale) = N conj(D) den_scale / (|D|^2 num_scale)
+        s = forms.den_scale
+        q = (dr * dr + di * di) * forms.num_scale
+        try:
+            return SphereValue(complex((nr * dr + ni * di) * s / q, (ni * dr - nr * di) * s / q))
+        except OverflowError:  # |R| beyond the largest float
+            return INF
 
     def level_polynomial(self, lam) -> BiPoly:
         """num - lam * den (lam exact Fraction keeps the table exact)."""

@@ -52,6 +52,7 @@ from .geometry import (
     b_family_equivalence,
     c_family_equivalence,
     conic_point,
+    cross_norm,
 )
 from .integrals import (
     eval_integral,
@@ -144,6 +145,12 @@ class _Residuals:
         return CheckReport(name, label, params, status, self.worst, witness)
 
 
+def _worse(*residuals: float) -> float:
+    """The largest of a sample's residuals, NaN when any is NaN; ``max``
+    would return whichever argument comes first against a NaN."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 #: radius of the disks around singular tangency parameters that samples avoid
 SINGULAR_GUARD = 0.2
 
@@ -230,7 +237,7 @@ def check_involution(
             res = abs(back - z_in.value) / max(1.0, abs(z_in.value))
         fixed = involution(family, x.p, x.p)
         z0 = x.p.z_sphere().value
-        return max(res, abs(fixed.z_sphere().value - z0) / max(1.0, abs(z0)))
+        return _worse(res, abs(fixed.z_sphere().value - z0) / max(1.0, abs(z0)))
 
     return _sampled(
         "involution", family, samples, seed, 1e-9, residual, conditioned=False,
@@ -596,9 +603,9 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
             note(1.0, "billiard-map lift rejected", x.q)
             continue
         img = PhasePoint(psi(fx.q), psi(fx.p))
-        qres = float(np.linalg.norm(np.cross(img.q.coords, fy.q.coords)))
-        pres = float(np.linalg.norm(np.cross(img.p.coords, fy.p.coords)))
-        note(max(qres, pres), "billiard-map commutation", x.q)
+        qres = cross_norm(img.q.coords.tolist(), fy.q.coords.tolist())
+        pres = cross_norm(img.p.coords.tolist(), fy.p.coords.tolist())
+        note(_worse(qres, pres), "billiard-map commutation", x.q)
         count += 1
     return acc.report(name, None, {"samples": 100, "seed": seed}, 1e-9)
 

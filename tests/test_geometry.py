@@ -12,6 +12,7 @@ from dualbill.geometry import (
     b_family_equivalence,
     c_family_equivalence,
     conic_point,
+    cross_norm,
     line_contains,
     on_conic,
     order3_symmetries,
@@ -29,6 +30,14 @@ class TestProjectivePoint:
     def test_projective_equality(self):
         assert ProjectivePoint(1, 2, 3).eq(ProjectivePoint(2, 4, 6))
         assert not ProjectivePoint(1, 2, 3).eq(ProjectivePoint(1, 2, 4))
+
+    def test_cross_norm_matches_numpy(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            u, v = (rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(2))
+            want = np.linalg.norm(np.cross(u, v))
+            assert abs(cross_norm(u.tolist(), v.tolist()) - want) <= 1e-14 * want
+            assert cross_norm(u.tolist(), (-0.5j * u).tolist()) == 0.0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,17 @@
+import math
+import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dualbill.billiards import BilliardFamily, involution
-from dualbill.geometry import E_INFINITY, ProjectivePoint, conic_point
+from dualbill import integrals
+from dualbill.billiards import BilliardFamily, involution, orbit
+from dualbill.curves import lift_fiber
+from dualbill.geometry import E_INFINITY, ProjectivePoint, conic_point, cross_norm
 from dualbill.integrals import (
+    BASE_POINT_GUARD,
     BiPoly,
     IndeterminacyError,
     coefficients_a1,
@@ -264,3 +270,134 @@ class TestInvariance:
                 continue
             assert abs(after.value - before.value) <= 1e-8 * max(1.0, abs(before.value))
             checked += 1
+
+
+#: the eleven family instances of the default check suite
+INSTANCES = [
+    BilliardFamily(tag, n)
+    for tag, n in (
+        ("a1", 1), ("a1", 2), ("a1", 3), ("a2", 1), ("a2", 2), ("a2", 3),
+        ("b1", None), ("b2", None), ("c1", None), ("c2", None), ("d", None),
+    )
+]
+
+
+def _oracle(fam: BilliardFamily, coords):
+    """R at the exact float point: the expanded num and den tables,
+    homogenized to the common degree, summed exactly in rationals.  Returns
+    the two parts of num/den as exact fractions and to 60 digits in mpmath,
+    or None at a pole."""
+    mpmath = pytest.importorskip("mpmath")
+    integ = first_integral(fam)
+    d = integ.degree
+    z, w, t = ((Fraction(c.real), Fraction(c.imag)) for c in coords)
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def power(a, k):
+        out = (Fraction(1), Fraction(0))
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    def form(poly):
+        re = im = Fraction(0)
+        for (i, j), c in poly.coeffs.items():
+            mr, mi = mul(mul(power(z, i), power(w, j)), power(t, d - i - j))
+            re, im = re + c * mr, im + c * mi
+        return re, im
+
+    (nr, ni), (dr, di) = form(integ.num), form(integ.den)
+    if dr == di == 0:
+        return None
+    q = dr * dr + di * di
+    parts = ((nr * dr + ni * di) / q, (ni * dr - nr * di) / q)
+    with mpmath.workdps(60):
+        return [(x, mpmath.mpf(x.numerator) / x.denominator) for x in parts]
+
+
+def _oracle_points(fam: BilliardFamily, rng: random.Random) -> list:
+    """Points in each chart, on and near the infinity line, with tiny
+    coordinates, and just outside the guard of each base point."""
+
+    def rc(r=0.7):
+        return complex(rng.uniform(-r, r), rng.uniform(-r, r))
+
+    pts = []
+    for _ in range(4):
+        pts += [ProjectivePoint(rc(), rc(), 1.0), ProjectivePoint(1.0, rc(), rc()),
+                ProjectivePoint(rc(), 1.0, rc())]
+    pts += [ProjectivePoint(1.0, rc(2.0), 0.0), ProjectivePoint(rc(), 1.0, 0.0)]
+    pts += [ProjectivePoint(1e-300 * rc(), rc(), 1.0), ProjectivePoint(rc(), rc(), 1e-300 * rc()),
+            ProjectivePoint(1.0, 1e-300 * rc(), 1e-300 * rc())]
+    for bp in indeterminacy_set(fam):
+        near = []
+        while len(near) < 2:
+            v = [rc(1.0) for _ in range(3)]
+            p = ProjectivePoint(*(c + 2e-8 * dv for c, dv in zip(bp.coords.tolist(), v)))
+            if BASE_POINT_GUARD < cross_norm(p.coords.tolist(), bp.coords.tolist()) < 3e-8:
+                near.append(p)
+        pts += near
+    return pts
+
+
+class TestExactEvaluation:
+    """eval_integral is R at the float point, exact and then correctly
+    rounded, wherever the point lies."""
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=lambda f: f.label())
+    def test_matches_mpmath_oracle(self, fam):
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(f"oracle:{fam.label()}")
+        base = indeterminacy_set(fam)
+        for p in _oracle_points(fam, rng):
+            coords = p.coords.tolist()
+            if any(cross_norm(coords, bp.coords.tolist()) <= BASE_POINT_GUARD for bp in base):
+                with pytest.raises(IndeterminacyError):
+                    eval_integral(fam, p)
+                continue
+            got = eval_integral(fam, p)
+            parts = _oracle(fam, coords)
+            if parts is None or max(abs(x) for x, _ in parts) > sys.float_info.max:
+                assert got.is_inf, p
+                continue
+            for part, (exact, digits60) in zip((got.value.real, got.value.imag), parts):
+                with mpmath.workdps(60):
+                    assert abs(mpmath.mpf(part) - digits60) <= math.ulp(float(exact)), (p, part)
+                assert part == float(exact), (p, part)  # correctly rounded
+
+    def test_exact_zero_over_zero_raises(self, monkeypatch):
+        # the guard catches every base point first, so switch it off
+        monkeypatch.setattr(integrals, "BASE_POINT_GUARD", -1.0)
+        for pt in (ProjectivePoint.affine(0.0, 0.0), ProjectivePoint.affine(1.0, 1.0), E_INFINITY):
+            with pytest.raises(IndeterminacyError, match="0/0"):
+                eval_integral(BilliardFamily("b1"), pt)
+
+    def test_zero_denominator_is_infinite(self):
+        assert eval_integral(BilliardFamily("d"), ProjectivePoint.affine(1.0, 3.0)).is_inf
+        # a1's denominator carries t^2 padding: every other point at infinity is a pole
+        assert eval_integral(BilliardFamily("a1", 2), ProjectivePoint(1.0, 0.5, 0.0)).is_inf
+        # |R| past the largest float is infinite too: here |R| is about 1e400
+        assert eval_integral(BilliardFamily("a1", 2), ProjectivePoint(1.0, 0.5, 1e-200)).is_inf
+
+    def test_nan_coordinate_gives_nan(self):
+        with np.errstate(invalid="ignore"):
+            p = ProjectivePoint(math.nan, 0.5, 1.0)
+        v = eval_integral(BilliardFamily("b1"), p)
+        assert not v.is_inf and math.isnan(v.value.real) and math.isnan(v.value.imag)
+
+    def test_no_evaluation_error_along_an_orbit(self):
+        # case 64 of the orbits workload on seed 9502: a float evaluation
+        # showed a relative drift of 2.4e-5 here, where the true drift is 8e-11
+        d = BilliardFamily("d")
+        lam = 2.5820515583761385 + 0.7175757711452591j
+        x0 = lift_fiber(d, lam, 2.391503104274424 + 0.1307735262541977j, "-")
+        rec = orbit(d, x0, 500)
+        assert rec.reason == "completed"
+        worst = 0.0
+        for x in rec.points:
+            v = eval_integral(d, x.q)
+            if not v.is_inf:
+                worst = max(worst, abs(v.value - lam) / max(1.0, abs(lam)))
+        assert worst <= 1e-9

@@ -174,6 +174,19 @@ class TestNaNResidual:
         assert report.witness is not None and "evaluated" not in report.witness
 
 
+class TestInvolutionFixedPointTerm:
+    def test_nan_fixed_point_term_fails(self, monkeypatch):
+        """A NaN in the sigma_P(P) = P term alone fails the check."""
+        real = verify.involution
+        nan_point = SimpleNamespace(z_sphere=lambda: SphereValue(math.nan))
+        monkeypatch.setattr(
+            verify, "involution", lambda family, p, q: nan_point if q is p else real(family, p, q)
+        )
+        report = check_involution(B1, 20, 1)
+        assert report.status == "fail"
+        assert math.isnan(report.worst)
+
+
 class TestCaseTable:
     def test_checks_run_through_module_globals(self, monkeypatch, capsys):
         # the benchmark times each check by replacing verify.check_* in place
