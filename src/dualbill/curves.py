@@ -3,11 +3,13 @@ critical fiber decompositions and elliptic models.
 
 Regular level curves of the a1, a2, b1, b2 and d integrals are rational and
 carry explicit parametrizations; the c-family level curves are elliptic and
-are handled implicitly (polynomial plus line slicing).  The double cover of
-a level curve by its invariant fiber branches where the curve crosses the
-parabola transversally; for the b and d families those branch parameters
-feed a genus-one model y^2 = p(t) whose periods are computed by contour
-quadrature.
+are handled implicitly (polynomial plus line slicing).  Every rational curve,
+level curve or critical component, is a polynomial map homogeneous in (t, s)
+to [Z : W : T], taken at (t, 1), and at (1, 0) for t = inf.  The double
+cover of a level curve by its invariant fiber branches where the curve
+crosses the parabola transversally; for the b and d families those branch
+parameters feed a genus-one model y^2 = p(t) whose periods are computed by
+contour quadrature.
 
 What kind of curve and fiber a family has, its critical values and which
 family b2 is the image of are read from :mod:`dualbill.families`; the
@@ -22,6 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,91 +97,84 @@ def _require_regular(family: BilliardFamily, lam) -> SphereValue:
     return lam
 
 
-def _a_products(cs: Sequence[complex], tau2: complex) -> complex:
+def _on_curve(form, t) -> ProjectivePoint:
+    """Point at parameter t of a rational curve: ``form(t, s)`` is
+    homogeneous in (t, s) and returns (Z, W, T), taken at (t, 1), or at
+    (1, 0) when t = inf; poles and the limit at t = inf need no case."""
+    t = SphereValue.coerce(t)
+    if t.is_inf:
+        return ProjectivePoint(*form(1.0, 0.0))
+    return ProjectivePoint(*form(t.value, 1.0))
+
+
+def _rational(form) -> Callable[[complex], ProjectivePoint] | None:
+    """The parametrization t -> point of a homogeneous form (None stays None)."""
+    return None if form is None else partial(_on_curve, form)
+
+
+def _times(x: complex, r: float) -> complex:
+    """x times the real r, part by part: unlike the complex product x * r,
+    r = 1 keeps every bit, signed zeros included."""
+    return complex(x.real * r, x.imag * r)
+
+
+def _a_products(cs: Sequence[complex], t: complex, s: float) -> complex:
+    tau2, s2 = t * t, s * s
     prod = 1.0 + 0j
     for c in cs:
-        prod *= (1.0 - complex(c)) * tau2 - 1.0
+        prod *= (1.0 - complex(c)) * tau2 - s2
     return prod
 
 
-def _point_from_sphere_pair(z: SphereValue, w: SphereValue, ratio: SphereValue) -> ProjectivePoint:
-    if not z.is_inf and not w.is_inf:
-        return ProjectivePoint.affine(z.value, w.value)
-    if z.is_inf and not w.is_inf:
-        return ProjectivePoint(1.0, 0.0, 0.0)
-    if w.is_inf and not z.is_inf:
-        return E_INFINITY
-    if ratio.is_inf:
-        return E_INFINITY
-    return ProjectivePoint(1.0, ratio.value, 0.0)
+# Level curves {R = lam} as forms homogeneous in (t, s).  The a-family forms
+# keep the affine formulas' order of operations, so at s = 1 their points are
+# the affine ones bit for bit.
+
+def _level_a1(lam: complex, cs, t, s):
+    k = 2 * len(cs) + 1
+    prod = _a_products(cs, t, s)
+    z = 1j * principal_sqrt(lam) * t * prod
+    w = -lam * (t * t - s * s) * prod * prod
+    return _times(z, s**k), w, s ** (2 * k)
 
 
-def _div(num: complex, den: complex) -> SphereValue:
-    if den == 0:
-        if num == 0:
-            raise ZeroDivisionError("0/0 in a parametrization; value is critical")
-        return INF
-    return SphereValue(num / den)
-
-
-def _param_a1(lam: complex, tau: SphereValue, cs) -> tuple[SphereValue, SphereValue, SphereValue]:
-    if tau.is_inf:
-        return INF, INF, INF  # approaches the infinite point of the parabola
-    t = tau.value
-    sq = principal_sqrt(lam)
-    prod = _a_products(cs, t * t)
-    z = 1j * sq * t * prod
-    w = -lam * (t * t - 1.0) * prod * prod
-    return SphereValue(z), SphereValue(w), INF
-
-
-def _param_a2(lam: complex, s: SphereValue, cs) -> tuple[SphereValue, SphereValue, SphereValue]:
-    if s.is_inf:
-        return INF, INF, INF
-    sv = s.value
+def _level_a2(lam: complex, cs, t, s):
+    k = len(cs) + 1
     prod = 1.0 + 0j
     for c in cs:
-        prod *= 1.0 + (complex(c) - 1.0) * sv
-    z = -lam * sv * prod
-    w = lam * lam * sv * (sv - 1.0) * prod * prod
-    return SphereValue(z), SphereValue(w), INF
+        prod *= s + (complex(c) - 1.0) * t
+    z = -lam * t * prod
+    w = lam * lam * t * (t - s) * prod * prod
+    return _times(z, s**k), w, s ** (2 * k)
 
 
-def _param_b1(lam: complex, t: SphereValue, _cs) -> tuple[SphereValue, SphereValue, SphereValue]:
-    if t.is_inf:
-        return SphereValue((lam - 1.0) / lam), INF, INF
-    tv = t.value
-    a = (1.0 - lam) * tv + lam
-    z = _div(tv * a, lam * (tv - 1.0) * (4.0 - tv))
-    w = _div(tv * tv * a * (3.0 * lam - tv), lam * lam * (tv - 1.0) * (4.0 - tv) ** 2)
-    ratio = _div(tv * (3.0 * lam - tv), lam * (4.0 - tv)) if z.is_inf and w.is_inf else INF
-    return z, w, ratio
+def _level_b1(lam: complex, _cs, t, s):
+    a = (1.0 - lam) * t + lam * s
+    return (
+        lam * t * a * (4.0 * s - t) * s,
+        t * t * a * (3.0 * lam * s - t),
+        lam * lam * (t - s) * (4.0 * s - t) ** 2 * s,
+    )
 
 
-def _param_d(lam: complex, t: SphereValue, _cs) -> tuple[SphereValue, SphereValue, SphereValue]:
-    if t.is_inf:
-        v = -lam / (8.0 * lam + 1.0)
-        return SphereValue(v), SphereValue(v), INF
-    tv = t.value
-    q12 = lam * tv * tv + 12.0 * lam * tv - 9.0
-    q4 = lam * tv * tv + 4.0 * lam * tv - 1.0
-    lin = (8.0 * lam + 1.0) * tv - 5.0
-    z = _div(-(lam * tv - 1.0) * q12, lam * tv * (3.0 + tv) * lin)
-    w = _div(-q12 * q12 * q4, lam * lam * tv * tv * (3.0 + tv) ** 2 * lin * (tv + 4.0))
-    if z.is_inf and w.is_inf:
-        ratio = _div(q12 * q4, lam * tv * (3.0 + tv) * (tv + 4.0) * (lam * tv - 1.0))
-    else:
-        ratio = INF
-    return z, w, ratio
+def _level_d(lam: complex, _cs, t, s):
+    q12 = lam * t * t + 12.0 * lam * t * s - 9.0 * s * s
+    q4 = lam * t * t + 4.0 * lam * t * s - s * s
+    lin = (8.0 * lam + 1.0) * t - 5.0 * s
+    return (
+        -lam * t * (t + 3.0 * s) * (t + 4.0 * s) * (lam * t - s) * q12,
+        -q12 * q12 * q4,
+        lam * lam * t * t * (t + 3.0 * s) ** 2 * lin * (t + 4.0 * s),
+    )
 
 
-#: rational parametrization of the level curves and, for the a-families,
-#: the denominator coefficients it takes
-_PARAM_FUNCS = {
-    "a1": (_param_a1, coefficients_a1),
-    "a2": (_param_a2, coefficients_a2),
-    "b1": (_param_b1, None),
-    "d": (_param_d, None),
+#: form (lam, cs, t, s) of the level curves and, for the a-families, the
+#: denominator coefficients cs it takes
+_LEVEL_FORMS = {
+    "a1": (_level_a1, coefficients_a1),
+    "a2": (_level_a2, coefficients_a2),
+    "b1": (_level_b1, None),
+    "d": (_level_d, None),
 }
 
 
@@ -199,12 +195,11 @@ def parametrize_level(family: BilliardFamily, lam, t) -> ProjectivePoint:
     """Point of the level curve {R = lam} at curve parameter t.
 
     Families a1/a2/b1/d use their rational parametrizations; b2 is the
-    b-equivalence image of the b1 curve.  Parametrization poles return the
-    projective limit point.
+    b-equivalence image of the b1 curve.  Poles of the parametrization land
+    on the infinity line, and t = inf gives the curve's limit point.
     """
     lam = _require_regular(family, lam)
     lamv = lam.value
-    t = SphereValue.coerce(t)
     spec = family.spec
     if spec.level_curves == "elliptic":
         raise ValueError(
@@ -213,29 +208,22 @@ def parametrize_level(family: BilliardFamily, lam, t) -> ProjectivePoint:
     if spec.image_of is not None:
         base = parametrize_level(BilliardFamily(spec.image_of.base), lamv, t)
         return spec.image_of.map(base)
-    param, coefficients = _PARAM_FUNCS[family.tag]
+    level, coefficients = _LEVEL_FORMS[family.tag]
     cs = None if coefficients is None else coefficients(family.n)
-    z, w, ratio = param(lamv, t, cs)
-    return _point_from_sphere_pair(z, w, ratio)
+    return _on_curve(partial(level, lamv, cs), t)
 
 
-def _lift_a1(family: BilliardFamily, lamv: complex, tv: SphereValue, branch: str) -> PhasePoint:
-    if tv.is_inf:
-        raise ValueError("the a1 lift needs a finite parameter")
-    tau = tv.value
+def _lift_a1(family: BilliardFamily, lamv: complex, tau: complex, branch: str) -> PhasePoint:
     cs = coefficients_a1(family.n)
     sq = principal_sqrt(lamv)
-    prod = _a_products(cs, tau * tau)
+    prod = _a_products(cs, tau, 1.0)
     sgn = 1.0 if branch == "+" else -1.0
     z0 = 1j * sq * (tau + sgn) * prod
     q = parametrize_level(family, lamv, tau)
     return PhasePoint(q, conic_point(z0))
 
 
-def _lift_a2(family: BilliardFamily, lamv: complex, tv: SphereValue, branch: str) -> PhasePoint:
-    if tv.is_inf:
-        raise ValueError("the a2 lift needs a finite parameter")
-    tau = tv.value
+def _lift_a2(family: BilliardFamily, lamv: complex, tau: complex, branch: str) -> PhasePoint:
     if tau == 0:
         raise ValueError("tau = 0 is a ramification point of the a2 fiber")
     q = parametrize_level(family, lamv, tau * tau)
@@ -274,11 +262,13 @@ def lift_fiber(family: BilliardFamily, lam, t, branch: str = "+") -> PhasePoint:
     if image is not None:
         base = lift_fiber(BilliardFamily(image.base), lamv, t, branch)
         return PhasePoint(image.map(base.q), image.map(base.p))
-    t = SphereValue.coerce(t)
     lift = _LIFTS.get(family.tag)
     if lift is None:
         return lift_by_sheet(parametrize_level(family, lamv, t), branch)
-    return lift(family, lamv, t, branch)
+    t = SphereValue.coerce(t)
+    if t.is_inf:
+        raise ValueError(f"the {family.tag} lift needs a finite parameter")
+    return lift(family, lamv, t.value, branch)
 
 
 def _fiber_ratio(x: PhasePoint, z: complex, w: complex) -> SphereValue:
@@ -290,6 +280,14 @@ def _fiber_ratio(x: PhasePoint, z: complex, w: complex) -> SphereValue:
     if z0 == z:
         raise ValueError("degenerate pair: Q at the tangency point")
     return SphereValue(z / (z0 - z))
+
+
+def _div(num: complex, den: complex) -> SphereValue:
+    if den == 0:
+        if num == 0:
+            raise ZeroDivisionError("0/0 in a curve parameter: the inverse is indeterminate here")
+        return INF
+    return SphereValue(num / den)
 
 
 #: rational inverse of the parametrization, from the point (z, w) of Q;
@@ -590,125 +588,68 @@ class CurveComponent:
         return self.poly.total_degree
 
 
-def _line_param(a: complex, b: complex, c: complex):
-    """Parametrization of the line a z + b w + c = 0 (affine + direction)."""
+# forms of the critical components, homogeneous in (t, s) like the level curves
 
-    def param(t: complex) -> ProjectivePoint:
-        t = SphereValue.coerce(t)
-        if t.is_inf:
-            return ProjectivePoint(complex(b), complex(-a), 0.0)
-        tv = t.value
-        if b != 0:
-            return ProjectivePoint.affine(tv, (-c - a * tv) / b)
-        return ProjectivePoint.affine(-c / a, tv)
-
-    return param
+def _line_z(c: complex, t, s):
+    """The line z = c, swept by w."""
+    return c * s, t, s
 
 
-def _conic_param_through(poly: BiPoly, z0: complex, w0: complex):
-    """Rational parametrization of a conic by lines w - w0 = m (z - z0)
-    through one of its points (z0, w0)."""
-
-    def param(m: complex) -> ProjectivePoint:
-        m = SphereValue.coerce(m)
-        # restrict the conic to the pencil line and divide out the known root
-        if m.is_inf:
-            direction = (0.0, 1.0)
-        else:
-            direction = (1.0, m.value)
-        coeffs = poly.restrict_line((z0, w0), direction)
-        # p(s) = s * (alpha + beta s); the other intersection is s = -alpha/beta
-        alpha, beta = coeffs[1], coeffs[2]
-        s = _div(-alpha, beta)
-        if s.is_inf:
-            return ProjectivePoint(direction[0], direction[1], 0.0)
-        return ProjectivePoint.affine(z0 + s.value * direction[0], w0 + s.value * direction[1])
-
-    return param
+def _diagonal(t, s):
+    """The line z = w."""
+    return t, t, s
 
 
-def _cubic_b1_level1_param(t: complex) -> ProjectivePoint:
-    t = SphereValue.coerce(t)
-    if t.is_inf:
-        return ProjectivePoint.affine(0.0, -1.0)
-    tv = t.value
-    z = _div(tv, (tv - 1.0) * (4.0 - tv))
-    w = _div(tv * tv * (3.0 - tv), (tv - 1.0) * (4.0 - tv) ** 2)
-    ratio = _div(tv * (3.0 - tv), 4.0 - tv) if z.is_inf and w.is_inf else INF
-    return _point_from_sphere_pair(z, w, ratio)
+def _parabola(t, s):
+    """The parabola w = z^2, swept by z."""
+    return t * s, t * t, s * s
 
 
-def _conic_b1_43_1_param(t: complex) -> ProjectivePoint:
-    t = SphereValue.coerce(t)
-    if t.is_inf:
-        return E_INFINITY
-    tv = t.value
-    z = _div(tv, 4.0 * (tv - 1.0))
-    w = _div(3.0 * tv * tv, 16.0 * (tv - 1.0))
-    return _point_from_sphere_pair(z, w, INF if not (z.is_inf and w.is_inf) else SphereValue(3 * tv / 4))
+def _conic_through_origin(poly: BiPoly, t, s):
+    """The conic {poly = 0} through the origin, swept by the lines of slope
+    t/s through it: on the line (z, w) = sigma (s, t) the conic reads
+    alpha sigma + beta sigma^2, and its second root sigma = -alpha/beta is
+    the point [-alpha s : -alpha t : beta]."""
+    c = poly.coeffs.get
+    alpha = c((1, 0), 0) * s + c((0, 1), 0) * t
+    beta = c((2, 0), 0) * s * s + c((1, 1), 0) * s * t + c((0, 2), 0) * t * t
+    return -alpha * s, -alpha * t, beta
 
 
-def _conic_b1_43_2_param(tau: complex) -> ProjectivePoint:
-    tau = SphereValue.coerce(tau)
-    if tau.is_inf:
-        return ProjectivePoint.affine(1.0 / 3.0, 1.0)
-    tv = tau.value
-    z = _div(tv - 9.0, 3.0 * tv)
-    w = _div((tv - 9.0) * (tv + 3.0), tv * tv)
-    return _point_from_sphere_pair(z, w, INF)
+def _cubic_b1_level1(t, s):
+    return t * s * (4.0 * s - t), t * t * (3.0 * s - t), (t - s) * (4.0 * s - t) ** 2
 
 
-def _cubic_d_13_1_param(t: complex) -> ProjectivePoint:
-    t = SphereValue.coerce(t)
-    if t.is_inf:
-        return ProjectivePoint.affine(-0.2, -5 * 0.04)  # z=-1/5, w=-5 z^2 * 1 = -0.2
-    tv = t.value
-    z = _div(-(tv + 9.0), 5.0 * tv)
-    w = _div(-((tv + 9.0) ** 2) * (tv + 1.0), 5.0 * tv * tv * (tv + 4.0))
-    if z.is_inf and w.is_inf:
-        ratio = _div((tv + 9.0) * (tv + 1.0), tv * (tv + 4.0))
-    else:
-        ratio = INF
-    return _point_from_sphere_pair(z, w, ratio)
+def _conic_b1_43_1(t, s):
+    return 4.0 * t * s, 3.0 * t * t, 16.0 * s * (t - s)
 
 
-def _cubic_d_13_2_param(tau: complex) -> ProjectivePoint:
-    tau = SphereValue.coerce(tau)
-    if tau.is_inf:
-        return ProjectivePoint.affine(0.4, 1.6)
-    tv = tau.value
-    z = _div((tv + 9.0) * (2.0 * tv + 27.0), tv * (5.0 * tv + 72.0))
-    w = _div((2.0 * tv + 27.0) ** 2 * (2.0 * tv - 9.0), tv * tv * (5.0 * tv + 72.0))
-    if z.is_inf and w.is_inf:
-        ratio = _div((2.0 * tv + 27.0) * (2.0 * tv - 9.0), tv * (tv + 9.0))
-    else:
-        ratio = INF
-    return _point_from_sphere_pair(z, w, ratio)
+def _conic_b1_43_2(t, s):
+    return t * (t - 9.0 * s), 3.0 * (t - 9.0 * s) * (t + 3.0 * s), 3.0 * t * t
 
 
-def _quartic_d_932_param(t: complex) -> ProjectivePoint:
-    t = SphereValue.coerce(t)
-    if t.is_inf:
-        return ProjectivePoint.affine(-9.0 / 40.0, -(81.0 / 1600.0) * 40.0 / 9.0)
-    tv = t.value
-    z = _div(-(9.0 * tv + 32.0) * (tv + 8.0), 40.0 * tv * (3.0 + tv))
-    w = _div(
-        -((tv + 8.0) ** 2) * (3.0 * tv + 8.0) * (3.0 * tv + 4.0),
-        40.0 * tv * tv * (tv + 3.0) ** 2,
+def _cubic_d_13_1(t, s):
+    return (
+        -(t + 9.0 * s) * t * (t + 4.0 * s),
+        -((t + 9.0 * s) ** 2) * (t + s),
+        5.0 * t * t * (t + 4.0 * s),
     )
-    if z.is_inf and w.is_inf:
-        ratio = _div((tv + 8.0) * (3.0 * tv + 8.0) * (3.0 * tv + 4.0), tv * (3.0 + tv) * (9.0 * tv + 32.0))
-    else:
-        ratio = INF
-    return _point_from_sphere_pair(z, w, ratio)
 
 
-def _d_generic_param(lam: complex):
-    def param(t: complex) -> ProjectivePoint:
-        z, w, ratio = _param_d(lam, SphereValue.coerce(t), None)
-        return _point_from_sphere_pair(z, w, ratio)
+def _cubic_d_13_2(t, s):
+    return (
+        t * (t + 9.0 * s) * (2.0 * t + 27.0 * s),
+        (2.0 * t + 27.0 * s) ** 2 * (2.0 * t - 9.0 * s),
+        t * t * (5.0 * t + 72.0 * s),
+    )
 
-    return param
+
+def _quartic_d_932(t, s):
+    return (
+        -(9.0 * t + 32.0 * s) * (t + 8.0 * s) * t * (t + 3.0 * s),
+        -((t + 8.0 * s) ** 2) * (3.0 * t + 8.0 * s) * (3.0 * t + 4.0 * s),
+        40.0 * t * t * (t + 3.0 * s) ** 2,
+    )
 
 
 # exact component polynomials -------------------------------------------------
@@ -776,19 +717,19 @@ def _double(over: str) -> tuple[FiberComponent, ...]:
 
 
 def _listed(*entries):
-    """Components given as (name, polynomial, parametrization), simple."""
-    return lambda family, lam: [CurveComponent(n, p, 1, pr) for n, p, pr in entries]
+    """Components given as (name, polynomial, form or None), simple."""
+    return lambda family, lam: [CurveComponent(n, p, 1, _rational(f)) for n, p, f in entries]
 
 
 def _den_factors(*entries):
     """Components at lam = inf: the integral's denominator factors, named as
-    (name, parametrization built from the factor or None)."""
+    (name, form or None)."""
 
     def build(family, lam):
         den = first_integral(family).den_factors
         return [
-            CurveComponent(name, poly, mult, None if param is None else param(poly))
-            for (name, param), (poly, mult) in zip(entries, den)
+            CurveComponent(name, poly, mult, _rational(form))
+            for (name, form), (poly, mult) in zip(entries, den)
         ]
 
     return build
@@ -799,7 +740,7 @@ def _a_at_infinity(*head):
     w = c z^2 per denominator coefficient c."""
 
     def build(family, lam):
-        cs = _PARAM_FUNCS[family.tag][1](family.n)
+        cs = _LEVEL_FORMS[family.tag][1](family.n)
         parabolas = ((f"parabola w = {c} z^2", None) for c in cs)
         return _den_factors(*head, *parabolas)(family, lam)
 
@@ -812,51 +753,43 @@ def _image_components(family, lam):
     out = []
     for comp in critical_fiber_components(BilliardFamily(image.base), lam):
         poly = _substitute_projective(comp.poly, image.inverse.matrix)
-        param = _compose_param(image.map, comp.parametrize)
+        param = _mapped(image.map, comp.parametrize)
         out.append(CurveComponent(comp.name + " (b-equivalence image)", poly, 1, param))
     return out
-
-
-def _line(a: complex, b: complex, c: complex):
-    return lambda poly: _line_param(a, b, c)
-
-
-def _through_origin(poly: BiPoly):
-    return _conic_param_through(poly, 0.0, 0.0)
 
 
 _SIX_CONICS = sum((_sheets(f"conic #{k}") for k in range(3)), ())
 
 _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...] | None]] = {
     ("a1", INF): (_a_at_infinity(), None),
-    ("a2", INF): (_a_at_infinity(("line z = 0", _line(1.0, 0.0, 0.0))), None),
+    ("a2", INF): (_a_at_infinity(("line z = 0", partial(_line_z, 0.0))), None),
     ("b1", INF): (
         _den_factors(
             ("conic w + 3z^2", None),
-            ("line z = 1", _line(1.0, 0.0, -1.0)),
-            ("line z = w", _line(1.0, -1.0, 0.0)),
+            ("line z = 1", partial(_line_z, 1.0)),
+            ("line z = w", _diagonal),
         ),
         None,
     ),
     ("b1", SphereValue(1)): (
         _listed(
-            ("line z = 0", _Z, _line_param(1.0, 0.0, 0.0)),
-            ("cubic", _CUBIC_B1_LEVEL1, _cubic_b1_level1_param),
+            ("line z = 0", _Z, partial(_line_z, 0.0)),
+            ("cubic", _CUBIC_B1_LEVEL1, _cubic_b1_level1),
         ),
         _double("line") + _sheets("cubic"),
     ),
     ("b1", SphereValue(Fraction(4, 3))): (
         _listed(
-            ("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1, _conic_b1_43_1_param),
-            ("conic w = z(4-3z)", _CONIC_B1_43_2, _conic_b1_43_2_param),
+            ("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1, _conic_b1_43_1),
+            ("conic w = z(4-3z)", _CONIC_B1_43_2, _conic_b1_43_2),
         ),
         _double("conic #0") + _double("conic #1"),
     ),
     ("b2", INF): (
         _listed(
             ("conic z^2+w^2+w+1", _Z * _Z + _W * _W + _W + _ONE, None),
-            ("line z = i", _Z - BiPoly.const(1j), _line_param(1.0, 0.0, -1j)),
-            ("line z = -i", _Z + BiPoly.const(1j), _line_param(1.0, 0.0, 1j)),
+            ("line z = i", _Z - BiPoly.const(1j), partial(_line_z, 1j)),
+            ("line z = -i", _Z + BiPoly.const(1j), partial(_line_z, -1j)),
         ),
         None,
     ),
@@ -875,7 +808,7 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
     ("c1", INF): (_den_factors(("cubic 1 + w^3 - 2zw", None)), _sheets("cubic")),
     ("c2", SphereValue(Fraction(-9, 64))): (
         _listed(
-            ("conic w + 8z^2", _C2_CONICS[0], _through_origin(_C2_CONICS[0])),
+            ("conic w + 8z^2", _C2_CONICS[0], partial(_conic_through_origin, _C2_CONICS[0])),
             ("conic 9(w-z)^2 + w - z^2", _C2_CONICS[1], None),
             ("conic 9(z-1)^2 + w - z^2", _C2_CONICS[2], None),
         ),
@@ -884,23 +817,23 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
     ("c2", INF): (_den_factors(("cubic", None)), _sheets("cubic")),
     ("d", INF): (
         _den_factors(
-            ("conic w + 8z^2", _through_origin),
-            ("line z = 1", _line(1.0, 0.0, -1.0)),
+            ("conic w + 8z^2", partial(_conic_through_origin, _C2_CONICS[0])),
+            ("line z = 1", partial(_line_z, 1.0)),
             ("cubic", None),
         ),
         _sheets("conic w + 8z^2") + _double("line z = 1") + _sheets("cubic"),
     ),
     ("d", SphereValue(Fraction(-1, 3))): (
         _listed(
-            ("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1, _cubic_d_13_1_param),
-            ("cubic", _CUBIC_D_13_2, _cubic_d_13_2_param),
+            ("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1, _cubic_d_13_1),
+            ("cubic", _CUBIC_D_13_2, _cubic_d_13_2),
         ),
         _double("cubic #0") + _double("cubic #1"),
     ),
     ("d", SphereValue(Fraction(-9, 32))): (
         _listed(
-            ("quartic", _QUARTIC_D_932, _quartic_d_932_param),
-            ("conic w + 8z^2 - 9zw", _CONIC_D_932, _through_origin(_CONIC_D_932)),
+            ("quartic", _QUARTIC_D_932, _quartic_d_932),
+            ("conic w + 8z^2 - 9zw", _CONIC_D_932, partial(_conic_through_origin, _CONIC_D_932)),
         ),
         _sheets("quartic") + _double("conic"),
     ),
@@ -912,7 +845,7 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
                 "irreducible sextic (degenerate cusp at the origin)",
                 first_integral(family).level_polynomial(Fraction(-1, 4)),
                 1,
-                _d_generic_param(-0.25),
+                _rational(partial(_level_d, -0.25, None)),
             )
         ],
         (FiberComponent(1, "double", "level curve"),),
@@ -931,66 +864,32 @@ def critical_fiber_components(family: BilliardFamily, lam) -> list[CurveComponen
     if is_regular(family, lam):
         raise ValueError(f"{lam!r} is a regular value of family {family.label()}")
     if lam == SphereValue(0):
-        return [
-            CurveComponent(
-                "parabola", _CONIC_GAMMA, first_integral(family).zero_order, _gamma_param
-            )
-        ]
+        zero_order = first_integral(family).zero_order
+        return [CurveComponent("parabola", _CONIC_GAMMA, zero_order, _rational(_parabola))]
     cell = _CELLS.get((family.tag, lam))
     if cell is None:
         raise ValueError(f"no component table for family {family.label()} at {lam!r}")
     return cell[0](family, lam)
 
 
-def _gamma_param(t: complex) -> ProjectivePoint:
-    return conic_point(SphereValue.coerce(t))
-
-
 def _substitute_projective(poly: BiPoly, matrix: np.ndarray) -> BiPoly:
     """Image polynomial of {poly = 0} under the projective map: substitute
-    the inverse map's linear forms into the homogenization."""
+    the inverse map's linear forms for z, w and t in the homogenization
+    (and set t = 1)."""
     d = poly.total_degree
-    # trivariate linear forms for (z, w, t) after substitution
-    rows = [tuple(complex(matrix[i, j]) for j in range(3)) for i in range(3)]
-
-    def lin_pow(row, n):
-        table = {(0, 0, 0): 1.0 + 0j}
-        for _ in range(n):
-            new = {}
-            for (i, j, k), c in table.items():
-                for idx, coef in enumerate(row):
-                    if coef == 0:
-                        continue
-                    key = (i + (idx == 0), j + (idx == 1), k + (idx == 2))
-                    new[key] = new.get(key, 0) + c * coef
-            table = new
-        return table
-
-    out: dict[tuple[int, int], complex] = {}
+    lz, lw, lt = (
+        BiPoly({(1, 0): complex(a), (0, 1): complex(b), (0, 0): complex(c)})
+        for a, b, c in matrix
+    )
+    out = BiPoly({})
     for (i, j), c in poly.coeffs.items():
-        k = d - i - j
-        term = {(0, 0, 0): complex(c)}
-        for row, n in ((rows[0], i), (rows[1], j), (rows[2], k)):
-            expanded = lin_pow(row, n)
-            new = {}
-            for (a1_, b1_, c1_), v1 in term.items():
-                for (a2_, b2_, c2_), v2 in expanded.items():
-                    key = (a1_ + a2_, b1_ + b2_, c1_ + c2_)
-                    new[key] = new.get(key, 0) + v1 * v2
-            term = new
-        for (a_, b_, c_), v in term.items():
-            out[(a_, b_)] = out.get((a_, b_), 0) + v  # set t = 1
-    return BiPoly(out)
+        out = out + (lz.power(i) * lw.power(j) * lt.power(d - i - j)).scale(complex(c))
+    return out
 
 
-def _compose_param(psi, base):
-    if base is None:
-        return None
-
-    def param(t: complex) -> ProjectivePoint:
-        return psi(base(t))
-
-    return param
+def _mapped(psi, param):
+    """The parametrization param followed by the map psi (None stays None)."""
+    return None if param is None else lambda t: psi(param(t))
 
 
 def component_product_residual(family: BilliardFamily, lam) -> float:
@@ -1077,10 +976,7 @@ def level_curve_model(family: BilliardFamily, lam) -> LevelCurveModel:
     implicit = integ.level_polynomial(lamx if lamx is not None else lamv)
     if family.spec.level_curves == "elliptic":
         return LevelCurveModel(family, lam, "elliptic", None, None, implicit)
-
-    def param(t: complex) -> ProjectivePoint:
-        return parametrize_level(family, lamv, t)
-
+    param = partial(parametrize_level, family, lamv)
     return LevelCurveModel(family, lam, "rational-parametrized", param, None, implicit)
 
 

@@ -59,8 +59,9 @@ class ProjectivePoint:
     """Point of CP^2 in homogeneous coordinates [z : w : t].
 
     The stored representative is canonical: all coordinates are divided by
-    the one of largest modulus, so that coordinate becomes exactly 1.
-    Equality is projective (up to a nonzero scalar).
+    the one of largest modulus, which is then 1 only up to rounding: numpy's
+    complex division can leave its real part at 1 - 2^-53 and its imaginary
+    part at about 1e-16.  Equality is projective (up to a nonzero scalar).
     """
 
     __slots__ = ("coords",)

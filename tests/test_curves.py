@@ -221,19 +221,19 @@ class TestEllipticModel:
         # high-precision oracle: on [4-2*sqrt(2), 2] both simple zeros of p
         # are absorbed by t = r0 + (r1-r0) sin^2(theta), leaving a smooth
         # integrand for mpmath
-        import mpmath
+        mpmath = pytest.importorskip("mpmath")
 
         m = elliptic_model(BilliardFamily("b1"), 2.0)
-        mpmath.mp.dps = 30
-        r0 = 4 - 2 * mpmath.sqrt(2)
-        r1 = mpmath.mpf(2)
-        r2 = 4 + 2 * mpmath.sqrt(2)
+        with mpmath.workdps(30):
+            r0 = 4 - 2 * mpmath.sqrt(2)
+            r1 = mpmath.mpf(2)
+            r2 = 4 + 2 * mpmath.sqrt(2)
 
-        def g(theta):
-            t = r0 + (r1 - r0) * mpmath.sin(theta) ** 2
-            return 2 / mpmath.sqrt(r2 - t)
+            def g(theta):
+                t = r0 + (r1 - r0) * mpmath.sin(theta) ** 2
+                return 2 / mpmath.sqrt(r2 - t)
 
-        oracle = float(2 * mpmath.quad(g, [0, mpmath.pi / 2]))
+            oracle = float(2 * mpmath.quad(g, [0, mpmath.pi / 2]))
         periods = sorted((abs(m.periods[0]), abs(m.periods[1])))
         assert min(abs(p - oracle) for p in periods) < 1e-8
 
@@ -295,14 +295,21 @@ class TestCriticalComponents:
             critical_fiber_components(BilliardFamily("b1"), 7.0)
 
     def test_parametrizations_lie_on_components(self):
+        # every critical cell with a parametrized component, each component
+        # taken at random parameters and at t = inf
         rng = _rng_for(10, "comp-param")
         cases = [
+            (BilliardFamily("b1"), 0),
+            (BilliardFamily("a2", 2), INF),
             (BilliardFamily("b1"), 1), (BilliardFamily("b1"), Fraction(4, 3)),
+            (BilliardFamily("b1"), INF),
+            (BilliardFamily("b2"), 1), (BilliardFamily("b2"), Fraction(4, 3)),
+            (BilliardFamily("b2"), INF),
+            (BilliardFamily("c2"), Fraction(-9, 64)),
             (BilliardFamily("d"), Fraction(-1, 3)),
+            (BilliardFamily("d"), Fraction(-1, 4)),
             (BilliardFamily("d"), Fraction(-9, 32)),
             (BilliardFamily("d"), INF),
-            (BilliardFamily("c2"), Fraction(-9, 64)),
-            (BilliardFamily("b2"), 1),
         ]
         for fam, lam in cases:
             for comp in critical_fiber_components(fam, lam):
@@ -311,8 +318,8 @@ class TestCriticalComponents:
                 poly = comp.poly
                 d = poly.total_degree
                 scale = max(abs(complex(c)) for c in poly.coeffs.values())
-                for _ in range(25):
-                    t = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+                ts = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(25)]
+                for t in ts + [INF]:
                     pt = comp.parametrize(t)
                     zc, wc, tc = pt.coords
                     val = sum(
@@ -320,6 +327,45 @@ class TestCriticalComponents:
                         for (i, j), c in poly.coeffs.items()
                     )
                     assert abs(val) <= 1e-8 * scale
+
+    def test_points_at_infinity(self):
+        # the point at t = inf of each level curve and parametrized component
+        aff = ProjectivePoint.affine
+        for fam, lam in (
+            (BilliardFamily("a1", 1), 2.0), (BilliardFamily("a1", 3), 0.5 + 1.0j),
+            (BilliardFamily("a2", 1), 2.0), (BilliardFamily("a2", 3), 0.5 + 1.0j),
+            (BilliardFamily("b1"), 2.0), (BilliardFamily("b1"), 0.5 + 0.5j),
+        ):
+            assert parametrize_level(fam, lam, INF).eq(E_INFINITY), (fam.label(), lam)
+        for lam in (1.0, 3.0, 0.5 + 0.3j):
+            v = -lam / (8 * lam + 1)
+            assert parametrize_level(BilliardFamily("d"), lam, INF).eq(aff(v, v)), lam
+
+        def at_inf(fam, lam):
+            comps = critical_fiber_components(fam, lam)
+            return {c.name: c.parametrize(INF) for c in comps if c.parametrize}
+
+        b1, d = BilliardFamily("b1"), BilliardFamily("d")
+        assert at_inf(b1, 1)["cubic"].eq(aff(0.0, -1.0))
+        conics = at_inf(b1, Fraction(4, 3))
+        assert conics["conic w = 3z^2/(4z-1)"].eq(E_INFINITY)
+        assert conics["conic w = z(4-3z)"].eq(aff(1 / 3, 1.0))
+        cubics = at_inf(d, Fraction(-1, 3))
+        assert cubics["cubic w(4z-1) = -z^2(5z-8)"].eq(aff(-0.2, -0.2))
+        assert cubics["cubic"].eq(aff(0.4, 1.6))
+        assert at_inf(d, Fraction(-9, 32))["quartic"].eq(aff(-9 / 40, -9 / 40))
+        (sextic,) = at_inf(d, Fraction(-1, 4)).values()
+        assert sextic.eq(aff(-0.25, -0.25))
+        lines = []
+        for fam, lam in (
+            (BilliardFamily("a2", 2), INF), (b1, 1), (b1, INF), (BilliardFamily("b2"), INF),
+            (d, INF),
+        ):
+            lines += [(n, p) for n, p in at_inf(fam, lam).items() if n.startswith("line")]
+        assert len(lines) == 7
+        for name, pt in lines:
+            target = ProjectivePoint(1.0, 1.0, 0.0) if name == "line z = w" else E_INFINITY
+            assert pt.eq(target), name
 
     def test_quartic_component_against_parametrization(self):
         # the implicit quartic of the d-family level -9/32 is derived by
