@@ -112,44 +112,50 @@ def f_coefficient(family: BilliardFamily, z0: complex | SphereValue) -> SphereVa
     if z0.is_inf:
         raise SingularTangencyError("coefficient undefined at the infinite point")
     try:
-        return f(z0.value)
-    except SpherePoleError as exc:  # 0/0 at a common zero cannot happen here
-        raise SingularTangencyError(str(exc)) from exc
+        return SphereValue(f(z0.value))
+    except ZeroDivisionError:  # f has no common zero of numerator and denominator
+        return INF
 
 
-def _mobius(a, b, c, d, x: SphereValue) -> SphereValue:
-    """(a x + b)/(c x + d) on the sphere."""
-    if x.is_inf:
-        return SphereValue(a) / SphereValue.coerce(c) if c != 0 else INF
-    num = a * x.value + b
-    den = c * x.value + d
+def _z_param(pt: ProjectivePoint) -> complex | SphereValue:
+    """z-coordinate of a point as a plain complex number; INF on the infinity line."""
+    z, _, t = pt.coords
+    return INF if t == 0 else z / t
+
+
+def _mobius(a, b, c, d, x: complex | SphereValue) -> complex | SphereValue:
+    """(a x + b)/(c x + d) on the sphere, x a complex number or INF."""
+    if x is INF:
+        return a / c if c != 0 else INF
+    num = a * x + b
+    den = c * x + d
     if den == 0:
         if num == 0:
             raise SpherePoleError("degenerate Moebius evaluation")
         return INF
-    return SphereValue(num / den)
+    return num / den
 
 
-def _point_on_tangent(z0: complex, z1: SphereValue) -> ProjectivePoint:
+def _point_on_tangent(z0: complex, z1: complex | SphereValue) -> ProjectivePoint:
     """Point of the tangent line at (z0, z0^2) with z-coordinate z1."""
-    if z1.is_inf:
+    if z1 is INF:
         return ProjectivePoint(1.0, 2.0 * z0, 0.0)
-    z = z1.value
-    return ProjectivePoint.affine(z, 2.0 * z0 * z - z0 * z0)
+    return ProjectivePoint(z1, 2.0 * z0 * z1 - z0 * z0, 1.0)
 
 
-def _check_singular(family: BilliardFamily, z0: SphereValue, radius: float) -> None:
-    """Reject tangency parameters too near a singular one.
+def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: float) -> None:
+    """Reject tangency parameters (a complex number or INF) too near a
+    singular one.
 
     Finite singular parameters use the affine distance; the infinite point
     is considered hit once |z0| reaches INF_THRESHOLD (escaping orbits
     legitimately grow large before that).
     """
-    for s in family.singular_tangency_parameters():
+    for s in family.spec.singular_parameters:
         if s.is_inf:
-            hit = z0.is_inf or abs(z0.value) >= INF_THRESHOLD
+            hit = z0 is INF or abs(z0) >= INF_THRESHOLD
         else:
-            hit = (not z0.is_inf) and abs(z0.value - s.value) <= radius
+            hit = z0 is not INF and abs(z0 - s.value) <= radius
         if hit:
             raise SingularTangencyError(
                 f"tangency parameter {z0!r} is within reach of the "
@@ -170,30 +176,26 @@ def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -
     """
     if not on_conic(p):
         raise ValueError(f"P = {p} is not on the parabola")
-    z0s = p.z_sphere()
-    if z0s.is_inf:
+    z0 = _z_param(p)
+    if z0 is INF:
         raise SingularTangencyError(
             "involution at the infinite point is outside the affine chart"
         )
-    _check_singular(family, z0s, SINGULAR_RADIUS)
-    z0 = z0s.value
-    # z-coordinate of Q on the line (infinite point allowed)
-    if q.is_infinite:
-        z1 = INF
-    else:
-        z1 = SphereValue(q.z / q.t)
+    _check_singular(family, z0, SINGULAR_RADIUS)
+    z1 = _z_param(q)  # z-coordinate of Q on the line (infinite point allowed)
     if family.is_a:
+        # z0 != 0: the vertex is a singular parameter of both a-families
         rho = float(family.rho)
-        zeta = z1 / z0
+        zeta = INF if z1 is INF else z1 / z0
         zeta_img = _mobius(rho - 1.0, -(rho - 2.0), rho, -(rho - 1.0), zeta)
-        z_img = SphereValue.coerce(z0) * zeta_img
+        z_img = INF if zeta_img is INF else z0 * zeta_img
     else:
-        f = f_coefficient(family, z0)
-        u = z1 - z0
-        if f.is_inf:
-            raise SingularTangencyError("involution coefficient has a pole at P")
-        u_img = _mobius(-1.0, 0.0, f.value, 1.0, u)
-        z_img = u_img + z0
+        try:
+            f = family.spec.f(z0)
+        except ZeroDivisionError:
+            raise SingularTangencyError("involution coefficient has a pole at P") from None
+        u_img = _mobius(-1.0, 0.0, f, 1.0, INF if z1 is INF else z1 - z0)
+        z_img = INF if u_img is INF else u_img + z0
     return _point_on_tangent(z0, z_img)
 
 
@@ -205,8 +207,8 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     point itself.
     """
     q, p = x
-    z0s = p.z_sphere()
-    if family.is_a and not z0s.is_inf and z0s.value == 0:
+    z0 = _z_param(p)
+    if family.is_a and z0 == 0:
         # Vertex tangency: the involution degenerates to the constant map
         # onto the vertex, the fiberwise continuation of the dynamics.
         if q.eq(p):
@@ -217,12 +219,13 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     if on_conic(q_img):
         return PhasePoint(q_img, q_img)
     pair = tangency_points(q_img)
-    if chordal_distance(pair.plus.z_sphere(), pair.minus.z_sphere()) <= 1e-13:
+    z_plus, z_minus = _z_param(pair.plus), _z_param(pair.minus)
+    if chordal_distance(z_plus, z_minus) <= 1e-13:
         raise DegenerateTangencyError(
             f"the tangency candidates of {q_img} coincide; P' is ambiguous"
         )
-    dp = chordal_distance(pair.plus.z_sphere(), z0s)
-    dm = chordal_distance(pair.minus.z_sphere(), z0s)
+    dp = chordal_distance(z_plus, z0)
+    dm = chordal_distance(z_minus, z0)
     p_new = pair.plus if dp >= dm else pair.minus
     return PhasePoint(q_img, p_new)
 
@@ -252,12 +255,12 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
     points = [x0]
     x = x0
     for _ in range(n):
-        z0s = x.p.z_sphere()
+        z0 = _z_param(x.p)
         try:
-            _check_singular(family, z0s, SINGULARITY_GUARD)
+            _check_singular(family, z0, SINGULARITY_GUARD)
         except SingularTangencyError as exc:
             return OrbitRecord(points, "hit-singularity", str(exc))
-        if z0s.is_inf:
+        if z0 is INF:
             return OrbitRecord(
                 points, "left-numeric-domain", "tangency point at infinity"
             )
@@ -267,15 +270,14 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
             return OrbitRecord(points, "hit-singularity", str(exc))
         except (DegenerateTangencyError, SpherePoleError) as exc:
             return OrbitRecord(points, "left-numeric-domain", str(exc))
-        if any(c != c for pt in (x.q, x.p) for c in pt.coords):
+        q, p = x
+        if any(c != c for c in q.coords + p.coords):
             return OrbitRecord(points, "left-numeric-domain", "coordinates became nan")
-        for pt in (x.q, x.p):
-            if not pt.is_infinite:
-                zz, ww = pt.affine_pair()
-                if max(abs(zz), abs(ww)) > DOMAIN_BOUND:
-                    return OrbitRecord(
-                        points, "left-numeric-domain", "affine coordinates blew up"
-                    )
+        for z, w, t in (q.coords, p.coords):
+            if t != 0 and max(abs(z / t), abs(w / t)) > DOMAIN_BOUND:
+                return OrbitRecord(
+                    points, "left-numeric-domain", "affine coordinates blew up"
+                )
         try:
             x.validate()  # incidence residual of each recorded iterate
         except ValueError as exc:

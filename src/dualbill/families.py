@@ -59,7 +59,8 @@ class FamilySpec:
     critical: tuple[CriticalRow, ...]
     level_curves: str
     elliptic_fiber: bool = False
-    f: Callable[[complex], SphereValue] | None = None
+    #: involution coefficient of the b/c/d families; raises ZeroDivisionError at a pole
+    f: Callable[[complex], complex] | None = None
     shift: Callable[[int], Fraction] | None = None
     image_of: Image | None = None
     #: z-parameters of the base points: the singular tangency parameters
@@ -123,7 +124,7 @@ FAMILIES: dict[str, FamilySpec] = {
             ),
             "rational",
             elliptic_fiber=True,
-            f=lambda z: SphereValue(5 * z - 3) / (2 * z * (z - 1)),
+            f=lambda z: (5 * z - 3) / (2 * z * (z - 1)),
         ),
         # b2 is the b-equivalence image of b1; its points are tabulated
         # exactly rather than mapped, which would perturb the last bits
@@ -138,7 +139,7 @@ FAMILIES: dict[str, FamilySpec] = {
             ),
             "rational",
             elliptic_fiber=True,
-            f=lambda z: SphereValue(3 * z) / (z * z + 1),
+            f=lambda z: 3 * z / (z * z + 1),
             image_of=Image("b1", _PSI, _PSI.inverse()),
         ),
         _c_family(
@@ -148,7 +149,7 @@ FAMILIES: dict[str, FamilySpec] = {
                 SphereValue(Fraction(27, 64)),
                 (_aff(_eb / 2, _e), _aff(0.5, 1.0), _aff(_e / 2, _eb)),
             ),
-            lambda z: SphereValue(4 * z * z) / (z**3 - 1),
+            lambda z: 4 * z * z / (z**3 - 1),
         ),
         _c_family(
             "c2",
@@ -157,7 +158,7 @@ FAMILIES: dict[str, FamilySpec] = {
                 SphereValue(Fraction(-9, 64)),
                 (_aff(1.25, 1.0), _aff(-0.25, -0.5), _aff(0.5, -2.0)),
             ),
-            lambda z: SphereValue(8 * z - 4) / (3 * z * (z - 1)),
+            lambda z: (8 * z - 4) / (3 * z * (z - 1)),
         ),
         FamilySpec(
             "d",
@@ -171,7 +172,7 @@ FAMILIES: dict[str, FamilySpec] = {
             ),
             "rational",
             elliptic_fiber=True,
-            f=lambda z: SphereValue(7 * z - 4) / (3 * z * (z - 1)),
+            f=lambda z: (7 * z - 4) / (3 * z * (z - 1)),
         ),
     )
 }

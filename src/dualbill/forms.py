@@ -133,6 +133,8 @@ def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[np.ndarray, P
     step scales with the squared distance of Q and its image from the
     tangency point: that distance sets the curvature of the square-root
     sheet, and quadratic scaling keeps the relative truncation error flat.
+    Where the image lies farther from the tangency point than Q, the step
+    is divided by that ratio too.
     """
     z, w = x.q.affine_pair()
     z0 = x.p.z_sphere().value
@@ -140,7 +142,10 @@ def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[np.ndarray, P
     off_in = abs(z - z0)
     zi = x_img.q.z_sphere()
     off_out = abs(zi.value - z0) if not zi.is_inf else 1.0
-    h = max(STEP_SCALE * min(off_in, off_out, 1.0) ** 2, STEP_FLOOR)
+    # where the map expands (off_out > off_in) the image varies faster than
+    # the input, so the step shrinks by the expansion factor as well
+    expansion = off_out / off_in if off_out > off_in else 1.0
+    h = max(STEP_SCALE * min(off_in, off_out, 1.0) ** 2 / expansion, STEP_FLOOR)
 
     def f(zz, ww):
         zi, wi, _ = chart_map(family, zz, ww, z0)

@@ -9,7 +9,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import ABS_EPS, INF, REL_EPS, SphereValue, chordal_distance, principal_sqrt
+from .numerics import (
+    ABS_EPS,
+    INF,
+    REL_EPS,
+    SphereValue,
+    _finite_part,
+    chordal_distance,
+    principal_sqrt,
+)
 
 __all__ = [
     "OnConicError",
@@ -41,14 +49,14 @@ def _norm(v: Sequence[complex]) -> float:
 
 def cross_norm(u: Sequence[complex], v: Sequence[complex]) -> float:
     """Euclidean norm of the cross product of two complex 3-vectors, in
-    scalar arithmetic; it vanishes exactly when the vectors are proportional.
-
-    Pass Python complex sequences (``coords.tolist()``) on hot paths: numpy
-    scalars work, but their arithmetic is several times slower.
-    """
+    scalar arithmetic; it vanishes exactly when the vectors are proportional."""
     u0, u1, u2 = u
     v0, v1, v2 = v
     return math.hypot(abs(u1 * v2 - u2 * v1), abs(u2 * v0 - u0 * v2), abs(u0 * v1 - u1 * v0))
+
+
+_ONE = 1 + 0j
+_NAN = complex(math.nan, math.nan)
 
 
 class OnConicError(ValueError):
@@ -58,21 +66,28 @@ class OnConicError(ValueError):
 class ProjectivePoint:
     """Point of CP^2 in homogeneous coordinates [z : w : t].
 
-    The stored representative is canonical: all coordinates are divided by
-    the one of largest modulus, which is then 1 only up to rounding: numpy's
-    complex division can leave its real part at 1 - 2^-53 and its imaginary
-    part at about 1e-16.  Equality is projective (up to a nonzero scalar).
+    ``coords`` is a tuple of three Python complex numbers, the canonical
+    representative: the first coordinate of largest modulus (the pivot) is
+    exactly 1 and the other two are divided by it.  A NaN coordinate makes
+    every coordinate NaN.  Equality is projective (up to a nonzero scalar).
     """
 
     __slots__ = ("coords",)
 
     def __init__(self, z: complex, w: complex, t: complex = 1.0):
-        v = np.array([z, w, t], dtype=complex)
-        mags = np.abs(v)
-        k = int(np.argmax(mags))
-        if mags[k] == 0:
+        z, w, t = complex(z), complex(w), complex(t)
+        az, aw, at = abs(z), abs(w), abs(t)
+        total = az + aw + at
+        if total == 0:
             raise ValueError("homogeneous coordinates must not all vanish")
-        self.coords = v / v[k]
+        if total != total:
+            self.coords = (_NAN, _NAN, _NAN)
+        elif az >= aw and az >= at:
+            self.coords = (_ONE, w / z, t / z)
+        elif aw >= at:
+            self.coords = (z / w, _ONE, t / w)
+        else:
+            self.coords = (z / t, w / t, _ONE)
 
     @staticmethod
     def affine(z: complex, w: complex) -> "ProjectivePoint":
@@ -80,33 +95,35 @@ class ProjectivePoint:
 
     @property
     def z(self) -> complex:
-        return complex(self.coords[0])
+        return self.coords[0]
 
     @property
     def w(self) -> complex:
-        return complex(self.coords[1])
+        return self.coords[1]
 
     @property
     def t(self) -> complex:
-        return complex(self.coords[2])
+        return self.coords[2]
 
     @property
     def is_infinite(self) -> bool:
-        return self.t == 0
+        return self.coords[2] == 0
 
     def affine_pair(self) -> tuple[complex, complex]:
-        if self.t == 0:
+        z, w, t = self.coords
+        if t == 0:
             raise ValueError(f"{self} lies on the infinity line")
-        return self.z / self.t, self.w / self.t
+        return z / t, w / t
 
     def z_sphere(self) -> SphereValue:
         """z-coordinate as a sphere value (inf on the infinity line)."""
-        if self.t == 0:
+        z, _, t = self.coords
+        if t == 0:
             return INF
-        return SphereValue(self.z / self.t)
+        return SphereValue(z / t)
 
     def eq(self, other: "ProjectivePoint") -> bool:
-        u, v = self.coords.tolist(), other.coords.tolist()
+        u, v = self.coords, other.coords
         return cross_norm(u, v) <= max(ABS_EPS, REL_EPS * _norm(u) * _norm(v))
 
     def __eq__(self, other):
@@ -128,10 +145,9 @@ E_INFINITY = ProjectivePoint(0.0, 1.0, 0.0)
 
 def conic_point(z0: SphereValue | complex) -> ProjectivePoint:
     """The point (z0, z0^2) of the parabola; infinity parameter gives E."""
-    z0 = SphereValue.coerce(z0)
-    if z0.is_inf:
+    v = _finite_part(z0)
+    if v is None:
         return E_INFINITY
-    v = z0.value
     if abs(v) > 1.0:
         # scale-robust representative [1/z0 : 1 : 1/z0^2]
         return ProjectivePoint(1.0 / v, 1.0, 1.0 / (v * v))
@@ -151,7 +167,7 @@ def on_conic(p: ProjectivePoint) -> bool:
     return res <= REL_EPS * scale
 
 
-def tangent_line(p: ProjectivePoint) -> np.ndarray:
+def tangent_line(p: ProjectivePoint) -> tuple[complex, complex, complex]:
     """Homogeneous covector of the projective tangent line to the parabola at p.
 
     For affine p = (z0, z0^2) this is the line w = 2 z0 z - z0^2; at the
@@ -160,13 +176,14 @@ def tangent_line(p: ProjectivePoint) -> np.ndarray:
     if not on_conic(p):
         raise OnConicError(f"{p} is not on the parabola")
     if p.eq(E_INFINITY):
-        return np.array([0.0, 0.0, 1.0], dtype=complex)
-    z0 = p.z / p.t
-    return np.array([-2.0 * z0, 1.0, z0 * z0], dtype=complex)
+        return (0j, 0j, _ONE)
+    z, _, t = p.coords
+    z0 = z / t
+    return (-2.0 * z0, _ONE, z0 * z0)
 
 
-def line_contains(line: np.ndarray, p: ProjectivePoint) -> bool:
-    u, v = line.tolist(), p.coords.tolist()
+def line_contains(line: Sequence[complex], p: ProjectivePoint) -> bool:
+    u, v = line, p.coords
     res = abs(u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
     return res <= max(ABS_EPS, REL_EPS * _norm(u) * _norm(v))
 
@@ -210,12 +227,13 @@ def tangency_points(q: ProjectivePoint) -> TangencyPair:
     """
     if on_conic(q):
         raise OnConicError(f"{q} lies on the parabola; tangency points collide")
-    if q.is_infinite:
+    z, w, t = q.coords
+    if t == 0:
         # lines through [1 : c : 0]: the infinity line (tangent at E) and the
         # affine tangent line with direction slope c = 2 z0
-        c = q.w / q.z
+        c = w / z
         return TangencyPair(E_INFINITY, conic_point(c / 2.0), False)
-    z, w = q.affine_pair()
+    z, w = z / t, w / t
     disc = z * z - w
     s = principal_sqrt(disc)
     near = abs(disc) < NEAR_BRANCH_THRESHOLD
@@ -244,8 +262,8 @@ class ProjectiveMap:
         self.matrix = m
 
     def __call__(self, p: ProjectivePoint) -> ProjectivePoint:
-        v = self.matrix @ p.coords
-        return ProjectivePoint(v[0], v[1], v[2])
+        z, w, t = (self.matrix @ np.asarray(p.coords)).tolist()
+        return ProjectivePoint(z, w, t)
 
     def apply_affine(self, z: complex, w: complex) -> ProjectivePoint:
         return self(ProjectivePoint.affine(z, w))

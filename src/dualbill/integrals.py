@@ -404,11 +404,9 @@ class RationalIntegral:
         )
 
     @cached_property
-    def _exact(self) -> tuple[_IntegerForms, tuple]:
-        """The integer tables of :meth:`eval`, and the base points with
-        their coordinates as Python complex numbers."""
-        forms = _IntegerForms(self.num_factors, self.den_factors, self.degree)
-        return forms, tuple((bp, bp.coords.tolist()) for bp in self.family.spec.base_points)
+    def _exact(self) -> _IntegerForms:
+        """The integer tables of :meth:`eval`."""
+        return _IntegerForms(self.num_factors, self.den_factors, self.degree)
 
     def eval(self, point: ProjectivePoint) -> SphereValue:
         """R at the point, exact and then correctly rounded.
@@ -418,10 +416,10 @@ class RationalIntegral:
         forms are multiplied out in integers and divided once at the end.
         A non-finite coordinate gives a NaN value.
         """
-        forms, base = self._exact
-        coords = point.coords.tolist()
-        for bp, bc in base:
-            if cross_norm(coords, bc) <= BASE_POINT_GUARD:
+        forms = self._exact
+        coords = point.coords
+        for bp in self.family.spec.base_points:
+            if cross_norm(coords, bp.coords) <= BASE_POINT_GUARD:
                 raise IndeterminacyError(
                     f"{point} is within {BASE_POINT_GUARD:g} of the base point {bp}"
                 )
@@ -531,7 +529,8 @@ def hessian(family: BilliardFamily, point: ProjectivePoint) -> np.ndarray:
 
 
 def _chart_coords(point: ProjectivePoint) -> tuple[int, complex, complex]:
-    chart = int(np.argmax(np.abs(point.coords)))
+    mags = [abs(c) for c in point.coords]
+    chart = mags.index(max(mags))
     zc, wc, tc = point.coords
     pivot = point.coords[chart]
     if chart == 0:

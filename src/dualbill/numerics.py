@@ -70,10 +70,8 @@ class SphereValue:
     def coerce(x: "SphereValue | complex | float | int") -> "SphereValue":
         if isinstance(x, SphereValue):
             return x
-        x = complex(x)
-        if cmath.isinf(x) or cmath.isnan(x):
-            return INF
-        return SphereValue(x)
+        v = _finite_part(x)
+        return INF if v is None else SphereValue(v)
 
     def reciprocal(self) -> "SphereValue":
         if self.is_inf:
@@ -171,17 +169,24 @@ def principal_sqrt(x: complex) -> complex:
     return cmath.sqrt(complex(x.real + 0.0, x.imag + 0.0))
 
 
+def _finite_part(x: SphereValue | complex) -> complex | None:
+    """x as a plain complex number; None for the point at infinity."""
+    if isinstance(x, SphereValue):
+        return x._v
+    x = complex(x)
+    return None if cmath.isinf(x) or cmath.isnan(x) else x
+
+
 def chordal_distance(a: SphereValue | complex, b: SphereValue | complex) -> float:
     """Chordal metric on the Riemann sphere, d(a, inf) = 1/sqrt(1+|a|^2)."""
-    a = SphereValue.coerce(a)
-    b = SphereValue.coerce(b)
-    if a.is_inf and b.is_inf:
-        return 0.0
-    if a.is_inf or b.is_inf:
-        v = (b if a.is_inf else a).value
+    a = _finite_part(a)
+    b = _finite_part(b)
+    if a is None or b is None:
+        if a is b:
+            return 0.0
+        v = a if b is None else b
         return 1.0 / math.sqrt(1.0 + abs(v) ** 2)
-    av, bv = a.value, b.value
-    return abs(av - bv) / math.sqrt((1.0 + abs(av) ** 2) * (1.0 + abs(bv) ** 2))
+    return abs(a - b) / math.sqrt((1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
 
 
 def sphere_eq(a, b) -> bool:

@@ -603,8 +603,8 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
             note(1.0, "billiard-map lift rejected", x.q)
             continue
         img = PhasePoint(psi(fx.q), psi(fx.p))
-        qres = cross_norm(img.q.coords.tolist(), fy.q.coords.tolist())
-        pres = cross_norm(img.p.coords.tolist(), fy.p.coords.tolist())
+        qres = cross_norm(img.q.coords, fy.q.coords)
+        pres = cross_norm(img.p.coords, fy.p.coords)
         note(_worse(qres, pres), "billiard-map commutation", x.q)
         count += 1
     return acc.report(name, None, {"samples": 100, "seed": seed}, 1e-9)

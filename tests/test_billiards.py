@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,7 +14,8 @@ from dualbill.billiards import (
     orbit,
 )
 from dualbill.curves import lift_fiber
-from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
+from dualbill.families import FAMILIES
+from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point, cross_norm
 from dualbill.numerics import INF, sphere_eq
 from dualbill.verify import sample_phase_point, _rng_for
 
@@ -263,3 +267,91 @@ class TestEquivalenceConjugatesMaps:
             assert fy.q.eq(mc(fx.q))
             assert fy.p.eq(mc(fx.p))
             checked += 1
+
+
+#: the eleven family instances of the default check suite
+INSTANCES = [
+    BilliardFamily(tag, n)
+    for tag, n in (
+        ("a1", 1), ("a1", 2), ("a1", 3), ("a2", 1), ("a2", 2), ("a2", 3),
+        ("b1", None), ("b2", None), ("c1", None), ("c2", None), ("d", None),
+    )
+]
+
+#: the involution of each family restated from the paper: the rotation
+#: parameter rho of the a-families and the coefficient f of the others
+ORACLE_RHO = {"a1": lambda n: 2 - Fraction(2, 2 * n + 1), "a2": lambda n: 2 - Fraction(1, n + 1)}
+ORACLE_F = {
+    "b1": lambda z: (5 * z - 3) / (2 * z * (z - 1)),
+    "b2": lambda z: 3 * z / (z * z + 1),
+    "c1": lambda z: 4 * z * z / (z**3 - 1),
+    "c2": lambda z: (8 * z - 4) / (3 * z * (z - 1)),
+    "d": lambda z: (7 * z - 4) / (3 * z * (z - 1)),
+}
+ORACLE_TOL = 1e-10
+
+
+def _projective_gap(u, v) -> float:
+    """Relative distance of two points of CP^2: cross_norm over the norms."""
+    return cross_norm(u, v) / (math.hypot(*map(abs, u)) * math.hypot(*map(abs, v)))
+
+
+def _oracle_worst(fam: BilliardFamily, samples: int = 50) -> float:
+    """Worst projective gap between billiard_map and a 50-digit evaluation
+    of the same formulas (the involution in the offset or ratio coordinate,
+    then the tangency roots z* +/- sqrt(z*^2 - w*) of the image, the one
+    chordally farther from P taken), asserting the same candidate is taken."""
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    rng = _rng_for(9, f"oracle:{fam.label()}")
+
+    def z_of(pt):
+        z, _, t = (mp.mpc(c.real, c.imag) for c in pt.coords)
+        return z / t
+
+    def chordal(a, b):
+        return abs(a - b) / mp.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+    worst = 0.0
+    with mp.workdps(50):
+        for _ in range(samples):
+            x = sample_phase_point(fam, rng)
+            y = billiard_map(fam, x)
+            z0, z1 = z_of(x.p), z_of(x.q)
+            if fam.is_a:
+                rho = ORACLE_RHO[fam.tag](fam.n)
+                rho = mp.mpf(rho.numerator) / rho.denominator
+                zeta = z1 / z0
+                z_img = z0 * ((rho - 1) * zeta - (rho - 2)) / (rho * zeta - (rho - 1))
+            else:
+                u = z1 - z0
+                z_img = z0 - u / (1 + ORACLE_F[fam.tag](z0) * u)
+            w_img = 2 * z0 * z_img - z0 * z0
+            s = mp.sqrt(z_img * z_img - w_img)
+            far, near = sorted((z_img + s, z_img - s), key=lambda c: -chordal(c, z0))
+            z_new = z_of(y.p)
+            assert chordal(z_new, far) < chordal(z_new, near)
+            q_want = (complex(z_img), complex(w_img), 1 + 0j)
+            p_want = (complex(far), complex(far * far), 1 + 0j)
+            worst = max(worst, _projective_gap(y.q.coords, q_want),
+                        _projective_gap(y.p.coords, p_want))
+    return worst
+
+
+class TestMapAgainstOracle:
+    @pytest.mark.parametrize("fam", INSTANCES, ids=lambda f: f.label())
+    def test_matches_50_digit_evaluation(self, fam):
+        assert _oracle_worst(fam) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=lambda f: f.label())
+    def test_perturbed_coefficient_is_caught(self, fam, monkeypatch):
+        # negative control: the involution's coefficient off by 1e-6
+        spec = FAMILIES[fam.tag]
+        if fam.is_a:
+            shift = spec.shift
+            bent = dataclasses.replace(spec, shift=lambda n: shift(n) + Fraction(1, 10**6))
+        else:
+            f = spec.f
+            bent = dataclasses.replace(spec, f=lambda z: f(z) + 1e-6)
+        monkeypatch.setitem(FAMILIES, fam.tag, bent)
+        assert _oracle_worst(fam) > ORACLE_TOL

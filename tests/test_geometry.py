@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -26,6 +27,29 @@ class TestProjectivePoint:
     def test_canonical_representative(self):
         p = ProjectivePoint(2.0, 4.0, 1.0)
         assert max(abs(c) for c in p.coords) == 1.0
+
+    def test_pivot_is_exactly_one(self):
+        rng = random.Random(11)
+        for _ in range(1000):
+            v = [
+                10.0 ** rng.uniform(-150, 150) * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                for _ in range(3)
+            ]
+            mags = [abs(c) for c in v]
+            k = mags.index(max(mags))
+            p = ProjectivePoint(*v)
+            assert all(type(c) is complex for c in p.coords)
+            assert p.coords[k] == 1 + 0j
+            assert all(p.coords[i] == v[i] / v[k] for i in range(3) if i != k)
+
+    def test_ties_pick_the_first_coordinate(self):
+        assert ProjectivePoint(1j, -1.0, 1.0).coords == (1, 1j, -1j)
+        assert ProjectivePoint(0.5, 2.0, -2.0).coords == (0.25, 1, -1)
+        assert ProjectivePoint(0.0, 0.0, 3j).coords == (0, 0, 1)
+
+    def test_nan_coordinate_gives_nan_coordinates(self):
+        for v in ((math.nan, 1.0, 1.0), (1.0, complex(0.0, math.nan), 1.0), (0.0, 0.0, math.nan)):
+            assert all(c != c for c in ProjectivePoint(*v).coords)
 
     def test_projective_equality(self):
         assert ProjectivePoint(1, 2, 3).eq(ProjectivePoint(2, 4, 6))

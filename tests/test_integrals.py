@@ -335,8 +335,8 @@ def _oracle_points(fam: BilliardFamily, rng: random.Random) -> list:
         near = []
         while len(near) < 2:
             v = [rc(1.0) for _ in range(3)]
-            p = ProjectivePoint(*(c + 2e-8 * dv for c, dv in zip(bp.coords.tolist(), v)))
-            if BASE_POINT_GUARD < cross_norm(p.coords.tolist(), bp.coords.tolist()) < 3e-8:
+            p = ProjectivePoint(*(c + 2e-8 * dv for c, dv in zip(bp.coords, v)))
+            if BASE_POINT_GUARD < cross_norm(p.coords, bp.coords) < 3e-8:
                 near.append(p)
         pts += near
     return pts
@@ -352,8 +352,8 @@ class TestExactEvaluation:
         rng = random.Random(f"oracle:{fam.label()}")
         base = indeterminacy_set(fam)
         for p in _oracle_points(fam, rng):
-            coords = p.coords.tolist()
-            if any(cross_norm(coords, bp.coords.tolist()) <= BASE_POINT_GUARD for bp in base):
+            coords = p.coords
+            if any(cross_norm(coords, bp.coords) <= BASE_POINT_GUARD for bp in base):
                 with pytest.raises(IndeterminacyError):
                     eval_integral(fam, p)
                 continue

@@ -67,6 +67,14 @@ class TestChecksPass:
         assert check_tables(BilliardFamily("c2"), 3).status == "pass"
         assert check_equivalences(3).status == "pass"
 
+    def test_jacobian_where_the_map_expands(self):
+        # sample 18 of seed 9701 maps Q about 41 times farther from the
+        # tangency point than it was; a stencil step that ignored the
+        # expansion left a finite-difference error of 1.5e-6 there
+        r = check_jacobian(BilliardFamily("c1"), 200, 9701)
+        assert r.status == "pass"
+        assert r.worst <= 1e-7
+
 
 class TestNegativeInjection:
     """Every check must fail (with a witness) when its hook corrupts it."""
