@@ -61,7 +61,6 @@ from .integrals import (
     eval_integral,
     first_integral,
     gradient,
-    hessian,
     indeterminacy_set,
     true_critical_points,
 )

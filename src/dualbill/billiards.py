@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from functools import lru_cache
+from typing import Callable, Literal
 
 from .families import ALL_FAMILY_TAGS, FAMILIES, FamilySpec
 from .geometry import (
@@ -163,6 +164,15 @@ def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: f
             )
 
 
+@lru_cache(maxsize=None)
+def _rotation_mobius(shift: Callable[[int], Fraction], n: int) -> tuple[float, float, float, float]:
+    """Coefficients (a, b, c, d) of the a-family involution
+    zeta -> (a zeta + b)/(c zeta + d) in the ratio zeta = z/z0, where
+    rho = 2 - shift(N); computed once per translation and N."""
+    rho = float(2 - shift(n))
+    return rho - 1.0, -(rho - 2.0), rho, -(rho - 1.0)
+
+
 #: the involution is refused this close to a singular tangency parameter
 SINGULAR_RADIUS = 1e-12
 
@@ -185,9 +195,8 @@ def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -
     z1 = _z_param(q)  # z-coordinate of Q on the line (infinite point allowed)
     if family.is_a:
         # z0 != 0: the vertex is a singular parameter of both a-families
-        rho = float(family.rho)
         zeta = INF if z1 is INF else z1 / z0
-        zeta_img = _mobius(rho - 1.0, -(rho - 2.0), rho, -(rho - 1.0), zeta)
+        zeta_img = _mobius(*_rotation_mobius(family.spec.shift, family.n), zeta)
         z_img = INF if zeta_img is INF else z0 * zeta_img
     else:
         try:
@@ -216,9 +225,10 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
         vertex = conic_point(0.0)
         return PhasePoint(vertex, vertex)
     q_img = involution(family, p, q)
-    if on_conic(q_img):
+    try:
+        pair = tangency_points(q_img)
+    except OnConicError:  # Q' on the parabola: its two tangency points collide
         return PhasePoint(q_img, q_img)
-    pair = tangency_points(q_img)
     z_plus, z_minus = _z_param(pair.plus), _z_param(pair.minus)
     if chordal_distance(z_plus, z_minus) <= 1e-13:
         raise DegenerateTangencyError(

@@ -425,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--components", action="store_true")
     p_curve.add_argument("--periods", action="store_true")
     p_curve.add_argument(
-        "--parametrize", type=int, default=0, metavar="N",
+        "--parametrize", type=_checked(int, lambda n: n >= 0, "a point count >= 0"),
+        default=0, metavar="N",
         help="emit N sampled curve points",
     )
     p_curve.set_defaults(func=cmd_curve)

@@ -108,15 +108,15 @@ def chart_map(
 
     The tangency point is resolved by continuity against ``p_hint``;
     returns (z*, w*, z0) with z0 the tangency parameter actually used.
+    Only the image Q' = sigma_P(Q) is needed, so the new tangency point P'
+    is not computed.
     """
     q = ProjectivePoint.affine(z, w)
     p = tangency_near(q, p_hint)
-    x_img = billiard_map(family, PhasePoint(q, p))
-    zi = x_img.q.z_sphere()
-    wi_num = x_img.q.w / x_img.q.t if x_img.q.t != 0 else None
-    if zi.is_inf or wi_num is None:
+    zi, wi, ti = involution(family, p, q).coords
+    if ti == 0:
         raise ValueError("image left the affine chart")
-    return zi.value, wi_num, p.z_sphere().value
+    return zi / ti, wi / ti, p.z_sphere().value
 
 
 #: chart_jacobian steps by STEP_SCALE times the squared tangency distance,

@@ -38,9 +38,7 @@ __all__ = [
     "first_integral",
     "eval_integral",
     "gradient",
-    "hessian",
-    "gradient_projective",
-    "hessian_projective",
+    "gradient_hessian_projective",
     "indeterminacy_set",
     "critical_values",
     "true_critical_points",
@@ -391,16 +389,22 @@ class RationalIntegral:
     def degree(self) -> int:
         return max(self.num.total_degree, self.den.total_degree)
 
-    def reciprocal(self) -> "RationalIntegral":
-        return RationalIntegral(
-            self.family, self.den, self.num, 0, self.den_factors, self.num_factors
-        )
+    @cached_property
+    def _derivative_tables(self) -> tuple[tuple[tuple[BiPoly, ...], tuple[BiPoly, ...]], ...]:
+        """Per chart (see :meth:`BiPoly.homogenized_chart`), the numerator
+        and the denominator homogenized to one degree and dehomogenized
+        there, each with its partials (p, p_z, p_w, p_zz, p_zw, p_ww) in the
+        chart's two coordinates."""
 
-    def chart_pair(self, chart: int) -> tuple[BiPoly, BiPoly]:
+        def partials(p: BiPoly) -> tuple[BiPoly, ...]:
+            pz, pw = p.diff_z(), p.diff_w()
+            return p, pz, pw, pz.diff_z(), pz.diff_w(), pw.diff_w()
+
         d = self.degree
-        return (
-            self.num.homogenized_chart(d, chart),
-            self.den.homogenized_chart(d, chart),
+        return tuple(
+            (partials(self.num.homogenized_chart(d, chart)),
+             partials(self.den.homogenized_chart(d, chart)))
+            for chart in range(3)
         )
 
     @cached_property
@@ -486,6 +490,27 @@ def eval_integral(family: BilliardFamily, point: ProjectivePoint) -> SphereValue
     return first_integral(family).eval(point)
 
 
+def _jet(num: tuple, den: tuple, a, b, r=None) -> tuple[tuple[complex, complex], np.ndarray]:
+    """Gradient and Hessian of R = N/D at (a, b) in one chart.
+
+    ``num`` and ``den`` are derivative tables (see
+    :attr:`RationalIntegral._derivative_tables`).  The value r of R enters
+    both; it is the floating quotient N/D unless given.
+    """
+    n, nz, nw, nzz, nzw, nww = (p(a, b) for p in num)
+    dv, dz, dw, dzz, dzw, dww = (p(a, b) for p in den)
+    if dv == 0:
+        raise ValueError("derivatives at a pole of the (possibly reciprocal) integral")
+    if r is None:
+        r = n / dv
+    rz = (nz - r * dz) / dv
+    rw = (nw - r * dw) / dv
+    rzz = (nzz - 2 * rz * dz - r * dzz) / dv
+    rzw = (nzw - rz * dw - rw * dz - r * dzw) / dv
+    rww = (nww - 2 * rw * dw - r * dww) / dv
+    return (rz, rw), np.array([[rzz, rzw], [rzw, rww]], dtype=complex)
+
+
 def gradient(family: BilliardFamily, point: ProjectivePoint) -> tuple[complex, complex]:
     """(dR/dz, dR/dw) at an affine point away from indeterminacies."""
     z, w = point.affine_pair()
@@ -493,85 +518,33 @@ def gradient(family: BilliardFamily, point: ProjectivePoint) -> tuple[complex, c
     r = integ.eval(point)
     if r.is_inf:
         raise ValueError("gradient of R at a pole; use the reciprocal integral")
-    return _gradient_pair(integ.num, integ.den, z, w, r.value)
-
-
-def _gradient_pair(num: BiPoly, den: BiPoly, a, b, r) -> tuple[complex, complex]:
-    dv = den(a, b)
-    rz = (num.diff_z()(a, b) - r * den.diff_z()(a, b)) / dv
-    rw = (num.diff_w()(a, b) - r * den.diff_w()(a, b)) / dv
-    return rz, rw
-
-
-def _hessian_pair(num: BiPoly, den: BiPoly, a, b, r) -> np.ndarray:
-    dv = den(a, b)
-    rz, rw = _gradient_pair(num, den, a, b, r)
-    dz, dw = den.diff_z()(a, b), den.diff_w()(a, b)
-    rzz = (num.diff_z().diff_z()(a, b) - 2 * rz * dz - r * den.diff_z().diff_z()(a, b)) / dv
-    rzw = (
-        num.diff_z().diff_w()(a, b)
-        - rz * dw
-        - rw * dz
-        - r * den.diff_z().diff_w()(a, b)
-    ) / dv
-    rww = (num.diff_w().diff_w()(a, b) - 2 * rw * dw - r * den.diff_w().diff_w()(a, b)) / dv
-    return np.array([[rzz, rzw], [rzw, rww]], dtype=complex)
-
-
-def hessian(family: BilliardFamily, point: ProjectivePoint) -> np.ndarray:
-    """Hessian of R in the affine chart at a finite-value point."""
-    z, w = point.affine_pair()
-    integ = first_integral(family)
-    r = integ.eval(point)
-    if r.is_inf:
-        raise ValueError("Hessian of R at a pole; use the reciprocal integral")
-    return _hessian_pair(integ.num, integ.den, z, w, r.value)
+    num, den = integ._derivative_tables[2]
+    return _jet(num, den, z, w, r.value)[0]
 
 
 def _chart_coords(point: ProjectivePoint) -> tuple[int, complex, complex]:
-    mags = [abs(c) for c in point.coords]
+    """The chart of the point's largest coordinate, which the canonical
+    representative sets to exactly 1, and the other two coordinates."""
+    coords = point.coords
+    mags = [abs(c) for c in coords]
     chart = mags.index(max(mags))
-    zc, wc, tc = point.coords
-    pivot = point.coords[chart]
-    if chart == 0:
-        return chart, wc / pivot, tc / pivot
-    if chart == 1:
-        return chart, zc / pivot, tc / pivot
-    return chart, zc / pivot, wc / pivot
+    a, b = coords[:chart] + coords[chart + 1:]
+    return chart, a, b
 
 
-def gradient_projective(
+def gradient_hessian_projective(
     family: BilliardFamily, point: ProjectivePoint, *, reciprocal: bool = False
-) -> tuple[complex, complex]:
-    """Gradient in the affine chart where the point has largest coordinate.
+) -> tuple[tuple[complex, complex], np.ndarray]:
+    """Gradient and Hessian in the affine chart where the point has its
+    largest coordinate.
 
-    With ``reciprocal`` the gradient of 1/R is returned (for lambda = inf).
+    With ``reciprocal`` those of 1/R are returned (for lambda = inf).
     """
-    integ = first_integral(family)
-    if reciprocal:
-        integ = integ.reciprocal()
     chart, a, b = _chart_coords(point)
-    pn, pd = integ.chart_pair(chart)
-    dv = pd(a, b)
-    if dv == 0:
-        raise ValueError("gradient at a pole of the (possibly reciprocal) integral")
-    r = pn(a, b) / dv
-    return _gradient_pair(pn, pd, a, b, r)
-
-
-def hessian_projective(
-    family: BilliardFamily, point: ProjectivePoint, *, reciprocal: bool = False
-) -> np.ndarray:
-    integ = first_integral(family)
+    num, den = first_integral(family)._derivative_tables[chart]
     if reciprocal:
-        integ = integ.reciprocal()
-    chart, a, b = _chart_coords(point)
-    pn, pd = integ.chart_pair(chart)
-    dv = pd(a, b)
-    if dv == 0:
-        raise ValueError("Hessian at a pole of the (possibly reciprocal) integral")
-    r = pn(a, b) / dv
-    return _hessian_pair(pn, pd, a, b, r)
+        num, den = den, num
+    return _jet(num, den, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Complex arithmetic on the Riemann sphere, comparison thresholds, root
-finding and segment quadrature.
+"""Values on the Riemann sphere, comparison thresholds, root finding and
+segment quadrature.
 
 Everything downstream (geometry, dynamics, curve models, verification) is
 built on the primitives in this module: values that may be the point at
@@ -35,15 +35,15 @@ __all__ = [
 
 
 class SpherePoleError(ArithmeticError):
-    """Raised for indeterminate sphere arithmetic (0*inf, inf-inf, 0/0, inf/inf)."""
+    """Raised for an indeterminate value on the sphere (0/0, or the finite
+    part of infinity)."""
 
 
 class SphereValue:
     """A point of the Riemann sphere: a finite complex number or infinity.
 
-    Arithmetic follows the usual Riemann-sphere conventions; the genuinely
-    indeterminate combinations raise :class:`SpherePoleError` instead of
-    producing a silent value.
+    It carries no arithmetic: ``value`` gives the finite part and
+    ``is_inf`` tells infinity apart; equality is exact.
     """
 
     __slots__ = ("_v",)
@@ -72,65 +72,6 @@ class SphereValue:
             return x
         v = _finite_part(x)
         return INF if v is None else SphereValue(v)
-
-    def reciprocal(self) -> "SphereValue":
-        if self.is_inf:
-            return SphereValue(0.0)
-        if self._v == 0:
-            return INF
-        return SphereValue(1.0 / self._v)
-
-    def __add__(self, other):
-        other = SphereValue.coerce(other)
-        if self.is_inf and other.is_inf:
-            raise SpherePoleError("inf + inf is indeterminate on the sphere")
-        if self.is_inf or other.is_inf:
-            return INF
-        return SphereValue(self._v + other._v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return INF if self.is_inf else SphereValue(-self._v)
-
-    def __sub__(self, other):
-        other = SphereValue.coerce(other)
-        if self.is_inf and other.is_inf:
-            raise SpherePoleError("inf - inf is indeterminate")
-        if self.is_inf or other.is_inf:
-            return INF
-        return SphereValue(self._v - other._v)
-
-    def __rsub__(self, other):
-        return SphereValue.coerce(other) - self
-
-    def __mul__(self, other):
-        other = SphereValue.coerce(other)
-        if self.is_inf or other.is_inf:
-            a = other if self.is_inf else self
-            if not a.is_inf and a._v == 0:
-                raise SpherePoleError("0 * inf is indeterminate")
-            return INF
-        return SphereValue(self._v * other._v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = SphereValue.coerce(other)
-        if self.is_inf and other.is_inf:
-            raise SpherePoleError("inf / inf is indeterminate")
-        if other.is_inf:
-            return SphereValue(0.0)
-        if other._v == 0:
-            if not self.is_inf and self._v == 0:
-                raise SpherePoleError("0 / 0 is indeterminate")
-            return INF
-        if self.is_inf:
-            return INF
-        return SphereValue(self._v / other._v)
-
-    def __rtruediv__(self, other):
-        return SphereValue.coerce(other) / self
 
     def __eq__(self, other):
         try:

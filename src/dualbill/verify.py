@@ -57,8 +57,7 @@ from .geometry import (
 from .integrals import (
     eval_integral,
     first_integral,
-    gradient_projective,
-    hessian_projective,
+    gradient_hessian_projective,
     indeterminacy_set,
 )
 from .numerics import INF, SphereValue
@@ -530,9 +529,8 @@ def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False
                     else math.inf
                 )
                 note(vres, "value: critical value", cp)
-            gz, gw = gradient_projective(family, pt, reciprocal=recip)
+            (gz, gw), hess = gradient_hessian_projective(family, pt, reciprocal=recip)
             note(max(abs(gz), abs(gw)), "gradient: at critical point", cp)
-            hess = hessian_projective(family, pt, reciprocal=recip)
             deth = abs(np.linalg.det(hess))
             note(0.0 if deth >= 1e-6 else 1.0, "hessian: Morse nondegeneracy", cp)
         for ip in row.indeterminacies:

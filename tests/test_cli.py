@@ -360,6 +360,11 @@ class TestBadInput:
             ["orbit", "--family", "b1", "--lambda", "2", "--steps", "-3"], capsys
         )
 
+    def test_negative_parametrize(self, capsys):
+        self.usage_error(
+            ["curve", "--family", "b1", "--lambda", "2", "--parametrize", "-3"], capsys
+        )
+
     def test_zero_tolerance(self, capsys):
         self.usage_error(
             ["orbit", "--family", "b1", "--lambda", "2", "--abs-eps", "0"], capsys

@@ -254,6 +254,27 @@ class TestJacobianSplit:
                 assert abs(det - want) <= 1e-6 * max(1.0, abs(want))
 
 
+    def test_chart_jacobian_takes_one_phase_map_step(self, monkeypatch):
+        # the stencil points need only the involution image, so the full
+        # phase map runs once, for the image point
+        from dualbill import forms
+
+        calls = []
+        step = forms.billiard_map
+
+        def counted(family, x):
+            calls.append(x)
+            return step(family, x)
+
+        monkeypatch.setattr(forms, "billiard_map", counted)
+        for fam in FAMILIES:
+            x = sample_phase_point(fam, _rng_for(19, f"one-step:{fam.label()}"))
+            calls.clear()
+            _, x_img = chart_jacobian(fam, x)
+            assert calls == [x]
+            assert x_img.q.eq(step(fam, x).q)
+
+
 class TestInvolutionDerivative:
     def test_square_law_along_tangent_line(self):
         # the 1D derivative of the involution along the tangent line is

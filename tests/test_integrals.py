@@ -21,8 +21,7 @@ from dualbill.integrals import (
     eval_integral,
     first_integral,
     gradient,
-    gradient_projective,
-    hessian_projective,
+    gradient_hessian_projective,
     indeterminacy_set,
     true_critical_points,
 )
@@ -179,6 +178,71 @@ class TestGradient:
             gradient(d, ProjectivePoint.affine(1.0, 3.0))
 
 
+def _exact_jet(num: BiPoly, den: BiPoly, a: Fraction, b: Fraction):
+    """Gradient and Hessian of num/den at a rational point by the quotient
+    rule in exact arithmetic."""
+
+    def at(p):
+        return p.eval_exact(a, b)
+
+    n, d = at(num), at(den)
+    nz, nw, dz, dw = at(num.diff_z()), at(num.diff_w()), at(den.diff_z()), at(den.diff_w())
+
+    def second(n_xy, d_xy, nx, ny, dx, dy):
+        return (
+            n_xy * d * d - nx * dy * d - ny * dx * d - n * d_xy * d + 2 * n * dx * dy
+        ) / d**3
+
+    grad = ((nz * d - n * dz) / d**2, (nw * d - n * dw) / d**2)
+    hzz = second(at(num.diff_z().diff_z()), at(den.diff_z().diff_z()), nz, nz, dz, dz)
+    hzw = second(at(num.diff_z().diff_w()), at(den.diff_z().diff_w()), nz, nw, dz, dw)
+    hww = second(at(num.diff_w().diff_w()), at(den.diff_w().diff_w()), nw, nw, dw, dw)
+    return grad, ((hzz, hzw), (hzw, hww))
+
+
+class TestDerivativeOracle:
+    """The gradient and Hessian against the exact quotient rule at dyadic
+    points, whose float coordinates are exactly the rational oracle point."""
+
+    @staticmethod
+    def _close(got, want) -> bool:
+        want = [complex(float(x)) for x in want]
+        scale = max(abs(x) for x in want)
+        return max(abs(g - x) for g, x in zip(got, want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("chart", [0, 1, 2])
+    @pytest.mark.parametrize("reciprocal", [False, True])
+    def test_projective_in_each_chart(self, chart, reciprocal):
+        rng = random.Random(f"jet:{chart}:{reciprocal}")
+        for fam in ALL:
+            integ = first_integral(fam)
+            deg = integ.degree
+            num = integ.num.homogenized_chart(deg, chart)
+            den = integ.den.homogenized_chart(deg, chart)
+            if reciprocal:
+                num, den = den, num
+            for _ in range(5):
+                a, b = (Fraction(rng.randint(-60, 60), 64) for _ in range(2))
+                coords = [float(a), float(b)]
+                coords.insert(chart, 1.0)
+                (gz, gw), hess = gradient_hessian_projective(
+                    fam, ProjectivePoint(*coords), reciprocal=reciprocal
+                )
+                grad, h = _exact_jet(num, den, a, b)
+                assert self._close((gz, gw), grad), (fam, chart, a, b)
+                assert self._close(hess.ravel(), [x for row in h for x in row]), (fam, chart, a, b)
+
+    def test_affine_gradient(self):
+        rng = random.Random("jet:affine")
+        for fam in ALL:
+            integ = first_integral(fam)
+            for _ in range(5):
+                a, b = (Fraction(rng.randint(-200, 200), 64) for _ in range(2))
+                grad, _ = _exact_jet(integ.num, integ.den, a, b)
+                got = gradient(fam, ProjectivePoint.affine(float(a), float(b)))
+                assert self._close(got, grad), (fam, a, b)
+
+
 class TestTables:
     def test_indeterminacy_sets(self):
         assert len(indeterminacy_set(BilliardFamily("a1", 2))) == 2
@@ -233,9 +297,10 @@ class TestTables:
         for fam in ALL:
             for lam in critical_values(fam):
                 for cp in true_critical_points(fam, lam):
-                    hess = hessian_projective(fam, cp, reciprocal=lam.is_inf)
+                    (gz, gw), hess = gradient_hessian_projective(
+                        fam, cp, reciprocal=lam.is_inf
+                    )
                     assert abs(np.linalg.det(hess)) >= 1e-6
-                    gz, gw = gradient_projective(fam, cp, reciprocal=lam.is_inf)
                     assert max(abs(gz), abs(gw)) <= 1e-8
                     if not lam.is_inf:
                         v = eval_integral(fam, cp)
