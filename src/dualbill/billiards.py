@@ -192,20 +192,27 @@ def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -
             "involution at the infinite point is outside the affine chart"
         )
     _check_singular(family, z0, SINGULAR_RADIUS)
-    z1 = _z_param(q)  # z-coordinate of Q on the line (infinite point allowed)
+    return _point_on_tangent(z0, _involution_z(family, z0, _z_param(q)))
+
+
+def _involution_z(family: BilliardFamily, z0, z1):
+    """z-coordinate of the involution image of the point z1 (a number or
+    INF) of the tangent line at the nonsingular parameter z0.
+
+    Pure arithmetic on z0 and z1, so number types other than complex, such
+    as the derivative jets of :mod:`dualbill.forms`, pass through it.
+    """
     if family.is_a:
         # z0 != 0: the vertex is a singular parameter of both a-families
         zeta = INF if z1 is INF else z1 / z0
         zeta_img = _mobius(*_rotation_mobius(family.spec.shift, family.n), zeta)
-        z_img = INF if zeta_img is INF else z0 * zeta_img
-    else:
-        try:
-            f = family.spec.f(z0)
-        except ZeroDivisionError:
-            raise SingularTangencyError("involution coefficient has a pole at P") from None
-        u_img = _mobius(-1.0, 0.0, f, 1.0, INF if z1 is INF else z1 - z0)
-        z_img = INF if u_img is INF else u_img + z0
-    return _point_on_tangent(z0, z_img)
+        return INF if zeta_img is INF else z0 * zeta_img
+    try:
+        f = family.spec.f(z0)
+    except ZeroDivisionError:
+        raise SingularTangencyError("involution coefficient has a pole at P") from None
+    u_img = _mobius(-1.0, 0.0, f, 1.0, INF if z1 is INF else z1 - z0)
+    return INF if u_img is INF else u_img + z0
 
 
 def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:

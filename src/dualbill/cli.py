@@ -215,6 +215,7 @@ def cmd_orbit(args) -> int:
             x0 = lift_by_sheet(q, args.branch)
         else:
             x0 = lift_fiber(family, lam, 1.7 if family.is_a else 2.7, args.branch)
+        x0.validate()  # a lift that overflowed has NaN coordinates
     except SingularTangencyError as exc:
         print(f"start point is singular: {exc}", file=sys.stderr)
         return SINGULAR_ERROR

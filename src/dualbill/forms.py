@@ -4,7 +4,10 @@ fibers (with Abel-step integrals against the period lattice).
 
 The area form is (z(Q) - z(P))^(-3) dz^dw in the chart given by projecting
 a phase point to Q; the tangency projection's half-step (Q, P) -> (sigma_P(Q), P)
-has Jacobian -((z* - z0)/(z - z0))^3 in that chart.  The fiber form is the
+has Jacobian -((z* - z0)/(z - z0))^3 in that chart.  The checks compare both
+with the differential of the implemented map, which forward-mode jets give
+exactly up to rounding: the involution's arithmetic runs on values carrying
+their partials in z and w, so no step size enters.  The fiber form is the
 1-form pairing with dR to give the area form; on an elliptic fiber it is
 proportional to dt/sqrt(p(t)) in the curve parameter.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .billiards import BilliardFamily, billiard_map, involution
+from .billiards import BilliardFamily, _involution_z, billiard_map, involution
 from .curves import (
     EllipticModel,
     branched_leg_integral,
@@ -24,9 +27,9 @@ from .curves import (
     ramification_connection,
     sheet_sqrt,
 )
-from .geometry import PhasePoint, ProjectivePoint, tangency_near
+from .geometry import PhasePoint
 from .integrals import gradient
-from .numerics import plan_route
+from .numerics import INF, plan_route
 
 __all__ = [
     "TangentSample",
@@ -34,7 +37,6 @@ __all__ = [
     "halfstep_jacobian",
     "fiber_form",
     "fiber_differential",
-    "chart_map",
     "chart_jacobian",
     "area_pullback_residual",
     "fiber_pullback_residual",
@@ -101,79 +103,74 @@ def halfstep_jacobian(family: BilliardFamily, x: PhasePoint) -> complex:
     return -(ratio**3)
 
 
-def chart_map(
-    family: BilliardFamily, z: complex, w: complex, p_hint: complex
-) -> tuple[complex, complex, complex]:
-    """The phase map expressed in the (z, w) chart near a sheet.
+class _Jet:
+    """A complex value with its partial derivatives (d/dz, d/dw): forward-mode
+    differentiation through the rational arithmetic of the involution.
 
-    The tangency point is resolved by continuity against ``p_hint``;
-    returns (z*, w*, z0) with z0 the tangency parameter actually used.
-    Only the image Q' = sigma_P(Q) is needed, so the new tangency point P'
-    is not computed.
+    Equality compares values, so the arithmetic takes the same branches on
+    a jet as on its value.
     """
-    q = ProjectivePoint.affine(z, w)
-    p = tangency_near(q, p_hint)
-    zi, wi, ti = involution(family, p, q).coords
-    if ti == 0:
-        raise ValueError("image left the affine chart")
-    return zi / ti, wi / ti, p.z_sphere().value
 
+    __slots__ = ("v", "dz", "dw")
 
-#: chart_jacobian steps by STEP_SCALE times the squared tangency distance,
-#: but never by less than STEP_FLOOR
-STEP_SCALE = 1e-3
-STEP_FLOOR = 1e-8
+    def __init__(self, v, dz, dw):
+        self.v, self.dz, self.dw = v, dz, dw
+
+    def __add__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.v + o.v, self.dz + o.dz, self.dw + o.dw)
+        return _Jet(self.v + o, self.dz, self.dw)
+
+    def __sub__(self, o):
+        if isinstance(o, _Jet):
+            return _Jet(self.v - o.v, self.dz - o.dz, self.dw - o.dw)
+        return _Jet(self.v - o, self.dz, self.dw)
+
+    def __mul__(self, o):
+        if isinstance(o, _Jet):
+            v, ov = self.v, o.v
+            return _Jet(v * ov, self.dz * ov + v * o.dz, self.dw * ov + v * o.dw)
+        return _Jet(self.v * o, self.dz * o, self.dw * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, _Jet):
+            ov = o.v
+            q = self.v / ov
+            return _Jet(q, (self.dz - q * o.dz) / ov, (self.dw - q * o.dw) / ov)
+        return _Jet(self.v / o, self.dz / o, self.dw / o)
+
+    def __pow__(self, n: int):
+        d = n * self.v ** (n - 1)
+        return _Jet(self.v**n, d * self.dz, d * self.dw)
+
+    def __eq__(self, o):
+        return self.v == (o.v if isinstance(o, _Jet) else o)
 
 
 def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[np.ndarray, PhasePoint]:
-    """Finite-difference differential of the phase map in the (z, w) chart.
+    """Differential of the phase map in the (z, w) chart, exact up to rounding.
 
-    Returns the 2x2 matrix and the image phase point.  The sheet is tracked
-    by tangency continuity, so the stencil stays on the branch of x.  The
-    step scales with the squared distance of Q and its image from the
-    tangency point: that distance sets the curvature of the square-root
-    sheet, and quadratic scaling keeps the relative truncation error flat.
-    Where the image lies farther from the tangency point than Q, the step
-    is divided by that ratio too.
+    Returns the 2x2 matrix and the image phase point.  The involution's own
+    arithmetic runs on jets seeded at Q = (z, w).  The tangency parameter
+    z0 follows Q on the sheet of x through the tangency condition
+    (z - z0)^2 = z^2 - w, so dz0 = (dw/2 - z0 dz)/(z - z0), and the image
+    stays on the tangent line at z0: w* = 2 z0 z* - z0^2.
     """
-    z, w = x.q.affine_pair()
-    z0 = x.p.z_sphere().value
+    off = _chart_offset(x)
     x_img = billiard_map(family, x)
-    off_in = abs(z - z0)
-    zi = x_img.q.z_sphere()
-    off_out = abs(zi.value - z0) if not zi.is_inf else 1.0
-    # where the map expands (off_out > off_in) the image varies faster than
-    # the input, so the step shrinks by the expansion factor as well
-    expansion = off_out / off_in if off_out > off_in else 1.0
-    h = max(STEP_SCALE * min(off_in, off_out, 1.0) ** 2 / expansion, STEP_FLOOR)
-
-    def f(zz, ww):
-        zi, wi, _ = chart_map(family, zz, ww, z0)
-        return zi, wi
-
-    def central(hh):
-        zp, zm, wp, wm = z + hh, z - hh, w + hh, w - hh
-        fz_p = f(zp, w)
-        fz_m = f(zm, w)
-        fw_p = f(z, wp)
-        fw_m = f(z, wm)
-        dz, dw = zp - zm, wp - wm
-        return np.array(
-            [
-                [(fz_p[0] - fz_m[0]) / dz, (fw_p[0] - fw_m[0]) / dw],
-                [(fz_p[1] - fz_m[1]) / dz, (fw_p[1] - fw_m[1]) / dw],
-            ],
-            dtype=complex,
-        )
-
-    # one step of Richardson extrapolation kills the quadratic error term
-    mat = (4.0 * central(h / 2.0) - central(h)) / 3.0
-    return mat, x_img
+    z0 = x.p.z_sphere().value
+    z0j = _Jet(z0, -z0 / off, 0.5 / off)
+    zi = _involution_z(family, z0j, _Jet(x.q.z_sphere().value, 1.0, 0.0))
+    if zi is INF:
+        raise ValueError("image left the affine chart")
+    wi = 2.0 * z0j * zi - z0j * z0j
+    return np.array([[zi.dz, zi.dw], [wi.dz, wi.dw]], dtype=complex), x_img
 
 
 def area_pullback_residual(family: BilliardFamily, x: PhasePoint) -> float:
-    """Relative defect of area-form invariance under the phase map at x,
-    with the differential taken by finite differences."""
+    """Relative defect of area-form invariance under the phase map at x."""
     sample = TangentSample.standard(x)
     mat, x_img = chart_jacobian(family, x)
     v1 = mat @ np.array(sample.v1)

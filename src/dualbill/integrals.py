@@ -65,7 +65,7 @@ class BiPoly:
     otherwise; arithmetic stays exact as long as both operands are exact.
     """
 
-    __slots__ = ("coeffs", "_dense")
+    __slots__ = ("coeffs", "_horner")
 
     def __init__(self, coeffs: Mapping[tuple[int, int], object]):
         table = {}
@@ -74,7 +74,7 @@ class BiPoly:
                 continue
             table[(int(i), int(j))] = c if _is_exact(c) else complex(c)
         self.coeffs = table
-        self._dense = None
+        self._horner = None
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -164,27 +164,26 @@ class BiPoly:
         return all(_is_exact(c) for c in self.coeffs.values())
 
     # -- evaluation ----------------------------------------------------------
-    def _dense_array(self) -> np.ndarray:
-        if self._dense is None:
-            d = max(self.total_degree, 0)
-            arr = np.zeros((d + 1, d + 1), dtype=complex)
+    def _rows(self) -> list[list[complex]]:
+        """Horner table: row i holds the coefficients of z^i w^j by j,
+        trailing zeros dropped."""
+        if self._horner is None:
+            rows = [[] for _ in range(max(self.total_degree, 0) + 1)]
             for (i, j), c in self.coeffs.items():
-                arr[i, j] = complex(c)
-            self._dense = arr
-        return self._dense
+                row = rows[i]
+                row.extend([0j] * (j + 1 - len(row)))
+                row[j] = complex(c)
+            self._horner = rows
+        return self._horner
 
-    def __call__(self, z, w):
-        arr = self._dense_array()
-        z = np.asarray(z, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        acc = np.zeros(np.broadcast(z, w).shape, dtype=complex)
-        for row in arr[::-1]:
-            inner = np.zeros_like(acc)
-            for c in row[::-1]:
+    def __call__(self, z: complex, w: complex) -> complex:
+        """Value at one point, by Horner's rule in z over Horner in w."""
+        acc = 0j
+        for row in reversed(self._rows()):
+            inner = 0j
+            for c in reversed(row):
                 inner = inner * w + c
             acc = acc * z + inner
-        if acc.shape == ():
-            return complex(acc)
         return acc
 
     def eval_exact(self, z: Fraction, w: Fraction):

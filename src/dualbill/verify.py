@@ -133,15 +133,17 @@ class _Residuals:
         self, name: str, family: BilliardFamily | None, params: dict, bound: float
     ) -> CheckReport:
         """Pass when the worst residual is within ``bound``; with nothing
-        evaluated, fail whatever the worst is."""
+        evaluated, fail whatever the worst is.  The params gain the count
+        of evaluated samples and the dropped ones by exception class."""
+        counts = {"evaluated": self.evaluated, "dropped": dict(sorted(self.dropped.items()))}
         if not self.evaluated:
-            status, witness = "fail", {"evaluated": 0, "dropped": dict(sorted(self.dropped.items()))}
+            status, witness = "fail", counts
         elif self.worst <= bound:
             status, witness = "pass", None
         else:
             status, witness = "fail", self.witness
         label = None if family is None else family.label()
-        return CheckReport(name, label, params, status, self.worst, witness)
+        return CheckReport(name, label, {**params, **counts}, status, self.worst, witness)
 
 
 def _worse(*residuals: float) -> float:
@@ -162,8 +164,8 @@ def sample_phase_point(
     0.05 <= |u| <= 2.
 
     With ``conditioned`` the involution image must stay at a moderate
-    distance from the tangency point, which keeps finite differences and
-    form evaluations well scaled.
+    distance from the tangency point, which keeps the form evaluations well
+    scaled.
     """
     while True:
         r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
@@ -405,7 +407,7 @@ def check_abel_translation(
 def check_area_form(
     family: BilliardFamily, samples: int = 200, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
-    """Finite-difference pullback test of the invariant area form."""
+    """Pullback test of the invariant area form under the chart Jacobian."""
 
     def residual(x: PhasePoint) -> float:
         res = area_pullback_residual(family, x)
@@ -417,7 +419,8 @@ def check_area_form(
 def check_jacobian(
     family: BilliardFamily, samples: int = 200, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
-    """Closed-form half-step Jacobian against central finite differences."""
+    """Closed-form half-step Jacobian against the chart Jacobian of the
+    implemented map."""
 
     def residual(x: PhasePoint) -> float:
         closed = halfstep_jacobian(family, x)
@@ -541,7 +544,7 @@ def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False
         pt = displaced(point)
         residuals = sorted(_component_value(c.poly, pt) for c in comps)
         note(residuals[min(expected, len(residuals)) - 1], f"incidence: on {expected} components", point)
-    params = {"checks": acc.evaluated, "seed": seed, "worst_by_kind": by_kind}
+    params = {"seed": seed, "worst_by_kind": by_kind}
     return acc.report(name, family, params, 1e-8)
 
 

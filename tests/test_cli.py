@@ -373,6 +373,10 @@ class TestBadInput:
     def test_zero_n(self, capsys):
         self.usage_error(["orbit", "--family", "a1", "--n", "0", "--lambda", "1"], capsys)
 
+    def test_start_that_overflows(self, capsys):
+        err = self.usage_error(["orbit", "--family", "a1", "--n", "1000", "--lambda", "1"], capsys)
+        assert "cannot build the start point" in err
+
     @pytest.mark.parametrize("family,lam", [("b1", "1.000001"), ("d", "-0.2812")])
     def test_periods_that_do_not_converge(self, family, lam, capsys):
         err = self.usage_error(

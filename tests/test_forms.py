@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from dualbill.billiards import BilliardFamily, orbit
+from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily, _involution_z, orbit
 from dualbill.curves import elliptic_model, lift_fiber, sheet_sqrt
 from dualbill.forms import (
     TangentSample,
@@ -19,7 +19,7 @@ from dualbill.forms import (
 )
 from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import gradient
-from dualbill.verify import _rng_for, sample_phase_point
+from dualbill.verify import _rng_for, check_area_form, check_jacobian, sample_phase_point
 
 FAMILIES = [
     BilliardFamily("a1", 1),
@@ -255,8 +255,8 @@ class TestJacobianSplit:
 
 
     def test_chart_jacobian_takes_one_phase_map_step(self, monkeypatch):
-        # the stencil points need only the involution image, so the full
-        # phase map runs once, for the image point
+        # the derivative needs only the involution's arithmetic, so the
+        # full phase map runs once, for the image point
         from dualbill import forms
 
         calls = []
@@ -273,6 +273,53 @@ class TestJacobianSplit:
             _, x_img = chart_jacobian(fam, x)
             assert calls == [x]
             assert x_img.q.eq(step(fam, x).q)
+
+
+class TestChartJacobianOracle:
+    """The jet Jacobian against a 50-digit central difference of the chart
+    map (z, w) -> (z*, w*).  The oracle's tangency parameter is
+    z0 = z - sqrt(z^2 - w) on the branch of the sample, and its image comes
+    from the involution's shared arithmetic run on mpmath numbers."""
+
+    @pytest.mark.parametrize(
+        "fam",
+        [BilliardFamily("a1", 1), BilliardFamily("a1", 3), BilliardFamily("a2", 1)]
+        + [BilliardFamily(t) for t in ("b1", "b2", "c1", "c2", "d")],
+        ids=lambda f: f.label(),
+    )
+    def test_matches_high_precision_differences(self, fam):
+        mp = pytest.importorskip("mpmath").mp
+        rng = _rng_for(31, f"jet-oracle:{fam.label()}")
+        with mp.workdps(50):
+            h = mp.mpf(10) ** -20
+            for _ in range(20):
+                x = sample_phase_point(fam, rng)
+                z, w = (mp.mpc(c.real, c.imag) for c in x.q.affine_pair())
+                root = mp.sqrt(z * z - w)
+                z0 = x.p.z_sphere().value
+                sign = 1 if abs(z - root - z0) <= abs(z + root - z0) else -1
+
+                def chart(zz, ww):
+                    t = zz - sign * mp.sqrt(zz * zz - ww)
+                    zi = _involution_z(fam, t, zz)
+                    return zi, 2 * t * zi - t * t
+
+                cols = []
+                for dz, dw in ((h, 0), (0, h)):
+                    (zp, wp), (zm, wm) = chart(z + dz, w + dw), chart(z - dz, w - dw)
+                    cols.append((complex((zp - zm) / (2 * h)), complex((wp - wm) / (2 * h))))
+                want = np.array(cols).T
+                got, _ = chart_jacobian(fam, x)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("tag", ALL_FAMILY_TAGS)
+    def test_suite_residuals_are_rounding_level(self, tag):
+        # the checks of ``check --all --seed 42`` compare the closed forms
+        # with the jet Jacobian; what they report is rounding, not truncation
+        fam = BilliardFamily.parse(tag)
+        for check in (check_area_form, check_jacobian):
+            report = check(fam, 200, 42)
+            assert report.status == "pass" and report.worst <= 1e-10
 
 
 class TestInvolutionDerivative:

@@ -61,6 +61,39 @@ class TestCoefficients:
             coefficients_a1(0)
 
 
+class _Gauss:
+    """An exact Gaussian rational re + i im, with the ring operations that
+    :meth:`BiPoly.eval_exact` applies to its arguments."""
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x) -> "_Gauss":
+        return x if isinstance(x, _Gauss) else _Gauss(x)
+
+    def __add__(self, o):
+        o = _Gauss.of(o)
+        return _Gauss(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __mul__(self, o):
+        o = _Gauss.of(o)
+        return _Gauss(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = _Gauss(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __complex__(self):
+        return complex(float(self.re), float(self.im))
+
+
 class TestBiPoly:
     def test_exact_arithmetic(self):
         z, w = BiPoly.var_z(), BiPoly.var_w()
@@ -76,6 +109,24 @@ class TestBiPoly:
         exact = p.eval_exact(zv, wv)
         approx = p(float(zv), float(wv))
         assert abs(approx - complex(exact)) < 1e-14
+
+    def test_eval_matches_exact_at_gaussian_rationals(self):
+        # every table the integrals evaluate, at points whose dyadic real and
+        # imaginary parts are exact floats; the bound scales with the sum of
+        # the terms' moduli, which is what rounding in Horner's rule follows
+        rng = random.Random("bipoly-gauss")
+        for fam in ALL:
+            integ = first_integral(fam)
+            tables = [integ.num, integ.den] + [
+                p for pair in integ._derivative_tables for half in pair for p in half
+            ]
+            for _ in range(3):
+                z, w = (_Gauss(*(Fraction(rng.randint(-96, 96), 64) for _ in range(2))) for _ in "zw")
+                for p in tables:
+                    want = complex(_Gauss.of(p.eval_exact(z, w)))
+                    scale = sum(abs(c) * abs(complex(z)) ** i * abs(complex(w)) ** j
+                                for (i, j), c in p.coeffs.items())
+                    assert abs(p(complex(z), complex(w)) - want) <= 1e-14 * scale, (fam, p)
 
     def test_derivative(self):
         z, w = BiPoly.var_z(), BiPoly.var_w()

@@ -155,6 +155,37 @@ class TestNothingEvaluated:
         report = run()
         assert report.status == "fail"
         assert report.witness == {"evaluated": 0, "dropped": {"ZeroDivisionError": count}}
+        assert {k: report.params[k] for k in ("evaluated", "dropped")} == report.witness
+
+
+class TestCountsInParams:
+    """Every report says how many samples it evaluated and how many it
+    dropped, by exception class, passing reports included."""
+
+    def test_passing_report_counts(self):
+        report = check_involution(B1, 50, 1)
+        assert report.status == "pass"
+        assert (report.params["evaluated"], report.params["dropped"]) == (50, {})
+
+    def test_dropped_samples_counted_by_class(self, monkeypatch):
+        real = verify.area_pullback_residual
+        calls = []
+
+        def flaky(family, x):
+            calls.append(x)
+            if len(calls) % 3 == 0:
+                raise ZeroDivisionError("forced")
+            return real(family, x)
+
+        monkeypatch.setattr(verify, "area_pullback_residual", flaky)
+        report = verify.check_area_form(B1, 9, 1)
+        assert report.status == "pass"
+        assert report.params["evaluated"] == 6
+        assert report.params["dropped"] == {"ZeroDivisionError": 3}
+
+    def test_table_checks_count_what_they_evaluate(self):
+        report = verify.check_tables(D, 1)
+        assert report.status == "pass" and report.params["evaluated"] > 0
 
 
 class TestNaNResidual:
