@@ -88,11 +88,6 @@ class BilliardFamily:
             raise ValueError(f"family {self.tag!r} has no rotation parameter")
         return 2 - self.spec.shift(self.n)
 
-    def singular_tangency_parameters(self) -> list[SphereValue]:
-        """z-parameters of the singular tangency points (the base points on
-        the parabola), including the infinite point where applicable."""
-        return list(self.spec.singular_parameters)
-
     def label(self) -> str:
         return f"{self.tag}({self.n})" if self.is_a else self.tag
 

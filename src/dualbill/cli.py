@@ -219,7 +219,7 @@ def cmd_orbit(args) -> int:
     except SingularTangencyError as exc:
         print(f"start point is singular: {exc}", file=sys.stderr)
         return SINGULAR_ERROR
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise UsageError(f"cannot build the start point: {exc}") from exc
     rec = orbit(family, x0, args.steps)
     if rec.reason == "hit-singularity" and rec.steps_taken == 0:

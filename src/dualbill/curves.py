@@ -12,9 +12,11 @@ parameters feed a genus-one model y^2 = p(t) whose periods are computed by
 contour quadrature.
 
 What kind of curve and fiber a family has, its critical values and which
-family b2 is the image of are read from :mod:`dualbill.families`; the
-per-family algorithms (parametrizations, lifts, inverses, branch points and
-the critical cells) sit here, one lookup table each.
+family b2 is the image of are read from :mod:`dualbill.families`.  The
+per-family algorithms sit here: one model record per family with rational
+level curves (its parametrization, lift, inverse, branch points and, for an
+elliptic fiber, p(t) and the sheet factor), which b2 reaches through the
+b-equivalence in one resolver, and one table of the critical cells.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .billiards import BilliardFamily
+from .families import Image
 from .geometry import E_INFINITY, EPS_CUBE_ROOT, PhasePoint, ProjectivePoint, conic_point
 from .integrals import (
     BiPoly,
@@ -168,50 +171,7 @@ def _level_d(lam: complex, _cs, t, s):
     )
 
 
-#: form (lam, cs, t, s) of the level curves and, for the a-families, the
-#: denominator coefficients cs it takes
-_LEVEL_FORMS = {
-    "a1": (_level_a1, coefficients_a1),
-    "a2": (_level_a2, coefficients_a2),
-    "b1": (_level_b1, None),
-    "d": (_level_d, None),
-}
-
-
-def _model_tag(family: BilliardFamily) -> str:
-    """Tag whose curve parameter the family uses (an image family uses its
-    base family's)."""
-    image = family.spec.image_of
-    return family.tag if image is None else image.base
-
-
-def _to_base(family: BilliardFamily, x: PhasePoint) -> tuple[BilliardFamily, PhasePoint]:
-    """An image family's phase point carried back to its base family."""
-    image = family.spec.image_of
-    return BilliardFamily(image.base), PhasePoint(image.inverse(x.q), image.inverse(x.p))
-
-
-def parametrize_level(family: BilliardFamily, lam, t) -> ProjectivePoint:
-    """Point of the level curve {R = lam} at curve parameter t.
-
-    Families a1/a2/b1/d use their rational parametrizations; b2 is the
-    b-equivalence image of the b1 curve.  Poles of the parametrization land
-    on the infinity line, and t = inf gives the curve's limit point.
-    """
-    lam = _require_regular(family, lam)
-    lamv = lam.value
-    spec = family.spec
-    if spec.level_curves == "elliptic":
-        raise ValueError(
-            "c-family level curves are elliptic and have no rational parametrization"
-        )
-    if spec.image_of is not None:
-        base = parametrize_level(BilliardFamily(spec.image_of.base), lamv, t)
-        return spec.image_of.map(base)
-    level, coefficients = _LEVEL_FORMS[family.tag]
-    cs = None if coefficients is None else coefficients(family.n)
-    return _on_curve(partial(level, lamv, cs), t)
-
+# a-family lifts: the fiber over the curve point at a finite parameter tau
 
 def _lift_a1(family: BilliardFamily, lamv: complex, tau: complex, branch: str) -> PhasePoint:
     cs = coefficients_a1(family.n)
@@ -243,33 +203,7 @@ def lift_by_sheet(q: ProjectivePoint, branch: str) -> PhasePoint:
     return PhasePoint(q, conic_point(z0))
 
 
-_LIFTS = {"a1": _lift_a1, "a2": _lift_a2}
-
-
-def lift_fiber(family: BilliardFamily, lam, t, branch: str = "+") -> PhasePoint:
-    """Phase point over the curve point at parameter t.
-
-    For a1 the two signs select the two rational fiber components; for a2
-    the fiber is connected and the sign is fixed by the parametrization; for
-    b1/b2/d the sign selects the tangency sheet via the principal branch of
-    sqrt(z^2 - w).
-    """
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    lam = _require_regular(family, lam)
-    lamv = lam.value
-    image = family.spec.image_of
-    if image is not None:
-        base = lift_fiber(BilliardFamily(image.base), lamv, t, branch)
-        return PhasePoint(image.map(base.q), image.map(base.p))
-    lift = _LIFTS.get(family.tag)
-    if lift is None:
-        return lift_by_sheet(parametrize_level(family, lamv, t), branch)
-    t = SphereValue.coerce(t)
-    if t.is_inf:
-        raise ValueError(f"the {family.tag} lift needs a finite parameter")
-    return lift(family, lamv, t.value, branch)
-
+# rational inverses of the parametrizations, from the point (z, w) of Q
 
 def _fiber_ratio(x: PhasePoint, z: complex, w: complex) -> SphereValue:
     """tau = z/(z0 - z) on the a-family component where z0 = (tau+1)/tau * z."""
@@ -290,35 +224,7 @@ def _div(num: complex, den: complex) -> SphereValue:
     return SphereValue(num / den)
 
 
-#: rational inverse of the parametrization, from the point (z, w) of Q;
-#: the elliptic c-family level curves have none
-_CURVE_PARAMETERS = {
-    "a1": _fiber_ratio,
-    "a2": _fiber_ratio,
-    "b1": lambda x, z, w: _div(z * z - w, z * (z - 1.0)),
-    "d": lambda x, z, w: _div(
-        -(w + 8 * z * z + 4 * w * w + 5 * w * z * z - 14 * z * w - 4 * z**3),
-        (w - z * z) * (w - z),
-    ),
-}
-
-
-def curve_parameter(family: BilliardFamily, x: PhasePoint) -> SphereValue:
-    """Curve parameter of a phase point (rational inverse of the
-    parametrization; for a-families the tangency point resolves the sign)."""
-    if family.spec.image_of is not None:
-        return curve_parameter(*_to_base(family, x))
-    inverse = _CURVE_PARAMETERS.get(family.tag)
-    if inverse is None:
-        raise ValueError(f"family {family.label()} has no rational curve parameter")
-    if x.q.is_infinite:
-        raise ValueError("curve parameter at an infinite point is not implemented")
-    z, w = x.q.affine_pair()
-    return inverse(x, z, w)
-
-
-# ---------------------------------------------------------------------------
-# branch points and elliptic models
+# branch parameters of the fibers' double covers
 
 def _branch_b1(lam: complex) -> list[SphereValue]:
     quadratic = poly_roots(Polynomial([4.0 * lam, -4.0 * lam, 1.0]))
@@ -334,43 +240,159 @@ def _branch_d(lam: complex) -> list[SphereValue]:
     return [SphereValue(-4.0)] + [SphereValue(r) for r in cubic]
 
 
-#: branch parameters of the fiber's double cover; families not listed have
-#: a fiber of two global sheets
-_BRANCH_POINTS = {
-    "a2": lambda lam: [SphereValue(0.0), INF],
-    "b1": _branch_b1,
-    "d": _branch_d,
+@dataclass(frozen=True)
+class _CurveModel:
+    """One family's rational level curves {R = lam} and fibers over them:
+    the form ``level(lam, cs, t, s)``, cs = ``coefficients(N)`` for the
+    a-families; its inverse ``parameter(x, z, w)`` from Q = (z, w); the
+    ``lift`` (None: by the tangency sheet); the parameters where the fiber's
+    cover branches; for an elliptic fiber y^2 = p(t), the descending
+    coefficients ``p(lam)`` and ``h(lam, t)`` with z(P) - z(Q) = h(t) y."""
+
+    level: Callable
+    parameter: Callable[[PhasePoint, complex, complex], SphereValue]
+    coefficients: Callable[[int], Sequence[Fraction]] | None = None
+    lift: Callable[[BilliardFamily, complex, complex, str], PhasePoint] | None = None
+    branches: Callable[[complex], list[SphereValue]] = lambda lam: []
+    p: Callable[[complex], np.ndarray] | None = None
+    h: Callable[[complex, complex], complex] | None = None
+
+
+#: the model of each family with rational level curves of its own; b2 is
+#: the b-equivalence image of b1 and the c-families have none
+_MODELS: dict[str, _CurveModel] = {
+    "a1": _CurveModel(_level_a1, _fiber_ratio, coefficients_a1, _lift_a1),
+    "a2": _CurveModel(_level_a2, _fiber_ratio, coefficients_a2, _lift_a2,
+                      branches=lambda lam: [SphereValue(0.0), INF]),
+    "b1": _CurveModel(
+        _level_b1,
+        lambda x, z, w: _div(z * z - w, z * (z - 1.0)),
+        branches=_branch_b1,
+        p=lambda lam: np.polymul([1.0 - lam, lam], [1.0, -4.0 * lam, 4.0 * lam]),
+        h=lambda lam, t: t / (lam * (t - 1.0) * (4.0 - t)),
+    ),
+    "d": _CurveModel(
+        _level_d,
+        lambda x, z, w: _div(
+            -(w + 8 * z * z + 4 * w * w + 5 * w * z * z - 14 * z * w - 4 * z**3),
+            (w - z * z) * (w - z),
+        ),
+        branches=_branch_d,
+        p=lambda lam: np.polymul(
+            [1.0, 4.0],
+            [9.0 * lam * lam + lam, 36.0 * lam * lam - 3.0 * lam, -36.0 * lam, 9.0],
+        ),
+        h=lambda lam, t: (lam * t * t + 12.0 * lam * t - 9.0) / (
+            lam * t * (3.0 + t) * ((8.0 * lam + 1.0) * t - 5.0) * (t + 4.0)
+        ),
+    ),
 }
+
+
+def _resolve(family: BilliardFamily) -> tuple[_CurveModel | None, BilliardFamily, Image | None]:
+    """(model, base family, image): an image family uses its base family's
+    model, its points carried there by ``image.inverse`` and back by
+    ``image.map``; a family of elliptic level curves has no model."""
+    image = family.spec.image_of
+    if image is None:
+        return _MODELS.get(family.tag), family, None
+    return _MODELS[image.base], BilliardFamily(image.base), image
+
+
+def _carry(psi, x: PhasePoint) -> PhasePoint:
+    """The phase point x with Q and P mapped by psi."""
+    return PhasePoint(psi(x.q), psi(x.p))
+
+
+def parametrize_level(family: BilliardFamily, lam, t) -> ProjectivePoint:
+    """Point of the level curve {R = lam} at curve parameter t.
+
+    Families a1/a2/b1/d use their rational parametrizations; b2 is the
+    b-equivalence image of the b1 curve.  Poles of the parametrization land
+    on the infinity line, and t = inf gives the curve's limit point.
+    """
+    lam = _require_regular(family, lam)
+    model, base, image = _resolve(family)
+    if model is None:
+        raise ValueError("c-family level curves are elliptic and have no rational parametrization")
+    cs = None if model.coefficients is None else model.coefficients(base.n)
+    q = _on_curve(partial(model.level, lam.value, cs), t)
+    return q if image is None else image.map(q)
+
+
+def lift_fiber(family: BilliardFamily, lam, t, branch: str = "+") -> PhasePoint:
+    """Phase point over the curve point at parameter t.
+
+    For a1 the two signs select the two rational fiber components; for a2
+    the fiber is connected and the sign is fixed by the parametrization; for
+    b1/b2/d the sign selects the tangency sheet via the principal branch of
+    sqrt(z^2 - w).
+    """
+    if branch not in ("+", "-"):
+        raise ValueError("branch must be '+' or '-'")
+    lamv = _require_regular(family, lam).value
+    model, base, image = _resolve(family)
+    if model is None or model.lift is None:
+        x = lift_by_sheet(parametrize_level(base, lamv, t), branch)
+    else:
+        t = SphereValue.coerce(t)
+        if t.is_inf:
+            raise ValueError(f"the {family.tag} lift needs a finite parameter")
+        x = model.lift(base, lamv, t.value, branch)
+    return x if image is None else _carry(image.map, x)
+
+
+def curve_parameter(family: BilliardFamily, x: PhasePoint) -> SphereValue:
+    """Curve parameter of a phase point (rational inverse of the
+    parametrization; for a-families the tangency point resolves the sign)."""
+    model, _, image = _resolve(family)
+    if model is None:
+        raise ValueError(f"family {family.label()} has no rational curve parameter")
+    if image is not None:
+        x = _carry(image.inverse, x)
+    if x.q.is_infinite:
+        raise ValueError("curve parameter at an infinite point is not implemented")
+    z, w = x.q.affine_pair()
+    return model.parameter(x, z, w)
 
 
 def branch_points(family: BilliardFamily, lam) -> list[SphereValue]:
     """Curve parameters where the fiber's double cover of the level curve
     branches (empty when the fiber splits into two sheets globally)."""
     lam = _require_regular(family, lam)
-    branches = _BRANCH_POINTS.get(_model_tag(family))
-    return [] if branches is None else branches(lam.value)
-
-
-#: descending coefficients of p(t) for the elliptic fibers
-_ELLIPTIC_POLYS = {
-    "b1": lambda lam: np.polymul([1.0 - lam, lam], [1.0, -4.0 * lam, 4.0 * lam]),
-    "d": lambda lam: np.polymul(
-        [1.0, 4.0],
-        [9.0 * lam * lam + lam, 36.0 * lam * lam - 3.0 * lam, -36.0 * lam, 9.0],
-    ),
-}
+    model = _resolve(family)[0]
+    return [] if model is None else model.branches(lam.value)
 
 
 def elliptic_poly(family: BilliardFamily, lam) -> np.ndarray:
     """Descending coefficients of p(t) in the genus-one model y^2 = p(t)."""
     lam = _require_regular(family, lam)
-    poly = _ELLIPTIC_POLYS.get(_model_tag(family))
-    if poly is not None:
-        return poly(lam.value)
-    raise ValueError(
-        f"family {family.label()} has no square-root elliptic model in t"
-    )
+    model = _resolve(family)[0]
+    if model is None or model.p is None:
+        raise ValueError(f"family {family.label()} has no square-root elliptic model in t")
+    return model.p(lam.value)
 
+
+def sheet_sqrt(family: BilliardFamily, lam, x: PhasePoint) -> tuple[complex, complex]:
+    """(t, y) coordinates of a phase point on the model y^2 = p(t).
+
+    The tangency point P resolves the sheet: y is a rational multiple of
+    z(P) - z(Q), so no branch tracking is involved.
+    """
+    lamv = SphereValue.coerce(lam).value
+    model, base, image = _resolve(family)
+    if model is None or model.h is None:
+        raise ValueError("sheet coordinates exist only for the b and d families")
+    if image is not None:
+        x = _carry(image.inverse, x)
+    t = curve_parameter(base, x).value
+    z, _w = x.q.affine_pair()
+    z0 = x.p.z_sphere().value
+    return t, (z0 - z) / model.h(lamv, t)
+
+
+# ---------------------------------------------------------------------------
+# elliptic models: periods by contour quadrature
 
 def _sorted_roots(br: BranchedSqrt) -> list[complex]:
     return sorted(br.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
@@ -542,34 +564,6 @@ def lattice_closure_residual(model: EllipticModel) -> float:
     return abs(model.lattice_reduce(extra))
 
 
-#: h(t) with z(P) - z(Q) = h(t) y on the model y^2 = p(t)
-_SHEET_FACTORS = {
-    "b1": lambda lam, t: t / (lam * (t - 1.0) * (4.0 - t)),
-    "d": lambda lam, t: (lam * t * t + 12.0 * lam * t - 9.0) / (
-        lam * t * (3.0 + t) * ((8.0 * lam + 1.0) * t - 5.0) * (t + 4.0)
-    ),
-}
-
-
-def sheet_sqrt(family: BilliardFamily, lam, x: PhasePoint) -> tuple[complex, complex]:
-    """(t, y) coordinates of a phase point on the model y^2 = p(t).
-
-    The tangency point P resolves the sheet: y is a rational multiple of
-    z(P) - z(Q), so no branch tracking is involved.
-    """
-    lam = SphereValue.coerce(lam)
-    lamv = lam.value
-    if family.spec.image_of is not None:
-        base, xb = _to_base(family, x)
-        return sheet_sqrt(base, lamv, xb)
-    sheet = _SHEET_FACTORS.get(family.tag)
-    if sheet is None:
-        raise ValueError("sheet coordinates exist only for the b and d families")
-    t = curve_parameter(family, x).value
-    z, _w = x.q.affine_pair()
-    z0 = x.p.z_sphere().value
-    return t, (z0 - z) / sheet(lamv, t)
-
 
 # ---------------------------------------------------------------------------
 # critical fibers
@@ -740,7 +734,7 @@ def _a_at_infinity(*head):
     w = c z^2 per denominator coefficient c."""
 
     def build(family, lam):
-        cs = _LEVEL_FORMS[family.tag][1](family.n)
+        cs = _MODELS[family.tag].coefficients(family.n)
         parabolas = ((f"parabola w = {c} z^2", None) for c in cs)
         return _den_factors(*head, *parabolas)(family, lam)
 
@@ -987,12 +981,10 @@ SLICE_ATTEMPTS = 64
 def point_on_level(family: BilliardFamily, lam, rng: random.Random) -> ProjectivePoint:
     """A point of {R = lam} found by slicing with random lines.
 
-    Works for every family (the only route for the c-families, whose level
-    curves have no rational parametrization).
+    Works for every family at a regular level (the only route for the
+    c-families, whose level curves have no rational parametrization).
     """
-    lam = SphereValue.coerce(lam)
-    if lam.is_inf:
-        raise ValueError("slicing expects a finite level value")
+    lam = _require_regular(family, lam)
     integ = first_integral(family)
     base = indeterminacy_set(family)
     for _ in range(SLICE_ATTEMPTS):

@@ -42,8 +42,6 @@ __all__ = [
     "indeterminacy_set",
     "critical_values",
     "true_critical_points",
-    "CriticalTable",
-    "critical_table",
 ]
 
 #: evaluation is refused within this distance of a base point
@@ -567,17 +565,3 @@ def true_critical_points(family: BilliardFamily, lam) -> list[ProjectivePoint]:
         if row.value == lam:
             return list(row.points)
     raise ValueError(f"{lam!r} is not a critical value of family {family.label()}")
-
-
-@dataclass(frozen=True)
-class CriticalTable:
-    """All critical values with their true critical points and critical
-    indeterminacies for one family."""
-
-    family: BilliardFamily
-    rows: tuple[tuple[SphereValue, tuple[ProjectivePoint, ...], tuple[ProjectivePoint, ...]], ...]
-
-
-def critical_table(family: BilliardFamily) -> CriticalTable:
-    rows = tuple((r.value, r.points, r.indeterminacies) for r in family.spec.critical)
-    return CriticalTable(family, rows)

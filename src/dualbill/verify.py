@@ -47,6 +47,7 @@ from .curves import (
 from .forms import abel_steps, area_pullback_residual, chart_jacobian, halfstep_jacobian
 from .geometry import (
     E_INFINITY,
+    EPS_CUBE_ROOT,
     ProjectiveMap,
     ProjectivePoint,
     b_family_equivalence,
@@ -172,7 +173,7 @@ def sample_phase_point(
         z0 = r * cmath.exp(2j * math.pi * rng.random())
         if any(
             (not s.is_inf) and abs(z0 - s.value) < SINGULAR_GUARD
-            for s in family.singular_tangency_parameters()
+            for s in family.spec.singular_parameters
         ):
             continue
         ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
@@ -437,7 +438,7 @@ def check_jacobian(
 # table verification
 
 _aff = ProjectivePoint.affine
-_e = cmath.exp(-2j * math.pi / 3)
+_e = EPS_CUBE_ROOT
 _eb = _e.conjugate()
 #: per family: (lam, point, how many listed components must contain it)
 _INCIDENCE: dict[str, list[tuple]] = {

@@ -377,6 +377,20 @@ class TestBadInput:
         err = self.usage_error(["orbit", "--family", "a1", "--n", "1000", "--lambda", "1"], capsys)
         assert "cannot build the start point" in err
 
+    @pytest.mark.parametrize("family", ["b1", "b2", "d"])
+    def test_start_parameter_that_overflows(self, family, capsys):
+        err = self.usage_error(
+            ["orbit", "--family", family, "--lambda", "2", "--start-tau", "1e300"], capsys
+        )
+        assert err.startswith("cannot build the start point")
+
+    @pytest.mark.parametrize(
+        "family,lam", [("c1", "0"), ("c1", "0.421875"), ("c2", "0"), ("c2", "-0.140625")]
+    )
+    def test_c_family_orbit_at_a_critical_level(self, family, lam, capsys):
+        err = self.usage_error(["orbit", "--family", family, f"--lambda={lam}"], capsys)
+        assert err.startswith("cannot build the start point") and "critical value" in err
+
     @pytest.mark.parametrize("family,lam", [("b1", "1.000001"), ("d", "-0.2812")])
     def test_periods_that_do_not_converge(self, family, lam, capsys):
         err = self.usage_error(

@@ -23,7 +23,7 @@ from dualbill.curves import (
     sheet_sqrt,
     tangency_gap,
 )
-from dualbill.geometry import E_INFINITY, ProjectivePoint, conic_point
+from dualbill.geometry import E_INFINITY, PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import critical_values, eval_integral
 from dualbill.numerics import INF, SphereValue
 from dualbill.verify import _rng_for
@@ -508,6 +508,13 @@ class TestSlicing:
             v = eval_integral(fam, pt)
             assert abs(v.value - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "tag,lam", [("c1", 0), ("c1", Fraction(27, 64)), ("c2", 0), ("c2", Fraction(-9, 64))]
+    )
+    def test_critical_level_refused(self, tag, lam):
+        with pytest.raises(ValueError, match="critical value"):
+            point_on_level(BilliardFamily(tag), lam, random.Random(3))
+
 
 class TestSpecFidelityExtras:
     def test_elliptic_poly_formula_d(self):
@@ -666,6 +673,59 @@ class TestBEquivalenceOnParabola:
             z0 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             img = psi(conic_point(z0))
             assert on_conic(img)
+
+
+def _coords(x):
+    if isinstance(x, PhasePoint):
+        return _coords(x.q) + _coords(x.p)
+    return tuple(complex(c) for c in x.coords)
+
+
+class TestB2IsTheImageOfB1:
+    """Every b2 curve function equals the b-equivalence image of b1's, bit
+    for bit."""
+
+    def test_b2_functions_are_images_of_b1(self):
+        from dualbill.geometry import b_family_equivalence
+
+        psi = b_family_equivalence()
+        psi_inv = psi.inverse()
+        b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
+        rng = _rng_for(27, "b2-image")
+        for _ in range(20):
+            lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            t = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
+            branch = rng.choice("+-")
+            q1 = parametrize_level(b1, lam, t)
+            assert _coords(parametrize_level(b2, lam, t)) == _coords(psi(q1))
+            x1 = lift_fiber(b1, lam, t, branch)
+            x2 = lift_fiber(b2, lam, t, branch)
+            assert _coords(x2) == _coords(PhasePoint(psi(x1.q), psi(x1.p)))
+            back = PhasePoint(psi_inv(x2.q), psi_inv(x2.p))
+            assert curve_parameter(b2, x2) == curve_parameter(b1, back)
+            assert sheet_sqrt(b2, lam, x2) == sheet_sqrt(b1, lam, back)
+            assert branch_points(b2, lam) == branch_points(b1, lam)
+            assert elliptic_poly(b2, lam).tolist() == elliptic_poly(b1, lam).tolist()
+
+
+def test_curve_models_match_the_family_specs():
+    """The families with a curve model, directly or as an image, are those
+    with rational level curves; the models with p(t) are the elliptic
+    fibers'."""
+    from dualbill.curves import _MODELS, _resolve
+    from dualbill.families import ALL_FAMILY_TAGS, FAMILIES
+
+    modelled = {
+        tag for tag in ALL_FAMILY_TAGS
+        if tag in _MODELS or getattr(FAMILIES[tag].image_of, "base", None) in _MODELS
+    }
+    assert modelled == {t for t in ALL_FAMILY_TAGS if FAMILIES[t].level_curves == "rational"}
+    for tag in ALL_FAMILY_TAGS:
+        model = _resolve(BilliardFamily.parse(tag))[0]
+        assert (model is not None) == (tag in modelled)
+        elliptic = model is not None and model.p is not None
+        assert elliptic == FAMILIES[tag].elliptic_fiber
+        assert elliptic == (model is not None and model.h is not None)
 
 
 class TestLevelCurveImplicit:

@@ -34,7 +34,7 @@ def test_rho_is_two_minus_the_translation(n):
 @pytest.mark.parametrize("tag", ALL_FAMILY_TAGS)
 def test_singular_parameters_are_the_base_points(tag):
     fam = BilliardFamily.parse(tag)
-    params = fam.singular_tangency_parameters()
+    params = fam.spec.singular_parameters
     points = indeterminacy_set(fam)
     assert len(params) == len(points)
     for s, p in zip(params, points):

@@ -16,7 +16,6 @@ from dualbill.integrals import (
     IndeterminacyError,
     coefficients_a1,
     coefficients_a2,
-    critical_table,
     critical_values,
     eval_integral,
     first_integral,
@@ -360,9 +359,8 @@ class TestTables:
     def test_critical_indeterminacies_are_base_points(self):
         for fam in ALL:
             bps = indeterminacy_set(fam)
-            table = critical_table(fam)
-            for lam, _pts, crits in table.rows:
-                for ip in crits:
+            for row in fam.spec.critical:
+                for ip in row.indeterminacies:
                     assert any(ip.eq(bp) for bp in bps)
 
 
