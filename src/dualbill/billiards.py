@@ -147,16 +147,21 @@ def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: f
     is considered hit once |z0| reaches INF_THRESHOLD (escaping orbits
     legitimately grow large before that).
     """
-    for s in family.spec.singular_parameters:
-        if s.is_inf:
-            hit = z0 is INF or abs(z0) >= INF_THRESHOLD
+    spec = family.spec
+    if z0 is INF or abs(z0) >= INF_THRESHOLD:
+        if not spec.singular_at_infinity:
+            return
+        s = INF
+    else:
+        for s in spec.singular_finite:
+            if abs(z0 - s) <= radius:
+                break
         else:
-            hit = z0 is not INF and abs(z0 - s.value) <= radius
-        if hit:
-            raise SingularTangencyError(
-                f"tangency parameter {z0!r} is within reach of the "
-                f"singular parameter {s!r} of family {family.label()}"
-            )
+            return
+    raise SingularTangencyError(
+        f"tangency parameter {z0!r} is within reach of the "
+        f"singular parameter {s!r} of family {family.label()}"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -228,18 +233,18 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
         return PhasePoint(vertex, vertex)
     q_img = involution(family, p, q)
     try:
-        pair = tangency_points(q_img)
+        zp, zm = tangency_points(q_img)
     except OnConicError:  # Q' on the parabola: its two tangency points collide
         return PhasePoint(q_img, q_img)
-    z_plus, z_minus = _z_param(pair.plus), _z_param(pair.minus)
-    if chordal_distance(z_plus, z_minus) <= 1e-13:
+    if chordal_distance(zp, zm) <= 1e-13:
         raise DegenerateTangencyError(
             f"the tangency candidates of {q_img} coincide; P' is ambiguous"
         )
-    dp = chordal_distance(z_plus, z0)
-    dm = chordal_distance(z_minus, z0)
-    p_new = pair.plus if dp >= dm else pair.minus
-    return PhasePoint(q_img, p_new)
+    if zp is INF or zm is INF:
+        plus = chordal_distance(zp, z0) >= chordal_distance(zm, z0)
+    else:  # chordal distances to z0 with their common factor cancelled
+        plus = abs(zp - z0) ** 2 * (1.0 + abs(zm) ** 2) >= abs(zm - z0) ** 2 * (1.0 + abs(zp) ** 2)
+    return PhasePoint(q_img, conic_point(zp if plus else zm))
 
 
 @dataclass
@@ -282,10 +287,11 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
             return OrbitRecord(points, "hit-singularity", str(exc))
         except (DegenerateTangencyError, SpherePoleError) as exc:
             return OrbitRecord(points, "left-numeric-domain", str(exc))
-        q, p = x
-        if any(c != c for c in q.coords + p.coords):
-            return OrbitRecord(points, "left-numeric-domain", "coordinates became nan")
-        for z, w, t in (q.coords, p.coords):
+        # P first: billiard_map raises before it returns a NaN Q, so a NaN
+        # P reads as nan however large Q is
+        for z, w, t in (x.p.coords, x.q.coords):
+            if z != z or w != w or t != t:
+                return OrbitRecord(points, "left-numeric-domain", "coordinates became nan")
             if t != 0 and max(abs(z / t), abs(w / t)) > DOMAIN_BOUND:
                 return OrbitRecord(
                     points, "left-numeric-domain", "affine coordinates blew up"

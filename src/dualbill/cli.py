@@ -49,12 +49,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+#: a complex value an orbit iterate lacks: null in JSON and two empty
+#: columns in CSV, so that every row of an orbit has the same columns
+_NO_VALUE = object()
+
+
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
 def _json_value(v) -> str:
-    if v is None:
+    if v is None or v is _NO_VALUE:
         return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -94,6 +99,8 @@ def _flatten_csv(v, key: str, row: dict) -> None:
         row[key] = _json_value(v)
     elif v is None:
         row[key] = ""
+    elif v is _NO_VALUE:
+        row[f"{key}_re"] = row[f"{key}_im"] = ""
     else:
         row[key] = str(v)
 
@@ -237,11 +244,11 @@ def cmd_orbit(args) -> int:
             try:
                 record["integral"] = eval_integral(family, x.q)
             except IndeterminacyError:
-                record["integral"] = None
+                record["integral"] = _NO_VALUE
             try:
                 record["parameter"] = curve_parameter(family, x)
             except ValueError:
-                record["parameter"] = None
+                record["parameter"] = _NO_VALUE
             writer.write(record)
         if rec.reason != "completed":
             if args.format == "json":

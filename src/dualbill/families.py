@@ -63,12 +63,15 @@ class FamilySpec:
     f: Callable[[complex], complex] | None = None
     shift: Callable[[int], Fraction] | None = None
     image_of: Image | None = None
-    #: z-parameters of the base points: the singular tangency parameters
-    singular_parameters: tuple[SphereValue, ...] = field(init=False, repr=False)
+    #: the singular tangency parameters (z of the base points): the finite
+    #: ones as plain complex numbers, and whether infinity is one
+    singular_finite: tuple[complex, ...] = field(init=False, repr=False)
+    singular_at_infinity: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        params = tuple(p.z_sphere() for p in self.base_points)
-        object.__setattr__(self, "singular_parameters", params)
+        finite = tuple(p.z / p.t for p in self.base_points if p.t != 0)
+        object.__setattr__(self, "singular_finite", finite)
+        object.__setattr__(self, "singular_at_infinity", len(finite) < len(self.base_points))
 
     @property
     def takes_n(self) -> bool:

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .billiards import BilliardFamily, _involution_z, billiard_map, involution
 from .curves import (
     EllipticModel,
@@ -103,6 +101,9 @@ def halfstep_jacobian(family: BilliardFamily, x: PhasePoint) -> complex:
     return -(ratio**3)
 
 
+_Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
 class _Jet:
     """A complex value with its partial derivatives (d/dz, d/dw): forward-mode
     differentiation through the rational arithmetic of the involution.
@@ -149,14 +150,15 @@ class _Jet:
         return self.v == (o.v if isinstance(o, _Jet) else o)
 
 
-def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[np.ndarray, PhasePoint]:
+def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[_Matrix, PhasePoint]:
     """Differential of the phase map in the (z, w) chart, exact up to rounding.
 
-    Returns the 2x2 matrix and the image phase point.  The involution's own
-    arithmetic runs on jets seeded at Q = (z, w).  The tangency parameter
-    z0 follows Q on the sheet of x through the tangency condition
-    (z - z0)^2 = z^2 - w, so dz0 = (dw/2 - z0 dz)/(z - z0), and the image
-    stays on the tangent line at z0: w* = 2 z0 z* - z0^2.
+    Returns the 2x2 matrix, as rows ((a, b), (c, d)) of complex numbers, and
+    the image phase point.  The involution's own arithmetic runs on jets
+    seeded at Q = (z, w).  The tangency parameter z0 follows Q on the sheet
+    of x through the tangency condition (z - z0)^2 = z^2 - w, so
+    dz0 = (dw/2 - z0 dz)/(z - z0), and the image stays on the tangent line
+    at z0: w* = 2 z0 z* - z0^2.
     """
     off = _chart_offset(x)
     x_img = billiard_map(family, x)
@@ -166,16 +168,20 @@ def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[np.ndarray, P
     if zi is INF:
         raise ValueError("image left the affine chart")
     wi = 2.0 * z0j * zi - z0j * z0j
-    return np.array([[zi.dz, zi.dw], [wi.dz, wi.dw]], dtype=complex), x_img
+    return ((zi.dz, zi.dw), (wi.dz, wi.dw)), x_img
+
+
+def _push(mat: _Matrix, v: tuple[complex, complex]) -> tuple[complex, complex]:
+    """The chart vector v pushed forward by the 2x2 matrix mat."""
+    (a, b), (c, d) = mat
+    return a * v[0] + b * v[1], c * v[0] + d * v[1]
 
 
 def area_pullback_residual(family: BilliardFamily, x: PhasePoint) -> float:
     """Relative defect of area-form invariance under the phase map at x."""
     sample = TangentSample.standard(x)
     mat, x_img = chart_jacobian(family, x)
-    v1 = mat @ np.array(sample.v1)
-    v2 = mat @ np.array(sample.v2)
-    pushed = TangentSample(x_img, (v1[0], v1[1]), (v2[0], v2[1]))
+    pushed = TangentSample(x_img, _push(mat, sample.v1), _push(mat, sample.v2))
     before = area_form(x, sample)
     after = area_form(x_img, pushed)
     return abs(after - before) / max(1e-300, abs(before))
@@ -215,9 +221,8 @@ def fiber_pullback_residual(family: BilliardFamily, x: PhasePoint) -> float:
     """Relative defect of fiber-form invariance along the fiber direction."""
     v = fiber_tangent(family, x)
     mat, x_img = chart_jacobian(family, x)
-    v_img = mat @ np.array(v)
     before = fiber_form(family, x, v)
-    after = fiber_form(family, x_img, (v_img[0], v_img[1]))
+    after = fiber_form(family, x_img, _push(mat, v))
     return abs(after - before) / max(1e-300, abs(before))
 
 

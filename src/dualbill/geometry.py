@@ -29,7 +29,6 @@ __all__ = [
     "on_conic",
     "tangent_line",
     "line_contains",
-    "TangencyPair",
     "tangency_points",
     "tangency_near",
     "b_family_equivalence",
@@ -168,18 +167,16 @@ def on_conic(p: ProjectivePoint) -> bool:
 
 
 def tangent_line(p: ProjectivePoint) -> tuple[complex, complex, complex]:
-    """Homogeneous covector of the projective tangent line to the parabola at p.
+    """Homogeneous covector (-2z, t, w) of the projective tangent line to the
+    parabola at p = [z : w : t], the gradient of w t - z^2 there.
 
     For affine p = (z0, z0^2) this is the line w = 2 z0 z - z0^2; at the
     infinite point E it is the infinity line t = 0.
     """
     if not on_conic(p):
         raise OnConicError(f"{p} is not on the parabola")
-    if p.eq(E_INFINITY):
-        return (0j, 0j, _ONE)
-    z, _, t = p.coords
-    z0 = z / t
-    return (-2.0 * z0, _ONE, z0 * z0)
+    z, w, t = p.coords
+    return (-2.0 * z, t, w)
 
 
 def line_contains(line: Sequence[complex], p: ProjectivePoint) -> bool:
@@ -197,7 +194,8 @@ class PhasePoint(NamedTuple):
     def validate(self) -> None:
         if not on_conic(self.p):
             raise ValueError(f"P = {self.p} is not on the parabola")
-        if not line_contains(tangent_line(self.p), self.q):
+        z, w, t = self.p.coords
+        if not line_contains((-2.0 * z, t, w), self.q):  # tangent_line(P)
             raise ValueError(f"Q = {self.q} is not on the tangent line at {self.p}")
 
     def z0(self) -> SphereValue:
@@ -207,23 +205,14 @@ class PhasePoint(NamedTuple):
         return self.q.z_sphere()
 
 
-class TangencyPair(NamedTuple):
-    plus: ProjectivePoint
-    minus: ProjectivePoint
-    near_branch: bool
+def tangency_points(q: ProjectivePoint) -> tuple[complex | SphereValue, complex | SphereValue]:
+    """The parameters (z+, z-) of the two points of the parabola whose
+    tangent lines pass through q.
 
-
-#: |z^2 - w| below this marks a point as near the tangency branch locus
-NEAR_BRANCH_THRESHOLD = 1e-4
-
-
-def tangency_points(q: ProjectivePoint) -> TangencyPair:
-    """The two points of the parabola whose tangent lines pass through q.
-
-    For affine q = (z, w) the tangency parameters are z +/- sqrt(z^2 - w)
-    (principal branch).  A point on the infinity line other than E has the
-    pair (E, (c/2, c^2/4)) where [1 : c : 0].  Points on the parabola itself
-    are rejected: the two tangency points collide there.
+    For affine q = (z, w) they are z +/- sqrt(z^2 - w) (principal branch).
+    A point [1 : c : 0] of the infinity line other than E has the pair
+    (INF, c/2): E and (c/2, c^2/4).  Points on the parabola itself are
+    rejected: the two tangency points collide there.
     """
     if on_conic(q):
         raise OnConicError(f"{q} lies on the parabola; tangency points collide")
@@ -231,21 +220,16 @@ def tangency_points(q: ProjectivePoint) -> TangencyPair:
     if t == 0:
         # lines through [1 : c : 0]: the infinity line (tangent at E) and the
         # affine tangent line with direction slope c = 2 z0
-        c = w / z
-        return TangencyPair(E_INFINITY, conic_point(c / 2.0), False)
+        return INF, w / z / 2.0
     z, w = z / t, w / t
-    disc = z * z - w
-    s = principal_sqrt(disc)
-    near = abs(disc) < NEAR_BRANCH_THRESHOLD
-    return TangencyPair(conic_point(z + s), conic_point(z - s), near)
+    s = principal_sqrt(z * z - w)
+    return z + s, z - s
 
 
 def tangency_near(q: ProjectivePoint, hint: SphereValue | complex) -> ProjectivePoint:
     """Tangency point of q whose parameter is nearest to ``hint`` (chordal)."""
-    pair = tangency_points(q)
-    dp = chordal_distance(pair.plus.z_sphere(), hint)
-    dm = chordal_distance(pair.minus.z_sphere(), hint)
-    return pair.plus if dp <= dm else pair.minus
+    zp, zm = tangency_points(q)
+    return conic_point(zp if chordal_distance(zp, hint) <= chordal_distance(zm, hint) else zm)
 
 
 class ProjectiveMap:

@@ -205,6 +205,55 @@ class TestOrbit:
         assert sphere_eq(1e12, INF)
         assert not sphere_eq(0.99e12, INF)
 
+    # iterates pinned repr-exact (signed zeros included) with the stop, so
+    # that a cheaper phase map is seen to be the same map
+    @pytest.mark.parametrize(
+        "fam, lam, tau, branch, steps, pins, stop",
+        [
+            (
+                BilliardFamily("d"), 1.0, 1.3, "+", 500,
+                {
+                    0: "(((-0.06640322537580436+0j), (-0.36479600015439906+0j), (1+0j)), "
+                    "((0.5412195099581436+0j), (0.2929185579593331+0j), (1+0j)))",
+                    250: "(((-0.18690436883553485+0j), (-0.40310784891330026+0j), (1+0j)), "
+                    "((0.4749423596470572+0j), (0.22557024498711464+0j), (1+0j)))",
+                    500: "(((0.07820911025533911+0j), (-0.04626999671792181+0j), (1+0j)), "
+                    "((-0.15067221629808158+0j), (0.022702116764175884-0j), (1+0j)))",
+                },
+                ("completed", ""),
+            ),
+            (
+                BilliardFamily("a1", 1), 1.0, 1.7, "+", 500,
+                {
+                    0: "(((-0-0.035964450198756485j), (1+0j), (-0.0008458840040161933-0j)), "
+                    "(-0.01480889125831149j, (1+0j), (-0.00021930326030049447+0j)))",
+                    250: "((-2.3281243447191762e-08j, (1+0j), (-5.41997175909021e-16-0j)), "
+                    "(-2.3142966412264283e-08j, (1+0j), (-5.355968943591927e-16+0j)))",
+                    500: "((-2.95459347707504e-09j, (1+0j), (-8.72954484346106e-18-0j)), "
+                    "(-2.9457746725463127e-09j, (1+0j), (-8.677588421415337e-18+0j)))",
+                },
+                ("completed", ""),
+            ),
+            (
+                BilliardFamily("a1", 1), 1.0, 2.3333333333333335, "-", 10,
+                {2: "(((1+0j), -0j, -0.12499999999999992j), (0j, -0j, (1+0j)))"},
+                (
+                    "hit-singularity",
+                    "tangency parameter 0j is within reach of the singular "
+                    "parameter 0j of family a1(1)",
+                ),
+            ),
+        ],
+        ids=["d", "a1(1)", "a1(1)-stop"],
+    )
+    def test_iterates_are_pinned(self, fam, lam, tau, branch, steps, pins, stop):
+        rec = orbit(fam, lift_fiber(fam, lam, tau, branch), steps)
+        assert (rec.reason, rec.detail) == stop
+        assert rec.steps_taken == max(pins)
+        for k, want in pins.items():
+            x = rec.points[k]
+            assert repr((x.q.coords, x.p.coords)) == want
+
     @staticmethod
     def _progression_deviation(fam, z0, offset):
         from dualbill.integrals import eval_integral

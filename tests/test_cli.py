@@ -68,6 +68,36 @@ class TestOrbit:
         code, _ = run_cli(["orbit", "--family", "b1", "--steps", "5"], capsys)
         assert code == 2
 
+    ORBIT_COLUMNS = [
+        "index", "q_z_re", "q_z_im", "q_w_re", "q_w_im", "p_z_re", "p_z_im",
+        "integral_re", "integral_im", "parameter_re", "parameter_im",
+    ]
+
+    @pytest.mark.parametrize("tag, n", [("a1", 2), ("a1", 3), ("a2", 2), ("a2", 3)])
+    def test_csv_columns_stay_fixed_at_base_points(self, tag, n, capsys):
+        # these orbits pass through base points, where the integral has no value
+        code, out = run_cli(
+            ["orbit", "--family", tag, "--n", str(n), "--lambda", "3",
+             "--steps", "60", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == self.ORBIT_COLUMNS
+        assert rows and all(len(r) == len(header) for r in rows)
+        blank = [r for r in rows if r[7] == r[8] == ""]
+        assert blank and all(r[1] != "" for r in blank)
+
+    def test_c_family_csv_has_the_same_columns(self, capsys):
+        code, out = run_cli(
+            ["orbit", "--family", "c1", "--lambda", "1", "--steps", "3", "--format", "csv"],
+            capsys,
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == self.ORBIT_COLUMNS
+        assert all(r[9] == r[10] == "" for r in rows)
+
     def test_csv_json_payload_identity(self, capsys):
         _, out_json = run_cli(
             ["orbit", "--family", "b1", "--lambda", "2", "--steps", "10",

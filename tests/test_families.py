@@ -34,14 +34,13 @@ def test_rho_is_two_minus_the_translation(n):
 @pytest.mark.parametrize("tag", ALL_FAMILY_TAGS)
 def test_singular_parameters_are_the_base_points(tag):
     fam = BilliardFamily.parse(tag)
-    params = fam.spec.singular_parameters
-    points = indeterminacy_set(fam)
-    assert len(params) == len(points)
-    for s, p in zip(params, points):
-        z = p.z_sphere()
-        assert s.is_inf == z.is_inf
-        if not s.is_inf:
-            assert abs(s.value - z.value) <= 1e-15
+    spec = fam.spec
+    zs = [p.z_sphere() for p in indeterminacy_set(fam)]
+    finite = [z.value for z in zs if not z.is_inf]
+    assert spec.singular_at_infinity == any(z.is_inf for z in zs)
+    assert len(spec.singular_finite) == len(finite)
+    for s, z in zip(spec.singular_finite, finite):
+        assert type(s) is complex and abs(s - z) <= 1e-15
 
 
 @pytest.mark.parametrize("tag", ALL_FAMILY_TAGS)

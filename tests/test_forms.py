@@ -310,7 +310,7 @@ class TestChartJacobianOracle:
                     cols.append((complex((zp - zm) / (2 * h)), complex((wp - wm) / (2 * h))))
                 want = np.array(cols).T
                 got, _ = chart_jacobian(fam, x)
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert np.abs(np.array(got) - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("tag", ALL_FAMILY_TAGS)
     def test_suite_residuals_are_rounding_level(self, tag):

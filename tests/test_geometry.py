@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -21,6 +22,7 @@ from dualbill.geometry import (
     tangent_line,
 )
 from dualbill.integrals import eval_integral, indeterminacy_set
+from dualbill.numerics import INF
 
 
 class TestProjectivePoint:
@@ -100,18 +102,14 @@ class TestTangentLine:
 
 class TestTangencyPoints:
     def test_example_basic(self):
-        pair = tangency_points(ProjectivePoint.affine(0.0, -1.0))
-        zs = sorted((pair.plus.z_sphere().value.real, pair.minus.z_sphere().value.real))
+        zs = sorted(z.real for z in tangency_points(ProjectivePoint.affine(0.0, -1.0)))
         assert zs == pytest.approx([-1.0, 1.0])
 
     def test_example_8i(self):
-        pair = tangency_points(ProjectivePoint.affine(8j, 0.0))
-        assert pair.plus.eq(ProjectivePoint.affine(16j, -256.0))
-        assert pair.minus.eq(conic_point(0.0))
+        assert tangency_points(ProjectivePoint.affine(8j, 0.0)) == (16j, 0j)
 
     def test_symmetric_pair(self):
-        pair = tangency_points(ProjectivePoint.affine(0.0, 1.0))
-        got = {pair.plus.z_sphere().value, pair.minus.z_sphere().value}
+        got = set(tangency_points(ProjectivePoint.affine(0.0, 1.0)))
         assert any(abs(g - 1j) < 1e-14 for g in got)
         assert any(abs(g + 1j) < 1e-14 for g in got)
 
@@ -120,9 +118,9 @@ class TestTangencyPoints:
             tangency_points(conic_point(1.5))
 
     def test_infinity_line_point(self):
-        pair = tangency_points(ProjectivePoint(1.0, 4.0, 0.0))
-        assert pair.plus.eq(E_INFINITY)
-        assert pair.minus.eq(conic_point(2.0))
+        # [1 : c : 0] has the tangency parameters inf (the point E) and c/2
+        zp, zm = tangency_points(ProjectivePoint(1.0, 4.0, 0.0))
+        assert zp is INF and zm == 2.0
 
     def test_incidence_property(self):
         rng = random.Random(5)
@@ -133,17 +131,12 @@ class TestTangencyPoints:
             if abs(z * z - w) < 1e-4:
                 continue
             q = ProjectivePoint.affine(z, w)
-            pair = tangency_points(q)
-            for p in (pair.plus, pair.minus):
-                line = tangent_line(p)
+            for z0 in tangency_points(q):
+                line = tangent_line(conic_point(z0))
                 res = abs(np.dot(line, q.coords))
                 scale = float(np.linalg.norm(line) * np.linalg.norm(q.coords))
                 assert res <= 1e-10 * scale
             checked += 1
-
-    def test_near_branch_flag(self):
-        q = ProjectivePoint.affine(1.0, 1.0 - 1e-6)
-        assert tangency_points(q).near_branch
 
 
 class TestEquivalences:
@@ -265,3 +258,61 @@ class TestPhasePoint:
         PhasePoint(ProjectivePoint.affine(0.0, -1.0), p).validate()
         with pytest.raises(ValueError):
             PhasePoint(ProjectivePoint.affine(0.0, 0.5), p).validate()
+
+    @staticmethod
+    def _affine_incidence(x):
+        """The incidence test with the tangent covector taken in the affine
+        chart: the infinity line at E, else (-2 z0, 1, z0^2)."""
+        if x.p.eq(E_INFINITY):
+            line = (0j, 0j, 1 + 0j)
+        else:
+            z, _, t = x.p.coords
+            z0 = z / t
+            line = (-2.0 * z0, 1 + 0j, z0 * z0)
+        return line_contains(line, x.q)
+
+    @staticmethod
+    def _displaced(q, p, rel):
+        """q moved off the tangent line at p, along its normal, by rel |q|."""
+        u = tangent_line(p)
+        nu = math.hypot(*map(abs, u))
+        nq = math.hypot(*map(abs, q.coords))
+        return ProjectivePoint(*(c + rel * nq * a.conjugate() / nu for c, a in zip(q.coords, u)))
+
+    def _cases(self):
+        rng = random.Random(67)
+        for _ in range(400):
+            # tangency points out to |z0| = 1e8, Q affine or on the infinity line
+            z0 = 10 ** rng.uniform(-2, 8) * cmath.exp(2j * math.pi * rng.random())
+            if rng.random() < 0.2:
+                yield ProjectivePoint(1.0, 2 * z0, 0.0), conic_point(z0)
+                continue
+            u = max(1.0, abs(z0)) * 10 ** rng.uniform(-2, 1) * cmath.exp(2j * math.pi * rng.random())
+            z = z0 + u
+            yield ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0), conic_point(z0)
+        for _ in range(50):  # P = E: Q on the infinity line
+            yield ProjectivePoint(1.0, complex(rng.gauss(0, 3), rng.gauss(0, 3)), 0.0), E_INFINITY
+        yield E_INFINITY, E_INFINITY
+
+    def _accepts(self, x):
+        try:
+            x.validate()
+        except ValueError:
+            return False
+        return True
+
+    def test_incidence_matches_the_affine_formula(self):
+        rng = random.Random(68)
+        outcomes = set()
+        for q, p in self._cases():
+            for rel in (0.0, 10 ** rng.uniform(-12, -6)):
+                x = PhasePoint(self._displaced(q, p, rel) if rel else q, p)
+                got = self._accepts(x)
+                assert got == self._affine_incidence(x), (x, rel)
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+    def test_displaced_q_is_rejected(self):
+        for q, p in self._cases():
+            assert self._accepts(PhasePoint(q, p))
+            assert not self._accepts(PhasePoint(self._displaced(q, p, 1e-6), p))
