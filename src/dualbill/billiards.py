@@ -93,10 +93,12 @@ class BilliardFamily:
 
     @staticmethod
     def parse(tag: str, n: int | None = None) -> "BilliardFamily":
+        """The family of a tag; an a-family without N takes N = 1, and an N
+        given to another family is refused."""
         tag = tag.lower()
-        if tag in FAMILIES and FAMILIES[tag].takes_n:
-            return BilliardFamily(tag, 1 if n is None else n)
-        return BilliardFamily(tag)
+        if n is None and tag in FAMILIES and FAMILIES[tag].takes_n:
+            n = 1
+        return BilliardFamily(tag, n)
 
 
 def f_coefficient(family: BilliardFamily, z0: complex | SphereValue) -> SphereValue:
@@ -120,16 +122,21 @@ def _z_param(pt: ProjectivePoint) -> complex | SphereValue:
 
 
 def _mobius(a, b, c, d, x: complex | SphereValue) -> complex | SphereValue:
-    """(a x + b)/(c x + d) on the sphere, x a complex number or INF."""
+    """(a x + b)/(c x + d) on the sphere, x a complex number or INF.
+
+    The pole is found by the division raising, as Python numbers and jets
+    do; numpy arrays divide without raising, so the same code runs on lanes.
+    """
     if x is INF:
         return a / c if c != 0 else INF
     num = a * x + b
     den = c * x + d
-    if den == 0:
+    try:
+        return num / den
+    except ZeroDivisionError:
         if num == 0:
-            raise SpherePoleError("degenerate Moebius evaluation")
+            raise SpherePoleError("degenerate Moebius evaluation") from None
         return INF
-    return num / den
 
 
 def _point_on_tangent(z0: complex, z1: complex | SphereValue) -> ProjectivePoint:
@@ -199,8 +206,10 @@ def _involution_z(family: BilliardFamily, z0, z1):
     """z-coordinate of the involution image of the point z1 (a number or
     INF) of the tangent line at the nonsingular parameter z0.
 
-    Pure arithmetic on z0 and z1, so number types other than complex, such
-    as the derivative jets of :mod:`dualbill.forms`, pass through it.
+    Pure arithmetic on z0 and z1, so number types other than complex pass
+    through it: the derivative jets of :mod:`dualbill.forms`, and numpy
+    arrays of lanes.  On a lane a pole gives no INF but a non-finite value,
+    or a huge one where numpy's rounding leaves the denominator nonzero.
     """
     if family.is_a:
         # z0 != 0: the vertex is a singular parameter of both a-families

@@ -209,8 +209,15 @@ def _seed_of(args) -> int:
     return int(env) if env else 42
 
 
+def _family_of(args) -> BilliardFamily:
+    try:
+        return BilliardFamily.parse(args.family, args.n)
+    except ValueError as exc:  # an N given to a family without one
+        raise UsageError(str(exc)) from exc
+
+
 def cmd_orbit(args) -> int:
-    family = BilliardFamily.parse(args.family, args.n)
+    family = _family_of(args)
     if args.lam is None or args.lam.is_inf:
         raise UsageError("orbit needs a finite --lambda")
     lam = args.lam.value
@@ -269,6 +276,8 @@ def cmd_orbit(args) -> int:
 
 def _named_check(name: str, args, seed: int):
     if name == "equivalences":
+        if args.lam is not None:
+            raise ValueError("check 'equivalences' has no level: it takes no lambda")
         return [check_equivalences(seed, corrupt=args.corrupt)]
     if args.family is None:
         raise ValueError(
@@ -300,7 +309,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    family = BilliardFamily.parse(args.family, args.n)
+    family = _family_of(args)
     if args.lam is None:
         raise UsageError("curve needs --lambda")
     lam = args.lam

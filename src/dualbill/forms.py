@@ -150,25 +150,35 @@ class _Jet:
         return self.v == (o.v if isinstance(o, _Jet) else o)
 
 
-def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[_Matrix, PhasePoint]:
-    """Differential of the phase map in the (z, w) chart, exact up to rounding.
+def _chart_derivative(family: BilliardFamily, z0, z) -> tuple:
+    """The involution image z* of the point z of the tangent line at z0, and
+    the differential of Q = (z, w) -> (z*, w*) as rows ((a, b), (c, d)).
 
-    Returns the 2x2 matrix, as rows ((a, b), (c, d)) of complex numbers, and
-    the image phase point.  The involution's own arithmetic runs on jets
-    seeded at Q = (z, w).  The tangency parameter z0 follows Q on the sheet
-    of x through the tangency condition (z - z0)^2 = z^2 - w, so
-    dz0 = (dw/2 - z0 dz)/(z - z0), and the image stays on the tangent line
-    at z0: w* = 2 z0 z* - z0^2.
+    The involution's own arithmetic runs on jets seeded at Q.  The tangency
+    parameter z0 follows Q through the tangency condition
+    (z - z0)^2 = z^2 - w, so dz0 = (dw/2 - z0 dz)/(z - z0), and the image
+    stays on the tangent line at z0: w* = 2 z0 z* - z0^2.  Works on Python
+    numbers and on numpy arrays of lanes alike.
     """
-    off = _chart_offset(x)
-    x_img = billiard_map(family, x)
-    z0 = x.p.z_sphere().value
+    off = z - z0
     z0j = _Jet(z0, -z0 / off, 0.5 / off)
-    zi = _involution_z(family, z0j, _Jet(x.q.z_sphere().value, 1.0, 0.0))
+    zi = _involution_z(family, z0j, _Jet(z, 1.0, 0.0))
     if zi is INF:
         raise ValueError("image left the affine chart")
     wi = 2.0 * z0j * zi - z0j * z0j
-    return ((zi.dz, zi.dw), (wi.dz, wi.dw)), x_img
+    return zi.v, ((zi.dz, zi.dw), (wi.dz, wi.dw))
+
+
+def chart_jacobian(family: BilliardFamily, x: PhasePoint) -> tuple[_Matrix, PhasePoint]:
+    """Differential of the phase map in the (z, w) chart, exact up to rounding.
+
+    Returns the 2x2 matrix, as rows ((a, b), (c, d)) of complex numbers (see
+    :func:`_chart_derivative`), and the image phase point.
+    """
+    _chart_offset(x)  # raises unless Q and P are affine and Q is off the parabola
+    x_img = billiard_map(family, x)
+    mat = _chart_derivative(family, x.p.z_sphere().value, x.q.z_sphere().value)[1]
+    return mat, x_img
 
 
 def _push(mat: _Matrix, v: tuple[complex, complex]) -> tuple[complex, complex]:

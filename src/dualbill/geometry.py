@@ -67,8 +67,9 @@ class ProjectivePoint:
 
     ``coords`` is a tuple of three Python complex numbers, the canonical
     representative: the first coordinate of largest modulus (the pivot) is
-    exactly 1 and the other two are divided by it.  A NaN coordinate makes
-    every coordinate NaN.  Equality is projective (up to a nonzero scalar).
+    exactly 1 and the other two are divided by it.  A NaN coordinate, or a
+    NaN quotient (two infinite inputs), makes every coordinate NaN.
+    Equality is projective (up to a nonzero scalar).
     """
 
     __slots__ = ("coords",)
@@ -81,12 +82,16 @@ class ProjectivePoint:
             raise ValueError("homogeneous coordinates must not all vanish")
         if total != total:
             self.coords = (_NAN, _NAN, _NAN)
-        elif az >= aw and az >= at:
-            self.coords = (_ONE, w / z, t / z)
+            return
+        if az >= aw and az >= at:
+            coords = (_ONE, w / z, t / z)
         elif aw >= at:
-            self.coords = (z / w, _ONE, t / w)
+            coords = (z / w, _ONE, t / w)
         else:
-            self.coords = (z / t, w / t, _ONE)
+            coords = (z / t, w / t, _ONE)
+        if total == math.inf and any(c != c for c in coords):
+            coords = (_NAN, _NAN, _NAN)  # such as inf/inf from two infinite inputs
+        self.coords = coords
 
     @staticmethod
     def affine(z: complex, w: complex) -> "ProjectivePoint":

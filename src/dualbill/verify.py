@@ -10,8 +10,17 @@ Every check turns residuals into a verdict by one rule: it keeps the worst
 residual with a witness of its sample and passes when that worst is within
 its bound.  A NaN residual becomes the worst and stays the worst, so it
 fails.  A sample whose residual cannot be computed is dropped and counted
-per exception class; a check that evaluates no sample fails, with those
-counts as its witness.
+per exception class; a check that evaluates fewer samples than its floor
+fails, with those counts as its witness.  The floor is one sample, and half
+the samples for the sampled checks (involution, area, jacobian).
+
+The involution and jacobian checks run their samples as lanes: numpy arrays
+passed once through the involution's own arithmetic
+(``billiards._involution_z``, and the jets of ``forms._chart_derivative``).
+Every operation is elementwise, so a lane's residual does not depend on the
+size or order of its batch.  A lane whose residual is not finite, or whose
+image is at infinity on the sphere, is evaluated again on Python numbers,
+where the involution's pole gives INF as in the scalar path.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .billiards import (
     ALL_FAMILY_TAGS,
     BilliardFamily,
     PhasePoint,
+    _involution_z,
     billiard_map,
     involution,
     orbit,
@@ -44,7 +54,7 @@ from .curves import (
     lift_fiber,
     point_on_level,
 )
-from .forms import abel_steps, area_pullback_residual, chart_jacobian, halfstep_jacobian
+from .forms import _chart_derivative, abel_steps, area_pullback_residual
 from .geometry import (
     E_INFINITY,
     EPS_CUBE_ROOT,
@@ -61,7 +71,7 @@ from .integrals import (
     gradient_hessian_projective,
     indeterminacy_set,
 )
-from .numerics import INF, SphereValue
+from .numerics import INF, INF_THRESHOLD, SphereValue
 
 __all__ = [
     "CheckReport",
@@ -131,13 +141,15 @@ class _Residuals:
             self.witness = witness()
 
     def report(
-        self, name: str, family: BilliardFamily | None, params: dict, bound: float
+        self, name: str, family: BilliardFamily | None, params: dict, bound: float,
+        floor: float = 1,
     ) -> CheckReport:
-        """Pass when the worst residual is within ``bound``; with nothing
-        evaluated, fail whatever the worst is.  The params gain the count
-        of evaluated samples and the dropped ones by exception class."""
+        """Pass when the worst residual is within ``bound``; with fewer than
+        ``floor`` samples evaluated, fail whatever the worst is.  The params
+        gain the count of evaluated samples and the dropped ones by
+        exception class."""
         counts = {"evaluated": self.evaluated, "dropped": dict(sorted(self.dropped.items()))}
-        if not self.evaluated:
+        if self.evaluated < floor:
             status, witness = "fail", counts
         elif self.worst <= bound:
             status, witness = "pass", None
@@ -157,6 +169,18 @@ def _worse(*residuals: float) -> float:
 SINGULAR_GUARD = 0.2
 
 
+def _draw(family: BilliardFamily, rng: random.Random) -> tuple[complex, complex]:
+    """One draw of the tangency parameter z0 and the offset u of
+    :func:`sample_phase_point`, before its conditioning."""
+    while True:
+        r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
+        z0 = r * cmath.exp(2j * math.pi * rng.random())
+        if any(abs(z0 - s) < SINGULAR_GUARD for s in family.spec.singular_finite):
+            continue
+        ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
+        return z0, ur * cmath.exp(2j * math.pi * rng.random())
+
+
 def sample_phase_point(
     family: BilliardFamily, rng: random.Random, *, conditioned: bool = True
 ) -> PhasePoint:
@@ -169,12 +193,7 @@ def sample_phase_point(
     scaled.
     """
     while True:
-        r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
-        z0 = r * cmath.exp(2j * math.pi * rng.random())
-        if any(abs(z0 - s) < SINGULAR_GUARD for s in family.spec.singular_finite):
-            continue
-        ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
-        u = ur * cmath.exp(2j * math.pi * rng.random())
+        z0, u = _draw(family, rng)
         z = z0 + u
         x = PhasePoint(
             ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0), conic_point(z0)
@@ -194,23 +213,67 @@ def sample_phase_point(
 
 def _sampled(
     kind: str, family: BilliardFamily, samples: int, seed: int, bound: float,
-    residual: Callable[[PhasePoint], float], *, conditioned: bool = True,
-    where: Callable[[PhasePoint], dict] = lambda x: {"q": repr(x.q), "p": repr(x.p)},
+    residual: Callable[[PhasePoint], float],
 ) -> CheckReport:
-    """Evaluate ``residual`` on random phase points; a sample whose residual
-    raises is dropped, and the witness is ``where`` of the worst sample."""
+    """Evaluate ``residual`` on random phase points one at a time; a sample
+    whose residual raises is dropped, and the witness is the worst sample."""
     name = f"{kind}:{family.label()}"
     rng = _rng_for(seed, name)
     acc = _Residuals()
     for k in range(samples):
-        x = sample_phase_point(family, rng, conditioned=conditioned)
+        x = sample_phase_point(family, rng)
         try:
             res = residual(x)
         except Exception as exc:
             acc.dropped[type(exc).__name__] += 1
             continue
-        acc.note(res, lambda: {"sample": k, **where(x)})
-    return acc.report(name, family, {"samples": samples, "seed": seed}, bound)
+        acc.note(res, lambda: {"sample": k, "q": repr(x.q), "p": repr(x.p)})
+    return acc.report(name, family, {"samples": samples, "seed": seed}, bound, samples / 2)
+
+
+def _laned(
+    name: str, family: BilliardFamily, seed: int, bound: float,
+    residual: Callable, lanes: tuple[list, ...], where: Callable[[int], dict],
+) -> CheckReport:
+    """Evaluate ``residual``, which returns each lane's residual and image,
+    once on numpy arrays of every lane.
+
+    The arrays are fresh and contiguous: numpy's complex ``abs`` rounds
+    differently on a strided view.  A lane whose residual is not finite, or
+    whose image has modulus INF_THRESHOLD or more, is evaluated again on
+    Python numbers: on the involution's pole numpy gives a non-finite image,
+    or a huge one where its rounding leaves the denominator nonzero, and
+    Python numbers give INF, as the scalar path does.  A call that raises
+    drops its lanes under the exception class: every lane for the batched
+    call.  The witness is the first worst lane, its index and ``where``.
+    """
+    samples = len(lanes[0])
+    acc = _Residuals()
+    try:
+        with np.errstate(all="ignore"):
+            res, image = residual(*map(np.array, lanes))
+            again = ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
+    except Exception as exc:
+        acc.dropped[type(exc).__name__] += samples
+        res = again = np.empty(0)
+    for k, r in enumerate(res.tolist()):
+        if again[k]:
+            try:
+                r = float(residual(*(lane[k] for lane in lanes))[0])
+            except Exception as exc:
+                acc.dropped[type(exc).__name__] += 1
+                continue
+        acc.note(r, lambda: {"sample": k, **where(k)})
+    params = {"samples": samples, "seed": seed}
+    return acc.report(name, family, params, bound, samples / 2)
+
+
+def _gap(value, target, shift: float = 0.0):
+    """|value + shift - target| relative to max(1, |target|), on lanes or
+    Python numbers; infinite when the value is INF."""
+    if value is INF:
+        return math.inf
+    return abs(value + shift - target) / np.maximum(1.0, abs(target))
 
 
 def _skipped(name: str, family: BilliardFamily, params: dict, rec, worst=0.0) -> CheckReport:
@@ -219,28 +282,31 @@ def _skipped(name: str, family: BilliardFamily, params: dict, rec, worst=0.0) ->
     return CheckReport(name, family.label(), params, "skipped", worst, witness)
 
 
+def _involution_residual(family: BilliardFamily, z0, z1, shift: float = 0.0):
+    """The worse of the relative defects of sigma_P o sigma_P = id at the
+    point z1 of the tangent line at P = (z0, z0^2) and of sigma_P(P) = P;
+    ``shift`` is added to the image of z1 twice mapped.  Returns that
+    residual and the image of z1."""
+    once = _involution_z(family, z0, z1)
+    twice = _involution_z(family, z0, once)
+    fixed = _involution_z(family, z0, z0)
+    return np.maximum(_gap(twice, z1, shift), _gap(fixed, z0)), once
+
+
 def check_involution(
     family: BilliardFamily, samples: int = 1000, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
     """sigma_P o sigma_P = id and sigma_P(P) = P on random samples."""
-
-    def residual(x: PhasePoint) -> float:
-        once = involution(family, x.p, x.q)
-        twice = involution(family, x.p, once)
-        z_in = x.q.z_sphere()
-        z_back = twice.z_sphere()
-        if z_in.is_inf or z_back.is_inf:
-            res = 0.0 if z_in.is_inf and z_back.is_inf else math.inf
-        else:
-            back = z_back.value + (1e-3 if corrupt else 0.0)
-            res = abs(back - z_in.value) / max(1.0, abs(z_in.value))
-        fixed = involution(family, x.p, x.p)
-        z0 = x.p.z_sphere().value
-        return _worse(res, abs(fixed.z_sphere().value - z0) / max(1.0, abs(z0)))
-
-    return _sampled(
-        "involution", family, samples, seed, 1e-9, residual, conditioned=False,
-        where=lambda x: {"z0": repr(x.p.z_sphere().value), "z1": repr(x.q.z_sphere())},
+    name = f"involution:{family.label()}"
+    rng = _rng_for(seed, name)
+    draws = [_draw(family, rng) for _ in range(samples)]
+    z0s = [z0 for z0, _ in draws]
+    z1s = [z0 + u for z0, u in draws]
+    shift = 1e-3 if corrupt else 0.0
+    return _laned(
+        name, family, seed, 1e-9,
+        lambda z0, z1: _involution_residual(family, z0, z1, shift), (z0s, z1s),
+        lambda k: {"z0": repr(z0s[k]), "z1": repr(z1s[k])},
     )
 
 
@@ -414,21 +480,32 @@ def check_area_form(
     return _sampled("area", family, samples, seed, 1e-6, residual)
 
 
+def _jacobian_residual(family: BilliardFamily, z0, z, corrupt: bool = False):
+    """Relative defect between the closed-form half-step Jacobian
+    -((z* - z0)/(z - z0))^3 and the determinant of the chart Jacobian of the
+    implemented involution at the point z of the tangent line at z0.
+    Returns that residual and the image z*."""
+    z_img, ((a, b), (c, d)) = _chart_derivative(family, z0, z)
+    closed = -(((z_img - z0) / (z - z0)) ** 3)
+    if corrupt:
+        closed = closed * (1 + 1e-3)
+    return abs(closed - (a * d - b * c)) / np.maximum(1.0, abs(closed)), z_img
+
+
 def check_jacobian(
     family: BilliardFamily, samples: int = 200, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
     """Closed-form half-step Jacobian against the chart Jacobian of the
     implemented map."""
-
-    def residual(x: PhasePoint) -> float:
-        closed = halfstep_jacobian(family, x)
-        (a, b), (c, d) = chart_jacobian(family, x)[0]
-        det = a * d - b * c
-        if corrupt:
-            closed *= 1 + 1e-3
-        return abs(closed - det) / max(1.0, abs(closed))
-
-    return _sampled("jacobian", family, samples, seed, 1e-6, residual)
+    name = f"jacobian:{family.label()}"
+    rng = _rng_for(seed, name)
+    xs = [sample_phase_point(family, rng) for _ in range(samples)]
+    lanes = ([x.p.z_sphere().value for x in xs], [x.q.z_sphere().value for x in xs])
+    return _laned(
+        name, family, seed, 1e-6,
+        lambda z0, z: _jacobian_residual(family, z0, z, corrupt), lanes,
+        lambda k: {"q": repr(xs[k].q), "p": repr(xs[k].p)},
+    )
 
 
 # --------------------------------------------------------------------------
@@ -634,9 +711,10 @@ def checks_for(
     """The named checks of one kind on one family.
 
     Without ``lam`` these are the frozen cases of the family; with it, that
-    level.  A family with no frozen translation case runs lambda = 1.0 from
-    tau = 1.7, and b2's Abel check takes b1's case.  The entries look the
-    check functions up in this module when they run.
+    level; the kinds without a level (involution, area, jacobian, tables)
+    refuse one.  A family with no frozen translation case runs lambda = 1.0
+    from tau = 1.7, and b2's Abel check takes b1's case.  The entries look
+    the check functions up in this module when they run.
     """
     label = family.label()
     single = {
@@ -646,6 +724,8 @@ def checks_for(
         "tables": lambda: check_tables(family, seed, corrupt=corrupt),
     }
     if kind in single:
+        if lam is not None:
+            raise ValueError(f"check {kind!r} has no level: it takes no lambda")
         return [(f"{kind}:{label}", single[kind])]
     if kind == "conservation":
         # a given level finds its frozen start inside check_conservation

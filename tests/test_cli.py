@@ -400,6 +400,24 @@ class TestBadInput:
             ["orbit", "--family", "b1", "--lambda", "2", "--abs-eps", "0"], capsys
         )
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "involution", "--family", "b1", "--n", "2"],
+            ["orbit", "--family", "b1", "--n", "3", "--lambda", "2"],
+            ["curve", "--family", "d", "--n", "2", "--lambda", "1", "--branch-points"],
+        ],
+        ids=["check", "orbit", "curve"],
+    )
+    def test_n_for_a_family_without_one(self, args, capsys):
+        err = self.usage_error(args, capsys)
+        assert "takes no N" in err
+
+    @pytest.mark.parametrize("kind", ["involution", "area", "jacobian", "tables", "equivalences"])
+    def test_lambda_for_a_check_without_a_level(self, kind, capsys):
+        err = self.usage_error(["check", kind, "--family", "b1", "--lambda", "2"], capsys)
+        assert "no level" in err
+
     def test_zero_n(self, capsys):
         self.usage_error(["orbit", "--family", "a1", "--n", "0", "--lambda", "1"], capsys)
 

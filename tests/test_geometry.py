@@ -53,6 +53,14 @@ class TestProjectivePoint:
         for v in ((math.nan, 1.0, 1.0), (1.0, complex(0.0, math.nan), 1.0), (0.0, 0.0, math.nan)):
             assert all(c != c for c in ProjectivePoint(*v).coords)
 
+    def test_infinite_inputs(self):
+        # two infinite inputs divide to NaN: every coordinate is NaN, and
+        # the point is not on the infinity line
+        p = ProjectivePoint(math.inf, math.inf, 1.0)
+        assert all(c != c for c in p.coords) and not p.is_infinite
+        # one infinite input is the point at infinity in its direction
+        assert ProjectivePoint(math.inf, 1.0, 1.0).coords == (1, 0, 0)
+
     def test_projective_equality(self):
         assert ProjectivePoint(1, 2, 3).eq(ProjectivePoint(2, 4, 6))
         assert not ProjectivePoint(1, 2, 3).eq(ProjectivePoint(1, 2, 4))

@@ -1,12 +1,14 @@
 import json
 import math
-from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from dualbill import cli, verify
-from dualbill.billiards import BilliardFamily
-from dualbill.numerics import SphereValue
+from dualbill.billiards import BilliardFamily, _involution_z, _rotation_mobius, involution
+from dualbill.forms import _chart_derivative, halfstep_jacobian
+from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
+from dualbill.numerics import INF, SphereValue
 from dualbill.verify import (
     CheckReport,
     check_abel_translation,
@@ -143,9 +145,10 @@ class TestNothingEvaluated:
     @pytest.mark.parametrize(
         "target,run,count",
         [
-            ("involution", lambda: verify.check_involution(B1, 5, 1), 5),
+            # the lane kernels: one raising call drops every lane of its batch
+            ("_involution_z", lambda: verify.check_involution(B1, 5, 1), 5),
             ("area_pullback_residual", lambda: verify.check_area_form(B1, 5, 1), 5),
-            ("halfstep_jacobian", lambda: verify.check_jacobian(B1, 5, 1), 5),
+            ("_chart_derivative", lambda: verify.check_jacobian(B1, 5, 1), 5),
             ("eval_integral", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
             ("eval_integral", lambda: verify.check_equivalences(3), 2000),
         ],
@@ -183,6 +186,21 @@ class TestCountsInParams:
         assert report.params["evaluated"] == 6
         assert report.params["dropped"] == {"ZeroDivisionError": 3}
 
+    def test_fewer_than_half_evaluated_fails(self, monkeypatch):
+        real = verify.area_pullback_residual
+        calls = []
+
+        def flaky(family, x):
+            calls.append(x)
+            if len(calls) % 3:
+                raise ZeroDivisionError("forced")
+            return real(family, x)
+
+        monkeypatch.setattr(verify, "area_pullback_residual", flaky)
+        report = verify.check_area_form(B1, 9, 1)
+        assert report.status == "fail"
+        assert report.witness == {"evaluated": 3, "dropped": {"ZeroDivisionError": 6}}
+
     def test_table_checks_count_what_they_evaluate(self):
         report = verify.check_tables(D, 1)
         assert report.status == "pass" and report.params["evaluated"] > 0
@@ -195,10 +213,11 @@ class TestNaNResidual:
     @pytest.mark.parametrize(
         "target,value,run",
         [
-            ("involution", SimpleNamespace(z_sphere=lambda: SphereValue(math.nan)),
-             lambda: verify.check_involution(B1, 5, 1)),
+            ("_involution_z", complex(math.nan, 0.0), lambda: verify.check_involution(B1, 5, 1)),
             ("area_pullback_residual", math.nan, lambda: verify.check_area_form(B1, 5, 1)),
-            ("halfstep_jacobian", complex(math.nan, 0.0), lambda: verify.check_jacobian(B1, 5, 1)),
+            # a NaN image makes the closed form NaN; the determinant stays 1
+            ("_chart_derivative", (complex(math.nan, 0.0), ((1.0, 0.0), (0.0, 1.0))),
+             lambda: verify.check_jacobian(B1, 5, 1)),
             ("eval_integral", SphereValue(math.nan),
              lambda: verify.check_conservation(B1, 2.0, 5, 1)),
             ("eval_integral", SphereValue(math.nan), lambda: verify.check_equivalences(1)),
@@ -216,10 +235,10 @@ class TestNaNResidual:
 class TestInvolutionFixedPointTerm:
     def test_nan_fixed_point_term_fails(self, monkeypatch):
         """A NaN in the sigma_P(P) = P term alone fails the check."""
-        real = verify.involution
-        nan_point = SimpleNamespace(z_sphere=lambda: SphereValue(math.nan))
+        real = verify._involution_z
+        nan = complex(math.nan, 0.0)
         monkeypatch.setattr(
-            verify, "involution", lambda family, p, q: nan_point if q is p else real(family, p, q)
+            verify, "_involution_z", lambda family, z0, z1: nan if z1 is z0 else real(family, z0, z1)
         )
         report = check_involution(B1, 20, 1)
         assert report.status == "fail"
@@ -253,3 +272,128 @@ class TestCaseTable:
         assert [n for n, _ in verify.checks_for("abel", BilliardFamily("b2"), 1)] == [
             "abel:b2:lam=2.0"
         ]
+
+
+INSTANCES = [BilliardFamily(tag, n) for tag in ("a1", "a2") for n in (1, 2, 3)] + [
+    BilliardFamily(tag) for tag in ("b1", "b2", "c1", "c2", "d")
+]
+
+
+def _involution_lanes(fam, n=200):
+    rng = verify._rng_for(5, f"lanes:{fam.label()}")
+    draws = [verify._draw(fam, rng) for _ in range(n)]
+    return np.array([z0 for z0, _ in draws]), np.array([z0 + u for z0, u in draws])
+
+
+def _jacobian_lanes(fam, n=100):
+    rng = verify._rng_for(5, f"jacobian lanes:{fam.label()}")
+    xs = [verify.sample_phase_point(fam, rng) for _ in range(n)]
+    return (
+        np.array([x.p.z_sphere().value for x in xs]),
+        np.array([x.q.z_sphere().value for x in xs]),
+    )
+
+
+def _pole(fam):
+    """(z0, u) with z1 = z0 + u exactly on the pole of the involution at z0:
+    the scalar kernel on Python numbers returns INF there.  Rounding decides
+    which (z0, u) hit it, so a few real z0 and nearby z1 are tried."""
+    for j in range(400):
+        z0 = complex(0.5 + j / 97)
+        if fam.is_a:
+            _, _, c, d = _rotation_mobius(fam.spec.shift, fam.n)
+            pole = z0 * (-d / c)
+        elif fam.spec.f(z0) != 0:
+            pole = z0 - 1 / fam.spec.f(z0)
+        else:
+            continue
+        for step in range(-3, 4):
+            u = complex(pole.real + step * math.ulp(pole.real), pole.imag) - z0
+            if _involution_z(fam, z0, z0 + u) is INF:
+                return z0, u
+    raise AssertionError(f"no exact pole found for {fam.label()}")
+
+
+class TestLanes:
+    """The involution and jacobian residuals on numpy lanes: a lane's value
+    does not depend on the size or order of its batch, agrees with the
+    scalar kernel on Python numbers, and a lane on the involution's pole
+    gets the verdict of the scalar path."""
+
+    @staticmethod
+    def assert_order_free(residual, cols):
+        n = len(cols[0])
+        full = residual(*cols)
+        one = np.concatenate([residual(*(c[k:k + 1] for c in cols)) for k in range(n)])
+        # lanes are always fresh contiguous arrays: numpy's complex abs takes
+        # another loop, with other roundings, on a strided view
+        reversed_ = residual(*(c[::-1].copy() for c in cols))[::-1]
+        offset = residual(*(c[3:] for c in cols))
+        assert full.shape == (n,) and np.isfinite(full).all()
+        assert full.tobytes() == one.tobytes()
+        assert full.tobytes() == np.ascontiguousarray(reversed_).tobytes()
+        assert full[3:].tobytes() == offset.tobytes()
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_involution_lanes_are_order_free(self, fam):
+        cols = _involution_lanes(fam)
+        self.assert_order_free(lambda z0, z1: verify._involution_residual(fam, z0, z1)[0], cols)
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_jacobian_lanes_are_order_free(self, fam):
+        cols = _jacobian_lanes(fam)
+        self.assert_order_free(lambda z0, z: verify._jacobian_residual(fam, z0, z)[0], cols)
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_involution_lanes_match_python_numbers(self, fam):
+        z0, z1 = _involution_lanes(fam)
+        lanes = _involution_z(fam, z0, z1)
+        for k in range(len(z0)):
+            scalar = _involution_z(fam, complex(z0[k]), complex(z1[k]))
+            assert abs(lanes[k] - scalar) <= 1e-13 * abs(scalar)
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_jacobian_lanes_match_python_numbers(self, fam):
+        z0, z = _jacobian_lanes(fam)
+        z_img, mat = _chart_derivative(fam, z0, z)
+        for k in range(len(z0)):
+            s_img, s_mat = _chart_derivative(fam, complex(z0[k]), complex(z[k]))
+            assert abs(z_img[k] - s_img) <= 1e-13 * abs(s_img)
+            entries = [(row[j][k], s_row[j]) for row, s_row in zip(mat, s_mat) for j in (0, 1)]
+            scale = max(abs(s) for _, s in entries)
+            assert all(abs(v - s) <= 1e-13 * scale for v, s in entries)
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_pole_lane_gets_the_scalar_verdict(self, fam, monkeypatch):
+        z0, u = _pole(fam)
+        z1 = z0 + u
+        # the scalar path: the public involution on projective points
+        p = conic_point(z0)
+        q = ProjectivePoint.affine(z1, 2 * z0 * z1 - z0 * z0)
+        once = involution(fam, p, q)
+        assert once.is_infinite
+        back = involution(fam, p, once).z_sphere().value
+        fixed = involution(fam, p, p).z_sphere().value
+        scalar = max(abs(back - z1) / max(1.0, abs(z1)), abs(fixed - z0) / max(1.0, abs(z0)))
+
+        real = verify._draw
+        calls = []
+
+        def draw(family, rng):
+            calls.append(None)
+            pair = real(family, rng)
+            return (z0, u) if len(calls) == 4 else pair
+
+        monkeypatch.setattr(verify, "_draw", draw)
+        report = verify.check_involution(fam, 10, 1)
+        assert report.params["evaluated"] == 10
+        assert (report.status == "pass") == (scalar <= 1e-9)
+
+        # the jacobian residual drops a pole lane under the scalar path's class
+        with pytest.raises(ValueError):
+            halfstep_jacobian(fam, PhasePoint(q, p))
+        report = verify._laned(
+            "jacobian", fam, 1, 1e-6, lambda a, b: verify._jacobian_residual(fam, a, b),
+            ([z0, 0.5 + 0.5j], [z1, 0.5 + 0.5j + 0.3]), lambda k: {},
+        )
+        assert report.params["dropped"] == {"ValueError": 1}
