@@ -4,12 +4,14 @@ phase-space map.
 A dual billiard attaches to every point P of the parabola a projective
 involution of its tangent line fixing P.  The phase map sends (Q, P) to
 (Q', P') where Q' is the involution image of Q and P' is the other tangency
-point of Q'.  Families:
+point of Q'.
 
-* a1(N), a2(N): the involution is a Moebius map of the ratio z/z0 depending
-  only on a rational rotation number rho.
-* b1, b2, c1, c2, d: the involution is u -> -u/(1 + f(z0) u) in the offset
-  coordinate u = z - z0, with a family-specific rational coefficient f.
+Every involution fixing P is u -> -u/(1 + f(z0) u) in the offset coordinate
+u = z - z0, so a family is one coefficient f on the parabola:
+
+* a1(N), a2(N): f(z0) = rho/z0, with the rational rotation number
+  rho = 2 - shift(N);
+* b1, b2, c1, c2, d: a family-specific rational function f.
 
 The per-family facts used here (the translation giving rho, the coefficient
 f and the singular tangency parameters) live in :mod:`dualbill.families`.
@@ -24,6 +26,7 @@ from typing import Callable, Literal
 
 from .families import ALL_FAMILY_TAGS, FAMILIES, FamilySpec
 from .geometry import (
+    E_INFINITY,
     OnConicError,
     PhasePoint,
     ProjectivePoint,
@@ -31,7 +34,7 @@ from .geometry import (
     on_conic,
     tangency_points,
 )
-from .numerics import INF, INF_THRESHOLD, SphereValue, SpherePoleError, chordal_distance
+from .numerics import INF, INF_THRESHOLD, SphereValue, chordal_distance
 
 __all__ = [
     "FamilyTag",
@@ -83,7 +86,8 @@ class BilliardFamily:
 
     @property
     def rho(self) -> Fraction:
-        """Rotation parameter of the a-family involution, 2 - shift(N)."""
+        """Rotation parameter of an a-family, 2 - shift(N): its involution
+        coefficient is f(z0) = rho/z0."""
         if not self.is_a:
             raise ValueError(f"family {self.tag!r} has no rotation parameter")
         return 2 - self.spec.shift(self.n)
@@ -101,16 +105,26 @@ class BilliardFamily:
         return BilliardFamily(tag, n)
 
 
+@lru_cache(maxsize=None)
+def _rho(shift: Callable[[int], Fraction], n: int) -> float:
+    """rho = 2 - shift(N) as a float, computed once per translation and N."""
+    return float(2 - shift(n))
+
+
+def _coefficient(family: BilliardFamily, z0):
+    """The involution coefficient f(z0), rho/z0 for an a-family; raises
+    ZeroDivisionError at a pole of f."""
+    spec = family.spec
+    return spec.f(z0) if spec.shift is None else _rho(spec.shift, family.n) / z0
+
+
 def f_coefficient(family: BilliardFamily, z0: complex | SphereValue) -> SphereValue:
-    """Involution coefficient f(z0) for the b/c/d families (inf at poles)."""
-    f = family.spec.f
-    if f is None:
-        raise ValueError("a-families use the rotation form, not a coefficient f")
+    """Involution coefficient f(z0) of any family (inf at poles)."""
     z0 = SphereValue.coerce(z0)
     if z0.is_inf:
         raise SingularTangencyError("coefficient undefined at the infinite point")
     try:
-        return SphereValue(f(z0.value))
+        return SphereValue(_coefficient(family, z0.value))
     except ZeroDivisionError:  # f has no common zero of numerator and denominator
         return INF
 
@@ -119,24 +133,6 @@ def _z_param(pt: ProjectivePoint) -> complex | SphereValue:
     """z-coordinate of a point as a plain complex number; INF on the infinity line."""
     z, _, t = pt.coords
     return INF if t == 0 else z / t
-
-
-def _mobius(a, b, c, d, x: complex | SphereValue) -> complex | SphereValue:
-    """(a x + b)/(c x + d) on the sphere, x a complex number or INF.
-
-    The pole is found by the division raising, as Python numbers and jets
-    do; numpy arrays divide without raising, so the same code runs on lanes.
-    """
-    if x is INF:
-        return a / c if c != 0 else INF
-    num = a * x + b
-    den = c * x + d
-    try:
-        return num / den
-    except ZeroDivisionError:
-        if num == 0:
-            raise SpherePoleError("degenerate Moebius evaluation") from None
-        return INF
 
 
 def _point_on_tangent(z0: complex, z1: complex | SphereValue) -> ProjectivePoint:
@@ -171,15 +167,6 @@ def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: f
     )
 
 
-@lru_cache(maxsize=None)
-def _rotation_mobius(shift: Callable[[int], Fraction], n: int) -> tuple[float, float, float, float]:
-    """Coefficients (a, b, c, d) of the a-family involution
-    zeta -> (a zeta + b)/(c zeta + d) in the ratio zeta = z/z0, where
-    rho = 2 - shift(N); computed once per translation and N."""
-    rho = float(2 - shift(n))
-    return rho - 1.0, -(rho - 2.0), rho, -(rho - 1.0)
-
-
 #: the involution is refused this close to a singular tangency parameter
 SINGULAR_RADIUS = 1e-12
 
@@ -208,28 +195,30 @@ def _involution_z(family: BilliardFamily, z0, z1):
 
     Pure arithmetic on z0 and z1, so number types other than complex pass
     through it: the derivative jets of :mod:`dualbill.forms`, and numpy
-    arrays of lanes.  On a lane a pole gives no INF but a non-finite value,
+    arrays of lanes.  The pole is found by the division raising, as Python
+    numbers and jets do; on a lane it gives no INF but a non-finite value,
     or a huge one where numpy's rounding leaves the denominator nonzero.
     """
-    if family.is_a:
-        # z0 != 0: the vertex is a singular parameter of both a-families
-        zeta = INF if z1 is INF else z1 / z0
-        zeta_img = _mobius(*_rotation_mobius(family.spec.shift, family.n), zeta)
-        return INF if zeta_img is INF else z0 * zeta_img
     try:
-        f = family.spec.f(z0)
+        f = _coefficient(family, z0)
     except ZeroDivisionError:
         raise SingularTangencyError("involution coefficient has a pole at P") from None
-    u_img = _mobius(-1.0, 0.0, f, 1.0, INF if z1 is INF else z1 - z0)
-    return INF if u_img is INF else u_img + z0
+    if z1 is INF:  # the line's infinite point goes to u = -1/f
+        return -1.0 / f + z0 if f != 0 else INF
+    u = z1 - z0
+    try:  # u = 0 makes the denominator 1, so the quotient is never 0/0
+        return (-1.0 * u + 0.0) / (f * u + 1.0) + z0
+    except ZeroDivisionError:
+        return INF
 
 
 def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     """One application of the phase map F: (Q, P) -> (sigma_P(Q), P').
 
-    P' is the tangency point of sigma_P(Q) other than P (the candidate
-    farther from P); when sigma_P(Q) lands on the parabola, P' is that
-    point itself.
+    sigma_P(Q) lies on the tangent line at P, so P is one of its two
+    tangency candidates and P' is the other: the candidate farther from P,
+    or E when a candidate is the infinite point.  When sigma_P(Q) lands on
+    the parabola, P' is that point itself.
     """
     q, p = x
     z0 = _z_param(p)
@@ -250,10 +239,8 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
             f"the tangency candidates of {q_img} coincide; P' is ambiguous"
         )
     if zp is INF or zm is INF:
-        plus = chordal_distance(zp, z0) >= chordal_distance(zm, z0)
-    else:  # chordal distances to z0 with their common factor cancelled
-        plus = abs(zp - z0) ** 2 * (1.0 + abs(zm) ** 2) >= abs(zm - z0) ** 2 * (1.0 + abs(zp) ** 2)
-    return PhasePoint(q_img, conic_point(zp if plus else zm))
+        return PhasePoint(q_img, E_INFINITY)
+    return PhasePoint(q_img, conic_point(zp if abs(zp - z0) >= abs(zm - z0) else zm))
 
 
 @dataclass
@@ -294,7 +281,7 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
             x = billiard_map(family, x)
         except (SingularTangencyError, OnConicError) as exc:
             return OrbitRecord(points, "hit-singularity", str(exc))
-        except (DegenerateTangencyError, SpherePoleError) as exc:
+        except DegenerateTangencyError as exc:
             return OrbitRecord(points, "left-numeric-domain", str(exc))
         # P first: billiard_map raises before it returns a NaN Q, so a NaN
         # P reads as nan however large Q is

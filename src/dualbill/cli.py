@@ -13,6 +13,7 @@ import math
 import os
 import random
 import sys
+from contextlib import contextmanager
 
 from .billiards import ALL_FAMILY_TAGS, BilliardFamily, SingularTangencyError, orbit
 from .curves import (
@@ -173,14 +174,18 @@ def _checked(kind, ok, what: str):
     return parse
 
 
+@contextmanager
 def _writer_for(args):
+    """A record writer on --output (closed on exit), or on stdout."""
     if not args.output:
-        return RecordWriter(args.format, sys.stdout), sys.stdout
+        yield RecordWriter(args.format, sys.stdout)
+        return
     try:
         stream = open(args.output, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
-    return RecordWriter(args.format, stream), stream
+    with stream:
+        yield RecordWriter(args.format, stream)
 
 
 _N_TYPE = _checked(int, lambda n: n >= 1, "an integer N >= 1")
@@ -206,7 +211,12 @@ def _seed_of(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("DUALBILL_SEED")
-    return int(env) if env else 42
+    if not env:
+        return 42
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"DUALBILL_SEED must be an integer, not {env!r}") from None
 
 
 def _family_of(args) -> BilliardFamily:
@@ -239,8 +249,7 @@ def cmd_orbit(args) -> int:
     if rec.reason == "hit-singularity" and rec.steps_taken == 0:
         print(f"start point is singular: {rec.detail}", file=sys.stderr)
         return SINGULAR_ERROR
-    writer, stream = _writer_for(args)
-    try:
+    with _writer_for(args) as writer:
         for k, x in enumerate(rec.points):
             record: dict = {"index": k}
             record["q_z"] = x.q.z_sphere()
@@ -268,9 +277,6 @@ def cmd_orbit(args) -> int:
                     f"orbit stopped early: {rec.reason} ({rec.detail})",
                     file=sys.stderr,
                 )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
@@ -290,21 +296,26 @@ def _named_check(name: str, args, seed: int):
 def cmd_check(args) -> int:
     seed = _seed_of(args)
     if args.all or not args.names:
-        reports = run_suite(default_suite(seed), args.names or None)
+        options = {"--family": args.family, "--n": args.n, "--lambda": args.lam,
+                   "--corrupt": args.corrupt or None}
+        given = [opt for opt, v in options.items() if v is not None]
+        if given:
+            raise UsageError(
+                f"the full suite (--all, or no check named) takes no {', '.join(given)}"
+            )
+        suite = default_suite(seed)
+        for name in args.names:
+            if not any(entry.startswith(name) for entry, _ in suite.entries):
+                raise UsageError(f"no check of the suite is named {name!r}")
+        reports = run_suite(suite, args.names or None)
     else:
         try:
-            reports = []
-            for name in args.names:
-                reports.extend(_named_check(name, args, seed))
+            reports = [r for name in args.names for r in _named_check(name, args, seed)]
         except (ValueError, RuntimeError, AttributeError, TypeError) as exc:
             raise UsageError(str(exc)) from exc
-    writer, stream = _writer_for(args)
-    try:
+    with _writer_for(args) as writer:
         for r in reports:
             writer.write(r.to_dict())
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
@@ -313,8 +324,7 @@ def cmd_curve(args) -> int:
     if args.lam is None:
         raise UsageError("curve needs --lambda")
     lam = args.lam
-    writer, stream = _writer_for(args)
-    try:
+    with _writer_for(args) as writer:
         if args.branch_points:
             try:
                 pts = branch_points(family, lam.value if not lam.is_inf else lam)
@@ -375,15 +385,11 @@ def cmd_curve(args) -> int:
                         "w": SphereValue(pt.w / pt.t) if pt.t != 0 else INF,
                     }
                 )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 
 def cmd_families(args) -> int:
-    writer, stream = _writer_for(args)
-    try:
+    with _writer_for(args) as writer:
         for tag in ALL_FAMILY_TAGS:
             fam = BilliardFamily.parse(tag)
             record = {
@@ -396,9 +402,6 @@ def cmd_families(args) -> int:
                 "critical_values": list(critical_values(fam)),
             }
             writer.write(record)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return 0
 
 

@@ -59,7 +59,8 @@ class FamilySpec:
     critical: tuple[CriticalRow, ...]
     level_curves: str
     elliptic_fiber: bool = False
-    #: involution coefficient of the b/c/d families; raises ZeroDivisionError at a pole
+    #: involution coefficient of the b/c/d families; raises ZeroDivisionError at a
+    #: pole.  An a-family's coefficient rho/z0 follows from its shift
     f: Callable[[complex], complex] | None = None
     shift: Callable[[int], Fraction] | None = None
     image_of: Image | None = None

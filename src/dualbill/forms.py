@@ -142,6 +142,9 @@ class _Jet:
             return _Jet(q, (self.dz - q * o.dz) / ov, (self.dw - q * o.dw) / ov)
         return _Jet(self.v / o, self.dz / o, self.dw / o)
 
+    def __rtruediv__(self, c):
+        return _Jet(c, 0.0, 0.0) / self
+
     def __pow__(self, n: int):
         d = n * self.v ** (n - 1)
         return _Jet(self.v**n, d * self.dz, d * self.dw)

@@ -418,6 +418,36 @@ class TestBadInput:
         err = self.usage_error(["check", kind, "--family", "b1", "--lambda", "2"], capsys)
         assert "no level" in err
 
+    @pytest.mark.parametrize(
+        "args,option",
+        [
+            (["check", "--all", "--family", "b1", "--lambda", "2", "--n", "3"], "--family"),
+            (["check", "--family", "b1"], "--family"),
+            (["check", "--all", "--n", "2"], "--n"),
+            (["check", "--lambda", "2"], "--lambda"),
+            (["check", "tables", "--all", "--corrupt"], "--corrupt"),
+        ],
+        ids=["all-family-lambda-n", "family", "n", "lambda", "corrupt"],
+    )
+    def test_full_suite_takes_no_options(self, args, option, capsys):
+        err = self.usage_error(args, capsys)
+        assert "full suite" in err and option in err
+
+    @pytest.mark.parametrize("args", [["check", "foo", "--all"], ["check", "tables", "fo", "--all"]])
+    def test_suite_name_that_selects_nothing(self, args, capsys):
+        err = self.usage_error(args, capsys)
+        assert "no check of the suite is named" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["check", "tables", "--family", "b1"], ["orbit", "--family", "c1", "--lambda", "1"]],
+        ids=["check", "orbit"],
+    )
+    def test_seed_variable_that_is_not_an_integer(self, args, capsys, monkeypatch):
+        monkeypatch.setenv("DUALBILL_SEED", "abc")
+        err = self.usage_error(args, capsys)
+        assert err.startswith("DUALBILL_SEED must be an integer")
+
     def test_zero_n(self, capsys):
         self.usage_error(["orbit", "--family", "a1", "--n", "0", "--lambda", "1"], capsys)
 

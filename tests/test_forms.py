@@ -7,6 +7,7 @@ from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily, _involution_z, o
 from dualbill.curves import elliptic_model, lift_fiber, sheet_sqrt
 from dualbill.forms import (
     TangentSample,
+    _Jet,
     abel_steps,
     area_form,
     area_pullback_residual,
@@ -320,6 +321,25 @@ class TestChartJacobianOracle:
         for check in (check_area_form, check_jacobian):
             report = check(fam, 200, 42)
             assert report.status == "pass" and report.worst <= 1e-10
+
+
+class TestJet:
+    @pytest.mark.parametrize("c", [1.5, 2, -0.25 + 3j])
+    def test_reflected_division_has_the_analytic_partials(self, c):
+        # c/z has partials -c/z^2 times the seed's (d/dz, d/dw)
+        zs = [0.3 - 1.2j, -2.0 + 0.0j, 1e-3 + 5j]
+        for z in zs:
+            jet = c / _Jet(z, 1.0, 2.0 - 1j)
+            assert jet.v == c / z
+            want = -c / z**2
+            assert abs(jet.dz - want) <= 1e-15 * abs(want)
+            assert abs(jet.dw - want * (2.0 - 1j)) <= 1e-15 * abs(want * (2.0 - 1j))
+        z = np.array(zs)
+        jet = c / _Jet(z, np.ones(3), np.full(3, 2.0 - 1j))
+        want = -c / z**2
+        assert np.array_equal(jet.v, c / z)
+        assert (np.abs(jet.dz - want) <= 1e-15 * np.abs(want)).all()
+        assert (np.abs(jet.dw - want * (2.0 - 1j)) <= 1e-15 * np.abs(want * (2.0 - 1j))).all()
 
 
 class TestInvolutionDerivative:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dualbill import cli, verify
-from dualbill.billiards import BilliardFamily, _involution_z, _rotation_mobius, involution
+from dualbill.billiards import BilliardFamily, _involution_z, f_coefficient, involution
 from dualbill.forms import _chart_derivative, halfstep_jacobian
 from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
 from dualbill.numerics import INF, SphereValue
@@ -300,13 +300,10 @@ def _pole(fam):
     which (z0, u) hit it, so a few real z0 and nearby z1 are tried."""
     for j in range(400):
         z0 = complex(0.5 + j / 97)
-        if fam.is_a:
-            _, _, c, d = _rotation_mobius(fam.spec.shift, fam.n)
-            pole = z0 * (-d / c)
-        elif fam.spec.f(z0) != 0:
-            pole = z0 - 1 / fam.spec.f(z0)
-        else:
+        f = f_coefficient(fam, z0)
+        if f.is_inf or f.value == 0:
             continue
+        pole = z0 - 1 / f.value
         for step in range(-3, 4):
             u = complex(pole.real + step * math.ulp(pole.real), pole.imag) - z0
             if _involution_z(fam, z0, z0 + u) is INF:
