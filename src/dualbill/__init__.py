@@ -8,7 +8,6 @@ seeded property-check engine with a CLI front end.
 from .billiards import (
     ALL_FAMILY_TAGS,
     BilliardFamily,
-    DegenerateTangencyError,
     OrbitRecord,
     SingularTangencyError,
     billiard_map,

@@ -34,14 +34,13 @@ from .geometry import (
     on_conic,
     tangency_points,
 )
-from .numerics import INF, INF_THRESHOLD, SphereValue, chordal_distance
+from .numerics import INF, INF_THRESHOLD, SphereValue
 
 __all__ = [
     "FamilyTag",
     "BilliardFamily",
     "ALL_FAMILY_TAGS",
     "SingularTangencyError",
-    "DegenerateTangencyError",
     "f_coefficient",
     "involution",
     "billiard_map",
@@ -54,10 +53,6 @@ FamilyTag = Literal["a1", "a2", "b1", "b2", "c1", "c2", "d"]
 
 class SingularTangencyError(ValueError):
     """The tangency point P is a singularity of the billiard structure."""
-
-
-class DegenerateTangencyError(RuntimeError):
-    """Both tangency candidates coincide numerically; P' cannot be selected."""
 
 
 @dataclass(frozen=True)
@@ -234,10 +229,6 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
         zp, zm = tangency_points(q_img)
     except OnConicError:  # Q' on the parabola: its two tangency points collide
         return PhasePoint(q_img, q_img)
-    if chordal_distance(zp, zm) <= 1e-13:
-        raise DegenerateTangencyError(
-            f"the tangency candidates of {q_img} coincide; P' is ambiguous"
-        )
     if zp is INF or zm is INF:
         return PhasePoint(q_img, E_INFINITY)
     return PhasePoint(q_img, conic_point(zp if abs(zp - z0) >= abs(zm - z0) else zm))
@@ -277,12 +268,7 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
             return OrbitRecord(
                 points, "left-numeric-domain", "tangency point at infinity"
             )
-        try:
-            x = billiard_map(family, x)
-        except (SingularTangencyError, OnConicError) as exc:
-            return OrbitRecord(points, "hit-singularity", str(exc))
-        except DegenerateTangencyError as exc:
-            return OrbitRecord(points, "left-numeric-domain", str(exc))
+        x = billiard_map(family, x)
         # P first: billiard_map raises before it returns a NaN Q, so a NaN
         # P reads as nan however large Q is
         for z, w, t in (x.p.coords, x.q.coords):

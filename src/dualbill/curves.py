@@ -696,10 +696,6 @@ class FiberModel:
     lam: SphereValue
     components: tuple[FiberComponent, ...]
 
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
 
 def _sheets(over: str) -> tuple[FiberComponent, ...]:
     """Two bijective rational fiber components over one curve component."""

@@ -108,8 +108,9 @@ class _Jet:
     """A complex value with its partial derivatives (d/dz, d/dw): forward-mode
     differentiation through the rational arithmetic of the involution.
 
-    Equality compares values, so the arithmetic takes the same branches on
-    a jet as on its value.
+    A jet enters the involution only as a finite point of the tangent line,
+    where its arithmetic makes no comparison, so a jet has no equality of
+    its own.
     """
 
     __slots__ = ("v", "dz", "dw")
@@ -148,9 +149,6 @@ class _Jet:
     def __pow__(self, n: int):
         d = n * self.v ** (n - 1)
         return _Jet(self.v**n, d * self.dz, d * self.dw)
-
-    def __eq__(self, o):
-        return self.v == (o.v if isinstance(o, _Jet) else o)
 
 
 def _chart_derivative(family: BilliardFamily, z0, z) -> tuple:

@@ -69,7 +69,8 @@ class ProjectivePoint:
     representative: the first coordinate of largest modulus (the pivot) is
     exactly 1 and the other two are divided by it.  A NaN coordinate, or a
     NaN quotient (two infinite inputs), makes every coordinate NaN.
-    Equality is projective (up to a nonzero scalar).
+    ``eq`` tests projective equality (up to a nonzero scalar); ``==`` is
+    identity.
     """
 
     __slots__ = ("coords",)
@@ -129,14 +130,6 @@ class ProjectivePoint:
     def eq(self, other: "ProjectivePoint") -> bool:
         u, v = self.coords, other.coords
         return cross_norm(u, v) <= max(ABS_EPS, REL_EPS * _norm(u) * _norm(v))
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return self.eq(other)
-
-    def __hash__(self):  # points are compared through eq(); keep unhashable-ish
-        raise TypeError("ProjectivePoint is not hashable")
 
     def __repr__(self):
         z, w, t = self.coords
@@ -203,12 +196,6 @@ class PhasePoint(NamedTuple):
         if not line_contains((-2.0 * z, t, w), self.q):  # tangent_line(P)
             raise ValueError(f"Q = {self.q} is not on the tangent line at {self.p}")
 
-    def z0(self) -> SphereValue:
-        return self.p.z_sphere()
-
-    def z1(self) -> SphereValue:
-        return self.q.z_sphere()
-
 
 def tangency_points(q: ProjectivePoint) -> tuple[complex | SphereValue, complex | SphereValue]:
     """The parameters (z+, z-) of the two points of the parabola whose
@@ -254,23 +241,8 @@ class ProjectiveMap:
         z, w, t = (self.matrix @ np.asarray(p.coords)).tolist()
         return ProjectivePoint(z, w, t)
 
-    def apply_affine(self, z: complex, w: complex) -> ProjectivePoint:
-        return self(ProjectivePoint.affine(z, w))
-
     def inverse(self) -> "ProjectiveMap":
         return ProjectiveMap(np.linalg.inv(self.matrix))
-
-    def compose(self, other: "ProjectiveMap") -> "ProjectiveMap":
-        return ProjectiveMap(self.matrix @ other.matrix)
-
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.matrix))
-
-    def is_projective_identity(self, rel: float = 1e-12) -> bool:
-        m = self.matrix
-        scale = float(np.max(np.abs(m)))
-        residual = float(np.max(np.abs(m - m[0, 0] * np.eye(3))))
-        return residual <= rel * scale
 
 
 def b_family_equivalence() -> ProjectiveMap:

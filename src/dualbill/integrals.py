@@ -108,9 +108,6 @@ class BiPoly:
             table[k] = table.get(k, 0) - c
         return BiPoly(table)
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.coeffs.items()})
-
     def __mul__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
             return self.scale(other)

@@ -181,16 +181,13 @@ def _draw(family: BilliardFamily, rng: random.Random) -> tuple[complex, complex]
         return z0, ur * cmath.exp(2j * math.pi * rng.random())
 
 
-def sample_phase_point(
-    family: BilliardFamily, rng: random.Random, *, conditioned: bool = True
-) -> PhasePoint:
+def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint:
     """Random phase point: tangency parameter uniform on the annulus
     0.1 <= |z0| <= 3 minus the ``SINGULAR_GUARD`` disks, offset uniform on
     0.05 <= |u| <= 2.
 
-    With ``conditioned`` the involution image must stay at a moderate
-    distance from the tangency point, which keeps the form evaluations well
-    scaled.
+    The involution image must stay at a moderate distance from the tangency
+    point, which keeps the form evaluations well scaled.
     """
     while True:
         z0, u = _draw(family, rng)
@@ -198,16 +195,8 @@ def sample_phase_point(
         x = PhasePoint(
             ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0), conic_point(z0)
         )
-        if not conditioned:
-            return x
-        try:
-            q_img = involution(family, x.p, x.q)
-        except Exception:
-            continue
-        z_img = q_img.z_sphere()
-        if z_img.is_inf:
-            continue
-        if 0.05 <= abs(z_img.value - z0) <= 25.0:
+        z_img = involution(family, x.p, x.q).z_sphere()
+        if not z_img.is_inf and 0.05 <= abs(z_img.value - z0) <= 25.0:
             return x
 
 

@@ -17,7 +17,15 @@ from dualbill.curves import lift_fiber
 from dualbill.families import FAMILIES
 from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point, cross_norm
 from dualbill.numerics import INF, sphere_eq
-from dualbill.verify import sample_phase_point, _rng_for
+from dualbill.verify import _draw, _rng_for, sample_phase_point
+
+
+def _unconditioned_point(fam: BilliardFamily, rng) -> PhasePoint:
+    """The phase point of one draw of ``sample_phase_point``'s (z0, u),
+    whatever its involution image."""
+    z0, u = _draw(fam, rng)
+    z = z0 + u
+    return PhasePoint(ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0), conic_point(z0))
 
 
 class TestFamily:
@@ -96,7 +104,7 @@ class TestInvolution:
         fam = BilliardFamily(tag, n)
         rng = _rng_for(11, f"invsq:{fam.label()}")
         for k in range(1000):
-            x = sample_phase_point(fam, rng, conditioned=False)
+            x = _unconditioned_point(fam, rng)
             once = involution(fam, x.p, x.q)
             twice = involution(fam, x.p, once)
             z_in, z_back = x.q.z_sphere(), twice.z_sphere()
@@ -191,11 +199,15 @@ class TestOrbit:
 
     # the two long-orbit stops that the comparison constants of numerics
     # decide, pinned step for step
-    def test_degenerate_tangency_stop(self):
+    def test_translation_runs_into_the_base_point_e(self):
+        # a-family dynamics is a translation on the rational fiber, so the
+        # orbit is carried to tau = inf, the base point E
         fam = BilliardFamily("a1", 2)
         rec = orbit(fam, lift_fiber(fam, 1.0, 1.7, "+"), 300)
-        assert (rec.steps_taken, rec.reason) == (198, "left-numeric-domain")
-        assert rec.detail.startswith("the tangency candidates of")
+        assert (rec.steps_taken, rec.reason) == (265, "hit-singularity")
+        assert "singular parameter inf" in rec.detail
+        assert abs(rec.points[-1].p.z_sphere().value) >= 1e12
+        assert abs(rec.points[-2].p.z_sphere().value) < 1e12
 
     def test_escape_to_the_infinite_singularity(self):
         # |z0| reaches 1e12 and compares equal to the singular parameter inf

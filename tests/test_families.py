@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily
+from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily, _coefficient
 from dualbill.curves import critical_fiber_components
 from dualbill.families import FAMILIES
 from dualbill.geometry import b_family_equivalence
@@ -67,7 +68,8 @@ def test_b2_is_the_image_of_b1():
     assert image.base == "b1"
     psi = b_family_equivalence()
     assert (image.map.matrix == psi.matrix).all()
-    assert image.map.compose(image.inverse).is_projective_identity()
+    both = image.map.matrix @ image.inverse.matrix
+    assert np.max(np.abs(both - both[0, 0] * np.eye(3))) <= 1e-12 * np.max(np.abs(both))
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
     assert critical_values(b1) == critical_values(b2)
     # the tabulated b2 critical points are the images of b1's
@@ -82,3 +84,35 @@ def test_level_curve_and_fiber_kinds():
     elliptic = [t for t in ALL_FAMILY_TAGS if FAMILIES[t].level_curves == "elliptic"]
     assert elliptic == ["c1", "c2"]
     assert [t for t in ALL_FAMILY_TAGS if FAMILIES[t].elliptic_fiber] == ["b1", "b2", "d"]
+
+
+_CIRCLE = 10.0 * np.exp(2j * np.pi * np.arange(256) / 256)
+
+
+def _pole_moments(fam: BilliardFamily, coef) -> float:
+    """The largest of |∮ g(z) z^k dz| over |z| = 10 for k = 0..3, relative to
+    the circle's length times max |g z^k|, where g = coef times the product
+    of z - s over the finite singular parameters s.  By the trapezoid rule,
+    exact for a polynomial g, it is rounding unless coef has a pole inside
+    the circle that no singular parameter cancels."""
+    g = coef(_CIRCLE)
+    for s in fam.spec.singular_finite:
+        g = g * (_CIRCLE - s)
+    worst = 0.0
+    for k in range(4):
+        h = g * _CIRCLE**k
+        integral = 2j * np.pi * np.mean(h * _CIRCLE)  # dz = i z dtheta
+        worst = max(worst, abs(integral) / (20 * np.pi * np.max(np.abs(h))))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "tag, n", [("a1", 1), ("a1", 3), ("a2", 1), ("a2", 3)] + [(t, None) for t in ALL_FAMILY_TAGS[2:]]
+)
+def test_every_pole_of_f_is_a_finite_singular_parameter(tag, n):
+    # so the orbit's guard around the singular parameters keeps every step
+    # away from a pole of the involution coefficient
+    fam = BilliardFamily(tag, n)
+    assert _pole_moments(fam, lambda z: _coefficient(fam, z)) <= 1e-13
+    # control: a pole at z = 2, which is no singular parameter
+    assert _pole_moments(fam, lambda z: _coefficient(fam, z) / (z - 2.0)) >= 1e-3
