@@ -63,7 +63,7 @@ from .integrals import (
     indeterminacy_set,
     true_critical_points,
 )
-from .numerics import INF, Polynomial, SphereValue, roots, sphere_eq
+from .numerics import INF, SphereValue, roots, sphere_eq
 from .verify import CheckReport, CheckSuite, default_suite, run_suite
 
 __version__ = "0.1.0"

@@ -37,7 +37,6 @@ from .geometry import (
 from .numerics import INF, INF_THRESHOLD, SphereValue
 
 __all__ = [
-    "FamilyTag",
     "BilliardFamily",
     "ALL_FAMILY_TAGS",
     "SingularTangencyError",
@@ -47,9 +46,6 @@ __all__ = [
     "OrbitRecord",
     "orbit",
 ]
-
-FamilyTag = Literal["a1", "a2", "b1", "b2", "c1", "c2", "d"]
-
 
 class SingularTangencyError(ValueError):
     """The tangency point P is a singularity of the billiard structure."""

@@ -50,7 +50,6 @@ from .numerics import (
     plan_route,
     principal_sqrt,
     roots as poly_roots,
-    Polynomial,
     segment_integrate,
     sphere_eq,
 )
@@ -227,16 +226,12 @@ def _div(num: complex, den: complex) -> SphereValue:
 # branch parameters of the fibers' double covers
 
 def _branch_b1(lam: complex) -> list[SphereValue]:
-    quadratic = poly_roots(Polynomial([4.0 * lam, -4.0 * lam, 1.0]))
+    quadratic = poly_roots([4.0 * lam, -4.0 * lam, 1.0])
     return [SphereValue(lam / (lam - 1.0)), INF] + [SphereValue(r) for r in quadratic]
 
 
 def _branch_d(lam: complex) -> list[SphereValue]:
-    cubic = poly_roots(
-        Polynomial(
-            [9.0, -36.0 * lam, 36.0 * lam * lam - 3.0 * lam, 9.0 * lam * lam + lam]
-        )
-    )
+    cubic = poly_roots([9.0, -36.0 * lam, 36.0 * lam * lam - 3.0 * lam, 9.0 * lam * lam + lam])
     return [SphereValue(-4.0)] + [SphereValue(r) for r in cubic]
 
 
@@ -998,10 +993,11 @@ def point_on_level(family: BilliardFamily, lam, rng: random.Random) -> Projectiv
             coeffs[i] += c
         for i, c in enumerate(coeffs_d):
             coeffs[i] -= lam.value * c
-        poly = Polynomial(coeffs)
-        if poly.degree < 1:
+        try:
+            found = poly_roots(coeffs)
+        except ValueError:  # R - lam is constant on this line
             continue
-        for s in poly_roots(poly):
+        for s in found:
             if abs(s) > 50:
                 continue
             pt = ProjectivePoint.affine(p0[0] + s * direction[0], p0[1] + s * direction[1])

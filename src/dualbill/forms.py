@@ -7,9 +7,11 @@ a phase point to Q; the tangency projection's half-step (Q, P) -> (sigma_P(Q), P
 has Jacobian -((z* - z0)/(z - z0))^3 in that chart.  The checks compare both
 with the differential of the implemented map, which forward-mode jets give
 exactly up to rounding: the involution's arithmetic runs on values carrying
-their partials in z and w, so no step size enters.  The fiber form is the
-1-form pairing with dR to give the area form; on an elliptic fiber it is
-proportional to dt/sqrt(p(t)) in the curve parameter.
+their partials in z and w, so no step size enters.  The closed form and the
+jets take the tangency parameter z0 and the point z of its tangent line as
+Python numbers or numpy lanes.  The fiber form is the 1-form pairing with dR to give the area form;
+on an elliptic fiber it is proportional to dt/sqrt(p(t)) in the curve
+parameter.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .billiards import BilliardFamily, _involution_z, billiard_map, involution
+from .billiards import BilliardFamily, _involution_z, billiard_map
 from .curves import (
     EllipticModel,
     branched_leg_integral,
-    elliptic_model,
     ramification_connection,
     sheet_sqrt,
 )
@@ -90,14 +91,20 @@ def area_form(x: PhasePoint, sample: TangentSample) -> complex:
     return sample.det() / (off * off * off)
 
 
-def halfstep_jacobian(family: BilliardFamily, x: PhasePoint) -> complex:
-    """Closed-form chart Jacobian of (Q, P) -> (sigma_P(Q), P)."""
-    off = _chart_offset(x)
-    q_img = involution(family, x.p, x.q)
-    z_img = q_img.z_sphere()
-    if z_img.is_inf:
+def halfstep_jacobian(family: BilliardFamily, z0, z):
+    """Closed-form chart Jacobian -((z* - z0)/(z - z0))^3 of the half-step
+    (Q, P) -> (sigma_P(Q), P) at the point z of the tangent line at z0, on
+    Python numbers, jets or numpy lanes.  On Python numbers it raises
+    ValueError for z = z0 and for z* at the line's infinite point, and
+    SingularTangencyError only at an exact pole of f: unlike
+    :func:`~dualbill.billiards.involution`, it has no guard radius."""
+    z_img = _involution_z(family, z0, z)
+    if z_img is INF:
         raise ValueError("involution image at the line's infinite point")
-    ratio = (z_img.value - x.p.z_sphere().value) / off
+    try:
+        ratio = (z_img - z0) / (z - z0)
+    except ZeroDivisionError:
+        raise ValueError("Q on the parabola: pole of order 3 of the area form") from None
     return -(ratio**3)
 
 
@@ -257,7 +264,7 @@ def abel_steps(
     family: BilliardFamily,
     lam: complex,
     phase_points: list[PhasePoint],
-    model: EllipticModel | None = None,
+    model: EllipticModel,
 ) -> list[complex]:
     """Integrals of the fiber differential between consecutive orbit points.
 
@@ -266,8 +273,6 @@ def abel_steps(
     phase points, so the result is a genuine path integral on the fiber (its
     class modulo the period lattice is what the dynamics fixes).
     """
-    if model is None:
-        model = elliptic_model(family, lam)
     br = model._sqrt
     rts = model.sorted_roots()
     gaps = [abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:]]

@@ -25,7 +25,6 @@ __all__ = [
     "INF_THRESHOLD",
     "sphere_eq",
     "chordal_distance",
-    "Polynomial",
     "roots",
     "segment_integrate",
     "BranchedSqrt",
@@ -148,56 +147,27 @@ def sphere_eq(a, b) -> bool:
     return a_inf and b_inf
 
 
-class Polynomial:
-    """Univariate polynomial with complex coefficients, ascending order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[complex]):
-        cs = [complex(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __call__(self, t: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        if len(self.coeffs) == 1:
-            return Polynomial([0.0])
-        return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __repr__(self):
-        return f"Polynomial({list(self.coeffs)!r})"
+def _horner(cs: Sequence[complex], t: complex) -> complex:
+    """The polynomial with ascending coefficients cs at t."""
+    acc = 0j
+    for c in reversed(cs):
+        acc = acc * t + c
+    return acc
 
 
-def roots(p: Polynomial | Sequence[complex]) -> list[complex]:
-    """All roots with multiplicity.
+def roots(coeffs: Sequence[complex]) -> list[complex]:
+    """All roots with multiplicity of the polynomial with ascending
+    coefficients ``coeffs`` (trailing zeros are trimmed).
 
     Closed forms for degree 1 and 2; companion-matrix eigenvalues above,
     followed by one Newton polish step.
     """
-    if not isinstance(p, Polynomial):
-        p = Polynomial(p)
-    if p.is_zero:
-        raise ValueError("zero polynomial has no well-defined roots")
-    deg = p.degree
+    c = [complex(x) for x in coeffs]
+    while c and c[-1] == 0:
+        c.pop()
+    deg = len(c) - 1
     if deg < 1:
         raise ValueError("root finding needs degree >= 1")
-    c = p.coeffs
     if deg == 1:
         return [-c[0] / c[1]]
     if deg == 2:
@@ -211,15 +181,15 @@ def roots(p: Polynomial | Sequence[complex]) -> list[complex]:
         r2 = cc / q if q != 0 else -b / a - r1
         return [r1, r2]
     rts = list(np.roots(list(reversed(c))))
-    dp = p.derivative()
+    dc = [k * ck for k, ck in enumerate(c)][1:]
     polished = []
     for r in rts:
         r = complex(r)
         for _ in range(2):
-            d = dp(r)
+            d = _horner(dc, r)
             if abs(d) == 0:
                 break
-            step = p(r) / d
+            step = _horner(c, r) / d
             if abs(step) > 1e-2 * max(1.0, abs(r)):
                 break
             r = r - step

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualbill.billiards import (
     BilliardFamily,
@@ -15,7 +17,13 @@ from dualbill.billiards import (
 )
 from dualbill.curves import lift_fiber
 from dualbill.families import FAMILIES
-from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point, cross_norm
+from dualbill.geometry import (
+    PhasePoint,
+    ProjectivePoint,
+    conic_point,
+    cross_norm,
+    tangency_points,
+)
 from dualbill.numerics import INF, sphere_eq
 from dualbill.verify import _draw, _rng_for, sample_phase_point
 
@@ -426,3 +434,50 @@ class TestMapAgainstOracle:
             bent = dataclasses.replace(spec, f=lambda z: f(z) + 1e-6)
         monkeypatch.setitem(FAMILIES, fam.tag, bent)
         assert _oracle_worst(fam) > ORACLE_TOL
+
+
+#: the suite's instances and the a-families at N = 30
+STEP_INSTANCES = INSTANCES + [BilliardFamily("a1", 30), BilliardFamily("a2", 30)]
+STEP_TOL = 1e-12
+
+
+def _step_gap(step, fam: BilliardFamily, rng: random.Random, samples: int = 20) -> float:
+    """Worst gap between ``step`` and the closed form of one phase-map step
+    in the offset coordinate: from P = z0 and Q = z0 + u the image is
+    Q' = z0 + u' and P' = z0 + 2u' with u' = -u/(1 + f(z0) u), since Q' is
+    the meeting point of the tangent lines at P and P'.  Each gap is
+    relative to the larger of |z0| and the expected value."""
+    worst = 0.0
+    for _ in range(samples):
+        x = sample_phase_point(fam, rng)
+        z0 = x.p.z_sphere().value
+        u = x.q.z_sphere().value - z0
+        u_img = -u / (1 + f_coefficient(fam, z0).value * u)
+        y = step(fam, x)
+        for got, want in ((y.q, z0 + u_img), (y.p, z0 + 2 * u_img)):
+            gap = abs(got.z_sphere().value - want) / max(abs(z0), abs(want))
+            worst = max(worst, gap)
+    return worst
+
+
+def _nearer_candidate_map(fam: BilliardFamily, x: PhasePoint) -> PhasePoint:
+    """billiard_map with the tangency candidate nearer to P taken: wrong."""
+    q_img = involution(fam, x.p, x.q)
+    z0 = x.p.z_sphere().value
+    zp, zm = tangency_points(q_img)
+    return PhasePoint(q_img, conic_point(zp if abs(zp - z0) < abs(zm - z0) else zm))
+
+
+class TestStepAgainstClosedForm:
+    """billiard_map, through projective points and the tangency square
+    root, against the step's closed form in (z0, u)."""
+
+    @pytest.mark.parametrize("fam", STEP_INSTANCES, ids=BilliardFamily.label)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_closed_form(self, fam, seed):
+        assert _step_gap(billiard_map, fam, random.Random(seed)) <= STEP_TOL
+
+    @pytest.mark.parametrize("fam", STEP_INSTANCES, ids=BilliardFamily.label)
+    def test_nearer_candidate_is_caught(self, fam):
+        assert _step_gap(_nearer_candidate_map, fam, random.Random(0)) > STEP_TOL

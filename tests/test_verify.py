@@ -7,7 +7,7 @@ import pytest
 from dualbill import cli, verify
 from dualbill.billiards import BilliardFamily, _involution_z, f_coefficient, involution
 from dualbill.forms import _chart_derivative, halfstep_jacobian
-from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
+from dualbill.geometry import ProjectivePoint, conic_point
 from dualbill.numerics import INF, SphereValue
 from dualbill.verify import (
     CheckReport,
@@ -113,6 +113,13 @@ class TestNegativeInjection:
         r = check_equivalences(3, corrupt=True)
         assert r.status == "fail" and r.witness is not None
 
+    @pytest.mark.parametrize("tag", ["a1", "a2", "b1", "b2", "c1", "c2", "d"])
+    def test_jacobian_checks_the_library_closed_form(self, monkeypatch, tag):
+        real = verify.halfstep_jacobian
+        monkeypatch.setattr(verify, "halfstep_jacobian", lambda *args: 2 * real(*args))
+        r = check_jacobian(BilliardFamily.parse(tag), 20, 42)
+        assert r.status == "fail" and r.witness is not None
+
 
 class TestSkips:
     def test_singular_start_is_skipped(self):
@@ -215,9 +222,8 @@ class TestNaNResidual:
         [
             ("_involution_z", complex(math.nan, 0.0), lambda: verify.check_involution(B1, 5, 1)),
             ("area_pullback_residual", math.nan, lambda: verify.check_area_form(B1, 5, 1)),
-            # a NaN image makes the closed form NaN; the determinant stays 1
-            ("_chart_derivative", (complex(math.nan, 0.0), ((1.0, 0.0), (0.0, 1.0))),
-             lambda: verify.check_jacobian(B1, 5, 1)),
+            # a NaN closed form against the finite determinant of the jets
+            ("halfstep_jacobian", complex(math.nan, 0.0), lambda: verify.check_jacobian(B1, 5, 1)),
             ("eval_integral", SphereValue(math.nan),
              lambda: verify.check_conservation(B1, 2.0, 5, 1)),
             ("eval_integral", SphereValue(math.nan), lambda: verify.check_equivalences(1)),
@@ -388,7 +394,7 @@ class TestLanes:
 
         # the jacobian residual drops a pole lane under the scalar path's class
         with pytest.raises(ValueError):
-            halfstep_jacobian(fam, PhasePoint(q, p))
+            halfstep_jacobian(fam, z0, z1)
         report = verify._laned(
             "jacobian", fam, 1, 1e-6, lambda a, b: verify._jacobian_residual(fam, a, b),
             ([z0, 0.5 + 0.5j], [z1, 0.5 + 0.5j + 0.3]), lambda k: {},
