@@ -160,6 +160,7 @@ def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: f
 
 #: the involution is refused this close to a singular tangency parameter
 SINGULAR_RADIUS = 1e-12
+_AT_E = "involution at the infinite point is outside the affine chart"
 
 
 def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
@@ -173,9 +174,7 @@ def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -
         raise ValueError(f"P = {p} is not on the parabola")
     z0 = _z_param(p)
     if z0 is INF:
-        raise SingularTangencyError(
-            "involution at the infinite point is outside the affine chart"
-        )
+        raise SingularTangencyError(_AT_E)
     _check_singular(family, z0, SINGULAR_RADIUS)
     return _point_on_tangent(z0, _involution_z(family, z0, _z_param(q)))
 
@@ -206,6 +205,9 @@ def _involution_z(family: BilliardFamily, z0, z1):
 def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     """One application of the phase map F: (Q, P) -> (sigma_P(Q), P').
 
+    x must be a phase point (``PhasePoint.validate`` holds, as it does on
+    every iterate of :func:`orbit`): this map does not test it again.
+
     sigma_P(Q) lies on the tangent line at P, so P is one of its two
     tangency candidates and P' is the other: the candidate farther from P,
     or E when a candidate is the infinite point.  When sigma_P(Q) lands on
@@ -220,7 +222,10 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
             return PhasePoint(p, p)
         vertex = conic_point(0.0)
         return PhasePoint(vertex, vertex)
-    q_img = involution(family, p, q)
+    if z0 is INF:
+        raise SingularTangencyError(_AT_E)
+    _check_singular(family, z0, SINGULAR_RADIUS)
+    q_img = _point_on_tangent(z0, _involution_z(family, z0, _z_param(q)))
     try:
         zp, zm = tangency_points(q_img)
     except OnConicError:  # Q' on the parabola: its two tangency points collide
@@ -261,9 +266,7 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
         except SingularTangencyError as exc:
             return OrbitRecord(points, "hit-singularity", str(exc))
         if z0 is INF:
-            return OrbitRecord(
-                points, "left-numeric-domain", "tangency point at infinity"
-            )
+            return OrbitRecord(points, "left-numeric-domain", "tangency point at infinity")
         x = billiard_map(family, x)
         # P first: billiard_map raises before it returns a NaN Q, so a NaN
         # P reads as nan however large Q is
@@ -271,11 +274,9 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
             if z != z or w != w or t != t:
                 return OrbitRecord(points, "left-numeric-domain", "coordinates became nan")
             if t != 0 and max(abs(z / t), abs(w / t)) > DOMAIN_BOUND:
-                return OrbitRecord(
-                    points, "left-numeric-domain", "affine coordinates blew up"
-                )
-        try:
-            x.validate()  # incidence residual of each recorded iterate
+                return OrbitRecord(points, "left-numeric-domain", "affine coordinates blew up")
+        try:  # P' is on the parabola by construction: conic_point, E or Q'
+            x.validate_incidence()
         except ValueError as exc:
             return OrbitRecord(points, "left-numeric-domain", str(exc))
         points.append(x)

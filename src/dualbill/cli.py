@@ -265,6 +265,8 @@ def cmd_orbit(args) -> int:
                 record["parameter"] = curve_parameter(family, x)
             except ValueError:
                 record["parameter"] = _NO_VALUE
+            if args.format == "csv":  # the last row carries the orbit's stop reason
+                record["stop"] = rec.reason if k == rec.steps_taken else None
             writer.write(record)
         if rec.reason != "completed":
             if args.format == "json":

@@ -192,6 +192,9 @@ class PhasePoint(NamedTuple):
     def validate(self) -> None:
         if not on_conic(self.p):
             raise ValueError(f"P = {self.p} is not on the parabola")
+        self.validate_incidence()
+
+    def validate_incidence(self) -> None:  # Q on the tangent line at P
         z, w, t = self.p.coords
         if not line_contains((-2.0 * z, t, w), self.q):  # tangent_line(P)
             raise ValueError(f"Q = {self.q} is not on the tangent line at {self.p}")

@@ -49,7 +49,14 @@ BASE_POINT_GUARD = 1e-8
 
 
 class IndeterminacyError(ValueError):
-    """Evaluation at (or too near) a common zero of numerator and denominator."""
+    """Evaluation at (or too near) a common zero of numerator and denominator:
+    args are the point and the base point, or the point alone at 0/0."""
+
+    def __str__(self) -> str:
+        point, *base = self.args
+        if base:
+            return f"{point} is within {BASE_POINT_GUARD:g} of the base point {base[0]}"
+        return f"0/0 at {point}"
 
 
 def _is_exact(c) -> bool:
@@ -340,18 +347,10 @@ class _IntegerForms:
             index[e] = len(index)
         return index[e]
 
-    def monomials(self, coords: list[int]) -> list[tuple[int, int]]:
-        """Every monomial's value at the Gaussian integers (zr, zi, wr, wi,
-        tr, ti)."""
-        vals = [(coords[0], coords[1]), (coords[2], coords[3]), (coords[4], coords[5])]
-        for p, a in self.steps:
-            (ar, ai), (br, bi) = vals[p], vals[a]
-            vals.append((ar * br - ai * bi, ar * bi + ai * br))
-        return vals
-
 
 def _product(factors, vals: list[tuple[int, int]]) -> tuple[int, int]:
-    """Product of integer factors, exactly, from their monomial values."""
+    """Product of integer factors, exactly, from their monomial values; each
+    factor is raised to its multiplicity by squaring."""
     nr, ni = 1, 0
     for terms, mult in factors:
         fr = fi = 0
@@ -359,8 +358,11 @@ def _product(factors, vals: list[tuple[int, int]]) -> tuple[int, int]:
             mr, mi = vals[m]
             fr += c * mr
             fi += c * mi
-        for _ in range(mult):
-            nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
+        while mult > 1:
+            if mult & 1:
+                nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
+            fr, fi, mult = fr * fr - fi * fi, 2 * fr * fi, mult >> 1
+        nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
     return nr, ni
 
 
@@ -418,20 +420,30 @@ class RationalIntegral:
         coords = point.coords
         for bp in self.family.spec.base_points:
             if cross_norm(coords, bp.coords) <= BASE_POINT_GUARD:
-                raise IndeterminacyError(
-                    f"{point} is within {BASE_POINT_GUARD:g} of the base point {bp}"
-                )
+                raise IndeterminacyError(point, bp)
+        z, w, t = coords
         try:
-            ratios = [x.as_integer_ratio() for c in coords for x in (c.real, c.imag)]
+            zr, zrq = z.real.as_integer_ratio()
+            zi, ziq = z.imag.as_integer_ratio()
+            wr, wrq = w.real.as_integer_ratio()
+            wi, wiq = w.imag.as_integer_ratio()
+            tr, trq = t.real.as_integer_ratio()
+            ti, tiq = t.imag.as_integer_ratio()
         except (ValueError, OverflowError):  # nan or inf
             return SphereValue(complex(math.nan, math.nan))
-        common = max(q for _, q in ratios)
-        vals = forms.monomials([p * (common // q) for p, q in ratios])
+        c = max(zrq, ziq, wrq, wiq, trq, tiq)  # powers of two: c // q is exact
+        # the Gaussian integers z, w and t, then every monomial of the forms
+        vals = [(zr * (c // zrq), zi * (c // ziq)), (wr * (c // wrq), wi * (c // wiq)),
+                (tr * (c // trq), ti * (c // tiq))]
+        append = vals.append
+        for p, a in forms.steps:
+            (ar, ai), (br, bi) = vals[p], vals[a]
+            append((ar * br - ai * bi, ar * bi + ai * br))
         nr, ni = _product(forms.num, vals)
         dr, di = _product(forms.den, vals)
         if dr == 0 and di == 0:
             if nr == 0 and ni == 0:
-                raise IndeterminacyError(f"0/0 at {point}")
+                raise IndeterminacyError(point)
             return INF
         # R = (N / num_scale) / (D / den_scale) = N conj(D) den_scale / (|D|^2 num_scale)
         s = forms.den_scale

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualbill import billiards, geometry
 from dualbill.billiards import (
     BilliardFamily,
     SingularTangencyError,
@@ -18,6 +20,7 @@ from dualbill.billiards import (
 from dualbill.curves import lift_fiber
 from dualbill.families import FAMILIES
 from dualbill.geometry import (
+    E_INFINITY,
     PhasePoint,
     ProjectivePoint,
     conic_point,
@@ -315,6 +318,63 @@ class TestOrbit:
         dev_far, _ = self._progression_deviation(fam, 0.5, 0.04)
         dev_near, _ = self._progression_deviation(fam, 0.5, 0.005)
         assert dev_near < dev_far / 3
+
+
+class TestStepWork:
+    """Each orbit step tests each fact once: Q' off the parabola (in
+    tangency_points), orbit's own stop guard and billiard_map's singular
+    guard, with no trip through the public involution."""
+
+    def test_calls_per_step(self, monkeypatch):
+        fam = BilliardFamily("b1")
+        x0 = lift_fiber(fam, 2.0, 2.7, "+")
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in ((geometry, "on_conic"), (billiards, "on_conic"),
+                             (billiards, "_check_singular"), (billiards, "involution")):
+            count(module, name)
+        steps = 100
+        rec = orbit(fam, x0, steps)
+        assert (rec.reason, rec.steps_taken) == ("completed", steps)
+        assert calls["on_conic"] <= steps + 1  # one more for x0.validate()
+        assert calls["_check_singular"] <= 2 * steps
+        assert calls["involution"] == 0
+
+    @staticmethod
+    def _phase_point(z0: complex) -> PhasePoint:
+        z = z0 + 0.5
+        return PhasePoint(ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0), conic_point(z0))
+
+    def test_billiard_map_keeps_its_singular_checks(self):
+        fam = BilliardFamily("b1")
+        with pytest.raises(SingularTangencyError, match="infinite point is outside the affine"):
+            billiard_map(fam, PhasePoint(ProjectivePoint(1.0, 3.0, 0.0), E_INFINITY))
+        for s in FAMILIES["b1"].singular_finite:
+            with pytest.raises(SingularTangencyError, match="singular parameter"):
+                billiard_map(fam, self._phase_point(s + 5e-13))
+            # between its radius and orbit's stop guard the map still steps
+            billiard_map(fam, self._phase_point(s + 1e-9)).validate()
+
+    def test_a_family_vertex_rule(self):
+        # at the vertex the a-family involution is the constant map onto it
+        vertex = conic_point(0.0)
+        for fam in (BilliardFamily("a1", 2), BilliardFamily("a2", 1)):
+            y = billiard_map(fam, PhasePoint(vertex, vertex))
+            assert y.q is vertex and y.p is vertex
+            y = billiard_map(fam, PhasePoint(ProjectivePoint.affine(3.0, 0.0), vertex))
+            assert y.q.eq(vertex) and y.p.eq(vertex)
+        # for any other family the vertex is a singular tangency
+        with pytest.raises(SingularTangencyError):
+            billiard_map(BilliardFamily("d"), PhasePoint(ProjectivePoint.affine(3.0, 0.0), vertex))
 
 
 class TestEquivalenceConjugatesMaps:

@@ -70,7 +70,7 @@ class TestOrbit:
 
     ORBIT_COLUMNS = [
         "index", "q_z_re", "q_z_im", "q_w_re", "q_w_im", "p_z_re", "p_z_im",
-        "integral_re", "integral_im", "parameter_re", "parameter_im",
+        "integral_re", "integral_im", "parameter_re", "parameter_im", "stop",
     ]
 
     @pytest.mark.parametrize("tag, n", [("a1", 2), ("a1", 3), ("a2", 2), ("a2", 3)])
@@ -87,6 +87,9 @@ class TestOrbit:
         assert rows and all(len(r) == len(header) for r in rows)
         blank = [r for r in rows if r[7] == r[8] == ""]
         assert blank and all(r[1] != "" for r in blank)
+        # only the last row names the stop reason
+        assert all(r[11] == "" for r in rows[:-1])
+        assert rows[-1][11] in ("completed", "hit-singularity", "left-numeric-domain")
 
     def test_c_family_csv_has_the_same_columns(self, capsys):
         code, out = run_cli(
@@ -97,6 +100,7 @@ class TestOrbit:
         header, *rows = csv.reader(io.StringIO(out))
         assert header == self.ORBIT_COLUMNS
         assert all(r[9] == r[10] == "" for r in rows)
+        assert [r[11] for r in rows] == ["", "", "", "completed"]
 
     def test_csv_json_payload_identity(self, capsys):
         _, out_json = run_cli(
@@ -333,6 +337,8 @@ class TestEarlyTermination:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert 0 < len(rows) < 11
         assert all(None not in row.values() for row in rows)
+        assert [row["stop"] for row in rows[:-1]] == [""] * (len(rows) - 1)
+        assert rows[-1]["stop"] == "hit-singularity"
 
     def test_json_reports_termination(self, capsys):
         code, out = run_cli(self.ARGS, capsys)

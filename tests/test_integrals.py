@@ -468,7 +468,11 @@ class TestExactEvaluation:
     """eval_integral is R at the float point, exact and then correctly
     rounded, wherever the point lies."""
 
-    @pytest.mark.parametrize("fam", INSTANCES, ids=lambda f: f.label())
+    # a1(8) and a2(8) raise the conic to the powers 17 and 9
+    @pytest.mark.parametrize(
+        "fam", INSTANCES + [BilliardFamily("a1", 8), BilliardFamily("a2", 8)],
+        ids=lambda f: f.label(),
+    )
     def test_matches_mpmath_oracle(self, fam):
         mpmath = pytest.importorskip("mpmath")
         rng = random.Random(f"oracle:{fam.label()}")
@@ -492,9 +496,23 @@ class TestExactEvaluation:
     def test_exact_zero_over_zero_raises(self, monkeypatch):
         # the guard catches every base point first, so switch it off
         monkeypatch.setattr(integrals, "BASE_POINT_GUARD", -1.0)
-        for pt in (ProjectivePoint.affine(0.0, 0.0), ProjectivePoint.affine(1.0, 1.0), E_INFINITY):
-            with pytest.raises(IndeterminacyError, match="0/0"):
+        for pt, text in ((ProjectivePoint.affine(0.0, 0.0), "0/0 at [0+0j : 0+0j : 1+0j]"),
+                         (ProjectivePoint.affine(1.0, 1.0), "0/0 at [1+0j : 1+0j : 1+0j]"),
+                         (E_INFINITY, "0/0 at [0+0j : 1+0j : 0+0j]")):
+            with pytest.raises(IndeterminacyError) as exc:
                 eval_integral(BilliardFamily("b1"), pt)
+            assert str(exc.value) == text
+
+    def test_base_point_message(self):
+        for point, text in (
+            (ProjectivePoint.affine(1e-9, 2e-9j),
+             "[1e-09+0j : 0+2e-09j : 1+0j] is within 1e-08 of the base point [0+0j : 0+0j : 1+0j]"),
+            (ProjectivePoint(3e-9, 1.0, 0.0),
+             "[3e-09+0j : 1+0j : 0+0j] is within 1e-08 of the base point [0+0j : 1+0j : 0+0j]"),
+        ):
+            with pytest.raises(IndeterminacyError) as exc:
+                eval_integral(BilliardFamily("b1"), point)
+            assert str(exc.value) == text
 
     def test_zero_denominator_is_infinite(self):
         assert eval_integral(BilliardFamily("d"), ProjectivePoint.affine(1.0, 3.0)).is_inf
