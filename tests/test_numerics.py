@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualbill import numerics
 from dualbill.curves import branched_leg_integral
 from dualbill.numerics import (
     INF,
@@ -142,6 +143,55 @@ class TestQuadrature:
     def test_blowup_detected(self):
         with pytest.raises(ValueError):
             segment_integrate(lambda t: 1.0 / np.asarray(t - 0.5), 0.0, 1.0)
+
+
+def _one_panel(f, a, b):
+    """A 64-node Gauss-Legendre panel evaluated on its own."""
+    mid = (a + b) / 2.0
+    half = (b - a) / 2.0
+    vals = np.asarray(f(mid + half * numerics._GL_NODES), dtype=complex)
+    return complex(half * np.sum(numerics._GL_WEIGHTS * vals))
+
+
+_BR3 = BranchedSqrt([1.0, -0.4 - 0.7j, -0.2 + 0.5j, 0.25j])
+_A, _D = -1.5 + 0.9j, 3.1 - 0.2j
+_TB, _AMP = 0.3 + 0.2j, 0.8 - 0.6j
+INTEGRANDS = {
+    "segment": lambda s: _D / _BR3(_A + _D * s),
+    "endpoint": lambda v: 2.0 * v * _AMP / _BR3(_TB + _AMP * v * v),
+}
+
+
+class TestPanelBlocks:
+    """A refinement level is evaluated in blocks of panels, one integrand
+    call per block, with each panel's bits those of the panel alone."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 2048])
+    @pytest.mark.parametrize("name", sorted(INTEGRANDS))
+    def test_panels_match_single_panels_bit_for_bit(self, name, n):
+        f = INTEGRANDS[name]
+        nodes = [k / n for k in range(n + 1)]  # the nodes _refine makes on [0, 1]
+        got = numerics._panels(f, nodes)
+        alone = [_one_panel(f, nodes[k], nodes[k + 1]) for k in range(n)]
+        assert np.array(got).tobytes() == np.array(alone).tobytes()
+
+    def test_one_flat_call_per_block(self):
+        sizes = []
+
+        def f(t):
+            assert t.ndim == 1
+            sizes.append(t.size)
+            return 1.0 / (t - 0.5)  # never converges: every level runs
+
+        with pytest.raises(ValueError, match="did not converge"):
+            segment_integrate(f, 0.0, 1.0)
+        levels = [2**k for k in range(numerics.QUAD_MAX_SPLITS)]
+        # one call of 64 n nodes per level up to 64 panels, then 4096 per call
+        assert sizes == [64 * min(n, 64) for n in levels for _ in range(0, n, 64)]
+
+    def test_non_finite_block_raises(self):
+        with pytest.raises(ValueError, match="blew up"):
+            numerics._panels(lambda t: np.where(t > 0.9, np.inf, 1.0), [0.0, 0.5, 1.0])
 
 
 class TestBranchTracking:

@@ -347,6 +347,19 @@ class TestLanes:
         cols = _jacobian_lanes(fam)
         self.assert_order_free(lambda z0, z: verify._jacobian_residual(fam, z0, z)[0], cols)
 
+    @pytest.mark.parametrize("label", ["a1(1)", "b1", "c2", "d"])
+    def test_lane_bits_do_not_depend_on_batch_size(self, label):
+        # 20 000 complex lanes (320 KB) pass the size from which numpy
+        # reuses temporaries in place; blocks of 1000 stay below it
+        fam = next(f for f in INSTANCES if f.label() == label)
+        cols = _involution_lanes(fam, 20_000)
+        for residual in (verify._involution_residual, verify._jacobian_residual):
+            with np.errstate(all="ignore"):
+                whole = residual(fam, *cols)
+                blocks = [residual(fam, *(c[k:k + 1000] for c in cols)) for k in range(0, 20_000, 1000)]
+            for j, lanes in enumerate(whole):  # the residuals, then the images
+                assert lanes.tobytes() == np.concatenate([b[j] for b in blocks]).tobytes()
+
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_involution_lanes_match_python_numbers(self, fam):
         z0, z1 = _involution_lanes(fam)
