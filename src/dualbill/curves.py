@@ -47,6 +47,7 @@ from .numerics import (
     BranchedSqrt,
     SphereValue,
     chordal_distance,
+    lattice_reduce,
     plan_route,
     principal_sqrt,
     roots as poly_roots,
@@ -389,19 +390,6 @@ def sheet_sqrt(family: BilliardFamily, lam, x: PhasePoint) -> tuple[complex, com
 # ---------------------------------------------------------------------------
 # elliptic models: periods by contour quadrature
 
-def _sorted_roots(br: BranchedSqrt) -> list[complex]:
-    return sorted(br.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
-
-
-def _min_gap(roots: Sequence[complex]) -> float:
-    gaps = [
-        abs(roots[i] - roots[j])
-        for i in range(len(roots))
-        for j in range(i + 1, len(roots))
-    ]
-    return min(gaps)
-
-
 def _leg_clearance_score(br: BranchedSqrt, pts: Sequence[complex], skip: complex) -> float:
     worst = math.inf
     for i in range(len(pts) - 1):
@@ -460,26 +448,6 @@ def branched_leg_integral(
     return total
 
 
-@dataclass
-class EllipticModel:
-    """Genus-one data of one invariant fiber: y^2 = p(t)."""
-
-    family: BilliardFamily
-    lam: complex
-    poly: np.ndarray  # descending coefficients of p
-    branch_parameters: list[SphereValue]
-    periods: tuple[complex, complex]
-    _sqrt: BranchedSqrt = field(repr=False)
-
-    def lattice_reduce(self, v: complex) -> complex:
-        from .numerics import lattice_reduce
-
-        return lattice_reduce(v, *self.periods)
-
-    def sorted_roots(self) -> list[complex]:
-        return _sorted_roots(self._sqrt)
-
-
 def ramification_connection(
     br: BranchedSqrt, a: complex, b: complex, clearance: float
 ) -> complex:
@@ -513,10 +481,72 @@ def ramification_connection(
     return ib - ia
 
 
-def _pair_cycle_period(br: BranchedSqrt, a: complex, b: complex, clearance: float) -> complex:
-    """Period of dt/y over a cycle enclosing the branch points a and b
-    (twice the connecting integral)."""
-    return 2.0 * ramification_connection(br, a, b, clearance)
+@dataclass
+class EllipticModel:
+    """Genus-one data of one invariant fiber, y^2 = p(t), and the routing of
+    its integrals of dt/y: the sorted finite branch points and the clearance
+    of every routed path from them are set once, the connection between two
+    branch points (half a period) is integrated at most once, on first use,
+    and a period is twice a connection."""
+
+    family: BilliardFamily
+    lam: complex
+    poly: np.ndarray  # descending coefficients of p
+    branch_parameters: list[SphereValue]
+    roots: list[complex]  # finite branch points, sorted
+    clearance: float  # how far routed paths keep from every root
+    _sqrt: BranchedSqrt = field(repr=False)
+    _connections: dict[tuple[int, int], complex] = field(
+        default_factory=dict, init=False, repr=False
+    )
+    periods: tuple[complex, complex] = field(init=False)
+
+    def __post_init__(self):
+        w1 = 2.0 * self.connection(0, 1)
+        w2 = 2.0 * self.connection(1, 2)
+        det = w1.real * w2.imag - w1.imag * w2.real
+        if abs(det) <= 1e-12 * max(abs(w1), abs(w2)) ** 2:
+            raise RuntimeError(
+                "computed period generators are (near) real-proportional; "
+                "no genuine lattice"
+            )
+        self.periods = (w1, w2)
+
+    def lattice_reduce(self, v: complex) -> complex:
+        return lattice_reduce(v, *self.periods)
+
+    def connection(self, i: int, j: int) -> complex:
+        """Integral of dt/y from the branch point ``roots[i]`` to ``roots[j]``;
+        the reverse order is the exact negation, as in
+        :func:`ramification_connection`.  One that raises is not stored."""
+        if i > j:
+            return -self.connection(j, i)
+        c = self._connections.get((i, j))
+        if c is None:
+            c = ramification_connection(self._sqrt, self.roots[i], self.roots[j], self.clearance)
+            self._connections[(i, j)] = c
+        return c
+
+    def abel_integral(
+        self, start: tuple[complex, complex], end: tuple[complex, complex]
+    ) -> complex:
+        """Integral of dt/y from the curve point ``start`` = (t, y) to ``end``.
+
+        Each endpoint is routed into its nearest branch point, where the
+        final approach is desingularized, on the branch of y that its y
+        selects; two different branch points are joined by their connection.
+        """
+        (ta, ya), (tb, yb) = start, end
+        i, j = self._nearest(ta), self._nearest(tb)
+        total = self._leg(ta, ya, i) - self._leg(tb, yb, j)
+        return total + self.connection(i, j) if i != j else total
+
+    def _nearest(self, t: complex) -> int:
+        return min(range(len(self.roots)), key=lambda k: abs(self.roots[k] - t))
+
+    def _leg(self, t: complex, y: complex, k: int) -> complex:
+        path = plan_route([t, self.roots[k]], self._sqrt.roots, self.clearance)
+        return branched_leg_integral(self._sqrt, path, y, end_at_branch=self.roots[k])
 
 
 def elliptic_model(family: BilliardFamily, lam) -> EllipticModel:
@@ -530,20 +560,12 @@ def elliptic_model(family: BilliardFamily, lam) -> EllipticModel:
     lam = _require_regular(family, lam)
     coeffs = elliptic_poly(family, lam)
     br = BranchedSqrt(coeffs)
-    rts = _sorted_roots(br)
-    clearance = 0.12 * _min_gap(rts)
-    w1 = _pair_cycle_period(br, rts[0], rts[1], clearance)
-    w2 = _pair_cycle_period(br, rts[1], rts[2], clearance)
+    rts = sorted(br.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
+    clearance = 0.12 * min(abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:])
     branch = [SphereValue(r) for r in rts]
     if len(coeffs) == 4:  # cubic model branches over infinity as well
         branch.append(INF)
-    det = w1.real * w2.imag - w1.imag * w2.real
-    if abs(det) <= 1e-12 * max(abs(w1), abs(w2)) ** 2:
-        raise RuntimeError(
-            "computed period generators are (near) real-proportional; "
-            "no genuine lattice"
-        )
-    return EllipticModel(family, lam.value, coeffs, branch, (w1, w2), br)
+    return EllipticModel(family, lam.value, coeffs, branch, rts, clearance, br)
 
 
 def lattice_closure_residual(model: EllipticModel) -> float:
@@ -552,12 +574,7 @@ def lattice_closure_residual(model: EllipticModel) -> float:
     The cycle encloses the first and third branch points; its period must be
     an integer combination of the two generators.
     """
-    br = model._sqrt
-    rts = model.sorted_roots()
-    clearance = 0.12 * _min_gap(rts)
-    extra = _pair_cycle_period(br, rts[0], rts[2], clearance)
-    return abs(model.lattice_reduce(extra))
-
+    return abs(model.lattice_reduce(2.0 * model.connection(0, 2)))
 
 
 # ---------------------------------------------------------------------------

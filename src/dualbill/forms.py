@@ -20,15 +20,10 @@ import math
 from dataclasses import dataclass
 
 from .billiards import BilliardFamily, _involution_z, billiard_map
-from .curves import (
-    EllipticModel,
-    branched_leg_integral,
-    ramification_connection,
-    sheet_sqrt,
-)
+from .curves import EllipticModel, sheet_sqrt
 from .geometry import PhasePoint
 from .integrals import gradient
-from .numerics import INF, plan_route
+from .numerics import INF
 
 __all__ = [
     "TangentSample",
@@ -268,30 +263,10 @@ def abel_steps(
 ) -> list[complex]:
     """Integrals of the fiber differential between consecutive orbit points.
 
-    Each step is routed through a nearby branch point of the double cover,
-    with the two legs anchored to the sheet-resolved square roots of the two
-    phase points, so the result is a genuine path integral on the fiber (its
-    class modulo the period lattice is what the dynamics fixes).
+    Each step is the model's :meth:`~dualbill.curves.EllipticModel.abel_integral`
+    between the sheet coordinates (t, y) of the two phase points: a genuine
+    path integral on the fiber, routed through the nearest branch points,
+    whose class modulo the period lattice is what the dynamics fixes.
     """
-    br = model._sqrt
-    rts = model.sorted_roots()
-    gaps = [abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:]]
-    clearance = 0.12 * min(gaps)
     coords = [sheet_sqrt(family, lam, x) for x in phase_points]
-    out = []
-    for (ta, ya), (tb, yb) in zip(coords, coords[1:]):
-        # route each endpoint into its nearest branch point: the final
-        # approach is desingularized there, so even orbit parameters that
-        # happen to sit close to a branch point integrate cleanly, and a
-        # path through a ramification point is sheet-unambiguous
-        b_a = min(rts, key=lambda r: abs(r - ta))
-        b_b = min(rts, key=lambda r: abs(r - tb))
-        leg_a = plan_route([ta, b_a], br.roots, clearance)
-        leg_b = plan_route([tb, b_b], br.roots, clearance)
-        total = branched_leg_integral(br, leg_a, ya, end_at_branch=b_a)
-        total -= branched_leg_integral(br, leg_b, yb, end_at_branch=b_b)
-        if abs(b_a - b_b) > 1e-12:
-            # connect the two ramification points, desingularizing both ends
-            total += ramification_connection(br, b_a, b_b, clearance)
-        out.append(total)
-    return out
+    return [model.abel_integral(a, b) for a, b in zip(coords, coords[1:])]

@@ -300,7 +300,7 @@ class BranchedSqrt:
         t = np.asarray(t, dtype=complex)
         vals = np.full(t.shape, self._lead * self._phase, dtype=complex)
         for r in self.roots:
-            vals = vals * np.sqrt(-1j * (t - r))
+            vals = np.multiply(vals, np.sqrt(-1j * (t - r)))
         return vals
 
     def at(self, t: complex) -> complex:

@@ -429,7 +429,8 @@ def check_abel_translation(
     branch: str = "+",
     corrupt: bool = False,
 ) -> CheckReport:
-    """Orbit steps integrate the fiber differential to a constant mod lattice."""
+    """Orbit steps integrate the fiber differential to a constant mod lattice;
+    a model or steps that cannot be integrated drop every step and fail."""
     if not family.spec.elliptic_fiber:
         raise ValueError("Abel translation applies to the b and d families")
     name = f"abel:{family.label()}:lam={lam}"
@@ -438,19 +439,22 @@ def check_abel_translation(
     rec = orbit(family, x0, steps)
     if rec.reason != "completed":
         return _skipped(name, family, params, rec)
-    model = elliptic_model(family, lam)
-    rts = model.sorted_roots()
-    for x in rec.points:
-        t = curve_parameter(family, x).value
-        if min(abs(t - r) for r in rts) < 1e-9:
-            return CheckReport(
-                name, family.label(), params, "skipped", 0.0,
-                {"reason": "orbit parameter on a branch point"},
-            )
-    vals = abel_steps(family, lam, rec.points, model)
+    acc = _Residuals()
+    try:
+        model = elliptic_model(family, lam)
+        for x in rec.points:
+            t = curve_parameter(family, x).value
+            if min(abs(t - r) for r in model.roots) < 1e-9:
+                return CheckReport(
+                    name, family.label(), params, "skipped", 0.0,
+                    {"reason": "orbit parameter on a branch point"},
+                )
+        vals = abel_steps(family, lam, rec.points, model)
+    except (ValueError, RuntimeError) as exc:
+        acc.dropped[type(exc).__name__] += steps
+        vals = []
     if corrupt:
         vals = [v + 1e-3 * k for k, v in enumerate(vals)]
-    acc = _Residuals()
     for k, v in enumerate(vals):
         acc.note(abs(model.lattice_reduce(v - vals[0])), lambda: {"step": k, "value": repr(v)})
     return acc.report(name, family, params, 1e-5)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from dualbill import verify
 from dualbill.cli import RecordWriter, main
 
 
@@ -161,6 +162,21 @@ class TestCheck:
         assert code == 0
         assert json.loads(suite_out)["name"] == suite_name
         assert out == suite_out
+
+
+    @pytest.mark.parametrize(
+        "name,exc", [("abel_steps", ValueError), ("elliptic_model", RuntimeError)]
+    )
+    def test_abel_that_cannot_integrate_fails(self, name, exc, capsys, monkeypatch):
+        def cannot(*args):
+            raise exc("quadrature did not converge")
+
+        monkeypatch.setattr(verify, name, cannot)
+        code, out = run_cli(["check", "abel", "--family", "b2"], capsys)
+        assert code == 1
+        rec = json.loads(out)
+        counts = {"evaluated": 0, "dropped": {exc.__name__: 20}}
+        assert (rec["status"], rec["witness"]) == ("fail", counts)
 
 
 class TestCurve:
@@ -390,6 +406,10 @@ class TestBadInput:
     def test_check_needs_a_finite_lambda(self, kind, family, capsys):
         err = self.usage_error(["check", kind, "--family", family, "--lambda", "inf"], capsys)
         assert "lambda" in err
+
+    def test_abel_at_a_critical_level(self, capsys):
+        err = self.usage_error(["check", "abel", "--family", "d", "--lambda", "1e-12"], capsys)
+        assert "critical" in err
 
     def test_negative_steps(self, capsys):
         self.usage_error(

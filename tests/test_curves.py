@@ -535,13 +535,31 @@ class TestSpecFidelityExtras:
         from dualbill.curves import elliptic_model, ramification_connection
 
         m = elliptic_model(BilliardFamily("b1"), 2.0)
-        rts = m.sorted_roots()
-        gaps = [abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:]]
-        clr = 0.12 * min(gaps)
+        rts, clr = m.roots, m.clearance
         w2_first = 2 * ramification_connection(m._sqrt, rts[1], rts[2], clr)
         w1_second = 2 * ramification_connection(m._sqrt, rts[0], rts[1], clr)
         assert abs(w2_first - m.periods[1]) <= 1e-9 * max(1, abs(m.periods[1]))
         assert abs(w1_second - m.periods[0]) <= 1e-9 * max(1, abs(m.periods[0]))
+
+    @pytest.mark.parametrize("tag,lam", [("b1", 2.0), ("d", 1.0)])
+    def test_reverse_connection_is_exact_negation(self, tag, lam):
+        from dualbill.curves import ramification_connection
+
+        m = elliptic_model(BilliardFamily(tag), lam)
+        n = len(m.roots)
+        for i in range(n):
+            for j in range(i + 1, n):
+                fresh = ramification_connection(m._sqrt, m.roots[j], m.roots[i], m.clearance)
+                assert repr(m.connection(j, i)) == repr(fresh)
+                assert repr(m.connection(i, j)) == repr(-fresh)
+
+    def test_model_keeps_sorted_roots_and_clearance(self):
+        m = elliptic_model(BilliardFamily("d"), 1.0)
+        assert m.roots == [b.value for b in m.branch_parameters]
+        assert sorted(m.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12))) == m.roots
+        gaps = [abs(a - b) for i, a in enumerate(m.roots) for b in m.roots[i + 1:]]
+        assert m.clearance == 0.12 * min(gaps)
+        assert m.periods == (2.0 * m.connection(0, 1), 2.0 * m.connection(1, 2))
 
 
 class TestCEquivalenceOnComponents:

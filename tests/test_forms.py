@@ -3,8 +3,16 @@ import cmath
 import numpy as np
 import pytest
 
+from dualbill import curves
 from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily, _involution_z, orbit
-from dualbill.curves import elliptic_model, lift_fiber, sheet_sqrt
+from dualbill.curves import (
+    branched_leg_integral,
+    elliptic_model,
+    lattice_closure_residual,
+    lift_fiber,
+    ramification_connection,
+    sheet_sqrt,
+)
 from dualbill.forms import (
     TangentSample,
     _Jet,
@@ -20,6 +28,7 @@ from dualbill.forms import (
 )
 from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import gradient
+from dualbill.numerics import plan_route
 from dualbill.verify import _rng_for, check_area_form, check_jacobian, sample_phase_point
 
 FAMILIES = [
@@ -196,16 +205,62 @@ class TestFiberDifferential:
                 assert abs(r - base) <= 1e-6 * max(1.0, abs(base))
 
 
+ABEL_CASES = [
+    (BilliardFamily("b1"), 2.0, 2.7),
+    (BilliardFamily("b2"), 2.0, 2.7),
+    (BilliardFamily("d"), 1.0, 1.3),
+]
+
+
+def _routed_steps(fam, lam, points, model):
+    """Abel steps routed one by one from the model's polynomial alone, with
+    a fresh connection for every step that joins two branch points."""
+    br = model._sqrt
+    rts = sorted(br.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
+    clearance = 0.12 * min(abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:])
+    coords = [sheet_sqrt(fam, lam, x) for x in points]
+    out, joined = [], 0
+    for (ta, ya), (tb, yb) in zip(coords, coords[1:]):
+        b_a = min(rts, key=lambda r: abs(r - ta))
+        b_b = min(rts, key=lambda r: abs(r - tb))
+        leg_a = plan_route([ta, b_a], br.roots, clearance)
+        leg_b = plan_route([tb, b_b], br.roots, clearance)
+        total = branched_leg_integral(br, leg_a, ya, end_at_branch=b_a)
+        total -= branched_leg_integral(br, leg_b, yb, end_at_branch=b_b)
+        if abs(b_a - b_b) > 1e-12:
+            total += ramification_connection(br, b_a, b_b, clearance)
+            joined += 1
+        out.append(total)
+    return out, joined
+
+
 class TestAbel:
-    @pytest.mark.parametrize(
-        "fam,lam,t0",
-        [
-            (BilliardFamily("b1"), 2.0, 2.7),
-            (BilliardFamily("b2"), 2.0, 2.7),
-            (BilliardFamily("d"), 1.0, 1.3),
-        ],
-        ids=lambda v: str(v),
-    )
+    @pytest.mark.parametrize("fam,lam,t0", ABEL_CASES, ids=lambda v: str(v))
+    def test_steps_match_routing_each_step_alone(self, fam, lam, t0):
+        points = orbit(fam, lift_fiber(fam, lam, t0, "+"), 20).points
+        model = elliptic_model(fam, lam)
+        want, joined = _routed_steps(fam, lam, points, model)
+        assert joined > 0  # some steps go through a stored connection
+        assert [repr(v) for v in abel_steps(fam, lam, points, model)] == list(map(repr, want))
+
+    @pytest.mark.parametrize("tag,lam,t0,pairs", [("b1", 2.0, 2.7, 3), ("d", 1.0, 1.3, 6)])
+    def test_each_connection_is_integrated_once(self, tag, lam, t0, pairs, monkeypatch):
+        calls = []
+
+        def counted(br, a, b, clearance):
+            calls.append(frozenset((a, b)))
+            return ramification_connection(br, a, b, clearance)
+
+        monkeypatch.setattr(curves, "ramification_connection", counted)
+        fam = BilliardFamily(tag)
+        points = orbit(fam, lift_fiber(fam, lam, t0, "+"), 20).points
+        model = elliptic_model(fam, lam)
+        lattice_closure_residual(model)
+        abel_steps(fam, lam, points, model)
+        lattice_closure_residual(model)
+        assert len(calls) == len(set(calls)) <= pairs
+
+    @pytest.mark.parametrize("fam,lam,t0", ABEL_CASES, ids=lambda v: str(v))
     def test_step_constancy(self, fam, lam, t0):
         x0 = lift_fiber(fam, lam, t0, "+")
         rec = orbit(fam, x0, 20)

@@ -194,6 +194,19 @@ class TestPanelBlocks:
             numerics._panels(lambda t: np.where(t > 0.9, np.inf, 1.0), [0.0, 0.5, 1.0])
 
 
+class TestBranchedSqrtBits:
+    def test_same_bits_at_every_array_size(self):
+        # numpy may reuse a large temporary in place, which must not change
+        # the rounding of the chained product
+        rng = np.random.default_rng(11)
+        t = rng.uniform(-3, 3, 40_000) + 1j * rng.uniform(-3, 3, 40_000)
+        whole = _BR3(t)
+        blocks = np.concatenate([_BR3(t[k:k + 1000]) for k in range(0, t.size, 1000)])
+        assert whole.tobytes() == blocks.tobytes()
+        for k in range(0, t.size, 997):
+            assert repr(complex(whole[k])) == repr(_BR3.at(t[k]))
+
+
 class TestBranchTracking:
     def test_principal_sqrt_signed_zero(self):
         assert principal_sqrt(complex(-64.0, -0.0)) == 8j
