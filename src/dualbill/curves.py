@@ -536,9 +536,20 @@ class EllipticModel:
         final approach is desingularized, on the branch of y that its y
         selects; two different branch points are joined by their connection.
         """
-        (ta, ya), (tb, yb) = start, end
-        i, j = self._nearest(ta), self._nearest(tb)
-        total = self._leg(ta, ya, i) - self._leg(tb, yb, j)
+        return self.join(self.anchor(start), self.anchor(end))
+
+    def anchor(self, point: tuple[complex, complex]) -> tuple[int, complex]:
+        """The index k of the branch point nearest the curve point (t, y) and
+        the integral of dt/y from the point to ``roots[k]``: the leg of every
+        :meth:`abel_integral` that starts or ends there."""
+        t, y = point
+        k = self._nearest(t)
+        return k, self._leg(t, y, k)
+
+    def join(self, start: tuple[int, complex], end: tuple[int, complex]) -> complex:
+        """:meth:`abel_integral` between two :meth:`anchor` results."""
+        (i, leg_a), (j, leg_b) = start, end
+        total = leg_a - leg_b
         return total + self.connection(i, j) if i != j else total
 
     def _nearest(self, t: complex) -> int:

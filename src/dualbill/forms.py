@@ -9,15 +9,18 @@ with the differential of the implemented map, which forward-mode jets give
 exactly up to rounding: the involution's arithmetic runs on values carrying
 their partials in z and w, so no step size enters.  The closed form and the
 jets take the tangency parameter z0 and the point z of its tangent line as
-Python numbers or numpy lanes.  The fiber form is the 1-form pairing with dR to give the area form;
-on an elliptic fiber it is proportional to dt/sqrt(p(t)) in the curve
-parameter.
+Python numbers or numpy lanes, and so does the defect of the area form's
+invariance that the area check evaluates.  The fiber form is the 1-form
+pairing with dR to give the area form; on an elliptic fiber it is
+proportional to dt/sqrt(p(t)) in the curve parameter.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import pairwise
+
+import numpy as np
 
 from .billiards import BilliardFamily, _involution_z, billiard_map
 from .curves import EllipticModel, sheet_sqrt
@@ -52,20 +55,21 @@ class TangentSample:
     v2: tuple[complex, complex]
 
     def __post_init__(self):
-        det = self.v1[0] * self.v2[1] - self.v1[1] * self.v2[0]
-        n1 = math.hypot(abs(self.v1[0]), abs(self.v1[1]))
-        n2 = math.hypot(abs(self.v2[0]), abs(self.v2[1]))
-        if n1 == 0 or n2 == 0 or abs(det) < 1e-8 * n1 * n2:
+        if _dependent(self.v1, self.v2):
             raise ValueError("tangent sample vectors are (near) dependent")
 
-    @staticmethod
-    def standard(x: PhasePoint) -> "TangentSample":
-        """The vectors (1, 2 z0) along the tangent line at P and (0, 1)."""
-        z0 = x.p.z_sphere().value
-        return TangentSample(x, (1.0, 2.0 * z0), (0.0, 1.0))
 
-    def det(self) -> complex:
-        return self.v1[0] * self.v2[1] - self.v1[1] * self.v2[0]
+def _wedge(v1, v2):
+    """dz^dw on the chart vectors v1 and v2."""
+    return v1[0] * v2[1] - v1[1] * v2[0]
+
+
+def _dependent(v1, v2):
+    """Whether the chart vectors v1 and v2 are zero or (near) dependent:
+    |v1 ^ v2| below 1e-8 |v1| |v2|."""
+    n1 = np.hypot(abs(v1[0]), abs(v1[1]))
+    n2 = np.hypot(abs(v2[0]), abs(v2[1]))
+    return (n1 == 0) | (n2 == 0) | (abs(_wedge(v1, v2)) < 1e-8 * n1 * n2)
 
 
 def _chart_offset(x: PhasePoint) -> complex:
@@ -82,8 +86,12 @@ def _chart_offset(x: PhasePoint) -> complex:
 
 def area_form(x: PhasePoint, sample: TangentSample) -> complex:
     """Invariant area form evaluated on a chart bivector at x."""
-    off = _chart_offset(x)
-    return sample.det() / (off * off * off)
+    return _area(sample.v1, sample.v2, _chart_offset(x))
+
+
+def _area(v1, v2, off):
+    """The area form on the bivector v1 ^ v2 at chart offset off = z(Q) - z(P)."""
+    return _wedge(v1, v2) / (off * off * off)
 
 
 def halfstep_jacobian(family: BilliardFamily, z0, z):
@@ -124,6 +132,8 @@ class _Jet:
         if isinstance(o, _Jet):
             return _Jet(self.v + o.v, self.dz + o.dz, self.dw + o.dw)
         return _Jet(self.v + o, self.dz, self.dw)
+
+    __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, _Jet):
@@ -190,14 +200,33 @@ def _push(mat: _Matrix, v: tuple[complex, complex]) -> tuple[complex, complex]:
     return a * v[0] + b * v[1], c * v[0] + d * v[1]
 
 
+def _area_defect(family: BilliardFamily, z0, z, off_img):
+    """Relative defect of area-form invariance under the phase map at the
+    point z of the tangent line at z0, whose image phase point has chart
+    offset ``off_img``, on Python numbers or numpy lanes; and whether the
+    pushed-forward vectors are (near) dependent, where :class:`TangentSample`
+    refuses them.
+
+    The vectors (1, 2 z0) along the tangent line and (0, 1) are pushed
+    forward by the jets of :func:`_chart_derivative`, which raises on Python
+    numbers where the involution's image is infinite.
+    """
+    mat = _chart_derivative(family, z0, z)[1]
+    v1, v2 = (1.0, 2.0 * z0), (0.0, 1.0)
+    p1, p2 = _push(mat, v1), _push(mat, v2)
+    before = _area(v1, v2, z - z0)
+    after = _area(p1, p2, off_img)
+    return abs(after - before) / np.maximum(1e-300, abs(before)), _dependent(p1, p2)
+
+
 def area_pullback_residual(family: BilliardFamily, x: PhasePoint) -> float:
     """Relative defect of area-form invariance under the phase map at x."""
-    sample = TangentSample.standard(x)
-    mat, x_img = chart_jacobian(family, x)
-    pushed = TangentSample(x_img, _push(mat, sample.v1), _push(mat, sample.v2))
-    before = area_form(x, sample)
-    after = area_form(x_img, pushed)
-    return abs(after - before) / max(1e-300, abs(before))
+    _chart_offset(x)  # raises unless Q and P are affine and Q is off the parabola
+    off_img = _chart_offset(billiard_map(family, x))
+    res, dependent = _area_defect(family, x.p.z_sphere().value, x.q.z_sphere().value, off_img)
+    if dependent:
+        raise ValueError("pushed tangent sample vectors are (near) dependent")
+    return float(res)
 
 
 def fiber_form(
@@ -266,7 +295,11 @@ def abel_steps(
     Each step is the model's :meth:`~dualbill.curves.EllipticModel.abel_integral`
     between the sheet coordinates (t, y) of the two phase points: a genuine
     path integral on the fiber, routed through the nearest branch points,
-    whose class modulo the period lattice is what the dynamics fixes.
+    whose class modulo the period lattice is what the dynamics fixes.  Each
+    point's leg to its branch point is integrated once, when its first step
+    is taken, and serves the step that ends there and the one that starts
+    there.
     """
     coords = [sheet_sqrt(family, lam, x) for x in phase_points]
-    return [model.abel_integral(a, b) for a, b in zip(coords, coords[1:])]
+    anchors = map(model.anchor, coords) if len(coords) > 1 else ()
+    return [model.join(a, b) for a, b in pairwise(anchors)]

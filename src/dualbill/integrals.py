@@ -8,7 +8,8 @@ homogenizes both factored forms to the common degree and multiplies them
 out exactly in integers at the float point, so its value is the true ratio
 correctly rounded, at infinite points too; near a base point (where
 numerator and denominator share a zero) evaluation is refused inside a
-guard radius.
+guard radius.  On a tangent line of the parabola R also has a float form
+that runs on numpy lanes, for the conservation check.
 
 The polynomial factors of each integral are tabulated here, one entry per
 family; the base points and the critical value table are read from the
@@ -37,6 +38,8 @@ __all__ = [
     "coefficients_a2",
     "first_integral",
     "eval_integral",
+    "eval_on_tangent",
+    "tangent_condition",
     "gradient",
     "gradient_hessian_projective",
     "indeterminacy_set",
@@ -404,6 +407,14 @@ class RationalIntegral:
         )
 
     @cached_property
+    def _den_magnitudes(self) -> tuple[BiPoly, ...]:
+        """Each denominator factor with the moduli of its coefficients."""
+        return tuple(
+            BiPoly({k: abs(complex(c)) for k, c in poly.coeffs.items()})
+            for poly, _ in self.den_factors
+        )
+
+    @cached_property
     def _exact(self) -> _IntegerForms:
         """The integer tables of :meth:`eval`."""
         return _IntegerForms(self.num_factors, self.den_factors, self.degree)
@@ -494,6 +505,56 @@ def first_integral(family: BilliardFamily) -> RationalIntegral:
 def eval_integral(family: BilliardFamily, point: ProjectivePoint) -> SphereValue:
     """Value of the family's first integral at a projective point."""
     return first_integral(family).eval(point)
+
+
+def _on_tangent(z0, u):
+    """The point (z0 + u, z0^2 + 2 z0 u) at offset u of the tangent line at
+    (z0, z0^2)."""
+    return z0 + u, z0 * z0 + 2.0 * z0 * u
+
+
+def eval_on_tangent(family: BilliardFamily, z0, u):
+    """R at Q = (z0 + u, z0^2 + 2 z0 u), the point at offset u of the tangent
+    line at P = (z0, z0^2), on Python numbers, jets or numpy lanes.
+
+    On the tangent line w - z^2 = -u^2, so R = (-u^2)^k / prod f_i(Q)^m_i
+    with the denominator factors f_i of the family's table, each by
+    :meth:`BiPoly.__call__`.  Unlike :func:`eval_integral` it is not exact
+    and has no base-point guard; near a base point its factors cancel (see
+    :func:`tangent_condition`).  A pole or 0/0 raises on Python numbers and
+    is not finite on a lane.
+    """
+    integ = first_integral(family)
+    z, w = _on_tangent(z0, u)
+    # every product and quotient takes named operands: numpy would compute
+    # one in place into a temporary right operand past 256 KiB, and round
+    # it otherwise than on a shorter array
+    den = 1.0
+    for poly, mult in integ.den_factors:
+        f = poly(z, w) ** mult
+        den = den * f
+    num = (u * u * -1.0) ** integ.zero_order
+    return num / den
+
+
+def tangent_condition(family: BilliardFamily, z0, u):
+    """An estimate, in units of the machine epsilon, of the relative
+    rounding error of :func:`eval_on_tangent` at (z0, u), on Python numbers
+    or numpy lanes.
+
+    It adds 2k (|z0| + |z|) / |u| for the numerator, since u is the
+    difference of two rounded parameters, and m_i |f_i|(Z, W) / |f_i(z, w)|
+    for each denominator factor, where |f_i| has the moduli of the factor's
+    coefficients and Z = |z0| + |u|, W = |z0|^2 + 2 |z0| |u| bound |z| and
+    |w|.  It is large only near a base point, where the factors cancel.
+    """
+    integ = first_integral(family)
+    z, w = _on_tangent(z0, u)
+    az0, au = abs(z0), abs(u)
+    cond = 2 * integ.zero_order * (az0 + abs(z)) / au
+    for (poly, mult), bound in zip(integ.den_factors, integ._den_magnitudes):
+        cond = cond + mult * bound(*_on_tangent(az0, au)).real / abs(poly(z, w))
+    return cond
 
 
 def _jet(num: tuple, den: tuple, a, b, r=None) -> tuple[tuple[complex, complex], np.ndarray]:

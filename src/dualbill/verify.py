@@ -14,14 +14,20 @@ per exception class; a check that evaluates fewer samples than its floor
 fails, with those counts as its witness.  The floor is one sample, and half
 the samples for the sampled checks (involution, area, jacobian).
 
-The involution and jacobian checks run their samples as lanes: numpy arrays
-passed once through the involution's own arithmetic
-(``billiards._involution_z``, ``forms.halfstep_jacobian`` and the jets of
-``forms._chart_derivative``).
-Every operation is elementwise, so a lane's residual does not depend on the
-size or order of its batch.  A lane whose residual is not finite, or whose
-image is at infinity on the sphere, is evaluated again on Python numbers,
-where the involution's pole gives INF as in the scalar path.
+The involution, jacobian and area checks run their samples as lanes:
+numpy arrays passed once through the library's own arithmetic
+(``billiards._involution_z``, ``forms.halfstep_jacobian``, the jets of
+``forms._chart_derivative`` and ``forms._area_defect``), and the
+conservation check evaluates every iterate of its orbit at once by
+``integrals.eval_on_tangent``.  Every operation is elementwise, so a lane's
+residual does not depend on the size or order of its batch.  A lane whose
+residual is not finite, or whose image is at infinity on the sphere, is
+evaluated again on the scalar path: on Python numbers, where the
+involution's pole gives INF; by the scalar
+``forms.area_pullback_residual``; or by the exact ``eval_integral``, which
+also takes every iterate with Q or P on the infinity line, near the edge
+of the base-point guard, or where the factors of the tangent-line form
+cancel.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import cmath
 import hashlib
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -56,7 +63,14 @@ from .curves import (
     lift_fiber,
     point_on_level,
 )
-from .forms import _chart_derivative, abel_steps, area_pullback_residual, halfstep_jacobian
+from .forms import (
+    _area_defect,
+    _chart_derivative,
+    _chart_offset,
+    abel_steps,
+    area_pullback_residual,
+    halfstep_jacobian,
+)
 from .geometry import (
     E_INFINITY,
     EPS_CUBE_ROOT,
@@ -68,10 +82,14 @@ from .geometry import (
     cross_norm,
 )
 from .integrals import (
+    BASE_POINT_GUARD,
+    IndeterminacyError,
     eval_integral,
+    eval_on_tangent,
     first_integral,
     gradient_hessian_projective,
     indeterminacy_set,
+    tangent_condition,
 )
 from .numerics import INF, INF_THRESHOLD, SphereValue
 
@@ -199,55 +217,50 @@ def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint
             return x
 
 
-def _sampled(
-    kind: str, family: BilliardFamily, samples: int, seed: int, bound: float,
-    residual: Callable[[PhasePoint], float],
-) -> CheckReport:
-    """Evaluate ``residual`` on random phase points one at a time; a sample
-    whose residual raises is dropped, and the witness is the worst sample."""
-    name = f"{kind}:{family.label()}"
-    rng = _rng_for(seed, name)
-    acc = _Residuals()
-    for k in range(samples):
-        x = sample_phase_point(family, rng)
-        try:
-            res = residual(x)
-        except Exception as exc:
-            acc.dropped[type(exc).__name__] += 1
-            continue
-        acc.note(res, lambda: {"sample": k, "q": repr(x.q), "p": repr(x.p)})
-    return acc.report(name, family, {"samples": samples, "seed": seed}, bound, samples / 2)
+def _batched(acc: _Residuals, residual: Callable, lanes: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``residual``, which returns each lane's residual and image, evaluated
+    once on numpy arrays of every lane, and the mask of the lanes to
+    evaluate again: those whose residual is not finite or whose image has
+    modulus INF_THRESHOLD or more.
+
+    The arrays are fresh and contiguous: numpy's complex ``abs`` rounds
+    differently on a strided view.  A call that raises drops every lane
+    under the exception class and returns no lanes.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            res, image = residual(*map(np.array, lanes))
+            return res, ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
+    except Exception as exc:
+        acc.dropped[type(exc).__name__] += len(lanes[0])
+        return np.empty(0), np.empty(0)
 
 
 def _laned(
     name: str, family: BilliardFamily, seed: int, bound: float,
     residual: Callable, lanes: tuple[list, ...], where: Callable[[int], dict],
+    fallback: Callable[[int], float] | None = None,
 ) -> CheckReport:
-    """Evaluate ``residual``, which returns each lane's residual and image,
-    once on numpy arrays of every lane.
+    """A sampled check whose residuals are evaluated once on numpy lanes
+    (see :func:`_batched`).
 
-    The arrays are fresh and contiguous: numpy's complex ``abs`` rounds
-    differently on a strided view.  A lane whose residual is not finite, or
-    whose image has modulus INF_THRESHOLD or more, is evaluated again on
-    Python numbers: on the involution's pole numpy gives a non-finite image,
-    or a huge one where its rounding leaves the denominator nonzero, and
-    Python numbers give INF, as the scalar path does.  A call that raises
-    drops its lanes under the exception class: every lane for the batched
-    call.  The witness is the first worst lane, its index and ``where``.
+    A lane flagged there is evaluated again by ``fallback(k)``, by default
+    ``residual`` on the lane's Python numbers: on the involution's pole
+    numpy gives a non-finite image, or a huge one where its rounding leaves
+    the denominator nonzero, and Python numbers give INF, as the scalar path
+    does.  A lane whose fallback raises is dropped under the exception
+    class.  The witness is the first worst lane, its index and ``where``.
     """
     samples = len(lanes[0])
     acc = _Residuals()
-    try:
-        with np.errstate(all="ignore"):
-            res, image = residual(*map(np.array, lanes))
-            again = ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
-    except Exception as exc:
-        acc.dropped[type(exc).__name__] += samples
-        res = again = np.empty(0)
+    if fallback is None:
+        def fallback(k):
+            return float(residual(*(lane[k] for lane in lanes))[0])
+    res, again = _batched(acc, residual, lanes)
     for k, r in enumerate(res.tolist()):
         if again[k]:
             try:
-                r = float(residual(*(lane[k] for lane in lanes))[0])
+                r = fallback(k)
             except Exception as exc:
                 acc.dropped[type(exc).__name__] += 1
                 continue
@@ -320,6 +333,9 @@ def _start_point(
 
 #: relative drift of the integral along an orbit that conservation allows
 CONSERVATION_BOUND = 1e-7
+#: an iterate whose value on the tangent line may be off by more than a
+#: thousandth of the bound (see integrals.tangent_condition) is evaluated exactly
+_ROUNDING_LIMIT = 1e-3 * CONSERVATION_BOUND / sys.float_info.epsilon
 
 
 def check_conservation(
@@ -347,22 +363,61 @@ def check_conservation(
     x0 = _start_point(family, lam, start, branch, rng)
     rec = orbit(family, x0, steps)
     target = lam * (1 + 1e-3) if corrupt else lam
+    points = rec.points
+    qs = [x.q.coords for x in points]
+    z0s = [_affine_z(x.p.coords) for x in points]
+    us = [_affine_z(q) - z0 for q, z0 in zip(qs, z0s)]
+    # the base-point guard on the lanes; where two roundings of the cross
+    # norm could disagree about it, the exact path's own guard decides
+    dist = _base_point_distance(family, np.array(qs).T)
+    edge = abs(dist - BASE_POINT_GUARD) <= 1e-12
+    inside = (dist <= BASE_POINT_GUARD) & ~edge
+
+    def residual(z0, u):
+        val = eval_on_tangent(family, z0, u)
+        exact = edge | (tangent_condition(family, z0, u) > _ROUNDING_LIMIT)
+        return _gap(val, target), np.where(exact, math.nan, val)
+
     acc = _Residuals()
-    for k, x in enumerate(rec.points):
-        try:
-            val = eval_integral(family, x.q)
-        except Exception as exc:
-            acc.dropped[type(exc).__name__] += 1
+    res, again = _batched(acc, residual, (z0s, us))
+    for k, r in enumerate(res.tolist()):
+        if inside[k]:
+            acc.dropped[IndeterminacyError.__name__] += 1
             continue
-        if val.is_inf:
-            acc.dropped["infinite value"] += 1
-            continue
-        res = abs(val.value - target) / max(1.0, abs(target))
-        acc.note(res, lambda: {"step": k, "q": repr(x.q)})
+        if again[k]:
+            try:
+                val = eval_integral(family, points[k].q)
+            except Exception as exc:
+                acc.dropped[type(exc).__name__] += 1
+                continue
+            if val.is_inf:
+                acc.dropped["infinite value"] += 1
+                continue
+            r = float(_gap(val.value, target))
+        acc.note(r, lambda: {"step": k, "q": repr(points[k].q)})
     params = {"lam": repr(lam), "steps": steps, "seed": seed}
     if rec.reason != "completed":
         return _skipped(name, family, params, rec, acc.worst)
     return acc.report(name, family, params, CONSERVATION_BOUND)
+
+
+def _affine_z(coords: tuple[complex, complex, complex]) -> complex:
+    """z/t of projective coordinates; NaN on the infinity line."""
+    z, _, t = coords
+    return z / t if t else complex(math.nan, math.nan)
+
+
+def _base_point_distance(family: BilliardFamily, coords: np.ndarray) -> np.ndarray:
+    """Per lane of projective coordinates (rows z, w, t), the least cross
+    norm (:func:`~dualbill.geometry.cross_norm`) with a base point, which
+    the exact evaluation's guard compares with BASE_POINT_GUARD."""
+    z, w, t = coords
+    dist = np.full(len(z), math.inf)
+    for bp in family.spec.base_points:
+        bz, bw, bt = bp.coords
+        norm = np.hypot(np.hypot(abs(w * bt - t * bw), abs(t * bz - z * bt)), abs(z * bw - w * bz))
+        dist = np.minimum(dist, norm)
+    return dist
 
 
 #: frozen translation-dynamics cases: (family tag, N, lambda, start tau)
@@ -463,13 +518,36 @@ def check_abel_translation(
 def check_area_form(
     family: BilliardFamily, samples: int = 200, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
-    """Pullback test of the invariant area form under the chart Jacobian."""
+    """Pullback test of the invariant area form under the chart Jacobian.
 
-    def residual(x: PhasePoint) -> float:
-        res = area_pullback_residual(family, x)
-        return res + 1e-3 if corrupt else res
+    Each image comes from the implemented map, one call per sample; the
+    jets and both area forms then run once on lanes.  A lane whose image has
+    no affine chart offset, or whose residual is not finite, takes the
+    scalar :func:`~dualbill.forms.area_pullback_residual`, which raises
+    where the scalar path does."""
+    name = f"area:{family.label()}"
+    rng = _rng_for(seed, name)
+    xs = [sample_phase_point(family, rng) for _ in range(samples)]
+    shift = 1e-3 if corrupt else 0.0
 
-    return _sampled("area", family, samples, seed, 1e-6, residual)
+    def off_img(x: PhasePoint) -> complex:
+        try:
+            return _chart_offset(billiard_map(family, x))
+        except Exception:
+            return complex(math.nan, math.nan)
+
+    def residual(z0, z, off):
+        res, dependent = _area_defect(family, z0, z, off)
+        return np.where(dependent, math.nan, res + shift), off
+
+    lanes = (
+        [x.p.z_sphere().value for x in xs], [x.q.z_sphere().value for x in xs], list(map(off_img, xs))
+    )
+    return _laned(
+        name, family, seed, 1e-6, residual, lanes,
+        lambda k: {"q": repr(xs[k].q), "p": repr(xs[k].p)},
+        lambda k: area_pullback_residual(family, xs[k]) + shift,
+    )
 
 
 def _jacobian_residual(family: BilliardFamily, z0, z, corrupt: bool = False):

@@ -261,6 +261,27 @@ class TestAbel:
         assert len(calls) == len(set(calls)) <= pairs
 
     @pytest.mark.parametrize("fam,lam,t0", ABEL_CASES, ids=lambda v: str(v))
+    def test_each_leg_is_integrated_once(self, fam, lam, t0, monkeypatch):
+        # a point's leg serves the step that ends there and the next one
+        legs = []
+        real = curves.EllipticModel._leg
+
+        def counted(model, t, y, k):
+            legs.append((t, y, k))
+            return real(model, t, y, k)
+
+        points = orbit(fam, lift_fiber(fam, lam, t0, "+"), 20).points
+        model = elliptic_model(fam, lam)
+        monkeypatch.setattr(curves.EllipticModel, "_leg", counted)
+        steps = abel_steps(fam, lam, points, model)
+        assert len(legs) == len(set(legs)) == len(points)
+        coords = [sheet_sqrt(fam, lam, x) for x in points]
+        one_by_one = [model.abel_integral(a, b) for a, b in zip(coords, coords[1:])]
+        assert list(map(repr, steps)) == list(map(repr, one_by_one))
+        legs.clear()
+        assert abel_steps(fam, lam, points[:1], model) == [] and legs == []
+
+    @pytest.mark.parametrize("fam,lam,t0", ABEL_CASES, ids=lambda v: str(v))
     def test_step_constancy(self, fam, lam, t0):
         x0 = lift_fiber(fam, lam, t0, "+")
         rec = orbit(fam, x0, 20)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dualbill import integrals
+from dualbill import integrals, verify
 from dualbill.billiards import BilliardFamily, involution, orbit
 from dualbill.curves import lift_fiber
 from dualbill.geometry import E_INFINITY, PhasePoint, ProjectivePoint, conic_point, cross_norm
@@ -541,3 +541,75 @@ class TestExactEvaluation:
             if not v.is_inf:
                 worst = max(worst, abs(v.value - lam) / max(1.0, abs(lam)))
         assert worst <= 1e-9
+
+
+def _suite_orbits(seed: int):
+    """The orbits of the conservation checks of ``check --all --seed``."""
+    for tag in ("a1", "a2", "b1", "b2", "c1", "c2", "d"):
+        fam = BilliardFamily.parse(tag)
+        for lam, t0, branch in verify.CONSERVATION_CASES[tag]:
+            rng = _rng_for(seed, f"conservation:{fam.label()}:lam={lam}")
+            yield fam, lam, orbit(fam, verify._start_point(fam, lam, t0, branch, rng), 500)
+
+
+def _tangent_lanes(points):
+    """(z0, u) of every iterate with Q and P affine, and those iterates."""
+    kept = [x for x in points if x.q.t != 0 and x.p.t != 0]
+    z0 = np.array([x.p.z_sphere().value for x in kept])
+    return kept, z0, np.array([x.q.z_sphere().value for x in kept]) - z0
+
+
+class TestOnTangentLine:
+    """R on the tangent line, (-u^2)^k / prod f_i^m_i, against the exact
+    evaluation."""
+
+    @pytest.mark.parametrize("seed", [42, 9501])
+    def test_lanes_agree_with_exact_on_suite_orbits(self, seed):
+        # the gap is rounding amplified by the conditioning of R at Q; the
+        # worst of 2 x 21 orbits is 1108 cond eps (b2, lambda 2, step 296,
+        # where w = z0^2 + 2 z0 u cancels 2300-fold at |z0| = 807)
+        eps = sys.float_info.epsilon
+        for fam, lam, rec in _suite_orbits(seed):
+            points, z0, u = _tangent_lanes(rec.points)
+            lanes = integrals.eval_on_tangent(fam, z0, u)
+            for k, x in enumerate(points):
+                try:
+                    exact = eval_integral(fam, x.q)
+                except IndeterminacyError:
+                    continue
+                gz, gw = gradient(fam, x.q)
+                cond = math.hypot(abs(gz), abs(gw)) * math.hypot(*map(abs, x.q.affine_pair()))
+                cond /= abs(exact.value)
+                gap = abs(lanes[k] - exact.value)
+                assert gap <= 2048 * max(cond, 1.0) * eps * abs(exact.value), (fam.label(), lam, k)
+
+    @pytest.mark.parametrize("fam", ALL, ids=BilliardFamily.label)
+    def test_jets_give_the_derivative_along_the_line(self, fam):
+        # d/du of R(z0 + u, z0^2 + 2 z0 u) is R_z + 2 z0 R_w
+        from dualbill.forms import _Jet
+
+        rng = _rng_for(3, f"tangent jets:{fam.label()}")
+        for _ in range(20):
+            x = _unconditioned_point(fam, rng)
+            z0 = x.p.z_sphere().value
+            u = x.q.z_sphere().value - z0
+            jet = integrals.eval_on_tangent(fam, z0, _Jet(u, 1.0, 0.0))
+            gz, gw = gradient(fam, x.q)
+            want = gz + 2 * z0 * gw
+            assert abs(jet.v - eval_integral(fam, x.q).value) <= 1e-9 * max(1.0, abs(jet.v))
+            assert abs(jet.dz - want) <= 1e-8 * max(1.0, abs(want))
+
+    def test_condition_flags_the_cancelling_factors(self):
+        # step 255 of this d orbit passes 2e-5 from the base point [1 : 1 : 1],
+        # where the line form is off by 1.5e-5 and the exact value by 8e-11
+        d = BilliardFamily("d")
+        lam = 2.5820515583761385 + 0.7175757711452591j
+        x0 = lift_fiber(d, lam, 2.391503104274424 + 0.1307735262541977j, "-")
+        points, z0, u = _tangent_lanes(orbit(d, x0, 500).points)
+        lanes = integrals.eval_on_tangent(d, z0, u)
+        cond = integrals.tangent_condition(d, z0, u)
+        exact = np.array([eval_integral(d, x.q).value for x in points])
+        err = abs(lanes - exact) / abs(exact)
+        eps = sys.float_info.epsilon
+        assert err[255] > 1e-6 and cond[255] * eps > 1e-8
+        assert (err <= np.maximum(1e-10, cond * eps)).all()

@@ -1,13 +1,15 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dualbill import cli, verify
-from dualbill.billiards import BilliardFamily, _involution_z, f_coefficient, involution
-from dualbill.forms import _chart_derivative, halfstep_jacobian
+from dualbill import cli, integrals, verify
+from dualbill.billiards import BilliardFamily, _involution_z, billiard_map, f_coefficient, involution
+from dualbill.forms import _area_defect, _chart_derivative, _chart_offset, halfstep_jacobian
 from dualbill.geometry import ProjectivePoint, conic_point
+from dualbill.integrals import BiPoly, eval_on_tangent, tangent_condition
 from dualbill.numerics import INF, SphereValue
 from dualbill.verify import (
     CheckReport,
@@ -154,9 +156,9 @@ class TestNothingEvaluated:
         [
             # the lane kernels: one raising call drops every lane of its batch
             ("_involution_z", lambda: verify.check_involution(B1, 5, 1), 5),
-            ("area_pullback_residual", lambda: verify.check_area_form(B1, 5, 1), 5),
+            ("_area_defect", lambda: verify.check_area_form(B1, 5, 1), 5),
             ("_chart_derivative", lambda: verify.check_jacobian(B1, 5, 1), 5),
-            ("eval_integral", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
+            ("eval_on_tangent", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
             ("eval_integral", lambda: verify.check_equivalences(3), 2000),
         ],
     )
@@ -177,33 +179,31 @@ class TestCountsInParams:
         assert report.status == "pass"
         assert (report.params["evaluated"], report.params["dropped"]) == (50, {})
 
+    @staticmethod
+    def refuse_lanes(monkeypatch, refused):
+        """The area kernel gives NaN on the lanes k with refused(k), and the
+        scalar path that evaluates them again raises."""
+        real = verify._area_defect
+
+        def kernel(family, z0, z, off):
+            res, dependent = real(family, z0, z, off)
+            return np.where([refused(k) for k in range(len(res))], math.nan, res), dependent
+
+        def scalar(family, x):
+            raise ZeroDivisionError("forced")
+
+        monkeypatch.setattr(verify, "_area_defect", kernel)
+        monkeypatch.setattr(verify, "area_pullback_residual", scalar)
+
     def test_dropped_samples_counted_by_class(self, monkeypatch):
-        real = verify.area_pullback_residual
-        calls = []
-
-        def flaky(family, x):
-            calls.append(x)
-            if len(calls) % 3 == 0:
-                raise ZeroDivisionError("forced")
-            return real(family, x)
-
-        monkeypatch.setattr(verify, "area_pullback_residual", flaky)
+        self.refuse_lanes(monkeypatch, lambda k: k % 3 == 2)
         report = verify.check_area_form(B1, 9, 1)
         assert report.status == "pass"
         assert report.params["evaluated"] == 6
         assert report.params["dropped"] == {"ZeroDivisionError": 3}
 
     def test_fewer_than_half_evaluated_fails(self, monkeypatch):
-        real = verify.area_pullback_residual
-        calls = []
-
-        def flaky(family, x):
-            calls.append(x)
-            if len(calls) % 3:
-                raise ZeroDivisionError("forced")
-            return real(family, x)
-
-        monkeypatch.setattr(verify, "area_pullback_residual", flaky)
+        self.refuse_lanes(monkeypatch, lambda k: k % 3 != 2)
         report = verify.check_area_form(B1, 9, 1)
         assert report.status == "fail"
         assert report.witness == {"evaluated": 3, "dropped": {"ZeroDivisionError": 6}}
@@ -218,20 +218,26 @@ class TestNaNResidual:
     comparisons with NaN are false, so a plain running maximum misses it."""
 
     @pytest.mark.parametrize(
-        "target,value,run",
+        "patches,run",
         [
-            ("_involution_z", complex(math.nan, 0.0), lambda: verify.check_involution(B1, 5, 1)),
-            ("area_pullback_residual", math.nan, lambda: verify.check_area_form(B1, 5, 1)),
+            ({"_involution_z": complex(math.nan, 0.0)}, lambda: verify.check_involution(B1, 5, 1)),
+            # a NaN lane is evaluated again by the scalar path, NaN as well
+            ({"_area_defect": (np.full(5, math.nan), np.zeros(5, bool)),
+              "area_pullback_residual": math.nan},
+             lambda: verify.check_area_form(B1, 5, 1)),
             # a NaN closed form against the finite determinant of the jets
-            ("halfstep_jacobian", complex(math.nan, 0.0), lambda: verify.check_jacobian(B1, 5, 1)),
-            ("eval_integral", SphereValue(math.nan),
+            ({"halfstep_jacobian": complex(math.nan, 0.0)}, lambda: verify.check_jacobian(B1, 5, 1)),
+            # a NaN lane is evaluated again by the exact path, NaN as well
+            ({"eval_on_tangent": np.full(6, complex(math.nan, 0.0)),
+              "eval_integral": SphereValue(math.nan)},
              lambda: verify.check_conservation(B1, 2.0, 5, 1)),
-            ("eval_integral", SphereValue(math.nan), lambda: verify.check_equivalences(1)),
+            ({"eval_integral": SphereValue(math.nan)}, lambda: verify.check_equivalences(1)),
         ],
         ids=["involution", "area", "jacobian", "conservation", "equivalences"],
     )
-    def test_nan_residual_fails(self, monkeypatch, target, value, run):
-        monkeypatch.setattr(verify, target, lambda *args, **kwargs: value)
+    def test_nan_residual_fails(self, monkeypatch, patches, run):
+        for target, value in patches.items():
+            monkeypatch.setattr(verify, target, lambda *args, value=value, **kwargs: value)
         report = run()
         assert report.status == "fail"
         assert math.isnan(report.worst)
@@ -300,6 +306,31 @@ def _jacobian_lanes(fam, n=100):
     )
 
 
+def _area_lanes(fam, n=100):
+    """(z0, z, chart offset of the image) of sampled phase points, as the
+    area check builds its lanes."""
+    rng = verify._rng_for(5, f"area lanes:{fam.label()}")
+    xs = [verify.sample_phase_point(fam, rng) for _ in range(n)]
+    offs = [_chart_offset(billiard_map(fam, x)) for x in xs]
+    return (
+        np.array([x.p.z_sphere().value for x in xs]),
+        np.array([x.q.z_sphere().value for x in xs]),
+        np.array(offs),
+    )
+
+
+#: per kernel, its lane outputs at the points z1 of the tangent lines at z0
+#: (the area kernel takes an arbitrary image offset of the same scale)
+LANE_KERNELS = {
+    "involution": lambda fam, z0, z1: verify._involution_residual(fam, z0, z1),
+    "jacobian": lambda fam, z0, z1: verify._jacobian_residual(fam, z0, z1),
+    "tangent R": lambda fam, z0, z1: (
+        eval_on_tangent(fam, z0, z1 - z0), tangent_condition(fam, z0, z1 - z0)
+    ),
+    "area": lambda fam, z0, z1: _area_defect(fam, z0, z1, (z1 - z0) * (0.5 - 1j)),
+}
+
+
 def _pole(fam):
     """(z0, u) with z1 = z0 + u exactly on the pole of the involution at z0:
     the scalar kernel on Python numbers returns INF there.  Rounding decides
@@ -318,10 +349,11 @@ def _pole(fam):
 
 
 class TestLanes:
-    """The involution and jacobian residuals on numpy lanes: a lane's value
-    does not depend on the size or order of its batch, agrees with the
-    scalar kernel on Python numbers, and a lane on the involution's pole
-    gets the verdict of the scalar path."""
+    """The lane kernels of the involution, jacobian, conservation and area
+    checks: a lane's value does not depend on the size or order of its
+    batch; the involution and jacobian kernels agree with themselves on
+    Python numbers, and a lane on the involution's pole gets the verdict of
+    the scalar path."""
 
     @staticmethod
     def assert_order_free(residual, cols):
@@ -347,17 +379,28 @@ class TestLanes:
         cols = _jacobian_lanes(fam)
         self.assert_order_free(lambda z0, z: verify._jacobian_residual(fam, z0, z)[0], cols)
 
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_tangent_line_lanes_are_order_free(self, fam):
+        z0, z1 = _involution_lanes(fam)
+        self.assert_order_free(lambda z0, u: eval_on_tangent(fam, z0, u), (z0, z1 - z0))
+        self.assert_order_free(lambda z0, u: tangent_condition(fam, z0, u), (z0, z1 - z0))
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_area_lanes_are_order_free(self, fam):
+        cols = _area_lanes(fam)
+        self.assert_order_free(lambda z0, z, off: _area_defect(fam, z0, z, off)[0], cols)
+
     @pytest.mark.parametrize("label", ["a1(1)", "b1", "c2", "d"])
     def test_lane_bits_do_not_depend_on_batch_size(self, label):
         # 20 000 complex lanes (320 KB) pass the size from which numpy
         # reuses temporaries in place; blocks of 1000 stay below it
         fam = next(f for f in INSTANCES if f.label() == label)
         cols = _involution_lanes(fam, 20_000)
-        for residual in (verify._involution_residual, verify._jacobian_residual):
+        for kernel in LANE_KERNELS.values():
             with np.errstate(all="ignore"):
-                whole = residual(fam, *cols)
-                blocks = [residual(fam, *(c[k:k + 1000] for c in cols)) for k in range(0, 20_000, 1000)]
-            for j, lanes in enumerate(whole):  # the residuals, then the images
+                whole = kernel(fam, *cols)
+                blocks = [kernel(fam, *(c[k:k + 1000] for c in cols)) for k in range(0, 20_000, 1000)]
+            for j, lanes in enumerate(whole):  # each output of the kernel
                 assert lanes.tobytes() == np.concatenate([b[j] for b in blocks]).tobytes()
 
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
@@ -413,3 +456,62 @@ class TestLanes:
             ([z0, 0.5 + 0.5j], [z1, 0.5 + 0.5j + 0.3]), lambda k: {},
         )
         assert report.params["dropped"] == {"ValueError": 1}
+
+
+class TestConservationOnLanes:
+    """check_conservation evaluates R on the tangent line of every iterate
+    at once; the exact evaluation takes the iterates where that form may
+    round badly."""
+
+    @pytest.fixture
+    def bent_d(self, monkeypatch):
+        """d's integral with the coefficient 8 of its factor w + 8 z^2
+        raised by 1e-6."""
+        real = integrals._FACTORS["d"]
+
+        def bent(n):
+            k, ((first, mult), *rest) = real(n)
+            return k, ((first + BiPoly({(2, 0): Fraction(1, 10**6)}), mult), *rest)
+
+        monkeypatch.setitem(integrals._FACTORS, "d", bent)
+        integrals._integral_cached.cache_clear()
+        yield
+        integrals._integral_cached.cache_clear()
+
+    def test_bent_factor_fails(self, bent_d):
+        report = check_conservation(D, 1.0, 100, 3)
+        assert report.status == "fail" and report.worst > 1e-7
+        assert report.params["evaluated"] == 101
+
+    def test_unbent_control_passes(self):
+        report = check_conservation(D, 1.0, 100, 3)
+        assert report.status == "pass" and report.params["evaluated"] == 101
+
+    def test_cancelling_factors_take_the_exact_path(self):
+        # on step 255 of this orbit R on the tangent line is off by 1.5e-5;
+        # the exact value drifts by 8e-11
+        lam = 2.5820515583761385 + 0.7175757711452591j
+        report = check_conservation(D, lam, 500, 1, start=2.391503104274424 + 0.1307735262541977j, branch="-")
+        assert report.status == "pass" and report.worst <= 1e-9
+
+    def test_counts_of_the_suite_are_pinned(self):
+        # evaluated and dropped of check --all --seed 42: the lanes count
+        # what exact evaluation of every iterate, and the scalar area
+        # residual of every sample, count
+        a_family = {
+            "a1(1)": ((333, 168), (296, 205), (327, 174)),
+            "a2(1)": ((139, 362), (116, 385), (135, 366)),
+        }
+        reports = run_suite(default_suite(42), ["conservation", "area"])
+        assert len(reports) == 28
+        for r in reports:
+            counts = (r.params["evaluated"], r.params["dropped"])
+            if r.name.startswith("area"):
+                assert counts == (200, {}), r.name
+            elif r.family in a_family:
+                lams = [lam for lam, _, _ in verify.CONSERVATION_CASES[r.family[:2]]]
+                evaluated, dropped = a_family[r.family][lams.index(complex(r.params["lam"]))]
+                assert counts == (evaluated, {"IndeterminacyError": dropped}), r.name
+            else:
+                assert counts == (501, {}), r.name
+            assert r.status == "pass"
