@@ -8,6 +8,7 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import math
 import os
@@ -421,7 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=_checked(int, lambda n: n >= 0, "a step count >= 0"), default=100
     )
     p_orbit.add_argument(
-        "--start-tau", "--start-t", dest="start_tau", type=complex, default=None,
+        "--start-tau", "--start-t", dest="start_tau", default=None,
+        type=_checked(complex, cmath.isfinite, "a finite complex number"),
         help="start parameter on the level curve",
     )
     p_orbit.add_argument("--branch", choices=("+", "-"), default="+")

@@ -104,10 +104,18 @@ def _on_curve(form, t) -> ProjectivePoint:
     """Point at parameter t of a rational curve: ``form(t, s)`` is
     homogeneous in (t, s) and returns (Z, W, T), taken at (t, 1), or at
     (1, 0) when t = inf; poles and the limit at t = inf need no case."""
-    t = SphereValue.coerce(t)
+    t = _parameter(t)
     if t.is_inf:
         return ProjectivePoint(*form(1.0, 0.0))
     return ProjectivePoint(*form(t.value, 1.0))
+
+
+def _parameter(t) -> SphereValue:
+    """A curve parameter as a sphere value; ValueError on NaN, which
+    ``SphereValue.coerce`` would read as INF."""
+    if not isinstance(t, SphereValue) and cmath.isnan(t):
+        raise ValueError(f"curve parameter {t!r} is not a number")
+    return SphereValue.coerce(t)
 
 
 def _rational(form) -> Callable[[complex], ProjectivePoint] | None:
@@ -331,7 +339,7 @@ def lift_fiber(family: BilliardFamily, lam, t, branch: str = "+") -> PhasePoint:
     if model is None or model.lift is None:
         x = lift_by_sheet(parametrize_level(base, lamv, t), branch)
     else:
-        t = SphereValue.coerce(t)
+        t = _parameter(t)
         if t.is_inf:
             raise ValueError(f"the {family.tag} lift needs a finite parameter")
         x = model.lift(base, lamv, t.value, branch)

@@ -14,20 +14,20 @@ per exception class; a check that evaluates fewer samples than its floor
 fails, with those counts as its witness.  The floor is one sample, and half
 the samples for the sampled checks (involution, area, jacobian).
 
-The involution, jacobian and area checks run their samples as lanes:
-numpy arrays passed once through the library's own arithmetic
-(``billiards._involution_z``, ``forms.halfstep_jacobian``, the jets of
-``forms._chart_derivative`` and ``forms._area_defect``), and the
-conservation check evaluates every iterate of its orbit at once by
-``integrals.eval_on_tangent``.  Every operation is elementwise, so a lane's
-residual does not depend on the size or order of its batch.  A lane whose
-residual is not finite, or whose image is at infinity on the sphere, is
-evaluated again on the scalar path: on Python numbers, where the
-involution's pole gives INF; by the scalar
+The involution, jacobian and area checks keep each sample as Python
+numbers (z0, z), the tangency parameter and a point of its tangent line,
+from the draw to the report; the jacobian and area draws are conditioned
+on ``billiards._involution_z``.  These three and the conservation check
+share one lane loop, :func:`_laned`, which runs the residual once on numpy
+arrays of every lane through the library's own arithmetic.  Every
+operation is elementwise, so a lane's residual does not depend on the size
+or order of its batch.  A lane whose residual is not finite, or whose image
+is at infinity on the sphere, is evaluated again on the scalar path: on
+Python numbers, where the involution's pole gives INF; by the scalar
 ``forms.area_pullback_residual``; or by the exact ``eval_integral``, which
-also takes every iterate with Q or P on the infinity line, near the edge
+also takes every iterate with Q or P on the infinity line, within rounding
 of the base-point guard, or where the factors of the tangent-line form
-cancel.
+cancel.  That exact evaluation alone judges the base-point guard.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .billiards import (
     _involution_z,
     _point_on_tangent,
     billiard_map,
-    involution,
     orbit,
 )
 from .curves import (
@@ -83,7 +82,6 @@ from .geometry import (
 )
 from .integrals import (
     BASE_POINT_GUARD,
-    IndeterminacyError,
     eval_integral,
     eval_on_tangent,
     first_integral,
@@ -201,6 +199,17 @@ def _draw(family: BilliardFamily, rng: random.Random) -> tuple[complex, complex]
         return z0, ur * cmath.exp(2j * math.pi * rng.random())
 
 
+def _phase_draw(family: BilliardFamily, rng: random.Random) -> tuple[complex, complex]:
+    """The tangency parameter z0 and the point z = z0 + u of its tangent
+    line of one accepted draw (see :func:`sample_phase_point`)."""
+    while True:
+        z0, u = _draw(family, rng)
+        z = z0 + u
+        z_img = _involution_z(family, z0, z)
+        if z_img is not INF and 0.05 <= abs(z_img - z0) <= 25.0:
+            return z0, z
+
+
 def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint:
     """Random phase point: tangency parameter uniform on the annulus
     0.1 <= |z0| <= 3 minus the ``SINGULAR_GUARD`` disks, offset uniform on
@@ -209,54 +218,39 @@ def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint
     The involution image must stay at a moderate distance from the tangency
     point, which keeps the form evaluations well scaled.
     """
-    while True:
-        z0, u = _draw(family, rng)
-        x = PhasePoint(_point_on_tangent(z0, z0 + u), conic_point(z0))
-        z_img = involution(family, x.p, x.q).z_sphere()
-        if not z_img.is_inf and 0.05 <= abs(z_img.value - z0) <= 25.0:
-            return x
-
-
-def _batched(acc: _Residuals, residual: Callable, lanes: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """``residual``, which returns each lane's residual and image, evaluated
-    once on numpy arrays of every lane, and the mask of the lanes to
-    evaluate again: those whose residual is not finite or whose image has
-    modulus INF_THRESHOLD or more.
-
-    The arrays are fresh and contiguous: numpy's complex ``abs`` rounds
-    differently on a strided view.  A call that raises drops every lane
-    under the exception class and returns no lanes.
-    """
-    try:
-        with np.errstate(all="ignore"):
-            res, image = residual(*map(np.array, lanes))
-            return res, ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
-    except Exception as exc:
-        acc.dropped[type(exc).__name__] += len(lanes[0])
-        return np.empty(0), np.empty(0)
+    z0, z = _phase_draw(family, rng)
+    return PhasePoint(_point_on_tangent(z0, z), conic_point(z0))
 
 
 def _laned(
-    name: str, family: BilliardFamily, seed: int, bound: float,
     residual: Callable, lanes: tuple[list, ...], where: Callable[[int], dict],
-    fallback: Callable[[int], float] | None = None,
-) -> CheckReport:
-    """A sampled check whose residuals are evaluated once on numpy lanes
-    (see :func:`_batched`).
+    fallback: Callable[[int], float | None] | None = None,
+) -> _Residuals:
+    """The residuals of a check whose samples are lanes: ``residual``, which
+    returns each lane's residual and image, runs once on fresh contiguous
+    numpy arrays of every lane (numpy's complex ``abs`` rounds differently
+    on a strided view).
 
-    A lane flagged there is evaluated again by ``fallback(k)``, by default
+    A lane whose residual is not finite or whose image has modulus
+    INF_THRESHOLD or more is evaluated again by ``fallback(k)``, by default
     ``residual`` on the lane's Python numbers: on the involution's pole
-    numpy gives a non-finite image, or a huge one where its rounding leaves
-    the denominator nonzero, and Python numbers give INF, as the scalar path
-    does.  A lane whose fallback raises is dropped under the exception
-    class.  The witness is the first worst lane, its index and ``where``.
+    numpy gives a non-finite or huge image, and Python numbers give INF, as
+    the scalar path does.  A call that raises drops its lanes (the lane call
+    all of them) under the exception class; a fallback that returns None
+    drops its lane as an infinite value.  The witness is ``where`` of the
+    first worst lane.
     """
-    samples = len(lanes[0])
     acc = _Residuals()
     if fallback is None:
         def fallback(k):
             return float(residual(*(lane[k] for lane in lanes))[0])
-    res, again = _batched(acc, residual, lanes)
+    try:
+        with np.errstate(all="ignore"):
+            res, image = residual(*map(np.array, lanes))
+            again = ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
+    except Exception as exc:
+        acc.dropped[type(exc).__name__] += len(lanes[0])
+        return acc
     for k, r in enumerate(res.tolist()):
         if again[k]:
             try:
@@ -264,9 +258,21 @@ def _laned(
             except Exception as exc:
                 acc.dropped[type(exc).__name__] += 1
                 continue
-        acc.note(r, lambda: {"sample": k, **where(k)})
-    params = {"samples": samples, "seed": seed}
-    return acc.report(name, family, params, bound, samples / 2)
+            if r is None:
+                acc.dropped["infinite value"] += 1
+                continue
+        acc.note(r, lambda: where(k))
+    return acc
+
+
+def _columns(draws: list[tuple[complex, complex]]) -> tuple[list, list]:
+    """The lanes z0 and z of the draws."""
+    return [z0 for z0, _ in draws], [z for _, z in draws]
+
+
+def _where(draws: list[tuple[complex, complex]]) -> Callable[[int], dict]:
+    """The witness of lane k of the draws."""
+    return lambda k: {"sample": k, "z0": repr(draws[k][0]), "z": repr(draws[k][1])}
 
 
 def _gap(value, target, shift: float = 0.0):
@@ -300,15 +306,12 @@ def check_involution(
     """sigma_P o sigma_P = id and sigma_P(P) = P on random samples."""
     name = f"involution:{family.label()}"
     rng = _rng_for(seed, name)
-    draws = [_draw(family, rng) for _ in range(samples)]
-    z0s = [z0 for z0, _ in draws]
-    z1s = [z0 + u for z0, u in draws]
+    draws = [(z0, z0 + u) for z0, u in (_draw(family, rng) for _ in range(samples))]
     shift = 1e-3 if corrupt else 0.0
-    return _laned(
-        name, family, seed, 1e-9,
-        lambda z0, z1: _involution_residual(family, z0, z1, shift), (z0s, z1s),
-        lambda k: {"z0": repr(z0s[k]), "z1": repr(z1s[k])},
+    acc = _laned(
+        lambda z0, z: _involution_residual(family, z0, z, shift), _columns(draws), _where(draws)
     )
+    return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-9, samples / 2)
 
 
 #: frozen (lambda, start parameter, branch) conservation cases per family
@@ -367,34 +370,20 @@ def check_conservation(
     qs = [x.q.coords for x in points]
     z0s = [_affine_z(x.p.coords) for x in points]
     us = [_affine_z(q) - z0 for q, z0 in zip(qs, z0s)]
-    # the base-point guard on the lanes; where two roundings of the cross
-    # norm could disagree about it, the exact path's own guard decides
-    dist = _base_point_distance(family, np.array(qs).T)
-    edge = abs(dist - BASE_POINT_GUARD) <= 1e-12
-    inside = (dist <= BASE_POINT_GUARD) & ~edge
+    # an iterate within rounding of the base-point guard goes to the exact
+    # path, whose own guard decides it
+    guarded = _base_point_distance(family, np.array(qs).T) <= BASE_POINT_GUARD + 1e-12
 
     def residual(z0, u):
         val = eval_on_tangent(family, z0, u)
-        exact = edge | (tangent_condition(family, z0, u) > _ROUNDING_LIMIT)
+        exact = guarded | (tangent_condition(family, z0, u) > _ROUNDING_LIMIT)
         return _gap(val, target), np.where(exact, math.nan, val)
 
-    acc = _Residuals()
-    res, again = _batched(acc, residual, (z0s, us))
-    for k, r in enumerate(res.tolist()):
-        if inside[k]:
-            acc.dropped[IndeterminacyError.__name__] += 1
-            continue
-        if again[k]:
-            try:
-                val = eval_integral(family, points[k].q)
-            except Exception as exc:
-                acc.dropped[type(exc).__name__] += 1
-                continue
-            if val.is_inf:
-                acc.dropped["infinite value"] += 1
-                continue
-            r = float(_gap(val.value, target))
-        acc.note(r, lambda: {"step": k, "q": repr(points[k].q)})
+    def exact(k):
+        val = eval_integral(family, points[k].q)
+        return None if val.is_inf else float(_gap(val.value, target))
+
+    acc = _laned(residual, (z0s, us), lambda k: {"step": k, "q": repr(points[k].q)}, exact)
     params = {"lam": repr(lam), "steps": steps, "seed": seed}
     if rec.reason != "completed":
         return _skipped(name, family, params, rec, acc.worst)
@@ -527,7 +516,8 @@ def check_area_form(
     where the scalar path does."""
     name = f"area:{family.label()}"
     rng = _rng_for(seed, name)
-    xs = [sample_phase_point(family, rng) for _ in range(samples)]
+    draws = [_phase_draw(family, rng) for _ in range(samples)]
+    xs = [PhasePoint(_point_on_tangent(z0, z), conic_point(z0)) for z0, z in draws]
     shift = 1e-3 if corrupt else 0.0
 
     def off_img(x: PhasePoint) -> complex:
@@ -540,14 +530,11 @@ def check_area_form(
         res, dependent = _area_defect(family, z0, z, off)
         return np.where(dependent, math.nan, res + shift), off
 
-    lanes = (
-        [x.p.z_sphere().value for x in xs], [x.q.z_sphere().value for x in xs], list(map(off_img, xs))
-    )
-    return _laned(
-        name, family, seed, 1e-6, residual, lanes,
-        lambda k: {"q": repr(xs[k].q), "p": repr(xs[k].p)},
+    acc = _laned(
+        residual, (*_columns(draws), list(map(off_img, xs))), _where(draws),
         lambda k: area_pullback_residual(family, xs[k]) + shift,
     )
+    return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-6, samples / 2)
 
 
 def _jacobian_residual(family: BilliardFamily, z0, z, corrupt: bool = False):
@@ -568,13 +555,11 @@ def check_jacobian(
     implemented map."""
     name = f"jacobian:{family.label()}"
     rng = _rng_for(seed, name)
-    xs = [sample_phase_point(family, rng) for _ in range(samples)]
-    lanes = ([x.p.z_sphere().value for x in xs], [x.q.z_sphere().value for x in xs])
-    return _laned(
-        name, family, seed, 1e-6,
-        lambda z0, z: _jacobian_residual(family, z0, z, corrupt), lanes,
-        lambda k: {"q": repr(xs[k].q), "p": repr(xs[k].p)},
+    draws = [_phase_draw(family, rng) for _ in range(samples)]
+    acc = _laned(
+        lambda z0, z: _jacobian_residual(family, z0, z, corrupt), _columns(draws), _where(draws)
     )
+    return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-6, samples / 2)
 
 
 # --------------------------------------------------------------------------

@@ -416,6 +416,13 @@ class TestBadInput:
             ["orbit", "--family", "b1", "--lambda", "2", "--steps", "-3"], capsys
         )
 
+    @pytest.mark.parametrize("tau", ["nan+1j", "nan", "inf"])
+    def test_non_finite_start_parameter(self, tau, capsys):
+        err = self.usage_error(
+            ["orbit", "--family", "d", "--lambda", "1", "--start-tau", tau], capsys
+        )
+        assert "start-tau" in err and "finite" in err
+
     def test_negative_parametrize(self, capsys):
         self.usage_error(
             ["curve", "--family", "b1", "--lambda", "2", "--parametrize", "-3"], capsys

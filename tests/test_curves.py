@@ -135,6 +135,16 @@ class TestLift:
                 else:
                     assert abs(got.value - t) <= 1e-9 * max(1.0, abs(t))
 
+    def test_nan_parameter_is_refused(self):
+        # SphereValue.coerce reads NaN as INF: the lift would start at the
+        # curve point of t = inf
+        for fam, lams in PARAMETRIZED:
+            for t in (complex(math.nan, 1.0), math.nan):
+                with pytest.raises(ValueError, match="not a number"):
+                    lift_fiber(fam, lams[0], t)
+                with pytest.raises(ValueError, match="not a number"):
+                    parametrize_level(fam, lams[0], t)
+
     @pytest.mark.parametrize("tag", ["c1", "c2"])
     def test_c_families_have_no_curve_parameter(self, tag):
         fam = BilliardFamily(tag)

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from dualbill import cli, integrals, verify
-from dualbill.billiards import BilliardFamily, _involution_z, billiard_map, f_coefficient, involution
+from dualbill.billiards import (
+    BilliardFamily,
+    _involution_z,
+    _point_on_tangent,
+    billiard_map,
+    f_coefficient,
+    involution,
+)
 from dualbill.forms import _area_defect, _chart_derivative, _chart_offset, halfstep_jacobian
-from dualbill.geometry import ProjectivePoint, conic_point
+from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import BiPoly, eval_on_tangent, tangent_condition
 from dualbill.numerics import INF, SphereValue
 from dualbill.verify import (
@@ -297,26 +304,31 @@ def _involution_lanes(fam, n=200):
     return np.array([z0 for z0, _ in draws]), np.array([z0 + u for z0, u in draws])
 
 
-def _jacobian_lanes(fam, n=100):
-    rng = verify._rng_for(5, f"jacobian lanes:{fam.label()}")
-    xs = [verify.sample_phase_point(fam, rng) for _ in range(n)]
-    return (
-        np.array([x.p.z_sphere().value for x in xs]),
-        np.array([x.q.z_sphere().value for x in xs]),
-    )
+def _draw_lanes(fam, purpose, n=100):
+    """(z0, z) of the draws that the jacobian and area checks take."""
+    rng = verify._rng_for(5, f"{purpose} lanes:{fam.label()}")
+    draws = [verify._phase_draw(fam, rng) for _ in range(n)]
+    return np.array([z0 for z0, _ in draws]), np.array([z for _, z in draws])
 
 
 def _area_lanes(fam, n=100):
-    """(z0, z, chart offset of the image) of sampled phase points, as the
-    area check builds its lanes."""
-    rng = verify._rng_for(5, f"area lanes:{fam.label()}")
-    xs = [verify.sample_phase_point(fam, rng) for _ in range(n)]
-    offs = [_chart_offset(billiard_map(fam, x)) for x in xs]
-    return (
-        np.array([x.p.z_sphere().value for x in xs]),
-        np.array([x.q.z_sphere().value for x in xs]),
-        np.array(offs),
-    )
+    """(z0, z, chart offset of the image) of the draws, as the area check
+    builds its lanes."""
+    z0s, zs = _draw_lanes(fam, "area", n)
+    xs = [PhasePoint(_point_on_tangent(z0, z), conic_point(z0)) for z0, z in zip(z0s.tolist(), zs.tolist())]
+    return z0s, zs, np.array([_chart_offset(billiard_map(fam, x)) for x in xs])
+
+
+def _projective_phase_point(fam, rng):
+    """The draws' conditioning on projective points, through the public
+    involution, as ``sample_phase_point`` had it: the reference of
+    TestDraws."""
+    while True:
+        z0, u = verify._draw(fam, rng)
+        x = PhasePoint(_point_on_tangent(z0, z0 + u), conic_point(z0))
+        z_img = involution(fam, x.p, x.q).z_sphere()
+        if not z_img.is_inf and 0.05 <= abs(z_img.value - z0) <= 25.0:
+            return x
 
 
 #: per kernel, its lane outputs at the points z1 of the tangent lines at z0
@@ -376,7 +388,7 @@ class TestLanes:
 
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_jacobian_lanes_are_order_free(self, fam):
-        cols = _jacobian_lanes(fam)
+        cols = _draw_lanes(fam, "jacobian")
         self.assert_order_free(lambda z0, z: verify._jacobian_residual(fam, z0, z)[0], cols)
 
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
@@ -413,7 +425,7 @@ class TestLanes:
 
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_jacobian_lanes_match_python_numbers(self, fam):
-        z0, z = _jacobian_lanes(fam)
+        z0, z = _draw_lanes(fam, "jacobian")
         z_img, mat = _chart_derivative(fam, z0, z)
         for k in range(len(z0)):
             s_img, s_mat = _chart_derivative(fam, complex(z0[k]), complex(z[k]))
@@ -451,11 +463,31 @@ class TestLanes:
         # the jacobian residual drops a pole lane under the scalar path's class
         with pytest.raises(ValueError):
             halfstep_jacobian(fam, z0, z1)
-        report = verify._laned(
-            "jacobian", fam, 1, 1e-6, lambda a, b: verify._jacobian_residual(fam, a, b),
+        acc = verify._laned(
+            lambda a, b: verify._jacobian_residual(fam, a, b),
             ([z0, 0.5 + 0.5j], [z1, 0.5 + 0.5j + 0.3]), lambda k: {},
         )
-        assert report.params["dropped"] == {"ValueError": 1}
+        assert (acc.evaluated, acc.dropped) == (1, {"ValueError": 1})
+
+
+class TestDraws:
+    """The sampled checks condition their draws on (z0, z) with
+    ``_involution_z``; over 2000 draws per family and seed this accepts the
+    same draws as the conditioning on projective points, and
+    ``sample_phase_point`` keeps its coordinate bits."""
+
+    @pytest.mark.parametrize("seed", [42, 9501])
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_same_draws_as_on_projective_points(self, fam, seed):
+        name = f"draws:{fam.label()}"
+        new, old, sampled = (verify._rng_for(seed, name) for _ in range(3))
+        bits = lambda x: np.array([*x.q.coords, *x.p.coords]).tobytes()  # noqa: E731
+        for _ in range(2000):
+            verify._phase_draw(fam, new)
+            x = _projective_phase_point(fam, old)
+            # the same draws accepted and rejected consume the same stream
+            assert new.getstate() == old.getstate()
+            assert bits(verify.sample_phase_point(fam, sampled)) == bits(x)
 
 
 class TestConservationOnLanes:
@@ -495,23 +527,30 @@ class TestConservationOnLanes:
         assert report.status == "pass" and report.worst <= 1e-9
 
     def test_counts_of_the_suite_are_pinned(self):
-        # evaluated and dropped of check --all --seed 42: the lanes count
-        # what exact evaluation of every iterate, and the scalar area
-        # residual of every sample, count
+        # evaluated and dropped of every report of check --all on the seeds
+        # that CI runs; they are the same on each.  The lanes count what
+        # exact evaluation of every iterate, and the scalar residual of
+        # every sample, count
         a_family = {
             "a1(1)": ((333, 168), (296, 205), (327, 174)),
             "a2(1)": ((139, 362), (116, 385), (135, 366)),
         }
-        reports = run_suite(default_suite(42), ["conservation", "area"])
-        assert len(reports) == 28
-        for r in reports:
-            counts = (r.params["evaluated"], r.params["dropped"])
-            if r.name.startswith("area"):
-                assert counts == (200, {}), r.name
-            elif r.family in a_family:
-                lams = [lam for lam, _, _ in verify.CONSERVATION_CASES[r.family[:2]]]
-                evaluated, dropped = a_family[r.family][lams.index(complex(r.params["lam"]))]
-                assert counts == (evaluated, {"IndeterminacyError": dropped}), r.name
-            else:
-                assert counts == (501, {}), r.name
-            assert r.status == "pass"
+        tables = {"a1(1)": 6, "a2(1)": 6, "b1": 28, "b2": 21, "c1": 24, "c2": 24, "d": 25}
+        evaluated = {
+            "involution": 1000, "conservation": 501, "translation": 50, "abel": 20,
+            "area": 200, "jacobian": 200, "equivalences": 100,
+        }
+        for seed in (42, 9501, 9701):
+            reports = run_suite(default_suite(seed))
+            assert len(reports) == 62
+            for r in reports:
+                kind = r.name.split(":")[0]
+                counts = (r.params["evaluated"], r.params["dropped"])
+                if kind == "conservation" and r.family in a_family:
+                    lams = [lam for lam, _, _ in verify.CONSERVATION_CASES[r.family[:2]]]
+                    kept, dropped = a_family[r.family][lams.index(complex(r.params["lam"]))]
+                    assert counts == (kept, {"IndeterminacyError": dropped}), (seed, r.name)
+                else:
+                    expected = tables[r.family] if kind == "tables" else evaluated[kind]
+                    assert counts == (expected, {}), (seed, r.name)
+                assert r.status == "pass"
