@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import hypot
 from typing import Callable, Literal
 
 from .families import ALL_FAMILY_TAGS, FAMILIES, FamilySpec
@@ -30,11 +31,13 @@ from .geometry import (
     OnConicError,
     PhasePoint,
     ProjectivePoint,
+    _ONE,
+    _point,
     conic_point,
     on_conic,
     tangency_points,
 )
-from .numerics import INF, INF_THRESHOLD, SphereValue
+from .numerics import ABS_EPS, INF, INF_THRESHOLD, REL_EPS, SphereValue
 
 __all__ = [
     "BilliardFamily",
@@ -130,7 +133,7 @@ def _point_on_tangent(z0: complex, z1: complex | SphereValue) -> ProjectivePoint
     """Point of the tangent line at (z0, z0^2) with z-coordinate z1."""
     if z1 is INF:
         return ProjectivePoint(1.0, 2.0 * z0, 0.0)
-    return ProjectivePoint(z1, 2.0 * z0 * z1 - z0 * z0, 1.0)
+    return _point(z1, 2.0 * z0 * z1 - z0 * z0, _ONE)
 
 
 def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: float) -> None:
@@ -214,23 +217,25 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     the parabola, P' is that point itself.
     """
     q, p = x
-    z0 = _z_param(p)
-    if family.is_a and z0 == 0:
+    z, _, t = p.coords
+    if t == 0:
+        raise SingularTangencyError(_AT_E)
+    z0 = z / t
+    if z0 == 0 and family.is_a:
         # Vertex tangency: the involution degenerates to the constant map
         # onto the vertex, the fiberwise continuation of the dynamics.
         if q.eq(p):
             return PhasePoint(p, p)
         vertex = conic_point(0.0)
         return PhasePoint(vertex, vertex)
-    if z0 is INF:
-        raise SingularTangencyError(_AT_E)
     _check_singular(family, z0, SINGULAR_RADIUS)
-    q_img = _point_on_tangent(z0, _involution_z(family, z0, _z_param(q)))
+    z, _, t = q.coords
+    q_img = _point_on_tangent(z0, _involution_z(family, z0, INF if t == 0 else z / t))
     try:
         zp, zm = tangency_points(q_img)
     except OnConicError:  # Q' on the parabola: its two tangency points collide
         return PhasePoint(q_img, q_img)
-    if zp is INF or zm is INF:
+    if zp is INF:
         return PhasePoint(q_img, E_INFINITY)
     return PhasePoint(q_img, conic_point(zp if abs(zp - z0) >= abs(zm - z0) else zm))
 
@@ -252,6 +257,8 @@ class OrbitRecord:
 SINGULARITY_GUARD = 1e-8
 #: coordinates beyond this modulus leave the supported numeric domain
 DOMAIN_BOUND = 1e100
+#: |t| beyond this keeps z/t and w/t of a canonical point within DOMAIN_BOUND
+_SAFE_T = 10.0 / DOMAIN_BOUND
 
 
 def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
@@ -259,8 +266,8 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
     x0.validate()
     points = [x0]
     x = x0
+    z0 = _z_param(x0.p)
     for _ in range(n):
-        z0 = _z_param(x.p)
         try:
             _check_singular(family, z0, SINGULARITY_GUARD)
         except SingularTangencyError as exc:
@@ -268,16 +275,38 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
         if z0 is INF:
             return OrbitRecord(points, "left-numeric-domain", "tangency point at infinity")
         x = billiard_map(family, x)
-        # P first: billiard_map raises before it returns a NaN Q, so a NaN
-        # P reads as nan however large Q is
-        for z, w, t in (x.p.coords, x.q.coords):
-            if z != z or w != w or t != t:
-                return OrbitRecord(points, "left-numeric-domain", "coordinates became nan")
-            if t != 0 and max(abs(z / t), abs(w / t)) > DOMAIN_BOUND:
-                return OrbitRecord(points, "left-numeric-domain", "affine coordinates blew up")
-        try:  # P' is on the parabola by construction: conic_point, E or Q'
-            x.validate_incidence()
-        except ValueError as exc:
-            return OrbitRecord(points, "left-numeric-domain", str(exc))
+        (z, w, t), (qz, qw, qt) = x.p.coords, x.q.coords
+        # One test of the new iterate: Q' on the tangent line (-2z, t, w) at
+        # P' as line_contains decides it, which a NaN coordinate fails, and
+        # z/t, w/t within DOMAIN_BOUND, which coordinates of modulus at most
+        # 1 keep when |t| > _SAFE_T.  Only a failure looks at each fact alone.
+        u0 = -2.0 * z
+        at, aqt = abs(t), abs(qt)
+        if not (
+            abs(u0 * qz + t * qw + w * qt)
+            <= max(ABS_EPS, REL_EPS * hypot(abs(u0), at, abs(w)) * hypot(abs(qz), abs(qw), aqt))
+            and (at > _SAFE_T or t == 0)
+            and (aqt > _SAFE_T or qt == 0)
+        ):
+            stop = _stop_detail(x)
+            if stop:
+                return OrbitRecord(points, "left-numeric-domain", stop)
+        z0 = INF if t == 0 else z / t
         points.append(x)
     return OrbitRecord(points, "completed")
+
+
+def _stop_detail(x: PhasePoint) -> str:
+    """Why orbit stops at the iterate x, or "" when it may go on."""
+    # P first: billiard_map raises before it returns a NaN Q, so a NaN P
+    # reads as nan however large Q is
+    for z, w, t in (x.p.coords, x.q.coords):
+        if z != z or w != w or t != t:
+            return "coordinates became nan"
+        if t != 0 and max(abs(z / t), abs(w / t)) > DOMAIN_BOUND:
+            return "affine coordinates blew up"
+    try:  # P' is on the parabola by construction: conic_point, E or Q'
+        x.validate_incidence()
+    except ValueError as exc:
+        return str(exc)
+    return ""

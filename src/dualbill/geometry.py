@@ -62,6 +62,26 @@ class OnConicError(ValueError):
     """Raised when an operation requires a point off (or on) the parabola."""
 
 
+def _canonical(z: complex, w: complex, t: complex) -> tuple[complex, complex, complex]:
+    """The canonical representative of [z : w : t] for Python complex
+    numbers (see :class:`ProjectivePoint`)."""
+    az, aw, at = abs(z), abs(w), abs(t)
+    total = az + aw + at
+    if total == 0:
+        raise ValueError("homogeneous coordinates must not all vanish")
+    if total != total:
+        return _NAN, _NAN, _NAN
+    if az >= aw and az >= at:
+        coords = (_ONE, w / z, t / z)
+    elif aw >= at:
+        coords = (z / w, _ONE, t / w)
+    else:
+        coords = (z / t, w / t, _ONE)
+    if total == math.inf and any(c != c for c in coords):
+        return _NAN, _NAN, _NAN  # such as inf/inf from two infinite inputs
+    return coords
+
+
 class ProjectivePoint:
     """Point of CP^2 in homogeneous coordinates [z : w : t].
 
@@ -76,23 +96,7 @@ class ProjectivePoint:
     __slots__ = ("coords",)
 
     def __init__(self, z: complex, w: complex, t: complex = 1.0):
-        z, w, t = complex(z), complex(w), complex(t)
-        az, aw, at = abs(z), abs(w), abs(t)
-        total = az + aw + at
-        if total == 0:
-            raise ValueError("homogeneous coordinates must not all vanish")
-        if total != total:
-            self.coords = (_NAN, _NAN, _NAN)
-            return
-        if az >= aw and az >= at:
-            coords = (_ONE, w / z, t / z)
-        elif aw >= at:
-            coords = (z / w, _ONE, t / w)
-        else:
-            coords = (z / t, w / t, _ONE)
-        if total == math.inf and any(c != c for c in coords):
-            coords = (_NAN, _NAN, _NAN)  # such as inf/inf from two infinite inputs
-        self.coords = coords
+        self.coords = _canonical(complex(z), complex(w), complex(t))
 
     @staticmethod
     def affine(z: complex, w: complex) -> "ProjectivePoint":
@@ -140,6 +144,17 @@ class ProjectivePoint:
 E_INFINITY = ProjectivePoint(0.0, 1.0, 0.0)
 
 
+_new_point = object.__new__
+
+
+def _point(z: complex, w: complex, t: complex) -> ProjectivePoint:
+    """``ProjectivePoint(z, w, t)`` for three Python complex numbers, which
+    need no conversion: the phase map builds its points through here."""
+    p = _new_point(ProjectivePoint)
+    p.coords = _canonical(z, w, t)
+    return p
+
+
 def conic_point(z0: SphereValue | complex) -> ProjectivePoint:
     """The point (z0, z0^2) of the parabola; infinity parameter gives E."""
     v = _finite_part(z0)
@@ -147,8 +162,8 @@ def conic_point(z0: SphereValue | complex) -> ProjectivePoint:
         return E_INFINITY
     if abs(v) > 1.0:
         # scale-robust representative [1/z0 : 1 : 1/z0^2]
-        return ProjectivePoint(1.0 / v, 1.0, 1.0 / (v * v))
-    return ProjectivePoint(v, v * v, 1.0)
+        return _point(1.0 / v, _ONE, 1.0 / (v * v))
+    return _point(v, v * v, _ONE)
 
 
 def on_conic(p: ProjectivePoint) -> bool:
@@ -159,9 +174,8 @@ def on_conic(p: ProjectivePoint) -> bool:
     would misclassify points that merely have large coordinates.
     """
     z, w, t = p.coords
-    res = abs(w * t - z * z)
-    scale = max(abs(z) ** 2, abs(w * t))
-    return res <= REL_EPS * scale
+    wt = w * t
+    return abs(wt - z * z) <= REL_EPS * max(abs(z) ** 2, abs(wt))
 
 
 def tangent_line(p: ProjectivePoint) -> tuple[complex, complex, complex]:

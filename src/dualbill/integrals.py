@@ -319,54 +319,70 @@ def _integer_factors(factors: Factors, degree: int) -> tuple[int, list]:
 class _IntegerForms:
     """The tables of exact evaluation: the numerator and the denominator
     homogenized to one degree, as products of factors with integer
-    coefficients over integer scales.
+    coefficients over integer scales, compiled into one function.
 
-    Every monomial the factors take is one product of an earlier monomial
-    and a coordinate; ``steps`` lists them in order after z, w and t, as
-    (index of the earlier monomial, index of the coordinate), and each
-    factor term names its monomial by index.
+    ``products(vals)`` takes the Gaussian integers (re, im) of z, w and t
+    and returns those of the numerator and the denominator, (nr, ni, dr,
+    di).  Its source is written out once per integral: every monomial the
+    factors take, as one product of an earlier monomial and a coordinate,
+    then each factor, its power by squaring and the two products, so that
+    an evaluation reads no table.  The arithmetic is exact, so the order of
+    the operations does not change the integers.
     """
 
-    __slots__ = ("steps", "num", "den", "num_scale", "den_scale")
+    __slots__ = ("products", "num_scale", "den_scale")
 
     def __init__(self, num_factors: Factors, den_factors: Factors, degree: int):
         self.num_scale, num = _integer_factors(num_factors, degree)
         self.den_scale, den = _integer_factors(den_factors, degree)
-        index = {(1, 0, 0): 0, (0, 1, 0): 1, (0, 0, 1): 2}
-        self.steps: list[tuple[int, int]] = []
-        wanted = {e for f, _ in num + den for _, e in f}
-        for e in sorted(wanted, key=sum):
-            self._monomial(e, index)
-        self.num, self.den = (
-            tuple((tuple((c, index[e]) for c, e in f), mult) for f, mult in forms)
-            for forms in (num, den)
-        )
+        lines = ["def products(vals):", "    (m0r, m0i), (m1r, m1i), (m2r, m2i) = vals"]
+        names = {(1, 0, 0): "m0", (0, 1, 0): "m1", (0, 0, 1): "m2"}
+        for e in sorted({e for f, _ in num + den for _, e in f}, key=sum):
+            _monomial(e, names, lines)
+        products = []
+        for forms in (num, den):
+            product = None
+            for terms, mult in forms:
+                f = _let(lines, *(" + ".join(f"{c} * {names[e]}{part}" for c, e in terms)
+                                  for part in "ri"))
+                power = None
+                while True:
+                    if mult & 1:
+                        power = f if power is None else _times(lines, power, f)
+                    mult >>= 1
+                    if not mult:
+                        break
+                    f = _times(lines, f, f)
+                product = power if product is None else _times(lines, product, power)
+            products.append(product)
+        n, d = products
+        lines.append(f"    return {n}r, {n}i, {d}r, {d}i")
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)
+        self.products = namespace["products"]
 
-    def _monomial(self, e: tuple[int, int, int], index: dict) -> int:
-        if e not in index:
-            parents = [(e[:a] + (e[a] - 1,) + e[a + 1:], a) for a in range(3) if e[a]]
-            parent, axis = next((p for p in parents if p[0] in index), parents[0])
-            self.steps.append((self._monomial(parent, index), axis))
-            index[e] = len(index)
-        return index[e]
+
+def _let(lines: list[str], re: str, im: str) -> str:
+    """Append the assignment of a Gaussian integer to a new name; returns
+    the name, whose parts are the name with r and i appended."""
+    name = f"g{len(lines)}"
+    lines.append(f"    {name}r = {re}; {name}i = {im}")
+    return name
 
 
-def _product(factors, vals: list[tuple[int, int]]) -> tuple[int, int]:
-    """Product of integer factors, exactly, from their monomial values; each
-    factor is raised to its multiplicity by squaring."""
-    nr, ni = 1, 0
-    for terms, mult in factors:
-        fr = fi = 0
-        for c, m in terms:
-            mr, mi = vals[m]
-            fr += c * mr
-            fi += c * mi
-        while mult > 1:
-            if mult & 1:
-                nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
-            fr, fi, mult = fr * fr - fi * fi, 2 * fr * fi, mult >> 1
-        nr, ni = nr * fr - ni * fi, nr * fi + ni * fr
-    return nr, ni
+def _times(lines: list[str], a: str, b: str) -> str:
+    """Append the product of the Gaussian integers named a and b."""
+    return _let(lines, f"{a}r * {b}r - {a}i * {b}i", f"{a}r * {b}i + {a}i * {b}r")
+
+
+def _monomial(e: tuple[int, int, int], names: dict, lines: list[str]) -> str:
+    """The name of the monomial with exponents e of (z, w, t), written out
+    on first use as one product of an earlier monomial and a coordinate."""
+    if e not in names:
+        parents = [(e[:a] + (e[a] - 1,) + e[a + 1:], a) for a in range(3) if e[a]]
+        parent, axis = next((p for p in parents if p[0] in names), parents[0])
+        names[e] = _times(lines, _monomial(parent, names, lines), f"m{axis}")
+    return names[e]
 
 
 @dataclass(frozen=True)
@@ -416,8 +432,14 @@ class RationalIntegral:
 
     @cached_property
     def _exact(self) -> _IntegerForms:
-        """The integer tables of :meth:`eval`."""
+        """The integer forms of :meth:`eval`, compiled on first use."""
         return _IntegerForms(self.num_factors, self.den_factors, self.degree)
+
+    @cached_property
+    def _base_points(self) -> tuple[tuple[complex, complex, complex, ProjectivePoint], ...]:
+        """The coordinates of each base point, with the point, for the
+        guard of :meth:`eval`."""
+        return tuple((*bp.coords, bp) for bp in self.family.spec.base_points)
 
     def eval(self, point: ProjectivePoint) -> SphereValue:
         """R at the point, exact and then correctly rounded.
@@ -429,29 +451,38 @@ class RationalIntegral:
         """
         forms = self._exact
         coords = point.coords
-        for bp in self.family.spec.base_points:
-            if cross_norm(coords, bp.coords) <= BASE_POINT_GUARD:
-                raise IndeterminacyError(point, bp)
         z, w, t = coords
+        guard = BASE_POINT_GUARD
+        for b0, b1, b2, bp in self._base_points:
+            # the components of cross_norm(coords, bp.coords): one beyond the
+            # guard puts their norm beyond it
+            if (abs(w * b2 - t * b1) <= guard and abs(t * b0 - z * b2) <= guard
+                    and abs(z * b1 - w * b0) <= guard and cross_norm(coords, bp.coords) <= guard):
+                raise IndeterminacyError(point, bp)
+        # the pivot coordinate is exactly 1 (only the NaN point has none):
+        # the other two, u and v, become Gaussian integers over 2^(n-1), and
+        # the pivot 2^(n-1)
+        if t == 1:
+            u, v, pivot = z, w, 2
+        elif w == 1:
+            u, v, pivot = z, t, 1
+        elif z == 1:
+            u, v, pivot = w, t, 0
+        else:
+            return SphereValue(complex(math.nan, math.nan))
         try:
-            zr, zrq = z.real.as_integer_ratio()
-            zi, ziq = z.imag.as_integer_ratio()
-            wr, wrq = w.real.as_integer_ratio()
-            wi, wiq = w.imag.as_integer_ratio()
-            tr, trq = t.real.as_integer_ratio()
-            ti, tiq = t.imag.as_integer_ratio()
+            ur, urq = u.real.as_integer_ratio()
+            ui, uiq = u.imag.as_integer_ratio()
+            vr, vrq = v.real.as_integer_ratio()
+            vi, viq = v.imag.as_integer_ratio()
         except (ValueError, OverflowError):  # nan or inf
             return SphereValue(complex(math.nan, math.nan))
-        c = max(zrq, ziq, wrq, wiq, trq, tiq)  # powers of two: c // q is exact
-        # the Gaussian integers z, w and t, then every monomial of the forms
-        vals = [(zr * (c // zrq), zi * (c // ziq)), (wr * (c // wrq), wi * (c // wiq)),
-                (tr * (c // trq), ti * (c // tiq))]
-        append = vals.append
-        for p, a in forms.steps:
-            (ar, ai), (br, bi) = vals[p], vals[a]
-            append((ar * br - ai * bi, ar * bi + ai * br))
-        nr, ni = _product(forms.num, vals)
-        dr, di = _product(forms.den, vals)
+        n = max(urq, uiq, vrq, viq).bit_length()  # the denominators are powers of two
+        # the Gaussian integers z, w and t
+        vals = [(ur << n - urq.bit_length(), ui << n - uiq.bit_length()),
+                (vr << n - vrq.bit_length(), vi << n - viq.bit_length())]
+        vals.insert(pivot, (1 << n - 1, 0))
+        nr, ni, dr, di = forms.products(vals)
         if dr == 0 and di == 0:
             if nr == 0 and ni == 0:
                 raise IndeterminacyError(point)

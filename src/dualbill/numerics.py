@@ -114,7 +114,7 @@ def _finite_part(x: SphereValue | complex) -> complex | None:
     if isinstance(x, SphereValue):
         return x._v
     x = complex(x)
-    return None if cmath.isinf(x) or cmath.isnan(x) else x
+    return x if cmath.isfinite(x) else None
 
 
 def chordal_distance(a: SphereValue | complex, b: SphereValue | complex) -> float:

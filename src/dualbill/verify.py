@@ -12,7 +12,8 @@ its bound.  A NaN residual becomes the worst and stays the worst, so it
 fails.  A sample whose residual cannot be computed is dropped and counted
 per exception class; a check that evaluates fewer samples than its floor
 fails, with those counts as its witness.  The floor is one sample, and half
-the samples for the sampled checks (involution, area, jacobian).
+the samples, but at least one, for the sampled checks (involution, area,
+jacobian).
 
 The involution, jacobian and area checks keep each sample as Python
 numbers (z0, z), the tangency parameter and a point of its tangent line,
@@ -163,11 +164,11 @@ class _Residuals:
         floor: float = 1,
     ) -> CheckReport:
         """Pass when the worst residual is within ``bound``; with fewer than
-        ``floor`` samples evaluated, fail whatever the worst is.  The params
-        gain the count of evaluated samples and the dropped ones by
-        exception class."""
+        ``floor`` samples evaluated, or none, fail whatever the worst is.
+        The params gain the count of evaluated samples and the dropped ones
+        by exception class."""
         counts = {"evaluated": self.evaluated, "dropped": dict(sorted(self.dropped.items()))}
-        if self.evaluated < floor:
+        if self.evaluated < max(floor, 1):
             status, witness = "fail", counts
         elif self.worst <= bound:
             status, witness = "pass", None

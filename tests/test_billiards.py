@@ -17,7 +17,7 @@ from dualbill.billiards import (
     involution,
     orbit,
 )
-from dualbill.curves import lift_fiber
+from dualbill.curves import lift_fiber, point_on_level
 from dualbill.families import FAMILIES
 from dualbill.geometry import (
     E_INFINITY,
@@ -27,7 +27,7 @@ from dualbill.geometry import (
     cross_norm,
     tangency_points,
 )
-from dualbill.numerics import INF, sphere_eq
+from dualbill.numerics import INF, principal_sqrt, sphere_eq
 from dualbill.verify import _draw, _rng_for, sample_phase_point
 
 
@@ -37,6 +37,19 @@ def _unconditioned_point(fam: BilliardFamily, rng) -> PhasePoint:
     z0, u = _draw(fam, rng)
     z = z0 + u
     return PhasePoint(ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0), conic_point(z0))
+
+
+def _pinned_start(fam: BilliardFamily, lam, tau, branch: str) -> PhasePoint:
+    """The lifted start at fiber parameter tau; a c-family level curve has
+    no rational parametrization, so there tau seeds the slicing lines of
+    ``point_on_level`` and the branch picks one of the point's two
+    tangency points."""
+    if fam.tag not in ("c1", "c2"):
+        return lift_fiber(fam, lam, tau, branch)
+    q = point_on_level(fam, lam, random.Random(tau))
+    z, w = q.affine_pair()
+    s = principal_sqrt(z * z - w)
+    return PhasePoint(q, conic_point(z + s if branch == "+" else z - s))
 
 
 class TestFamily:
@@ -271,11 +284,95 @@ class TestOrbit:
                     "the singular parameter 0j of family a1(1)",
                 ),
             ),
+            (
+                BilliardFamily("b1"), 2.0, 0.7, "+", 500,
+                {
+                    0: "(((-0.45959595959595956-0j), (-0.2583486378940924-0j), (1+0j)), "
+                    "((0.2256609878121082+0j), (0.05092288142033644+0j), (1+0j)))",
+                    250: "(((1+0j), (0.9218740145291083+0j), (0.5417672046754396+0j)), "
+                    "((0.5398963434476642+0j), (0.2914880616681582+0j), (1+0j)))",
+                    500: "(((1+0j), (0.9946388288326933+0j), (0.9687518791855261+0j)), "
+                    "((0.8134638548207045+0j), (1+0j), (0.6617234430997602+0j)))",
+                },
+                ("completed", ""),
+            ),
+            (
+                BilliardFamily("b2"), 0.5 + 0.25j, 1.3 - 0.4j, "-", 500,
+                {
+                    0: "(((-0.0829842504491465+0.1364992720432014j), (1+0j), "
+                    "(0.13323576744370721-0.20242413971960443j)), "
+                    "((-0.2903076533296945-0.2970493714460782j), (1+0j), "
+                    "(-0.0039597954947160376+0.17247141189514348j)))",
+                    250: "(((1+0j), (-0.07000032664594766-0.9394189687353484j), "
+                    "(0.4977008059561903+0.8367362469872255j)), "
+                    "((-0.1736502008674854-0.5281479142557809j), "
+                    "(-0.24878582707141364+0.18342598279651962j), (1+0j)))",
+                    500: "(((-0.21102325264472283+0.7639968327385889j), (1+0j), "
+                    "(-0.681624120637775-0.4513800816771653j)), "
+                    "((-0.6200537578279478+0.6063828079485782j), (1+0j), "
+                    "(0.016766552820957025-0.7519798775015575j)))",
+                },
+                ("completed", ""),
+            ),
+            (
+                BilliardFamily("c1"), 0.7, 23, "+", 500,
+                {
+                    0: "(((1+0j), (0.7324937343998025-0.23060320026418277j), "
+                    "(0.24026714492080134+0.35088169567438393j)), "
+                    "((0.11642068631323467+0.19487527341095298j), (1+0j), "
+                    "(-0.024422595985349092+0.0453750261519648j)))",
+                    250: "(((0.16240822892232437+0.883851794976541j), "
+                    "(-0.6599291997205345-0.5807280801154291j), (1+0j)), "
+                    "((0.25254693527185146-0.5074113387111142j), (1+0j), "
+                    "(-0.19368631213740037-0.25629035702735853j)))",
+                    500: "(((0.07290684487494976+0.6753885299813062j), (1+0j), "
+                    "(-0.3770146020558497-0.8227685732945476j)), "
+                    "((-0.5791601226125052-0.03101856683548376j), (1+0j), "
+                    "(0.33446429613600465+0.03592943394340592j)))",
+                },
+                ("completed", ""),
+            ),
+            (
+                BilliardFamily("c2"), 1.5, 23, "-", 500,
+                {
+                    0: "(((1+0j), (0.9945830849493529-0.021339723870148836j), "
+                    "(0.21038797495379238+0.5903460780350067j)), "
+                    "((0.5026286044593306+0.06984743828702622j), "
+                    "(0.2477568493854742+0.0702146408625344j), (1+0j)))",
+                    250: "(((1+0j), (0.9953545068846779+0.07924361897224663j), "
+                    "(0.026771903532991748-0.15962566988204224j)), "
+                    "((0.010247256887609232-0.08089302776130795j), (1+0j), "
+                    "(-0.006438675666671085-0.001657863271773256j)))",
+                    500: "(((0.016099772830246054-0.05426202887043933j), (1+0j), "
+                    "(0.022200149308556988+0.0026950694441744746j)), "
+                    "((0.0020750272827416917+0.104110973526371j), (1+0j), "
+                    "(-0.010834789070384602+0.0004320662210000356j)))",
+                },
+                ("completed", ""),
+            ),
+            (
+                BilliardFamily("a2", 1), 1.5 - 0.5j, 0.6 + 0.3j, "+", 500,
+                {
+                    0: "(((-0.3995355587808418+0.3614513788098692j), (1+0j), "
+                    "(0.5038067805440809+0.14779789860196252j)), "
+                    "((-0.10778906627963238-0.386840832123851j), (1+0j), "
+                    "(-0.1380273465888385+0.08339442418693184j)))",
+                    250: "(((6.046768404740671e-10+1.9515981540665631e-10j), (1+0j), "
+                    "(3.2752589355632757e-19+2.360023794454582e-19j)), "
+                    "((5.998588505524237e-10+1.9361750315801103e-10j), (1+0j), "
+                    "(3.2234290305693253e-19+2.3228634578238946e-19j)))",
+                    500: "(((3.809448260758833e-11+1.2495796283207591e-11j), (1+0j), "
+                    "(1.2950240225683825e-21+9.520266779814648e-22j)), "
+                    "((3.7942410033593616e-11+1.2446114820682452e-11j), (1+0j), "
+                    "(1.284720705027734e-21+9.4447118370304e-22j)))",
+                },
+                ("completed", ""),
+            ),
         ],
-        ids=["d", "a1(1)", "a1(1)-stop"],
+        ids=["d", "a1(1)", "a1(1)-stop", "b1", "b2", "c1", "c2", "a2(1)"],
     )
     def test_iterates_are_pinned(self, fam, lam, tau, branch, steps, pins, stop):
-        rec = orbit(fam, lift_fiber(fam, lam, tau, branch), steps)
+        rec = orbit(fam, _pinned_start(fam, lam, tau, branch), steps)
         assert (rec.reason, rec.detail) == stop
         assert rec.steps_taken == max(pins)
         for k, want in pins.items():

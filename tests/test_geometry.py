@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from dualbill.billiards import BilliardFamily
+from dualbill.billiards import BilliardFamily, _point_on_tangent
 from dualbill.geometry import (
     E_INFINITY,
     OnConicError,
@@ -21,6 +21,7 @@ from dualbill.geometry import (
     order3_symmetries,
     tangency_points,
     tangent_line,
+    _point,
 )
 from dualbill.integrals import eval_integral, indeterminacy_set
 from dualbill.numerics import INF
@@ -96,6 +97,72 @@ class TestProjectivePoint:
         p = conic_point(1e8)
         assert on_conic(p)
         assert abs(p.z_sphere().value - 1e8) < 1e-3
+
+
+#: values where a construction could differ: signed zeros, moduli exactly 1,
+#: tiny and huge moduli, infinities and NaNs
+_SPECIAL = [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    1 + 0j, complex(1.0, -0.0), complex(-1.0, 0.0), complex(-0.0, 1.0), -1j,
+    0.6 + 0.8j, complex(-0.96, 0.28), 2 + 0j, -3j, 1e300 + 1e300j, 1e-300j, 5e-324 + 0j,
+    complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0),
+    complex(math.nan, math.nan), complex(math.inf, math.nan),
+]
+
+
+def _construction_pair(rng: random.Random) -> tuple[complex, complex]:
+    """Two Python complex numbers, often special, often of equal modulus."""
+
+    def one() -> complex:
+        if rng.random() < 0.3:
+            return rng.choice(_SPECIAL)
+        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        return v * 10.0 ** rng.uniform(-200, 200) if rng.random() < 0.3 else v
+
+    z = one()
+    # multiplying by a unit of the Gaussian integers keeps the modulus exactly
+    w = z * rng.choice((1j, -1, -1j)) if rng.random() < 0.2 else one()
+    return z, w
+
+
+def _built(make, *args) -> str:
+    try:
+        return repr(make(*args).coords)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc).__name__
+
+
+class TestPhaseMapConstruction:
+    """The phase map builds Q' and P' without ProjectivePoint.__init__'s
+    conversions: their coordinates must be that constructor's, bit for bit
+    (compared by repr, so signed zeros count)."""
+
+    def test_point_is_the_constructor(self):
+        rng = random.Random(29)
+        for _ in range(4000):
+            z, w = _construction_pair(rng)
+            t = 1 + 0j if rng.random() < 0.5 else _construction_pair(rng)[0]
+            assert _built(_point, z, w, t) == _built(ProjectivePoint, z, w, t), (z, w, t)
+
+    def test_q_image_is_the_affine_point(self):
+        rng = random.Random(31)
+        for _ in range(4000):
+            z0, z1 = _construction_pair(rng)
+            want = _built(ProjectivePoint, z1, 2.0 * z0 * z1 - z0 * z0, 1.0)
+            assert _built(_point_on_tangent, z0, z1) == want, (z0, z1)
+
+    def test_conic_point_is_the_scale_robust_representative(self):
+        rng = random.Random(37)
+        for _ in range(4000):
+            v, _ = _construction_pair(rng)
+            if not cmath.isfinite(v):
+                assert conic_point(v) is E_INFINITY
+                continue
+            if abs(v) > 1.0:
+                want = _built(ProjectivePoint, 1.0 / v, 1.0, 1.0 / (v * v))
+            else:
+                want = _built(ProjectivePoint, v, v * v, 1.0)
+            assert _built(conic_point, v) == want, v
 
 
 class TestTangentLine:

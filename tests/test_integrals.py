@@ -441,7 +441,8 @@ def _oracle(fam: BilliardFamily, coords):
 
 def _oracle_points(fam: BilliardFamily, rng: random.Random) -> list:
     """Points in each chart, on and near the infinity line, with tiny
-    coordinates, and just outside the guard of each base point."""
+    coordinates, and just outside and just inside the guard of each base
+    point."""
 
     def rc(r=0.7):
         return complex(rng.uniform(-r, r), rng.uniform(-r, r))
@@ -461,6 +462,14 @@ def _oracle_points(fam: BilliardFamily, rng: random.Random) -> list:
             if BASE_POINT_GUARD < cross_norm(p.coords, bp.coords) < 3e-8:
                 near.append(p)
         pts += near
+    for bp in indeterminacy_set(fam):
+        inside = []
+        while len(inside) < 2:
+            v = [rc(1.0) for _ in range(3)]
+            p = ProjectivePoint(*(c + 1e-8 * dv for c, dv in zip(bp.coords, v)))
+            if 3e-9 < cross_norm(p.coords, bp.coords) <= BASE_POINT_GUARD:
+                inside.append(p)
+        pts += inside
     return pts
 
 
@@ -492,6 +501,34 @@ class TestExactEvaluation:
                 with mpmath.workdps(60):
                     assert abs(mpmath.mpf(part) - digits60) <= math.ulp(float(exact)), (p, part)
                 assert part == float(exact), (p, part)  # correctly rounded
+
+    @pytest.mark.parametrize(
+        "fam", INSTANCES + [BilliardFamily("a1", 8)], ids=lambda f: f.label()
+    )
+    def test_compiled_products_are_the_forms(self, fam):
+        # the integers of the written-out forms against the expanded tables
+        # summed in exact Gaussian rationals, in the chart t = 1 and in the
+        # chart z = 1, which holds the points of the infinity line
+        integ = first_integral(fam)
+        forms = integ._exact
+        d = integ.degree
+        rng = random.Random(f"products:{fam.label()}")
+
+        def gauss():
+            return rng.randint(-2**60, 2**60), rng.randint(-2**60, 2**60)
+
+        for chart in (2, 0):
+            num, den = (p.homogenized_chart(d, chart) for p in (integ.num, integ.den))
+            for k in range(10):
+                s = rng.randint(1, 2**60)  # the real coordinate of the chart
+                a, b = gauss(), (0, 0) if k == 0 else gauss()
+                vals = [a, b, (s, 0)] if chart == 2 else [(s, 0), a, b]
+                x, y = (_Gauss(Fraction(c[0], s), Fraction(c[1], s)) for c in (a, b))
+                nr, ni, dr, di = forms.products(vals)
+                for (re, im), scale, p in (((nr, ni), forms.num_scale, num),
+                                           ((dr, di), forms.den_scale, den)):
+                    want = _Gauss.of(p.eval_exact(x, y)) * (scale * s**d)
+                    assert (re, im) == (want.re, want.im), (fam, chart, k)
 
     def test_exact_zero_over_zero_raises(self, monkeypatch):
         # the guard catches every base point first, so switch it off

@@ -176,6 +176,21 @@ class TestNothingEvaluated:
         assert report.witness == {"evaluated": 0, "dropped": {"ZeroDivisionError": count}}
         assert {k: report.params[k] for k in ("evaluated", "dropped")} == report.witness
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: verify.check_involution(B1, 0, 1),
+            lambda: verify.check_area_form(B1, 0, 1),
+            lambda: verify.check_jacobian(B1, 0, 1),
+        ],
+        ids=["involution", "area", "jacobian"],
+    )
+    def test_no_samples_fails(self, run):
+        # half of no samples is no floor: nothing evaluated is still too few
+        report = run()
+        assert report.status == "fail"
+        assert report.witness == {"evaluated": 0, "dropped": {}}
+
 
 class TestCountsInParams:
     """Every report says how many samples it evaluated and how many it
