@@ -8,8 +8,9 @@ level curve or critical component, is a polynomial map homogeneous in (t, s)
 to [Z : W : T], taken at (t, 1), and at (1, 0) for t = inf.  The double
 cover of a level curve by its invariant fiber branches where the curve
 crosses the parabola transversally; for the b and d families those branch
-parameters feed a genus-one model y^2 = p(t) whose periods are computed by
-contour quadrature.
+parameters feed a genus-one model y^2 = p(t) whose half-periods, and so its
+periods, are closed forms in Carlson's R_F; only the legs of Abel steps,
+from a curve point to a branch point, are integrated by contour quadrature.
 
 What kind of curve and fiber a family has, its critical values and which
 family b2 is the image of are read from :mod:`dualbill.families`.  The
@@ -46,6 +47,7 @@ from .numerics import (
     INF,
     BranchedSqrt,
     SphereValue,
+    carlson_rf,
     chordal_distance,
     lattice_reduce,
     plan_route,
@@ -396,20 +398,7 @@ def sheet_sqrt(family: BilliardFamily, lam, x: PhasePoint) -> tuple[complex, com
 
 
 # ---------------------------------------------------------------------------
-# elliptic models: periods by contour quadrature
-
-def _leg_clearance_score(br: BranchedSqrt, pts: Sequence[complex], skip: complex) -> float:
-    worst = math.inf
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        for k in range(1, 24):
-            t = a + (b - a) * k / 24.0
-            for r in br.roots:
-                if abs(r - skip) < 1e-12 and abs(t - skip) < 0.3 * abs(pts[0] - skip):
-                    continue  # the desingularized approach to its own endpoint
-                worst = min(worst, abs(t - r))
-    return worst
-
+# elliptic models: half-periods in closed form, legs by contour quadrature
 
 def branched_leg_integral(
     br: BranchedSqrt,
@@ -456,62 +445,52 @@ def branched_leg_integral(
     return total
 
 
-def ramification_connection(
-    br: BranchedSqrt, a: complex, b: complex, clearance: float
-) -> complex:
-    """Integral of dt/y from branch point a to branch point b.
-
-    Both endpoint square-root singularities are desingularized; the
-    connecting path goes through a waypoint chosen (by scored direction
-    candidates) to keep clear of all other roots, which matters when the
-    two branch points are a close or vertically aligned pair.  Since both
-    endpoints are ramification points, any branch of y gives a valid path
-    on the double cover.
-    """
-    best = None
-    for theta_deg in (90, 60, 120, 30, 150, 75, 105, 45, 135):
-        theta = math.radians(theta_deg)
-        mid = (a + b) / 2.0 + 0.45 * abs(b - a) * cmath.exp(1j * theta)
-        leg_a = plan_route([mid, a], br.roots, clearance)
-        leg_b = plan_route([mid, b], br.roots, clearance)
-        score = min(
-            _leg_clearance_score(br, leg_a, a), _leg_clearance_score(br, leg_b, b)
-        )
-        cand = (score, mid, leg_a, leg_b)
-        if best is None or cand[0] > best[0]:
-            best = cand
-        if best[0] > 0.5 * clearance:
-            break
-    _, mid, leg_a, leg_b = best
-    ymid = br.at(mid)
-    ia = branched_leg_integral(br, leg_a, ymid, end_at_branch=a)
-    ib = branched_leg_integral(br, leg_b, ymid, end_at_branch=b)
-    return ib - ia
+def _half_periods(poly: np.ndarray, roots: list[complex]) -> list[complex]:
+    """Integral of dt/y, y^2 = p(t), from each root e_k of p to infinity for
+    a cubic p = a(t - e_0)(t - e_1)(t - e_2): 2 a^(-1/2) R_F(0, e_k - e_i,
+    e_k - e_j) along the ray t = e_k + tau, tau >= 0.  A quartic p sends its
+    first root r to infinity by s = 1/(t - r): y^2 = p(t) becomes the cubic
+    y'^2 = a' prod (s - 1/(e_k - r)), a' = a prod (r - e_k) over the other
+    roots, with dt/y = -ds/y', so its half-periods end at r, whose own is 0."""
+    lead, es = complex(poly[0]), list(roots)
+    if len(es) == 4:
+        base = es.pop(0)
+        for e in es:
+            lead *= base - e
+        es = [1.0 / (e - base) for e in es]
+    scale = 2.0 / principal_sqrt(lead)
+    halves = [scale * carlson_rf(0.0, e - es[k - 1], e - es[k - 2]) for k, e in enumerate(es)]
+    return [0j] * (len(roots) - 3) + halves
 
 
 @dataclass
 class EllipticModel:
-    """Genus-one data of one invariant fiber, y^2 = p(t), and the routing of
-    its integrals of dt/y: the sorted finite branch points and the clearance
-    of every routed path from them are set once, the connection between two
-    branch points (half a period) is integrated at most once, on first use,
-    and a period is twice a connection."""
+    """Genus-one data of one invariant fiber, y^2 = p(t): the sorted finite
+    branch points, the clearance of every routed leg from them, and one
+    half-period per branch point.
+
+    ``half_periods[k]`` is the integral of dt/y from ``roots[k]`` to a base
+    branch point, on one of the two branches of y, in closed form by
+    Carlson's R_F: the base is infinity for a cubic p and ``roots[0]`` for a
+    quartic.  Twice a half-period is a period.  The last three half-periods
+    are those of the branch points other than the base: the first two give
+    the generators ``periods``, the third the closure cycle of
+    :func:`lattice_closure_residual`, which no routed path enters.
+    """
 
     family: BilliardFamily
     lam: complex
     poly: np.ndarray  # descending coefficients of p
     branch_parameters: list[SphereValue]
     roots: list[complex]  # finite branch points, sorted
-    clearance: float  # how far routed paths keep from every root
+    clearance: float  # how far routed legs keep from every root
     _sqrt: BranchedSqrt = field(repr=False)
-    _connections: dict[tuple[int, int], complex] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    half_periods: list[complex] = field(init=False)
     periods: tuple[complex, complex] = field(init=False)
 
     def __post_init__(self):
-        w1 = 2.0 * self.connection(0, 1)
-        w2 = 2.0 * self.connection(1, 2)
+        self.half_periods = _half_periods(self.poly, self.roots)
+        w1, w2 = (2.0 * h for h in self.half_periods[-3:-1])
         det = w1.real * w2.imag - w1.imag * w2.real
         if abs(det) <= 1e-12 * max(abs(w1), abs(w2)) ** 2:
             raise RuntimeError(
@@ -523,42 +502,21 @@ class EllipticModel:
     def lattice_reduce(self, v: complex) -> complex:
         return lattice_reduce(v, *self.periods)
 
-    def connection(self, i: int, j: int) -> complex:
-        """Integral of dt/y from the branch point ``roots[i]`` to ``roots[j]``;
-        the reverse order is the exact negation, as in
-        :func:`ramification_connection`.  One that raises is not stored."""
-        if i > j:
-            return -self.connection(j, i)
-        c = self._connections.get((i, j))
-        if c is None:
-            c = ramification_connection(self._sqrt, self.roots[i], self.roots[j], self.clearance)
-            self._connections[(i, j)] = c
-        return c
-
     def abel_integral(
         self, start: tuple[complex, complex], end: tuple[complex, complex]
     ) -> complex:
-        """Integral of dt/y from the curve point ``start`` = (t, y) to ``end``.
+        """Integral of dt/y from the curve point ``start`` = (t, y) to ``end``,
+        modulo the period lattice: the difference of their :meth:`anchor`s."""
+        return self.anchor(start) - self.anchor(end)
 
-        Each endpoint is routed into its nearest branch point, where the
-        final approach is desingularized, on the branch of y that its y
-        selects; two different branch points are joined by their connection.
-        """
-        return self.join(self.anchor(start), self.anchor(end))
-
-    def anchor(self, point: tuple[complex, complex]) -> tuple[int, complex]:
-        """The index k of the branch point nearest the curve point (t, y) and
-        the integral of dt/y from the point to ``roots[k]``: the leg of every
-        :meth:`abel_integral` that starts or ends there."""
+    def anchor(self, point: tuple[complex, complex]) -> complex:
+        """Elliptic logarithm of the curve point (t, y), modulo the lattice:
+        the integral of dt/y from the point to its nearest branch point
+        ``roots[k]``, on the branch of y that its y selects, plus
+        ``half_periods[k]``."""
         t, y = point
         k = self._nearest(t)
-        return k, self._leg(t, y, k)
-
-    def join(self, start: tuple[int, complex], end: tuple[int, complex]) -> complex:
-        """:meth:`abel_integral` between two :meth:`anchor` results."""
-        (i, leg_a), (j, leg_b) = start, end
-        total = leg_a - leg_b
-        return total + self.connection(i, j) if i != j else total
+        return self._leg(t, y, k) + self.half_periods[k]
 
     def _nearest(self, t: complex) -> int:
         return min(range(len(self.roots)), key=lambda k: abs(self.roots[k] - t))
@@ -569,7 +527,8 @@ class EllipticModel:
 
 
 def elliptic_model(family: BilliardFamily, lam) -> EllipticModel:
-    """Branch polynomial, branch points and a period-lattice basis.
+    """Branch polynomial, branch points, half-periods and a period-lattice
+    basis.
 
     Supported for the b and d families, whose fibers carry the square-root
     model; the c-family level curves are elliptic but have no rational
@@ -588,12 +547,14 @@ def elliptic_model(family: BilliardFamily, lam) -> EllipticModel:
 
 
 def lattice_closure_residual(model: EllipticModel) -> float:
-    """Distance from an independently integrated extra cycle to the lattice.
+    """Distance from the closure cycle, twice the last half-period, to the
+    lattice of ``periods``.
 
-    The cycle encloses the first and third branch points; its period must be
-    an integer combination of the two generators.
+    That half-period is an R_F evaluation of its own, so the cycle lands on
+    the lattice only if all three agree, as the homology of a genus-one
+    curve demands.
     """
-    return abs(model.lattice_reduce(2.0 * model.connection(0, 2)))
+    return abs(model.lattice_reduce(2.0 * model.half_periods[-1]))
 
 
 # ---------------------------------------------------------------------------

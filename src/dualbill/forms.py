@@ -290,16 +290,16 @@ def abel_steps(
     phase_points: list[PhasePoint],
     model: EllipticModel,
 ) -> list[complex]:
-    """Integrals of the fiber differential between consecutive orbit points.
+    """Integrals of the fiber differential between consecutive orbit points,
+    modulo the period lattice, which is all the dynamics fixes.
 
-    Each step is the model's :meth:`~dualbill.curves.EllipticModel.abel_integral`
-    between the sheet coordinates (t, y) of the two phase points: a genuine
-    path integral on the fiber, routed through the nearest branch points,
-    whose class modulo the period lattice is what the dynamics fixes.  Each
-    point's leg to its branch point is integrated once, when its first step
-    is taken, and serves the step that ends there and the one that starts
-    there.
+    Each step is the difference of the elliptic logarithms
+    (:meth:`~dualbill.curves.EllipticModel.anchor`) of the sheet coordinates
+    (t, y) of the two phase points: each point's routed leg to its nearest
+    branch point plus that branch point's closed-form half-period.  Each
+    point's logarithm is taken once and serves the step that ends there and
+    the one that starts there.
     """
     coords = [sheet_sqrt(family, lam, x) for x in phase_points]
-    anchors = map(model.anchor, coords) if len(coords) > 1 else ()
-    return [model.join(a, b) for a, b in pairwise(anchors)]
+    logs = map(model.anchor, coords) if len(coords) > 1 else ()
+    return [a - b for a, b in pairwise(logs)]

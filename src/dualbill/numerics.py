@@ -1,9 +1,10 @@
-"""Values on the Riemann sphere, comparison thresholds, root finding and
-segment quadrature.
+"""Values on the Riemann sphere, comparison thresholds, root finding,
+Carlson's symmetric elliptic integral and segment quadrature.
 
 Everything downstream (geometry, dynamics, curve models, verification) is
 built on the primitives in this module: values that may be the point at
-infinity, the comparison thresholds, polynomial root finding, and
+infinity, the comparison thresholds, polynomial root finding, the integral
+R_F that gives the elliptic models their periods in closed form, and
 Gauss-Legendre segment quadrature with global square-root branch tracking.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +28,7 @@ __all__ = [
     "sphere_eq",
     "chordal_distance",
     "roots",
+    "carlson_rf",
     "segment_integrate",
     "BranchedSqrt",
     "plan_route",
@@ -195,6 +198,36 @@ def roots(coeffs: Sequence[complex]) -> list[complex]:
             r = r - step
         polished.append(r)
     return polished
+
+
+# ---------------------------------------------------------------------------
+# Carlson's symmetric elliptic integral of the first kind
+
+
+def carlson_rf(x: complex, y: complex, z: complex) -> complex:
+    """R_F(x, y, z) = 1/2 int_0^inf dtau / sqrt((tau + x)(tau + y)(tau + z)).
+
+    Carlson's duplication algorithm (B. C. Carlson, Numer. Algorithms 10
+    (1995) 13-26; DLMF 19.36.1) with his stopping rule at r = machine
+    epsilon: duplicate until 4^-n Q < |A_n|, Q = (3r)^(-1/6) max |A_0 - x|,
+    then sum the fifth-order series.  Every square root is
+    :func:`principal_sqrt`, so an argument on the negative real axis reads
+    as the limit from above whatever the sign of its zero imaginary part.
+    """
+    if [x, y, z].count(0) > 1:
+        raise ValueError("R_F diverges when two of its arguments vanish")
+    a = (x + y + z) / 3.0
+    dx, dy = a - x, a - y
+    q = (3.0 * sys.float_info.epsilon) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(a - z))
+    while q >= abs(a):
+        sx, sy, sz = principal_sqrt(x), principal_sqrt(y), principal_sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z, a = (x + lam) / 4.0, (y + lam) / 4.0, (z + lam) / 4.0, (a + lam) / 4.0
+        q, dx, dy = q / 4.0, dx / 4.0, dy / 4.0
+    X, Y = dx / a, dy / a
+    Z = -X - Y
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    return (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / principal_sqrt(a)
 
 
 # ---------------------------------------------------------------------------

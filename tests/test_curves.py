@@ -25,7 +25,7 @@ from dualbill.curves import (
 )
 from dualbill.geometry import E_INFINITY, PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import critical_values, eval_integral
-from dualbill.numerics import INF, SphereValue
+from dualbill.numerics import INF, SphereValue, lattice_reduce
 from dualbill.verify import _rng_for
 
 PARAMETRIZED = [
@@ -244,8 +244,8 @@ class TestEllipticModel:
                 return 2 / mpmath.sqrt(r2 - t)
 
             oracle = float(2 * mpmath.quad(g, [0, mpmath.pi / 2]))
-        periods = sorted((abs(m.periods[0]), abs(m.periods[1])))
-        assert min(abs(p - oracle) for p in periods) < 1e-8
+        # p < 0 between the two real roots, so i times the oracle is a period
+        assert abs(m.lattice_reduce(1j * oracle)) < 1e-8
 
     def test_degeneration_towards_critical_value(self):
         # two branch parameters of the b-model collide as lam -> 1
@@ -541,27 +541,17 @@ class TestSpecFidelityExtras:
         assert np.allclose(got, want)
 
     def test_swapping_cycles_permutes_generators(self):
-        from dualbill.billiards import BilliardFamily
-        from dualbill.curves import elliptic_model, ramification_connection
-
-        m = elliptic_model(BilliardFamily("b1"), 2.0)
-        rts, clr = m.roots, m.clearance
-        w2_first = 2 * ramification_connection(m._sqrt, rts[1], rts[2], clr)
-        w1_second = 2 * ramification_connection(m._sqrt, rts[0], rts[1], clr)
-        assert abs(w2_first - m.periods[1]) <= 1e-9 * max(1, abs(m.periods[1]))
-        assert abs(w1_second - m.periods[0]) <= 1e-9 * max(1, abs(m.periods[0]))
-
-    @pytest.mark.parametrize("tag,lam", [("b1", 2.0), ("d", 1.0)])
-    def test_reverse_connection_is_exact_negation(self, tag, lam):
-        from dualbill.curves import ramification_connection
-
-        m = elliptic_model(BilliardFamily(tag), lam)
-        n = len(m.roots)
-        for i in range(n):
-            for j in range(i + 1, n):
-                fresh = ramification_connection(m._sqrt, m.roots[j], m.roots[i], m.clearance)
-                assert repr(m.connection(j, i)) == repr(fresh)
-                assert repr(m.connection(i, j)) == repr(-fresh)
+        # any two of the last three doubled half-periods give the same
+        # lattice: the closure cycle can take the place of either generator
+        for tag, lam in (("b1", 2.0), ("d", 1.0)):
+            m = elliptic_model(BilliardFamily(tag), lam)
+            w1, w2, w3 = (2.0 * h for h in m.half_periods[-3:])
+            scale = max(abs(w1), abs(w2))
+            for basis in ((w1, w3), (w3, w2)):
+                for w in (w1, w2, w3):
+                    assert abs(lattice_reduce(w, *basis)) <= 1e-12 * scale
+                for w in basis:
+                    assert abs(m.lattice_reduce(w)) <= 1e-12 * scale
 
     def test_model_keeps_sorted_roots_and_clearance(self):
         m = elliptic_model(BilliardFamily("d"), 1.0)
@@ -569,7 +559,8 @@ class TestSpecFidelityExtras:
         assert sorted(m.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12))) == m.roots
         gaps = [abs(a - b) for i, a in enumerate(m.roots) for b in m.roots[i + 1:]]
         assert m.clearance == 0.12 * min(gaps)
-        assert m.periods == (2.0 * m.connection(0, 1), 2.0 * m.connection(1, 2))
+        assert m.half_periods[0] == 0  # the quartic's base branch point
+        assert m.periods == (2.0 * m.half_periods[1], 2.0 * m.half_periods[2])
 
 
 class TestCEquivalenceOnComponents:

@@ -13,6 +13,7 @@ from dualbill.numerics import (
     BranchedSqrt,
     SphereValue,
     SpherePoleError,
+    carlson_rf,
     chordal_distance,
     lattice_reduce,
     plan_route,
@@ -102,6 +103,61 @@ class TestRoots:
         for r in roots(coeffs):
             scale = max(norm, norm * abs(r) ** deg)
             assert abs(_horner(coeffs, r)) <= 1e-10 * scale
+
+
+def _rf_gap(args):
+    """Relative gap of carlson_rf to mpmath's R_F at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        want = complex(mpmath.elliprf(*(mpmath.mpc(a.real, a.imag) for a in args)))
+    return abs(carlson_rf(*args) - want) / abs(want)
+
+
+class TestCarlsonRF:
+    def test_matches_mpmath_on_seeded_triples(self):
+        rng = random.Random("carlson rf")
+        for _ in range(200):
+            args = [
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-3, 3)
+                for _ in range(3)
+            ]
+            assert _rf_gap(args) <= 1e-14, args
+
+    def test_a_zero_argument(self):
+        rng = random.Random("carlson rf zero")
+        for _ in range(50):
+            y, z = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+            assert _rf_gap((0j, y, z)) <= 1e-14
+        assert carlson_rf(0.0, 1.0, 1.0) == pytest.approx(math.pi / 2, rel=1e-15)
+
+    def test_negative_real_arguments_read_from_above(self):
+        # an argument on the cut takes the limit from above, mpmath's value,
+        # whichever sign its zero imaginary part carries; the roots of b1's
+        # model at lambda = 2 are all real, so its half-periods take such
+        # arguments, and so do seeded ones
+        es = [4 - 2 * math.sqrt(2), 2.0, 4 + 2 * math.sqrt(2)]
+        triples = [(0.0, e - es[k - 1], e - es[k - 2]) for k, e in enumerate(es)]
+        rng = random.Random("carlson rf cut")
+        triples += [(rng.uniform(-3, 3), rng.uniform(-3, 0), rng.uniform(-3, 3)) for _ in range(30)]
+        for args in triples:
+            upper = [complex(a, 0.0) for a in args]
+            lower = [complex(a, -0.0) for a in args]
+            assert _rf_gap(upper) <= 1e-14, args
+            assert repr(carlson_rf(*lower)) == repr(carlson_rf(*upper))
+
+    def test_widely_spread_magnitudes(self):
+        rng = random.Random("carlson rf spread")
+        for _ in range(50):
+            args = [
+                complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-100, 100)
+                for _ in range(3)
+            ]
+            assert _rf_gap(args) <= 1e-14, args
+        assert _rf_gap((1e-300j, 1.0, 1e300)) <= 1e-14
+
+    def test_two_zero_arguments_diverge(self):
+        with pytest.raises(ValueError, match="diverges"):
+            carlson_rf(0.0, 0j, 1.0)
 
 
 class TestQuadrature:
