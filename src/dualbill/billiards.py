@@ -235,9 +235,12 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
         zp, zm = tangency_points(q_img)
     except OnConicError:  # Q' on the parabola: its two tangency points collide
         return PhasePoint(q_img, q_img)
+    # tuple.__new__ builds the same PhasePoint without the NamedTuple's
+    # Python-level __new__, a tenth of a step
     if zp is INF:
-        return PhasePoint(q_img, E_INFINITY)
-    return PhasePoint(q_img, conic_point(zp if abs(zp - z0) >= abs(zm - z0) else zm))
+        return tuple.__new__(PhasePoint, (q_img, E_INFINITY))
+    p_img = conic_point(zp if abs(zp - z0) >= abs(zm - z0) else zm)
+    return tuple.__new__(PhasePoint, (q_img, p_img))
 
 
 @dataclass

@@ -105,11 +105,18 @@ def _require_regular(family: BilliardFamily, lam) -> SphereValue:
 def _on_curve(form, t) -> ProjectivePoint:
     """Point at parameter t of a rational curve: ``form(t, s)`` is
     homogeneous in (t, s) and returns (Z, W, T), taken at (t, 1), or at
-    (1, 0) when t = inf; poles and the limit at t = inf need no case."""
+    (1, 0) when t = inf; poles and the limit at t = inf need no case.  Where
+    the powers of a large t overflow, the same point is taken at (1, 1/t)."""
     t = _parameter(t)
     if t.is_inf:
         return ProjectivePoint(*form(1.0, 0.0))
-    return ProjectivePoint(*form(t.value, 1.0))
+    try:
+        coords = form(t.value, 1.0)
+        if all(map(cmath.isfinite, coords)):
+            return ProjectivePoint(*coords)
+    except OverflowError:
+        pass
+    return ProjectivePoint(*form(1.0, 1.0 / t.value))
 
 
 def _parameter(t) -> SphereValue:

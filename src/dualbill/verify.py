@@ -18,22 +18,30 @@ jacobian).
 The involution, jacobian and area checks keep each sample as Python
 numbers (z0, z), the tangency parameter and a point of its tangent line,
 from the draw to the report; the jacobian and area draws are conditioned
-on ``billiards._involution_z``.  These three and the conservation check
-share one lane loop, :func:`_laned`, which runs the residual once on numpy
-arrays of every lane through the library's own arithmetic.  Every
-operation is elementwise, so a lane's residual does not depend on the size
-or order of its batch.  A lane whose residual is not finite, or whose image
-is at infinity on the sphere, is evaluated again on the scalar path: on
-Python numbers, where the involution's pole gives INF; by the scalar
+on ``billiards._involution_z``.  One routine, :func:`_draws`, makes every
+draw of these checks and of the equivalences check: it pulls the randoms
+in blocks, forms the candidates on numpy lanes, decides again on Python
+numbers a lane within a relative 1e-9 of the guard radius or of an edge of
+the conditioning window, and walks the attempts in stream order, so its
+draws and the stream's state are those of drawing one at a time, bit for
+bit.  These three and the conservation check share one lane loop,
+:func:`_laned`, which runs the residual once on numpy arrays of every lane
+through the library's own arithmetic.  Every operation is elementwise, so
+a lane's residual does not depend on the size or order of its batch.  A
+lane whose residual is not finite, or whose image is at infinity on the
+sphere, is evaluated again on the scalar path: on Python numbers, where the
+involution's pole gives INF; by the scalar
 ``forms.area_pullback_residual``; or by the exact ``eval_integral``, which
 also takes every iterate with Q or P on the infinity line, within rounding
-of the base-point guard, or where the factors of the tangent-line form
-cancel.  That exact evaluation alone judges the base-point guard.
+of the base-point guard's radius, or where the factors of the tangent-line
+form cancel.  An iterate inside the guard by more than that rounding is
+dropped on the lanes under ``IndeterminacyError``, as the exact evaluation
+would drop it.  The residuals of every lane are then recorded in one step,
+with the worst and witness that recording them one by one gives.
 """
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import math
 import random
@@ -159,6 +167,25 @@ class _Residuals:
             self.worst = res
             self.witness = witness()
 
+    def note_lanes(self, res: np.ndarray, kept: np.ndarray, where: Callable[[int], dict]) -> None:
+        """Record the residuals of the lanes that ``kept`` marks in one
+        step, as ``note`` of each in lane order does: the first NaN, or else
+        the first strict maximum above the worst so far, becomes the worst,
+        and ``where`` of its lane the witness."""
+        self.evaluated += int(np.count_nonzero(kept))
+        if math.isnan(self.worst) or not kept.any():
+            return
+        nan = kept & np.isnan(res)
+        if nan.any():
+            k = int(nan.argmax())
+        else:
+            res = np.where(kept, res, -math.inf)
+            k = int(res.argmax())
+            if not res[k] > self.worst:
+                return
+        self.worst = float(res[k])
+        self.witness = where(k)
+
     def report(
         self, name: str, family: BilliardFamily | None, params: dict, bound: float,
         floor: float = 1,
@@ -186,29 +213,123 @@ def _worse(*residuals: float) -> float:
 
 #: radius of the disks around singular tangency parameters that samples avoid
 SINGULAR_GUARD = 0.2
+#: a lane distance within this relative margin of SINGULAR_GUARD is compared
+#: again on Python numbers
+_GUARD_MARGIN = 1e-9
+#: conditioned draws keep |sigma_P(z) - z0| within this window
+_WINDOW = (0.05, 25.0)
+#: a lane distance within this relative margin of an edge of _WINDOW, or not
+#: finite, is decided again on Python numbers
+_WINDOW_MARGIN = 1e-9
+#: most randoms pulled at once: the lanes of a block stay far below the
+#: 16 384 complex values from which numpy computes products in place
+_DRAW_BLOCK = 8192
 
 
-def _draw(family: BilliardFamily, rng: random.Random) -> tuple[complex, complex]:
-    """One draw of the tangency parameter z0 and the offset u of
-    :func:`sample_phase_point`, before its conditioning."""
-    while True:
-        r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
-        z0 = r * cmath.exp(2j * math.pi * rng.random())
-        if any(abs(z0 - s) < SINGULAR_GUARD for s in family.spec.singular_finite):
-            continue
-        ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
-        return z0, ur * cmath.exp(2j * math.pi * rng.random())
+def _guarded(family: BilliardFamily, z0: complex) -> bool:
+    """Whether z0 lies in a ``SINGULAR_GUARD`` disk."""
+    return any(abs(z0 - s) < SINGULAR_GUARD for s in family.spec.singular_finite)
 
 
-def _phase_draw(family: BilliardFamily, rng: random.Random) -> tuple[complex, complex]:
-    """The tangency parameter z0 and the point z = z0 + u of its tangent
-    line of one accepted draw (see :func:`sample_phase_point`)."""
-    while True:
-        z0, u = _draw(family, rng)
-        z = z0 + u
-        z_img = _involution_z(family, z0, z)
-        if z_img is not INF and 0.05 <= abs(z_img - z0) <= 25.0:
-            return z0, z
+def _in_window(family: BilliardFamily, z0: complex, z: complex) -> bool:
+    """Whether the involution image of z stays at a distance within
+    ``_WINDOW`` from z0."""
+    z_img = _involution_z(family, z0, z)
+    return z_img is not INF and _WINDOW[0] <= abs(z_img - z0) <= _WINDOW[1]
+
+
+def _near(dist: np.ndarray, edge: float, margin: float) -> np.ndarray:
+    """Lanes whose distance is within ``margin`` of ``edge``, relatively."""
+    return abs(dist - edge) <= margin * edge
+
+
+def _candidates(
+    family: BilliardFamily, pulled: list[float], conditioned: bool
+) -> tuple[list[complex], list[bool], list[complex], list[bool | None]]:
+    """The draws that a block of randoms can make, on numpy lanes: pair k of
+    the randoms gives a candidate z0 and u, an attempt from pair k takes
+    the z0 of pair k and the u of pair k + 1.  Returns per pair its z0,
+    whether the guard rejects it, and the second value (u, or with
+    ``conditioned`` z) of an attempt from it with whether that attempt is
+    kept; None where Python numbers must decide."""
+    unit = np.exp(2j * math.pi * np.array(pulled[1::2]))
+    square = np.array(pulled[0::2])
+    z0 = np.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * unit
+    u = np.sqrt(0.05**2 + (2.0**2 - 0.05**2) * square) * unit
+    z0_lanes = z0.tolist()
+    rejected = np.zeros(len(z0), dtype=bool)
+    unsure = np.zeros(len(z0), dtype=bool)
+    for s in family.spec.singular_finite:
+        reach = abs(z0 - s)
+        rejected |= reach < SINGULAR_GUARD
+        unsure |= _near(reach, SINGULAR_GUARD, _GUARD_MARGIN)
+    rejected = rejected.tolist()
+    for k in np.flatnonzero(unsure).tolist():
+        rejected[k] = _guarded(family, z0_lanes[k])
+    if not conditioned:
+        return z0_lanes, rejected, u[1:].tolist(), [True] * (len(z0) - 1)
+    base = z0[:-1].copy()
+    z = base + u[1:]
+    with np.errstate(all="ignore"):
+        dist = abs(_involution_z(family, base, z) - base)
+    kept: list[bool | None] = ((dist >= _WINDOW[0]) & (dist <= _WINDOW[1])).tolist()
+    unsure = ~np.isfinite(dist) | _near(dist, _WINDOW[0], _WINDOW_MARGIN)
+    for k in np.flatnonzero(unsure | _near(dist, _WINDOW[1], _WINDOW_MARGIN)).tolist():
+        kept[k] = None
+    return z0_lanes, rejected, z.tolist(), kept
+
+
+def _draws(
+    family: BilliardFamily, rng: random.Random, n: int, *, conditioned: bool
+) -> tuple[list[complex], list[complex]]:
+    """n draws of a tangency parameter z0, uniform on the annulus
+    0.1 <= |z0| <= 3 minus the ``SINGULAR_GUARD`` disks, and an offset u,
+    uniform on 0.05 <= |u| <= 2: the lists of z0 and of u, or with
+    ``conditioned`` of the point z = z0 + u of the tangent line, keeping
+    only draws whose involution image of z lies within ``_WINDOW`` of z0.
+
+    An attempt takes two randoms for z0 (the square of its modulus, then
+    its angle in turns) and, unless z0 lies in a guard disk, two for u.  The
+    randoms are pulled in blocks of four per missing draw (at most
+    ``_DRAW_BLOCK``), less the ones held from the last block, so a block
+    never pulls more than the draws need.  The candidates of a block are formed on numpy lanes
+    (:func:`_candidates`) and its attempts walked in stream order.
+    Elementwise, numpy rounds the square roots, products and exponentials
+    as Python does, but not the moduli and the involution image, so a lane
+    near the guard or the window, or not finite, is decided again on Python
+    numbers.  The draws and the state of ``rng`` are those of n draws one
+    at a time.
+    """
+    z0s: list[complex] = []
+    seconds: list[complex] = []
+    held: list[float] = []
+    while len(z0s) < n:
+        size = min(4 * (n - len(z0s)), _DRAW_BLOCK) - len(held)
+        pulled = held + [rng.random() for _ in range(size)]
+        z0_lanes, rejected, second, kept = _candidates(family, pulled, conditioned)
+        k, pairs = 0, len(z0_lanes)
+        while k < pairs and len(z0s) < n:
+            if rejected[k]:
+                k += 1
+                continue
+            if k + 1 == pairs:  # u is in the next block
+                break
+            keep = kept[k]
+            if keep is None:
+                keep = _in_window(family, z0_lanes[k], second[k])
+            if keep:
+                z0s.append(z0_lanes[k])
+                seconds.append(second[k])
+            k += 2
+        held = pulled[2 * k:]
+    return z0s, seconds
+
+
+def _phase_point(z0: complex, z: complex) -> PhasePoint:
+    """The phase point (Q, P) with P = (z0, z0^2) and Q the point of its
+    tangent line at z, built without the NamedTuple's Python-level
+    ``__new__``."""
+    return tuple.__new__(PhasePoint, (_point_on_tangent(z0, z), conic_point(z0)))
 
 
 def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint:
@@ -219,8 +340,8 @@ def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint
     The involution image must stay at a moderate distance from the tangency
     point, which keeps the form evaluations well scaled.
     """
-    z0, z = _phase_draw(family, rng)
-    return PhasePoint(_point_on_tangent(z0, z), conic_point(z0))
+    (z0,), (z,) = _draws(family, rng, 1, conditioned=True)
+    return _phase_point(z0, z)
 
 
 def _laned(
@@ -238,8 +359,8 @@ def _laned(
     numpy gives a non-finite or huge image, and Python numbers give INF, as
     the scalar path does.  A call that raises drops its lanes (the lane call
     all of them) under the exception class; a fallback that returns None
-    drops its lane as an infinite value.  The witness is ``where`` of the
-    first worst lane.
+    drops its lane as an infinite value.  The residuals are then recorded
+    in one step, and the witness is ``where`` of the first worst lane.
     """
     acc = _Residuals()
     if fallback is None:
@@ -252,28 +373,27 @@ def _laned(
     except Exception as exc:
         acc.dropped[type(exc).__name__] += len(lanes[0])
         return acc
-    for k, r in enumerate(res.tolist()):
-        if again[k]:
-            try:
-                r = fallback(k)
-            except Exception as exc:
-                acc.dropped[type(exc).__name__] += 1
-                continue
-            if r is None:
-                acc.dropped["infinite value"] += 1
-                continue
-        acc.note(r, lambda: where(k))
+    res = np.array(res, dtype=float)
+    kept = np.ones(len(res), dtype=bool)
+    for k in np.flatnonzero(again).tolist():
+        try:
+            r = fallback(k)
+        except Exception as exc:
+            acc.dropped[type(exc).__name__] += 1
+            kept[k] = False
+            continue
+        if r is None:
+            acc.dropped["infinite value"] += 1
+            kept[k] = False
+        else:
+            res[k] = r
+    acc.note_lanes(res, kept, where)
     return acc
 
 
-def _columns(draws: list[tuple[complex, complex]]) -> tuple[list, list]:
-    """The lanes z0 and z of the draws."""
-    return [z0 for z0, _ in draws], [z for _, z in draws]
-
-
-def _where(draws: list[tuple[complex, complex]]) -> Callable[[int], dict]:
+def _where(z0s: list[complex], zs: list[complex]) -> Callable[[int], dict]:
     """The witness of lane k of the draws."""
-    return lambda k: {"sample": k, "z0": repr(draws[k][0]), "z": repr(draws[k][1])}
+    return lambda k: {"sample": k, "z0": repr(z0s[k]), "z": repr(zs[k])}
 
 
 def _gap(value, target, shift: float = 0.0):
@@ -307,10 +427,11 @@ def check_involution(
     """sigma_P o sigma_P = id and sigma_P(P) = P on random samples."""
     name = f"involution:{family.label()}"
     rng = _rng_for(seed, name)
-    draws = [(z0, z0 + u) for z0, u in (_draw(family, rng) for _ in range(samples))]
+    z0s, us = _draws(family, rng, samples, conditioned=False)
+    zs = (np.array(z0s) + np.array(us)).tolist()
     shift = 1e-3 if corrupt else 0.0
     acc = _laned(
-        lambda z0, z: _involution_residual(family, z0, z, shift), _columns(draws), _where(draws)
+        lambda z0, z: _involution_residual(family, z0, z, shift), (z0s, zs), _where(z0s, zs)
     )
     return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-9, samples / 2)
 
@@ -340,6 +461,8 @@ CONSERVATION_BOUND = 1e-7
 #: an iterate whose value on the tangent line may be off by more than a
 #: thousandth of the bound (see integrals.tangent_condition) is evaluated exactly
 _ROUNDING_LIMIT = 1e-3 * CONSERVATION_BOUND / sys.float_info.epsilon
+#: the base-point distance on lanes and the exact path's may differ by this
+_GUARD_ROUNDING = 1e-12
 
 
 def check_conservation(
@@ -367,13 +490,16 @@ def check_conservation(
     x0 = _start_point(family, lam, start, branch, rng)
     rec = orbit(family, x0, steps)
     target = lam * (1 + 1e-3) if corrupt else lam
-    points = rec.points
-    qs = [x.q.coords for x in points]
+    dist = _base_point_distance(family, np.array([x.q.coords for x in rec.points]).T)
+    # the exact path raises IndeterminacyError inside the base-point guard;
+    # an iterate within rounding of its radius goes to that path, whose own
+    # guard decides it
+    inside = dist < BASE_POINT_GUARD - _GUARD_ROUNDING
+    steps_left = np.flatnonzero(~inside).tolist()
+    points = [rec.points[k] for k in steps_left]
+    guarded = dist[~inside] <= BASE_POINT_GUARD + _GUARD_ROUNDING
     z0s = [_affine_z(x.p.coords) for x in points]
-    us = [_affine_z(q) - z0 for q, z0 in zip(qs, z0s)]
-    # an iterate within rounding of the base-point guard goes to the exact
-    # path, whose own guard decides it
-    guarded = _base_point_distance(family, np.array(qs).T) <= BASE_POINT_GUARD + 1e-12
+    us = [_affine_z(x.q.coords) - z0 for x, z0 in zip(points, z0s)]
 
     def residual(z0, u):
         val = eval_on_tangent(family, z0, u)
@@ -384,7 +510,11 @@ def check_conservation(
         val = eval_integral(family, points[k].q)
         return None if val.is_inf else float(_gap(val.value, target))
 
-    acc = _laned(residual, (z0s, us), lambda k: {"step": k, "q": repr(points[k].q)}, exact)
+    acc = _laned(
+        residual, (z0s, us), lambda k: {"step": steps_left[k], "q": repr(points[k].q)}, exact
+    )
+    if inside.any():
+        acc.dropped["IndeterminacyError"] += int(np.count_nonzero(inside))
     params = {"lam": repr(lam), "steps": steps, "seed": seed}
     if rec.reason != "completed":
         return _skipped(name, family, params, rec, acc.worst)
@@ -517,8 +647,8 @@ def check_area_form(
     where the scalar path does."""
     name = f"area:{family.label()}"
     rng = _rng_for(seed, name)
-    draws = [_phase_draw(family, rng) for _ in range(samples)]
-    xs = [PhasePoint(_point_on_tangent(z0, z), conic_point(z0)) for z0, z in draws]
+    z0s, zs = _draws(family, rng, samples, conditioned=True)
+    xs = list(map(_phase_point, z0s, zs))
     shift = 1e-3 if corrupt else 0.0
 
     def off_img(x: PhasePoint) -> complex:
@@ -532,7 +662,7 @@ def check_area_form(
         return np.where(dependent, math.nan, res + shift), off
 
     acc = _laned(
-        residual, (*_columns(draws), list(map(off_img, xs))), _where(draws),
+        residual, (z0s, zs, list(map(off_img, xs))), _where(z0s, zs),
         lambda k: area_pullback_residual(family, xs[k]) + shift,
     )
     return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-6, samples / 2)
@@ -556,9 +686,9 @@ def check_jacobian(
     implemented map."""
     name = f"jacobian:{family.label()}"
     rng = _rng_for(seed, name)
-    draws = [_phase_draw(family, rng) for _ in range(samples)]
+    z0s, zs = _draws(family, rng, samples, conditioned=True)
     acc = _laned(
-        lambda z0, z: _jacobian_residual(family, z0, z, corrupt), _columns(draws), _where(draws)
+        lambda z0, z: _jacobian_residual(family, z0, z, corrupt), (z0s, zs), _where(z0s, zs)
     )
     return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-6, samples / 2)
 
@@ -717,26 +847,28 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
         note(b_res, "b-integral equivalence", pt, count=True)
         c_res = abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value))
         note(c_res, "c-integral equivalence", pt)
-    # lifted-map commutation on phase points
+    # lifted-map commutation on phase points, drawn as many at a time as
+    # the loop would surely take one by one
     count = 0
     attempts = 0
     while count < 25 and attempts < 500:
-        attempts += 1
-        x = sample_phase_point(b1, rng)
-        try:
-            fx = billiard_map(b1, x)
-            lifted = PhasePoint(psi(x.q), psi(x.p))
-            fy = billiard_map(b2, lifted)
-        except Exception:
-            # a corrupted equivalence throws the lift off the parabola;
-            # count that as a failing residual rather than spinning
-            note(1.0, "billiard-map lift rejected", x.q)
-            continue
-        img = PhasePoint(psi(fx.q), psi(fx.p))
-        qres = cross_norm(img.q.coords, fy.q.coords)
-        pres = cross_norm(img.p.coords, fy.p.coords)
-        note(_worse(qres, pres), "billiard-map commutation", x.q)
-        count += 1
+        z0s, zs = _draws(b1, rng, min(25 - count, 500 - attempts), conditioned=True)
+        for x in map(_phase_point, z0s, zs):
+            attempts += 1
+            try:
+                fx = billiard_map(b1, x)
+                lifted = PhasePoint(psi(x.q), psi(x.p))
+                fy = billiard_map(b2, lifted)
+            except Exception:
+                # a corrupted equivalence throws the lift off the parabola;
+                # count that as a failing residual rather than spinning
+                note(1.0, "billiard-map lift rejected", x.q)
+                continue
+            img = PhasePoint(psi(fx.q), psi(fx.p))
+            qres = cross_norm(img.q.coords, fy.q.coords)
+            pres = cross_norm(img.p.coords, fy.p.coords)
+            note(_worse(qres, pres), "billiard-map commutation", x.q)
+            count += 1
     return acc.report(name, None, {"samples": 100, "seed": seed}, 1e-9)
 
 

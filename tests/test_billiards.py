@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import random
@@ -28,7 +29,19 @@ from dualbill.geometry import (
     tangency_points,
 )
 from dualbill.numerics import INF, principal_sqrt, sphere_eq
-from dualbill.verify import _draw, _rng_for, sample_phase_point
+from dualbill.verify import SINGULAR_GUARD, _rng_for, sample_phase_point
+
+
+def _draw(fam: BilliardFamily, rng) -> tuple[complex, complex]:
+    """One unconditioned draw (z0, u) of the sampled checks, one random at
+    a time: the reference that ``verify._draws`` reproduces."""
+    while True:
+        r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
+        z0 = r * cmath.exp(2j * math.pi * rng.random())
+        if any(abs(z0 - s) < SINGULAR_GUARD for s in fam.spec.singular_finite):
+            continue
+        ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
+        return z0, ur * cmath.exp(2j * math.pi * rng.random())
 
 
 def _unconditioned_point(fam: BilliardFamily, rng) -> PhasePoint:
@@ -180,6 +193,13 @@ class TestBilliardMap:
         q1 = involution(fam, x.p, x.q)
         q2 = involution(fam, x.p, q1)
         assert q2.eq(x.q)
+
+    def test_image_is_a_phase_point(self):
+        # the map builds its image without the NamedTuple's own __new__
+        fam = BilliardFamily("d")
+        y = billiard_map(fam, sample_phase_point(fam, _rng_for(4, "image")))
+        assert type(y) is PhasePoint and y == PhasePoint(y.q, y.p)
+        assert y._asdict() == {"q": y.q, "p": y.p}
 
     def test_new_tangency_differs_from_old(self):
         fam = BilliardFamily("d")

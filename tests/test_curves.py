@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -68,6 +69,22 @@ class TestParametrize:
                     if v.is_inf:
                         continue
                     assert abs(v.value - lam) <= 1e-9 * max(1.0, abs(lam))
+
+    @pytest.mark.parametrize(
+        "fam", [BilliardFamily("a1", 2), BilliardFamily("b1"), BilliardFamily("b2"), BilliardFamily("d")],
+        ids=BilliardFamily.label,
+    )
+    def test_large_parameters_stay_finite(self, fam):
+        # past the float range of |t|^degree the form is taken at (1, 1/t);
+        # before, a1(2) and d gave NaN at 1e80 and b1 and d overflowed at 1e160
+        lam = 1.7
+        at_inf = parametrize_level(fam, lam, INF)
+        for size in (1e80, 1e160, 1e300):
+            for t in (size, -size, 1j * size, size * (0.6 - 0.8j)):
+                q = parametrize_level(fam, lam, t)
+                assert all(map(cmath.isfinite, q.coords)), (t, q)
+                if not q.eq(at_inf):
+                    assert abs(eval_integral(fam, q).value - lam) <= 1e-9 * lam, (t, q)
 
     def test_critical_value_rejected(self):
         with pytest.raises(ValueError):

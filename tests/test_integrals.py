@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import sys
@@ -25,7 +26,19 @@ from dualbill.integrals import (
     true_critical_points,
 )
 from dualbill.numerics import INF, SphereValue, sphere_eq
-from dualbill.verify import _draw, _rng_for
+from dualbill.verify import SINGULAR_GUARD, _rng_for
+
+
+def _draw(fam: BilliardFamily, rng) -> tuple[complex, complex]:
+    """One unconditioned draw (z0, u) of the sampled checks, one random at
+    a time: the reference that ``verify._draws`` reproduces."""
+    while True:
+        r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
+        z0 = r * cmath.exp(2j * math.pi * rng.random())
+        if any(abs(z0 - s) < SINGULAR_GUARD for s in fam.spec.singular_finite):
+            continue
+        ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
+        return z0, ur * cmath.exp(2j * math.pi * rng.random())
 
 
 def _unconditioned_point(fam: BilliardFamily, rng) -> PhasePoint:

@@ -1,9 +1,14 @@
+import cmath
 import json
 import math
+import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualbill import cli, integrals, verify
 from dualbill.billiards import (
@@ -17,7 +22,7 @@ from dualbill.billiards import (
 from dualbill.forms import _area_defect, _chart_derivative, _chart_offset, halfstep_jacobian
 from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import BiPoly, eval_on_tangent, tangent_condition
-from dualbill.numerics import INF, SphereValue
+from dualbill.numerics import INF, INF_THRESHOLD, SphereValue
 from dualbill.verify import (
     CheckReport,
     check_abel_translation,
@@ -313,17 +318,39 @@ INSTANCES = [BilliardFamily(tag, n) for tag in ("a1", "a2") for n in (1, 2, 3)] 
 ]
 
 
+def _draw(fam, rng, guard=verify.SINGULAR_GUARD):
+    """One unconditioned draw (z0, u) of the sampled checks, one random at a
+    time: the reference that ``verify._draws`` reproduces."""
+    while True:
+        r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
+        z0 = r * cmath.exp(2j * math.pi * rng.random())
+        if any(abs(z0 - s) < guard for s in fam.spec.singular_finite):
+            continue
+        ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
+        return z0, ur * cmath.exp(2j * math.pi * rng.random())
+
+
+def _phase_draw(fam, rng, guard=verify.SINGULAR_GUARD):
+    """One draw (z0, z) conditioned on the involution image of z, one random
+    at a time: the reference that ``verify._draws`` reproduces."""
+    while True:
+        z0, u = _draw(fam, rng, guard)
+        z = z0 + u
+        z_img = _involution_z(fam, z0, z)
+        if z_img is not INF and 0.05 <= abs(z_img - z0) <= 25.0:
+            return z0, z
+
+
 def _involution_lanes(fam, n=200):
     rng = verify._rng_for(5, f"lanes:{fam.label()}")
-    draws = [verify._draw(fam, rng) for _ in range(n)]
-    return np.array([z0 for z0, _ in draws]), np.array([z0 + u for z0, u in draws])
+    z0s, us = verify._draws(fam, rng, n, conditioned=False)
+    return np.array(z0s), np.array(z0s) + np.array(us)
 
 
 def _draw_lanes(fam, purpose, n=100):
     """(z0, z) of the draws that the jacobian and area checks take."""
     rng = verify._rng_for(5, f"{purpose} lanes:{fam.label()}")
-    draws = [verify._phase_draw(fam, rng) for _ in range(n)]
-    return np.array([z0 for z0, _ in draws]), np.array([z for _, z in draws])
+    return tuple(map(np.array, verify._draws(fam, rng, n, conditioned=True)))
 
 
 def _area_lanes(fam, n=100):
@@ -339,7 +366,7 @@ def _projective_phase_point(fam, rng):
     involution, as ``sample_phase_point`` had it: the reference of
     TestDraws."""
     while True:
-        z0, u = verify._draw(fam, rng)
+        z0, u = _draw(fam, rng)
         x = PhasePoint(_point_on_tangent(z0, z0 + u), conic_point(z0))
         z_img = involution(fam, x.p, x.q).z_sphere()
         if not z_img.is_inf and 0.05 <= abs(z_img.value - z0) <= 25.0:
@@ -462,15 +489,14 @@ class TestLanes:
         fixed = involution(fam, p, p).z_sphere().value
         scalar = max(abs(back - z1) / max(1.0, abs(z1)), abs(fixed - z0) / max(1.0, abs(z0)))
 
-        real = verify._draw
-        calls = []
+        real = verify._draws
 
-        def draw(family, rng):
-            calls.append(None)
-            pair = real(family, rng)
-            return (z0, u) if len(calls) == 4 else pair
+        def draws(family, rng, n, *, conditioned):
+            z0s, us = real(family, rng, n, conditioned=conditioned)
+            z0s[3], us[3] = z0, u
+            return z0s, us
 
-        monkeypatch.setattr(verify, "_draw", draw)
+        monkeypatch.setattr(verify, "_draws", draws)
         report = verify.check_involution(fam, 10, 1)
         assert report.params["evaluated"] == 10
         assert (report.status == "pass") == (scalar <= 1e-9)
@@ -485,24 +511,137 @@ class TestLanes:
         assert (acc.evaluated, acc.dropped) == (1, {"ValueError": 1})
 
 
+def _hex(values) -> list[tuple[str, str]]:
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+class _Stream(random.Random):
+    """A random stream that yields ``head`` first, then the stream of
+    ``seed``."""
+
+    def __init__(self, head, seed):
+        super().__init__(seed)
+        self.head = list(head)
+
+    def random(self):
+        return self.head.pop(0) if self.head else super().random()
+
+
 class TestDraws:
     """The sampled checks condition their draws on (z0, z) with
     ``_involution_z``; over 2000 draws per family and seed this accepts the
     same draws as the conditioning on projective points, and
-    ``sample_phase_point`` keeps its coordinate bits."""
+    ``sample_phase_point`` keeps its coordinate bits.  ``verify._draws``
+    gives the draws of the one-at-a-time references bit for bit and leaves
+    the stream where they leave it."""
 
     @pytest.mark.parametrize("seed", [42, 9501])
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_same_draws_as_on_projective_points(self, fam, seed):
         name = f"draws:{fam.label()}"
-        new, old, sampled = (verify._rng_for(seed, name) for _ in range(3))
+        new, old, sampled, one = (verify._rng_for(seed, name) for _ in range(4))
         bits = lambda x: np.array([*x.q.coords, *x.p.coords]).tobytes()  # noqa: E731
-        for _ in range(2000):
-            verify._phase_draw(fam, new)
+        for k, (z0, z) in enumerate(zip(*verify._draws(fam, sampled, 2000, conditioned=True))):
+            _phase_draw(fam, new)
             x = _projective_phase_point(fam, old)
             # the same draws accepted and rejected consume the same stream
             assert new.getstate() == old.getstate()
-            assert bits(verify.sample_phase_point(fam, sampled)) == bits(x)
+            assert bits(verify._phase_point(z0, z)) == bits(x)
+            if k < 50:  # sample_phase_point takes one such draw
+                assert bits(verify.sample_phase_point(fam, one)) == bits(x)
+
+    @pytest.mark.parametrize("seed", [42, 9501, 9701])
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_blocks_give_the_draws_one_at_a_time(self, fam, seed):
+        for conditioned, reference in ((False, _draw), (True, _phase_draw)):
+            for n in (1, 7, 1000, 2500):  # 2500 draws take more than one block
+                rng, ref = (verify._rng_for(seed, f"blocks:{fam.label()}") for _ in range(2))
+                z0s, seconds = verify._draws(fam, rng, n, conditioned=conditioned)
+                expected = [reference(fam, ref) for _ in range(n)]
+                assert _hex(z0s) == _hex(z0 for z0, _ in expected)
+                assert _hex(seconds) == _hex(second for _, second in expected)
+                assert rng.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_a_draw_on_the_guard_circle(self, conditioned):
+        # the first two randoms put z0 at exactly SINGULAR_GUARD from a1's
+        # singular parameter 0: the guard keeps it, and a guard one ulp
+        # wider rejects it, which changes the draws.  numpy's modulus of
+        # this z0 on a lane can round an ulp below the radius (it does on
+        # x86-64 with AVX-512, numpy 2.4), and only the decision on Python
+        # numbers keeps it
+        square, turn = (verify.SINGULAR_GUARD**2 - 0.1**2) / (3.0**2 - 0.1**2), 1e-4
+        z0 = math.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * cmath.exp(2j * math.pi * turn)
+        assert abs(z0) == verify.SINGULAR_GUARD
+        reference = _phase_draw if conditioned else _draw
+        bent = math.nextafter(verify.SINGULAR_GUARD, math.inf)
+        rng, ref, wide = (_Stream([square, turn], 11) for _ in range(3))
+        got = verify._draws(A1, rng, 5, conditioned=conditioned)
+        exact = [reference(A1, ref) for _ in range(5)]
+        assert exact[0][0] == z0
+        assert [_hex(got[0]), _hex(got[1])] == [_hex(e[0] for e in exact), _hex(e[1] for e in exact)]
+        assert _hex(got[0]) != _hex(draw[0] for draw in (reference(A1, wide, bent) for _ in range(5)))
+
+
+def _laned_one_by_one(residual, lanes, where, fallback):
+    """The lane loop of ``verify._laned`` with ``note`` of each lane in lane
+    order after its fallback: the reference of TestLaneReduction."""
+    acc = verify._Residuals()
+    with np.errstate(all="ignore"):
+        res, image = residual(*map(np.array, lanes))
+        again = ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
+    for k, r in enumerate(res.tolist()):
+        if again[k]:
+            try:
+                r = fallback(k)
+            except Exception as exc:
+                acc.dropped[type(exc).__name__] += 1
+                continue
+            if r is None:
+                acc.dropped["infinite value"] += 1
+                continue
+        acc.note(r, lambda: where(k))
+    return acc
+
+
+#: residuals with ties, signed zeros, infinities and NaNs of either sign
+_RESIDUALS = st.sampled_from(
+    [0.0, -0.0, 1e-12, 0.5, 0.5, 3.0, 3.0, -1.0, math.inf, -math.inf, math.nan, -math.nan]
+) | st.floats(allow_nan=True, allow_infinity=True)
+#: a lane's verdict of its fallback: a value, None (an infinite value) or an
+#: exception of either class
+_FALLBACKS = _RESIDUALS | st.sampled_from([None, ValueError, ZeroDivisionError])
+
+
+class TestLaneReduction:
+    """``_laned`` records its residuals in one step; the worst (as bits),
+    its witness, the evaluated count and the dropped counts are those of
+    ``note`` lane by lane."""
+
+    @staticmethod
+    def both(lanes):
+        res = np.array([r for r, _, _ in lanes], dtype=float)
+        image = np.array([INF_THRESHOLD if again else 0.0 for _, again, _ in lanes])
+
+        def fallback(k):
+            verdict = lanes[k][2]
+            if isinstance(verdict, type):
+                raise verdict("lane")
+            return verdict
+
+        args = (lambda lane: (res, image), (list(range(len(lanes))),), lambda k: {"lane": k}, fallback)
+        return verify._laned(*args), _laned_one_by_one(*args)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_RESIDUALS, st.booleans(), _FALLBACKS), max_size=40))
+    @example([])
+    @example([(0.0, False, 0.0)] * 5)
+    @example([(0.0, True, None), (-0.0, False, 0.0), (0.0, True, ValueError)])
+    def test_same_as_note_lane_by_lane(self, lanes):
+        got, want = self.both(lanes)
+        assert struct.pack("<d", got.worst) == struct.pack("<d", want.worst)
+        assert got.witness == want.witness
+        assert (got.evaluated, got.dropped) == (want.evaluated, want.dropped)
 
 
 class TestConservationOnLanes:
@@ -540,6 +679,37 @@ class TestConservationOnLanes:
         lam = 2.5820515583761385 + 0.7175757711452591j
         report = check_conservation(D, lam, 500, 1, start=2.391503104274424 + 0.1307735262541977j, branch="-")
         assert report.status == "pass" and report.worst <= 1e-9
+
+    @pytest.mark.parametrize("fam", [A1, BilliardFamily("a2", 1)], ids=BilliardFamily.label)
+    def test_exact_path_only_within_rounding_of_the_guard(self, fam, monkeypatch):
+        # the lanes drop an iterate inside the base-point guard under
+        # IndeterminacyError, as eval_integral does; only one within rounding
+        # of its radius reaches eval_integral, which decides it.  A band
+        # widened to 1e-9 sends 6 to 23 iterates of each orbit there and
+        # changes no report
+        calls = []
+
+        def counting(family, q):
+            calls.append(q.coords)
+            return integrals.eval_integral(family, q)
+
+        def reports():
+            calls.clear()
+            return [
+                check_conservation(fam, lam, 500, 42, start=start, branch=branch).to_dict()
+                for lam, start, branch in verify.CONSERVATION_CASES[fam.tag]
+            ]
+
+        def gaps():  # the base-point distance of each call less the radius
+            dist = verify._base_point_distance(fam, np.array(calls, dtype=complex).reshape(-1, 3).T)
+            return dist - integrals.BASE_POINT_GUARD
+
+        monkeypatch.setattr(verify, "eval_integral", counting)
+        narrow = reports()
+        assert (gaps() >= -1e-12).all()
+        monkeypatch.setattr(verify, "_GUARD_ROUNDING", 1e-9)
+        assert reports() == narrow
+        assert (gaps() >= -1e-9).all() and (abs(gaps()) <= 1e-9).sum() >= 5 * len(narrow)
 
     def test_counts_of_the_suite_are_pinned(self):
         # evaluated and dropped of every report of check --all on the seeds
