@@ -15,6 +15,15 @@ u = z - z0, so a family is one coefficient f on the parabola:
 
 The per-family facts used here (the translation giving rho, the coefficient
 f and the singular tangency parameters) live in :mod:`dualbill.families`.
+
+In the offset state (z0, u), P = (z0, z0^2) and Q at offset u on its
+tangent line, the phase map has the closed form (z0, u) -> (z0 + 2u', -u')
+with u' = -u/(1 + f(z0) u): Q' is the meeting point of the tangent lines at
+P and P'.  :func:`orbit` and :func:`billiard_map` step through projective
+points and the tangency square root; the private kernel
+:func:`_offset_orbit` iterates the closed form with the same stops, and
+the conservation check runs it.  Both take the involution from
+:func:`_offset_image`.
 """
 
 from __future__ import annotations
@@ -182,11 +191,12 @@ def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -
     return _point_on_tangent(z0, _involution_z(family, z0, _z_param(q)))
 
 
-def _involution_z(family: BilliardFamily, z0, z1):
-    """z-coordinate of the involution image of the point z1 (a number or
-    INF) of the tangent line at the nonsingular parameter z0.
+def _offset_image(family: BilliardFamily, z0, u):
+    """The involution at the nonsingular parameter z0 in the offset
+    coordinate: the image -u/(1 + f(z0) u) of the point at offset u (a
+    number or INF) of the tangent line at z0, INF at its pole.
 
-    Pure arithmetic on z0 and z1, so number types other than complex pass
+    Pure arithmetic on z0 and u, so number types other than complex pass
     through it: the derivative jets of :mod:`dualbill.forms`, and numpy
     arrays of lanes.  The pole is found by the division raising, as Python
     numbers and jets do; on a lane it gives no INF but a non-finite value,
@@ -196,13 +206,20 @@ def _involution_z(family: BilliardFamily, z0, z1):
         f = _coefficient(family, z0)
     except ZeroDivisionError:
         raise SingularTangencyError("involution coefficient has a pole at P") from None
-    if z1 is INF:  # the line's infinite point goes to u = -1/f
-        return -1.0 / f + z0 if f != 0 else INF
-    u = z1 - z0
+    if u is INF:  # the line's infinite point goes to u = -1/f
+        return -1.0 / f if f != 0 else INF
     try:  # u = 0 makes the denominator 1, so the quotient is never 0/0
-        return (-1.0 * u + 0.0) / (f * u + 1.0) + z0
+        return (-1.0 * u + 0.0) / (f * u + 1.0)
     except ZeroDivisionError:
         return INF
+
+
+def _involution_z(family: BilliardFamily, z0, z1):
+    """z-coordinate of the involution image of the point z1 (a number or
+    INF) of the tangent line at the nonsingular parameter z0, by
+    :func:`_offset_image`, on the same number types."""
+    u = _offset_image(family, z0, INF if z1 is INF else z1 - z0)
+    return INF if u is INF else u + z0
 
 
 def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
@@ -312,4 +329,67 @@ def _stop_detail(x: PhasePoint) -> str:
         x.validate_incidence()
     except ValueError as exc:
         return str(exc)
+    return ""
+
+
+#: |z0| + |u| below this keeps the affine coordinates of P and Q within
+#: DOMAIN_BOUND: |z0^2 + 2 z0 u| <= 2 (|z0| + |u|)^2
+_SAFE_OFFSET = 0.5 * DOMAIN_BOUND**0.5
+
+
+def _offset_orbit(
+    family: BilliardFamily, z0: complex, u: complex | SphereValue, n: int
+) -> tuple[list[complex], list[complex | SphereValue], str, str, int]:
+    """Up to n steps of the phase map in the offset state (z0, u), from a
+    start with P = (z0, z0^2) affine: Q = (z0 + u, z0^2 + 2 z0 u) on the
+    tangent line at P, or its infinite point for u = INF.
+
+    Q' lies at offset u' = -u/(1 + f(z0) u) (:func:`_offset_image`), so its
+    tangency parameters are z0 and z0 + 2u', and a step is (z0, u) ->
+    (z0 + 2u', -u').  The stops are those of :func:`orbit`, at the same
+    step and with the same details: the SINGULARITY_GUARD test of z0 by
+    ``_check_singular``, which takes |z0| >= INF_THRESHOLD for the infinite
+    point; u' = INF (1 + f u = 0), which sends P' to E, so that the next
+    step stops; and a NaN or an affine coordinate of P' or Q' beyond
+    DOMAIN_BOUND.  The a-family vertex is a singular parameter, so the
+    guard stops before ``billiard_map``'s vertex rule would apply.
+
+    Returns the lists of z0 and of u of the iterates, the stop reason, its
+    detail and the number of steps taken.  An iterate at E has no offset
+    state and is not listed: the steps exceed the listed iterates by one
+    exactly when the last step went to E, and that iterate's Q is the
+    infinite point of the last listed tangent line, (z0s[-1], INF).
+    """
+    z0s, us = [z0], [u]
+    for k in range(n):
+        try:
+            _check_singular(family, z0, SINGULARITY_GUARD)
+        except SingularTangencyError as exc:
+            return z0s, us, "hit-singularity", str(exc), k
+        if z0 is INF:
+            return z0s, us, "left-numeric-domain", "tangency point at infinity", k
+        u = _offset_image(family, z0, u)
+        if u is INF:
+            z0 = INF
+            continue
+        z0, u = z0 + 2.0 * u, -u
+        # a NaN fails the comparison too
+        if not abs(z0) + abs(u) < _SAFE_OFFSET:
+            stop = _offset_stop(z0, u)
+            if stop:
+                return z0s, us, "left-numeric-domain", stop, k
+        z0s.append(z0)
+        us.append(u)
+    return z0s, us, "completed", "", n
+
+
+def _offset_stop(z0: complex, u: complex) -> str:
+    """Why the offset orbit stops at the state (z0, u), as
+    :func:`_stop_detail` decides it on the affine coordinates of P and then
+    of Q; "" when it may go on."""
+    for z, w in ((z0, z0 * z0), (z0 + u, z0 * z0 + 2.0 * z0 * u)):
+        if z != z or w != w:
+            return "coordinates became nan"
+        if max(abs(z), abs(w)) > DOMAIN_BOUND:
+            return "affine coordinates blew up"
     return ""

@@ -9,7 +9,8 @@ out exactly in integers at the float point, so its value is the true ratio
 correctly rounded, at infinite points too; near a base point (where
 numerator and denominator share a zero) evaluation is refused inside a
 guard radius.  On a tangent line of the parabola R also has a float form
-that runs on numpy lanes, for the conservation check.
+that runs on numpy lanes, and an exact one at a float offset state, for the
+conservation check.
 
 The polynomial factors of each integral are tabulated here, one entry per
 family; the base points and the critical value table are read from the
@@ -361,6 +362,20 @@ class _IntegerForms:
         exec("\n".join(lines), namespace)
         self.products = namespace["products"]
 
+    def value(self, vals: list[tuple[int, int]]) -> SphereValue | None:
+        """R at the Gaussian integers of z, w and t, correctly rounded: INF
+        at a pole or beyond the largest float, None at 0/0."""
+        nr, ni, dr, di = self.products(vals)
+        if dr == 0 and di == 0:
+            return None if nr == 0 and ni == 0 else INF
+        # R = (N / num_scale) / (D / den_scale) = N conj(D) den_scale / (|D|^2 num_scale)
+        s = self.den_scale
+        q = (dr * dr + di * di) * self.num_scale
+        try:
+            return SphereValue(complex((nr * dr + ni * di) * s / q, (ni * dr - nr * di) * s / q))
+        except OverflowError:  # |R| beyond the largest float
+            return INF
+
 
 def _let(lines: list[str], re: str, im: str) -> str:
     """Append the assignment of a Gaussian integer to a new name; returns
@@ -449,7 +464,6 @@ class RationalIntegral:
         forms are multiplied out in integers and divided once at the end.
         A non-finite coordinate gives a NaN value.
         """
-        forms = self._exact
         coords = point.coords
         z, w, t = coords
         guard = BASE_POINT_GUARD
@@ -482,18 +496,10 @@ class RationalIntegral:
         vals = [(ur << n - urq.bit_length(), ui << n - uiq.bit_length()),
                 (vr << n - vrq.bit_length(), vi << n - viq.bit_length())]
         vals.insert(pivot, (1 << n - 1, 0))
-        nr, ni, dr, di = forms.products(vals)
-        if dr == 0 and di == 0:
-            if nr == 0 and ni == 0:
-                raise IndeterminacyError(point)
-            return INF
-        # R = (N / num_scale) / (D / den_scale) = N conj(D) den_scale / (|D|^2 num_scale)
-        s = forms.den_scale
-        q = (dr * dr + di * di) * forms.num_scale
-        try:
-            return SphereValue(complex((nr * dr + ni * di) * s / q, (ni * dr - nr * di) * s / q))
-        except OverflowError:  # |R| beyond the largest float
-            return INF
+        value = self._exact.value(vals)
+        if value is None:
+            raise IndeterminacyError(point)
+        return value
 
     def level_polynomial(self, lam) -> BiPoly:
         """num - lam * den (lam exact Fraction keeps the table exact)."""
@@ -568,16 +574,56 @@ def eval_on_tangent(family: BilliardFamily, z0, u):
     return num / den
 
 
+def _tangent_point(z0: complex, u: complex | SphereValue) -> ProjectivePoint:
+    """The point Q = (z0 + u, z0^2 + 2 z0 u) of the tangent line at
+    (z0, z0^2) as a ProjectivePoint, its infinite point [1 : 2 z0 : 0] for
+    u = INF."""
+    return ProjectivePoint(1.0, 2.0 * z0, 0.0) if u is INF else ProjectivePoint(*_on_tangent(z0, u))
+
+
+def _exact_on_tangent(family: BilliardFamily, z0: complex, u: complex | SphereValue) -> SphereValue:
+    """R at the point at offset u of the tangent line at (z0, z0^2), exact
+    at the floats z0 and u and then correctly rounded; u = INF is the
+    line's infinite point [1 : 2 z0 : 0].
+
+    The floats are Gaussian integers over one power of two, 2^n, so z0 + u,
+    z0^2 + 2 z0 u and 1 times 2^(2n) are Gaussian integers, and R is the
+    ratio of the integral's forms there (:meth:`RationalIntegral.eval`
+    rounds the point's coordinates first).  There is no base-point guard:
+    0/0 raises IndeterminacyError, and a non-finite input gives a NaN value.
+    """
+    parts = (z0.real, z0.imag) if u is INF else (z0.real, z0.imag, u.real, u.imag)
+    try:
+        ratios = [x.as_integer_ratio() for x in parts]
+    except (ValueError, OverflowError):  # nan or inf
+        return SphereValue(complex(math.nan, math.nan))
+    n = max(q for _, q in ratios).bit_length() - 1  # the denominators are powers of two
+    ar, ai, *b = (p << n + 1 - q.bit_length() for p, q in ratios)  # the parts times 2^n
+    d = 1 << n
+    if u is INF:
+        vals = [(d, 0), (2 * ar, 2 * ai), (0, 0)]
+    else:
+        br, bi = b
+        cr, ci = ar + 2 * br, ai + 2 * bi  # (z0 + 2u) 2^n
+        vals = [((ar + br) * d, (ai + bi) * d), (ar * cr - ai * ci, ar * ci + ai * cr), (d * d, 0)]
+    value = first_integral(family)._exact.value(vals)
+    if value is None:
+        raise IndeterminacyError(_tangent_point(z0, u))
+    return value
+
+
 def tangent_condition(family: BilliardFamily, z0, u):
     """An estimate, in units of the machine epsilon, of the relative
     rounding error of :func:`eval_on_tangent` at (z0, u), on Python numbers
     or numpy lanes.
 
-    It adds 2k (|z0| + |z|) / |u| for the numerator, since u is the
-    difference of two rounded parameters, and m_i |f_i|(Z, W) / |f_i(z, w)|
-    for each denominator factor, where |f_i| has the moduli of the factor's
-    coefficients and Z = |z0| + |u|, W = |z0|^2 + 2 |z0| |u| bound |z| and
-    |w|.  It is large only near a base point, where the factors cancel.
+    It adds 2k (|z0| + |z|) / |u| for the numerator, the error of u were
+    it the difference of two rounded parameters (the conservation check
+    carries u as state, ``billiards._offset_orbit``, so there this term is
+    a margin), and m_i |f_i|(Z, W) / |f_i(z, w)| for each denominator
+    factor, where |f_i| has the moduli of the factor's coefficients and
+    Z = |z0| + |u|, W = |z0|^2 + 2 |z0| |u| bound |z| and |w|.  It is large
+    only near a base point, where the factors cancel.
     """
     integ = first_integral(family)
     z, w = _on_tangent(z0, u)

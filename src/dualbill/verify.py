@@ -31,13 +31,17 @@ a lane's residual does not depend on the size or order of its batch.  A
 lane whose residual is not finite, or whose image is at infinity on the
 sphere, is evaluated again on the scalar path: on Python numbers, where the
 involution's pole gives INF; by the scalar
-``forms.area_pullback_residual``; or by the exact ``eval_integral``, which
-also takes every iterate with Q or P on the infinity line, within rounding
-of the base-point guard's radius, or where the factors of the tangent-line
-form cancel.  An iterate inside the guard by more than that rounding is
+``forms.area_pullback_residual``; or by the exact
+``integrals._exact_on_tangent``, which also takes every iterate with Q on
+the infinity line or where the factors of the tangent-line form cancel.
+The conservation check iterates the orbit in the offset state (z0, u)
+(``billiards._offset_orbit``) and evaluates R there with no projective
+point.  An iterate inside the base-point guard by more than rounding is
 dropped on the lanes under ``IndeterminacyError``, as the exact evaluation
-would drop it.  The residuals of every lane are then recorded in one step,
-with the worst and witness that recording them one by one gives.
+would drop it; within rounding of the guard's radius the guard decides on
+the point's projective coordinates, and the value still comes from the
+lane.  The residuals of every lane are then recorded in one step, with the
+worst and witness that recording them one by one gives.
 """
 
 from __future__ import annotations
@@ -58,7 +62,9 @@ from .billiards import (
     BilliardFamily,
     PhasePoint,
     _involution_z,
+    _offset_orbit,
     _point_on_tangent,
+    _z_param,
     billiard_map,
     orbit,
 )
@@ -91,6 +97,9 @@ from .geometry import (
 )
 from .integrals import (
     BASE_POINT_GUARD,
+    _exact_on_tangent,
+    _on_tangent,
+    _tangent_point,
     eval_integral,
     eval_on_tangent,
     first_integral,
@@ -404,9 +413,12 @@ def _gap(value, target, shift: float = 0.0):
     return abs(value + shift - target) / np.maximum(1.0, abs(target))
 
 
-def _skipped(name: str, family: BilliardFamily, params: dict, rec, worst=0.0) -> CheckReport:
+def _skipped(
+    name: str, family: BilliardFamily, params: dict, reason: str, detail: str, steps_taken: int,
+    worst=0.0,
+) -> CheckReport:
     """The report of an orbit check whose orbit stopped early."""
-    witness = {"reason": rec.reason, "detail": rec.detail, "steps_taken": rec.steps_taken}
+    witness = {"reason": reason, "detail": detail, "steps_taken": steps_taken}
     return CheckReport(name, family.label(), params, "skipped", worst, witness)
 
 
@@ -461,7 +473,7 @@ CONSERVATION_BOUND = 1e-7
 #: an iterate whose value on the tangent line may be off by more than a
 #: thousandth of the bound (see integrals.tangent_condition) is evaluated exactly
 _ROUNDING_LIMIT = 1e-3 * CONSERVATION_BOUND / sys.float_info.epsilon
-#: the base-point distance on lanes and the exact path's may differ by this
+#: the base-point distance on lanes and the scalar guard's may differ by this
 _GUARD_ROUNDING = 1e-12
 
 
@@ -488,43 +500,66 @@ def check_conservation(
                 start, branch = ct, cb
                 break
     x0 = _start_point(family, lam, start, branch, rng)
-    rec = orbit(family, x0, steps)
+    x0.validate()
+    z0, z1 = _z_param(x0.p), _z_param(x0.q)
+    if z0 is INF:
+        raise ValueError(f"the start {x0} of a conservation check has its tangency point at E")
+    z0s, us, reason, detail, taken = _offset_orbit(family, z0, INF if z1 is INF else z1 - z0, steps)
+    if taken == len(z0s):  # the last step went to E: Q is the infinite point of the last line
+        z0s.append(z0s[-1])
+        us.append(INF)
     target = lam * (1 + 1e-3) if corrupt else lam
-    dist = _base_point_distance(family, np.array([x.q.coords for x in rec.points]).T)
-    # the exact path raises IndeterminacyError inside the base-point guard;
-    # an iterate within rounding of its radius goes to that path, whose own
-    # guard decides it
+    # an infinite Q is a NaN lane, which the exact path evaluates
+    z0_lanes, u_lanes = np.array(z0s), np.array([math.nan if u is INF else u for u in us])
+    dist = _base_point_distance(family, _tangent_coords(z0_lanes, u_lanes))
+    # the exact evaluation raises IndeterminacyError inside the base-point
+    # guard; within rounding of its radius the guard itself decides
     inside = dist < BASE_POINT_GUARD - _GUARD_ROUNDING
+    for k in np.flatnonzero(~inside & (dist <= BASE_POINT_GUARD + _GUARD_ROUNDING)).tolist():
+        inside[k] = _refused(family, _tangent_point(z0s[k], us[k]))
     steps_left = np.flatnonzero(~inside).tolist()
-    points = [rec.points[k] for k in steps_left]
-    guarded = dist[~inside] <= BASE_POINT_GUARD + _GUARD_ROUNDING
-    z0s = [_affine_z(x.p.coords) for x in points]
-    us = [_affine_z(x.q.coords) - z0 for x, z0 in zip(points, z0s)]
 
     def residual(z0, u):
         val = eval_on_tangent(family, z0, u)
-        exact = guarded | (tangent_condition(family, z0, u) > _ROUNDING_LIMIT)
+        exact = tangent_condition(family, z0, u) > _ROUNDING_LIMIT
         return _gap(val, target), np.where(exact, math.nan, val)
 
     def exact(k):
-        val = eval_integral(family, points[k].q)
+        k = steps_left[k]
+        val = _exact_on_tangent(family, z0s[k], us[k])
         return None if val.is_inf else float(_gap(val.value, target))
 
-    acc = _laned(
-        residual, (z0s, us), lambda k: {"step": steps_left[k], "q": repr(points[k].q)}, exact
-    )
+    def where(k):
+        k = steps_left[k]
+        return {"step": k, "q": repr(_tangent_point(z0s[k], us[k]))}
+
+    acc = _laned(residual, (z0_lanes[~inside], u_lanes[~inside]), where, exact)
     if inside.any():
         acc.dropped["IndeterminacyError"] += int(np.count_nonzero(inside))
     params = {"lam": repr(lam), "steps": steps, "seed": seed}
-    if rec.reason != "completed":
-        return _skipped(name, family, params, rec, acc.worst)
+    if reason != "completed":
+        return _skipped(name, family, params, reason, detail, taken, acc.worst)
     return acc.report(name, family, params, CONSERVATION_BOUND)
 
 
-def _affine_z(coords: tuple[complex, complex, complex]) -> complex:
-    """z/t of projective coordinates; NaN on the infinity line."""
-    z, _, t = coords
-    return z / t if t else complex(math.nan, math.nan)
+def _tangent_coords(z0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per lane, the canonical coordinates (see
+    :class:`~dualbill.geometry.ProjectivePoint`) of Q = (z0 + u, z0^2 +
+    2 z0 u, 1), as rows z, w, t: the first coordinate of largest modulus
+    becomes 1 and the others are divided by it."""
+    z, w = _on_tangent(z0, u)
+    one = np.ones_like(z)
+    az, aw = abs(z), abs(w)
+    by_z = (az >= aw) & (az >= 1.0)
+    by_w = ~by_z & (aw >= 1.0)
+    with np.errstate(all="ignore"):
+        return np.where(by_z, [one, w / z, one / z], np.where(by_w, [z / w, one, one / w], [z, w, one]))
+
+
+def _refused(family: BilliardFamily, q: ProjectivePoint) -> bool:
+    """Whether the guard of the exact evaluation refuses Q: its cross norm
+    with a base point is within BASE_POINT_GUARD."""
+    return any(cross_norm(q.coords, bp.coords) <= BASE_POINT_GUARD for bp in family.spec.base_points)
 
 
 def _base_point_distance(family: BilliardFamily, coords: np.ndarray) -> np.ndarray:
@@ -574,7 +609,7 @@ def check_translation(
     rec = orbit(family, x0, steps)
     params = {"lam": repr(lam), "steps": steps, "seed": seed, "start": repr(start)}
     if rec.reason != "completed":
-        return _skipped(name, family, params, rec)
+        return _skipped(name, family, params, rec.reason, rec.detail, rec.steps_taken)
     taus = [curve_parameter(family, x).value for x in rec.points]
     diffs = [b - a for a, b in zip(taus, taus[1:])]
     expected = family.spec.shift(family.n)
@@ -613,7 +648,7 @@ def check_abel_translation(
     x0 = lift_fiber(family, lam, start, branch)
     rec = orbit(family, x0, steps)
     if rec.reason != "completed":
-        return _skipped(name, family, params, rec)
+        return _skipped(name, family, params, rec.reason, rec.detail, rec.steps_taken)
     acc = _Residuals()
     try:
         model = elliptic_model(family, lam)

@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -29,7 +30,14 @@ from dualbill.geometry import (
     tangency_points,
 )
 from dualbill.numerics import INF, principal_sqrt, sphere_eq
-from dualbill.verify import SINGULAR_GUARD, _rng_for, sample_phase_point
+from dualbill.verify import (
+    CONSERVATION_CASES,
+    SINGULAR_GUARD,
+    TRANSLATION_CASES,
+    _rng_for,
+    _start_point,
+    sample_phase_point,
+)
 
 
 def _draw(fam: BilliardFamily, rng) -> tuple[complex, complex]:
@@ -658,3 +666,68 @@ class TestStepAgainstClosedForm:
     @pytest.mark.parametrize("fam", STEP_INSTANCES, ids=BilliardFamily.label)
     def test_nearer_candidate_is_caught(self, fam):
         assert _step_gap(_nearer_candidate_map, fam, random.Random(0)) > STEP_TOL
+
+
+def _without_parameter(detail: str) -> str:
+    """A stop detail with the repr of the tangency parameter taken out."""
+    return re.sub(r"^tangency parameter \S+ ", "", detail)
+
+
+class TestOffsetOrbit:
+    """The offset-state kernel that the conservation check iterates,
+    ``billiards._offset_orbit``, against ``orbit`` through projective
+    points: the same stop at the same step, and the same tangency
+    parameters up to rounding."""
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_same_stops_and_parameters_as_orbit(self, fam):
+        cases = [(lam, t0, branch, 500) for lam, t0, branch in CONSERVATION_CASES[fam.tag]]
+        cases += [(lam, t0, "+", 50) for tag, n, lam, t0 in TRANSLATION_CASES if (tag, n) == (fam.tag, fam.n)]
+        if fam == BilliardFamily("a1", 2):  # the hit-singularity run of CI
+            cases.append((1.0, 1.7, "+", 300))
+        for lam, t0, branch, steps in cases:
+            # a c-family start is a seeded point of the level
+            for seed in range(3) if t0 is None else (0,):
+                x0 = _start_point(fam, lam, t0, branch, random.Random(seed))
+                rec = orbit(fam, x0, steps)
+                z0 = x0.p.z_sphere().value
+                z0s, us, reason, detail, taken = billiards._offset_orbit(
+                    fam, z0, x0.q.z_sphere().value - z0, steps
+                )
+                assert (reason, taken) == (rec.reason, rec.steps_taken), (lam, t0, seed)
+                assert _without_parameter(detail) == _without_parameter(rec.detail)
+                assert len(z0s) == len(us) == taken + 1
+                for k in range(min(50, len(z0s))):
+                    want = rec.points[k].p.z_sphere().value
+                    assert abs(z0s[k] - want) <= 1e-8 * max(1.0, abs(want)), (lam, t0, seed, k)
+
+    def test_a_step_to_e(self):
+        # u = -1/f(z0) makes 1 + f u = 0 in floats: P' is E, which the lists
+        # do not hold, and the next step stops as orbit does
+        fam = BilliardFamily("b1")
+        z0 = 0.4 + 0j
+        u = -1.0 / f_coefficient(fam, z0).value
+        x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
+        rec = orbit(fam, x0, 3)
+        assert rec.points[-1].p is E_INFINITY
+        z0s, us, reason, detail, taken = billiards._offset_orbit(fam, z0, u, 3)
+        assert (z0s, us) == ([z0], [u])
+        assert (reason, detail, taken) == (rec.reason, rec.detail, rec.steps_taken) == (
+            "hit-singularity",
+            "tangency parameter inf is within reach of the singular parameter inf of family b1",
+            1,
+        )
+        assert billiards._offset_orbit(fam, z0, u, 1)[2:] == ("completed", "", 1)
+
+    def test_infinite_offset_start(self):
+        # Q the infinite point of the tangent line goes to u' = -1/f(z0)
+        fam = BilliardFamily("d")
+        z0 = 0.7 + 0.2j
+        x0 = PhasePoint(ProjectivePoint(1.0, 2.0 * z0, 0.0), conic_point(z0))
+        rec = orbit(fam, x0, 5)
+        z0s, us, reason, _, taken = billiards._offset_orbit(fam, z0, INF, 5)
+        assert (reason, taken) == (rec.reason, rec.steps_taken) == ("completed", 5)
+        assert us[0] is INF
+        assert us[1] == 1.0 / f_coefficient(fam, z0).value
+        for z, x in zip(z0s, rec.points):
+            assert abs(z - x.p.z_sphere().value) <= 1e-12 * max(1.0, abs(z))

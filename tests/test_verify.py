@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from dualbill.billiards import (
     f_coefficient,
     involution,
 )
+from dualbill.families import FAMILIES
 from dualbill.forms import _area_defect, _chart_derivative, _chart_offset, halfstep_jacobian
 from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import BiPoly, eval_on_tangent, tangent_condition
@@ -256,7 +258,7 @@ class TestNaNResidual:
             ({"halfstep_jacobian": complex(math.nan, 0.0)}, lambda: verify.check_jacobian(B1, 5, 1)),
             # a NaN lane is evaluated again by the exact path, NaN as well
             ({"eval_on_tangent": np.full(6, complex(math.nan, 0.0)),
-              "eval_integral": SphereValue(math.nan)},
+              "_exact_on_tangent": SphereValue(math.nan)},
              lambda: verify.check_conservation(B1, 2.0, 5, 1)),
             ({"eval_integral": SphereValue(math.nan)}, lambda: verify.check_equivalences(1)),
         ],
@@ -684,14 +686,16 @@ class TestConservationOnLanes:
     def test_exact_path_only_within_rounding_of_the_guard(self, fam, monkeypatch):
         # the lanes drop an iterate inside the base-point guard under
         # IndeterminacyError, as eval_integral does; only one within rounding
-        # of its radius reaches eval_integral, which decides it.  A band
-        # widened to 1e-9 sends 6 to 23 iterates of each orbit there and
-        # changes no report
+        # of its radius reaches the guard of eval_integral, which decides
+        # it, and its value still comes from the lane.  A band widened to
+        # 1e-9 sends 6 to 23 iterates of each orbit there and changes no
+        # report
         calls = []
+        refused = verify._refused
 
         def counting(family, q):
             calls.append(q.coords)
-            return integrals.eval_integral(family, q)
+            return refused(family, q)
 
         def reports():
             calls.clear()
@@ -704,12 +708,54 @@ class TestConservationOnLanes:
             dist = verify._base_point_distance(fam, np.array(calls, dtype=complex).reshape(-1, 3).T)
             return dist - integrals.BASE_POINT_GUARD
 
-        monkeypatch.setattr(verify, "eval_integral", counting)
+        monkeypatch.setattr(verify, "_refused", counting)
         narrow = reports()
         assert (gaps() >= -1e-12).all()
         monkeypatch.setattr(verify, "_GUARD_ROUNDING", 1e-9)
         assert reports() == narrow
         assert (gaps() >= -1e-9).all() and (abs(gaps()) <= 1e-9).sum() >= 5 * len(narrow)
+
+    def test_a_step_to_e_takes_the_exact_path(self, monkeypatch):
+        # on b1 at z0 = 0.4, u = -1/f(z0) makes 1 + f u = 0 in floats: the
+        # step goes to E, and its Q, the infinite point [1 : 2 z0 : 0] of
+        # the tangent line, is evaluated exactly
+        z0 = 0.4 + 0j
+        u = -1.0 / f_coefficient(B1, z0).value
+        x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
+        lam = integrals.eval_integral(B1, x0.q).value
+        monkeypatch.setattr(verify, "_start_point", lambda *args: x0)
+        offsets = []
+        exact = verify._exact_on_tangent
+
+        def counting(family, z0, u):
+            offsets.append(u)
+            return exact(family, z0, u)
+
+        monkeypatch.setattr(verify, "_exact_on_tangent", counting)
+        report = check_conservation(B1, lam, 1)
+        assert report.status == "pass" and report.params["evaluated"] == 2
+        assert offsets == [INF]
+        assert check_conservation(B1, lam, 1, corrupt=True).status == "fail"
+        report = check_conservation(B1, lam, 2)
+        assert report.status == "skipped" and report.witness["steps_taken"] == 1
+
+    @pytest.mark.parametrize("tag", ["a1", "a2", "b1", "b2", "c1", "c2", "d"])
+    def test_bent_map_fails(self, tag, monkeypatch):
+        # conservation is the sampled check that ties the map's coefficient
+        # to the integral: f scaled by 1 + 1e-6, or an a-family's shift
+        # moved by 1e-6, fails every frozen case
+        fam = BilliardFamily.parse(tag)
+        spec = FAMILIES[tag]
+        if fam.is_a:
+            shift = spec.shift
+            bent = dataclasses.replace(spec, shift=lambda n: shift(n) + Fraction(1, 10**6))
+        else:
+            f = spec.f
+            bent = dataclasses.replace(spec, f=lambda z: f(z) * (1 + 1e-6))
+        monkeypatch.setitem(FAMILIES, tag, bent)
+        for lam, start, branch in verify.CONSERVATION_CASES[tag]:
+            report = check_conservation(fam, lam, 500, 1, start=start, branch=branch)
+            assert report.status == "fail" and report.worst > verify.CONSERVATION_BOUND, lam
 
     def test_counts_of_the_suite_are_pinned(self):
         # evaluated and dropped of every report of check --all on the seeds
