@@ -10,9 +10,10 @@ exactly up to rounding: the involution's arithmetic runs on values carrying
 their partials in z and w, so no step size enters.  The closed form and the
 jets take the tangency parameter z0 and the point z of its tangent line as
 Python numbers or numpy lanes, and so does the defect of the area form's
-invariance that the area check evaluates.  The fiber form is the 1-form
-pairing with dR to give the area form; on an elliptic fiber it is
-proportional to dt/sqrt(p(t)) in the curve parameter.
+invariance that the area check evaluates, with the image's chart offset
+z0 - z* from the jets' image z* = z(Q') and no step of the phase map.  The
+fiber form is the 1-form pairing with dR to give the area form; on an elliptic
+fiber it is proportional to dt/sqrt(p(t)) in the curve parameter.
 """
 
 from __future__ import annotations
@@ -200,33 +201,39 @@ def _push(mat: _Matrix, v: tuple[complex, complex]) -> tuple[complex, complex]:
     return a * v[0] + b * v[1], c * v[0] + d * v[1]
 
 
-def _area_defect(family: BilliardFamily, z0, z, off_img):
+def _area_defect(family: BilliardFamily, z0, z):
     """Relative defect of area-form invariance under the phase map at the
-    point z of the tangent line at z0, whose image phase point has chart
-    offset ``off_img``, on Python numbers or numpy lanes; and whether the
-    pushed-forward vectors are (near) dependent, where :class:`TangentSample`
-    refuses them.
+    point z of the tangent line at z0, on Python numbers or numpy lanes;
+    whether the pushed-forward vectors are (near) dependent, where
+    :class:`TangentSample` refuses them; and the image's chart offset.
 
     The vectors (1, 2 z0) along the tangent line and (0, 1) are pushed
     forward by the jets of :func:`_chart_derivative`, which raises on Python
-    numbers where the involution's image is infinite.
+    numbers where the involution's image z* is infinite.  P' is the other
+    tangency point 2 z* - z0 of Q' = z*, so the image's offset is z0 - z*.
     """
-    mat = _chart_derivative(family, z0, z)[1]
+    z_img, mat = _chart_derivative(family, z0, z)
+    off_img = z0 - z_img
     v1, v2 = (1.0, 2.0 * z0), (0.0, 1.0)
     p1, p2 = _push(mat, v1), _push(mat, v2)
     before = _area(v1, v2, z - z0)
     after = _area(p1, p2, off_img)
-    return abs(after - before) / np.maximum(1e-300, abs(before)), _dependent(p1, p2)
+    return abs(after - before) / np.maximum(1e-300, abs(before)), _dependent(p1, p2), off_img
+
+
+def _area_residual(family: BilliardFamily, z0: complex, z: complex) -> float:
+    """:func:`_area_defect` on Python numbers; raises ValueError where the
+    pushed-forward vectors are (near) dependent."""
+    res, dependent, _ = _area_defect(family, z0, z)
+    if dependent:
+        raise ValueError("pushed tangent sample vectors are (near) dependent")
+    return float(res)
 
 
 def area_pullback_residual(family: BilliardFamily, x: PhasePoint) -> float:
     """Relative defect of area-form invariance under the phase map at x."""
     _chart_offset(x)  # raises unless Q and P are affine and Q is off the parabola
-    off_img = _chart_offset(billiard_map(family, x))
-    res, dependent = _area_defect(family, x.p.z_sphere().value, x.q.z_sphere().value, off_img)
-    if dependent:
-        raise ValueError("pushed tangent sample vectors are (near) dependent")
-    return float(res)
+    return _area_residual(family, x.p.z_sphere().value, x.q.z_sphere().value)
 
 
 def fiber_form(

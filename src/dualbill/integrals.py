@@ -619,11 +619,12 @@ def tangent_condition(family: BilliardFamily, z0, u):
 
     It adds 2k (|z0| + |z|) / |u| for the numerator, the error of u were
     it the difference of two rounded parameters (the conservation check
-    carries u as state, ``billiards._offset_orbit``, so there this term is
-    a margin), and m_i |f_i|(Z, W) / |f_i(z, w)| for each denominator
-    factor, where |f_i| has the moduli of the factor's coefficients and
-    Z = |z0| + |u|, W = |z0|^2 + 2 |z0| |u| bound |z| and |w|.  It is large
-    only near a base point, where the factors cancel.
+    reads every Q at an offset that ``billiards._offset_orbit`` carries:
+    the start's, or Q_k at -u_k = u'_{k-1} on the tangent line at P_{k-1},
+    so there this term is a margin), and m_i |f_i|(Z, W) / |f_i(z, w)| for
+    each denominator factor, where |f_i| has the moduli of the factor's
+    coefficients and Z = |z0| + |u|, W = |z0|^2 + 2 |z0| |u| bound |z| and
+    |w|.  It is large only near a base point, where the factors cancel.
     """
     integ = first_integral(family)
     z, w = _on_tangent(z0, u)

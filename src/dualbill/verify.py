@@ -17,9 +17,10 @@ jacobian).
 
 The involution, jacobian and area checks keep each sample as Python
 numbers (z0, z), the tangency parameter and a point of its tangent line,
-from the draw to the report; the jacobian and area draws are conditioned
-on ``billiards._involution_z``.  One routine, :func:`_draws`, makes every
-draw of these checks and of the equivalences check: it pulls the randoms
+from the draw to the report, and share one body, :func:`_sampled`; the
+jacobian and area draws are conditioned on ``billiards._involution_z``.
+One routine, :func:`_draws`, makes every draw (z0, z) of these checks and
+of the equivalences check: it pulls the randoms
 in blocks, forms the candidates on numpy lanes, decides again on Python
 numbers a lane within a relative 1e-9 of the guard radius or of an edge of
 the conditioning window, and walks the attempts in stream order, so its
@@ -30,18 +31,19 @@ through the library's own arithmetic.  Every operation is elementwise, so
 a lane's residual does not depend on the size or order of its batch.  A
 lane whose residual is not finite, or whose image is at infinity on the
 sphere, is evaluated again on the scalar path: on Python numbers, where the
-involution's pole gives INF; by the scalar
-``forms.area_pullback_residual``; or by the exact
-``integrals._exact_on_tangent``, which also takes every iterate with Q on
-the infinity line or where the factors of the tangent-line form cancel.
-The conservation check iterates the orbit in the offset state (z0, u)
-(``billiards._offset_orbit``) and evaluates R there with no projective
-point.  An iterate inside the base-point guard by more than rounding is
-dropped on the lanes under ``IndeterminacyError``, as the exact evaluation
-would drop it; within rounding of the guard's radius the guard decides on
-the point's projective coordinates, and the value still comes from the
-lane.  The residuals of every lane are then recorded in one step, with the
-worst and witness that recording them one by one gives.
+involution's pole gives INF; by ``forms._area_residual``, which raises
+there; or by the exact ``integrals._exact_on_tangent``, which also takes
+every iterate with Q on the infinity line or where the factors of the
+tangent-line form cancel.  The conservation check iterates the orbit in
+the offset state (z0, u) (``billiards._offset_orbit``) and evaluates R with
+no projective point, at Q_k's offset -u_k on the tangent line at P_{k-1},
+which keeps Q_k where |u_k| is far above |z0|.  An iterate inside the
+base-point guard by more than rounding is dropped on the lanes under
+``IndeterminacyError``, as the exact evaluation would drop it; within
+rounding of the guard's radius the guard decides on the point's projective
+coordinates, and the value still comes from the lane.  The residuals of
+every lane are then recorded in one step, with the worst and witness that
+recording them one by one gives.
 """
 
 from __future__ import annotations
@@ -77,14 +79,7 @@ from .curves import (
     lift_fiber,
     point_on_level,
 )
-from .forms import (
-    _area_defect,
-    _chart_derivative,
-    _chart_offset,
-    abel_steps,
-    area_pullback_residual,
-    halfstep_jacobian,
-)
+from .forms import _area_defect, _area_residual, _chart_derivative, abel_steps, halfstep_jacobian
 from .geometry import (
     E_INFINITY,
     EPS_CUBE_ROOT,
@@ -258,9 +253,9 @@ def _candidates(
     """The draws that a block of randoms can make, on numpy lanes: pair k of
     the randoms gives a candidate z0 and u, an attempt from pair k takes
     the z0 of pair k and the u of pair k + 1.  Returns per pair its z0,
-    whether the guard rejects it, and the second value (u, or with
-    ``conditioned`` z) of an attempt from it with whether that attempt is
-    kept; None where Python numbers must decide."""
+    whether the guard rejects it, and the point z = z0 + u of an attempt
+    from it with whether that attempt is kept; None where Python numbers
+    must decide."""
     unit = np.exp(2j * math.pi * np.array(pulled[1::2]))
     square = np.array(pulled[0::2])
     z0 = np.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * unit
@@ -275,10 +270,10 @@ def _candidates(
     rejected = rejected.tolist()
     for k in np.flatnonzero(unsure).tolist():
         rejected[k] = _guarded(family, z0_lanes[k])
-    if not conditioned:
-        return z0_lanes, rejected, u[1:].tolist(), [True] * (len(z0) - 1)
     base = z0[:-1].copy()
     z = base + u[1:]
+    if not conditioned:
+        return z0_lanes, rejected, z.tolist(), [True] * (len(z0) - 1)
     with np.errstate(all="ignore"):
         dist = abs(_involution_z(family, base, z) - base)
     kept: list[bool | None] = ((dist >= _WINDOW[0]) & (dist <= _WINDOW[1])).tolist()
@@ -293,9 +288,9 @@ def _draws(
 ) -> tuple[list[complex], list[complex]]:
     """n draws of a tangency parameter z0, uniform on the annulus
     0.1 <= |z0| <= 3 minus the ``SINGULAR_GUARD`` disks, and an offset u,
-    uniform on 0.05 <= |u| <= 2: the lists of z0 and of u, or with
-    ``conditioned`` of the point z = z0 + u of the tangent line, keeping
-    only draws whose involution image of z lies within ``_WINDOW`` of z0.
+    uniform on 0.05 <= |u| <= 2: the lists of z0 and of the point z = z0 + u
+    of the tangent line, with ``conditioned`` keeping only draws whose
+    involution image of z lies within ``_WINDOW`` of z0.
 
     An attempt takes two randoms for z0 (the square of its modulus, then
     its angle in turns) and, unless z0 lies in a guard disk, two for u.  The
@@ -310,12 +305,12 @@ def _draws(
     at a time.
     """
     z0s: list[complex] = []
-    seconds: list[complex] = []
+    zs: list[complex] = []
     held: list[float] = []
     while len(z0s) < n:
         size = min(4 * (n - len(z0s)), _DRAW_BLOCK) - len(held)
         pulled = held + [rng.random() for _ in range(size)]
-        z0_lanes, rejected, second, kept = _candidates(family, pulled, conditioned)
+        z0_lanes, rejected, z_lanes, kept = _candidates(family, pulled, conditioned)
         k, pairs = 0, len(z0_lanes)
         while k < pairs and len(z0s) < n:
             if rejected[k]:
@@ -325,13 +320,13 @@ def _draws(
                 break
             keep = kept[k]
             if keep is None:
-                keep = _in_window(family, z0_lanes[k], second[k])
+                keep = _in_window(family, z0_lanes[k], z_lanes[k])
             if keep:
                 z0s.append(z0_lanes[k])
-                seconds.append(second[k])
+                zs.append(z_lanes[k])
             k += 2
         held = pulled[2 * k:]
-    return z0s, seconds
+    return z0s, zs
 
 
 def _phase_point(z0: complex, z: complex) -> PhasePoint:
@@ -400,9 +395,20 @@ def _laned(
     return acc
 
 
-def _where(z0s: list[complex], zs: list[complex]) -> Callable[[int], dict]:
-    """The witness of lane k of the draws."""
-    return lambda k: {"sample": k, "z0": repr(z0s[k]), "z": repr(zs[k])}
+def _sampled(
+    kind: str, family: BilliardFamily, samples: int, seed: int, bound: float, residual: Callable,
+    *, conditioned: bool = True, scalar: Callable | None = None,
+) -> CheckReport:
+    """The report of a sampled check: its draws (z0, z), their residuals on
+    lanes, ``scalar`` of a lane's Python numbers as the fallback, and the
+    verdict with half the samples as the floor."""
+    name = f"{kind}:{family.label()}"
+    z0s, zs = _draws(family, _rng_for(seed, name), samples, conditioned=conditioned)
+    fallback = None if scalar is None else lambda k: scalar(z0s[k], zs[k])
+    acc = _laned(
+        residual, (z0s, zs), lambda k: {"sample": k, "z0": repr(z0s[k]), "z": repr(zs[k])}, fallback
+    )
+    return acc.report(name, family, {"samples": samples, "seed": seed}, bound, samples / 2)
 
 
 def _gap(value, target, shift: float = 0.0):
@@ -437,15 +443,11 @@ def check_involution(
     family: BilliardFamily, samples: int = 1000, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
     """sigma_P o sigma_P = id and sigma_P(P) = P on random samples."""
-    name = f"involution:{family.label()}"
-    rng = _rng_for(seed, name)
-    z0s, us = _draws(family, rng, samples, conditioned=False)
-    zs = (np.array(z0s) + np.array(us)).tolist()
     shift = 1e-3 if corrupt else 0.0
-    acc = _laned(
-        lambda z0, z: _involution_residual(family, z0, z, shift), (z0s, zs), _where(z0s, zs)
+    return _sampled(
+        "involution", family, samples, seed, 1e-9,
+        lambda z0, z: _involution_residual(family, z0, z, shift), conditioned=False,
     )
-    return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-9, samples / 2)
 
 
 #: frozen (lambda, start parameter, branch) conservation cases per family
@@ -504,9 +506,14 @@ def check_conservation(
     z0, z1 = _z_param(x0.p), _z_param(x0.q)
     if z0 is INF:
         raise ValueError(f"the start {x0} of a conservation check has its tangency point at E")
-    z0s, us, reason, detail, taken = _offset_orbit(family, z0, INF if z1 is INF else z1 - z0, steps)
-    if taken == len(z0s):  # the last step went to E: Q is the infinite point of the last line
-        z0s.append(z0s[-1])
+    u0 = INF if z1 is INF else z1 - z0
+    states, offsets, reason, detail, taken = _offset_orbit(family, z0, u0, steps)
+    # Q_k, k >= 1, is the point at offset u'_{k-1} = -u_k of the tangent
+    # line at P_{k-1}, which keeps it where |u'| is far above |z0|
+    z0s = states[:1] + states[:-1]
+    us = offsets[:1] + [-u for u in offsets[1:]]
+    if taken == len(states):  # the last step went to E: Q is the infinite point of the last line
+        z0s.append(states[-1])
         us.append(INF)
     target = lam * (1 + 1e-3) if corrupt else lam
     # an infinite Q is a NaN lane, which the exact path evaluates
@@ -673,34 +680,21 @@ def check_abel_translation(
 def check_area_form(
     family: BilliardFamily, samples: int = 200, seed: int = 0, *, corrupt: bool = False
 ) -> CheckReport:
-    """Pullback test of the invariant area form under the chart Jacobian.
-
-    Each image comes from the implemented map, one call per sample; the
-    jets and both area forms then run once on lanes.  A lane whose image has
-    no affine chart offset, or whose residual is not finite, takes the
-    scalar :func:`~dualbill.forms.area_pullback_residual`, which raises
-    where the scalar path does."""
-    name = f"area:{family.label()}"
-    rng = _rng_for(seed, name)
-    z0s, zs = _draws(family, rng, samples, conditioned=True)
-    xs = list(map(_phase_point, z0s, zs))
+    """Pullback test of the invariant area form under the chart Jacobian,
+    with the image's chart offset z0 - z* from the jets and no step of the
+    phase map (:func:`~dualbill.forms._area_defect`).  A lane whose offset
+    is infinite, or whose residual is not finite, takes the scalar
+    ``forms._area_residual``."""
     shift = 1e-3 if corrupt else 0.0
 
-    def off_img(x: PhasePoint) -> complex:
-        try:
-            return _chart_offset(billiard_map(family, x))
-        except Exception:
-            return complex(math.nan, math.nan)
+    def residual(z0, z):
+        res, dependent, off_img = _area_defect(family, z0, z)
+        return np.where(dependent, math.nan, res + shift), off_img
 
-    def residual(z0, z, off):
-        res, dependent = _area_defect(family, z0, z, off)
-        return np.where(dependent, math.nan, res + shift), off
-
-    acc = _laned(
-        residual, (z0s, zs, list(map(off_img, xs))), _where(z0s, zs),
-        lambda k: area_pullback_residual(family, xs[k]) + shift,
+    return _sampled(
+        "area", family, samples, seed, 1e-6, residual,
+        scalar=lambda z0, z: _area_residual(family, z0, z) + shift,
     )
-    return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-6, samples / 2)
 
 
 def _jacobian_residual(family: BilliardFamily, z0, z, corrupt: bool = False):
@@ -719,13 +713,10 @@ def check_jacobian(
 ) -> CheckReport:
     """Closed-form half-step Jacobian against the chart Jacobian of the
     implemented map."""
-    name = f"jacobian:{family.label()}"
-    rng = _rng_for(seed, name)
-    z0s, zs = _draws(family, rng, samples, conditioned=True)
-    acc = _laned(
-        lambda z0, z: _jacobian_residual(family, z0, z, corrupt), (z0s, zs), _where(z0s, zs)
+    return _sampled(
+        "jacobian", family, samples, seed, 1e-6,
+        lambda z0, z: _jacobian_residual(family, z0, z, corrupt),
     )
-    return acc.report(name, family, {"samples": samples, "seed": seed}, 1e-6, samples / 2)
 
 
 # --------------------------------------------------------------------------

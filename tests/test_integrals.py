@@ -31,7 +31,7 @@ from dualbill.verify import SINGULAR_GUARD, _rng_for
 
 def _draw(fam: BilliardFamily, rng) -> tuple[complex, complex]:
     """One unconditioned draw (z0, u) of the sampled checks, one random at
-    a time: the reference that ``verify._draws`` reproduces."""
+    a time: ``verify._draws`` gives it as (z0, z0 + u)."""
     while True:
         r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
         z0 = r * cmath.exp(2j * math.pi * rng.random())

@@ -214,15 +214,15 @@ class TestCountsInParams:
         scalar path that evaluates them again raises."""
         real = verify._area_defect
 
-        def kernel(family, z0, z, off):
-            res, dependent = real(family, z0, z, off)
-            return np.where([refused(k) for k in range(len(res))], math.nan, res), dependent
+        def kernel(family, z0, z):
+            res, dependent, off_img = real(family, z0, z)
+            return np.where([refused(k) for k in range(len(res))], math.nan, res), dependent, off_img
 
-        def scalar(family, x):
+        def scalar(family, z0, z):
             raise ZeroDivisionError("forced")
 
         monkeypatch.setattr(verify, "_area_defect", kernel)
-        monkeypatch.setattr(verify, "area_pullback_residual", scalar)
+        monkeypatch.setattr(verify, "_area_residual", scalar)
 
     def test_dropped_samples_counted_by_class(self, monkeypatch):
         self.refuse_lanes(monkeypatch, lambda k: k % 3 == 2)
@@ -251,8 +251,8 @@ class TestNaNResidual:
         [
             ({"_involution_z": complex(math.nan, 0.0)}, lambda: verify.check_involution(B1, 5, 1)),
             # a NaN lane is evaluated again by the scalar path, NaN as well
-            ({"_area_defect": (np.full(5, math.nan), np.zeros(5, bool)),
-              "area_pullback_residual": math.nan},
+            ({"_area_defect": (np.full(5, math.nan), np.zeros(5, bool), np.zeros(5, complex)),
+              "_area_residual": math.nan},
              lambda: verify.check_area_form(B1, 5, 1)),
             # a NaN closed form against the finite determinant of the jets
             ({"halfstep_jacobian": complex(math.nan, 0.0)}, lambda: verify.check_jacobian(B1, 5, 1)),
@@ -322,7 +322,7 @@ INSTANCES = [BilliardFamily(tag, n) for tag in ("a1", "a2") for n in (1, 2, 3)] 
 
 def _draw(fam, rng, guard=verify.SINGULAR_GUARD):
     """One unconditioned draw (z0, u) of the sampled checks, one random at a
-    time: the reference that ``verify._draws`` reproduces."""
+    time."""
     while True:
         r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
         z0 = r * cmath.exp(2j * math.pi * rng.random())
@@ -330,6 +330,13 @@ def _draw(fam, rng, guard=verify.SINGULAR_GUARD):
             continue
         ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
         return z0, ur * cmath.exp(2j * math.pi * rng.random())
+
+
+def _point_draw(fam, rng, guard=verify.SINGULAR_GUARD):
+    """One unconditioned draw as (z0, z) with z = z0 + u on Python numbers:
+    the reference that ``verify._draws`` reproduces."""
+    z0, u = _draw(fam, rng, guard)
+    return z0, z0 + u
 
 
 def _phase_draw(fam, rng, guard=verify.SINGULAR_GUARD):
@@ -345,22 +352,13 @@ def _phase_draw(fam, rng, guard=verify.SINGULAR_GUARD):
 
 def _involution_lanes(fam, n=200):
     rng = verify._rng_for(5, f"lanes:{fam.label()}")
-    z0s, us = verify._draws(fam, rng, n, conditioned=False)
-    return np.array(z0s), np.array(z0s) + np.array(us)
+    return tuple(map(np.array, verify._draws(fam, rng, n, conditioned=False)))
 
 
 def _draw_lanes(fam, purpose, n=100):
     """(z0, z) of the draws that the jacobian and area checks take."""
     rng = verify._rng_for(5, f"{purpose} lanes:{fam.label()}")
     return tuple(map(np.array, verify._draws(fam, rng, n, conditioned=True)))
-
-
-def _area_lanes(fam, n=100):
-    """(z0, z, chart offset of the image) of the draws, as the area check
-    builds its lanes."""
-    z0s, zs = _draw_lanes(fam, "area", n)
-    xs = [PhasePoint(_point_on_tangent(z0, z), conic_point(z0)) for z0, z in zip(z0s.tolist(), zs.tolist())]
-    return z0s, zs, np.array([_chart_offset(billiard_map(fam, x)) for x in xs])
 
 
 def _projective_phase_point(fam, rng):
@@ -376,14 +374,13 @@ def _projective_phase_point(fam, rng):
 
 
 #: per kernel, its lane outputs at the points z1 of the tangent lines at z0
-#: (the area kernel takes an arbitrary image offset of the same scale)
 LANE_KERNELS = {
     "involution": lambda fam, z0, z1: verify._involution_residual(fam, z0, z1),
     "jacobian": lambda fam, z0, z1: verify._jacobian_residual(fam, z0, z1),
     "tangent R": lambda fam, z0, z1: (
         eval_on_tangent(fam, z0, z1 - z0), tangent_condition(fam, z0, z1 - z0)
     ),
-    "area": lambda fam, z0, z1: _area_defect(fam, z0, z1, (z1 - z0) * (0.5 - 1j)),
+    "area": lambda fam, z0, z1: _area_defect(fam, z0, z1),
 }
 
 
@@ -443,8 +440,8 @@ class TestLanes:
 
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_area_lanes_are_order_free(self, fam):
-        cols = _area_lanes(fam)
-        self.assert_order_free(lambda z0, z, off: _area_defect(fam, z0, z, off)[0], cols)
+        cols = _draw_lanes(fam, "area")
+        self.assert_order_free(lambda z0, z: _area_defect(fam, z0, z)[0], cols)
 
     @pytest.mark.parametrize("label", ["a1(1)", "b1", "c2", "d"])
     def test_lane_bits_do_not_depend_on_batch_size(self, label):
@@ -494,9 +491,9 @@ class TestLanes:
         real = verify._draws
 
         def draws(family, rng, n, *, conditioned):
-            z0s, us = real(family, rng, n, conditioned=conditioned)
-            z0s[3], us[3] = z0, u
-            return z0s, us
+            z0s, zs = real(family, rng, n, conditioned=conditioned)
+            z0s[3], zs[3] = z0, z1
+            return z0s, zs
 
         monkeypatch.setattr(verify, "_draws", draws)
         report = verify.check_involution(fam, 10, 1)
@@ -511,6 +508,37 @@ class TestLanes:
             ([z0, 0.5 + 0.5j], [z1, 0.5 + 0.5j + 0.3]), lambda k: {},
         )
         assert (acc.evaluated, acc.dropped) == (1, {"ValueError": 1})
+
+
+class TestAreaImage:
+    """The area check takes the image from the jets: Q' at z*, and P' at
+    2 z* - z0, the other tangency parameter of Q', so the image's chart
+    offset is z0 - z*.  billiard_map chooses the same P'."""
+
+    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    def test_billiard_map_has_the_image_of_the_jets(self, fam):
+        for seed in (42, 9501, 9701):
+            rng = verify._rng_for(seed, f"image:{fam.label()}")
+            z0s, zs = verify._draws(fam, rng, 500, conditioned=True)
+            offsets = _area_defect(fam, np.array(z0s), np.array(zs))[2]
+            for z0, z, off in zip(z0s, zs, offsets.tolist()):
+                z_img = _chart_derivative(fam, z0, z)[0]
+                x_img = billiard_map(fam, verify._phase_point(z0, z))
+                assert abs(_chart_offset(x_img) - off) <= 1e-10 * abs(off)
+                p_img = x_img.p.z_sphere().value
+                assert abs(p_img - (2 * z_img - z0)) <= 1e-10 * abs(p_img)
+
+    @pytest.mark.parametrize("tag", ["a1", "a2", "b1", "b2", "c1", "c2", "d"])
+    def test_area_check_takes_no_phase_map_step(self, tag, monkeypatch):
+        from dualbill import billiards, forms
+
+        def boom(*args):
+            raise AssertionError("the phase map was stepped")
+
+        for module in (billiards, forms, verify):
+            monkeypatch.setattr(module, "billiard_map", boom)
+        report = check_area_form(BilliardFamily.parse(tag), 200, 42)
+        assert report.status == "pass" and report.params["evaluated"] == 200
 
 
 def _hex(values) -> list[tuple[str, str]]:
@@ -555,7 +583,7 @@ class TestDraws:
     @pytest.mark.parametrize("seed", [42, 9501, 9701])
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_blocks_give_the_draws_one_at_a_time(self, fam, seed):
-        for conditioned, reference in ((False, _draw), (True, _phase_draw)):
+        for conditioned, reference in ((False, _point_draw), (True, _phase_draw)):
             for n in (1, 7, 1000, 2500):  # 2500 draws take more than one block
                 rng, ref = (verify._rng_for(seed, f"blocks:{fam.label()}") for _ in range(2))
                 z0s, seconds = verify._draws(fam, rng, n, conditioned=conditioned)
@@ -575,7 +603,7 @@ class TestDraws:
         square, turn = (verify.SINGULAR_GUARD**2 - 0.1**2) / (3.0**2 - 0.1**2), 1e-4
         z0 = math.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * cmath.exp(2j * math.pi * turn)
         assert abs(z0) == verify.SINGULAR_GUARD
-        reference = _phase_draw if conditioned else _draw
+        reference = _phase_draw if conditioned else _point_draw
         bent = math.nextafter(verify.SINGULAR_GUARD, math.inf)
         rng, ref, wide = (_Stream([square, turn], 11) for _ in range(3))
         got = verify._draws(A1, rng, 5, conditioned=conditioned)
@@ -738,6 +766,44 @@ class TestConservationOnLanes:
         assert check_conservation(B1, lam, 1, corrupt=True).status == "fail"
         report = check_conservation(B1, lam, 2)
         assert report.status == "skipped" and report.witness["steps_taken"] == 1
+
+    def test_a_later_step_to_e_is_on_the_last_line(self, monkeypatch):
+        # from this b1 start the second step goes to E: its Q is the
+        # infinite point of the tangent line at P_1, where R is lam, and
+        # not of the line at P_0, where Q_1 is evaluated
+        z0, z = -0.29917943522856777 + 0j, 0.09337271385711543 + 0j
+        x0 = PhasePoint(ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0), conic_point(z0))
+        lam = integrals.eval_integral(B1, x0.q).value
+        states, _, _, _, taken = verify._offset_orbit(B1, z0, x0.q.z_sphere().value - z0, 2)
+        assert taken == len(states) == 2 and states[1] != states[0]
+        monkeypatch.setattr(verify, "_start_point", lambda *args: x0)
+        calls = []
+        exact = verify._exact_on_tangent
+
+        def counting(family, z0, u):
+            calls.append((z0, u))
+            return exact(family, z0, u)
+
+        monkeypatch.setattr(verify, "_exact_on_tangent", counting)
+        report = check_conservation(B1, lam, 2)
+        assert report.status == "pass" and report.params["evaluated"] == 3
+        assert calls == [(states[1], INF)]
+        assert check_conservation(B1, lam, 2, corrupt=True).status == "fail"
+
+    @pytest.mark.parametrize("z0", [1.3 + 0j, 2.5 + 0.5j])
+    def test_an_image_far_along_its_line_keeps_q(self, z0, monkeypatch):
+        # u = -1/f(z0) read back through a ProjectivePoint leaves 1 + f u
+        # near 1e-16, so u' is near 1e16.  The next state z0 + 2u' is
+        # rounded to an ulp of 2u', which moves Q_1 = (z0 + 2u') - u' along
+        # its line and R by 0.04; Q_1 at offset u' on the line at z0 is
+        # exact to rounding
+        u = -1.0 / f_coefficient(B1, z0).value
+        x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
+        lam = integrals.eval_integral(B1, x0.q).value
+        monkeypatch.setattr(verify, "_start_point", lambda *args: x0)
+        report = check_conservation(B1, lam, 1)
+        assert report.status == "pass" and report.params["evaluated"] == 2
+        assert report.worst <= 1e-14
 
     @pytest.mark.parametrize("tag", ["a1", "a2", "b1", "b2", "c1", "c2", "d"])
     def test_bent_map_fails(self, tag, monkeypatch):
