@@ -14,6 +14,7 @@ import math
 import os
 import random
 import sys
+import time
 from contextlib import contextmanager
 
 from .billiards import ALL_FAMILY_TAGS, BilliardFamily, SingularTangencyError, orbit
@@ -36,7 +37,7 @@ from .integrals import (
     indeterminacy_set,
 )
 from .numerics import INF, SphereValue
-from .verify import check_equivalences, checks_for, default_suite, run_suite
+from .verify import CheckSuite, check_equivalences, checks_for, default_suite, run_suite
 
 USAGE_ERROR = 2
 SINGULAR_ERROR = 3
@@ -176,17 +177,18 @@ def _checked(kind, ok, what: str):
 
 
 @contextmanager
-def _writer_for(args):
-    """A record writer on --output (closed on exit), or on stdout."""
-    if not args.output:
-        yield RecordWriter(args.format, sys.stdout)
+def _writer_for(path: str | None, fmt: str):
+    """A record writer in ``fmt`` on the file ``path`` (closed on exit), or
+    on stdout."""
+    if not path:
+        yield RecordWriter(fmt, sys.stdout)
         return
     try:
-        stream = open(args.output, "w", encoding="utf-8", newline="")
+        stream = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
     with stream:
-        yield RecordWriter(args.format, stream)
+        yield RecordWriter(fmt, stream)
 
 
 _N_TYPE = _checked(int, lambda n: n >= 1, "an integer N >= 1")
@@ -250,7 +252,7 @@ def cmd_orbit(args) -> int:
     if rec.reason == "hit-singularity" and rec.steps_taken == 0:
         print(f"start point is singular: {rec.detail}", file=sys.stderr)
         return SINGULAR_ERROR
-    with _writer_for(args) as writer:
+    with _writer_for(args.output, args.format) as writer:
         for k, x in enumerate(rec.points):
             record: dict = {"index": k}
             record["q_z"] = x.q.z_sphere()
@@ -283,21 +285,45 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _named_check(name: str, args, seed: int):
+def _named_checks(name: str, args, seed: int):
+    """The suite entries of one named check kind, as ``checks_for`` gives
+    them."""
     if name == "equivalences":
         if args.lam is not None:
             raise ValueError("check 'equivalences' has no level: it takes no lambda")
-        return [check_equivalences(seed, corrupt=args.corrupt)]
+        return [(name, lambda: check_equivalences(seed, corrupt=args.corrupt))]
     if args.family is None:
         raise ValueError(
             f"check {name!r} needs --family (or use --all for the full suite)"
         )
     family = BilliardFamily.parse(args.family, args.n)
-    return [fn() for _, fn in checks_for(name, family, seed, args.lam, args.corrupt)]
+    return checks_for(name, family, seed, args.lam, args.corrupt)
+
+
+def _timed(suite: CheckSuite, timings: list[dict] | None) -> CheckSuite:
+    """The suite whose entries, as they run, add to ``timings`` their
+    report's name, wall seconds and evaluated samples (null for a report
+    that counts none); the suite itself when ``timings`` is None.  Each
+    entry still looks its check function up when it runs."""
+    if timings is None:
+        return suite
+
+    def timed(fn):
+        def run():
+            start = time.perf_counter()
+            report = fn()
+            seconds = time.perf_counter() - start
+            evaluated = report.params.get("evaluated")
+            timings.append({"name": report.name, "seconds": seconds, "evaluated": evaluated})
+            return report
+        return run
+
+    return CheckSuite(suite.seed, [(name, timed(fn)) for name, fn in suite.entries])
 
 
 def cmd_check(args) -> int:
     seed = _seed_of(args)
+    timings = [] if args.timings else None
     if args.all or not args.names:
         options = {"--family": args.family, "--n": args.n, "--lambda": args.lam,
                    "--corrupt": args.corrupt or None}
@@ -310,15 +336,20 @@ def cmd_check(args) -> int:
         for name in args.names:
             if not any(entry.startswith(name) for entry, _ in suite.entries):
                 raise UsageError(f"no check of the suite is named {name!r}")
-        reports = run_suite(suite, args.names or None)
+        reports = run_suite(_timed(suite, timings), args.names or None)
     else:
         try:
-            reports = [r for name in args.names for r in _named_check(name, args, seed)]
+            entries = [entry for name in args.names for entry in _named_checks(name, args, seed)]
+            reports = run_suite(_timed(CheckSuite(seed, entries), timings))
         except (ValueError, RuntimeError, AttributeError, TypeError) as exc:
             raise UsageError(str(exc)) from exc
-    with _writer_for(args) as writer:
+    with _writer_for(args.output, args.format) as writer:
         for r in reports:
             writer.write(r.to_dict())
+    if timings is not None:
+        with _writer_for(args.timings, "json") as writer:
+            for t in timings:
+                writer.write(t)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
@@ -327,7 +358,7 @@ def cmd_curve(args) -> int:
     if args.lam is None:
         raise UsageError("curve needs --lambda")
     lam = args.lam
-    with _writer_for(args) as writer:
+    with _writer_for(args.output, args.format) as writer:
         if args.branch_points:
             try:
                 pts = branch_points(family, lam.value if not lam.is_inf else lam)
@@ -392,7 +423,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_families(args) -> int:
-    with _writer_for(args) as writer:
+    with _writer_for(args.output, args.format) as writer:
         for tag in ALL_FAMILY_TAGS:
             fam = BilliardFamily.parse(tag)
             record = {
@@ -439,6 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--corrupt", action="store_true",
         help="harness self-test: run the named checks with corrupted inputs "
         "(they must fail and the exit code must be 1)",
+    )
+    p_check.add_argument(
+        "--timings", default=None, metavar="FILE",
+        help="write one JSON line per report to FILE: its name, wall seconds "
+        "and evaluated samples (the report stream is unchanged)",
     )
     _add_output(p_check)
     p_check.set_defaults(func=cmd_check)

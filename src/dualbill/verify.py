@@ -15,17 +15,18 @@ fails, with those counts as its witness.  The floor is one sample, and half
 the samples, but at least one, for the sampled checks (involution, area,
 jacobian).
 
-The involution, jacobian and area checks keep each sample as Python
-numbers (z0, z), the tangency parameter and a point of its tangent line,
-from the draw to the report, and share one body, :func:`_sampled`; the
-jacobian and area draws are conditioned on ``billiards._involution_z``.
-One routine, :func:`_draws`, makes every draw (z0, z) of these checks and
-of the equivalences check: it pulls the randoms
-in blocks, forms the candidates on numpy lanes, decides again on Python
-numbers a lane within a relative 1e-9 of the guard radius or of an edge of
-the conditioning window, and walks the attempts in stream order, so its
-draws and the stream's state are those of drawing one at a time, bit for
-bit.  These three and the conservation check share one lane loop,
+The involution, jacobian and area checks draw each sample (z0, z), the
+tangency parameter and a point of its tangent line, and share one body,
+:func:`_sampled`; the jacobian and area draws are conditioned on
+``billiards._involution_z``.  One routine, :func:`_draws`, makes every draw
+of these checks and of the equivalences check: it rebuilds the randoms from
+the stream's Mersenne Twister words, forms the candidates and walks the
+attempts on numpy lanes, and decides again on Python numbers a lane within
+a relative 1e-9 of the guard radius or of an edge of the conditioning
+window, so its draws and the stream's state are those of drawing one at a
+time, bit for bit.  The draws stay arrays up to the lane loop; Python
+numbers are built only for a lane that the scalar path evaluates and for
+the witness.  These three and the conservation check share one lane loop,
 :func:`_laned`, which runs the residual once on numpy arrays of every lane
 through the library's own arithmetic.  Every operation is elementwise, so
 a lane's residual does not depend on the size or order of its batch.  A
@@ -230,103 +231,97 @@ _WINDOW_MARGIN = 1e-9
 _DRAW_BLOCK = 8192
 
 
-def _guarded(family: BilliardFamily, z0: complex) -> bool:
-    """Whether z0 lies in a ``SINGULAR_GUARD`` disk."""
-    return any(abs(z0 - s) < SINGULAR_GUARD for s in family.spec.singular_finite)
-
-
-def _in_window(family: BilliardFamily, z0: complex, z: complex) -> bool:
-    """Whether the involution image of z stays at a distance within
-    ``_WINDOW`` from z0."""
-    z_img = _involution_z(family, z0, z)
-    return z_img is not INF and _WINDOW[0] <= abs(z_img - z0) <= _WINDOW[1]
-
-
 def _near(dist: np.ndarray, edge: float, margin: float) -> np.ndarray:
     """Lanes whose distance is within ``margin`` of ``edge``, relatively."""
     return abs(dist - edge) <= margin * edge
 
 
-def _candidates(
-    family: BilliardFamily, pulled: list[float], conditioned: bool
-) -> tuple[list[complex], list[bool], list[complex], list[bool | None]]:
-    """The draws that a block of randoms can make, on numpy lanes: pair k of
-    the randoms gives a candidate z0 and u, an attempt from pair k takes
-    the z0 of pair k and the u of pair k + 1.  Returns per pair its z0,
-    whether the guard rejects it, and the point z = z0 + u of an attempt
-    from it with whether that attempt is kept; None where Python numbers
-    must decide."""
-    unit = np.exp(2j * math.pi * np.array(pulled[1::2]))
-    square = np.array(pulled[0::2])
-    z0 = np.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * unit
-    u = np.sqrt(0.05**2 + (2.0**2 - 0.05**2) * square) * unit
-    z0_lanes = z0.tolist()
-    rejected = np.zeros(len(z0), dtype=bool)
-    unsure = np.zeros(len(z0), dtype=bool)
-    for s in family.spec.singular_finite:
-        reach = abs(z0 - s)
-        rejected |= reach < SINGULAR_GUARD
-        unsure |= _near(reach, SINGULAR_GUARD, _GUARD_MARGIN)
-    rejected = rejected.tolist()
-    for k in np.flatnonzero(unsure).tolist():
-        rejected[k] = _guarded(family, z0_lanes[k])
-    base = z0[:-1].copy()
-    z = base + u[1:]
-    if not conditioned:
-        return z0_lanes, rejected, z.tolist(), [True] * (len(z0) - 1)
+def _randoms(rng: random.Random, size: int) -> np.ndarray:
+    """``size`` randoms of ``rng`` on a lane: the floats and the stream
+    state of as many ``rng.random()`` calls, each built as CPython builds it
+    from two 32-bit Mersenne Twister words, the first one's top 27 bits over
+    the second one's top 26."""
+    words = np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"), dtype="<u4")
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
+
+
+def _walk(rejected: np.ndarray, missing: int, keep: Callable | None) -> tuple[np.ndarray, int]:
+    """The attempts of a block's pairs in stream order, with no loop.  Pair
+    k is visited when k = 0 or pair k - 1 is rejected or not visited (it
+    gave the u of an attempt from pair k - 2), so a rejected pair starts a
+    run whose visited pairs alternate.  An attempt is a visited, unrejected
+    pair whose u, pair k + 1, is in the block; ``keep`` of the attempts'
+    pairs says which are kept.  Returns the pairs of the first ``missing``
+    kept attempts and the pair from which the randoms are held."""
+    k = np.arange(len(rejected))
+    run = np.maximum.accumulate(np.where(np.concatenate(([True], rejected[:-1])), k, 0))
+    attempt = ((k - run) % 2 == 0) & ~rejected
+    end = len(k) - int(attempt[-1])  # the last pair's u is in the next block
+    attempt[-1] = False
+    tried = np.flatnonzero(attempt)
+    hits = (tried if keep is None else tried[keep(tried)])[:missing]
+    return hits, int(hits[-1]) + 2 if len(hits) == missing else end
+
+
+def _windowed(family: BilliardFamily, z0: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Per lane, whether the involution image of z stays at a distance
+    within ``_WINDOW`` from z0; a lane whose distance is not finite or near
+    an edge is decided on Python numbers, where the pole gives INF."""
     with np.errstate(all="ignore"):
-        dist = abs(_involution_z(family, base, z) - base)
-    kept: list[bool | None] = ((dist >= _WINDOW[0]) & (dist <= _WINDOW[1])).tolist()
+        dist = abs(_involution_z(family, z0, z) - z0)
+    kept = (dist >= _WINDOW[0]) & (dist <= _WINDOW[1])
     unsure = ~np.isfinite(dist) | _near(dist, _WINDOW[0], _WINDOW_MARGIN)
     for k in np.flatnonzero(unsure | _near(dist, _WINDOW[1], _WINDOW_MARGIN)).tolist():
-        kept[k] = None
-    return z0_lanes, rejected, z.tolist(), kept
+        z_img = _involution_z(family, z0[k].item(), z[k].item())
+        kept[k] = z_img is not INF and _WINDOW[0] <= abs(z_img - z0[k].item()) <= _WINDOW[1]
+    return kept
 
 
 def _draws(
     family: BilliardFamily, rng: random.Random, n: int, *, conditioned: bool
-) -> tuple[list[complex], list[complex]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """n draws of a tangency parameter z0, uniform on the annulus
     0.1 <= |z0| <= 3 minus the ``SINGULAR_GUARD`` disks, and an offset u,
-    uniform on 0.05 <= |u| <= 2: the lists of z0 and of the point z = z0 + u
+    uniform on 0.05 <= |u| <= 2: the arrays of z0 and of the point z = z0 + u
     of the tangent line, with ``conditioned`` keeping only draws whose
     involution image of z lies within ``_WINDOW`` of z0.
 
     An attempt takes two randoms for z0 (the square of its modulus, then
     its angle in turns) and, unless z0 lies in a guard disk, two for u.  The
-    randoms are pulled in blocks of four per missing draw (at most
-    ``_DRAW_BLOCK``), less the ones held from the last block, so a block
-    never pulls more than the draws need.  The candidates of a block are formed on numpy lanes
-    (:func:`_candidates`) and its attempts walked in stream order.
+    randoms (:func:`_randoms`) are pulled in blocks of four per missing draw
+    (at most ``_DRAW_BLOCK``), less the ones held from the last block, so a
+    block never pulls more than the draws need.  Pair k of a block gives a
+    candidate z0 and u on numpy lanes, an attempt from pair k takes the z0
+    of pair k and the u of pair k + 1, and :func:`_walk` finds the attempts.
     Elementwise, numpy rounds the square roots, products and exponentials
     as Python does, but not the moduli and the involution image, so a lane
     near the guard or the window, or not finite, is decided again on Python
     numbers.  The draws and the state of ``rng`` are those of n draws one
     at a time.
     """
-    z0s: list[complex] = []
-    zs: list[complex] = []
-    held: list[float] = []
-    while len(z0s) < n:
-        size = min(4 * (n - len(z0s)), _DRAW_BLOCK) - len(held)
-        pulled = held + [rng.random() for _ in range(size)]
-        z0_lanes, rejected, z_lanes, kept = _candidates(family, pulled, conditioned)
-        k, pairs = 0, len(z0_lanes)
-        while k < pairs and len(z0s) < n:
-            if rejected[k]:
-                k += 1
-                continue
-            if k + 1 == pairs:  # u is in the next block
-                break
-            keep = kept[k]
-            if keep is None:
-                keep = _in_window(family, z0_lanes[k], z_lanes[k])
-            if keep:
-                z0s.append(z0_lanes[k])
-                zs.append(z_lanes[k])
-            k += 2
-        held = pulled[2 * k:]
-    return z0s, zs
+    z0s, zs = [np.empty(0, complex)], [np.empty(0, complex)]
+    held, missing, singular = np.empty(0), n, family.spec.singular_finite
+    while missing:
+        pulled = np.concatenate((held, _randoms(rng, min(4 * missing, _DRAW_BLOCK) - len(held))))
+        unit = np.exp(2j * math.pi * pulled[1::2])
+        square = pulled[0::2]
+        z0 = np.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * unit
+        u = np.sqrt(0.05**2 + (2.0**2 - 0.05**2) * square) * unit
+        rejected = np.zeros(len(z0), dtype=bool)
+        unsure = np.zeros(len(z0), dtype=bool)
+        for s in singular:
+            reach = abs(z0 - s)
+            rejected |= reach < SINGULAR_GUARD
+            unsure |= _near(reach, SINGULAR_GUARD, _GUARD_MARGIN)
+        for k in np.flatnonzero(unsure).tolist():
+            rejected[k] = any(abs(z0[k].item() - s) < SINGULAR_GUARD for s in singular)
+        keep = (lambda k: _windowed(family, z0[k], z0[k] + u[k + 1])) if conditioned else None
+        hits, cut = _walk(rejected, missing, keep)
+        z0s.append(z0[hits])
+        zs.append(z0[hits] + u[hits + 1])
+        missing -= len(hits)
+        held = pulled[2 * cut:]
+    return np.concatenate(z0s), np.concatenate(zs)
 
 
 def _phase_point(z0: complex, z: complex) -> PhasePoint:
@@ -344,12 +339,12 @@ def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint
     The involution image must stay at a moderate distance from the tangency
     point, which keeps the form evaluations well scaled.
     """
-    (z0,), (z,) = _draws(family, rng, 1, conditioned=True)
-    return _phase_point(z0, z)
+    z0, z = _draws(family, rng, 1, conditioned=True)
+    return _phase_point(z0[0].item(), z[0].item())
 
 
 def _laned(
-    residual: Callable, lanes: tuple[list, ...], where: Callable[[int], dict],
+    residual: Callable, lanes: tuple[np.ndarray, ...], where: Callable[[int], dict],
     fallback: Callable[[int], float | None] | None = None,
 ) -> _Residuals:
     """The residuals of a check whose samples are lanes: ``residual``, which
@@ -367,12 +362,13 @@ def _laned(
     in one step, and the witness is ``where`` of the first worst lane.
     """
     acc = _Residuals()
+    lanes = tuple(map(np.array, lanes))
     if fallback is None:
         def fallback(k):
-            return float(residual(*(lane[k] for lane in lanes))[0])
+            return float(residual(*(lane[k].item() for lane in lanes))[0])
     try:
         with np.errstate(all="ignore"):
-            res, image = residual(*map(np.array, lanes))
+            res, image = residual(*lanes)
             again = ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
     except Exception as exc:
         acc.dropped[type(exc).__name__] += len(lanes[0])
@@ -404,9 +400,10 @@ def _sampled(
     verdict with half the samples as the floor."""
     name = f"{kind}:{family.label()}"
     z0s, zs = _draws(family, _rng_for(seed, name), samples, conditioned=conditioned)
-    fallback = None if scalar is None else lambda k: scalar(z0s[k], zs[k])
+    fallback = None if scalar is None else lambda k: scalar(z0s[k].item(), zs[k].item())
     acc = _laned(
-        residual, (z0s, zs), lambda k: {"sample": k, "z0": repr(z0s[k]), "z": repr(zs[k])}, fallback
+        residual, (z0s, zs),
+        lambda k: {"sample": k, "z0": repr(z0s[k].item()), "z": repr(zs[k].item())}, fallback,
     )
     return acc.report(name, family, {"samples": samples, "seed": seed}, bound, samples / 2)
 
@@ -879,7 +876,7 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
     attempts = 0
     while count < 25 and attempts < 500:
         z0s, zs = _draws(b1, rng, min(25 - count, 500 - attempts), conditioned=True)
-        for x in map(_phase_point, z0s, zs):
+        for x in map(_phase_point, z0s.tolist(), zs.tolist()):
             attempts += 1
             try:
                 fx = billiard_map(b1, x)

@@ -192,6 +192,39 @@ class TestCheck:
         assert (rec["status"], rec["witness"]) == ("fail", counts)
 
 
+    def test_timings_leave_the_report_stream_alone(self, tmp_path, capsys):
+        timings = tmp_path / "t.jsonl"
+        code, plain = run_cli(["check", "--all", "--seed", "42"], capsys)
+        assert code == 0
+        code, timed = run_cli(["check", "--all", "--seed", "42", "--timings", str(timings)], capsys)
+        assert code == 0
+        assert timed.encode() == plain.encode()
+        lines, reports = parse_jsonl(timings.read_text()), parse_jsonl(plain)
+        assert [t["name"] for t in lines] == [r["name"] for r in reports]
+        assert len(lines) == len(reports) == 62
+        for t, r in zip(lines, reports):
+            assert set(t) == {"name", "seconds", "evaluated"}
+            assert t["seconds"] >= 0.0 and t["evaluated"] == r["params"]["evaluated"]
+
+    def test_timings_of_named_checks(self, tmp_path, capsys, monkeypatch):
+        # the entries look the check functions up in verify when they run
+        calls = []
+        real = verify.check_tables
+
+        def check_tables(*args, **kwargs):
+            calls.append(args[0].label())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "check_tables", check_tables)
+        timings = tmp_path / "t.jsonl"
+        args = ["check", "tables", "conservation", "--family", "b1", "--timings", str(timings)]
+        code, out = run_cli(args, capsys)
+        assert code == 0 and calls == ["b1"]
+        names = [r["name"] for r in parse_jsonl(out)]
+        assert names[0] == "tables:b1" and len(names) == 4
+        assert [t["name"] for t in parse_jsonl(timings.read_text())] == names
+
+
 class TestCurve:
     def test_branch_points(self, capsys):
         code, out = run_cli(
@@ -420,6 +453,11 @@ class TestBadInput:
         err = self.usage_error(
             ["orbit", "--family", "b1", "--lambda", "2", "--output", str(path)], capsys
         )
+        assert "cannot write" in err
+
+    def test_unwritable_timings(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "t.jsonl"
+        err = self.usage_error(["check", "tables", "--family", "b1", "--timings", str(path)], capsys)
         assert "cannot write" in err
 
     @pytest.mark.parametrize(

@@ -571,7 +571,8 @@ class TestDraws:
         name = f"draws:{fam.label()}"
         new, old, sampled, one = (verify._rng_for(seed, name) for _ in range(4))
         bits = lambda x: np.array([*x.q.coords, *x.p.coords]).tobytes()  # noqa: E731
-        for k, (z0, z) in enumerate(zip(*verify._draws(fam, sampled, 2000, conditioned=True))):
+        draws = (lanes.tolist() for lanes in verify._draws(fam, sampled, 2000, conditioned=True))
+        for k, (z0, z) in enumerate(zip(*draws)):
             _phase_draw(fam, new)
             x = _projective_phase_point(fam, old)
             # the same draws accepted and rejected consume the same stream
@@ -593,24 +594,73 @@ class TestDraws:
                 assert rng.getstate() == ref.getstate()
 
     @pytest.mark.parametrize("conditioned", [False, True])
-    def test_a_draw_on_the_guard_circle(self, conditioned):
+    def test_a_draw_on_the_guard_circle(self, conditioned, monkeypatch):
         # the first two randoms put z0 at exactly SINGULAR_GUARD from a1's
         # singular parameter 0: the guard keeps it, and a guard one ulp
         # wider rejects it, which changes the draws.  numpy's modulus of
         # this z0 on a lane can round an ulp below the radius (it does on
         # x86-64 with AVX-512, numpy 2.4), and only the decision on Python
-        # numbers keeps it
+        # numbers keeps it.  ``square`` is no possible output of random(),
+        # so no Mersenne Twister words carry it: the draws take the two
+        # head values through a patched ``_randoms``
         square, turn = (verify.SINGULAR_GUARD**2 - 0.1**2) / (3.0**2 - 0.1**2), 1e-4
         z0 = math.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * cmath.exp(2j * math.pi * turn)
         assert abs(z0) == verify.SINGULAR_GUARD
+        head, real = [square, turn], verify._randoms
+
+        def randoms(rng, size):
+            given = head[:size]
+            del head[:size]
+            return np.concatenate((given, real(rng, size - len(given))))
+
+        monkeypatch.setattr(verify, "_randoms", randoms)
         reference = _phase_draw if conditioned else _point_draw
         bent = math.nextafter(verify.SINGULAR_GUARD, math.inf)
-        rng, ref, wide = (_Stream([square, turn], 11) for _ in range(3))
+        rng, ref, wide = random.Random(11), _Stream([square, turn], 11), _Stream([square, turn], 11)
         got = verify._draws(A1, rng, 5, conditioned=conditioned)
         exact = [reference(A1, ref) for _ in range(5)]
         assert exact[0][0] == z0
         assert [_hex(got[0]), _hex(got[1])] == [_hex(e[0] for e in exact), _hex(e[1] for e in exact)]
         assert _hex(got[0]) != _hex(draw[0] for draw in (reference(A1, wide, bent) for _ in range(5)))
+
+    @pytest.mark.parametrize("seed", [0, 42, 9501])
+    def test_randoms_are_random_calls(self, seed):
+        # bit for bit the floats of random(), leaving the same state, also
+        # when the pulls are chained on one stream
+        rng, ref = random.Random(seed), random.Random(seed)
+        for size in (0, 1, 2, 4095, 8192, 3, 0, 1):
+            got = verify._randoms(rng, size)
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array([ref.random() for _ in range(size)], dtype=float).tobytes()
+            assert rng.getstate() == ref.getstate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=2, max_size=60), st.integers(1, 40))
+    @example([(False, True), (False, True)], 1)
+    @example([(True, True), (False, True), (False, True)], 1)
+    @example([(False, True), (True, True), (False, True), (False, True)], 5)
+    def test_walk_is_the_sequential_loop(self, pairs, missing):
+        rejected, keep = (np.array(col) for col in zip(*pairs))
+        for kept in (keep, None):
+            hits, cut = verify._walk(rejected, missing, None if kept is None else lambda k: kept[k])
+            assert (hits.tolist(), cut) == _sequential_walk(rejected, kept, missing)
+
+
+def _sequential_walk(rejected, keep, missing):
+    """The attempts of a block walked one pair at a time, as ``_draws`` did
+    before ``_walk``: the pairs of the kept attempts, at most ``missing``,
+    and the pair from which the randoms are held."""
+    hits, k = [], 0
+    while k < len(rejected) and len(hits) < missing:
+        if rejected[k]:
+            k += 1
+            continue
+        if k + 1 == len(rejected):  # u is in the next block
+            break
+        if keep is None or keep[k]:
+            hits.append(k)
+        k += 2
+    return hits, k
 
 
 def _laned_one_by_one(residual, lanes, where, fallback):
