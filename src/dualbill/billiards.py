@@ -22,8 +22,10 @@ with u' = -u/(1 + f(z0) u): Q' is the meeting point of the tangent lines at
 P and P'.  :func:`orbit` and :func:`billiard_map` step through projective
 points and the tangency square root; the private kernel
 :func:`_offset_orbit` iterates the closed form with the same stops, and
-the conservation check runs it.  Both take the involution from
-:func:`_offset_image`.
+the conservation check runs it.  All three take the family's
+coefficient and singular set once per call, test each step against that set
+with :func:`_singular_near`, and share the involution's arithmetic,
+:func:`_image`.
 """
 
 from __future__ import annotations
@@ -114,11 +116,20 @@ def _rho(shift: Callable[[int], Fraction], n: int) -> float:
     return float(2 - shift(n))
 
 
+def _coefficient_of(spec: FamilySpec, n: int | None) -> Callable:
+    """The involution coefficient z0 -> f(z0) of the family with these
+    facts and N, rho/z0 for an a-family; it raises ZeroDivisionError at a
+    pole of f.  Callers look it up once per call, never once per step and
+    never on the instance: ``FAMILIES`` may change between two calls."""
+    if spec.shift is None:
+        return spec.f
+    rho = _rho(spec.shift, n)
+    return lambda z0: rho / z0
+
+
 def _coefficient(family: BilliardFamily, z0):
-    """The involution coefficient f(z0), rho/z0 for an a-family; raises
-    ZeroDivisionError at a pole of f."""
-    spec = family.spec
-    return spec.f(z0) if spec.shift is None else _rho(spec.shift, family.n) / z0
+    """The involution coefficient f(z0) as :func:`_coefficient_of` gives it."""
+    return _coefficient_of(family.spec, family.n)(z0)
 
 
 def f_coefficient(family: BilliardFamily, z0: complex | SphereValue) -> SphereValue:
@@ -147,27 +158,31 @@ def _point_on_tangent(z0: complex, z1: complex | SphereValue) -> ProjectivePoint
 
 def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: float) -> None:
     """Reject tangency parameters (a complex number or INF) too near a
-    singular one.
-
-    Finite singular parameters use the affine distance; the infinite point
-    is considered hit once |z0| reaches INF_THRESHOLD (escaping orbits
-    legitimately grow large before that).
-    """
+    singular one, as :func:`_singular_near` finds it, with an error that
+    names both."""
     spec = family.spec
+    s = _singular_near(z0, spec.singular_finite, spec.singular_at_infinity, radius)
+    if s is not None:
+        raise SingularTangencyError(
+            f"tangency parameter {z0!r} is within reach of the "
+            f"singular parameter {s!r} of family {family.label()}"
+        )
+
+
+def _singular_near(z0, finite: tuple[complex, ...], at_infinity: bool, radius: float):
+    """The singular parameter of a family's singular set within reach of
+    z0, or None.
+
+    Finite singular parameters use the affine distance ``radius``; the
+    infinite point is considered hit once |z0| reaches INF_THRESHOLD
+    (escaping orbits legitimately grow large before that).
+    """
     if z0 is INF or abs(z0) >= INF_THRESHOLD:
-        if not spec.singular_at_infinity:
-            return
-        s = INF
-    else:
-        for s in spec.singular_finite:
-            if abs(z0 - s) <= radius:
-                break
-        else:
-            return
-    raise SingularTangencyError(
-        f"tangency parameter {z0!r} is within reach of the "
-        f"singular parameter {s!r} of family {family.label()}"
-    )
+        return INF if at_infinity else None
+    for s in finite:
+        if abs(z0 - s) <= radius:
+            return s
+    return None
 
 
 #: the involution is refused this close to a singular tangency parameter
@@ -206,6 +221,14 @@ def _offset_image(family: BilliardFamily, z0, u):
         f = _coefficient(family, z0)
     except ZeroDivisionError:
         raise SingularTangencyError("involution coefficient has a pole at P") from None
+    return _image(f, u)
+
+
+def _image(f, u):
+    """The involution with coefficient value f in the offset coordinate:
+    the image -u/(1 + f u) of the offset u (a number or INF), INF at its
+    pole.  The one statement of its arithmetic, for :func:`_offset_image`
+    and the steps of :func:`billiard_map` and :func:`_offset_orbit`."""
     if u is INF:  # the line's infinite point goes to u = -1/f
         return -1.0 / f if f != 0 else INF
     try:  # u = 0 makes the denominator 1, so the quotient is never 0/0
@@ -233,21 +256,25 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     or E when a candidate is the infinite point.  When sigma_P(Q) lands on
     the parabola, P' is that point itself.
     """
+    spec = family.spec
     q, p = x
     z, _, t = p.coords
     if t == 0:
         raise SingularTangencyError(_AT_E)
     z0 = z / t
-    if z0 == 0 and family.is_a:
+    if z0 == 0 and spec.takes_n:
         # Vertex tangency: the involution degenerates to the constant map
         # onto the vertex, the fiberwise continuation of the dynamics.
         if q.eq(p):
             return PhasePoint(p, p)
         vertex = conic_point(0.0)
         return PhasePoint(vertex, vertex)
-    _check_singular(family, z0, SINGULAR_RADIUS)
+    if _singular_near(z0, spec.singular_finite, spec.singular_at_infinity, SINGULAR_RADIUS) is not None:
+        _check_singular(family, z0, SINGULAR_RADIUS)
     z, _, t = q.coords
-    q_img = _point_on_tangent(z0, _involution_z(family, z0, INF if t == 0 else z / t))
+    # every pole of f is a singular parameter, so f(z0) is a number here
+    u = _image(_coefficient_of(spec, family.n)(z0), INF if t == 0 else z / t - z0)
+    q_img = _point_on_tangent(z0, INF if u is INF else u + z0)
     try:
         zp, zm = tangency_points(q_img)
     except OnConicError:  # Q' on the parabola: its two tangency points collide
@@ -287,11 +314,14 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
     points = [x0]
     x = x0
     z0 = _z_param(x0.p)
+    spec = family.spec
+    finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
     for _ in range(n):
-        try:
-            _check_singular(family, z0, SINGULARITY_GUARD)
-        except SingularTangencyError as exc:
-            return OrbitRecord(points, "hit-singularity", str(exc))
+        if _singular_near(z0, finite, at_infinity, SINGULARITY_GUARD) is not None:
+            try:
+                _check_singular(family, z0, SINGULARITY_GUARD)
+            except SingularTangencyError as exc:
+                return OrbitRecord(points, "hit-singularity", str(exc))
         if z0 is INF:
             return OrbitRecord(points, "left-numeric-domain", "tangency point at infinity")
         x = billiard_map(family, x)
@@ -344,12 +374,12 @@ def _offset_orbit(
     start with P = (z0, z0^2) affine: Q = (z0 + u, z0^2 + 2 z0 u) on the
     tangent line at P, or its infinite point for u = INF.
 
-    Q' lies at offset u' = -u/(1 + f(z0) u) (:func:`_offset_image`), so its
+    Q' lies at offset u' = -u/(1 + f(z0) u) (:func:`_image`), so its
     tangency parameters are z0 and z0 + 2u', and a step is (z0, u) ->
     (z0 + 2u', -u').  The stops are those of :func:`orbit`, at the same
     step and with the same details: the SINGULARITY_GUARD test of z0 by
-    ``_check_singular``, which takes |z0| >= INF_THRESHOLD for the infinite
-    point; u' = INF (1 + f u = 0), which sends P' to E, so that the next
+    :func:`_singular_near`, which takes |z0| >= INF_THRESHOLD for the
+    infinite point, worded by ``_check_singular``; u' = INF (1 + f u = 0), which sends P' to E, so that the next
     step stops; and a NaN or an affine coordinate of P' or Q' beyond
     DOMAIN_BOUND.  The a-family vertex is a singular parameter, so the
     guard stops before ``billiard_map``'s vertex rule would apply.
@@ -360,15 +390,20 @@ def _offset_orbit(
     exactly when the last step went to E, and that iterate's Q is the
     infinite point of the last listed tangent line, (z0s[-1], INF).
     """
+    spec = family.spec
+    f = _coefficient_of(spec, family.n)
+    finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
     z0s, us = [z0], [u]
     for k in range(n):
-        try:
-            _check_singular(family, z0, SINGULARITY_GUARD)
-        except SingularTangencyError as exc:
-            return z0s, us, "hit-singularity", str(exc), k
+        if _singular_near(z0, finite, at_infinity, SINGULARITY_GUARD) is not None:
+            try:
+                _check_singular(family, z0, SINGULARITY_GUARD)
+            except SingularTangencyError as exc:
+                return z0s, us, "hit-singularity", str(exc), k
         if z0 is INF:
             return z0s, us, "left-numeric-domain", "tangency point at infinity", k
-        u = _offset_image(family, z0, u)
+        # the guard keeps z0 off the poles of f, which are singular parameters
+        u = _image(f(z0), u)
         if u is INF:
             z0 = INF
             continue

@@ -248,11 +248,11 @@ def cmd_orbit(args) -> int:
         return SINGULAR_ERROR
     except (ValueError, RuntimeError, ArithmeticError) as exc:
         raise UsageError(f"cannot build the start point: {exc}") from exc
-    rec = orbit(family, x0, args.steps)
-    if rec.reason == "hit-singularity" and rec.steps_taken == 0:
-        print(f"start point is singular: {rec.detail}", file=sys.stderr)
-        return SINGULAR_ERROR
-    with _writer_for(args.output, args.format) as writer:
+    with _writer_for(args.output, args.format) as writer:  # before the orbit runs
+        rec = orbit(family, x0, args.steps)
+        if rec.reason == "hit-singularity" and rec.steps_taken == 0:
+            print(f"start point is singular: {rec.detail}", file=sys.stderr)
+            return SINGULAR_ERROR
         for k, x in enumerate(rec.points):
             record: dict = {"index": k}
             record["q_z"] = x.q.z_sphere()
@@ -323,8 +323,8 @@ def _timed(suite: CheckSuite, timings: list[dict] | None) -> CheckSuite:
 
 def cmd_check(args) -> int:
     seed = _seed_of(args)
-    timings = [] if args.timings else None
-    if args.all or not args.names:
+    named = bool(args.names) and not args.all
+    if not named:
         options = {"--family": args.family, "--n": args.n, "--lambda": args.lam,
                    "--corrupt": args.corrupt or None}
         given = [opt for opt, v in options.items() if v is not None]
@@ -336,20 +336,28 @@ def cmd_check(args) -> int:
         for name in args.names:
             if not any(entry.startswith(name) for entry, _ in suite.entries):
                 raise UsageError(f"no check of the suite is named {name!r}")
-        reports = run_suite(_timed(suite, timings), args.names or None)
     else:
         try:
             entries = [entry for name in args.names for entry in _named_checks(name, args, seed)]
-            reports = run_suite(_timed(CheckSuite(seed, entries), timings))
         except (ValueError, RuntimeError, AttributeError, TypeError) as exc:
             raise UsageError(str(exc)) from exc
-    with _writer_for(args.output, args.format) as writer:
+        suite = CheckSuite(seed, entries)
+    timings = [] if args.timings else None
+    # both files are opened before any check runs, so an unwritable one
+    # fails fast; without --timings the second writer writes nothing
+    with _writer_for(args.output, args.format) as writer, \
+            _writer_for(args.timings, "json") as timings_writer:
+        try:
+            reports = run_suite(_timed(suite, timings), None if named else args.names or None)
+        except (ValueError, RuntimeError, AttributeError, TypeError) as exc:
+            if not named:
+                raise
+            # a named check validates its level when it runs
+            raise UsageError(str(exc)) from exc
         for r in reports:
             writer.write(r.to_dict())
-    if timings is not None:
-        with _writer_for(args.timings, "json") as writer:
-            for t in timings:
-                writer.write(t)
+        for t in timings or ():
+            timings_writer.write(t)
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 

@@ -465,13 +465,15 @@ class TestStepWork:
             monkeypatch.setattr(module, name, counted)
 
         for module, name in ((geometry, "on_conic"), (billiards, "on_conic"),
-                             (billiards, "_check_singular"), (billiards, "involution")):
+                             (billiards, "_singular_near"), (billiards, "_check_singular"),
+                             (billiards, "involution")):
             count(module, name)
         steps = 100
         rec = orbit(fam, x0, steps)
         assert (rec.reason, rec.steps_taken) == ("completed", steps)
         assert calls["on_conic"] <= steps + 1  # one more for x0.validate()
-        assert calls["_check_singular"] <= 2 * steps
+        assert calls["_singular_near"] <= 2 * steps
+        assert calls["_check_singular"] == 0  # it only words a stop or a refusal
         assert calls["involution"] == 0
 
     @staticmethod
@@ -673,13 +675,20 @@ def _without_parameter(detail: str) -> str:
     return re.sub(r"^tangency parameter \S+ ", "", detail)
 
 
+def _singular_wording(fam: BilliardFamily, z0) -> str:
+    """The stop detail that ``_check_singular`` words for z0."""
+    with pytest.raises(SingularTangencyError) as exc:
+        billiards._check_singular(fam, z0, billiards.SINGULARITY_GUARD)
+    return str(exc.value)
+
+
 class TestOffsetOrbit:
     """The offset-state kernel that the conservation check iterates,
     ``billiards._offset_orbit``, against ``orbit`` through projective
     points: the same stop at the same step, and the same tangency
     parameters up to rounding."""
 
-    @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
+    @pytest.mark.parametrize("fam", STEP_INSTANCES, ids=BilliardFamily.label)
     def test_same_stops_and_parameters_as_orbit(self, fam):
         cases = [(lam, t0, branch, 500) for lam, t0, branch in CONSERVATION_CASES[fam.tag]]
         cases += [(lam, t0, "+", 50) for tag, n, lam, t0 in TRANSLATION_CASES if (tag, n) == (fam.tag, fam.n)]
@@ -697,6 +706,12 @@ class TestOffsetOrbit:
                 assert (reason, taken) == (rec.reason, rec.steps_taken), (lam, t0, seed)
                 assert _without_parameter(detail) == _without_parameter(rec.detail)
                 assert len(z0s) == len(us) == taken + 1
+                if reason == "hit-singularity":
+                    # both stops are worded by _check_singular, each from its
+                    # own last parameter: the same text where those agree
+                    assert detail == _singular_wording(fam, z0s[-1])
+                    if z0s[-1] == rec.points[-1].p.z_sphere().value:
+                        assert detail == rec.detail
                 for k in range(min(50, len(z0s))):
                     want = rec.points[k].p.z_sphere().value
                     assert abs(z0s[k] - want) <= 1e-8 * max(1.0, abs(want)), (lam, t0, seed, k)
@@ -731,3 +746,35 @@ class TestOffsetOrbit:
         assert us[1] == 1.0 / f_coefficient(fam, z0).value
         for z, x in zip(z0s, rec.points):
             assert abs(z - x.p.z_sphere().value) <= 1e-12 * max(1.0, abs(z))
+
+
+@pytest.mark.parametrize(
+    "fam, lam, t0", [(BilliardFamily("b1"), 2.0, 2.7), (BilliardFamily("a1", 1), 1.0, 1.0)],
+    ids=["b1", "a1(1)"],
+)
+def test_registry_bend_is_seen_between_calls(fam, lam, t0, monkeypatch):
+    # the map, the orbit and the kernel take the coefficient from FAMILIES
+    # on each call, so a bend between two calls on one instance shows
+    x0 = lift_fiber(fam, lam, t0, "+")
+    z0 = x0.p.z_sphere().value
+    u = x0.q.z_sphere().value - z0
+
+    def results():
+        return (
+            billiards._offset_orbit(fam, z0, u, 5)[:2],
+            [x.p.coords for x in orbit(fam, x0, 5).points],
+            billiard_map(fam, x0).q.coords,
+        )
+
+    before = results()
+    spec = FAMILIES[fam.tag]
+    if fam.is_a:
+        shift = spec.shift
+        bent = dataclasses.replace(spec, shift=lambda n: shift(n) + Fraction(1, 10**6))
+    else:
+        f = spec.f
+        bent = dataclasses.replace(spec, f=lambda z: f(z) + 1e-6)
+    monkeypatch.setitem(FAMILIES, fam.tag, bent)
+    after = results()
+    for old, new in zip(before, after):
+        assert old != new

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from dualbill import verify
+from dualbill import cli, verify
 from dualbill.cli import RecordWriter, main
 
 
@@ -448,17 +448,33 @@ class TestBadInput:
         err = self.usage_error(["orbit", "--family", "b1", "--lambda", "nan"], capsys)
         assert "lambda" in err and "critical" not in err
 
-    def test_unwritable_output(self, tmp_path, capsys):
-        path = tmp_path / "missing-dir" / "out.jsonl"
-        err = self.usage_error(
-            ["orbit", "--family", "b1", "--lambda", "2", "--output", str(path)], capsys
-        )
-        assert "cannot write" in err
+    @staticmethod
+    def _never_called(*args):
+        raise AssertionError("ran before the output was opened")
 
-    def test_unwritable_timings(self, tmp_path, capsys):
-        path = tmp_path / "missing-dir" / "t.jsonl"
-        err = self.usage_error(["check", "tables", "--family", "b1", "--timings", str(path)], capsys)
-        assert "cannot write" in err
+    @staticmethod
+    def unwritable(args, path, capsys):
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"cannot write {path}") and len(err.splitlines()) == 1
+
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch):
+        # the file is opened before the orbit or any check runs
+        monkeypatch.setattr(cli, "orbit", self._never_called)
+        monkeypatch.setattr(cli, "run_suite", self._never_called)
+        path = str(tmp_path / "missing-dir" / "out.jsonl")
+        for args in (["orbit", "--family", "b1", "--lambda", "2", "--output", path],
+                     ["check", "--all", "--output", path],
+                     ["check", "tables", "--family", "b1", "--output", path]):
+            self.unwritable(args, path, capsys)
+
+    def test_unwritable_timings(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", self._never_called)
+        path = str(tmp_path / "missing-dir" / "t.jsonl")
+        for args in (["check", "tables", "--family", "b1", "--timings", path],
+                     ["check", "--all", "--timings", path]):
+            self.unwritable(args, path, capsys)
 
     @pytest.mark.parametrize(
         "kind,family", [("conservation", "b1"), ("translation", "a1"), ("abel", "b1")]
