@@ -302,9 +302,10 @@ def _named_checks(name: str, args, seed: int):
 
 def _timed(suite: CheckSuite, timings: list[dict] | None) -> CheckSuite:
     """The suite whose entries, as they run, add to ``timings`` their
-    report's name, wall seconds and evaluated samples (null for a report
-    that counts none); the suite itself when ``timings`` is None.  Each
-    entry still looks its check function up when it runs."""
+    report's name, wall seconds, evaluated samples (null for a report that
+    counts none) and fallbacks, the lanes evaluated again on the scalar or
+    exact path; the suite itself when ``timings`` is None.  Each entry
+    still looks its check function up when it runs."""
     if timings is None:
         return suite
 
@@ -313,8 +314,10 @@ def _timed(suite: CheckSuite, timings: list[dict] | None) -> CheckSuite:
             start = time.perf_counter()
             report = fn()
             seconds = time.perf_counter() - start
-            evaluated = report.params.get("evaluated")
-            timings.append({"name": report.name, "seconds": seconds, "evaluated": evaluated})
+            timings.append({
+                "name": report.name, "seconds": seconds,
+                "evaluated": report.params.get("evaluated"), "fallbacks": report._fallbacks,
+            })
             return report
         return run
 
@@ -341,6 +344,12 @@ def cmd_check(args) -> int:
             entries = [entry for name in args.names for entry in _named_checks(name, args, seed)]
         except (ValueError, RuntimeError, AttributeError, TypeError) as exc:
             raise UsageError(str(exc)) from exc
+        if all(name == "equivalences" for name in args.names):
+            given = [opt for opt, v in (("--family", args.family), ("--n", args.n)) if v is not None]
+            if given:
+                raise UsageError(
+                    f"check 'equivalences' runs on no family: it takes no {', '.join(given)}"
+                )
         suite = CheckSuite(seed, entries)
     timings = [] if args.timings else None
     # both files are opened before any check runs, so an unwritable one
@@ -481,8 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--timings", default=None, metavar="FILE",
-        help="write one JSON line per report to FILE: its name, wall seconds "
-        "and evaluated samples (the report stream is unchanged)",
+        help="write one JSON line per report to FILE: its name, wall seconds, "
+        "evaluated samples and lanes evaluated again on the scalar or exact "
+        "path (the report stream is unchanged)",
     )
     _add_output(p_check)
     p_check.set_defaults(func=cmd_check)

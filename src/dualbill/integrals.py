@@ -8,9 +8,11 @@ homogenizes both factored forms to the common degree and multiplies them
 out exactly in integers at the float point, so its value is the true ratio
 correctly rounded, at infinite points too; near a base point (where
 numerator and denominator share a zero) evaluation is refused inside a
-guard radius.  On a tangent line of the parabola R also has a float form
-that runs on numpy lanes, and an exact one at a float offset state, for the
-conservation check.
+guard radius.  R also has a float form by its factors, with an estimate of
+its rounding error, that runs on numpy lanes at any point and on a tangent
+line of the parabola, where the conic factor is -u^2 at the offset u; the
+conservation and equivalences checks run it.  On a tangent line it has an
+exact form at a float offset state as well.
 
 The polynomial factors of each integral are tabulated here, one entry per
 family; the base points and the critical value table are read from the
@@ -189,6 +191,25 @@ class BiPoly:
             inner = 0j
             for c in reversed(row):
                 inner = inner * w + c
+            acc = acc * z + inner
+        return acc
+
+    def at(self, z, w, t):
+        """Value at [z : w : t] of the homogenization to the polynomial's
+        own degree, by the Horner rule of ``__call__`` with each coefficient
+        times its power of t; on Python numbers or numpy lanes."""
+        d = self.total_degree
+        powers = [1.0]
+        for _ in range(d):
+            powers.append(powers[-1] * t)
+        acc = 0j
+        for i, row in reversed(list(enumerate(self._rows()))):
+            inner = 0j
+            for j in range(len(row) - 1, -1, -1):
+                inner = inner * w
+                if row[j]:
+                    term = row[j] * powers[d - i - j]
+                    inner = inner + term
             acc = acc * z + inner
         return acc
 
@@ -550,28 +571,66 @@ def _on_tangent(z0, u):
     return z0 + u, z0 * z0 + 2.0 * z0 * u
 
 
-def eval_on_tangent(family: BilliardFamily, z0, u):
-    """R at Q = (z0 + u, z0^2 + 2 z0 u), the point at offset u of the tangent
-    line at P = (z0, z0^2), on Python numbers, jets or numpy lanes.
+def _factored(family: BilliardFamily, z, w, t, conic, bounds=None, conic_cond=None):
+    """R at the point [z : w : t] by the factors of the family's table, on
+    Python numbers, jets or numpy lanes: conic^k / prod f_i(z, w, t)^m_i,
+    with ``conic`` the value of w t - z^2 there and each factor homogenized
+    to its own degree, times the power of t that brings numerator and
+    denominator to one degree.  ``t = None`` is the affine point (z, w),
+    where the factors are evaluated by :meth:`BiPoly.__call__` and no power
+    of t enters.  Unlike :func:`eval_integral` it is not exact and has no
+    base-point guard; a pole or 0/0 raises on Python numbers and is not
+    finite on a lane.
 
-    On the tangent line w - z^2 = -u^2, so R = (-u^2)^k / prod f_i(Q)^m_i
-    with the denominator factors f_i of the family's table, each by
-    :meth:`BiPoly.__call__`.  Unlike :func:`eval_integral` it is not exact
-    and has no base-point guard; near a base point its factors cancel (see
-    :func:`tangent_condition`).  A pole or 0/0 raises on Python numbers and
-    is not finite on a lane.
+    With ``bounds`` of (|z|, |w|), and of |t| for a projective point, it
+    also returns an estimate, in units of the machine epsilon, of the
+    value's relative rounding error: k ``conic_cond``, the conic's own
+    relative error, plus m_i |f_i|(bounds) / |f_i(z, w, t)| for each
+    denominator factor, where |f_i| has the moduli of the factor's
+    coefficients.  It is large only near a base point, where the factors
+    cancel.  Without bounds the estimate is None.  Returns the value and
+    the estimate.
     """
     integ = first_integral(family)
-    z, w = _on_tangent(z0, u)
+    k = integ.zero_order
     # every product and quotient takes named operands: numpy would compute
     # one in place into a temporary right operand past 256 KiB, and round
     # it otherwise than on a shorter array
-    den = 1.0
-    for poly, mult in integ.den_factors:
-        f = poly(z, w) ** mult
-        den = den * f
-    num = (u * u * -1.0) ** integ.zero_order
-    return num / den
+    num, den = conic**k, 1.0
+    cond = None if bounds is None else k * conic_cond
+    for (poly, mult), bound in zip(integ.den_factors, integ._den_magnitudes):
+        f = poly(z, w) if t is None else poly.at(z, w, t)
+        power = f**mult
+        den = den * power
+        if bounds is not None:
+            size = bound(*bounds) if t is None else bound.at(*bounds)
+            cond = cond + mult * size.real / abs(f)
+    if t is not None:
+        pad = integ.den.total_degree - 2 * k
+        if pad:
+            power = t ** abs(pad)
+            if pad > 0:
+                num = num * power
+            else:
+                den = den * power
+    return num / den, cond
+
+
+def eval_on_tangent(family: BilliardFamily, z0, u):
+    """R at Q = (z0 + u, z0^2 + 2 z0 u), the point at offset u of the tangent
+    line at P = (z0, z0^2), on Python numbers, jets or numpy lanes: there
+    w - z^2 = -u^2, so R = (-u^2)^k / prod f_i(Q)^m_i (:func:`_factored`).
+    Near a base point its factors cancel (see :func:`tangent_condition`).
+    """
+    return _factored(family, *_on_tangent(z0, u), None, u * u * -1.0)[0]
+
+
+def _on_tangent_factored(family: BilliardFamily, z0, u):
+    """:func:`eval_on_tangent` and :func:`tangent_condition` at once, on
+    Python numbers or numpy lanes, with Q and the factors evaluated once."""
+    z, w = _on_tangent(z0, u)
+    az0, au = abs(z0), abs(u)
+    return _factored(family, z, w, None, u * u * -1.0, _on_tangent(az0, au), 2 * (az0 + abs(z)) / au)
 
 
 def _tangent_point(z0: complex, u: complex | SphereValue) -> ProjectivePoint:
@@ -615,24 +674,16 @@ def _exact_on_tangent(family: BilliardFamily, z0: complex, u: complex | SphereVa
 def tangent_condition(family: BilliardFamily, z0, u):
     """An estimate, in units of the machine epsilon, of the relative
     rounding error of :func:`eval_on_tangent` at (z0, u), on Python numbers
-    or numpy lanes.
+    or numpy lanes (:func:`_factored`).
 
-    It adds 2k (|z0| + |z|) / |u| for the numerator, the error of u were
-    it the difference of two rounded parameters (the conservation check
-    reads every Q at an offset that ``billiards._offset_orbit`` carries:
-    the start's, or Q_k at -u_k = u'_{k-1} on the tangent line at P_{k-1},
-    so there this term is a margin), and m_i |f_i|(Z, W) / |f_i(z, w)| for
-    each denominator factor, where |f_i| has the moduli of the factor's
-    coefficients and Z = |z0| + |u|, W = |z0|^2 + 2 |z0| |u| bound |z| and
-    |w|.  It is large only near a base point, where the factors cancel.
+    The numerator's share is 2k (|z0| + |z|) / |u|, the error of u were it
+    the difference of two rounded parameters (the conservation check reads
+    every Q at an offset that ``billiards._offset_orbit`` carries: the
+    start's, or Q_k at -u_k = u'_{k-1} on the tangent line at P_{k-1}, so
+    there this term is a margin); each denominator factor's bound takes Z =
+    |z0| + |u| and W = |z0|^2 + 2 |z0| |u|, which bound |z| and |w|.
     """
-    integ = first_integral(family)
-    z, w = _on_tangent(z0, u)
-    az0, au = abs(z0), abs(u)
-    cond = 2 * integ.zero_order * (az0 + abs(z)) / au
-    for (poly, mult), bound in zip(integ.den_factors, integ._den_magnitudes):
-        cond = cond + mult * bound(*_on_tangent(az0, au)).real / abs(poly(z, w))
-    return cond
+    return _on_tangent_factored(family, z0, u)[1]
 
 
 def _jet(num: tuple, den: tuple, a, b, r=None) -> tuple[tuple[complex, complex], np.ndarray]:

@@ -26,16 +26,18 @@ a relative 1e-9 of the guard radius or of an edge of the conditioning
 window, so its draws and the stream's state are those of drawing one at a
 time, bit for bit.  The draws stay arrays up to the lane loop; Python
 numbers are built only for a lane that the scalar path evaluates and for
-the witness.  These three and the conservation check share one lane loop,
-:func:`_laned`, which runs the residual once on numpy arrays of every lane
-through the library's own arithmetic.  Every operation is elementwise, so
-a lane's residual does not depend on the size or order of its batch.  A
-lane whose residual is not finite, or whose image is at infinity on the
-sphere, is evaluated again on the scalar path: on Python numbers, where the
-involution's pole gives INF; by ``forms._area_residual``, which raises
-there; or by the exact ``integrals._exact_on_tangent``, which also takes
-every iterate with Q on the infinity line or where the factors of the
-tangent-line form cancel.  The conservation check iterates the orbit in
+the witness.  These three, the conservation check and the integral half
+of the equivalences check share one lane loop, :func:`_laned`, which runs
+the residual once on numpy arrays of every lane through the library's own
+arithmetic.  Every operation is elementwise, so a lane's residual does not
+depend on the size or order of its batch.  A lane whose residual is not
+finite, or whose image is at infinity on the sphere, is evaluated again on
+the scalar path: on Python numbers, where the involution's pole gives INF;
+by ``forms._area_residual``, which raises there; by the exact
+``integrals._exact_on_tangent``, which also takes every iterate with Q on
+the infinity line or where the factors of the tangent-line form cancel; or,
+for the equivalences, by ``eval_integral`` at the point's ProjectivePoint
+(:func:`_integral_equivalences`).  The conservation check iterates the orbit in
 the offset state (z0, u) (``billiards._offset_orbit``) and evaluates R with
 no projective point, at Q_k's offset -u_k on the tangent line at P_{k-1},
 which keeps Q_k where |u_k| is far above |z0|.  An iterate inside the
@@ -94,14 +96,14 @@ from .geometry import (
 from .integrals import (
     BASE_POINT_GUARD,
     _exact_on_tangent,
+    _factored,
     _on_tangent,
+    _on_tangent_factored,
     _tangent_point,
     eval_integral,
-    eval_on_tangent,
     first_integral,
     gradient_hessian_projective,
     indeterminacy_set,
-    tangent_condition,
 )
 from .numerics import INF, INF_THRESHOLD, SphereValue
 
@@ -134,6 +136,9 @@ class CheckReport:
     status: str  # "pass" | "fail" | "skipped"
     worst: float
     witness: dict | None = None
+    #: lanes evaluated again on the scalar or exact path, for the timings
+    #: side channel: not part of the report
+    _fallbacks: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         if self.status == "fail" and self.witness is None:
@@ -164,6 +169,7 @@ class _Residuals:
     witness: dict | None = None
     evaluated: int = 0
     dropped: Counter = field(default_factory=Counter)
+    fallbacks: int = 0
 
     def note(self, res: float, witness: Callable[[], dict], *, count: bool = True) -> None:
         """Record one residual; ``count`` makes it an evaluated sample."""
@@ -174,22 +180,19 @@ class _Residuals:
 
     def note_lanes(self, res: np.ndarray, kept: np.ndarray, where: Callable[[int], dict]) -> None:
         """Record the residuals of the lanes that ``kept`` marks in one
-        step, as ``note`` of each in lane order does: the first NaN, or else
-        the first strict maximum above the worst so far, becomes the worst,
-        and ``where`` of its lane the witness."""
+        step, as ``note`` of each in lane order does, a lane's row of
+        ``res`` in order when it has several: the first NaN, or else the
+        first strict maximum above the worst so far, becomes the worst, and
+        ``where`` of its index in the flattened ``res`` the witness."""
         self.evaluated += int(np.count_nonzero(kept))
         if math.isnan(self.worst) or not kept.any():
             return
-        nan = kept & np.isnan(res)
-        if nan.any():
-            k = int(nan.argmax())
-        else:
-            res = np.where(kept, res, -math.inf)
-            k = int(res.argmax())
-            if not res[k] > self.worst:
-                return
-        self.worst = float(res[k])
-        self.witness = where(k)
+        res = np.where(kept[:, None], np.reshape(res, (len(kept), -1)), -math.inf).ravel()
+        nan = np.isnan(res)
+        k = int(nan.argmax() if nan.any() else res.argmax())
+        if nan[k] or res[k] > self.worst:
+            self.worst = float(res[k])
+            self.witness = where(k)
 
     def report(
         self, name: str, family: BilliardFamily | None, params: dict, bound: float,
@@ -207,7 +210,9 @@ class _Residuals:
         else:
             status, witness = "fail", self.witness
         label = None if family is None else family.label()
-        return CheckReport(name, label, {**params, **counts}, status, self.worst, witness)
+        return CheckReport(
+            name, label, {**params, **counts}, status, self.worst, witness, _fallbacks=self.fallbacks
+        )
 
 
 def _worse(*residuals: float) -> float:
@@ -345,23 +350,26 @@ def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint
 
 def _laned(
     residual: Callable, lanes: tuple[np.ndarray, ...], where: Callable[[int], dict],
-    fallback: Callable[[int], float | None] | None = None,
+    fallback: Callable[[int], float | None] | None = None, acc: _Residuals | None = None,
 ) -> _Residuals:
-    """The residuals of a check whose samples are lanes: ``residual``, which
-    returns each lane's residual and image, runs once on fresh contiguous
+    """The residuals of a check whose samples are lanes, recorded into
+    ``acc`` (by default a new one): ``residual``, which returns each lane's
+    residual, or a row of them, and its image, runs once on fresh contiguous
     numpy arrays of every lane (numpy's complex ``abs`` rounds differently
     on a strided view).
 
-    A lane whose residual is not finite or whose image has modulus
+    A lane whose residuals are not finite or whose image has modulus
     INF_THRESHOLD or more is evaluated again by ``fallback(k)``, by default
     ``residual`` on the lane's Python numbers: on the involution's pole
     numpy gives a non-finite or huge image, and Python numbers give INF, as
-    the scalar path does.  A call that raises drops its lanes (the lane call
-    all of them) under the exception class; a fallback that returns None
-    drops its lane as an infinite value.  The residuals are then recorded
-    in one step, and the witness is ``where`` of the first worst lane.
+    the scalar path does; ``acc.fallbacks`` counts these lanes.  A call
+    that raises drops its lanes (the lane call all of them) under the
+    exception class; a fallback that returns None drops its lane as an
+    infinite value.  The residuals are then recorded in one step, and the
+    witness is ``where`` of the first worst residual
+    (:meth:`_Residuals.note_lanes`).
     """
-    acc = _Residuals()
+    acc = _Residuals() if acc is None else acc
     lanes = tuple(map(np.array, lanes))
     if fallback is None:
         def fallback(k):
@@ -369,13 +377,17 @@ def _laned(
     try:
         with np.errstate(all="ignore"):
             res, image = residual(*lanes)
-            again = ~(np.isfinite(res) & (abs(image) < INF_THRESHOLD))
+            finite = np.isfinite(res)
+            if finite.ndim > 1:  # a row of residuals per lane
+                finite = finite.all(axis=1)
+            again = np.flatnonzero(~(finite & (abs(image) < INF_THRESHOLD))).tolist()
     except Exception as exc:
         acc.dropped[type(exc).__name__] += len(lanes[0])
         return acc
     res = np.array(res, dtype=float)
     kept = np.ones(len(res), dtype=bool)
-    for k in np.flatnonzero(again).tolist():
+    acc.fallbacks += len(again)
+    for k in again:
         try:
             r = fallback(k)
         except Exception as exc:
@@ -418,11 +430,15 @@ def _gap(value, target, shift: float = 0.0):
 
 def _skipped(
     name: str, family: BilliardFamily, params: dict, reason: str, detail: str, steps_taken: int,
-    worst=0.0,
+    acc: _Residuals | None = None,
 ) -> CheckReport:
-    """The report of an orbit check whose orbit stopped early."""
+    """The report of an orbit check whose orbit stopped early, with the
+    worst residual of ``acc`` if its iterates were evaluated."""
     witness = {"reason": reason, "detail": detail, "steps_taken": steps_taken}
-    return CheckReport(name, family.label(), params, "skipped", worst, witness)
+    acc = _Residuals() if acc is None else acc
+    return CheckReport(
+        name, family.label(), params, "skipped", acc.worst, witness, _fallbacks=acc.fallbacks
+    )
 
 
 def _involution_residual(family: BilliardFamily, z0, z1, shift: float = 0.0):
@@ -515,7 +531,8 @@ def check_conservation(
     target = lam * (1 + 1e-3) if corrupt else lam
     # an infinite Q is a NaN lane, which the exact path evaluates
     z0_lanes, u_lanes = np.array(z0s), np.array([math.nan if u is INF else u for u in us])
-    dist = _base_point_distance(family, _tangent_coords(z0_lanes, u_lanes))
+    q = _canonical(*_on_tangent(z0_lanes, u_lanes), np.ones_like(z0_lanes))
+    dist = _base_point_distance(family, q)
     # the exact evaluation raises IndeterminacyError inside the base-point
     # guard; within rounding of its radius the guard itself decides
     inside = dist < BASE_POINT_GUARD - _GUARD_ROUNDING
@@ -524,9 +541,8 @@ def check_conservation(
     steps_left = np.flatnonzero(~inside).tolist()
 
     def residual(z0, u):
-        val = eval_on_tangent(family, z0, u)
-        exact = tangent_condition(family, z0, u) > _ROUNDING_LIMIT
-        return _gap(val, target), np.where(exact, math.nan, val)
+        val, cond = _on_tangent_factored(family, z0, u)
+        return _gap(val, target), np.where(cond > _ROUNDING_LIMIT, math.nan, val)
 
     def exact(k):
         k = steps_left[k]
@@ -542,22 +558,21 @@ def check_conservation(
         acc.dropped["IndeterminacyError"] += int(np.count_nonzero(inside))
     params = {"lam": repr(lam), "steps": steps, "seed": seed}
     if reason != "completed":
-        return _skipped(name, family, params, reason, detail, taken, acc.worst)
+        return _skipped(name, family, params, reason, detail, taken, acc)
     return acc.report(name, family, params, CONSERVATION_BOUND)
 
 
-def _tangent_coords(z0: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _canonical(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Per lane, the canonical coordinates (see
-    :class:`~dualbill.geometry.ProjectivePoint`) of Q = (z0 + u, z0^2 +
-    2 z0 u, 1), as rows z, w, t: the first coordinate of largest modulus
-    becomes 1 and the others are divided by it."""
-    z, w = _on_tangent(z0, u)
+    :class:`~dualbill.geometry.ProjectivePoint`) of [z : w : t], as rows
+    z, w, t: the first coordinate of largest modulus becomes 1 and the
+    others are divided by it."""
     one = np.ones_like(z)
-    az, aw = abs(z), abs(w)
-    by_z = (az >= aw) & (az >= 1.0)
-    by_w = ~by_z & (aw >= 1.0)
+    az, aw, at = abs(z), abs(w), abs(t)
+    by_z = (az >= aw) & (az >= at)
+    by_w = ~by_z & (aw >= at)
     with np.errstate(all="ignore"):
-        return np.where(by_z, [one, w / z, one / z], np.where(by_w, [z / w, one, one / w], [z, w, one]))
+        return np.where(by_z, [one, w / z, t / z], np.where(by_w, [z / w, one, t / w], [z / t, w / t, one]))
 
 
 def _refused(family: BilliardFamily, q: ProjectivePoint) -> bool:
@@ -831,6 +846,102 @@ def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False
     return acc.report(name, family, params, 1e-8)
 
 
+#: the integral equivalences pass within this relative residual
+_EQUIVALENCE_BOUND = 1e-9
+#: a lane whose integral values may be off by more than a thousandth of the
+#: bound (see integrals._factored) is evaluated exactly
+_EQUIVALENCE_LIMIT = 1e-3 * _EQUIVALENCE_BOUND / sys.float_info.epsilon
+_EQUIVALENCE_KINDS = ("b-integral equivalence", "c-integral equivalence")
+
+
+def _integral_lanes(family: BilliardFamily, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R of the family at lanes of canonical coordinates (rows z, w, t) by
+    its factors, with the estimate of its relative rounding error
+    (:func:`~dualbill.integrals._factored`); the conic w t - z^2 is off by
+    about (|w| |t| + |z|^2) / |w t - z^2| machine epsilons of itself."""
+    z, w, t = coords
+    az, aw, at = abs(z), abs(w), abs(t)
+    wt, zz = w * t, z * z
+    conic = wt - zz
+    return _factored(family, z, w, t, conic, (az, aw, at), (aw * at + az * az) / abs(conic))
+
+
+def _mapped(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """The canonical coordinates of the images of lanes of points under the
+    projective map with matrix m, one elementwise sum per row (a matrix
+    product may round a lane by its place in the batch)."""
+    z, w, t = coords
+    rows = []
+    for a, b, c in m.tolist():
+        x, y, s = a * z, b * w, c * t
+        rows.append(x + y + s)
+    return _canonical(*rows)
+
+
+def _integral_equivalences(
+    rng: random.Random, psi: ProjectiveMap, mc: ProjectiveMap, acc: _Residuals
+) -> None:
+    """Record into ``acc`` the residuals of R_b1(p) = R_b2(psi(p)) and of
+    -3 R_c2(p) = R_c1(m_c(p)), relative to max(1, |R_b1(p)|) and
+    max(1, |R_c1(m_c(p))|), at points p = (z, w) whose four parts are
+    ``rng.uniform(-2, 2)`` in turn, until 100 points are evaluated or 2000
+    attempted.
+
+    A block takes as many attempts as a loop over points one at a time
+    would surely take, four randoms each (:func:`_randoms`;
+    ``rng.uniform(-2, 2)`` is -2 + 4 ``random()``), so the stream moves as
+    that loop moves it.  The points, psi and m_c are applied on lanes of
+    canonical coordinates, and R by its factors (:func:`_integral_lanes`).
+    A lane is evaluated again on the exact scalar path, the loop's own body
+    with ``eval_integral`` on ProjectivePoints, when a value's rounding
+    estimate exceeds ``_EQUIVALENCE_LIMIT``, a value is not finite or
+    reaches INF_THRESHOLD, or a point is within rounding of a base point's
+    ``BASE_POINT_GUARD`` or inside it.  That path drops a point under the
+    class of the first evaluation that raises, in the order b1, b2, c2,
+    c1, and then as an infinite value.  A point's two residuals are noted
+    in that order, the first counting the point as evaluated.
+    """
+    b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
+    c1, c2 = BilliardFamily("c1"), BilliardFamily("c2")
+
+    def residual(z, w):
+        p = _canonical(z, w, np.ones_like(z))
+        sure, values = True, []
+        for family, coords in ((b1, p), (b2, _mapped(psi.matrix, p)), (c2, p), (c1, _mapped(mc.matrix, p))):
+            val, cond = _integral_lanes(family, coords)
+            far = _base_point_distance(family, coords) > BASE_POINT_GUARD + _GUARD_ROUNDING
+            sure = sure & far & (cond <= _EQUIVALENCE_LIMIT) & (abs(val) < INF_THRESHOLD)
+            values.append(val)
+        rb1, rb2, rc2, rc1 = values
+        b_gap, c_gap = rb1 - rb2, -3.0 * rc2 - rc1
+        res = [abs(b_gap) / np.maximum(1.0, abs(rb1)), abs(c_gap) / np.maximum(1.0, abs(rc1))]
+        return np.stack(res, axis=1), np.where(sure, 0.0, math.nan)
+
+    attempts = 0
+    while acc.evaluated < 100 and attempts < 2000:
+        n = min(100 - acc.evaluated, 2000 - attempts)
+        attempts += n
+        # parts (z.re, z.im, w.re, w.im) of each point, as the loop draws them
+        z, w = (_randoms(rng, 4 * n) * 4.0 - 2.0).view(complex).reshape(n, 2).T
+
+        def exact(k):
+            pt = ProjectivePoint.affine(z[k].item(), w[k].item())
+            rb1 = eval_integral(b1, pt)
+            rb2 = eval_integral(b2, psi(pt))
+            rc2 = eval_integral(c2, pt)
+            rc1 = eval_integral(c1, mc(pt))
+            if rb1.is_inf or rb2.is_inf or rc1.is_inf or rc2.is_inf:
+                return None
+            b_res = abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value))
+            return b_res, abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value))
+
+        def where(k):
+            pt = ProjectivePoint.affine(z[k // 2].item(), w[k // 2].item())
+            return {"what": _EQUIVALENCE_KINDS[k % 2], "where": repr(pt)}
+
+        _laned(residual, (z, w), where, exact, acc)
+
+
 def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
     """The two projective equivalences intertwine integrals and billiards."""
     name = "equivalences"
@@ -842,34 +953,13 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
         m[0, 0] += 1e-3
         psi = ProjectiveMap(m)
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
-    c1, c2 = BilliardFamily("c1"), BilliardFamily("c2")
     acc = _Residuals()
 
-    def note(res: float, what: str, where, count: bool = False):
-        acc.note(res, lambda: {"what": what, "where": repr(where)}, count=count)
+    def note(res: float, what: str, where):
+        acc.note(res, lambda: {"what": what, "where": repr(where)}, count=False)
 
-    attempts = 0
-    while acc.evaluated < 100 and attempts < 2000:
-        attempts += 1
-        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        pt = ProjectivePoint.affine(z, w)
-        try:
-            rb1 = eval_integral(b1, pt)
-            rb2 = eval_integral(b2, psi(pt))
-            rc2 = eval_integral(c2, pt)
-            rc1 = eval_integral(c1, mc(pt))
-        except Exception as exc:
-            acc.dropped[type(exc).__name__] += 1
-            continue
-        if rb1.is_inf or rb2.is_inf or rc1.is_inf or rc2.is_inf:
-            acc.dropped["infinite value"] += 1
-            continue
-        # one evaluated sample per point; the map commutation below counts none
-        b_res = abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value))
-        note(b_res, "b-integral equivalence", pt, count=True)
-        c_res = abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value))
-        note(c_res, "c-integral equivalence", pt)
+    # one evaluated sample per point; the map commutation below counts none
+    _integral_equivalences(rng, psi, mc, acc)
     # lifted-map commutation on phase points, drawn as many at a time as
     # the loop would surely take one by one
     count = 0
@@ -892,7 +982,7 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
             pres = cross_norm(img.p.coords, fy.p.coords)
             note(_worse(qres, pres), "billiard-map commutation", x.q)
             count += 1
-    return acc.report(name, None, {"samples": 100, "seed": seed}, 1e-9)
+    return acc.report(name, None, {"samples": 100, "seed": seed}, _EQUIVALENCE_BOUND)
 
 
 # --------------------------------------------------------------------------

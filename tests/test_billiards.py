@@ -670,6 +670,59 @@ class TestStepAgainstClosedForm:
         assert _step_gap(_nearer_candidate_map, fam, random.Random(0)) > STEP_TOL
 
 
+def _offset_orbit_by_step(family, z0, u, n):
+    """``billiards._offset_orbit`` as a loop that tests every step before
+    the next: the reference of its blocks and masks."""
+    spec = family.spec
+    f = billiards._coefficient_of(spec, family.n)
+    finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
+    guard = billiards.SINGULARITY_GUARD
+    z0s, us = [z0], [u]
+    for k in range(n):
+        if billiards._singular_near(z0, finite, at_infinity, guard) is not None:
+            try:
+                billiards._check_singular(family, z0, guard)
+            except SingularTangencyError as exc:
+                return z0s, us, "hit-singularity", str(exc), k
+        if z0 is INF:
+            return z0s, us, "left-numeric-domain", "tangency point at infinity", k
+        u = billiards._image(f(z0), u)
+        if u is INF:
+            z0 = INF
+            continue
+        z0, u = z0 + 2.0 * u, -u
+        if not abs(z0) + abs(u) < billiards._SAFE_OFFSET:
+            stop = billiards._offset_stop(z0, u)
+            if stop:
+                return z0s, us, "left-numeric-domain", stop, k
+        z0s.append(z0)
+        us.append(u)
+    return z0s, us, "completed", "", n
+
+
+def _random_offset_start(fam, rng):
+    """A start (z0, u) and a step count that reach each stop of the kernel
+    now and then: near a singular parameter, far out, at an infinite or
+    huge offset, and on the pole of the involution."""
+    z0 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    u = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * 10 ** rng.uniform(-3, 3)
+    kind = rng.randrange(7)
+    if kind == 0:
+        near = complex(rng.uniform(-2e-8, 2e-8), rng.uniform(-2e-8, 2e-8))
+        z0 = rng.choice(fam.spec.singular_finite) + near
+    elif kind == 1:
+        z0 *= 10 ** rng.uniform(10, 60)
+    elif kind == 2:
+        u = INF
+    elif kind == 3:
+        u *= 10 ** rng.uniform(20, 160)
+    elif kind == 4 and billiards._coefficient(fam, z0) != 0:
+        u = -1.0 / billiards._coefficient(fam, z0)
+    elif kind == 5:
+        u = complex(rng.choice([1e307, 1e300]), rng.choice([1e307, -1e308, 0.0]))
+    return z0, u, rng.choice([1, 2, 255, 256, 257, 600])
+
+
 def _without_parameter(detail: str) -> str:
     """A stop detail with the repr of the tangency parameter taken out."""
     return re.sub(r"^tangency parameter \S+ ", "", detail)
@@ -746,6 +799,78 @@ class TestOffsetOrbit:
         assert us[1] == 1.0 / f_coefficient(fam, z0).value
         for z, x in zip(z0s, rec.points):
             assert abs(z - x.p.z_sphere().value) <= 1e-12 * max(1.0, abs(z))
+
+
+    #: starts (z0, u) that stop early, each for one reason; a1(2) is the
+    #: lifted start of CI, whose stop falls in the second block
+    EARLY_STOPS = {
+        "singular": (BilliardFamily("d"), 1 + 5e-9j, 0.5 + 0j, "hit-singularity", 0),
+        "singular at infinity": (
+            BilliardFamily("b2"), -0.7985521197640022 - 0.36655043936716947j,
+            0.6109620502931166 - 0.03607611035925382j, "hit-singularity", 1,
+        ),
+        "second block": (BilliardFamily("a1", 2), None, None, "hit-singularity", 265),
+        "tangency point at infinity": (BilliardFamily("c1"), 2 + 0j, -0.4375 + 0j, "left-numeric-domain", 1),
+        "blew up": (
+            BilliardFamily("c1"), -2.9393655374838035e59 - 3.307418214630799e59j,
+            72.45367973385004 + 60.9637422724713j, "left-numeric-domain", 0,
+        ),
+        "nan": (BilliardFamily("d"), 0.01 + 0j, 1e307 + 1e307j, "left-numeric-domain", 0),
+    }
+
+    @staticmethod
+    def early_start(fam, z0, u):
+        if z0 is None:
+            x0 = lift_fiber(fam, 1.0, 1.7, "+")
+            z0 = x0.p.z_sphere().value
+            return x0, z0, x0.q.z_sphere().value - z0
+        return PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0)), z0, u
+
+    @pytest.mark.parametrize("case", list(EARLY_STOPS))
+    def test_early_stops_are_those_of_orbit(self, case):
+        fam, z0, u, reason, taken = self.EARLY_STOPS[case]
+        x0, z0, u = self.early_start(fam, z0, u)
+        rec = orbit(fam, x0, 10**6)
+        z0s, us, got, detail, steps = billiards._offset_orbit(fam, z0, u, 10**6)
+        assert (got, steps) == (rec.reason, rec.steps_taken) == (reason, taken)
+        assert _without_parameter(detail) == _without_parameter(rec.detail)
+        # the step to E is taken and not listed
+        assert len(z0s) == len(us) == taken + (case != "tangency point at infinity")
+
+    @pytest.mark.parametrize("fam", STEP_INSTANCES, ids=BilliardFamily.label)
+    def test_blocks_give_the_loop_step_by_step(self, fam):
+        # every iterate (bits), stop, detail and step count of the loop that
+        # tests each step before the next, on starts that reach every stop
+        rng = random.Random(f"offset blocks:{fam.label()}")
+        reasons = Counter()
+        for _ in range(60):
+            z0, u, n = _random_offset_start(fam, rng)
+            got, want = billiards._offset_orbit(fam, z0, u, n), _offset_orbit_by_step(fam, z0, u, n)
+            assert repr(got) == repr(want), (z0, u, n)
+            reasons[got[2]] += 1
+        assert reasons["completed"] and reasons["hit-singularity"]
+
+    @pytest.mark.parametrize("case", list(EARLY_STOPS))
+    def test_an_early_stop_computes_at_most_one_block(self, case, monkeypatch):
+        # the recurrence runs a block before it looks for a stop: at most
+        # _BLOCK coefficient calls past the stop, however many steps are asked
+        fam, z0, u, _, taken = self.EARLY_STOPS[case]
+        _, z0, u = self.early_start(fam, z0, u)
+        calls = Counter()
+        real = billiards._coefficient_of
+
+        def counted(spec, n):
+            f = real(spec, n)
+
+            def f_counted(z):
+                calls["f"] += 1
+                return f(z)
+
+            return f_counted
+
+        monkeypatch.setattr(billiards, "_coefficient_of", counted)
+        assert billiards._offset_orbit(fam, z0, u, 10**6)[4] == taken
+        assert taken <= calls["f"] <= taken + billiards._BLOCK
 
 
 @pytest.mark.parametrize(

@@ -203,8 +203,27 @@ class TestCheck:
         assert [t["name"] for t in lines] == [r["name"] for r in reports]
         assert len(lines) == len(reports) == 62
         for t, r in zip(lines, reports):
-            assert set(t) == {"name", "seconds", "evaluated"}
+            assert set(t) == {"name", "seconds", "evaluated", "fallbacks"}
             assert t["seconds"] >= 0.0 and t["evaluated"] == r["params"]["evaluated"]
+            assert isinstance(t["fallbacks"], int) and t["fallbacks"] >= 0
+        assert sum(t["fallbacks"] for t in lines if t["name"].startswith("conservation")) > 0
+
+    def test_timings_count_the_exact_path(self, tmp_path, capsys, monkeypatch):
+        # fallbacks are the lanes evaluated again: in conservation, the
+        # iterates that the exact path takes
+        calls = []
+        real = verify._exact_on_tangent
+
+        def exact(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(verify, "_exact_on_tangent", exact)
+        timings = tmp_path / "t.jsonl"
+        code, _ = run_cli(["check", "conservation", "--family", "c1", "--timings", str(timings)], capsys)
+        assert code == 0
+        lines = parse_jsonl(timings.read_text())
+        assert len(calls) > 0 and sum(t["fallbacks"] for t in lines) == len(calls)
 
     def test_timings_of_named_checks(self, tmp_path, capsys, monkeypatch):
         # the entries look the check functions up in verify when they run
@@ -521,6 +540,22 @@ class TestBadInput:
     def test_n_for_a_family_without_one(self, args, capsys):
         err = self.usage_error(args, capsys)
         assert "takes no N" in err
+
+    @pytest.mark.parametrize(
+        "args,option",
+        [(["--family", "b1"], "--family"), (["--n", "3"], "--n"),
+         (["--family", "a1", "--n", "2"], "--family, --n")],
+        ids=["family", "n", "family-n"],
+    )
+    def test_family_for_the_equivalences(self, args, option, capsys):
+        err = self.usage_error(["check", "equivalences", *args], capsys)
+        assert "runs on no family" in err and err.strip().endswith(option)
+
+    def test_family_for_the_equivalences_and_a_family_check(self, capsys):
+        # a named check that takes the family takes it
+        code, out = run_cli(["check", "equivalences", "tables", "--family", "b1"], capsys)
+        assert code == 0
+        assert [r["name"] for r in parse_jsonl(out)] == ["equivalences", "tables:b1"]
 
     @pytest.mark.parametrize("kind", ["involution", "area", "jacobian", "tables", "equivalences"])
     def test_lambda_for_a_check_without_a_level(self, kind, capsys):

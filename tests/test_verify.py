@@ -22,7 +22,14 @@ from dualbill.billiards import (
 )
 from dualbill.families import FAMILIES
 from dualbill.forms import _area_defect, _chart_derivative, _chart_offset, halfstep_jacobian
-from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
+from dualbill.geometry import (
+    PhasePoint,
+    ProjectiveMap,
+    ProjectivePoint,
+    b_family_equivalence,
+    c_family_equivalence,
+    conic_point,
+)
 from dualbill.integrals import BiPoly, eval_on_tangent, tangent_condition
 from dualbill.numerics import INF, INF_THRESHOLD, SphereValue
 from dualbill.verify import (
@@ -172,8 +179,9 @@ class TestNothingEvaluated:
             ("_involution_z", lambda: verify.check_involution(B1, 5, 1), 5),
             ("_area_defect", lambda: verify.check_area_form(B1, 5, 1), 5),
             ("_chart_derivative", lambda: verify.check_jacobian(B1, 5, 1), 5),
-            ("eval_on_tangent", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
-            ("eval_integral", lambda: verify.check_equivalences(3), 2000),
+            ("_on_tangent_factored", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
+            # the equivalences' lane call raises in each block of attempts
+            ("_factored", lambda: verify.check_equivalences(3), 2000),
         ],
     )
     def test_every_sample_raising_fails(self, monkeypatch, target, run, count):
@@ -257,10 +265,13 @@ class TestNaNResidual:
             # a NaN closed form against the finite determinant of the jets
             ({"halfstep_jacobian": complex(math.nan, 0.0)}, lambda: verify.check_jacobian(B1, 5, 1)),
             # a NaN lane is evaluated again by the exact path, NaN as well
-            ({"eval_on_tangent": np.full(6, complex(math.nan, 0.0)),
+            ({"_on_tangent_factored": (np.full(6, complex(math.nan, 0.0)), np.zeros(6)),
               "_exact_on_tangent": SphereValue(math.nan)},
              lambda: verify.check_conservation(B1, 2.0, 5, 1)),
-            ({"eval_integral": SphereValue(math.nan)}, lambda: verify.check_equivalences(1)),
+            # a NaN lane is evaluated again by the exact scalar path, NaN as well
+            ({"_factored": (np.full(100, complex(math.nan, 0.0)), np.zeros(100)),
+              "eval_integral": SphereValue(math.nan)},
+             lambda: verify.check_equivalences(1)),
         ],
         ids=["involution", "area", "jacobian", "conservation", "equivalences"],
     )
@@ -442,6 +453,22 @@ class TestLanes:
     def test_area_lanes_are_order_free(self, fam):
         cols = _draw_lanes(fam, "area")
         self.assert_order_free(lambda z0, z: _area_defect(fam, z0, z)[0], cols)
+
+    @pytest.mark.parametrize("tag,image", [("b1", None), ("b2", "psi"), ("c2", None), ("c1", "m_c")])
+    def test_equivalence_lanes_are_order_free(self, tag, image):
+        # R by its factors and its estimate at the equivalences' points or
+        # their images, as canonical coordinates of 100 random points
+        fam = BilliardFamily(tag)
+        m = {"psi": b_family_equivalence(), "m_c": c_family_equivalence()}.get(image)
+        rng = np.random.default_rng(7)
+        cols = tuple(rng.uniform(-2, 2, 100) + 1j * rng.uniform(-2, 2, 100) for _ in range(2))
+
+        def lanes(z, w, part):
+            p = verify._canonical(z, w, np.ones_like(z))
+            return verify._integral_lanes(fam, p if m is None else verify._mapped(m.matrix, p))[part]
+
+        for part in (0, 1):
+            self.assert_order_free(lambda z, w: lanes(z, w, part), cols)
 
     @pytest.mark.parametrize("label", ["a1(1)", "b1", "c2", "d"])
     def test_lane_bits_do_not_depend_on_batch_size(self, label):
@@ -722,6 +749,163 @@ class TestLaneReduction:
         assert struct.pack("<d", got.worst) == struct.pack("<d", want.worst)
         assert got.witness == want.witness
         assert (got.evaluated, got.dropped) == (want.evaluated, want.dropped)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_RESIDUALS, _RESIDUALS, st.booleans()), max_size=30))
+    @example([(0.5, 0.5, False), (0.25, 0.5, True), (0.5, 3.0, False)])
+    def test_rows_are_noted_in_order(self, lanes):
+        # a lane with two residuals, the equivalences' b and c: both noted
+        # in order, the lane counted once
+        res = np.array([(b, c) for b, c, _ in lanes], dtype=float).reshape(len(lanes), 2)
+        kept = np.array([k for _, _, k in lanes], dtype=bool)
+        got, want = verify._Residuals(), verify._Residuals()
+        got.note_lanes(res, kept, lambda k: {"at": k})
+        for k, (b, c, keep) in enumerate(lanes):
+            if keep:
+                want.note(b, lambda: {"at": 2 * k})
+                want.note(c, lambda: {"at": 2 * k + 1}, count=False)
+        assert struct.pack("<d", got.worst) == struct.pack("<d", want.worst)
+        assert (got.witness, got.evaluated) == (want.witness, want.evaluated)
+
+
+def _sequential_equivalences(rng, psi, mc):
+    """The integral half of the equivalences check one point at a time
+    with ``eval_integral``, as it ran before its lanes: the reference of
+    TestEquivalenceLanes."""
+    acc = verify._Residuals()
+    b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
+    c1, c2 = BilliardFamily("c1"), BilliardFamily("c2")
+    attempts = 0
+    while acc.evaluated < 100 and attempts < 2000:
+        attempts += 1
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        pt = ProjectivePoint.affine(z, w)
+        try:
+            rb1 = integrals.eval_integral(b1, pt)
+            rb2 = integrals.eval_integral(b2, psi(pt))
+            rc2 = integrals.eval_integral(c2, pt)
+            rc1 = integrals.eval_integral(c1, mc(pt))
+        except Exception as exc:
+            acc.dropped[type(exc).__name__] += 1
+            continue
+        if rb1.is_inf or rb2.is_inf or rc1.is_inf or rc2.is_inf:
+            acc.dropped["infinite value"] += 1
+            continue
+        b_res = abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value))
+        acc.note(b_res, lambda: {"what": "b-integral equivalence", "where": repr(pt)})
+        c_res = abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value))
+        acc.note(c_res, lambda: {"what": "c-integral equivalence", "where": repr(pt)}, count=False)
+    return acc
+
+
+class _Scripted(random.Random):
+    """A stream that gives chosen randoms first and then those of its
+    seed: ``random()`` and ``getrandbits`` take the same 32-bit words, the
+    first one's top 27 bits over the second one's top 26, as CPython's
+    Mersenne Twister does."""
+
+    def __init__(self, chosen, seed):
+        self.words = []
+        for r in chosen:
+            m = int(r * 2**53)
+            self.words += [(m >> 26) << 5, (m & (2**26 - 1)) << 6]
+        super().__init__(seed)
+
+    def _word(self):
+        return self.words.pop(0) if self.words else super().getrandbits(32)
+
+    def random(self):
+        a, b = self._word() >> 5, self._word() >> 6
+        return (a * 67108864.0 + b) * 2.0**-53
+
+    def getrandbits(self, k):
+        assert k % 32 == 0
+        return sum(self._word() << 32 * i for i in range(k // 32))
+
+    def getstate(self):
+        return len(self.words), super().getstate()
+
+
+def _part(x):
+    """The random that rng.uniform(-2, 2) turns into x."""
+    r = (x + 2) / 4
+    assert -2 + 4 * r == x
+    return r
+
+
+#: points (z, w) that force each verdict of the exact path: b1's base
+#: point (0, 0); points 1e-8 * (1 -+ 4e-9) from it, within rounding of the
+#: guard radius, inside and outside; and b1's pole (1, 0)
+_FORCED = {
+    "base point": (0j, 0j),
+    "inside the guard": (complex(22517998 * 2.0**-51), 0j),
+    "outside the guard": (complex(22517999 * 2.0**-51), 0j),
+    "pole": (1 + 0j, 0j),
+}
+
+
+def _stream(points, seed):
+    return _Scripted([_part(x) for z, w in points for x in (z.real, z.imag, w.real, w.imag)], seed)
+
+
+class TestEquivalenceLanes:
+    """The integral half of the equivalences check on lanes gives the
+    counts, drops and stream state of the loop over points one at a time,
+    and its witness where the residuals stand apart."""
+
+    @staticmethod
+    def both(make_rng, corrupt=False):
+        psi, mc = b_family_equivalence(), c_family_equivalence()
+        if corrupt:
+            m = psi.matrix.copy()
+            m[0, 0] += 1e-3
+            psi = ProjectiveMap(m)
+        rng, ref = make_rng(), make_rng()
+        got = verify._Residuals()
+        verify._integral_equivalences(rng, psi, mc, got)
+        want = _sequential_equivalences(ref, psi, mc)
+        assert (got.evaluated, got.dropped) == (want.evaluated, want.dropped)
+        assert rng.getstate() == ref.getstate()
+        return got, want
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 42, 9501, 9502, 9701])
+    def test_same_as_one_point_at_a_time(self, seed):
+        got, want = self.both(lambda: verify._rng_for(seed, "equivalences"))
+        assert got.worst <= 1e-12 and want.worst <= 1e-12
+        got, want = self.both(lambda: verify._rng_for(seed, "equivalences"), corrupt=True)
+        assert got.witness == want.witness
+        assert abs(got.worst - want.worst) <= 1e-9 * want.worst
+
+    @pytest.mark.parametrize("kind", list(_FORCED))
+    def test_a_forced_verdict(self, kind):
+        points = [_FORCED[kind]] * 3
+        got, want = self.both(lambda: _stream(points, 5))
+        assert got.fallbacks == 3
+        if kind == "outside the guard":
+            assert (got.evaluated, got.dropped) == (100, {})
+        else:
+            reason = "infinite value" if kind == "pole" else "IndeterminacyError"
+            assert dict(got.dropped) == {reason: 3}
+        got, want = self.both(lambda: _stream(points, 5), corrupt=True)
+        assert got.witness == want.witness
+
+    def test_every_verdict_among_random_points(self):
+        points = list(_FORCED.values()) * 30  # the first block of 100 and the next
+        got, _ = self.both(lambda: _stream(points, 8))
+        assert dict(got.dropped) == {"IndeterminacyError": 60, "infinite value": 30}
+
+    def test_the_cap_of_attempts(self, monkeypatch):
+        # every point is the base point: 2000 attempts, 8000 randoms, and
+        # the report fails with the counts the loop gives
+        points = [_FORCED["base point"]] * 2000
+        got, want = self.both(lambda: _stream(points, 0))
+        assert got.dropped == want.dropped == {"IndeterminacyError": 2000}
+        monkeypatch.setattr(verify, "_rng_for", lambda seed, name: _stream(points, seed))
+        report = check_equivalences(1)
+        assert report.status == "fail"
+        assert report.witness == {"evaluated": 0, "dropped": {"IndeterminacyError": 2000}}
 
 
 class TestConservationOnLanes:
