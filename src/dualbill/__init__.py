@@ -11,31 +11,25 @@ from .billiards import (
     OrbitRecord,
     SingularTangencyError,
     billiard_map,
-    f_coefficient,
     involution,
     orbit,
 )
 from .curves import (
     EllipticModel,
     FiberModel,
-    LevelCurveModel,
     branch_points,
     critical_fiber_components,
     curve_parameter,
     elliptic_model,
     fiber_type,
     is_regular,
-    level_curve_model,
     lift_fiber,
     parametrize_level,
     point_on_level,
 )
 from .forms import (
-    TangentSample,
     abel_steps,
-    area_form,
     area_pullback_residual,
-    fiber_differential,
     fiber_form,
     halfstep_jacobian,
 )
@@ -48,9 +42,7 @@ from .geometry import (
     c_family_equivalence,
     conic_point,
     on_conic,
-    order3_symmetries,
     tangency_points,
-    tangent_line,
 )
 from .integrals import (
     IndeterminacyError,
@@ -61,7 +53,6 @@ from .integrals import (
     first_integral,
     gradient,
     indeterminacy_set,
-    true_critical_points,
 )
 from .numerics import INF, SphereValue, roots, sphere_eq
 from .verify import CheckReport, CheckSuite, default_suite, run_suite

@@ -22,7 +22,7 @@ with u' = -u/(1 + f(z0) u): Q' is the meeting point of the tangent lines at
 P and P'.  :func:`orbit` and :func:`billiard_map` step through projective
 points and the tangency square root; the private kernel
 :func:`_offset_orbit` iterates the closed form with the same stops, and
-the conservation check runs it.  All three take the family's
+the conservation, translation and abel checks run it.  All three take the family's
 coefficient and singular set once per call and share the involution's
 arithmetic, :func:`_image`.  :func:`orbit` and :func:`billiard_map` test
 each step against that set with :func:`_singular_near`; the kernel runs
@@ -58,7 +58,6 @@ __all__ = [
     "BilliardFamily",
     "ALL_FAMILY_TAGS",
     "SingularTangencyError",
-    "f_coefficient",
     "involution",
     "billiard_map",
     "OrbitRecord",
@@ -93,14 +92,6 @@ class BilliardFamily:
     def is_a(self) -> bool:
         return self.spec.takes_n
 
-    @property
-    def rho(self) -> Fraction:
-        """Rotation parameter of an a-family, 2 - shift(N): its involution
-        coefficient is f(z0) = rho/z0."""
-        if not self.is_a:
-            raise ValueError(f"family {self.tag!r} has no rotation parameter")
-        return 2 - self.spec.shift(self.n)
-
     def label(self) -> str:
         return f"{self.tag}({self.n})" if self.is_a else self.tag
 
@@ -134,17 +125,6 @@ def _coefficient_of(spec: FamilySpec, n: int | None) -> Callable:
 def _coefficient(family: BilliardFamily, z0):
     """The involution coefficient f(z0) as :func:`_coefficient_of` gives it."""
     return _coefficient_of(family.spec, family.n)(z0)
-
-
-def f_coefficient(family: BilliardFamily, z0: complex | SphereValue) -> SphereValue:
-    """Involution coefficient f(z0) of any family (inf at poles)."""
-    z0 = SphereValue.coerce(z0)
-    if z0.is_inf:
-        raise SingularTangencyError("coefficient undefined at the infinite point")
-    try:
-        return SphereValue(_coefficient(family, z0.value))
-    except ZeroDivisionError:  # f has no common zero of numerator and denominator
-        return INF
 
 
 def _z_param(pt: ProjectivePoint) -> complex | SphereValue:

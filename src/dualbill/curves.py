@@ -75,8 +75,6 @@ __all__ = [
     "FiberComponent",
     "FiberModel",
     "fiber_type",
-    "LevelCurveModel",
-    "level_curve_model",
     "point_on_level",
     "tangency_gap",
 ]
@@ -509,13 +507,6 @@ class EllipticModel:
     def lattice_reduce(self, v: complex) -> complex:
         return lattice_reduce(v, *self.periods)
 
-    def abel_integral(
-        self, start: tuple[complex, complex], end: tuple[complex, complex]
-    ) -> complex:
-        """Integral of dt/y from the curve point ``start`` = (t, y) to ``end``,
-        modulo the period lattice: the difference of their :meth:`anchor`s."""
-        return self.anchor(start) - self.anchor(end)
-
     def anchor(self, point: tuple[complex, complex]) -> complex:
         """Elliptic logarithm of the curve point (t, y), modulo the lattice:
         the integral of dt/y from the point to its nearest branch point
@@ -934,39 +925,6 @@ def fiber_type(family: BilliardFamily, lam) -> FiberModel:
     if cell is None or cell[1] is None:
         raise ValueError(f"no fiber table for family {family.label()} at {lam!r}")
     return FiberModel(family, lam, cell[1])
-
-
-@dataclass(frozen=True)
-class LevelCurveModel:
-    """Summary of one level curve: its kind and the handles it supports.
-
-    Rational curves carry a parametrization, reducible ones their component
-    list; the elliptic c-family curves have no rational parametrization and
-    are carried by their implicit level polynomial alone (points come from
-    line slicing).
-    """
-
-    family: BilliardFamily
-    lam: SphereValue
-    kind: str  # "rational-parametrized" | "elliptic" | "reducible"
-    parametrize: Callable[[complex], ProjectivePoint] | None = None
-    components: tuple[CurveComponent, ...] | None = None
-    implicit: BiPoly | None = None
-
-
-def level_curve_model(family: BilliardFamily, lam) -> LevelCurveModel:
-    lam = SphereValue.coerce(lam)
-    if not is_regular(family, lam):
-        comps = tuple(critical_fiber_components(family, lam))
-        return LevelCurveModel(family, lam, "reducible", None, comps)
-    integ = first_integral(family)
-    lamv = lam.value
-    lamx = _as_fraction(lamv)
-    implicit = integ.level_polynomial(lamx if lamx is not None else lamv)
-    if family.spec.level_curves == "elliptic":
-        return LevelCurveModel(family, lam, "elliptic", None, None, implicit)
-    param = partial(parametrize_level, family, lamv)
-    return LevelCurveModel(family, lam, "rational-parametrized", param, None, implicit)
 
 
 #: random lines tried before slicing gives up

@@ -18,7 +18,6 @@ fiber it is proportional to dt/sqrt(p(t)) in the curve parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
@@ -30,34 +29,13 @@ from .integrals import gradient
 from .numerics import INF
 
 __all__ = [
-    "TangentSample",
-    "area_form",
     "halfstep_jacobian",
     "fiber_form",
-    "fiber_differential",
     "chart_jacobian",
     "area_pullback_residual",
     "fiber_pullback_residual",
     "abel_steps",
 ]
-
-
-@dataclass(frozen=True)
-class TangentSample:
-    """A phase point with two chart tangent vectors spanning the surface.
-
-    Vectors live in the (z(Q), w(Q)) chart; conventionally the first runs
-    along the tangent line (the fiber of the tangency projection) and the
-    second is transverse.
-    """
-
-    base: PhasePoint
-    v1: tuple[complex, complex]
-    v2: tuple[complex, complex]
-
-    def __post_init__(self):
-        if _dependent(self.v1, self.v2):
-            raise ValueError("tangent sample vectors are (near) dependent")
 
 
 def _wedge(v1, v2):
@@ -83,11 +61,6 @@ def _chart_offset(x: PhasePoint) -> complex:
     if off == 0:
         raise ValueError("Q on the parabola: pole of order 3 of the area form")
     return off
-
-
-def area_form(x: PhasePoint, sample: TangentSample) -> complex:
-    """Invariant area form evaluated on a chart bivector at x."""
-    return _area(sample.v1, sample.v2, _chart_offset(x))
 
 
 def _area(v1, v2, off):
@@ -204,8 +177,8 @@ def _push(mat: _Matrix, v: tuple[complex, complex]) -> tuple[complex, complex]:
 def _area_defect(family: BilliardFamily, z0, z):
     """Relative defect of area-form invariance under the phase map at the
     point z of the tangent line at z0, on Python numbers or numpy lanes;
-    whether the pushed-forward vectors are (near) dependent, where
-    :class:`TangentSample` refuses them; and the image's chart offset.
+    whether the pushed-forward vectors are (near) dependent
+    (:func:`_dependent`); and the image's chart offset.
 
     The vectors (1, 2 z0) along the tangent line and (0, 1) are pushed
     forward by the jets of :func:`_chart_derivative`, which raises on Python
@@ -273,22 +246,6 @@ def fiber_pullback_residual(family: BilliardFamily, x: PhasePoint) -> float:
     before = fiber_form(family, x, v)
     after = fiber_form(family, x_img, _push(mat, v))
     return abs(after - before) / max(1e-300, abs(before))
-
-
-def fiber_differential(model: EllipticModel, t: complex, anchor: tuple[complex, complex] | None = None) -> complex:
-    """Value 1/sqrt(p(t)) of the holomorphic differential's density.
-
-    The global branch is the cut-product branch of the model; passing an
-    ``anchor`` (t0, y0) flips the overall sign so the branch agrees with y0
-    at t0.
-    """
-    br = model._sqrt
-    val = br.at(t)
-    if anchor is not None:
-        y0 = br.at(anchor[0])
-        if abs(y0 - anchor[1]) > abs(y0 + anchor[1]):
-            val = -val
-    return 1.0 / val
 
 
 def abel_steps(

@@ -27,13 +27,11 @@ __all__ = [
     "ProjectiveMap",
     "conic_point",
     "on_conic",
-    "tangent_line",
     "line_contains",
     "tangency_points",
     "tangency_near",
     "b_family_equivalence",
     "c_family_equivalence",
-    "order3_symmetries",
     "EPS_CUBE_ROOT",
     "cross_norm",
 ]
@@ -178,19 +176,6 @@ def on_conic(p: ProjectivePoint) -> bool:
     return abs(wt - z * z) <= REL_EPS * max(abs(z) ** 2, abs(wt))
 
 
-def tangent_line(p: ProjectivePoint) -> tuple[complex, complex, complex]:
-    """Homogeneous covector (-2z, t, w) of the projective tangent line to the
-    parabola at p = [z : w : t], the gradient of w t - z^2 there.
-
-    For affine p = (z0, z0^2) this is the line w = 2 z0 z - z0^2; at the
-    infinite point E it is the infinity line t = 0.
-    """
-    if not on_conic(p):
-        raise OnConicError(f"{p} is not on the parabola")
-    z, w, t = p.coords
-    return (-2.0 * z, t, w)
-
-
 def line_contains(line: Sequence[complex], p: ProjectivePoint) -> bool:
     u, v = line, p.coords
     res = abs(u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
@@ -210,7 +195,7 @@ class PhasePoint(NamedTuple):
 
     def validate_incidence(self) -> None:  # Q on the tangent line at P
         z, w, t = self.p.coords
-        if not line_contains((-2.0 * z, t, w), self.q):  # tangent_line(P)
+        if not line_contains((-2.0 * z, t, w), self.q):  # the tangent line at P
             raise ValueError(f"Q = {self.q} is not on the tangent line at {self.p}")
 
 
@@ -291,15 +276,3 @@ def c_family_equivalence() -> ProjectiveMap:
             [1.0, e / 2, eb / 2],
         ]
     )
-
-
-def order3_symmetries() -> tuple[ProjectiveMap, ProjectiveMap]:
-    """Generators of the order-3 symmetry groups of the two c-family integrals.
-
-    The first acts as (z, w) -> (eps z, eps^2 w); the second cyclically
-    permutes the base points (0,0) -> E -> (1,1) of the c2 integral.
-    """
-    e = EPS_CUBE_ROOT
-    sym_c1 = ProjectiveMap(np.diag([e, e * e, 1.0]))
-    sym_c2 = ProjectiveMap([[-1.0, 1.0, 0.0], [-2.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
-    return sym_c1, sym_c2

@@ -47,7 +47,6 @@ __all__ = [
     "gradient_hessian_projective",
     "indeterminacy_set",
     "critical_values",
-    "true_critical_points",
 ]
 
 #: evaluation is refused within this distance of a base point
@@ -755,12 +754,3 @@ def critical_values(family: BilliardFamily) -> list[SphereValue]:
     """All critical values of the integral, in the general sense (including
     critical indeterminacy values)."""
     return [row.value for row in family.spec.critical]
-
-
-def true_critical_points(family: BilliardFamily, lam) -> list[ProjectivePoint]:
-    """Isolated critical points of R away from indeterminacies, per value."""
-    lam = SphereValue.coerce(lam)
-    for row in family.spec.critical:
-        if row.value == lam:
-            return list(row.points)
-    raise ValueError(f"{lam!r} is not a critical value of family {family.label()}")

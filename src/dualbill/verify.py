@@ -37,9 +37,14 @@ by ``forms._area_residual``, which raises there; by the exact
 ``integrals._exact_on_tangent``, which also takes every iterate with Q on
 the infinity line or where the factors of the tangent-line form cancel; or,
 for the equivalences, by ``eval_integral`` at the point's ProjectivePoint
-(:func:`_integral_equivalences`).  The conservation check iterates the orbit in
-the offset state (z0, u) (``billiards._offset_orbit``) and evaluates R with
-no projective point, at Q_k's offset -u_k on the tangent line at P_{k-1},
+(:func:`_integral_equivalences`).
+
+The conservation, translation and abel checks run the orbit kernel
+``billiards._offset_orbit`` in the offset state (z0, u) from their
+validated start (:func:`_offset_run`); the translation and abel checks read
+its iterates as the phase points that ``orbit`` lists
+(:func:`_orbit_points`).  The conservation check evaluates R with no
+projective point, at Q_k's offset -u_k on the tangent line at P_{k-1},
 which keeps Q_k where |u_k| is far above |z0|.  An iterate inside the
 base-point guard by more than rounding is dropped on the lanes under
 ``IndeterminacyError``, as the exact evaluation would drop it; within
@@ -71,7 +76,6 @@ from .billiards import (
     _point_on_tangent,
     _z_param,
     billiard_map,
-    orbit,
 )
 from .curves import (
     critical_fiber_components,
@@ -515,12 +519,7 @@ def check_conservation(
                 start, branch = ct, cb
                 break
     x0 = _start_point(family, lam, start, branch, rng)
-    x0.validate()
-    z0, z1 = _z_param(x0.p), _z_param(x0.q)
-    if z0 is INF:
-        raise ValueError(f"the start {x0} of a conservation check has its tangency point at E")
-    u0 = INF if z1 is INF else z1 - z0
-    states, offsets, reason, detail, taken = _offset_orbit(family, z0, u0, steps)
+    states, offsets, reason, detail, taken = _offset_run(family, x0, steps)
     # Q_k, k >= 1, is the point at offset u'_{k-1} = -u_k of the tangent
     # line at P_{k-1}, which keeps it where |u'| is far above |z0|
     z0s = states[:1] + states[:-1]
@@ -560,6 +559,32 @@ def check_conservation(
     if reason != "completed":
         return _skipped(name, family, params, reason, detail, taken, acc)
     return acc.report(name, family, params, CONSERVATION_BOUND)
+
+
+def _offset_run(
+    family: BilliardFamily, x0: PhasePoint, n: int
+) -> tuple[list[complex], list[complex | SphereValue], str, str, int]:
+    """Up to n steps of ``billiards._offset_orbit`` from the phase point x0,
+    validated and turned into its offset state (z0, u); a start with P at E
+    has no offset state and is refused."""
+    x0.validate()
+    z0, z1 = _z_param(x0.p), _z_param(x0.q)
+    if z0 is INF:
+        raise ValueError(f"the start {x0} of an orbit check has its tangency point at E")
+    return _offset_orbit(family, z0, INF if z1 is INF else z1 - z0, n)
+
+
+def _orbit_points(family: BilliardFamily, x0: PhasePoint, n: int) -> tuple[list[PhasePoint], str, str, int]:
+    """The iterates of up to n steps from x0 as ``orbit`` lists them, with
+    its stop reason, detail and steps taken, from the offset kernel
+    (:func:`_offset_run`): x0, then the phase point of each state, and,
+    when the last step went to E, the infinite point of the last tangent
+    line with E."""
+    states, offsets, reason, detail, taken = _offset_run(family, x0, n)
+    points = [x0] + [_phase_point(z0, z0 + u) for z0, u in zip(states[1:], offsets[1:])]
+    if taken == len(states):
+        points.append(PhasePoint(_point_on_tangent(states[-1], INF), E_INFINITY))
+    return points, reason, detail, taken
 
 
 def _canonical(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -624,12 +649,11 @@ def check_translation(
     if family.spec.shift is None:
         raise ValueError("translation dynamics applies to the a-families")
     name = f"translation:{family.label()}:lam={lam}"
-    x0 = lift_fiber(family, lam, start, branch)
-    rec = orbit(family, x0, steps)
+    points, reason, detail, taken = _orbit_points(family, lift_fiber(family, lam, start, branch), steps)
     params = {"lam": repr(lam), "steps": steps, "seed": seed, "start": repr(start)}
-    if rec.reason != "completed":
-        return _skipped(name, family, params, rec.reason, rec.detail, rec.steps_taken)
-    taus = [curve_parameter(family, x).value for x in rec.points]
+    if reason != "completed":
+        return _skipped(name, family, params, reason, detail, taken)
+    taus = [curve_parameter(family, x).value for x in points]
     diffs = [b - a for a, b in zip(taus, taus[1:])]
     expected = family.spec.shift(family.n)
     shift = float(expected) * (1 + 1e-3 if corrupt else 1)
@@ -664,21 +688,20 @@ def check_abel_translation(
         raise ValueError("Abel translation applies to the b and d families")
     name = f"abel:{family.label()}:lam={lam}"
     params = {"lam": repr(lam), "steps": steps, "seed": seed, "start": repr(start)}
-    x0 = lift_fiber(family, lam, start, branch)
-    rec = orbit(family, x0, steps)
-    if rec.reason != "completed":
-        return _skipped(name, family, params, rec.reason, rec.detail, rec.steps_taken)
+    points, reason, detail, taken = _orbit_points(family, lift_fiber(family, lam, start, branch), steps)
+    if reason != "completed":
+        return _skipped(name, family, params, reason, detail, taken)
     acc = _Residuals()
     try:
         model = elliptic_model(family, lam)
-        for x in rec.points:
+        for x in points:
             t = curve_parameter(family, x).value
             if min(abs(t - r) for r in model.roots) < 1e-9:
                 return CheckReport(
                     name, family.label(), params, "skipped", 0.0,
                     {"reason": "orbit parameter on a branch point"},
                 )
-        vals = abel_steps(family, lam, rec.points, model)
+        vals = abel_steps(family, lam, points, model)
     except (ValueError, RuntimeError) as exc:
         acc.dropped[type(exc).__name__] += steps
         vals = []
@@ -906,10 +929,14 @@ def _integral_equivalences(
 
     def residual(z, w):
         p = _canonical(z, w, np.ones_like(z))
+        # b1 and c2 share their base points (0,0), (1,1) and E, so one
+        # distance at p serves both
+        at_p = _base_point_distance(b1, p)
         sure, values = True, []
         for family, coords in ((b1, p), (b2, _mapped(psi.matrix, p)), (c2, p), (c1, _mapped(mc.matrix, p))):
             val, cond = _integral_lanes(family, coords)
-            far = _base_point_distance(family, coords) > BASE_POINT_GUARD + _GUARD_ROUNDING
+            dist = at_p if coords is p else _base_point_distance(family, coords)
+            far = dist > BASE_POINT_GUARD + _GUARD_ROUNDING
             sure = sure & far & (cond <= _EQUIVALENCE_LIMIT) & (abs(val) < INF_THRESHOLD)
             values.append(val)
         rb1, rb2, rc2, rc1 = values

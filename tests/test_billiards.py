@@ -14,8 +14,8 @@ from dualbill import billiards, geometry
 from dualbill.billiards import (
     BilliardFamily,
     SingularTangencyError,
+    _coefficient,
     billiard_map,
-    f_coefficient,
     involution,
     orbit,
 )
@@ -79,10 +79,11 @@ class TestFamily:
         assert BilliardFamily.parse("d").n is None
 
     def test_rho(self):
-        from fractions import Fraction
-
-        assert BilliardFamily("a1", 1).rho == Fraction(4, 3)
-        assert BilliardFamily("a2", 1).rho == Fraction(3, 2)
+        # the a-families' coefficient is rho/z0 with rho = 2 - shift(N)
+        assert 2 - BilliardFamily("a1", 1).spec.shift(1) == Fraction(4, 3)
+        assert 2 - BilliardFamily("a2", 1).spec.shift(1) == Fraction(3, 2)
+        assert _coefficient(BilliardFamily("a1", 1), 1.0) == 4 / 3
+        assert _coefficient(BilliardFamily("a2", 1), 1.0) == 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,15 +96,18 @@ class TestFamily:
 
 class TestFCoefficient:
     def test_examples(self):
-        assert f_coefficient(BilliardFamily("b1"), -1.0).value == pytest.approx(-2.0)
-        assert f_coefficient(BilliardFamily("b2"), 0.0).value == 0.0
-        assert f_coefficient(BilliardFamily("d"), 1.0).is_inf
+        assert _coefficient(BilliardFamily("b1"), -1.0) == pytest.approx(-2.0)
+        assert _coefficient(BilliardFamily("b2"), 0.0) == 0.0
+        with pytest.raises(ZeroDivisionError):  # a pole of f
+            _coefficient(BilliardFamily("d"), 1.0)
 
     def test_a_family_is_rho_over_z0(self):
         for fam in (BilliardFamily("a1", 1), BilliardFamily("a2", 3)):
+            rho = float(2 - fam.spec.shift(fam.n))
             for z0 in (2.0, -0.5 + 1.5j):
-                assert f_coefficient(fam, z0).value == float(fam.rho) / z0
-            assert f_coefficient(fam, 0.0).is_inf
+                assert _coefficient(fam, z0) == rho / z0
+            with pytest.raises(ZeroDivisionError):
+                _coefficient(fam, 0.0)
 
 
 class TestInvolution:
@@ -134,7 +138,7 @@ class TestInvolution:
     def test_pole_maps_to_line_infinity(self):
         fam = BilliardFamily("b1")
         z0 = -1.0
-        f = f_coefficient(fam, z0).value
+        f = _coefficient(fam, z0)
         u_pole = -1.0 / f
         z = z0 + u_pole
         q = ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0)
@@ -639,7 +643,7 @@ def _step_gap(step, fam: BilliardFamily, rng: random.Random, samples: int = 20) 
         x = sample_phase_point(fam, rng)
         z0 = x.p.z_sphere().value
         u = x.q.z_sphere().value - z0
-        u_img = -u / (1 + f_coefficient(fam, z0).value * u)
+        u_img = -u / (1 + _coefficient(fam, z0) * u)
         y = step(fam, x)
         for got, want in ((y.q, z0 + u_img), (y.p, z0 + 2 * u_img)):
             gap = abs(got.z_sphere().value - want) / max(abs(z0), abs(want))
@@ -774,7 +778,7 @@ class TestOffsetOrbit:
         # do not hold, and the next step stops as orbit does
         fam = BilliardFamily("b1")
         z0 = 0.4 + 0j
-        u = -1.0 / f_coefficient(fam, z0).value
+        u = -1.0 / _coefficient(fam, z0)
         x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
         rec = orbit(fam, x0, 3)
         assert rec.points[-1].p is E_INFINITY
@@ -796,7 +800,7 @@ class TestOffsetOrbit:
         z0s, us, reason, _, taken = billiards._offset_orbit(fam, z0, INF, 5)
         assert (reason, taken) == (rec.reason, rec.steps_taken) == ("completed", 5)
         assert us[0] is INF
-        assert us[1] == 1.0 / f_coefficient(fam, z0).value
+        assert us[1] == 1.0 / _coefficient(fam, z0)
         for z, x in zip(z0s, rec.points):
             assert abs(z - x.p.z_sphere().value) <= 1e-12 * max(1.0, abs(z))
 

@@ -15,8 +15,8 @@ from dualbill.curves import (
     elliptic_model,
     elliptic_poly,
     fiber_type,
+    is_regular,
     lattice_closure_residual,
-    level_curve_model,
     lift_by_sheet,
     lift_fiber,
     parametrize_level,
@@ -25,7 +25,7 @@ from dualbill.curves import (
     tangency_gap,
 )
 from dualbill.geometry import E_INFINITY, PhasePoint, ProjectivePoint, conic_point
-from dualbill.integrals import critical_values, eval_integral
+from dualbill.integrals import critical_values, eval_integral, first_integral
 from dualbill.numerics import INF, SphereValue, lattice_reduce
 from dualbill.verify import _rng_for
 
@@ -521,9 +521,16 @@ class TestFiberTables:
         assert len(model.components[0].branch_parameters) == 4
 
     def test_level_curve_model_kinds(self):
-        assert level_curve_model(BilliardFamily("b1"), 2.0).kind == "rational-parametrized"
-        assert level_curve_model(BilliardFamily("c1"), 2.0).kind == "elliptic"
-        assert level_curve_model(BilliardFamily("b1"), 1.0).kind == "reducible"
+        # a regular b1 level is parametrized, a c1 level is elliptic and has
+        # no parametrization, and b1's critical level 1 splits into components
+        b1, c1 = BilliardFamily("b1"), BilliardFamily("c1")
+        assert is_regular(b1, 2.0) and b1.spec.level_curves == "rational"
+        assert parametrize_level(b1, 2.0, 0.5) is not None
+        assert is_regular(c1, 2.0) and c1.spec.level_curves == "elliptic"
+        with pytest.raises(ValueError):
+            parametrize_level(c1, 2.0, 0.5)
+        assert not is_regular(b1, 1.0)
+        assert len(critical_fiber_components(b1, SphereValue(1))) > 1
 
 
 class TestSlicing:
@@ -765,16 +772,12 @@ def test_curve_models_match_the_family_specs():
 
 class TestLevelCurveImplicit:
     def test_elliptic_kind_carries_implicit_polynomial(self):
-        model = level_curve_model(BilliardFamily("c1"), 2.0)
-        assert model.kind == "elliptic"
-        assert model.implicit is not None
-        rng = _rng_for(26, "implicit")
-        import random as _random
-
-        pt = point_on_level(BilliardFamily("c1"), 2.0, _random.Random(5))
+        # an elliptic c1 level is carried by its level polynomial alone
+        implicit = first_integral(BilliardFamily("c1")).level_polynomial(Fraction(2))
+        pt = point_on_level(BilliardFamily("c1"), 2.0, random.Random(5))
         z, w = pt.affine_pair()
-        scale = max(abs(complex(c)) for c in model.implicit.coeffs.values())
-        assert abs(model.implicit(z, w)) <= 1e-7 * scale * max(1.0, abs(z), abs(w)) ** 6
+        scale = max(abs(complex(c)) for c in implicit.coeffs.values())
+        assert abs(implicit(z, w)) <= 1e-7 * scale * max(1.0, abs(z), abs(w)) ** 6
 
 
 class TestConicContactStructure:

@@ -7,12 +7,7 @@ from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily, _coefficient
 from dualbill.curves import critical_fiber_components
 from dualbill.families import FAMILIES
 from dualbill.geometry import b_family_equivalence
-from dualbill.integrals import (
-    critical_values,
-    first_integral,
-    indeterminacy_set,
-    true_critical_points,
-)
+from dualbill.integrals import critical_values, first_integral, indeterminacy_set
 from dualbill.numerics import INF
 
 
@@ -28,8 +23,10 @@ def test_only_the_a_families_take_n():
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_rho_is_two_minus_the_translation(n):
-    assert BilliardFamily("a1", n).rho == 2 - Fraction(2, 2 * n + 1)
-    assert BilliardFamily("a2", n).rho == 2 - Fraction(1, n + 1)
+    # the a-families' coefficient is rho/z0 with rho = 2 - shift(N)
+    for tag, shift in (("a1", Fraction(2, 2 * n + 1)), ("a2", Fraction(1, n + 1))):
+        assert FAMILIES[tag].shift(n) == shift
+        assert _coefficient(BilliardFamily(tag, n), 1.0) == float(2 - shift)
 
 
 @pytest.mark.parametrize("tag", ALL_FAMILY_TAGS)
@@ -73,9 +70,9 @@ def test_b2_is_the_image_of_b1():
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
     assert critical_values(b1) == critical_values(b2)
     # the tabulated b2 critical points are the images of b1's
-    for lam in critical_values(b1):
-        mapped = [psi(p) for p in true_critical_points(b1, lam)]
-        listed = true_critical_points(b2, lam)
+    for row1, row2 in zip(b1.spec.critical, b2.spec.critical):
+        mapped = [psi(p) for p in row1.points]
+        listed = row2.points
         assert len(mapped) == len(listed)
         assert all(any(m.eq(p) for p in listed) for m in mapped)
 

@@ -8,6 +8,7 @@ import pytest
 from dualbill.billiards import BilliardFamily, _point_on_tangent
 from dualbill.geometry import (
     E_INFINITY,
+    EPS_CUBE_ROOT,
     OnConicError,
     PhasePoint,
     ProjectiveMap,
@@ -18,9 +19,7 @@ from dualbill.geometry import (
     cross_norm,
     line_contains,
     on_conic,
-    order3_symmetries,
     tangency_points,
-    tangent_line,
     _point,
 )
 from dualbill.integrals import eval_integral, indeterminacy_set
@@ -165,25 +164,45 @@ class TestPhaseMapConstruction:
             assert _built(conic_point, v) == want, v
 
 
+def _tangent(p: ProjectivePoint) -> tuple[complex, complex, complex]:
+    """The covector (-2z, t, w) of the tangent line to the parabola at
+    p = [z : w : t], the gradient of w t - z^2 there."""
+    z, w, t = p.coords
+    return (-2.0 * z, t, w)
+
+
 class TestTangentLine:
+    """The tangent line at P as a phase point's incidence test states it."""
+
+    @staticmethod
+    def _on_tangent(q: ProjectivePoint, p: ProjectivePoint) -> bool:
+        try:
+            PhasePoint(q, p).validate()
+        except ValueError:
+            return False
+        return True
+
     def test_vertex(self):
-        line = tangent_line(conic_point(0.0))
-        assert abs(np.dot(line, [1, 0, 1])) == pytest.approx(0.0, abs=1e-15)
-        assert line[0] == 0 and line[2] == 0  # the line w = 0
+        # the line w = 0
+        p = conic_point(0.0)
+        assert self._on_tangent(ProjectivePoint.affine(1.0, 0.0), p)
+        assert self._on_tangent(ProjectivePoint(1.0, 0.0, 0.0), p)
+        assert not self._on_tangent(ProjectivePoint.affine(1.0, 1e-6), p)
 
     def test_at_one(self):
-        line = tangent_line(conic_point(1.0))
         # w = 2z - 1 contains (1, 1) and (0, -1)
-        assert line_contains(line, ProjectivePoint.affine(1.0, 1.0))
-        assert line_contains(line, ProjectivePoint.affine(0.0, -1.0))
+        p = conic_point(1.0)
+        assert self._on_tangent(ProjectivePoint.affine(1.0, 1.0), p)
+        assert self._on_tangent(ProjectivePoint.affine(0.0, -1.0), p)
+        assert not self._on_tangent(ProjectivePoint.affine(0.0, 0.0), p)
 
     def test_at_infinity(self):
-        line = tangent_line(E_INFINITY)
-        assert line[0] == 0 and line[1] == 0  # the infinity line t = 0
+        # the infinity line t = 0
+        assert self._on_tangent(ProjectivePoint(1.0, 3.0, 0.0), E_INFINITY)
+        assert not self._on_tangent(ProjectivePoint.affine(1.0, 3.0), E_INFINITY)
 
     def test_off_conic_rejected(self):
-        with pytest.raises(OnConicError):
-            tangent_line(ProjectivePoint.affine(1.0, 2.0))
+        assert not self._on_tangent(ProjectivePoint.affine(0.0, 0.0), ProjectivePoint.affine(1.0, 2.0))
 
 
 class TestTangencyPoints:
@@ -218,7 +237,7 @@ class TestTangencyPoints:
                 continue
             q = ProjectivePoint.affine(z, w)
             for z0 in tangency_points(q):
-                line = tangent_line(conic_point(z0))
+                line = _tangent(conic_point(z0))
                 res = abs(np.dot(line, q.coords))
                 scale = float(np.linalg.norm(line) * np.linalg.norm(q.coords))
                 assert res <= 1e-10 * scale
@@ -302,13 +321,19 @@ class TestEquivalences:
 
 
 class TestOrder3Symmetries:
+    """Generators of the order-3 symmetries of the two c-family integrals:
+    (z, w) -> (eps z, eps^2 w) for c1, and for c2 the cyclic permutation
+    (0,0) -> E -> (1,1) of its base points."""
+
+    C1 = ProjectiveMap(np.diag([EPS_CUBE_ROOT, EPS_CUBE_ROOT * EPS_CUBE_ROOT, 1.0]))
+    C2 = ProjectiveMap([[-1.0, 1.0, 0.0], [-2.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+
     def test_cubes_are_identity(self):
-        s1, s2 = order3_symmetries()
-        for s in (s1, s2):
+        for s in (self.C1, self.C2):
             assert _is_projective_identity(_compose(_compose(s, s), s))
 
     def test_c1_symmetry_preserves_integral(self):
-        s1, _ = order3_symmetries()
+        s1 = self.C1
         c1 = BilliardFamily("c1")
         rng = random.Random(6)
         checked = 0
@@ -328,7 +353,7 @@ class TestOrder3Symmetries:
             checked += 1
 
     def test_c2_symmetry_permutes_base_points(self):
-        _, s2 = order3_symmetries()
+        s2 = self.C2
         origin = ProjectivePoint.affine(0.0, 0.0)
         one_one = ProjectivePoint.affine(1.0, 1.0)
         assert s2(origin).eq(E_INFINITY)
@@ -358,7 +383,7 @@ class TestPhasePoint:
     @staticmethod
     def _displaced(q, p, rel):
         """q moved off the tangent line at p, along its normal, by rel |q|."""
-        u = tangent_line(p)
+        u = _tangent(p)
         nu = math.hypot(*map(abs, u))
         nq = math.hypot(*map(abs, q.coords))
         return ProjectivePoint(*(c + rel * nq * a.conjugate() / nu for c, a in zip(q.coords, u)))

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -14,15 +15,18 @@ from hypothesis import strategies as st
 from dualbill import cli, integrals, verify
 from dualbill.billiards import (
     BilliardFamily,
+    _coefficient,
     _involution_z,
     _point_on_tangent,
     billiard_map,
-    f_coefficient,
     involution,
+    orbit,
 )
+from dualbill.curves import lift_fiber
 from dualbill.families import FAMILIES
 from dualbill.forms import _area_defect, _chart_derivative, _chart_offset, halfstep_jacobian
 from dualbill.geometry import (
+    E_INFINITY,
     PhasePoint,
     ProjectiveMap,
     ProjectivePoint,
@@ -33,6 +37,7 @@ from dualbill.geometry import (
 from dualbill.integrals import BiPoly, eval_on_tangent, tangent_condition
 from dualbill.numerics import INF, INF_THRESHOLD, SphereValue
 from dualbill.verify import (
+    TRANSLATION_CASES,
     CheckReport,
     check_abel_translation,
     check_area_form,
@@ -401,10 +406,13 @@ def _pole(fam):
     which (z0, u) hit it, so a few real z0 and nearby z1 are tried."""
     for j in range(400):
         z0 = complex(0.5 + j / 97)
-        f = f_coefficient(fam, z0)
-        if f.is_inf or f.value == 0:
+        try:
+            f = _coefficient(fam, z0)
+        except ZeroDivisionError:
             continue
-        pole = z0 - 1 / f.value
+        if f == 0:
+            continue
+        pole = z0 - 1 / f
         for step in range(-3, 4):
             u = complex(pole.real + step * math.ulp(pole.real), pole.imag) - z0
             if _involution_z(fam, z0, z0 + u) is INF:
@@ -907,6 +915,22 @@ class TestEquivalenceLanes:
         assert report.status == "fail"
         assert report.witness == {"evaluated": 0, "dropped": {"IndeterminacyError": 2000}}
 
+    def test_one_base_point_distance_serves_b1_and_c2(self, monkeypatch):
+        # b1 and c2 have the same base points, so their distances at the
+        # same lanes are one computation
+        c2 = BilliardFamily("c2")
+        assert [bp.coords for bp in B1.spec.base_points] == [bp.coords for bp in c2.spec.base_points]
+        tags = []
+        real = verify._base_point_distance
+
+        def counting(family, coords):
+            tags.append(family.tag)
+            return real(family, coords)
+
+        monkeypatch.setattr(verify, "_base_point_distance", counting)
+        assert check_equivalences(42).status == "pass"
+        assert tags[:3] == ["b1", "b2", "c1"] and "c2" not in tags
+
 
 class TestConservationOnLanes:
     """check_conservation evaluates R on the tangent line of every iterate
@@ -982,7 +1006,7 @@ class TestConservationOnLanes:
         # step goes to E, and its Q, the infinite point [1 : 2 z0 : 0] of
         # the tangent line, is evaluated exactly
         z0 = 0.4 + 0j
-        u = -1.0 / f_coefficient(B1, z0).value
+        u = -1.0 / _coefficient(B1, z0)
         x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
         lam = integrals.eval_integral(B1, x0.q).value
         monkeypatch.setattr(verify, "_start_point", lambda *args: x0)
@@ -1031,7 +1055,7 @@ class TestConservationOnLanes:
         # rounded to an ulp of 2u', which moves Q_1 = (z0 + 2u') - u' along
         # its line and R by 0.04; Q_1 at offset u' on the line at z0 is
         # exact to rounding
-        u = -1.0 / f_coefficient(B1, z0).value
+        u = -1.0 / _coefficient(B1, z0)
         x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
         lam = integrals.eval_integral(B1, x0.q).value
         monkeypatch.setattr(verify, "_start_point", lambda *args: x0)
@@ -1085,3 +1109,54 @@ class TestConservationOnLanes:
                     expected = tables[r.family] if kind == "tables" else evaluated[kind]
                     assert counts == (expected, {}), (seed, r.name)
                 assert r.status == "pass"
+
+
+def _without_parameter(detail: str) -> str:
+    """A stop detail with the repr of the tangency parameter taken out."""
+    return re.sub(r"^tangency parameter \S+ ", "", detail)
+
+
+class TestOrbitPoints:
+    """The iterates that the translation and Abel checks read come from the
+    offset kernel, listed as ``orbit`` lists them."""
+
+    @staticmethod
+    def start(kind):
+        if kind == "completed":
+            return B1, lift_fiber(B1, 2.0, 2.7, "+"), 50
+        if kind == "singular":  # the lifted start of CI's a1(2) orbit
+            a1 = BilliardFamily("a1", 2)
+            return a1, lift_fiber(a1, 1.0, 1.7, "+"), 300
+        # u = -1/f(z0) makes 1 + f u = 0 in floats: the first step goes to E
+        z0 = 0.4 + 0j
+        u = -1.0 / _coefficient(B1, z0)
+        return B1, PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0)), 3
+
+    @pytest.mark.parametrize(
+        "kind,reason,taken",
+        [("completed", "completed", 50), ("singular", "hit-singularity", 265), ("to E", "hit-singularity", 1)],
+    )
+    def test_the_iterates_of_orbit(self, kind, reason, taken):
+        fam, x0, n = self.start(kind)
+        points, got_reason, detail, got_taken = verify._orbit_points(fam, x0, n)
+        rec = orbit(fam, x0, n)
+        assert (got_reason, got_taken) == (rec.reason, rec.steps_taken) == (reason, taken)
+        assert len(points) == len(rec.points) == taken + 1
+        for got, want in zip(points, rec.points):
+            assert got.q.eq(want.q) and got.p.eq(want.p)
+        if kind == "singular":
+            # the detail names the last tangency parameter, which each path
+            # computes in its own arithmetic: 1015581750891.0969j on the
+            # kernel against (-0+1015581750887.5077j) on orbit
+            assert _without_parameter(detail) == _without_parameter(rec.detail)
+        else:
+            assert detail == rec.detail
+        if kind == "to E":
+            z0 = points[-2].p.z_sphere().value
+            assert points[-1].p is E_INFINITY
+            assert points[-1].q.eq(ProjectivePoint(1.0, 2.0 * z0, 0.0))  # the line's infinite point
+
+    @pytest.mark.parametrize("tag,n,lam,tau", TRANSLATION_CASES)
+    def test_translation_cases_hold_to_1e_12(self, tag, n, lam, tau):
+        report = check_translation(BilliardFamily(tag, n), lam, 50, 42, start=tau)
+        assert report.status == "pass" and report.worst <= 1e-12, report.worst
