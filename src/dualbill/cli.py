@@ -375,30 +375,26 @@ def cmd_curve(args) -> int:
     if args.lam is None:
         raise UsageError("curve needs --lambda")
     lam = args.lam
+    # the output opens before any work, and every requested section is built
+    # before a row is written, so a section that cannot be built leaves no rows
     with _writer_for(args.output, args.format) as writer:
+        records: list[dict] = []
         if args.branch_points:
             try:
                 pts = branch_points(family, lam.value if not lam.is_inf else lam)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            for k, b in enumerate(pts):
-                writer.write({"kind": "branch-point", "index": k, "parameter": b})
+            records += [{"kind": "branch-point", "index": k, "parameter": b} for k, b in enumerate(pts)]
         if args.components:
             try:
                 comps = critical_fiber_components(family, lam)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            for k, comp in enumerate(comps):
-                writer.write(
-                    {
-                        "kind": "component",
-                        "index": k,
-                        "name": comp.name,
-                        "degree": comp.degree,
-                        "multiplicity": comp.multiplicity,
-                        "parametrized": comp.parametrize is not None,
-                    }
-                )
+            records += [
+                {"kind": "component", "index": k, "name": c.name, "degree": c.degree,
+                 "multiplicity": c.multiplicity, "parametrized": c.parametrize is not None}
+                for k, c in enumerate(comps)
+            ]
         if args.periods:
             if not family.spec.elliptic_fiber or lam.is_inf or not is_regular(family, lam):
                 raise UsageError("periods need a b/d family at a regular value")
@@ -408,13 +404,8 @@ def cmd_curve(args) -> int:
             except (ValueError, RuntimeError) as exc:
                 raise UsageError(f"cannot compute the periods: {exc}") from exc
             w1, w2 = model.periods
-            writer.write(
-                {
-                    "kind": "periods",
-                    "period1": w1,
-                    "period2": w2,
-                    "lattice_closure_residual": closure,
-                }
+            records.append(
+                {"kind": "periods", "period1": w1, "period2": w2, "lattice_closure_residual": closure}
             )
         if args.parametrize:
             if family.spec.level_curves == "elliptic":
@@ -427,15 +418,10 @@ def cmd_curve(args) -> int:
             for k in range(args.parametrize):
                 t = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
                 pt = parametrize_level(family, lam.value, t)
-                writer.write(
-                    {
-                        "kind": "point",
-                        "index": k,
-                        "t": t,
-                        "z": pt.z_sphere(),
-                        "w": SphereValue(pt.w / pt.t) if pt.t != 0 else INF,
-                    }
-                )
+                w = SphereValue(pt.w / pt.t) if pt.t != 0 else INF
+                records.append({"kind": "point", "index": k, "t": t, "z": pt.z_sphere(), "w": w})
+        for record in records:
+            writer.write(record)
     return 0
 
 

@@ -41,8 +41,6 @@ __all__ = [
     "coefficients_a2",
     "first_integral",
     "eval_integral",
-    "eval_on_tangent",
-    "tangent_condition",
     "gradient",
     "gradient_hessian_projective",
     "indeterminacy_set",
@@ -615,18 +613,22 @@ def _factored(family: BilliardFamily, z, w, t, conic, bounds=None, conic_cond=No
     return num / den, cond
 
 
-def eval_on_tangent(family: BilliardFamily, z0, u):
-    """R at Q = (z0 + u, z0^2 + 2 z0 u), the point at offset u of the tangent
-    line at P = (z0, z0^2), on Python numbers, jets or numpy lanes: there
-    w - z^2 = -u^2, so R = (-u^2)^k / prod f_i(Q)^m_i (:func:`_factored`).
-    Near a base point its factors cancel (see :func:`tangent_condition`).
-    """
-    return _factored(family, *_on_tangent(z0, u), None, u * u * -1.0)[0]
-
-
 def _on_tangent_factored(family: BilliardFamily, z0, u):
-    """:func:`eval_on_tangent` and :func:`tangent_condition` at once, on
-    Python numbers or numpy lanes, with Q and the factors evaluated once."""
+    """R at Q = (z0 + u, z0^2 + 2 z0 u), the point at offset u of the tangent
+    line at P = (z0, z0^2), on Python numbers or numpy lanes, with an
+    estimate, in units of the machine epsilon, of its relative rounding
+    error (:func:`_factored`): there w - z^2 = -u^2, so
+    R = (-u^2)^k / prod f_i(Q)^m_i.  Returns the value and the estimate.
+
+    The numerator's share of the estimate is 2k (|z0| + |z|) / |u|, the
+    error of u were it the difference of two rounded parameters (the
+    conservation check reads every Q at an offset that
+    ``billiards._offset_orbit`` carries: the start's, or Q_k at
+    -u_k = u'_{k-1} on the tangent line at P_{k-1}, so there this term is a
+    margin); each denominator factor's bound takes Z = |z0| + |u| and
+    W = |z0|^2 + 2 |z0| |u|, which bound |z| and |w|.  The estimate is large
+    only near a base point, where the factors cancel.
+    """
     z, w = _on_tangent(z0, u)
     az0, au = abs(z0), abs(u)
     return _factored(family, z, w, None, u * u * -1.0, _on_tangent(az0, au), 2 * (az0 + abs(z)) / au)
@@ -668,21 +670,6 @@ def _exact_on_tangent(family: BilliardFamily, z0: complex, u: complex | SphereVa
     if value is None:
         raise IndeterminacyError(_tangent_point(z0, u))
     return value
-
-
-def tangent_condition(family: BilliardFamily, z0, u):
-    """An estimate, in units of the machine epsilon, of the relative
-    rounding error of :func:`eval_on_tangent` at (z0, u), on Python numbers
-    or numpy lanes (:func:`_factored`).
-
-    The numerator's share is 2k (|z0| + |z|) / |u|, the error of u were it
-    the difference of two rounded parameters (the conservation check reads
-    every Q at an offset that ``billiards._offset_orbit`` carries: the
-    start's, or Q_k at -u_k = u'_{k-1} on the tangent line at P_{k-1}, so
-    there this term is a margin); each denominator factor's bound takes Z =
-    |z0| + |u| and W = |z0|^2 + 2 |z0| |u|, which bound |z| and |w|.
-    """
-    return _on_tangent_factored(family, z0, u)[1]
 
 
 def _jet(num: tuple, den: tuple, a, b, r=None) -> tuple[tuple[complex, complex], np.ndarray]:

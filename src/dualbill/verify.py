@@ -19,14 +19,14 @@ The involution, jacobian and area checks draw each sample (z0, z), the
 tangency parameter and a point of its tangent line, and share one body,
 :func:`_sampled`; the jacobian and area draws are conditioned on
 ``billiards._involution_z``.  One routine, :func:`_draws`, makes every draw
-of these checks and of the equivalences check: it rebuilds the randoms from
-the stream's Mersenne Twister words, forms the candidates and walks the
-attempts on numpy lanes, and decides again on Python numbers a lane within
-a relative 1e-9 of the guard radius or of an edge of the conditioning
-window, so its draws and the stream's state are those of drawing one at a
-time, bit for bit.  The draws stay arrays up to the lane loop; Python
-numbers are built only for a lane that the scalar path evaluates and for
-the witness.  These three, the conservation check and the integral half
+of these checks and of the equivalences check by one fixed rule: attempt k
+takes randoms 4k to 4k + 3 of the check's stream, and the draws are the
+first kept attempts.  Whether an attempt is kept, its z0 outside the guard
+disks and, for a conditioned draw, its involution image within the window,
+is decided on numpy lanes, so the draws do not depend on how many attempts
+a block holds.  The draws stay arrays up to the lane loop; Python numbers
+are built only for a lane that the scalar path evaluates and for the
+witness.  These three, the conservation check and the integral half
 of the equivalences check share one lane loop, :func:`_laned`, which runs
 the residual once on numpy arrays of every lane through the library's own
 arithmetic.  Every operation is elementwise, so a lane's residual does not
@@ -45,13 +45,11 @@ validated start (:func:`_offset_run`); the translation and abel checks read
 its iterates as the phase points that ``orbit`` lists
 (:func:`_orbit_points`).  The conservation check evaluates R with no
 projective point, at Q_k's offset -u_k on the tangent line at P_{k-1},
-which keeps Q_k where |u_k| is far above |z0|.  An iterate inside the
-base-point guard by more than rounding is dropped on the lanes under
-``IndeterminacyError``, as the exact evaluation would drop it; within
-rounding of the guard's radius the guard decides on the point's projective
-coordinates, and the value still comes from the lane.  The residuals of
-every lane are then recorded in one step, with the worst and witness that
-recording them one by one gives.
+which keeps Q_k where |u_k| is far above |z0|.  An iterate whose base-point
+distance on the lanes is within ``BASE_POINT_GUARD`` is dropped under
+``IndeterminacyError``, as the exact evaluation would drop it.  The
+residuals of every lane are then recorded in one step, with the worst and
+witness that recording them one by one gives.
 """
 
 from __future__ import annotations
@@ -227,22 +225,11 @@ def _worse(*residuals: float) -> float:
 
 #: radius of the disks around singular tangency parameters that samples avoid
 SINGULAR_GUARD = 0.2
-#: a lane distance within this relative margin of SINGULAR_GUARD is compared
-#: again on Python numbers
-_GUARD_MARGIN = 1e-9
 #: conditioned draws keep |sigma_P(z) - z0| within this window
 _WINDOW = (0.05, 25.0)
-#: a lane distance within this relative margin of an edge of _WINDOW, or not
-#: finite, is decided again on Python numbers
-_WINDOW_MARGIN = 1e-9
 #: most randoms pulled at once: the lanes of a block stay far below the
 #: 16 384 complex values from which numpy computes products in place
 _DRAW_BLOCK = 8192
-
-
-def _near(dist: np.ndarray, edge: float, margin: float) -> np.ndarray:
-    """Lanes whose distance is within ``margin`` of ``edge``, relatively."""
-    return abs(dist - edge) <= margin * edge
 
 
 def _randoms(rng: random.Random, size: int) -> np.ndarray:
@@ -254,38 +241,6 @@ def _randoms(rng: random.Random, size: int) -> np.ndarray:
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) * 2.0**-53
 
 
-def _walk(rejected: np.ndarray, missing: int, keep: Callable | None) -> tuple[np.ndarray, int]:
-    """The attempts of a block's pairs in stream order, with no loop.  Pair
-    k is visited when k = 0 or pair k - 1 is rejected or not visited (it
-    gave the u of an attempt from pair k - 2), so a rejected pair starts a
-    run whose visited pairs alternate.  An attempt is a visited, unrejected
-    pair whose u, pair k + 1, is in the block; ``keep`` of the attempts'
-    pairs says which are kept.  Returns the pairs of the first ``missing``
-    kept attempts and the pair from which the randoms are held."""
-    k = np.arange(len(rejected))
-    run = np.maximum.accumulate(np.where(np.concatenate(([True], rejected[:-1])), k, 0))
-    attempt = ((k - run) % 2 == 0) & ~rejected
-    end = len(k) - int(attempt[-1])  # the last pair's u is in the next block
-    attempt[-1] = False
-    tried = np.flatnonzero(attempt)
-    hits = (tried if keep is None else tried[keep(tried)])[:missing]
-    return hits, int(hits[-1]) + 2 if len(hits) == missing else end
-
-
-def _windowed(family: BilliardFamily, z0: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Per lane, whether the involution image of z stays at a distance
-    within ``_WINDOW`` from z0; a lane whose distance is not finite or near
-    an edge is decided on Python numbers, where the pole gives INF."""
-    with np.errstate(all="ignore"):
-        dist = abs(_involution_z(family, z0, z) - z0)
-    kept = (dist >= _WINDOW[0]) & (dist <= _WINDOW[1])
-    unsure = ~np.isfinite(dist) | _near(dist, _WINDOW[0], _WINDOW_MARGIN)
-    for k in np.flatnonzero(unsure | _near(dist, _WINDOW[1], _WINDOW_MARGIN)).tolist():
-        z_img = _involution_z(family, z0[k].item(), z[k].item())
-        kept[k] = z_img is not INF and _WINDOW[0] <= abs(z_img - z0[k].item()) <= _WINDOW[1]
-    return kept
-
-
 def _draws(
     family: BilliardFamily, rng: random.Random, n: int, *, conditioned: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,41 +250,33 @@ def _draws(
     of the tangent line, with ``conditioned`` keeping only draws whose
     involution image of z lies within ``_WINDOW`` of z0.
 
-    An attempt takes two randoms for z0 (the square of its modulus, then
-    its angle in turns) and, unless z0 lies in a guard disk, two for u.  The
-    randoms (:func:`_randoms`) are pulled in blocks of four per missing draw
-    (at most ``_DRAW_BLOCK``), less the ones held from the last block, so a
-    block never pulls more than the draws need.  Pair k of a block gives a
-    candidate z0 and u on numpy lanes, an attempt from pair k takes the z0
-    of pair k and the u of pair k + 1, and :func:`_walk` finds the attempts.
-    Elementwise, numpy rounds the square roots, products and exponentials
-    as Python does, but not the moduli and the involution image, so a lane
-    near the guard or the window, or not finite, is decided again on Python
-    numbers.  The draws and the state of ``rng`` are those of n draws one
-    at a time.
+    Attempt k takes randoms 4k to 4k + 3 of the stream (:func:`_randoms`):
+    the square of z0's modulus as a fraction of the annulus, z0's angle in
+    turns, then the same two for u.  It is kept when z0 lies outside every
+    guard disk and, for a conditioned draw, when |``_involution_z``(z0, z)
+    - z0| lies in ``_WINDOW``; a distance that is not finite, at the
+    involution's pole, is outside it.  Both tests run on numpy lanes, and
+    the draws are the first n kept attempts.  The randoms are pulled in
+    blocks of four per missing draw, at most ``_DRAW_BLOCK``; every
+    operation is elementwise, so the draws do not depend on the block size.
     """
     z0s, zs = [np.empty(0, complex)], [np.empty(0, complex)]
-    held, missing, singular = np.empty(0), n, family.spec.singular_finite
+    missing = n
     while missing:
-        pulled = np.concatenate((held, _randoms(rng, min(4 * missing, _DRAW_BLOCK) - len(held))))
-        unit = np.exp(2j * math.pi * pulled[1::2])
-        square = pulled[0::2]
-        z0 = np.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * unit
-        u = np.sqrt(0.05**2 + (2.0**2 - 0.05**2) * square) * unit
-        rejected = np.zeros(len(z0), dtype=bool)
-        unsure = np.zeros(len(z0), dtype=bool)
-        for s in singular:
-            reach = abs(z0 - s)
-            rejected |= reach < SINGULAR_GUARD
-            unsure |= _near(reach, SINGULAR_GUARD, _GUARD_MARGIN)
-        for k in np.flatnonzero(unsure).tolist():
-            rejected[k] = any(abs(z0[k].item() - s) < SINGULAR_GUARD for s in singular)
-        keep = (lambda k: _windowed(family, z0[k], z0[k] + u[k + 1])) if conditioned else None
-        hits, cut = _walk(rejected, missing, keep)
+        r = _randoms(rng, min(4 * missing, _DRAW_BLOCK))
+        z0 = np.sqrt(0.1**2 + (3.0**2 - 0.1**2) * r[0::4]) * np.exp(2j * math.pi * r[1::4])
+        z = z0 + np.sqrt(0.05**2 + (2.0**2 - 0.05**2) * r[2::4]) * np.exp(2j * math.pi * r[3::4])
+        kept = np.ones(len(z0), dtype=bool)
+        for s in family.spec.singular_finite:
+            kept &= abs(z0 - s) >= SINGULAR_GUARD
+        if conditioned:
+            with np.errstate(all="ignore"):
+                dist = abs(_involution_z(family, z0, z) - z0)
+            kept &= (dist >= _WINDOW[0]) & (dist <= _WINDOW[1])
+        hits = np.flatnonzero(kept)[:missing]
         z0s.append(z0[hits])
-        zs.append(z0[hits] + u[hits + 1])
+        zs.append(z[hits])
         missing -= len(hits)
-        held = pulled[2 * cut:]
     return np.concatenate(z0s), np.concatenate(zs)
 
 
@@ -490,10 +437,9 @@ def _start_point(
 #: relative drift of the integral along an orbit that conservation allows
 CONSERVATION_BOUND = 1e-7
 #: an iterate whose value on the tangent line may be off by more than a
-#: thousandth of the bound (see integrals.tangent_condition) is evaluated exactly
+#: thousandth of the bound (see integrals._on_tangent_factored) is evaluated
+#: exactly
 _ROUNDING_LIMIT = 1e-3 * CONSERVATION_BOUND / sys.float_info.epsilon
-#: the base-point distance on lanes and the scalar guard's may differ by this
-_GUARD_ROUNDING = 1e-12
 
 
 def check_conservation(
@@ -531,12 +477,9 @@ def check_conservation(
     # an infinite Q is a NaN lane, which the exact path evaluates
     z0_lanes, u_lanes = np.array(z0s), np.array([math.nan if u is INF else u for u in us])
     q = _canonical(*_on_tangent(z0_lanes, u_lanes), np.ones_like(z0_lanes))
-    dist = _base_point_distance(family, q)
     # the exact evaluation raises IndeterminacyError inside the base-point
-    # guard; within rounding of its radius the guard itself decides
-    inside = dist < BASE_POINT_GUARD - _GUARD_ROUNDING
-    for k in np.flatnonzero(~inside & (dist <= BASE_POINT_GUARD + _GUARD_ROUNDING)).tolist():
-        inside[k] = _refused(family, _tangent_point(z0s[k], us[k]))
+    # guard; the lanes drop those iterates as it would
+    inside = _base_point_distance(family, q) <= BASE_POINT_GUARD
     steps_left = np.flatnonzero(~inside).tolist()
 
     def residual(z0, u):
@@ -598,12 +541,6 @@ def _canonical(z: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     by_w = ~by_z & (aw >= at)
     with np.errstate(all="ignore"):
         return np.where(by_z, [one, w / z, t / z], np.where(by_w, [z / w, one, t / w], [z / t, w / t, one]))
-
-
-def _refused(family: BilliardFamily, q: ProjectivePoint) -> bool:
-    """Whether the guard of the exact evaluation refuses Q: its cross norm
-    with a base point is within BASE_POINT_GUARD."""
-    return any(cross_norm(q.coords, bp.coords) <= BASE_POINT_GUARD for bp in family.spec.base_points)
 
 
 def _base_point_distance(family: BilliardFamily, coords: np.ndarray) -> np.ndarray:
@@ -803,16 +740,11 @@ _INCIDENCE: dict[str, list[tuple]] = {
 
 
 def _component_value(poly, point: ProjectivePoint) -> float:
-    """Scaled modulus of the homogenized component polynomial at the point."""
-    d = poly.total_degree
-    zc, wc, tc = point.coords
-    total = 0j
-    scale = 0.0
-    for (i, j), c in poly.coeffs.items():
-        term = complex(c) * zc**i * wc**j * tc ** (d - i - j)
-        total += term
-        scale = max(scale, abs(complex(c)))
-    return abs(total) / max(scale, 1e-300)
+    """Modulus of the homogenized component polynomial at the point
+    (:meth:`~dualbill.integrals.BiPoly.at`) over its largest coefficient
+    modulus."""
+    scale = max((abs(complex(c)) for c in poly.coeffs.values()), default=0.0)
+    return abs(poly.at(*point.coords)) / max(scale, 1e-300)
 
 
 def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False) -> CheckReport:
@@ -874,6 +806,9 @@ _EQUIVALENCE_BOUND = 1e-9
 #: a lane whose integral values may be off by more than a thousandth of the
 #: bound (see integrals._factored) is evaluated exactly
 _EQUIVALENCE_LIMIT = 1e-3 * _EQUIVALENCE_BOUND / sys.float_info.epsilon
+#: a lane within this of a base point's BASE_POINT_GUARD is evaluated exactly:
+#: its distance on lanes and the exact guard's may differ by rounding
+_GUARD_ROUNDING = 1e-12
 _EQUIVALENCE_KINDS = ("b-integral equivalence", "c-integral equivalence")
 
 
@@ -987,28 +922,22 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
 
     # one evaluated sample per point; the map commutation below counts none
     _integral_equivalences(rng, psi, mc, acc)
-    # lifted-map commutation on phase points, drawn as many at a time as
-    # the loop would surely take one by one
-    count = 0
-    attempts = 0
-    while count < 25 and attempts < 500:
-        z0s, zs = _draws(b1, rng, min(25 - count, 500 - attempts), conditioned=True)
-        for x in map(_phase_point, z0s.tolist(), zs.tolist()):
-            attempts += 1
-            try:
-                fx = billiard_map(b1, x)
-                lifted = PhasePoint(psi(x.q), psi(x.p))
-                fy = billiard_map(b2, lifted)
-            except Exception:
-                # a corrupted equivalence throws the lift off the parabola;
-                # count that as a failing residual rather than spinning
-                note(1.0, "billiard-map lift rejected", x.q)
-                continue
-            img = PhasePoint(psi(fx.q), psi(fx.p))
-            qres = cross_norm(img.q.coords, fy.q.coords)
-            pres = cross_norm(img.p.coords, fy.p.coords)
-            note(_worse(qres, pres), "billiard-map commutation", x.q)
-            count += 1
+    # lifted-map commutation on 25 phase points
+    z0s, zs = _draws(b1, rng, 25, conditioned=True)
+    for x in map(_phase_point, z0s.tolist(), zs.tolist()):
+        try:
+            fx = billiard_map(b1, x)
+            lifted = PhasePoint(psi(x.q), psi(x.p))
+            fy = billiard_map(b2, lifted)
+        except Exception:
+            # a corrupted equivalence throws the lift off the parabola;
+            # count that as a failing residual
+            note(1.0, "billiard-map lift rejected", x.q)
+            continue
+        img = PhasePoint(psi(fx.q), psi(fx.p))
+        qres = cross_norm(img.q.coords, fy.q.coords)
+        pres = cross_norm(img.p.coords, fy.p.coords)
+        note(_worse(qres, pres), "billiard-map commutation", x.q)
     return acc.report(name, None, {"samples": 100, "seed": seed}, _EQUIVALENCE_BOUND)
 
 

@@ -518,6 +518,21 @@ class TestBadInput:
         )
         assert "start-tau" in err and "finite" in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "b1", "--lambda", "2", "--branch-points", "--components"],
+            ["--family", "d", "--lambda", "inf", "--components", "--periods"],
+        ],
+        ids=["components-at-a-regular-value", "periods-at-infinity"],
+    )
+    def test_curve_writes_no_rows_before_a_bad_section(self, args, capsys):
+        # the sections before the one that cannot be built write nothing
+        code = main(["curve", *args])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
     def test_negative_parametrize(self, capsys):
         self.usage_error(
             ["curve", "--family", "b1", "--lambda", "2", "--parametrize", "-3"], capsys

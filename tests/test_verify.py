@@ -17,7 +17,6 @@ from dualbill.billiards import (
     BilliardFamily,
     _coefficient,
     _involution_z,
-    _point_on_tangent,
     billiard_map,
     involution,
     orbit,
@@ -34,7 +33,7 @@ from dualbill.geometry import (
     c_family_equivalence,
     conic_point,
 )
-from dualbill.integrals import BiPoly, eval_on_tangent, tangent_condition
+from dualbill.integrals import BiPoly
 from dualbill.numerics import INF, INF_THRESHOLD, SphereValue
 from dualbill.verify import (
     TRANSLATION_CASES,
@@ -336,34 +335,23 @@ INSTANCES = [BilliardFamily(tag, n) for tag in ("a1", "a2") for n in (1, 2, 3)] 
 ]
 
 
-def _draw(fam, rng, guard=verify.SINGULAR_GUARD):
-    """One unconditioned draw (z0, u) of the sampled checks, one random at a
-    time."""
-    while True:
-        r = math.sqrt(rng.uniform(0.1**2, 3.0**2))
-        z0 = r * cmath.exp(2j * math.pi * rng.random())
-        if any(abs(z0 - s) < guard for s in fam.spec.singular_finite):
-            continue
-        ur = math.sqrt(rng.uniform(0.05**2, 2.0**2))
-        return z0, ur * cmath.exp(2j * math.pi * rng.random())
-
-
-def _point_draw(fam, rng, guard=verify.SINGULAR_GUARD):
-    """One unconditioned draw as (z0, z) with z = z0 + u on Python numbers:
-    the reference that ``verify._draws`` reproduces."""
-    z0, u = _draw(fam, rng, guard)
-    return z0, z0 + u
-
-
-def _phase_draw(fam, rng, guard=verify.SINGULAR_GUARD):
-    """One draw (z0, z) conditioned on the involution image of z, one random
-    at a time: the reference that ``verify._draws`` reproduces."""
-    while True:
-        z0, u = _draw(fam, rng, guard)
-        z = z0 + u
-        z_img = _involution_z(fam, z0, z)
-        if z_img is not INF and 0.05 <= abs(z_img - z0) <= 25.0:
-            return z0, z
+def _attempt(fam, rng, conditioned):
+    """One attempt of the draws, the reference of TestDraws: four
+    ``rng.random()`` calls, z0 and z = z0 + u built from them on Python
+    numbers, and its guard and window decided on one-lane arrays.  Returns
+    (z0, z) when the attempt is kept, else None."""
+    square, turn, u_square, u_turn = (rng.random() for _ in range(4))
+    z0 = math.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * cmath.exp(2j * math.pi * turn)
+    z = z0 + math.sqrt(0.05**2 + (2.0**2 - 0.05**2) * u_square) * cmath.exp(2j * math.pi * u_turn)
+    z0_lane, z_lane = np.array([z0]), np.array([z])
+    if any(abs(z0_lane - s)[0] < verify.SINGULAR_GUARD for s in fam.spec.singular_finite):
+        return None
+    if conditioned:
+        with np.errstate(all="ignore"):
+            dist = abs(_involution_z(fam, z0_lane, z_lane) - z0_lane)[0]
+        if not verify._WINDOW[0] <= dist <= verify._WINDOW[1]:
+            return None
+    return z0, z
 
 
 def _involution_lanes(fam, n=200):
@@ -377,25 +365,11 @@ def _draw_lanes(fam, purpose, n=100):
     return tuple(map(np.array, verify._draws(fam, rng, n, conditioned=True)))
 
 
-def _projective_phase_point(fam, rng):
-    """The draws' conditioning on projective points, through the public
-    involution, as ``sample_phase_point`` had it: the reference of
-    TestDraws."""
-    while True:
-        z0, u = _draw(fam, rng)
-        x = PhasePoint(_point_on_tangent(z0, z0 + u), conic_point(z0))
-        z_img = involution(fam, x.p, x.q).z_sphere()
-        if not z_img.is_inf and 0.05 <= abs(z_img.value - z0) <= 25.0:
-            return x
-
-
 #: per kernel, its lane outputs at the points z1 of the tangent lines at z0
 LANE_KERNELS = {
     "involution": lambda fam, z0, z1: verify._involution_residual(fam, z0, z1),
     "jacobian": lambda fam, z0, z1: verify._jacobian_residual(fam, z0, z1),
-    "tangent R": lambda fam, z0, z1: (
-        eval_on_tangent(fam, z0, z1 - z0), tangent_condition(fam, z0, z1 - z0)
-    ),
+    "tangent R": lambda fam, z0, z1: integrals._on_tangent_factored(fam, z0, z1 - z0),
     "area": lambda fam, z0, z1: _area_defect(fam, z0, z1),
 }
 
@@ -454,8 +428,10 @@ class TestLanes:
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_tangent_line_lanes_are_order_free(self, fam):
         z0, z1 = _involution_lanes(fam)
-        self.assert_order_free(lambda z0, u: eval_on_tangent(fam, z0, u), (z0, z1 - z0))
-        self.assert_order_free(lambda z0, u: tangent_condition(fam, z0, u), (z0, z1 - z0))
+        for part in (0, 1):  # R and its rounding estimate
+            self.assert_order_free(
+                lambda z0, u: integrals._on_tangent_factored(fam, z0, u)[part], (z0, z1 - z0)
+            )
 
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_area_lanes_are_order_free(self, fam):
@@ -580,83 +556,50 @@ def _hex(values) -> list[tuple[str, str]]:
     return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
-class _Stream(random.Random):
-    """A random stream that yields ``head`` first, then the stream of
-    ``seed``."""
-
-    def __init__(self, head, seed):
-        super().__init__(seed)
-        self.head = list(head)
-
-    def random(self):
-        return self.head.pop(0) if self.head else super().random()
-
-
 class TestDraws:
-    """The sampled checks condition their draws on (z0, z) with
-    ``_involution_z``; over 2000 draws per family and seed this accepts the
-    same draws as the conditioning on projective points, and
-    ``sample_phase_point`` keeps its coordinate bits.  ``verify._draws``
-    gives the draws of the one-at-a-time references bit for bit and leaves
-    the stream where they leave it."""
+    """``verify._draws`` takes attempt k from randoms 4k to 4k + 3 and keeps
+    the first n that pass the guard and, for a conditioned draw, the window,
+    decided on lanes: the draws of any n are prefixes of one sequence, the
+    attempts of one at a time on one-lane arrays, and a conditioned draw
+    has its involution image, on projective points, within the window."""
 
     @pytest.mark.parametrize("seed", [42, 9501])
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_same_draws_as_on_projective_points(self, fam, seed):
         name = f"draws:{fam.label()}"
-        new, old, sampled, one = (verify._rng_for(seed, name) for _ in range(4))
+        lo, hi = verify._WINDOW
+        z0s, zs = verify._draws(fam, verify._rng_for(seed, name), 2000, conditioned=True)
+        for z0, z in zip(z0s.tolist(), zs.tolist()):
+            assert all(abs(z0 - s) >= verify.SINGULAR_GUARD for s in fam.spec.singular_finite)
+            x = verify._phase_point(z0, z)
+            z_img = involution(fam, x.p, x.q).z_sphere()
+            assert not z_img.is_inf
+            assert lo * (1 - 1e-9) <= abs(z_img.value - z0) <= hi * (1 + 1e-9)
         bits = lambda x: np.array([*x.q.coords, *x.p.coords]).tobytes()  # noqa: E731
-        draws = (lanes.tolist() for lanes in verify._draws(fam, sampled, 2000, conditioned=True))
-        for k, (z0, z) in enumerate(zip(*draws)):
-            _phase_draw(fam, new)
-            x = _projective_phase_point(fam, old)
-            # the same draws accepted and rejected consume the same stream
-            assert new.getstate() == old.getstate()
-            assert bits(verify._phase_point(z0, z)) == bits(x)
-            if k < 50:  # sample_phase_point takes one such draw
-                assert bits(verify.sample_phase_point(fam, one)) == bits(x)
+        for k in range(50):  # sample_phase_point takes the first draw
+            rng, one = (verify._rng_for(seed + k, name) for _ in range(2))
+            z0, z = (lane[0].item() for lane in verify._draws(fam, rng, 1, conditioned=True))
+            assert bits(verify.sample_phase_point(fam, one)) == bits(verify._phase_point(z0, z))
 
     @pytest.mark.parametrize("seed", [42, 9501, 9701])
     @pytest.mark.parametrize("fam", INSTANCES, ids=BilliardFamily.label)
     def test_blocks_give_the_draws_one_at_a_time(self, fam, seed):
-        for conditioned, reference in ((False, _point_draw), (True, _phase_draw)):
-            for n in (1, 7, 1000, 2500):  # 2500 draws take more than one block
-                rng, ref = (verify._rng_for(seed, f"blocks:{fam.label()}") for _ in range(2))
-                z0s, seconds = verify._draws(fam, rng, n, conditioned=conditioned)
-                expected = [reference(fam, ref) for _ in range(n)]
-                assert _hex(z0s) == _hex(z0 for z0, _ in expected)
-                assert _hex(seconds) == _hex(second for _, second in expected)
-                assert rng.getstate() == ref.getstate()
-
-    @pytest.mark.parametrize("conditioned", [False, True])
-    def test_a_draw_on_the_guard_circle(self, conditioned, monkeypatch):
-        # the first two randoms put z0 at exactly SINGULAR_GUARD from a1's
-        # singular parameter 0: the guard keeps it, and a guard one ulp
-        # wider rejects it, which changes the draws.  numpy's modulus of
-        # this z0 on a lane can round an ulp below the radius (it does on
-        # x86-64 with AVX-512, numpy 2.4), and only the decision on Python
-        # numbers keeps it.  ``square`` is no possible output of random(),
-        # so no Mersenne Twister words carry it: the draws take the two
-        # head values through a patched ``_randoms``
-        square, turn = (verify.SINGULAR_GUARD**2 - 0.1**2) / (3.0**2 - 0.1**2), 1e-4
-        z0 = math.sqrt(0.1**2 + (3.0**2 - 0.1**2) * square) * cmath.exp(2j * math.pi * turn)
-        assert abs(z0) == verify.SINGULAR_GUARD
-        head, real = [square, turn], verify._randoms
-
-        def randoms(rng, size):
-            given = head[:size]
-            del head[:size]
-            return np.concatenate((given, real(rng, size - len(given))))
-
-        monkeypatch.setattr(verify, "_randoms", randoms)
-        reference = _phase_draw if conditioned else _point_draw
-        bent = math.nextafter(verify.SINGULAR_GUARD, math.inf)
-        rng, ref, wide = random.Random(11), _Stream([square, turn], 11), _Stream([square, turn], 11)
-        got = verify._draws(A1, rng, 5, conditioned=conditioned)
-        exact = [reference(A1, ref) for _ in range(5)]
-        assert exact[0][0] == z0
-        assert [_hex(got[0]), _hex(got[1])] == [_hex(e[0] for e in exact), _hex(e[1] for e in exact)]
-        assert _hex(got[0]) != _hex(draw[0] for draw in (reference(A1, wide, bent) for _ in range(5)))
+        name = f"blocks:{fam.label()}"
+        for conditioned in (False, True):
+            # 2500 draws take more than one block
+            runs = {
+                n: verify._draws(fam, verify._rng_for(seed, name), n, conditioned=conditioned)
+                for n in (1, 7, 1000, 2500)
+            }
+            longest = [_hex(lanes) for lanes in runs[2500]]
+            for n, lanes in runs.items():
+                assert [_hex(lane) for lane in lanes] == [hexes[:n] for hexes in longest], n
+            ref, expected = verify._rng_for(seed, name), []
+            while len(expected) < 2500:
+                draw = _attempt(fam, ref, conditioned)
+                if draw is not None:
+                    expected.append(draw)
+            assert longest == [_hex(z0 for z0, _ in expected), _hex(z for _, z in expected)]
 
     @pytest.mark.parametrize("seed", [0, 42, 9501])
     def test_randoms_are_random_calls(self, seed):
@@ -668,34 +611,6 @@ class TestDraws:
             assert got.dtype == np.float64
             assert got.tobytes() == np.array([ref.random() for _ in range(size)], dtype=float).tobytes()
             assert rng.getstate() == ref.getstate()
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.booleans(), st.booleans()), min_size=2, max_size=60), st.integers(1, 40))
-    @example([(False, True), (False, True)], 1)
-    @example([(True, True), (False, True), (False, True)], 1)
-    @example([(False, True), (True, True), (False, True), (False, True)], 5)
-    def test_walk_is_the_sequential_loop(self, pairs, missing):
-        rejected, keep = (np.array(col) for col in zip(*pairs))
-        for kept in (keep, None):
-            hits, cut = verify._walk(rejected, missing, None if kept is None else lambda k: kept[k])
-            assert (hits.tolist(), cut) == _sequential_walk(rejected, kept, missing)
-
-
-def _sequential_walk(rejected, keep, missing):
-    """The attempts of a block walked one pair at a time, as ``_draws`` did
-    before ``_walk``: the pairs of the kept attempts, at most ``missing``,
-    and the pair from which the randoms are held."""
-    hits, k = [], 0
-    while k < len(rejected) and len(hits) < missing:
-        if rejected[k]:
-            k += 1
-            continue
-        if k + 1 == len(rejected):  # u is in the next block
-            break
-        if keep is None or keep[k]:
-            hits.append(k)
-        k += 2
-    return hits, k
 
 
 def _laned_one_by_one(residual, lanes, where, fallback):
@@ -969,37 +884,25 @@ class TestConservationOnLanes:
         assert report.status == "pass" and report.worst <= 1e-9
 
     @pytest.mark.parametrize("fam", [A1, BilliardFamily("a2", 1)], ids=BilliardFamily.label)
-    def test_exact_path_only_within_rounding_of_the_guard(self, fam, monkeypatch):
-        # the lanes drop an iterate inside the base-point guard under
-        # IndeterminacyError, as eval_integral does; only one within rounding
-        # of its radius reaches the guard of eval_integral, which decides
-        # it, and its value still comes from the lane.  A band widened to
-        # 1e-9 sends 6 to 23 iterates of each orbit there and changes no
-        # report
-        calls = []
-        refused = verify._refused
+    def test_guard_is_decided_on_lanes(self, fam, monkeypatch):
+        # the lanes drop an iterate under IndeterminacyError, as the exact
+        # evaluation does, exactly when its base-point distance on the lanes
+        # is at most BASE_POINT_GUARD
+        distances = []
+        real = verify._base_point_distance
 
-        def counting(family, q):
-            calls.append(q.coords)
-            return refused(family, q)
+        def recording(family, coords):
+            distances.append(real(family, coords))
+            return distances[-1]
 
-        def reports():
-            calls.clear()
-            return [
-                check_conservation(fam, lam, 500, 42, start=start, branch=branch).to_dict()
-                for lam, start, branch in verify.CONSERVATION_CASES[fam.tag]
-            ]
-
-        def gaps():  # the base-point distance of each call less the radius
-            dist = verify._base_point_distance(fam, np.array(calls, dtype=complex).reshape(-1, 3).T)
-            return dist - integrals.BASE_POINT_GUARD
-
-        monkeypatch.setattr(verify, "_refused", counting)
-        narrow = reports()
-        assert (gaps() >= -1e-12).all()
-        monkeypatch.setattr(verify, "_GUARD_ROUNDING", 1e-9)
-        assert reports() == narrow
-        assert (gaps() >= -1e-9).all() and (abs(gaps()) <= 1e-9).sum() >= 5 * len(narrow)
+        monkeypatch.setattr(verify, "_base_point_distance", recording)
+        for lam, start, branch in verify.CONSERVATION_CASES[fam.tag]:
+            distances.clear()
+            report = check_conservation(fam, lam, 500, 42, start=start, branch=branch)
+            (dist,) = distances
+            inside = int(np.count_nonzero(dist <= integrals.BASE_POINT_GUARD))
+            assert inside > 0 and report.params["dropped"] == {"IndeterminacyError": inside}
+            assert report.params["evaluated"] == len(dist) - inside
 
     def test_a_step_to_e_takes_the_exact_path(self, monkeypatch):
         # on b1 at z0 = 0.4, u = -1/f(z0) makes 1 + f u = 0 in floats: the
