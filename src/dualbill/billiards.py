@@ -190,28 +190,10 @@ def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -
     return _point_on_tangent(z0, _involution_z(family, z0, _z_param(q)))
 
 
-def _offset_image(family: BilliardFamily, z0, u):
-    """The involution at the nonsingular parameter z0 in the offset
-    coordinate: the image -u/(1 + f(z0) u) of the point at offset u (a
-    number or INF) of the tangent line at z0, INF at its pole.
-
-    Pure arithmetic on z0 and u, so number types other than complex pass
-    through it: the derivative jets of :mod:`dualbill.forms`, and numpy
-    arrays of lanes.  The pole is found by the division raising, as Python
-    numbers and jets do; on a lane it gives no INF but a non-finite value,
-    or a huge one where numpy's rounding leaves the denominator nonzero.
-    """
-    try:
-        f = _coefficient(family, z0)
-    except ZeroDivisionError:
-        raise SingularTangencyError("involution coefficient has a pole at P") from None
-    return _image(f, u)
-
-
 def _image(f, u):
     """The involution with coefficient value f in the offset coordinate:
     the image -u/(1 + f u) of the offset u (a number or INF), INF at its
-    pole.  The one statement of its arithmetic, for :func:`_offset_image`
+    pole.  The one statement of its arithmetic, for :func:`_involution_z`
     and the steps of :func:`billiard_map` and :func:`_offset_orbit`."""
     if u is INF:  # the line's infinite point goes to u = -1/f
         return -1.0 / f if f != 0 else INF
@@ -223,9 +205,20 @@ def _image(f, u):
 
 def _involution_z(family: BilliardFamily, z0, z1):
     """z-coordinate of the involution image of the point z1 (a number or
-    INF) of the tangent line at the nonsingular parameter z0, by
-    :func:`_offset_image`, on the same number types."""
-    u = _offset_image(family, z0, INF if z1 is INF else z1 - z0)
+    INF) of the tangent line at the nonsingular parameter z0: in the offset
+    coordinate u = z1 - z0 the image is -u/(1 + f(z0) u), INF at its pole.
+
+    Pure arithmetic on z0 and z1, so number types other than complex pass
+    through it: the derivative jets of :mod:`dualbill.forms`, and numpy
+    arrays of lanes.  The pole is found by the division raising, as Python
+    numbers and jets do; on a lane it gives no INF but a non-finite value,
+    or a huge one where numpy's rounding leaves the denominator nonzero.
+    """
+    try:
+        f = _coefficient(family, z0)
+    except ZeroDivisionError:
+        raise SingularTangencyError("involution coefficient has a pole at P") from None
+    u = _image(f, INF if z1 is INF else z1 - z0)
     return INF if u is INF else u + z0
 
 

@@ -115,25 +115,29 @@ class RecordWriter:
         self.fmt = fmt
         self.stream = stream
         self._csv = None
-        self._fields: list[str] | None = None
 
-    def write(self, record: dict) -> None:
+    def write(self, *records: dict) -> None:
+        """Write the records in order.  The first call that writes CSV sets
+        its header: the union of its records' flattened fields, in the order
+        they are first seen; a row leaves the fields it lacks empty."""
         if self.fmt == "json":
-            inner = ",".join(
-                f"{_json_value(str(k))}:{_json_value(v)}" for k, v in record.items()
-            )
-            self.stream.write("{%s}\n" % inner)
+            for record in records:
+                inner = ",".join(f"{_json_value(str(k))}:{_json_value(v)}" for k, v in record.items())
+                self.stream.write("{%s}\n" % inner)
             return
-        row: dict = {}
-        for k, v in record.items():
-            _flatten_csv(v, k, row)
+        rows = []
+        for record in records:
+            row: dict = {}
+            for k, v in record.items():
+                _flatten_csv(v, k, row)
+            rows.append(row)
+        if not rows:
+            return
         if self._csv is None:
-            self._fields = list(row)
-            self._csv = csv.DictWriter(
-                self.stream, fieldnames=self._fields, lineterminator="\r\n"
-            )
+            fields = dict.fromkeys(k for row in rows for k in row)
+            self._csv = csv.DictWriter(self.stream, fieldnames=list(fields), lineterminator="\r\n")
             self._csv.writeheader()
-        self._csv.writerow(row)
+        self._csv.writerows(rows)
 
 
 def _parse_lambda(text: str) -> SphereValue:
@@ -420,8 +424,7 @@ def cmd_curve(args) -> int:
                 pt = parametrize_level(family, lam.value, t)
                 w = SphereValue(pt.w / pt.t) if pt.t != 0 else INF
                 records.append({"kind": "point", "index": k, "t": t, "z": pt.z_sphere(), "w": w})
-        for record in records:
-            writer.write(record)
+        writer.write(*records)
     return 0
 
 

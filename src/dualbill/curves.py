@@ -36,6 +36,10 @@ from .billiards import BilliardFamily
 from .families import Image
 from .geometry import E_INFINITY, EPS_CUBE_ROOT, PhasePoint, ProjectivePoint, conic_point
 from .integrals import (
+    _CONIC,
+    _ONE,
+    _W,
+    _Z,
     BiPoly,
     coefficients_a1,
     coefficients_a2,
@@ -78,11 +82,6 @@ __all__ = [
     "point_on_level",
     "tangency_gap",
 ]
-
-_Z = BiPoly.var_z()
-_W = BiPoly.var_w()
-_ONE = BiPoly.const(1)
-
 
 def is_regular(family: BilliardFamily, lam) -> bool:
     """Whether lam avoids every critical value of the family's integral."""
@@ -638,7 +637,6 @@ def _quartic_d_932(t, s):
 
 # exact component polynomials -------------------------------------------------
 
-_CONIC_GAMMA = _W - _Z * _Z
 _CUBIC_B1_LEVEL1 = BiPoly.from_terms(
     (2, 3, 0), (-3, 2, 1), (-3, 2, 0), (6, 1, 1), (-1, 0, 2), (-1, 0, 1)
 )
@@ -823,9 +821,9 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
         lambda family, lam: [
             CurveComponent(
                 "irreducible sextic (degenerate cusp at the origin)",
-                first_integral(family).level_polynomial(Fraction(-1, 4)),
+                first_integral(family).level_polynomial(_as_fraction(lam.value)),
                 1,
-                _rational(partial(_level_d, -0.25, None)),
+                _rational(partial(_level_d, lam.value.real, None)),
             )
         ],
         (FiberComponent(1, "double", "level curve"),),
@@ -845,7 +843,7 @@ def critical_fiber_components(family: BilliardFamily, lam) -> list[CurveComponen
         raise ValueError(f"{lam!r} is a regular value of family {family.label()}")
     if lam == SphereValue(0):
         zero_order = first_integral(family).zero_order
-        return [CurveComponent("parabola", _CONIC_GAMMA, zero_order, _rational(_parabola))]
+        return [CurveComponent("parabola", _CONIC, zero_order, _rational(_parabola))]
     cell = _CELLS.get((family.tag, lam))
     if cell is None:
         raise ValueError(f"no component table for family {family.label()} at {lam!r}")

@@ -4,7 +4,8 @@ Each fact about a family is stated here once: its a-family translation (and
 so whether it takes N), the involution coefficient f, the integral's base
 points, the critical values with their critical points and indeterminacies,
 the kind of its level curves and fibers, and which family it is the image
-of.  The modules above look these facts up instead of branching on the tag.
+of; the zero row and the singular parameters follow from the base points.
+The modules above look these facts up instead of branching on the tag.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ class FamilySpec:
     """The defining facts of one billiard family.
 
     ``critical`` lists the rows in the order ``critical_values`` reports
-    them.  ``level_curves`` is "rational" or "elliptic"; ``elliptic_fiber``
-    marks the families whose invariant fibers are genus-one double covers
-    of their level curves.
+    them; ``__post_init__`` puts first, in place of any given, the zero row:
+    the parabola, critical at every base point.  ``level_curves`` is
+    "rational" or "elliptic"; ``elliptic_fiber`` marks the families whose
+    invariant fibers are genus-one double covers of their level curves.
     """
 
     tag: str
@@ -70,6 +72,9 @@ class FamilySpec:
     singular_at_infinity: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        zero = CriticalRow(SphereValue(0), (), self.base_points)
+        rows = (zero, *(row for row in self.critical if row.value != zero.value))
+        object.__setattr__(self, "critical", rows)
         finite = tuple(p.z / p.t for p in self.base_points if p.t != 0)
         object.__setattr__(self, "singular_finite", finite)
         object.__setattr__(self, "singular_at_infinity", len(finite) < len(self.base_points))
@@ -86,25 +91,18 @@ _ORIGIN = _aff(0.0, 0.0)
 _ONE_ONE = _aff(1.0, 1.0)
 _e = EPS_CUBE_ROOT
 _eb = _e.conjugate()
-_ZERO = SphereValue(0)
 _ONE = SphereValue(1)
 _FOUR_THIRDS = SphereValue(Fraction(4, 3))
 
 
 def _a_family(tag: str, shift, inf_indeterminacies) -> FamilySpec:
-    base = (_ORIGIN, _E)
     return FamilySpec(
-        tag,
-        base,
-        (CriticalRow(_ZERO, (), base), CriticalRow(INF, (), inf_indeterminacies)),
-        "rational",
-        shift=shift,
+        tag, (_ORIGIN, _E), (CriticalRow(INF, (), inf_indeterminacies),), "rational", shift=shift
     )
 
 
 def _c_family(tag: str, base, middle: CriticalRow, f) -> FamilySpec:
-    rows = (CriticalRow(_ZERO, (), base), middle, CriticalRow(INF, (), base))
-    return FamilySpec(tag, base, rows, "elliptic", f=f)
+    return FamilySpec(tag, base, (middle, CriticalRow(INF, (), base)), "elliptic", f=f)
 
 
 _PSI = b_family_equivalence()
@@ -121,7 +119,6 @@ FAMILIES: dict[str, FamilySpec] = {
             "b1",
             _O_I_E,
             (
-                CriticalRow(_ZERO, (), _O_I_E),
                 CriticalRow(_ONE, (_aff(0.0, -1.0),), (_ONE_ONE,)),
                 CriticalRow(_FOUR_THIRDS, (_aff(1 / 3, 1.0),)),
                 CriticalRow(INF, (_aff(1.0, -3.0), _aff(-1 / 3, -1 / 3))),
@@ -136,7 +133,6 @@ FAMILIES: dict[str, FamilySpec] = {
             "b2",
             _B2_BASE,
             (
-                CriticalRow(_ZERO, (), _B2_BASE),
                 CriticalRow(_ONE, (ProjectivePoint(1.0, 0.0, 0.0),), (_E,)),
                 CriticalRow(_FOUR_THIRDS, (_aff(0.0, -2.0),)),
                 CriticalRow(INF, (_aff(-1j, 0.0), _aff(1j, 0.0))),
@@ -168,7 +164,6 @@ FAMILIES: dict[str, FamilySpec] = {
             "d",
             _O_I_E,
             (
-                CriticalRow(_ZERO, (), _O_I_E),
                 CriticalRow(SphereValue(Fraction(-1, 3)), (_aff(2 / 5, 8 / 5),)),
                 CriticalRow(SphereValue(Fraction(-1, 4)), (), (_ORIGIN,)),
                 CriticalRow(SphereValue(Fraction(-9, 32)), (_aff(1 / 10, -4 / 5),), (_ONE_ONE,)),

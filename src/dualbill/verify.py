@@ -24,13 +24,15 @@ takes randoms 4k to 4k + 3 of the check's stream, and the draws are the
 first kept attempts.  Whether an attempt is kept, its z0 outside the guard
 disks and, for a conditioned draw, its involution image within the window,
 is decided on numpy lanes, so the draws do not depend on how many attempts
-a block holds.  The draws stay arrays up to the lane loop; Python numbers
-are built only for a lane that the scalar path evaluates and for the
-witness.  These three, the conservation check and the integral half
-of the equivalences check share one lane loop, :func:`_laned`, which runs
-the residual once on numpy arrays of every lane through the library's own
-arithmetic.  Every operation is elementwise, so a lane's residual does not
-depend on the size or order of its batch.  A lane whose residual is not
+a block holds.  The integral half of the equivalences check takes its 100
+points from randoms 0 to 399, four each, and replaces no dropped point.
+The draws stay arrays up to the lane loop; Python numbers are built only
+for a lane that the scalar path evaluates and for the witness.  These
+three, the conservation check and the integral half of the equivalences
+check share one lane loop, :func:`_laned`, which runs the residual once on
+numpy arrays of every lane through the library's own arithmetic.  Every
+operation is elementwise, so a lane's residual does not depend on the size
+or order of its batch.  A lane whose residual is not
 finite, or whose image is at infinity on the sphere, is evaluated again on
 the scalar path: on Python numbers, where the involution's pole gives INF;
 by ``forms._area_residual``, which raises there; by the exact
@@ -50,6 +52,9 @@ distance on the lanes is within ``BASE_POINT_GUARD`` is dropped under
 ``IndeterminacyError``, as the exact evaluation would drop it.  The
 residuals of every lane are then recorded in one step, with the worst and
 witness that recording them one by one gives.
+
+The tables check reads its facts from the registry and the critical cells,
+and states one table of its own, ``_BASE_POINT_COMPONENTS``.
 """
 
 from __future__ import annotations
@@ -87,7 +92,6 @@ from .curves import (
 from .forms import _area_defect, _area_residual, _chart_derivative, abel_steps, halfstep_jacobian
 from .geometry import (
     E_INFINITY,
-    EPS_CUBE_ROOT,
     ProjectiveMap,
     ProjectivePoint,
     b_family_equivalence,
@@ -301,26 +305,25 @@ def sample_phase_point(family: BilliardFamily, rng: random.Random) -> PhasePoint
 
 def _laned(
     residual: Callable, lanes: tuple[np.ndarray, ...], where: Callable[[int], dict],
-    fallback: Callable[[int], float | None] | None = None, acc: _Residuals | None = None,
+    fallback: Callable[[int], float | None] | None = None,
 ) -> _Residuals:
-    """The residuals of a check whose samples are lanes, recorded into
-    ``acc`` (by default a new one): ``residual``, which returns each lane's
-    residual, or a row of them, and its image, runs once on fresh contiguous
-    numpy arrays of every lane (numpy's complex ``abs`` rounds differently
-    on a strided view).
+    """The residuals of a check whose samples are lanes: ``residual``, which
+    returns each lane's residual, or a row of them, and its image, runs once
+    on fresh contiguous numpy arrays of every lane (numpy's complex ``abs``
+    rounds differently on a strided view).
 
     A lane whose residuals are not finite or whose image has modulus
     INF_THRESHOLD or more is evaluated again by ``fallback(k)``, by default
     ``residual`` on the lane's Python numbers: on the involution's pole
     numpy gives a non-finite or huge image, and Python numbers give INF, as
-    the scalar path does; ``acc.fallbacks`` counts these lanes.  A call
-    that raises drops its lanes (the lane call all of them) under the
+    the scalar path does; the result's ``fallbacks`` counts these lanes.  A
+    call that raises drops its lanes (the lane call all of them) under the
     exception class; a fallback that returns None drops its lane as an
     infinite value.  The residuals are then recorded in one step, and the
     witness is ``where`` of the first worst residual
     (:meth:`_Residuals.note_lanes`).
     """
-    acc = _Residuals() if acc is None else acc
+    acc = _Residuals()
     lanes = tuple(map(np.array, lanes))
     if fallback is None:
         def fallback(k):
@@ -694,48 +697,14 @@ def check_jacobian(
 # --------------------------------------------------------------------------
 # table verification
 
-_aff = ProjectivePoint.affine
-_e = EPS_CUBE_ROOT
-_eb = _e.conjugate()
-#: per family: (lam, point, how many listed components must contain it)
-_INCIDENCE: dict[str, list[tuple]] = {
-    "b1": [
-        (INF, _aff(1.0, -3.0), 2),
-        (INF, _aff(-1 / 3, -1 / 3), 2),
-        (SphereValue(1), _aff(0.0, -1.0), 2),
-        (SphereValue(1), _aff(0.0, 0.0), 2),
-        (SphereValue(1), E_INFINITY, 2),
-        (Fraction(4, 3), _aff(1 / 3, 1.0), 2),
-        (Fraction(4, 3), _aff(0.0, 0.0), 2),
-        (Fraction(4, 3), _aff(1.0, 1.0), 2),
-        (Fraction(4, 3), E_INFINITY, 2),
-    ],
-    "b2": [
-        (INF, _aff(1j, 0.0), 2),
-        (INF, _aff(-1j, 0.0), 2),
-    ],
-    "c1": [
-        (Fraction(27, 64), p, 2)
-        for p in (
-            _aff(_eb / 2, _e), _aff(0.5, 1.0), _aff(_e / 2, _eb),
-            _aff(_eb, _e), _aff(_e, _eb), _aff(1.0, 1.0),
-        )
-    ],
-    "c2": [
-        (Fraction(-9, 64), p, 2)
-        for p in (
-            _aff(1.25, 1.0), _aff(-0.25, -0.5), _aff(0.5, -2.0),
-            _aff(0.0, 0.0), _aff(1.0, 1.0), E_INFINITY,
-        )
-    ],
-    "d": [
-        (Fraction(-1, 3), _aff(2 / 5, 8 / 5), 2),
-        (Fraction(-9, 32), _aff(1 / 10, -4 / 5), 2),
-        (INF, _aff(1.0, -8.0), 2),
-        (INF, _aff(-0.5, -2.0), 2),
-        (INF, _aff(1.0, 1.0), 2),
-        (INF, E_INFINITY, 3),
-    ],
+#: per (family, critical value): how many components of its cell pass
+#: through each base point, in the order of ``spec.base_points``
+_BASE_POINT_COMPONENTS: dict[tuple[str, SphereValue], tuple[int, ...]] = {
+    ("b1", SphereValue(1)): (2, 1, 2),
+    ("b1", SphereValue(Fraction(4, 3))): (2, 2, 2),
+    ("c1", SphereValue(Fraction(27, 64))): (2, 2, 2),
+    ("c2", SphereValue(Fraction(-9, 64))): (2, 2, 2),
+    ("d", INF): (2, 2, 3),
 }
 
 
@@ -749,7 +718,13 @@ def _component_value(poly, point: ProjectivePoint) -> float:
 
 def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False) -> CheckReport:
     """Re-verify every tabulated critical value, critical point, base point
-    and component-intersection point by direct evaluation."""
+    and component-intersection point by direct evaluation.
+
+    A critical point of a reducible critical level curve is where two of
+    its components meet: each row point must lie on two components of its
+    cell, built once per row, and a base point on as many as
+    ``_BASE_POINT_COMPONENTS`` gives; on a cell that lists fewer, its
+    residual is infinite."""
     name = f"tables:{family.label()}"
     acc = _Residuals()
     shift = 1e-3 if corrupt else 0.0
@@ -792,11 +767,14 @@ def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False
         for ip in row.indeterminacies:
             if not any(ip.eq(bp) for bp in indeterminacy_set(family)):
                 note(1.0, "incidence: critical indeterminacy is a base point", ip)
-    for lam, point, expected in _INCIDENCE.get(family.tag, []):
-        comps = critical_fiber_components(family, SphereValue.coerce(lam))
-        pt = displaced(point)
-        residuals = sorted(_component_value(c.poly, pt) for c in comps)
-        note(residuals[min(expected, len(residuals)) - 1], f"incidence: on {expected} components", point)
+        counts = _BASE_POINT_COMPONENTS.get((family.tag, lam), ())
+        if not (row.points or counts):
+            continue
+        comps = critical_fiber_components(family, lam)
+        for point, k in [*((cp, 2) for cp in row.points), *zip(family.spec.base_points, counts)]:
+            pt = displaced(point)
+            residuals = sorted(_component_value(c.poly, pt) for c in comps) + [math.inf] * k
+            note(residuals[k - 1], f"incidence: on {k} components", point)
     params = {"seed": seed, "worst_by_kind": by_kind}
     return acc.report(name, family, params, 1e-8)
 
@@ -836,28 +814,23 @@ def _mapped(m: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return _canonical(*rows)
 
 
-def _integral_equivalences(
-    rng: random.Random, psi: ProjectiveMap, mc: ProjectiveMap, acc: _Residuals
-) -> None:
-    """Record into ``acc`` the residuals of R_b1(p) = R_b2(psi(p)) and of
-    -3 R_c2(p) = R_c1(m_c(p)), relative to max(1, |R_b1(p)|) and
-    max(1, |R_c1(m_c(p))|), at points p = (z, w) whose four parts are
-    ``rng.uniform(-2, 2)`` in turn, until 100 points are evaluated or 2000
-    attempted.
+def _integral_equivalences(rng: random.Random, psi: ProjectiveMap, mc: ProjectiveMap) -> _Residuals:
+    """The residuals of R_b1(p) = R_b2(psi(p)) and of -3 R_c2(p) =
+    R_c1(m_c(p)), relative to max(1, |R_b1(p)|) and max(1, |R_c1(m_c(p))|),
+    at 100 points p = (z, w).
 
-    A block takes as many attempts as a loop over points one at a time
-    would surely take, four randoms each (:func:`_randoms`;
-    ``rng.uniform(-2, 2)`` is -2 + 4 ``random()``), so the stream moves as
-    that loop moves it.  The points, psi and m_c are applied on lanes of
-    canonical coordinates, and R by its factors (:func:`_integral_lanes`).
-    A lane is evaluated again on the exact scalar path, the loop's own body
-    with ``eval_integral`` on ProjectivePoints, when a value's rounding
-    estimate exceeds ``_EQUIVALENCE_LIMIT``, a value is not finite or
-    reaches INF_THRESHOLD, or a point is within rounding of a base point's
-    ``BASE_POINT_GUARD`` or inside it.  That path drops a point under the
-    class of the first evaluation that raises, in the order b1, b2, c2,
-    c1, and then as an infinite value.  A point's two residuals are noted
-    in that order, the first counting the point as evaluated.
+    Point k takes randoms 4k to 4k + 3 of the stream (:func:`_randoms`) as
+    the real and imaginary parts of z and then of w, each as -2 + 4 r, which
+    is ``rng.uniform(-2, 2)``; a dropped point is not replaced.  The points,
+    psi and m_c are applied on lanes of canonical coordinates, and R by its
+    factors (:func:`_integral_lanes`).  A lane is evaluated again on the
+    exact scalar path, ``eval_integral`` on ProjectivePoints, when a value's
+    rounding estimate exceeds ``_EQUIVALENCE_LIMIT``, a value is not finite
+    or reaches INF_THRESHOLD, or a point is within rounding of a base
+    point's ``BASE_POINT_GUARD`` or inside it.  That path drops a point
+    under the class of the first evaluation that raises, in the order b1,
+    b2, c2, c1, and then as an infinite value.  A point's two residuals are
+    noted in that order, the first counting the point as evaluated.
     """
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
     c1, c2 = BilliardFamily("c1"), BilliardFamily("c2")
@@ -879,29 +852,25 @@ def _integral_equivalences(
         res = [abs(b_gap) / np.maximum(1.0, abs(rb1)), abs(c_gap) / np.maximum(1.0, abs(rc1))]
         return np.stack(res, axis=1), np.where(sure, 0.0, math.nan)
 
-    attempts = 0
-    while acc.evaluated < 100 and attempts < 2000:
-        n = min(100 - acc.evaluated, 2000 - attempts)
-        attempts += n
-        # parts (z.re, z.im, w.re, w.im) of each point, as the loop draws them
-        z, w = (_randoms(rng, 4 * n) * 4.0 - 2.0).view(complex).reshape(n, 2).T
+    # parts (z.re, z.im, w.re, w.im) of each point
+    z, w = (_randoms(rng, 400) * 4.0 - 2.0).view(complex).reshape(100, 2).T
 
-        def exact(k):
-            pt = ProjectivePoint.affine(z[k].item(), w[k].item())
-            rb1 = eval_integral(b1, pt)
-            rb2 = eval_integral(b2, psi(pt))
-            rc2 = eval_integral(c2, pt)
-            rc1 = eval_integral(c1, mc(pt))
-            if rb1.is_inf or rb2.is_inf or rc1.is_inf or rc2.is_inf:
-                return None
-            b_res = abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value))
-            return b_res, abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value))
+    def exact(k):
+        pt = ProjectivePoint.affine(z[k].item(), w[k].item())
+        rb1 = eval_integral(b1, pt)
+        rb2 = eval_integral(b2, psi(pt))
+        rc2 = eval_integral(c2, pt)
+        rc1 = eval_integral(c1, mc(pt))
+        if rb1.is_inf or rb2.is_inf or rc1.is_inf or rc2.is_inf:
+            return None
+        b_res = abs(rb1.value - rb2.value) / max(1.0, abs(rb1.value))
+        return b_res, abs(-3 * rc2.value - rc1.value) / max(1.0, abs(rc1.value))
 
-        def where(k):
-            pt = ProjectivePoint.affine(z[k // 2].item(), w[k // 2].item())
-            return {"what": _EQUIVALENCE_KINDS[k % 2], "where": repr(pt)}
+    def where(k):
+        pt = ProjectivePoint.affine(z[k // 2].item(), w[k // 2].item())
+        return {"what": _EQUIVALENCE_KINDS[k % 2], "where": repr(pt)}
 
-        _laned(residual, (z, w), where, exact, acc)
+    return _laned(residual, (z, w), where, exact)
 
 
 def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
@@ -915,13 +884,11 @@ def check_equivalences(seed: int = 0, *, corrupt: bool = False) -> CheckReport:
         m[0, 0] += 1e-3
         psi = ProjectiveMap(m)
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
-    acc = _Residuals()
+    # one evaluated sample per point; the map commutation below counts none
+    acc = _integral_equivalences(rng, psi, mc)
 
     def note(res: float, what: str, where):
         acc.note(res, lambda: {"what": what, "where": repr(where)}, count=False)
-
-    # one evaluated sample per point; the map commutation below counts none
-    _integral_equivalences(rng, psi, mc, acc)
     # lifted-map commutation on 25 phase points
     z0s, zs = _draws(b1, rng, 25, conditioned=True)
     for x in map(_phase_point, z0s.tolist(), zs.tolist()):

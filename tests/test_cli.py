@@ -297,6 +297,25 @@ class TestCurve:
         assert code == 0
         assert len(parse_jsonl(out)) == 5
 
+    def test_sections_with_other_fields_share_one_csv(self, capsys):
+        # the header is every field of the rows in first-seen order; a row
+        # leaves the other section's fields empty
+        args = ["curve", "--family", "b1", "--lambda", "2", "--branch-points", "--parametrize", "3"]
+        code, out = run_cli([*args, "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 7
+        assert list(rows[0]) == [
+            "kind", "index", "parameter_re", "parameter_im", "t_re", "t_im", "z_re", "z_im", "w_re", "w_im",
+        ]
+        assert [r["kind"] for r in rows] == ["branch-point"] * 4 + ["point"] * 3
+        assert rows[0]["t_re"] == "" and rows[-1]["parameter_re"] == ""
+        # the JSON lines are each section's own, one after the other
+        code, out = run_cli(args, capsys)
+        _, branch = run_cli(args[:6], capsys)
+        _, points = run_cli(args[:5] + args[6:], capsys)
+        assert code == 0 and out == branch + points
+
 
 class TestFamilies:
     def test_lists_seven(self, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily, _coefficient
 from dualbill.curves import critical_fiber_components
-from dualbill.families import FAMILIES
-from dualbill.geometry import b_family_equivalence
+from dualbill.families import FAMILIES, CriticalRow, FamilySpec
+from dualbill.geometry import E_INFINITY, ProjectivePoint, b_family_equivalence
 from dualbill.integrals import critical_values, first_integral, indeterminacy_set
-from dualbill.numerics import INF
+from dualbill.numerics import INF, SphereValue
 
 
 def test_one_spec_per_family_in_order():
@@ -48,6 +49,18 @@ def test_critical_rows_start_at_zero_and_end_at_infinity(tag):
     assert values[0] == 0 and values[-1] == INF
     # the zero level is the parabola: every base point is critical for it
     assert FAMILIES[tag].critical[0].indeterminacies == FAMILIES[tag].base_points
+
+
+def test_the_zero_row_is_derived_from_the_base_points():
+    base = (ProjectivePoint.affine(0.0, 0.0), ProjectivePoint.affine(1.0, 1.0), E_INFINITY)
+    spec = FamilySpec("x", base, (CriticalRow(SphereValue(2)), CriticalRow(INF)), "rational")
+    assert [row.value for row in spec.critical] == [0, 2, INF]
+    zero = spec.critical[0]
+    assert (zero.points, zero.indeterminacies) == ((), base)
+    # a copy with fewer base points derives its own zero row, and only one
+    fewer = dataclasses.replace(spec, base_points=base[:2])
+    assert [row.value for row in fewer.critical] == [0, 2, INF]
+    assert fewer.critical[0].indeterminacies == base[:2]
 
 
 @pytest.mark.parametrize("tag", ["a1", "a2", "b1", "c1", "c2", "d"])

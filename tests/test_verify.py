@@ -21,7 +21,7 @@ from dualbill.billiards import (
     involution,
     orbit,
 )
-from dualbill.curves import lift_fiber
+from dualbill.curves import critical_fiber_components, lift_fiber
 from dualbill.families import FAMILIES
 from dualbill.forms import _area_defect, _chart_derivative, _chart_offset, halfstep_jacobian
 from dualbill.geometry import (
@@ -105,6 +105,14 @@ class TestChecksPass:
         assert r.worst <= 1e-7
 
 
+#: the critical cells of b1, b2 and d with more than one component
+_CELLS_OF_SEVERAL = [
+    ("b1", 1), ("b1", Fraction(4, 3)), ("b1", INF),
+    ("b2", 1), ("b2", Fraction(4, 3)), ("b2", INF),
+    ("d", Fraction(-1, 3)), ("d", Fraction(-9, 32)), ("d", INF),
+]
+
+
 class TestNegativeInjection:
     """Every check must fail (with a witness) when its hook corrupts it."""
 
@@ -139,6 +147,31 @@ class TestNegativeInjection:
     def test_equivalences(self):
         r = check_equivalences(3, corrupt=True)
         assert r.status == "fail" and r.witness is not None
+
+    @pytest.mark.parametrize("tag,lam", _CELLS_OF_SEVERAL, ids=[f"{t}@{lam}" for t, lam in _CELLS_OF_SEVERAL])
+    def test_tables_with_a_cell_cut_to_its_first_component(self, monkeypatch, tag, lam):
+        # a critical point of a reducible cell is where two of its
+        # components meet: with one component left it has no second one,
+        # and its residual is infinite
+        real = verify.critical_fiber_components
+        cut = SphereValue.coerce(lam)
+
+        def first_only(family, value):
+            comps = real(family, value)
+            return comps[:1] if (family.tag, value) == (tag, cut) else comps
+
+        monkeypatch.setattr(verify, "critical_fiber_components", first_only)
+        r = check_tables(BilliardFamily(tag), 3)
+        assert r.status == "fail" and r.worst == math.inf
+
+    def test_the_cut_cells_are_every_cell_of_several_components(self):
+        several = [
+            (tag, row.value)
+            for tag in ("b1", "b2", "d")
+            for row in FAMILIES[tag].critical
+            if len(critical_fiber_components(BilliardFamily(tag), row.value)) > 1
+        ]
+        assert several == [(tag, SphereValue.coerce(lam)) for tag, lam in _CELLS_OF_SEVERAL]
 
     @pytest.mark.parametrize("tag", ["a1", "a2", "b1", "b2", "c1", "c2", "d"])
     def test_jacobian_checks_the_library_closed_form(self, monkeypatch, tag):
@@ -184,8 +217,8 @@ class TestNothingEvaluated:
             ("_area_defect", lambda: verify.check_area_form(B1, 5, 1), 5),
             ("_chart_derivative", lambda: verify.check_jacobian(B1, 5, 1), 5),
             ("_on_tangent_factored", lambda: verify.check_conservation(D, 1.0, 5, start=1.3), 6),
-            # the equivalences' lane call raises in each block of attempts
-            ("_factored", lambda: verify.check_equivalences(3), 2000),
+            # the equivalences' lane call raises once for its 100 points
+            ("_factored", lambda: verify.check_equivalences(3), 100),
         ],
     )
     def test_every_sample_raising_fails(self, monkeypatch, target, run, count):
@@ -694,14 +727,12 @@ class TestLaneReduction:
 
 def _sequential_equivalences(rng, psi, mc):
     """The integral half of the equivalences check one point at a time
-    with ``eval_integral``, as it ran before its lanes: the reference of
+    with ``eval_integral`` on its 100 points: the reference of
     TestEquivalenceLanes."""
     acc = verify._Residuals()
     b1, b2 = BilliardFamily("b1"), BilliardFamily("b2")
     c1, c2 = BilliardFamily("c1"), BilliardFamily("c2")
-    attempts = 0
-    while acc.evaluated < 100 and attempts < 2000:
-        attempts += 1
+    for _ in range(100):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         pt = ProjectivePoint.affine(z, w)
@@ -786,8 +817,7 @@ class TestEquivalenceLanes:
             m[0, 0] += 1e-3
             psi = ProjectiveMap(m)
         rng, ref = make_rng(), make_rng()
-        got = verify._Residuals()
-        verify._integral_equivalences(rng, psi, mc, got)
+        got = verify._integral_equivalences(rng, psi, mc)
         want = _sequential_equivalences(ref, psi, mc)
         assert (got.evaluated, got.dropped) == (want.evaluated, want.dropped)
         assert rng.getstate() == ref.getstate()
@@ -815,20 +845,24 @@ class TestEquivalenceLanes:
         assert got.witness == want.witness
 
     def test_every_verdict_among_random_points(self):
-        points = list(_FORCED.values()) * 30  # the first block of 100 and the next
+        points = list(_FORCED.values()) * 25  # the 100 points, one verdict after another
         got, _ = self.both(lambda: _stream(points, 8))
-        assert dict(got.dropped) == {"IndeterminacyError": 60, "infinite value": 30}
+        assert (got.evaluated, dict(got.dropped)) == (25, {"IndeterminacyError": 50, "infinite value": 25})
 
-    def test_the_cap_of_attempts(self, monkeypatch):
-        # every point is the base point: 2000 attempts, 8000 randoms, and
-        # the report fails with the counts the loop gives
-        points = [_FORCED["base point"]] * 2000
+    def test_every_point_dropped(self, monkeypatch):
+        # every point is the base point: none is replaced, the stream moves
+        # by 400 randoms, and the report fails with the loop's counts
+        points = [_FORCED["base point"]] * 100
         got, want = self.both(lambda: _stream(points, 0))
-        assert got.dropped == want.dropped == {"IndeterminacyError": 2000}
+        assert (got.evaluated, got.dropped) == (0, {"IndeterminacyError": 100})
+        # the 400 scripted randoms are taken, and none of the seed's
+        rng = _stream(points, 0)
+        verify._integral_equivalences(rng, b_family_equivalence(), c_family_equivalence())
+        assert rng.getstate() == (0, random.Random(0).getstate())
         monkeypatch.setattr(verify, "_rng_for", lambda seed, name: _stream(points, seed))
         report = check_equivalences(1)
         assert report.status == "fail"
-        assert report.witness == {"evaluated": 0, "dropped": {"IndeterminacyError": 2000}}
+        assert report.witness == {"evaluated": 0, "dropped": {"IndeterminacyError": 100}}
 
     def test_one_base_point_distance_serves_b1_and_c2(self, monkeypatch):
         # b1 and c2 have the same base points, so their distances at the
@@ -993,7 +1027,7 @@ class TestConservationOnLanes:
             "a1(1)": ((333, 168), (296, 205), (327, 174)),
             "a2(1)": ((139, 362), (116, 385), (135, 366)),
         }
-        tables = {"a1(1)": 6, "a2(1)": 6, "b1": 28, "b2": 21, "c1": 24, "c2": 24, "d": 25}
+        tables = {"a1(1)": 6, "a2(1)": 6, "b1": 29, "b2": 23, "c1": 24, "c2": 24, "d": 26}
         evaluated = {
             "involution": 1000, "conservation": 501, "translation": 50, "abel": 20,
             "area": 200, "jacobian": 200, "equivalences": 100,
