@@ -8,11 +8,17 @@ homogenizes both factored forms to the common degree and multiplies them
 out exactly in integers at the float point, so its value is the true ratio
 correctly rounded, at infinite points too; near a base point (where
 numerator and denominator share a zero) evaluation is refused inside a
-guard radius.  R also has a float form by its factors, with an estimate of
-its rounding error, that runs on numpy lanes at any point and on a tangent
-line of the parabola, where the conic factor is -u^2 at the offset u; the
-conservation and equivalences checks run it.  On a tangent line it has an
-exact form at a float offset state as well.
+guard radius.  Each integral evaluates by one function written out on its
+first call: the guard, with each base point's coordinates written in, the
+scaling of the float point to Gaussian integers, and the products kernel
+of the pivot, the coordinate that is 1.  There is one kernel per real
+coordinate, written out on first use, in which the products with that
+coordinate, a real integer, have no cross terms.  R also has a float
+form by its factors, with an estimate of its rounding error, that runs on
+numpy lanes at any point and on a tangent line of the parabola, where the
+conic factor is -u^2 at the offset u; the conservation and equivalences
+checks run it.  On a tangent line it has an exact form at a float offset
+state as well, by the kernel with t real.
 
 The polynomial factors of each integral are tabulated here, one entry per
 family; the base points and the critical value table are read from the
@@ -22,6 +28,7 @@ family's record in :mod:`dualbill.families`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -335,86 +342,215 @@ def _integer_factors(factors: Factors, degree: int) -> tuple[int, list]:
     return scale, out
 
 
+#: the source of :meth:`RationalIntegral.eval`, given the source of the
+#: guard (:func:`_guard`) and its end (:meth:`_IntegerForms._quotient`)
+_EVAL = """\
+def eval(point):
+    coords = point.coords
+    z, w, t = coords
+    guard = integrals.BASE_POINT_GUARD
+{guard}
+    # the pivot coordinate is exactly 1 (only the NaN point has none); each
+    # part of the other two, u and v, is m 2^e with 2^53 m an integer, so
+    # for n the least e and 53 they become Gaussian integers over
+    # 2^(53 - n), and the pivot 2^(53 - n)
+    if t == 1:
+        u, v, pivot = z, w, 2
+    elif w == 1:
+        u, v, pivot = z, t, 1
+    elif z == 1:
+        u, v, pivot = w, t, 0
+    else:
+        return SphereValue(NAN)
+    ur, ure = frexp(u.real)
+    ui, uie = frexp(u.imag)
+    vr, vre = frexp(v.real)
+    vi, vie = frexp(v.imag)
+    n = ure if ure < 53 else 53  # min(ure, uie, vre, vie, 53)
+    if uie < n:
+        n = uie
+    if vre < n:
+        n = vre
+    if vie < n:
+        n = vie
+    try:
+        ar, ai = int(ur * 2.0 ** 53) << ure - n, int(ui * 2.0 ** 53) << uie - n
+        br, bi = int(vr * 2.0 ** 53) << vre - n, int(vi * 2.0 ** 53) << vie - n
+    except (ValueError, OverflowError):  # nan or inf
+        return SphereValue(NAN)
+    nr, ni, dr, di = (kernels[pivot] or kernel(pivot))(ar, ai, br, bi, 1 << 53 - n)
+{quotient}"""
+
+_QUOTIENT = """\
+    if not (dr or di):
+        if nr or ni:
+            return INF
+        {zero}
+    # R = (N / num_scale) / (D / den_scale) = N conj(D) den_scale / (|D|^2 num_scale)
+    q = (dr * dr + di * di){num_scale}
+    try:
+        return SphereValue(complex((nr * dr + ni * di){den_scale} / q,
+                                   (ni * dr - nr * di){den_scale} / q))
+    except OverflowError:  # |R| beyond the largest float
+        return INF"""
+
+
 class _IntegerForms:
     """The tables of exact evaluation: the numerator and the denominator
     homogenized to one degree, as products of factors with integer
-    coefficients over integer scales, compiled into one function.
+    coefficients over integer scales, and one products kernel per real
+    coordinate.
 
-    ``products(vals)`` takes the Gaussian integers (re, im) of z, w and t
-    and returns those of the numerator and the denominator, (nr, ni, dr,
-    di).  Its source is written out once per integral: every monomial the
-    factors take, as one product of an earlier monomial and a coordinate,
-    then each factor, its power by squaring and the two products, so that
-    an evaluation reads no table.  The arithmetic is exact, so the order of
-    the operations does not change the integers.
+    ``kernel(k)`` takes the Gaussian integers (re, im) of the two
+    coordinates other than coordinate k, in their order, and the integer s
+    of coordinate k, which is real, and returns the Gaussian integers of the
+    numerator and the denominator, (nr, ni, dr, di).  Its source is written
+    out on its first call: every monomial the factors take, as one product
+    of an earlier monomial and a coordinate, then each factor, its power by
+    squaring and the two products, so that an evaluation reads no table.  A
+    product with a real operand, s or a power of it, has no cross terms, a
+    square takes two multiplications, and a coefficient 1 or -1 none.  The
+    arithmetic is exact, so the order of the operations does not change the
+    integers.  ``quotient(nr, ni, dr, di)`` is R from those integers, as
+    the end of :meth:`RationalIntegral.eval` computes it, with None at 0/0.
     """
 
-    __slots__ = ("products", "num_scale", "den_scale")
+    __slots__ = ("num", "den", "num_scale", "den_scale", "kernels", "quotient")
 
     def __init__(self, num_factors: Factors, den_factors: Factors, degree: int):
-        self.num_scale, num = _integer_factors(num_factors, degree)
-        self.den_scale, den = _integer_factors(den_factors, degree)
-        lines = ["def products(vals):", "    (m0r, m0i), (m1r, m1i), (m2r, m2i) = vals"]
-        names = {(1, 0, 0): "m0", (0, 1, 0): "m1", (0, 0, 1): "m2"}
-        for e in sorted({e for f, _ in num + den for _, e in f}, key=sum):
-            _monomial(e, names, lines)
-        products = []
-        for forms in (num, den):
-            product = None
-            for terms, mult in forms:
-                f = _let(lines, *(" + ".join(f"{c} * {names[e]}{part}" for c, e in terms)
-                                  for part in "ri"))
-                power = None
-                while True:
-                    if mult & 1:
-                        power = f if power is None else _times(lines, power, f)
-                    mult >>= 1
-                    if not mult:
-                        break
-                    f = _times(lines, f, f)
-                product = power if product is None else _times(lines, product, power)
-            products.append(product)
-        n, d = products
-        lines.append(f"    return {n}r, {n}i, {d}r, {d}i")
-        namespace: dict = {}
-        exec("\n".join(lines), namespace)
-        self.products = namespace["products"]
+        self.num_scale, self.num = _integer_factors(num_factors, degree)
+        self.den_scale, self.den = _integer_factors(den_factors, degree)
+        self.kernels: list[Callable | None] = [None, None, None]
+        namespace = {"SphereValue": SphereValue, "INF": INF}
+        exec(f"def quotient(nr, ni, dr, di):\n{self._quotient('return None')}", namespace)
+        self.quotient = namespace["quotient"]
 
-    def value(self, vals: list[tuple[int, int]]) -> SphereValue | None:
-        """R at the Gaussian integers of z, w and t, correctly rounded: INF
-        at a pole or beyond the largest float, None at 0/0."""
-        nr, ni, dr, di = self.products(vals)
-        if dr == 0 and di == 0:
-            return None if nr == 0 and ni == 0 else INF
-        # R = (N / num_scale) / (D / den_scale) = N conj(D) den_scale / (|D|^2 num_scale)
-        s = self.den_scale
-        q = (dr * dr + di * di) * self.num_scale
-        try:
-            return SphereValue(complex((nr * dr + ni * di) * s / q, (ni * dr - nr * di) * s / q))
-        except OverflowError:  # |R| beyond the largest float
-            return INF
+    def _quotient(self, zero: str) -> str:
+        """The source that ends an exact evaluation: R from the Gaussian
+        integers of the forms, (nr, ni) and (dr, di), correctly rounded,
+        INF at a pole or beyond the largest float, and ``zero`` at 0/0."""
+        scales = [f" * {c}" if c != 1 else "" for c in (self.num_scale, self.den_scale)]
+        return _QUOTIENT.format(zero=zero, num_scale=scales[0], den_scale=scales[1])
+
+    def kernel(self, k: int) -> Callable:
+        """The products kernel with coordinate k real."""
+        if self.kernels[k] is None:
+            a, b = (axis for axis in range(3) if axis != k)
+            names = {_unit(a): ("ar", "ai"), _unit(b): ("br", "bi"), _unit(k): ("s", None)}
+            lines = ["def products(ar, ai, br, bi, s):"]
+            for e in sorted({e for f, _ in self.num + self.den for _, e in f}, key=sum):
+                _monomial(e, names, lines)
+            products = []
+            for forms in (self.num, self.den):
+                product = None
+                for terms, mult in forms:
+                    f = _combination(lines, [(c, names[e]) for c, e in terms])
+                    power = None
+                    while True:
+                        if mult & 1:
+                            power = f if power is None else _times(lines, power, f)
+                        mult >>= 1
+                        if not mult:
+                            break
+                        f = _times(lines, f, f)
+                    product = power if product is None else _times(lines, product, power)
+                products.append(product)
+            (nr, ni), (dr, di) = products
+            lines.append(f"    return {nr}, {ni or 0}, {dr}, {di or 0}")
+            namespace: dict = {}
+            exec("\n".join(lines), namespace)
+            self.kernels[k] = namespace["products"]
+        return self.kernels[k]
+
+    def evaluation(self, base_points) -> Callable[[ProjectivePoint], SphereValue]:
+        """The function :meth:`RationalIntegral.eval` for the base points,
+        which reads BASE_POINT_GUARD at each call."""
+        namespace = {"integrals": sys.modules[__name__], "cross_norm": cross_norm,
+                     "IndeterminacyError": IndeterminacyError, "SphereValue": SphereValue,
+                     "INF": INF, "NAN": complex(math.nan, math.nan), "frexp": math.frexp,
+                     "kernels": self.kernels, "kernel": self.kernel}
+        guard = "\n".join(_guard(i, bp, namespace) for i, bp in enumerate(base_points))
+        exec(_EVAL.format(guard=guard, quotient=self._quotient("raise IndeterminacyError(point)")),
+             namespace)
+        return namespace["eval"]
 
 
-def _let(lines: list[str], re: str, im: str) -> str:
-    """Append the assignment of a Gaussian integer to a new name; returns
-    the name, whose parts are the name with r and i appended."""
+def _guard(i: int, bp: ProjectivePoint, namespace: dict) -> str:
+    """The source of the guard of base point i, bp: the components of the
+    cross product of the point and bp, (w b2 - t b1, t b0 - z b2,
+    z b1 - w b0), each within the guard (one beyond it puts their norm
+    beyond it), and then their norm.  A product with a coordinate b_j of 0
+    or 1 is written out as 0 or the point's coordinate; the others, and bp,
+    are put in the namespace."""
+    namespace[f"p{i}"] = bp
+
+    def times(x: str, j: int) -> str | None:
+        c = bp.coords[j]
+        if c == 0 or c == 1:
+            return x if c else None
+        namespace[f"b{i}_{j}"] = c
+        return f"{x} * b{i}_{j}"
+
+    tests = []
+    for m in range(3):
+        left, right = times("zwt"[(m + 1) % 3], (m + 2) % 3), times("zwt"[(m + 2) % 3], (m + 1) % 3)
+        term = f"{left} - {right}" if left and right else left or right
+        tests.append(f"abs({term}) <= guard" if term else "0.0 <= guard")
+    tests.append(f"cross_norm(coords, p{i}.coords) <= guard")
+    return f"    if {' and '.join(tests)}:\n        raise IndeterminacyError(point, p{i})"
+
+
+def _unit(axis: int) -> tuple[int, int, int]:
+    return tuple(int(a == axis) for a in range(3))
+
+
+def _let(lines: list[str], re: str, im: str | None) -> tuple[str, str | None]:
+    """Append the assignment of a Gaussian integer to new names, and return
+    the names of its real and imaginary parts; ``im`` None is a real
+    integer, whose imaginary name is None."""
     name = f"g{len(lines)}"
+    if im is None:
+        lines.append(f"    {name}r = {re}")
+        return f"{name}r", None
     lines.append(f"    {name}r = {re}; {name}i = {im}")
-    return name
+    return f"{name}r", f"{name}i"
 
 
-def _times(lines: list[str], a: str, b: str) -> str:
-    """Append the product of the Gaussian integers named a and b."""
-    return _let(lines, f"{a}r * {b}r - {a}i * {b}i", f"{a}r * {b}i + {a}i * {b}r")
+def _times(lines: list[str], x: tuple, y: tuple) -> tuple[str, str | None]:
+    """Append the product of the Gaussian integers named x and y."""
+    (xr, xi), (yr, yi) = x, y
+    if xi is None:
+        return _let(lines, f"{xr} * {yr}", yi and f"{xr} * {yi}")
+    if yi is None:
+        return _times(lines, y, x)
+    if x == y:
+        return _let(lines, f"({xr} + {xi}) * ({xr} - {xi})", f"{xr} * {xi} << 1")
+    return _let(lines, f"{xr} * {yr} - {xi} * {yi}", f"{xr} * {yi} + {xi} * {yr}")
 
 
-def _monomial(e: tuple[int, int, int], names: dict, lines: list[str]) -> str:
-    """The name of the monomial with exponents e of (z, w, t), written out
+def _combination(lines: list[str], terms: list[tuple[int, tuple]]) -> tuple[str, str | None]:
+    """Append the sum of c x over the terms (c, x), x the names of a Gaussian
+    integer; a lone term 1 x is x itself."""
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    parts = []
+    for part in (0, 1):
+        source = ""
+        for c, x in terms:
+            if x[part] is not None:
+                sign = (" - " if c < 0 else " + ") if source else "-" if c < 0 else ""
+                source += sign + (x[part] if abs(c) == 1 else f"{abs(c)} * {x[part]}")
+        parts.append(source or None)
+    return _let(lines, *parts)
+
+
+def _monomial(e: tuple[int, int, int], names: dict, lines: list[str]) -> tuple[str, str | None]:
+    """The names of the monomial with exponents e of (z, w, t), written out
     on first use as one product of an earlier monomial and a coordinate."""
     if e not in names:
         parents = [(e[:a] + (e[a] - 1,) + e[a + 1:], a) for a in range(3) if e[a]]
         parent, axis = next((p for p in parents if p[0] in names), parents[0])
-        names[e] = _times(lines, _monomial(parent, names, lines), f"m{axis}")
+        names[e] = _times(lines, _monomial(parent, names, lines), names[_unit(axis)])
     return names[e]
 
 
@@ -465,59 +601,25 @@ class RationalIntegral:
 
     @cached_property
     def _exact(self) -> _IntegerForms:
-        """The integer forms of :meth:`eval`, compiled on first use."""
+        """The integer forms of :meth:`eval`, built on first use."""
         return _IntegerForms(self.num_factors, self.den_factors, self.degree)
 
     @cached_property
-    def _base_points(self) -> tuple[tuple[complex, complex, complex, ProjectivePoint], ...]:
-        """The coordinates of each base point, with the point, for the
-        guard of :meth:`eval`."""
-        return tuple((*bp.coords, bp) for bp in self.family.spec.base_points)
+    def eval(self) -> Callable[[ProjectivePoint], SphereValue]:
+        """R at a point, exact and then correctly rounded, by one function
+        written out for the integral on first use.
 
-    def eval(self, point: ProjectivePoint) -> SphereValue:
-        """R at the point, exact and then correctly rounded.
-
-        The float coordinates are Gaussian integers over one power of two,
-        which cancels from the ratio of two forms of equal degree, so both
-        forms are multiplied out in integers and divided once at the end.
-        A non-finite coordinate gives a NaN value.
+        A point within BASE_POINT_GUARD of a base point raises
+        IndeterminacyError: the guard tests the three components of the
+        point's cross product with each base point, whose coordinates are
+        written in, and then their norm (:func:`cross_norm`).  The float
+        coordinates are Gaussian integers over one power of two, which
+        cancels from the ratio of two forms of equal degree, so both forms
+        are multiplied out in integers, by the kernel of the pivot, the
+        coordinate that is 1, and divided once at the end.  A non-finite
+        coordinate gives a NaN value.
         """
-        coords = point.coords
-        z, w, t = coords
-        guard = BASE_POINT_GUARD
-        for b0, b1, b2, bp in self._base_points:
-            # the components of cross_norm(coords, bp.coords): one beyond the
-            # guard puts their norm beyond it
-            if (abs(w * b2 - t * b1) <= guard and abs(t * b0 - z * b2) <= guard
-                    and abs(z * b1 - w * b0) <= guard and cross_norm(coords, bp.coords) <= guard):
-                raise IndeterminacyError(point, bp)
-        # the pivot coordinate is exactly 1 (only the NaN point has none):
-        # the other two, u and v, become Gaussian integers over 2^(n-1), and
-        # the pivot 2^(n-1)
-        if t == 1:
-            u, v, pivot = z, w, 2
-        elif w == 1:
-            u, v, pivot = z, t, 1
-        elif z == 1:
-            u, v, pivot = w, t, 0
-        else:
-            return SphereValue(complex(math.nan, math.nan))
-        try:
-            ur, urq = u.real.as_integer_ratio()
-            ui, uiq = u.imag.as_integer_ratio()
-            vr, vrq = v.real.as_integer_ratio()
-            vi, viq = v.imag.as_integer_ratio()
-        except (ValueError, OverflowError):  # nan or inf
-            return SphereValue(complex(math.nan, math.nan))
-        n = max(urq, uiq, vrq, viq).bit_length()  # the denominators are powers of two
-        # the Gaussian integers z, w and t
-        vals = [(ur << n - urq.bit_length(), ui << n - uiq.bit_length()),
-                (vr << n - vrq.bit_length(), vi << n - viq.bit_length())]
-        vals.insert(pivot, (1 << n - 1, 0))
-        value = self._exact.value(vals)
-        if value is None:
-            raise IndeterminacyError(point)
-        return value
+        return self._exact.evaluation(self.family.spec.base_points)
 
     def level_polynomial(self, lam) -> BiPoly:
         """num - lam * den (lam exact Fraction keeps the table exact)."""
@@ -648,9 +750,10 @@ def _exact_on_tangent(family: BilliardFamily, z0: complex, u: complex | SphereVa
 
     The floats are Gaussian integers over one power of two, 2^n, so z0 + u,
     z0^2 + 2 z0 u and 1 times 2^(2n) are Gaussian integers, and R is the
-    ratio of the integral's forms there (:meth:`RationalIntegral.eval`
-    rounds the point's coordinates first).  There is no base-point guard:
-    0/0 raises IndeterminacyError, and a non-finite input gives a NaN value.
+    ratio of the integral's forms there, by the products kernel with t real
+    (:meth:`RationalIntegral.eval` rounds the point's coordinates first).
+    There is no base-point guard: 0/0 raises IndeterminacyError, and a
+    non-finite input gives a NaN value.
     """
     parts = (z0.real, z0.imag) if u is INF else (z0.real, z0.imag, u.real, u.imag)
     try:
@@ -660,13 +763,15 @@ def _exact_on_tangent(family: BilliardFamily, z0: complex, u: complex | SphereVa
     n = max(q for _, q in ratios).bit_length() - 1  # the denominators are powers of two
     ar, ai, *b = (p << n + 1 - q.bit_length() for p, q in ratios)  # the parts times 2^n
     d = 1 << n
+    forms = first_integral(family)._exact
     if u is INF:
-        vals = [(d, 0), (2 * ar, 2 * ai), (0, 0)]
+        products = forms.kernel(2)(d, 0, 2 * ar, 2 * ai, 0)
     else:
         br, bi = b
         cr, ci = ar + 2 * br, ai + 2 * bi  # (z0 + 2u) 2^n
-        vals = [((ar + br) * d, (ai + bi) * d), (ar * cr - ai * ci, ar * ci + ai * cr), (d * d, 0)]
-    value = first_integral(family)._exact.value(vals)
+        products = forms.kernel(2)((ar + br) * d, (ai + bi) * d,
+                                   ar * cr - ai * ci, ar * ci + ai * cr, d * d)
+    value = forms.quotient(*products)
     if value is None:
         raise IndeterminacyError(_tangent_point(z0, u))
     return value

@@ -491,6 +491,20 @@ def _oracle_points(fam: BilliardFamily, rng: random.Random) -> list:
     return pts
 
 
+def _guard_loop(fam: BilliardFamily, point: ProjectivePoint):
+    """The base point whose guard refuses the point, by the loop over the
+    base points that eval_integral's guard writes out, or None."""
+    coords = point.coords
+    z, w, t = coords
+    for bp in indeterminacy_set(fam):
+        b0, b1, b2 = bp.coords
+        if (abs(w * b2 - t * b1) <= BASE_POINT_GUARD and abs(t * b0 - z * b2) <= BASE_POINT_GUARD
+                and abs(z * b1 - w * b0) <= BASE_POINT_GUARD
+                and cross_norm(coords, bp.coords) <= BASE_POINT_GUARD):
+            return bp
+    return None
+
+
 class TestExactEvaluation:
     """eval_integral is R at the float point, exact and then correctly
     rounded, wherever the point lies."""
@@ -524,9 +538,10 @@ class TestExactEvaluation:
         "fam", INSTANCES + [BilliardFamily("a1", 8)], ids=lambda f: f.label()
     )
     def test_compiled_products_are_the_forms(self, fam):
-        # the integers of the written-out forms against the expanded tables
-        # summed in exact Gaussian rationals, in the chart t = 1 and in the
-        # chart z = 1, which holds the points of the infinity line
+        # the integers of each kernel, written out with its coordinate k
+        # real, against the expanded tables summed in exact Gaussian
+        # rationals in the chart of k: t = 1, which holds the affine points,
+        # and z = 1 and w = 1, which hold the points of the infinity line
         integ = first_integral(fam)
         forms = integ._exact
         d = integ.degree
@@ -535,18 +550,51 @@ class TestExactEvaluation:
         def gauss():
             return rng.randint(-2**60, 2**60), rng.randint(-2**60, 2**60)
 
-        for chart in (2, 0):
+        for chart in (2, 0, 1):
             num, den = (p.homogenized_chart(d, chart) for p in (integ.num, integ.den))
             for k in range(10):
                 s = rng.randint(1, 2**60)  # the real coordinate of the chart
                 a, b = gauss(), (0, 0) if k == 0 else gauss()
-                vals = [a, b, (s, 0)] if chart == 2 else [(s, 0), a, b]
                 x, y = (_Gauss(Fraction(c[0], s), Fraction(c[1], s)) for c in (a, b))
-                nr, ni, dr, di = forms.products(vals)
+                nr, ni, dr, di = forms.kernel(chart)(*a, *b, s)
                 for (re, im), scale, p in (((nr, ni), forms.num_scale, num),
                                            ((dr, di), forms.den_scale, den)):
                     want = _Gauss.of(p.eval_exact(x, y)) * (scale * s**d)
                     assert (re, im) == (want.re, want.im), (fam, chart, k)
+
+    @pytest.mark.parametrize(
+        "fam", INSTANCES + [BilliardFamily("a1", 8)], ids=lambda f: f.label()
+    )
+    def test_guard_is_the_loop_over_the_base_points(self, fam):
+        # points at 0.5, 0.999, 1.001 and 2 guards from each base point, with
+        # each coordinate as the pivot that can be one there, raise as the
+        # guard written as a loop does, with its message
+        rng = random.Random(f"guard:{fam.label()}")
+        for bp in indeterminacy_set(fam):
+            b = bp.coords
+            top = max(map(abs, b))
+            for pivot in (k for k in range(3) if abs(b[k]) > top - 1e-12):
+                for ratio in (0.5, 0.999, 1.001, 2.0):
+                    # a step that takes the other coordinates of modulus
+                    # about 1 below it, scaled to the distance
+                    unit = [c / b[pivot] for c in b]
+                    step = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
+                    step[pivot] = 0j
+                    for k in range(3):
+                        if k != pivot and abs(unit[k]) > 1 - 1e-12:
+                            step[k] = -abs(step[k]) * unit[k]
+                    size = cross_norm([u + c for u, c in zip(unit, step)], b)
+                    coords = [u + c * (ratio * BASE_POINT_GUARD / size) for u, c in zip(unit, step)]
+                    point = ProjectivePoint(*coords)
+                    assert point.coords[pivot] == 1, (bp, pivot)
+                    near = _guard_loop(fam, point)
+                    assert (near is not None) == (ratio < 1), (bp, pivot, ratio)
+                    try:
+                        eval_integral(fam, point)
+                        text = None
+                    except IndeterminacyError as exc:
+                        text = str(exc)
+                    assert text == (near and str(IndeterminacyError(point, near))), (point, bp)
 
     def test_exact_zero_over_zero_raises(self, monkeypatch):
         # the guard catches every base point first, so switch it off

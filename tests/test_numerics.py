@@ -289,3 +289,46 @@ class TestBranchTracking:
         assert abs(lattice_reduce(v, w1, w2)) < 2e-9
         with pytest.raises(ValueError):
             lattice_reduce(1.0, 1.0, 2.0)  # real-proportional generators
+
+
+def _solved_reduce(v: complex, w1: complex, w2: complex) -> complex:
+    """v minus the lattice point of its rounded coordinates, the system
+    solved by numpy."""
+    m = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
+    n0, n1 = np.round(np.linalg.solve(m, np.array([v.real, v.imag])))
+    return v - (n0 * w1 + n1 * w2)
+
+
+class TestLatticeReduce:
+    """lattice_reduce solves its 2 x 2 system in closed form, with the
+    residuals of numpy's solver."""
+
+    @pytest.mark.parametrize("skew", [1.0, 1e-3, 1e-6])
+    def test_matches_the_solved_system(self, skew):
+        # the second generator leans towards the first by the skew
+        rng = random.Random(f"lattice:{skew}")
+        for _ in range(300):
+            w1 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            w2 = w1 * complex(rng.uniform(-2, 2), skew * rng.choice((-1, 1)) * rng.uniform(0.5, 2))
+            v = complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
+            assert lattice_reduce(v, w1, w2) == _solved_reduce(v, w1, w2), (v, w1, w2)
+
+    def test_rounds_the_coordinates_not_to_the_nearest_point(self):
+        v, w2 = 0.45 + 0.05j, 0.9 + 0.1j
+        assert abs(abs(lattice_reduce(v, 1.0, w2)) - 0.4528) < 1e-4
+        assert abs(v - (2 - 2 * w2)) < 0.3536
+
+    def test_nan_gives_a_nan_residual(self):
+        for v, w1, w2 in ((complex(math.nan, 0.0), 1.0, 1j), (0.5, complex(1.0, math.nan), 1j)):
+            r = lattice_reduce(v, w1, w2)
+            assert math.isnan(r.real) and math.isnan(r.imag)
+        with np.errstate(invalid="ignore"):
+            r = _solved_reduce(complex(math.nan, 0.0), 1.0, 1j)
+        assert math.isnan(r.real) and math.isnan(r.imag)
+
+    @pytest.mark.parametrize("w1, w2", [(1.0, 2.0), (1 + 1j, -3 - 3j), (0.3 + 0.7j, 0j), (0j, 0j)])
+    def test_degenerate_generators_raise(self, w1, w2):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solved_reduce(1.0 + 2j, w1, w2)
+        with pytest.raises(ValueError, match="degenerate"):
+            lattice_reduce(1.0 + 2j, w1, w2)
