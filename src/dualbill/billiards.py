@@ -22,12 +22,11 @@ with u' = -u/(1 + f(z0) u): Q' is the meeting point of the tangent lines at
 P and P'.  :func:`orbit` and :func:`billiard_map` step through projective
 points and the tangency square root; the private kernel
 :func:`_offset_orbit` iterates the closed form with the same stops, and
-the conservation, translation and abel checks run it.  All three take the family's
-coefficient and singular set once per call and share the involution's
-arithmetic, :func:`_image`.  :func:`orbit` and :func:`billiard_map` test
-each step against that set with :func:`_singular_near`; the kernel runs
-the recurrence in blocks and finds a block's stop with numpy masks, which
-:func:`_singular_near` and :func:`_offset_stop` confirm.
+the conservation, translation and abel checks run it.  All three take the
+family's coefficient and singular set once per call, share the
+involution's arithmetic, :func:`_image`, and test each step against that
+set with :func:`_singular_near` before they take the next; the kernel
+tests the domain bound by :func:`_offset_stop`.
 """
 
 from __future__ import annotations
@@ -37,8 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import hypot
 from typing import Callable, Literal
-
-import numpy as np
 
 from .families import ALL_FAMILY_TAGS, FAMILIES, FamilySpec
 from .geometry import (
@@ -342,12 +339,6 @@ def _stop_detail(x: PhasePoint) -> str:
 #: |z0| + |u| below this keeps the affine coordinates of P and Q within
 #: DOMAIN_BOUND: |z0^2 + 2 z0 u| <= 2 (|z0| + |u|)^2
 _SAFE_OFFSET = 0.5 * DOMAIN_BOUND**0.5
-#: steps of the offset kernel between two looks for a stop, so a stop costs
-#: at most this many steps computed past it
-_BLOCK = 256
-#: a parameter within this relative margin of the guard, as numpy's moduli
-#: give it, is tested again by :func:`_singular_near`
-_MASK_MARGIN = 1e-9
 
 
 def _offset_orbit(
@@ -360,23 +351,15 @@ def _offset_orbit(
     Q' lies at offset u' = -u/(1 + f(z0) u) (:func:`_image`), so its
     tangency parameters are z0 and z0 + 2u', and a step is (z0, u) ->
     (z0 + 2u', -u').  The stops are those of :func:`orbit`, at the same
-    step and with the same details: the SINGULARITY_GUARD test of z0 by
-    :func:`_singular_near`, which takes |z0| >= INF_THRESHOLD for the
-    infinite point, worded by ``_check_singular``; u' = INF (1 + f u = 0),
-    which sends P' to E, so that the next step stops; and a NaN or an
-    affine coordinate of P' or Q' beyond DOMAIN_BOUND.  The a-family vertex
-    is a singular parameter, so the guard stops before ``billiard_map``'s
-    vertex rule would apply.
-
-    The recurrence runs with no test, ``_BLOCK`` steps at a time, and numpy
-    masks over each block's states find the candidates for a stop: a
-    parameter within a relative ``_MASK_MARGIN`` of the guard, and a state
-    with |z0| + |u| not below ``_SAFE_OFFSET``.  The first candidate that
-    :func:`_singular_near` or :func:`_offset_stop` confirms on Python numbers
-    is the stop, and the states past it are dropped.  A coefficient call
-    that raises an ArithmeticError ends its block; the error is raised
-    again only when no stop comes before it, where a step-by-step loop
-    would have raised it.
+    step and with the same details, and each step tests them in its order:
+    the SINGULARITY_GUARD test of z0 by :func:`_singular_near`, which takes
+    |z0| >= INF_THRESHOLD for the infinite point, worded by
+    ``_check_singular``; z0 = INF, left by a step with u' = INF (1 + f u =
+    0), which sends P' to E; and, on the state the step reaches, a NaN or
+    an affine coordinate of P' or Q' beyond DOMAIN_BOUND (:func:`_offset_stop`,
+    asked only when |z0| + |u| is not below ``_SAFE_OFFSET``).  The a-family
+    vertex is a singular parameter, so the guard stops before
+    ``billiard_map``'s vertex rule would apply.
 
     Returns the lists of z0 and of u of the iterates, the stop reason, its
     detail and the number of steps taken.  An iterate at E has no offset
@@ -388,61 +371,25 @@ def _offset_orbit(
     f = _coefficient_of(spec, family.n)
     finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
     z0s, us = [z0], [u]
-    add_z0, add_u = z0s.append, us.append
-    taken = 0
-    while taken < n:
-        first = len(z0s) - 1  # the block's first state, listed already
-        at_e, error = False, None
-        try:
-            for _ in range(min(_BLOCK, n - taken)):
-                u = _image(f(z0), u)
-                if u is INF:
-                    at_e = True
-                    break
-                z0, u = z0 + 2.0 * u, -u
-                add_z0(z0)
-                add_u(u)
-        except ArithmeticError as exc:  # at a pole or past the domain: a stop comes first
-            error = exc
-        steps = len(z0s) - 1 - first
-        # step j of the block tests state j against the guard, and the
-        # state j + 1 it reaches against the domain; the last state's guard
-        # test belongs to the next block unless this one ended early
-        with np.errstate(all="ignore"):
-            states = np.array(z0s[first:])
-            guard = np.zeros(steps + 1, dtype=bool)
-            if at_infinity:
-                guard |= abs(states) >= INF_THRESHOLD * (1.0 - _MASK_MARGIN)
-            for s in finite:
-                guard |= abs(states - s) <= SINGULARITY_GUARD * (1.0 + _MASK_MARGIN)
-            domain = np.zeros(steps + 1, dtype=bool)
-            domain[:-1] = ~(abs(states[1:]) + abs(np.array(us[first + 1:])) < _SAFE_OFFSET)
-        if not (at_e or error is not None):
-            guard[-1] = False
-        for j in np.flatnonzero(guard | domain).tolist():
-            k = first + j
-            if guard[j] and _singular_near(z0s[k], finite, at_infinity, SINGULARITY_GUARD) is not None:
-                del z0s[k + 1:], us[k + 1:]
-                try:
-                    _check_singular(family, z0s[k], SINGULARITY_GUARD)
-                except SingularTangencyError as exc:
-                    return z0s, us, "hit-singularity", str(exc), taken + j
-            stop = domain[j] and _offset_stop(z0s[k + 1], us[k + 1])
+    for k in range(n):
+        if _singular_near(z0, finite, at_infinity, SINGULARITY_GUARD) is not None:
+            try:
+                _check_singular(family, z0, SINGULARITY_GUARD)
+            except SingularTangencyError as exc:
+                return z0s, us, "hit-singularity", str(exc), k
+        if z0 is INF:
+            return z0s, us, "left-numeric-domain", "tangency point at infinity", k
+        u = _image(f(z0), u)
+        if u is INF:  # P' is E: the step is taken, and its iterate not listed
+            z0 = INF
+            continue
+        z0, u = z0 + 2.0 * u, -u
+        if not abs(z0) + abs(u) < _SAFE_OFFSET:
+            stop = _offset_stop(z0, u)
             if stop:
-                del z0s[k + 1:], us[k + 1:]
-                return z0s, us, "left-numeric-domain", stop, taken + j
-        if error is not None:
-            raise error
-        taken += steps
-        if at_e:  # the step to E is taken; the next one, if any, stops at z0 = INF
-            taken += 1
-            if taken < n:
-                if _singular_near(INF, finite, at_infinity, SINGULARITY_GUARD) is not None:
-                    try:
-                        _check_singular(family, INF, SINGULARITY_GUARD)
-                    except SingularTangencyError as exc:
-                        return z0s, us, "hit-singularity", str(exc), taken
-                return z0s, us, "left-numeric-domain", "tangency point at infinity", taken
+                return z0s, us, "left-numeric-domain", stop, k
+        z0s.append(z0)
+        us.append(u)
     return z0s, us, "completed", "", n
 
 

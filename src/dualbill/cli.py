@@ -195,6 +195,15 @@ def _writer_for(path: str | None, fmt: str):
         yield RecordWriter(fmt, stream)
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether the paths a and b name one file: the same file on disk when
+    both exist, else the same path once links and dots are resolved."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
 _N_TYPE = _checked(int, lambda n: n >= 1, "an integer N >= 1")
 
 
@@ -355,6 +364,8 @@ def cmd_check(args) -> int:
                     f"check 'equivalences' runs on no family: it takes no {', '.join(given)}"
                 )
         suite = CheckSuite(seed, entries)
+    if args.output and args.timings and _same_file(args.output, args.timings):
+        raise UsageError(f"--output and --timings name one file: {args.timings}")
     timings = [] if args.timings else None
     # both files are opened before any check runs, so an unwritable one
     # fails fast; without --timings the second writer writes nothing

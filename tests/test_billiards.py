@@ -674,36 +674,6 @@ class TestStepAgainstClosedForm:
         assert _step_gap(_nearer_candidate_map, fam, random.Random(0)) > STEP_TOL
 
 
-def _offset_orbit_by_step(family, z0, u, n):
-    """``billiards._offset_orbit`` as a loop that tests every step before
-    the next: the reference of its blocks and masks."""
-    spec = family.spec
-    f = billiards._coefficient_of(spec, family.n)
-    finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
-    guard = billiards.SINGULARITY_GUARD
-    z0s, us = [z0], [u]
-    for k in range(n):
-        if billiards._singular_near(z0, finite, at_infinity, guard) is not None:
-            try:
-                billiards._check_singular(family, z0, guard)
-            except SingularTangencyError as exc:
-                return z0s, us, "hit-singularity", str(exc), k
-        if z0 is INF:
-            return z0s, us, "left-numeric-domain", "tangency point at infinity", k
-        u = billiards._image(f(z0), u)
-        if u is INF:
-            z0 = INF
-            continue
-        z0, u = z0 + 2.0 * u, -u
-        if not abs(z0) + abs(u) < billiards._SAFE_OFFSET:
-            stop = billiards._offset_stop(z0, u)
-            if stop:
-                return z0s, us, "left-numeric-domain", stop, k
-        z0s.append(z0)
-        us.append(u)
-    return z0s, us, "completed", "", n
-
-
 def _random_offset_start(fam, rng):
     """A start (z0, u) and a step count that reach each stop of the kernel
     now and then: near a singular parameter, far out, at an infinite or
@@ -725,6 +695,14 @@ def _random_offset_start(fam, rng):
     elif kind == 5:
         u = complex(rng.choice([1e307, 1e300]), rng.choice([1e307, -1e308, 0.0]))
     return z0, u, rng.choice([1, 2, 255, 256, 257, 600])
+
+
+def _random_offset_runs(fam):
+    """The start and the kernel's result on 60 random starts of the instance."""
+    rng = random.Random(f"offset blocks:{fam.label()}")
+    for _ in range(60):
+        z0, u, n = _random_offset_start(fam, rng)
+        yield (z0, u, n), billiards._offset_orbit(fam, z0, u, n)
 
 
 def _without_parameter(detail: str) -> str:
@@ -806,7 +784,7 @@ class TestOffsetOrbit:
 
 
     #: starts (z0, u) that stop early, each for one reason; a1(2) is the
-    #: lifted start of CI, whose stop falls in the second block
+    #: lifted start of CI, whose stop comes past step 256
     EARLY_STOPS = {
         "singular": (BilliardFamily("d"), 1 + 5e-9j, 0.5 + 0j, "hit-singularity", 0),
         "singular at infinity": (
@@ -820,6 +798,8 @@ class TestOffsetOrbit:
             72.45367973385004 + 60.9637422724713j, "left-numeric-domain", 0,
         ),
         "nan": (BilliardFamily("d"), 0.01 + 0j, 1e307 + 1e307j, "left-numeric-domain", 0),
+        # |z0|^2 is 1.44 DOMAIN_BOUND, and |z0| + |u| 2.4 _SAFE_OFFSET
+        "blew up near the bound": (BilliardFamily("c1"), 1.2e50 + 0j, 1.0 + 0j, "left-numeric-domain", 0),
     }
 
     @staticmethod
@@ -842,22 +822,62 @@ class TestOffsetOrbit:
         assert len(z0s) == len(us) == taken + (case != "tangency point at infinity")
 
     @pytest.mark.parametrize("fam", STEP_INSTANCES, ids=BilliardFamily.label)
-    def test_blocks_give_the_loop_step_by_step(self, fam):
-        # every iterate (bits), stop, detail and step count of the loop that
-        # tests each step before the next, on starts that reach every stop
-        rng = random.Random(f"offset blocks:{fam.label()}")
+    def test_each_listed_state_is_one_step_of_the_last(self, fam):
+        # on starts that reach every stop: each listed state is the
+        # closed-form step of the one before it, bit for bit; no state before
+        # the last trips the guard, and none after the first the domain test;
+        # the stop is the one the last listed state gives: its guard, or its
+        # step to E or past the domain
+        spec = fam.spec
+        f = billiards._coefficient_of(spec, fam.n)
+        finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
+
+        def guarded(z0):
+            return billiards._singular_near(z0, finite, at_infinity, billiards.SINGULARITY_GUARD) is not None
+
+        def step(z0, u):  # the next state, or None at E
+            u = billiards._image(f(z0), u)
+            return None if u is INF else (z0 + 2.0 * u, -u)
+
         reasons = Counter()
-        for _ in range(60):
-            z0, u, n = _random_offset_start(fam, rng)
-            got, want = billiards._offset_orbit(fam, z0, u, n), _offset_orbit_by_step(fam, z0, u, n)
-            assert repr(got) == repr(want), (z0, u, n)
-            reasons[got[2]] += 1
+        for (z0, u, n), (z0s, us, reason, detail, taken) in _random_offset_runs(fam):
+            states = list(zip(z0s, us))
+            for k, state in enumerate(states[1:], 1):
+                assert repr(state) == repr(step(*states[k - 1])), (z0, u, n, k)
+                assert not billiards._offset_stop(*state), (z0, u, n, k)
+            to_e = len(states) == taken  # the last step, taken, went to E
+            assert len(states) - 1 + to_e == taken <= n
+            if to_e:
+                assert step(*states[-1]) is None
+            assert not any(guarded(z) for z in z0s[:taken]), (z0, u, n)
+            if reason == "completed":
+                assert (taken, detail) == (n, "")
+            elif reason == "hit-singularity":
+                assert detail == _singular_wording(fam, INF if to_e else z0s[-1]), (z0, u, n)
+            elif to_e:
+                assert (reason, detail) == ("left-numeric-domain", "tangency point at infinity")
+            else:
+                assert not guarded(z0s[-1])
+                assert (reason, detail) == ("left-numeric-domain", billiards._offset_stop(*step(*states[-1])))
+                assert detail
+            reasons[reason] += 1
         assert reasons["completed"] and reasons["hit-singularity"]
 
+    def test_random_starts_reach_every_domain_stop(self):
+        details = {
+            got[3]
+            for fam in STEP_INSTANCES
+            for _, got in _random_offset_runs(fam)
+            if got[2] == "left-numeric-domain"
+        }
+        assert details == {
+            "coordinates became nan", "affine coordinates blew up", "tangency point at infinity",
+        }
+
     @pytest.mark.parametrize("case", list(EARLY_STOPS))
-    def test_an_early_stop_computes_at_most_one_block(self, case, monkeypatch):
-        # the recurrence runs a block before it looks for a stop: at most
-        # _BLOCK coefficient calls past the stop, however many steps are asked
+    def test_an_early_stop_computes_no_step_past_it(self, case, monkeypatch):
+        # each step looks for a stop before the next is computed: at most
+        # one coefficient call past the steps taken, however many are asked
         fam, z0, u, _, taken = self.EARLY_STOPS[case]
         _, z0, u = self.early_start(fam, z0, u)
         calls = Counter()
@@ -874,7 +894,7 @@ class TestOffsetOrbit:
 
         monkeypatch.setattr(billiards, "_coefficient_of", counted)
         assert billiards._offset_orbit(fam, z0, u, 10**6)[4] == taken
-        assert taken <= calls["f"] <= taken + billiards._BLOCK
+        assert taken <= calls["f"] <= taken + 1
 
 
 @pytest.mark.parametrize(

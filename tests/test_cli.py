@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 
 import pytest
 
@@ -513,6 +514,24 @@ class TestBadInput:
         for args in (["check", "tables", "--family", "b1", "--timings", path],
                      ["check", "--all", "--timings", path]):
             self.unwritable(args, path, capsys)
+
+    def test_output_and_timings_in_one_file(self, tmp_path, capsys, monkeypatch):
+        # refused before either file is opened: a new path is not made and
+        # an existing file keeps its bytes, however the two paths name it
+        monkeypatch.setattr(cli, "run_suite", self._never_called)
+        new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+        old.write_text("kept\n")
+        os.symlink(old, tmp_path / "link.jsonl")
+        os.link(old, tmp_path / "hard.jsonl")
+        for first, second in [
+            (new, new), (new, tmp_path / "." / "new.jsonl"), (old, old),
+            (old, tmp_path / "link.jsonl"), (tmp_path / "hard.jsonl", old),
+        ]:
+            for args in (["check", "--all"], ["check", "tables", "--family", "b1"]):
+                err = self.usage_error(args + ["--output", str(first), "--timings", str(second)], capsys)
+                assert err.startswith("--output and --timings name one file")
+        assert not new.exists()
+        assert old.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "kind,family", [("conservation", "b1"), ("translation", "a1"), ("abel", "b1")]

@@ -126,3 +126,57 @@ def test_every_pole_of_f_is_a_finite_singular_parameter(tag, n):
     assert _pole_moments(fam, lambda z: _coefficient(fam, z)) <= 1e-13
     # control: a pole at z = 2, which is no singular parameter
     assert _pole_moments(fam, lambda z: _coefficient(fam, z) / (z - 2.0)) >= 1e-3
+
+
+def _exact_coefficient(spec: FamilySpec, n: int | None):
+    """The involution coefficient of the registry's facts, on Fractions:
+    spec.f, or (2 - shift(N))/z0 for an a-family."""
+    if spec.shift is None:
+        return spec.f
+    rho = 2 - spec.shift(n)
+    return lambda z0: rho / z0
+
+
+def _integral_defects(fam: BilliardFamily) -> list[Fraction]:
+    """k f(z0) D(z0, z0^2) - d/dz0 D(z0, z0^2) at rational points z0, with
+    f the registry's coefficient, D the denominator of the first integral
+    and k its zero order: the first-order term of the invariance of R under
+    the involution at P = (z0, z0^2).  Cleared of f's denominator, of degree
+    at most 3, it is a polynomial of degree at most 2 deg D + 3, so the
+    2 deg D + 4 points prove it zero.  No point is 0 or 1, the rational
+    poles of the f's."""
+    integ = first_integral(fam)
+    f = _exact_coefficient(FAMILIES[fam.tag], fam.n)
+    den, den_z, den_w = integ.den, integ.den.diff_z(), integ.den.diff_w()
+    defects = []
+    for j in range(2 * den.total_degree + 4):
+        z0 = Fraction(7 * j + 3, 21)
+        w0 = z0 * z0
+        slope = den_z.eval_exact(z0, w0) + 2 * z0 * den_w.eval_exact(z0, w0)
+        defects.append(integ.zero_order * f(z0) * den.eval_exact(z0, w0) - slope)
+    return defects
+
+
+@pytest.mark.parametrize(
+    "tag, n",
+    [(t, n) for t in ("a1", "a2") for n in range(1, 7)] + [(t, None) for t in ALL_FAMILY_TAGS[2:]],
+)
+def test_coefficient_is_bound_to_the_integral(tag, n):
+    # the registry's f against the first integral, exactly
+    defects = _integral_defects(BilliardFamily(tag, n))
+    assert all(type(d) is Fraction for d in defects)
+    assert not any(defects)
+
+
+@pytest.mark.parametrize(
+    "tag, n, bend",
+    [
+        (tag, None, {"f": lambda f: lambda z: f(z) * Fraction(1001, 1000)}) for tag in ("b1", "c2", "d")
+    ] + [("a1", 2, {"shift": lambda shift: lambda n: shift(n) + Fraction(1, 10**6)})],
+    ids=["b1", "c2", "d", "a1(2)"],
+)
+def test_a_bent_coefficient_breaks_the_binding(tag, n, bend, monkeypatch):
+    spec = FAMILIES[tag]
+    bent = {field: change(getattr(spec, field)) for field, change in bend.items()}
+    monkeypatch.setitem(FAMILIES, tag, dataclasses.replace(spec, **bent))
+    assert any(_integral_defects(BilliardFamily(tag, n)))

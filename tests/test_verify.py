@@ -243,6 +243,25 @@ class TestNothingEvaluated:
         assert report.status == "fail"
         assert report.witness == {"evaluated": 0, "dropped": {}}
 
+    @pytest.mark.parametrize(
+        "run,evaluated",
+        [
+            (lambda: verify.check_translation(A1, 1.0, steps=0), 0),
+            (lambda: verify.check_abel_translation(B1, 2.0, steps=0), 0),
+            # one Abel step is only step 0 against itself
+            (lambda: verify.check_abel_translation(B1, 2.0, steps=1), 1),
+        ],
+        ids=["translation, 0 steps", "abel, 0 steps", "abel, 1 step"],
+    )
+    def test_too_few_orbit_steps_fails(self, run, evaluated):
+        report = run()
+        assert report.status == "fail"
+        assert report.witness == {"evaluated": evaluated, "dropped": {}}
+
+    def test_two_abel_steps_are_enough(self):
+        report = verify.check_abel_translation(B1, 2.0, steps=2)
+        assert report.status == "pass" and report.params["evaluated"] == 2
+
 
 class TestCountsInParams:
     """Every report says how many samples it evaluated and how many it
