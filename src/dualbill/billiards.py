@@ -7,14 +7,10 @@ involution of its tangent line fixing P.  The phase map sends (Q, P) to
 point of Q'.
 
 Every involution fixing P is u -> -u/(1 + f(z0) u) in the offset coordinate
-u = z - z0, so a family is one coefficient f on the parabola:
-
-* a1(N), a2(N): f(z0) = rho/z0, with the rational rotation number
-  rho = 2 - shift(N);
-* b1, b2, c1, c2, d: a family-specific rational function f.
-
-The per-family facts used here (the translation giving rho, the coefficient
-f and the singular tangency parameters) live in :mod:`dualbill.families`.
+u = z - z0, so a family is one rational coefficient f on the parabola, the
+sum of r_i/(z0 - z_i) over its finite base points (rho/z0 for a1 and a2):
+``spec.coefficient(N)`` of :mod:`dualbill.families` gives it, and the
+singular tangency parameters come from there too.
 
 In the offset state (z0, u), P = (z0, z0^2) and Q at offset u on its
 tangent line, the phase map has the closed form (z0, u) -> (z0 + 2u', -u')
@@ -32,10 +28,8 @@ tests the domain bound by :func:`_offset_stop`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import hypot
-from typing import Callable, Literal
+from typing import Literal
 
 from .families import ALL_FAMILY_TAGS, FAMILIES, FamilySpec
 from .geometry import (
@@ -100,28 +94,6 @@ class BilliardFamily:
         if n is None and tag in FAMILIES and FAMILIES[tag].takes_n:
             n = 1
         return BilliardFamily(tag, n)
-
-
-@lru_cache(maxsize=None)
-def _rho(shift: Callable[[int], Fraction], n: int) -> float:
-    """rho = 2 - shift(N) as a float, computed once per translation and N."""
-    return float(2 - shift(n))
-
-
-def _coefficient_of(spec: FamilySpec, n: int | None) -> Callable:
-    """The involution coefficient z0 -> f(z0) of the family with these
-    facts and N, rho/z0 for an a-family; it raises ZeroDivisionError at a
-    pole of f.  Callers look it up once per call, never once per step and
-    never on the instance: ``FAMILIES`` may change between two calls."""
-    if spec.shift is None:
-        return spec.f
-    rho = _rho(spec.shift, n)
-    return lambda z0: rho / z0
-
-
-def _coefficient(family: BilliardFamily, z0):
-    """The involution coefficient f(z0) as :func:`_coefficient_of` gives it."""
-    return _coefficient_of(family.spec, family.n)(z0)
 
 
 def _z_param(pt: ProjectivePoint) -> complex | SphereValue:
@@ -212,7 +184,7 @@ def _involution_z(family: BilliardFamily, z0, z1):
     or a huge one where numpy's rounding leaves the denominator nonzero.
     """
     try:
-        f = _coefficient(family, z0)
+        f = family.spec.coefficient(family.n)(z0)
     except ZeroDivisionError:
         raise SingularTangencyError("involution coefficient has a pole at P") from None
     u = _image(f, INF if z1 is INF else z1 - z0)
@@ -247,7 +219,7 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
         _check_singular(family, z0, SINGULAR_RADIUS)
     z, _, t = q.coords
     # every pole of f is a singular parameter, so f(z0) is a number here
-    u = _image(_coefficient_of(spec, family.n)(z0), INF if t == 0 else z / t - z0)
+    u = _image(spec.coefficient(family.n)(z0), INF if t == 0 else z / t - z0)
     q_img = _point_on_tangent(z0, INF if u is INF else u + z0)
     try:
         zp, zm = tangency_points(q_img)
@@ -368,7 +340,7 @@ def _offset_orbit(
     infinite point of the last listed tangent line, (z0s[-1], INF).
     """
     spec = family.spec
-    f = _coefficient_of(spec, family.n)
+    f = spec.coefficient(family.n)
     finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
     z0s, us = [z0], [u]
     for k in range(n):

@@ -1,26 +1,22 @@
 """The seven exotic billiards as data: one frozen :class:`FamilySpec` per tag.
 
-Each fact about a family is stated here once: its a-family translation (and
-so whether it takes N), the involution coefficient f, the integral's base
-points, the critical values with their critical points and indeterminacies,
-the kind of its level curves and fibers, and which family it is the image
-of; the zero row and the singular parameters follow from the base points.
-The modules above look these facts up instead of branching on the tag.
+Each fact about a family is stated here once: the residues of its involution
+coefficient f = sum r_i/(z - z_i) at the finite base points (an a-family's
+rotation number rho, a function of N), the critical values with their
+critical points and indeterminacies, the kind of its level curves and
+fibers, and which family it is the image of; the base points, f, the zero
+row and the singular parameters follow.  The modules above look these facts
+up instead of branching on the tag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
-from .geometry import (
-    E_INFINITY,
-    EPS_CUBE_ROOT,
-    ProjectiveMap,
-    ProjectivePoint,
-    b_family_equivalence,
-)
+from .geometry import E_INFINITY, EPS_CUBE_ROOT, ProjectiveMap, ProjectivePoint, b_family_equivalence
 from .numerics import INF, SphereValue
 
 __all__ = ["CriticalRow", "Image", "FamilySpec", "FAMILIES", "ALL_FAMILY_TAGS"]
@@ -49,44 +45,97 @@ class Image:
 class FamilySpec:
     """The defining facts of one billiard family.
 
-    ``critical`` lists the rows in the order ``critical_values`` reports
-    them; ``__post_init__`` puts first, in place of any given, the zero row:
-    the parabola, critical at every base point.  ``level_curves`` is
-    "rational" or "elliptic"; ``elliptic_fiber`` marks the families whose
-    invariant fibers are genus-one double covers of their level curves.
+    ``residues`` pairs each finite base point with f's residue there, a
+    Fraction or a function of N; ``base_points`` adds E when its residue 4 -
+    sum r_i is nonzero (at N = 1: 4 - rho(N) > 2 for every N).  ``critical``
+    lists the rows as ``critical_values`` reports them, after the zero row
+    that ``__post_init__`` puts first: the parabola, critical at every base
+    point.  ``level_curves`` is "rational" or "elliptic"; ``elliptic_fiber``
+    marks the families whose fibers are genus-one covers of their levels.
     """
 
     tag: str
-    base_points: tuple[ProjectivePoint, ...]
+    residues: tuple[tuple[ProjectivePoint, Fraction | Callable[[int], Fraction]], ...]
     critical: tuple[CriticalRow, ...]
     level_curves: str
     elliptic_fiber: bool = False
-    #: involution coefficient of the b/c/d families; raises ZeroDivisionError at a
-    #: pole.  An a-family's coefficient rho/z0 follows from its shift
-    f: Callable[[complex], complex] | None = None
-    shift: Callable[[int], Fraction] | None = None
     image_of: Image | None = None
+    base_points: tuple[ProjectivePoint, ...] = field(init=False)
+    takes_n: bool = field(init=False)
     #: the singular tangency parameters (z of the base points): the finite
     #: ones as plain complex numbers, and whether infinity is one
     singular_finite: tuple[complex, ...] = field(init=False, repr=False)
     singular_at_infinity: bool = field(init=False, repr=False)
+    #: per N, f's integer numerator and denominator and its float form
+    _by_n: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        zero = CriticalRow(SphereValue(0), (), self.base_points)
-        rows = (zero, *(row for row in self.critical if row.value != zero.value))
-        object.__setattr__(self, "critical", rows)
-        finite = tuple(p.z / p.t for p in self.base_points if p.t != 0)
-        object.__setattr__(self, "singular_finite", finite)
-        object.__setattr__(self, "singular_at_infinity", len(finite) < len(self.base_points))
+        put = object.__setattr__
+        put(self, "takes_n", any(callable(r) for _, r in self.residues))
+        put(self, "singular_finite", tuple(p.z / p.t for p, _ in self.residues))
+        put(self, "_by_n", {})
+        n = 1 if self.takes_n else None
+        put(self, "singular_at_infinity", sum(r for _, r in self._residues(n)) != 4)
+        base = tuple(p for p, _ in self.residues) + (E_INFINITY,) * self.singular_at_infinity
+        put(self, "base_points", base)
+        zero = CriticalRow(SphereValue(0), (), base)
+        put(self, "critical", (zero, *(row for row in self.critical if row.value != 0)))
+        self.coefficient(n)  # residues that give f no rational form fail here
 
-    @property
-    def takes_n(self) -> bool:
-        """The a-families carry a parameter N (their translation shift(N))."""
-        return self.shift is not None
+    def _residues(self, n: int | None) -> list[tuple[complex, Fraction]]:
+        """The pairs (z_i, r_i) of the finite base points for N."""
+        return [(s, r(n) if callable(r) else r) for s, (_, r) in zip(self.singular_finite, self.residues)]
+
+    def coefficient(self, n: int | None = None) -> Callable:
+        """The involution coefficient z -> f(z) for N (None for a family
+        without N); it raises ZeroDivisionError at a pole.  Read it from
+        ``FAMILIES`` on each call: the registry may change between two."""
+        try:
+            return self._by_n[n][2]
+        except KeyError:
+            self._by_n[n] = _coefficient_forms(self.tag, self._residues(n))
+            return self._by_n[n][2]
+
+
+def _source(coeffs: list[int]) -> str:
+    """An integer polynomial, constant term first, as source in z, highest
+    power first, in parentheses when it has more than one term."""
+    terms = []
+    for k in reversed(range(len(coeffs))):
+        if coeffs[k]:
+            c, power = abs(coeffs[k]), "z" if k == 1 else "z * z" if k == 2 else f"z**{k}"
+            term = str(c) if k == 0 else power if c == 1 else f"{c} * {power}"
+            terms.append(f"{'-' if coeffs[k] < 0 else '+'} {term}")
+    source = ("" if terms[0][0] == "+" else "-") + " ".join(terms)[2:]
+    return f"({source})" if len(terms) > 1 else source
+
+
+def _coefficient_forms(tag: str, pairs: list[tuple[complex, Fraction]]):
+    """f = sum r_i/(z - z_i) as integer numerator and denominator, constant
+    term first, and as one expression: numerator over c z (the other poles'
+    polynomial), a constant numerator written as its float over c."""
+    c = math.lcm(*(r.denominator for _, r in pairs))
+    num, poles = [], [1 + 0j]
+    for s, r in pairs:  # c f so far plus c r/(z - s), in complex floats
+        num = [a - s * b + int(c * r) * p for a, b, p in zip([0j, *num], [*num, 0j], poles)]
+        poles = [a - s * b for a, b in zip([0j, *poles], [*poles, 0j])]
+    exact = [round(a.real) for a in num + poles]  # only c1's cube roots are inexact
+    if any(abs(a - k) > 1e-9 for a, k in zip(num + poles, exact)):
+        raise ValueError(f"the residues of {tag} give f no rational coefficients")
+    g = math.gcd(c, *exact[: len(num)])
+    num, poles, c = [a // g for a in exact[: len(num)]], exact[len(num):], c // g
+    constant = not any(num[1:])
+    at_zero = poles[0] == 0  # that pole is written as the factor z
+    factors = [str(c)] * (c != 1 and not constant) + ["z"] * at_zero
+    if len(poles) > 1 + at_zero:
+        factors.append(_source(poles[at_zero:]))
+    bottom = " * ".join(factors)
+    top = repr(num[0] / c) if constant else _source(num)
+    source = f"{top} / ({bottom})" if len(factors) > 1 else f"{top} / {bottom}"
+    return num, [c * a for a in poles], eval(f"lambda z: {source}")
 
 
 _aff = ProjectivePoint.affine
-_E = E_INFINITY
 _ORIGIN = _aff(0.0, 0.0)
 _ONE_ONE = _aff(1.0, 1.0)
 _e = EPS_CUBE_ROOT
@@ -95,29 +144,26 @@ _ONE = SphereValue(1)
 _FOUR_THIRDS = SphereValue(Fraction(4, 3))
 
 
-def _a_family(tag: str, shift, inf_indeterminacies) -> FamilySpec:
-    return FamilySpec(
-        tag, (_ORIGIN, _E), (CriticalRow(INF, (), inf_indeterminacies),), "rational", shift=shift
-    )
+def _a_family(tag: str, rho, inf_indeterminacies) -> FamilySpec:
+    return FamilySpec(tag, ((_ORIGIN, rho),), (CriticalRow(INF, (), inf_indeterminacies),), "rational")
 
 
-def _c_family(tag: str, base, middle: CriticalRow, f) -> FamilySpec:
-    return FamilySpec(tag, base, (middle, CriticalRow(INF, (), base)), "elliptic", f=f)
+def _c_family(tag: str, residues, value: SphereValue, points) -> FamilySpec:
+    # every base point is critical for the level at infinity too
+    spec = FamilySpec(tag, residues, (), "elliptic")
+    return replace(spec, critical=(CriticalRow(value, points), CriticalRow(INF, (), spec.base_points)))
 
 
 _PSI = b_family_equivalence()
-_B2_BASE = (_aff(1j, -1.0), _aff(-1j, -1.0), _E)
-_C1_BASE = (_ONE_ONE, _aff(_eb, _e), _aff(_e, _eb))
-_O_I_E = (_ORIGIN, _ONE_ONE, _E)  # the base points of b1, c2 and d
 
 FAMILIES: dict[str, FamilySpec] = {
     spec.tag: spec
     for spec in (
-        _a_family("a1", lambda n: Fraction(2, 2 * n + 1), (_ORIGIN, _E)),
-        _a_family("a2", lambda n: Fraction(1, n + 1), (_E,)),
+        _a_family("a1", lambda n: Fraction(4 * n, 2 * n + 1), (_ORIGIN, E_INFINITY)),
+        _a_family("a2", lambda n: Fraction(2 * n + 1, n + 1), (E_INFINITY,)),
         FamilySpec(
             "b1",
-            _O_I_E,
+            ((_ORIGIN, Fraction(3, 2)), (_ONE_ONE, Fraction(1))),
             (
                 CriticalRow(_ONE, (_aff(0.0, -1.0),), (_ONE_ONE,)),
                 CriticalRow(_FOUR_THIRDS, (_aff(1 / 3, 1.0),)),
@@ -125,44 +171,36 @@ FAMILIES: dict[str, FamilySpec] = {
             ),
             "rational",
             elliptic_fiber=True,
-            f=lambda z: (5 * z - 3) / (2 * z * (z - 1)),
         ),
         # b2 is the b-equivalence image of b1; its points are tabulated
         # exactly rather than mapped, which would perturb the last bits
         FamilySpec(
             "b2",
-            _B2_BASE,
+            ((_aff(1j, -1.0), Fraction(3, 2)), (_aff(-1j, -1.0), Fraction(3, 2))),
             (
-                CriticalRow(_ONE, (ProjectivePoint(1.0, 0.0, 0.0),), (_E,)),
+                CriticalRow(_ONE, (ProjectivePoint(1.0, 0.0, 0.0),), (E_INFINITY,)),
                 CriticalRow(_FOUR_THIRDS, (_aff(0.0, -2.0),)),
                 CriticalRow(INF, (_aff(-1j, 0.0), _aff(1j, 0.0))),
             ),
             "rational",
             elliptic_fiber=True,
-            f=lambda z: 3 * z / (z * z + 1),
             image_of=Image("b1", _PSI, _PSI.inverse()),
         ),
         _c_family(
             "c1",
-            _C1_BASE,
-            CriticalRow(
-                SphereValue(Fraction(27, 64)),
-                (_aff(_eb / 2, _e), _aff(0.5, 1.0), _aff(_e / 2, _eb)),
-            ),
-            lambda z: 4 * z * z / (z**3 - 1),
+            tuple((p, Fraction(4, 3)) for p in (_ONE_ONE, _aff(_eb, _e), _aff(_e, _eb))),
+            SphereValue(Fraction(27, 64)),
+            (_aff(_eb / 2, _e), _aff(0.5, 1.0), _aff(_e / 2, _eb)),
         ),
         _c_family(
             "c2",
-            _O_I_E,
-            CriticalRow(
-                SphereValue(Fraction(-9, 64)),
-                (_aff(1.25, 1.0), _aff(-0.25, -0.5), _aff(0.5, -2.0)),
-            ),
-            lambda z: (8 * z - 4) / (3 * z * (z - 1)),
+            ((_ORIGIN, Fraction(4, 3)), (_ONE_ONE, Fraction(4, 3))),
+            SphereValue(Fraction(-9, 64)),
+            (_aff(1.25, 1.0), _aff(-0.25, -0.5), _aff(0.5, -2.0)),
         ),
         FamilySpec(
             "d",
-            _O_I_E,
+            ((_ORIGIN, Fraction(4, 3)), (_ONE_ONE, Fraction(1))),
             (
                 CriticalRow(SphereValue(Fraction(-1, 3)), (_aff(2 / 5, 8 / 5),)),
                 CriticalRow(SphereValue(Fraction(-1, 4)), (), (_ORIGIN,)),
@@ -171,7 +209,6 @@ FAMILIES: dict[str, FamilySpec] = {
             ),
             "rational",
             elliptic_fiber=True,
-            f=lambda z: (7 * z - 4) / (3 * z * (z - 1)),
         ),
     )
 }

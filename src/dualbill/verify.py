@@ -585,9 +585,11 @@ def check_translation(
 
     The parameter is recovered from each phase point through the tangency
     point (which fixes the square-root branch of z/sqrt(z^2 - w)); the
-    common difference must match 2/(2N+1) resp. 1/(N+1) to 1e-9.
+    common difference must match 2/(2N+1) resp. 1/(N+1) to 1e-9.  It is 2 -
+    rho for any rho the map uses, so it is read off the integral: 2 minus
+    the order at z = 0 of D(z, z^2) over the zero order k of R = C^k/D.
     """
-    if family.spec.shift is None:
+    if not family.spec.takes_n:
         raise ValueError("translation dynamics applies to the a-families")
     name = f"translation:{family.label()}:lam={lam}"
     points, reason, detail, taken = _orbit_points(family, lift_fiber(family, lam, start, branch), steps)
@@ -596,7 +598,10 @@ def check_translation(
         return _skipped(name, family, params, reason, detail, taken)
     taus = [curve_parameter(family, x).value for x in points]
     diffs = [b - a for a, b in zip(taus, taus[1:])]
-    expected = family.spec.shift(family.n)
+    integ, on_parabola = first_integral(family), Counter()
+    for (i, j), c in integ.den.coeffs.items():
+        on_parabola[i + 2 * j] += c
+    expected = 2 - Fraction(min(k for k, c in on_parabola.items() if c), integ.zero_order)
     shift = float(expected) * (1 + 1e-3 if corrupt else 1)
     acc = _Residuals()
     for k, dv in enumerate(diffs):

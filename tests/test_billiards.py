@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import random
 import re
@@ -14,7 +13,6 @@ from dualbill import billiards, geometry
 from dualbill.billiards import (
     BilliardFamily,
     SingularTangencyError,
-    _coefficient,
     billiard_map,
     involution,
     orbit,
@@ -79,11 +77,11 @@ class TestFamily:
         assert BilliardFamily.parse("d").n is None
 
     def test_rho(self):
-        # the a-families' coefficient is rho/z0 with rho = 2 - shift(N)
-        assert 2 - BilliardFamily("a1", 1).spec.shift(1) == Fraction(4, 3)
-        assert 2 - BilliardFamily("a2", 1).spec.shift(1) == Fraction(3, 2)
-        assert _coefficient(BilliardFamily("a1", 1), 1.0) == 4 / 3
-        assert _coefficient(BilliardFamily("a2", 1), 1.0) == 1.5
+        # the a-families' coefficient is rho/z0 with rho their one residue
+        assert FAMILIES["a1"].residues[0][1](1) == Fraction(4, 3)
+        assert FAMILIES["a2"].residues[0][1](1) == Fraction(3, 2)
+        assert FAMILIES["a1"].coefficient(1)(1.0) == 4 / 3
+        assert FAMILIES["a2"].coefficient(1)(1.0) == 1.5
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -96,18 +94,19 @@ class TestFamily:
 
 class TestFCoefficient:
     def test_examples(self):
-        assert _coefficient(BilliardFamily("b1"), -1.0) == pytest.approx(-2.0)
-        assert _coefficient(BilliardFamily("b2"), 0.0) == 0.0
+        assert FAMILIES["b1"].coefficient()(-1.0) == pytest.approx(-2.0)
+        assert FAMILIES["b2"].coefficient()(0.0) == 0.0
         with pytest.raises(ZeroDivisionError):  # a pole of f
-            _coefficient(BilliardFamily("d"), 1.0)
+            FAMILIES["d"].coefficient()(1.0)
 
     def test_a_family_is_rho_over_z0(self):
         for fam in (BilliardFamily("a1", 1), BilliardFamily("a2", 3)):
-            rho = float(2 - fam.spec.shift(fam.n))
+            rho = float(fam.spec.residues[0][1](fam.n))
+            f = fam.spec.coefficient(fam.n)
             for z0 in (2.0, -0.5 + 1.5j):
-                assert _coefficient(fam, z0) == rho / z0
+                assert f(z0) == rho / z0
             with pytest.raises(ZeroDivisionError):
-                _coefficient(fam, 0.0)
+                f(0.0)
 
 
 class TestInvolution:
@@ -138,7 +137,7 @@ class TestInvolution:
     def test_pole_maps_to_line_infinity(self):
         fam = BilliardFamily("b1")
         z0 = -1.0
-        f = _coefficient(fam, z0)
+        f = fam.spec.coefficient()(z0)
         u_pole = -1.0 / f
         z = z0 + u_pole
         q = ProjectivePoint.affine(z, 2 * z0 * z - z0 * z0)
@@ -614,16 +613,9 @@ class TestMapAgainstOracle:
         assert _oracle_worst(fam) <= ORACLE_TOL
 
     @pytest.mark.parametrize("fam", ORACLE_INSTANCES, ids=lambda f: f.label())
-    def test_perturbed_coefficient_is_caught(self, fam, monkeypatch):
-        # negative control: the involution's coefficient off by 1e-6
-        spec = FAMILIES[fam.tag]
-        if fam.is_a:
-            shift = spec.shift
-            bent = dataclasses.replace(spec, shift=lambda n: shift(n) + Fraction(1, 10**6))
-        else:
-            f = spec.f
-            bent = dataclasses.replace(spec, f=lambda z: f(z) + 1e-6)
-        monkeypatch.setitem(FAMILIES, fam.tag, bent)
+    def test_perturbed_coefficient_is_caught(self, fam, bend):
+        # negative control: the involution's residues off by a factor 1 + 1e-6
+        bend(fam.tag, 1 + Fraction(1, 10**6))
         assert _oracle_worst(fam) > ORACLE_TOL
 
 
@@ -643,7 +635,7 @@ def _step_gap(step, fam: BilliardFamily, rng: random.Random, samples: int = 20) 
         x = sample_phase_point(fam, rng)
         z0 = x.p.z_sphere().value
         u = x.q.z_sphere().value - z0
-        u_img = -u / (1 + _coefficient(fam, z0) * u)
+        u_img = -u / (1 + fam.spec.coefficient(fam.n)(z0) * u)
         y = step(fam, x)
         for got, want in ((y.q, z0 + u_img), (y.p, z0 + 2 * u_img)):
             gap = abs(got.z_sphere().value - want) / max(abs(z0), abs(want))
@@ -690,8 +682,8 @@ def _random_offset_start(fam, rng):
         u = INF
     elif kind == 3:
         u *= 10 ** rng.uniform(20, 160)
-    elif kind == 4 and billiards._coefficient(fam, z0) != 0:
-        u = -1.0 / billiards._coefficient(fam, z0)
+    elif kind == 4 and fam.spec.coefficient(fam.n)(z0) != 0:
+        u = -1.0 / fam.spec.coefficient(fam.n)(z0)
     elif kind == 5:
         u = complex(rng.choice([1e307, 1e300]), rng.choice([1e307, -1e308, 0.0]))
     return z0, u, rng.choice([1, 2, 255, 256, 257, 600])
@@ -756,7 +748,7 @@ class TestOffsetOrbit:
         # do not hold, and the next step stops as orbit does
         fam = BilliardFamily("b1")
         z0 = 0.4 + 0j
-        u = -1.0 / _coefficient(fam, z0)
+        u = -1.0 / fam.spec.coefficient()(z0)
         x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
         rec = orbit(fam, x0, 3)
         assert rec.points[-1].p is E_INFINITY
@@ -778,7 +770,7 @@ class TestOffsetOrbit:
         z0s, us, reason, _, taken = billiards._offset_orbit(fam, z0, INF, 5)
         assert (reason, taken) == (rec.reason, rec.steps_taken) == ("completed", 5)
         assert us[0] is INF
-        assert us[1] == 1.0 / _coefficient(fam, z0)
+        assert us[1] == 1.0 / fam.spec.coefficient()(z0)
         for z, x in zip(z0s, rec.points):
             assert abs(z - x.p.z_sphere().value) <= 1e-12 * max(1.0, abs(z))
 
@@ -829,7 +821,7 @@ class TestOffsetOrbit:
         # the stop is the one the last listed state gives: its guard, or its
         # step to E or past the domain
         spec = fam.spec
-        f = billiards._coefficient_of(spec, fam.n)
+        f = spec.coefficient(fam.n)
         finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
 
         def guarded(z0):
@@ -881,18 +873,14 @@ class TestOffsetOrbit:
         fam, z0, u, _, taken = self.EARLY_STOPS[case]
         _, z0, u = self.early_start(fam, z0, u)
         calls = Counter()
-        real = billiards._coefficient_of
+        f = fam.spec.coefficient(fam.n)
+        num, den, _ = fam.spec._by_n[fam.n]
 
-        def counted(spec, n):
-            f = real(spec, n)
+        def f_counted(z):
+            calls["f"] += 1
+            return f(z)
 
-            def f_counted(z):
-                calls["f"] += 1
-                return f(z)
-
-            return f_counted
-
-        monkeypatch.setattr(billiards, "_coefficient_of", counted)
+        monkeypatch.setitem(fam.spec._by_n, fam.n, (num, den, f_counted))
         assert billiards._offset_orbit(fam, z0, u, 10**6)[4] == taken
         assert taken <= calls["f"] <= taken + 1
 
@@ -901,7 +889,7 @@ class TestOffsetOrbit:
     "fam, lam, t0", [(BilliardFamily("b1"), 2.0, 2.7), (BilliardFamily("a1", 1), 1.0, 1.0)],
     ids=["b1", "a1(1)"],
 )
-def test_registry_bend_is_seen_between_calls(fam, lam, t0, monkeypatch):
+def test_registry_bend_is_seen_between_calls(fam, lam, t0, bend):
     # the map, the orbit and the kernel take the coefficient from FAMILIES
     # on each call, so a bend between two calls on one instance shows
     x0 = lift_fiber(fam, lam, t0, "+")
@@ -916,14 +904,7 @@ def test_registry_bend_is_seen_between_calls(fam, lam, t0, monkeypatch):
         )
 
     before = results()
-    spec = FAMILIES[fam.tag]
-    if fam.is_a:
-        shift = spec.shift
-        bent = dataclasses.replace(spec, shift=lambda n: shift(n) + Fraction(1, 10**6))
-    else:
-        f = spec.f
-        bent = dataclasses.replace(spec, f=lambda z: f(z) + 1e-6)
-    monkeypatch.setitem(FAMILIES, fam.tag, bent)
+    bend(fam.tag, 1 + Fraction(1, 10**6))
     after = results()
     for old, new in zip(before, after):
         assert old != new

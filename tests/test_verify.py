@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 import random
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from dualbill import cli, integrals, verify
 from dualbill.billiards import (
     BilliardFamily,
-    _coefficient,
     _involution_z,
     billiard_map,
     involution,
@@ -433,7 +431,7 @@ def _pole(fam):
     for j in range(400):
         z0 = complex(0.5 + j / 97)
         try:
-            f = _coefficient(fam, z0)
+            f = fam.spec.coefficient(fam.n)(z0)
         except ZeroDivisionError:
             continue
         if f == 0:
@@ -962,7 +960,7 @@ class TestConservationOnLanes:
         # step goes to E, and its Q, the infinite point [1 : 2 z0 : 0] of
         # the tangent line, is evaluated exactly
         z0 = 0.4 + 0j
-        u = -1.0 / _coefficient(B1, z0)
+        u = -1.0 / B1.spec.coefficient()(z0)
         x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
         lam = integrals.eval_integral(B1, x0.q).value
         monkeypatch.setattr(verify, "_start_point", lambda *args: x0)
@@ -1011,7 +1009,7 @@ class TestConservationOnLanes:
         # rounded to an ulp of 2u', which moves Q_1 = (z0 + 2u') - u' along
         # its line and R by 0.04; Q_1 at offset u' on the line at z0 is
         # exact to rounding
-        u = -1.0 / _coefficient(B1, z0)
+        u = -1.0 / B1.spec.coefficient()(z0)
         x0 = PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0))
         lam = integrals.eval_integral(B1, x0.q).value
         monkeypatch.setattr(verify, "_start_point", lambda *args: x0)
@@ -1020,19 +1018,11 @@ class TestConservationOnLanes:
         assert report.worst <= 1e-14
 
     @pytest.mark.parametrize("tag", ["a1", "a2", "b1", "b2", "c1", "c2", "d"])
-    def test_bent_map_fails(self, tag, monkeypatch):
+    def test_bent_map_fails(self, tag, bend):
         # conservation is the sampled check that ties the map's coefficient
-        # to the integral: f scaled by 1 + 1e-6, or an a-family's shift
-        # moved by 1e-6, fails every frozen case
+        # to the integral: residues scaled by 1 + 1e-6 fail every frozen case
         fam = BilliardFamily.parse(tag)
-        spec = FAMILIES[tag]
-        if fam.is_a:
-            shift = spec.shift
-            bent = dataclasses.replace(spec, shift=lambda n: shift(n) + Fraction(1, 10**6))
-        else:
-            f = spec.f
-            bent = dataclasses.replace(spec, f=lambda z: f(z) * (1 + 1e-6))
-        monkeypatch.setitem(FAMILIES, tag, bent)
+        bend(tag, 1 + Fraction(1, 10**6))
         for lam, start, branch in verify.CONSERVATION_CASES[tag]:
             report = check_conservation(fam, lam, 500, 1, start=start, branch=branch)
             assert report.status == "fail" and report.worst > verify.CONSERVATION_BOUND, lam
@@ -1085,7 +1075,7 @@ class TestOrbitPoints:
             return a1, lift_fiber(a1, 1.0, 1.7, "+"), 300
         # u = -1/f(z0) makes 1 + f u = 0 in floats: the first step goes to E
         z0 = 0.4 + 0j
-        u = -1.0 / _coefficient(B1, z0)
+        u = -1.0 / B1.spec.coefficient()(z0)
         return B1, PhasePoint(ProjectivePoint.affine(z0 + u, z0 * z0 + 2 * z0 * u), conic_point(z0)), 3
 
     @pytest.mark.parametrize(
@@ -1116,3 +1106,11 @@ class TestOrbitPoints:
     def test_translation_cases_hold_to_1e_12(self, tag, n, lam, tau):
         report = check_translation(BilliardFamily(tag, n), lam, 50, 42, start=tau)
         assert report.status == "pass" and report.worst <= 1e-12, report.worst
+
+    @pytest.mark.parametrize("tag,n,lam,tau", TRANSLATION_CASES)
+    def test_a_bent_residue_fails_translation(self, tag, n, lam, tau, bend):
+        # the fiber parameter steps by 2 - rho for whatever rho the map
+        # uses, so the step is checked against the integral's, not the map's
+        bend(tag, Fraction(1001, 1000))
+        report = check_translation(BilliardFamily(tag, n), lam, 50, 42, start=tau)
+        assert report.status == "fail" and report.worst > 1e-4, report.worst
