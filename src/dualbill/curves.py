@@ -10,7 +10,8 @@ cover of a level curve by its invariant fiber branches where the curve
 crosses the parabola transversally; for the b and d families those branch
 parameters feed a genus-one model y^2 = p(t) whose half-periods, and so its
 periods, are closed forms in Carlson's R_F; only the legs of Abel steps,
-from a curve point to a branch point, are integrated by contour quadrature.
+from a curve point along the straight segment to its nearest branch point,
+are integrated by quadrature.
 
 What kind of curve and fiber a family has, its critical values and which
 family b2 is the image of are read from :mod:`dualbill.families`.  The
@@ -49,12 +50,10 @@ from .integrals import (
 )
 from .numerics import (
     INF,
-    BranchedSqrt,
     SphereValue,
     carlson_rf,
     chordal_distance,
     lattice_reduce,
-    plan_route,
     principal_sqrt,
     roots as poly_roots,
     segment_integrate,
@@ -402,52 +401,7 @@ def sheet_sqrt(family: BilliardFamily, lam, x: PhasePoint) -> tuple[complex, com
 
 
 # ---------------------------------------------------------------------------
-# elliptic models: half-periods in closed form, legs by contour quadrature
-
-def branched_leg_integral(
-    br: BranchedSqrt,
-    pts: Sequence[complex],
-    anchor_value: complex,
-    *,
-    end_at_branch: complex | None = None,
-) -> complex:
-    """Integral of dt/y along a polyline, y the branch of sqrt(p) that takes
-    the value ``anchor_value`` at the first node.
-
-    Cut-ray crossings flip a running sign so the integrand stays the
-    continuous continuation; with ``end_at_branch`` the final approach is
-    desingularized by the square-root substitution.
-    """
-    y0 = br.at(pts[0])
-    sign = 1.0 if abs(y0 - anchor_value) <= abs(y0 + anchor_value) else -1.0
-    total = 0j
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        boundaries = [0.0] + br.segment_crossings(a, b) + [1.0]
-        d = b - a
-        for j in range(len(boundaries) - 1):
-            sa, sb = boundaries[j], boundaries[j + 1]
-            ta, tb = a + d * sa, a + d * sb
-            sgn = sign
-            last_piece = i == len(pts) - 2 and j == len(boundaries) - 2
-            if end_at_branch is not None and last_piece:
-                t_amp = ta - tb
-
-                def g(v, _s=sgn, _tb=tb, _amp=t_amp):
-                    v = np.asarray(v)
-                    return _s * 2.0 * v * _amp / br(_tb + _amp * v * v)
-
-                total += -segment_integrate(g, 0.0, 1.0)
-            else:
-
-                def g(s, _s=sgn, _a=a, _d=d):
-                    return _s * _d / br(_a + _d * np.asarray(s))
-
-                total += segment_integrate(g, sa, sb)
-            if j < len(boundaries) - 2:
-                sign = -sign
-    return total
-
+# elliptic models: half-periods in closed form, legs by segment quadrature
 
 def _half_periods(poly: np.ndarray, roots: list[complex]) -> list[complex]:
     """Integral of dt/y, y^2 = p(t), from each root e_k of p to infinity for
@@ -470,8 +424,7 @@ def _half_periods(poly: np.ndarray, roots: list[complex]) -> list[complex]:
 @dataclass
 class EllipticModel:
     """Genus-one data of one invariant fiber, y^2 = p(t): the sorted finite
-    branch points, the clearance of every routed leg from them, and one
-    half-period per branch point.
+    branch points and one half-period per branch point.
 
     ``half_periods[k]`` is the integral of dt/y from ``roots[k]`` to a base
     branch point, on one of the two branches of y, in closed form by
@@ -479,16 +432,15 @@ class EllipticModel:
     quartic.  Twice a half-period is a period.  The last three half-periods
     are those of the branch points other than the base: the first two give
     the generators ``periods``, the third the closure cycle of
-    :func:`lattice_closure_residual`, which no routed path enters.
+    :func:`lattice_closure_residual`.  The one integral left to quadrature
+    is the leg of :meth:`anchor`, along the straight segment from a curve
+    point to its nearest branch point.
     """
 
     family: BilliardFamily
     lam: complex
     poly: np.ndarray  # descending coefficients of p
-    branch_parameters: list[SphereValue]
     roots: list[complex]  # finite branch points, sorted
-    clearance: float  # how far routed legs keep from every root
-    _sqrt: BranchedSqrt = field(repr=False)
     half_periods: list[complex] = field(init=False)
     periods: tuple[complex, complex] = field(init=False)
 
@@ -519,8 +471,26 @@ class EllipticModel:
         return min(range(len(self.roots)), key=lambda k: abs(self.roots[k] - t))
 
     def _leg(self, t: complex, y: complex, k: int) -> complex:
-        path = plan_route([t, self.roots[k]], self._sqrt.roots, self.clearance)
-        return branched_leg_integral(self._sqrt, path, y, end_at_branch=self.roots[k])
+        """Integral of dt/y along the straight segment from t to its nearest
+        branch point e = ``roots[k]``, y continued from its value at t.
+
+        On the segment p(t + s(e - t)) = y^2 (1 - s) prod (1 + s c_j) over
+        the other roots e_j, c_j = (e - t)/(t - e_j).  For s in [0, 1] each
+        1 + s c_j could reach the negative real axis only through 0, which
+        would put e_j on the segment, nearer to t than e; so y times the
+        principal square roots of the factors is y continued.  s = 1 - v^2
+        removes the factor 1 - s and leaves a smooth integrand in v."""
+        d = self.roots[k] - t
+        cs = [d / (t - r) for j, r in enumerate(self.roots) if j != k]
+
+        def f(v):
+            s = 1.0 - v * v
+            den = np.full(v.shape, y, dtype=complex)
+            for c in cs:
+                den = np.multiply(den, np.sqrt(1.0 + s * c))
+            return 2.0 * d / den
+
+        return segment_integrate(f, 0.0, 1.0)
 
 
 def elliptic_model(family: BilliardFamily, lam) -> EllipticModel:
@@ -531,16 +501,16 @@ def elliptic_model(family: BilliardFamily, lam) -> EllipticModel:
     model; the c-family level curves are elliptic but have no rational
     parametrization, so their period data is out of reach of this model
     (their invariant differentials are still available in the forms module).
+    The branch points are the eigenvalue roots of p's complex coefficients,
+    unpolished.
     """
     lam = _require_regular(family, lam)
     coeffs = elliptic_poly(family, lam)
-    br = BranchedSqrt(coeffs)
-    rts = sorted(br.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
-    clearance = 0.12 * min(abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:])
-    branch = [SphereValue(r) for r in rts]
-    if len(coeffs) == 4:  # cubic model branches over infinity as well
-        branch.append(INF)
-    return EllipticModel(family, lam.value, coeffs, branch, rts, clearance, br)
+    rts = sorted(
+        (complex(r) for r in np.roots(np.asarray(coeffs, dtype=complex))),
+        key=lambda r: (round(r.real, 12), round(r.imag, 12)),
+    )
+    return EllipticModel(family, lam.value, coeffs, rts)
 
 
 def lattice_closure_residual(model: EllipticModel) -> float:

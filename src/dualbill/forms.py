@@ -259,10 +259,10 @@ def abel_steps(
 
     Each step is the difference of the elliptic logarithms
     (:meth:`~dualbill.curves.EllipticModel.anchor`) of the sheet coordinates
-    (t, y) of the two phase points: each point's routed leg to its nearest
-    branch point plus that branch point's closed-form half-period.  Each
-    point's logarithm is taken once and serves the step that ends there and
-    the one that starts there.
+    (t, y) of the two phase points: each point's leg along the straight
+    segment to its nearest branch point plus that branch point's
+    closed-form half-period.  Each point's logarithm is taken once and
+    serves the step that ends there and the one that starts there.
     """
     coords = [sheet_sqrt(family, lam, x) for x in phase_points]
     logs = map(model.anchor, coords) if len(coords) > 1 else ()

@@ -4,8 +4,8 @@ Carlson's symmetric elliptic integral and segment quadrature.
 Everything downstream (geometry, dynamics, curve models, verification) is
 built on the primitives in this module: values that may be the point at
 infinity, the comparison thresholds, polynomial root finding, the integral
-R_F that gives the elliptic models their periods in closed form, and
-Gauss-Legendre segment quadrature with global square-root branch tracking.
+R_F that gives the elliptic models their periods in closed form,
+Gauss-Legendre segment quadrature and reduction modulo a lattice.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "roots",
     "carlson_rf",
     "segment_integrate",
-    "BranchedSqrt",
     "plan_route",
     "lattice_reduce",
 ]
@@ -307,50 +306,7 @@ def segment_integrate(f, a: complex, b: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# global square-root branches and path planning
-
-class BranchedSqrt:
-    """A global branch of sqrt(p(t)) cut below each root of p.
-
-    The branch is the product of per-root square roots, each cut along the
-    downward vertical ray from its root, times the square root of the leading
-    coefficient.  It is continuous on the plane minus those rays and can be
-    evaluated at arbitrary points in any order, which makes it suitable for
-    quadrature.  Crossings of the cut rays by a straight segment are exactly
-    enumerable via :meth:`segment_crossings`, so a piecewise sign factor
-    restores continuity along any polyline.
-    """
-
-    def __init__(self, coeffs: Sequence[complex]):
-        self.coeffs = np.asarray([complex(c) for c in coeffs], dtype=complex)
-        if len(self.coeffs) < 2:
-            raise ValueError("need a non-constant polynomial")
-        self.roots = [complex(r) for r in np.roots(self.coeffs)]
-        self._lead = cmath.sqrt(complex(self.coeffs[0]))
-        self._phase = cmath.exp(1j * math.pi / 4 * len(self.roots))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=complex)
-        vals = np.full(t.shape, self._lead * self._phase, dtype=complex)
-        for r in self.roots:
-            vals = np.multiply(vals, np.sqrt(-1j * (t - r)))
-        return vals
-
-    def at(self, t: complex) -> complex:
-        return complex(self(np.asarray([t]))[0])
-
-    def segment_crossings(self, a: complex, b: complex) -> list[float]:
-        """Parameters s in (0,1) where [a,b] crosses a cut ray."""
-        out = []
-        d = b - a
-        if d.real == 0:
-            return out
-        for r in self.roots:
-            s = (r.real - a.real) / d.real
-            if 0.0 < s < 1.0 and a.imag + s * d.imag < r.imag:
-                out.append(s)
-        return sorted(out)
-
+# path planning
 
 #: a segment is bent at most this many times around obstacles
 ROUTE_MAX_DEPTH = 8
@@ -361,9 +317,11 @@ def plan_route(
 ) -> list[complex]:
     """Bend a polyline so no segment passes within ``clearance`` of an obstacle.
 
-    Detours always go above the obstacle (cuts in :class:`BranchedSqrt`
-    point downward).  Segment endpoints themselves are allowed to coincide
-    with obstacles: only interior near-approaches trigger a detour.
+    Detours always go above the obstacle.  Segment endpoints themselves are
+    allowed to coincide with obstacles: only interior near-approaches
+    trigger a detour.  No library code calls it; it stays because the
+    benchmark's tracer looks up every name it traces with no default, and
+    goes once that lookup tolerates a missing name (ROADMAP item 1).
     """
     pts = [complex(p) for p in path]
     out = [pts[0]]

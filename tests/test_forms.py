@@ -6,7 +6,6 @@ import pytest
 from dualbill import curves
 from dualbill.billiards import ALL_FAMILY_TAGS, BilliardFamily, _involution_z, orbit
 from dualbill.curves import (
-    branched_leg_integral,
     elliptic_model,
     lattice_closure_residual,
     lift_fiber,
@@ -29,6 +28,7 @@ from dualbill.geometry import PhasePoint, ProjectivePoint, conic_point
 from dualbill.integrals import gradient
 from dualbill.numerics import plan_route, segment_integrate
 from dualbill.verify import _rng_for, check_area_form, check_jacobian, sample_phase_point
+from routed import BranchedSqrt, branched_leg_integral
 
 FAMILIES = [
     BilliardFamily("a1", 1),
@@ -154,21 +154,22 @@ class TestFiberDifferential:
 
     def test_value_example(self):
         model = elliptic_model(BilliardFamily("b1"), 2.0)
-        assert abs(1.0 / model._sqrt.at(0.0)) == pytest.approx(0.25, rel=1e-12)
+        assert abs(1.0 / BranchedSqrt(model.poly).at(0.0)) == pytest.approx(0.25, rel=1e-12)
 
     def test_defining_relation(self):
         model = elliptic_model(BilliardFamily("d"), 1.0)
+        br = BranchedSqrt(model.poly)
         rng = _rng_for(16, "fdrel")
         for _ in range(25):
             t = complex(rng.uniform(-3, 3), rng.uniform(0.2, 3))
-            val = 1.0 / model._sqrt.at(t)
+            val = 1.0 / br.at(t)
             assert abs(val * val * np.polyval(model.poly, t) - 1.0) <= 1e-9
 
     def test_anchor_flips_sign(self):
         # an anchor's leg runs on the branch of y that the point's y selects
         model = elliptic_model(BilliardFamily("b1"), 2.0)
         t0 = 1.5 + 1.0j
-        y0 = model._sqrt.at(t0)
+        y0 = BranchedSqrt(model.poly).at(t0)
         half = model.half_periods[model._nearest(t0)]
         base = model.anchor((t0, y0)) - half
         flipped = model.anchor((t0, -y0)) - half
@@ -214,6 +215,12 @@ ABEL_CASES = [
 ]
 
 
+def _clearance(rts):
+    """How far a routed path keeps from every root: 0.12 of the smallest
+    root gap."""
+    return 0.12 * min(abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:])
+
+
 def _routed_connection(model, a, b):
     """Integral of dt/y from branch point a to branch point b by routed
     quadrature alone: the legs to a and to b from one point m above the
@@ -222,7 +229,8 @@ def _routed_connection(model, a, b):
     beside its branch point e, and into e from the side that no cut ray
     crosses: each root cuts straight down, and one just above e may cut
     through e itself, on a side that rounding picks."""
-    br, rts, c = model._sqrt, model.roots, model.clearance
+    br, rts = BranchedSqrt(model.poly), model.roots
+    c = _clearance(rts)
     d = 0.5 * min(abs(r - s) for i, r in enumerate(rts) for s in rts[i + 1:])
     top = max(r.imag for r in rts) + 4.0 * d
     m = complex(sum(r.real for r in rts) / len(rts), top)
@@ -239,9 +247,9 @@ def _routed_connection(model, a, b):
 def _routed_steps(fam, lam, points, model):
     """Abel steps routed one by one from the model's polynomial alone, with
     a fresh routed connection for every step that joins two branch points."""
-    br = model._sqrt
+    br = BranchedSqrt(model.poly)
     rts = sorted(br.roots, key=lambda r: (round(r.real, 12), round(r.imag, 12)))
-    clearance = 0.12 * min(abs(a - b) for i, a in enumerate(rts) for b in rts[i + 1:])
+    clearance = _clearance(rts)
     coords = [sheet_sqrt(fam, lam, x) for x in points]
     out, joined = [], 0
     for (ta, ya), (tb, yb) in zip(coords, coords[1:]):
@@ -302,7 +310,7 @@ class TestAbel:
         model = elliptic_model(fam, lam)
         lattice_closure_residual(model)
         assert calls == []
-        abel_steps(fam, lam, points, model)  # the legs are routed quadrature
+        abel_steps(fam, lam, points, model)  # the legs are segment quadrature
         assert calls
 
     @pytest.mark.parametrize("fam,lam,t0", ABEL_CASES, ids=lambda v: str(v))
@@ -354,6 +362,64 @@ class TestAbel:
         red = model.lattice_reduce(consts[0] - consts[1])
         red2 = model.lattice_reduce(consts[0] + consts[1])
         assert min(abs(red), abs(red2)) <= 1e-5
+
+
+# (family, level, start parameter, sheet) of orbits on which a leg routed
+# around the cut rays of routed.BranchedSqrt does not converge
+UNROUTABLE = [
+    ("b1", 0.3993979853016729 + 0.9511290682321203j, 1.1386529553690534 - 0.26340591305886707j, "-"),
+    ("b1", 1.8964801448519772 - 0.5545772928503585j, 2.140332855265977 + 0.4469637335328269j, "+"),
+    ("b1", 2.860668959452144 - 0.9926024152003323j, 0.8323867116666784 - 0.499616374905418j, "-"),
+    ("b2", 0.5165887600618787 + 0.6214798371585128j, 2.322406569303558 - 0.08299790722231637j, "-"),
+    ("b2", 2.0146249850978473 - 0.9103767504650846j, 2.232296180233666 - 0.2147335930627584j, "+"),
+    ("b2", 2.5736097401057254 + 0.7233309327676551j, 2.7323157371175757 + 0.27509718929617444j, "+"),
+]
+
+
+class TestStraightLegs:
+    """Each leg runs along the straight segment to its nearest branch point,
+    with y continued in closed form along it."""
+
+    @pytest.mark.parametrize("tag,lam,t0,sheet", UNROUTABLE)
+    def test_steps_are_constant_where_routing_failed(self, tag, lam, t0, sheet):
+        fam = BilliardFamily(tag)
+        model = elliptic_model(fam, lam)
+        assert lattice_closure_residual(model) <= 1e-7
+        points = orbit(fam, lift_fiber(fam, lam, t0, sheet), 20).points
+        steps = abel_steps(fam, lam, points, model)
+        assert len(steps) == 20
+        assert max(abs(model.lattice_reduce(s - steps[0])) for s in steps) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "tag,lam", [("b1", 2.0), ("d", 1.0), ("d", 0.45541461035105535 - 0.9226804965651715j)]
+    )
+    def test_leg_near_its_branch_point(self, tag, lam):
+        # near e, p(t) ~ p'(e)(t - e), so the leg is -2(t - e)/y to first order
+        model = elliptic_model(BilliardFamily(tag), lam)
+        for k, e in enumerate(model.roots):
+            for delta in (10.0**-n for n in range(3, 12)):
+                for theta in (0.3, 2.1, -2.6):
+                    t = e + delta * cmath.exp(1j * theta)
+                    y = cmath.sqrt(np.polyval(model.poly, t))
+                    assert model._nearest(t) == k
+                    leg = model._leg(t, y, k)
+                    assert abs(leg / (-2.0 * (t - e) / y) - 1.0) <= 10.0 * abs(t - e)
+
+    @pytest.mark.parametrize("fam,lam", [c[:2] for c in ABEL_CASES], ids=lambda v: str(v))
+    def test_leg_differentiates_to_minus_one_over_y(self, fam, lam):
+        # d/dt of the integral of dt/y from t to a fixed branch point
+        model = elliptic_model(fam, lam)
+        rng = _rng_for(37, f"leg derivative:{fam.label()}")
+        h = 1e-4
+        for _ in range(10):
+            t = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            k = model._nearest(t)
+            y = cmath.sqrt(np.polyval(model.poly, t))
+            # y continued to t +/- h, a step far shorter than any root distance
+            assert min(abs(t - r) for r in model.roots) > 100 * h
+            yp, ym = (y * cmath.sqrt(np.polyval(model.poly, u) / y**2) for u in (t + h, t - h))
+            slope = (model._leg(t + h, yp, k) - model._leg(t - h, ym, k)) / (2 * h)
+            assert abs(slope * y + 1.0) <= 1e-6
 
 
 class TestJacobianSplit:

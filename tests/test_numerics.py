@@ -7,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualbill import numerics
-from dualbill.curves import branched_leg_integral
 from dualbill.numerics import (
     INF,
-    BranchedSqrt,
     SphereValue,
     SpherePoleError,
     carlson_rf,
@@ -22,6 +20,7 @@ from dualbill.numerics import (
     segment_integrate,
     sphere_eq,
 )
+from routed import BranchedSqrt, branched_leg_integral
 
 
 class TestSphereValue:
