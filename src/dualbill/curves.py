@@ -5,7 +5,11 @@ Regular level curves of the a1, a2, b1, b2 and d integrals are rational and
 carry explicit parametrizations; the c-family level curves are elliptic and
 are handled implicitly (polynomial plus line slicing).  Every rational curve,
 level curve or critical component, is a polynomial map homogeneous in (t, s)
-to [Z : W : T], taken at (t, 1), and at (1, 0) for t = inf.  The double
+to [Z : W : T], taken at (t, 1), and at (1, 0) for t = inf.  A critical
+component of degree d is swept by the lines through a point of multiplicity
+d - 1 on it, one rule for all (:func:`_pencil`); only the lines and d's
+quartic at -9/32, whose singular points are double, keep hand forms, and
+d's irreducible sextic at -1/4 takes the level curves' form.  The double
 cover of a level curve by its invariant fiber branches where the curve
 crosses the parabola transversally; for the b and d families those branch
 parameters feed a genus-one model y^2 = p(t) whose half-periods, and so its
@@ -82,10 +86,16 @@ __all__ = [
     "tangency_gap",
 ]
 
+def _critical_value(family: BilliardFamily, lam) -> SphereValue | None:
+    """The critical value of the family's registry that lam equals within
+    :func:`sphere_eq`, or None when lam is regular."""
+    lam = SphereValue.coerce(lam)
+    return next((c for c in critical_values(family) if sphere_eq(lam, c)), None)
+
+
 def is_regular(family: BilliardFamily, lam) -> bool:
     """Whether lam avoids every critical value of the family's integral."""
-    lam = SphereValue.coerce(lam)
-    return not any(sphere_eq(lam, c) for c in critical_values(family))
+    return _critical_value(family, lam) is None
 
 
 def _require_regular(family: BilliardFamily, lam) -> SphereValue:
@@ -553,51 +563,37 @@ def _diagonal(t, s):
     return t, t, s
 
 
-def _parabola(t, s):
-    """The parabola w = z^2, swept by z."""
-    return t * s, t * t, s * s
+#: pencil centers in exact homogeneous coordinates [z : w : t]
+_ORIGIN, _ONE_ONE, _E = (0, 0, 1), (1, 1, 1), (0, 1, 0)
 
 
-def _conic_through_origin(poly: BiPoly, t, s):
-    """The conic {poly = 0} through the origin, swept by the lines of slope
-    t/s through it: on the line (z, w) = sigma (s, t) the conic reads
-    alpha sigma + beta sigma^2, and its second root sigma = -alpha/beta is
-    the point [-alpha s : -alpha t : beta]."""
-    c = poly.coeffs.get
-    alpha = c((1, 0), 0) * s + c((0, 1), 0) * t
-    beta = c((2, 0), 0) * s * s + c((1, 1), 0) * s * t + c((0, 2), 0) * t * t
-    return -alpha * s, -alpha * t, beta
+def _pencil(poly: BiPoly, center: tuple[int, int, int], t, s):
+    """The component F = {poly = 0} of degree d swept by the lines through
+    a point c of multiplicity d - 1 on it: each meets F in one more point.
 
-
-def _cubic_b1_level1(t, s):
-    return t * s * (4.0 * s - t), t * t * (3.0 * s - t), (t - s) * (4.0 * s - t) ** 2
-
-
-def _conic_b1_43_1(t, s):
-    return 4.0 * t * s, 3.0 * t * t, 16.0 * s * (t - s)
-
-
-def _conic_b1_43_2(t, s):
-    return t * (t - 9.0 * s), 3.0 * (t - 9.0 * s) * (t + 3.0 * s), 3.0 * t * t
-
-
-def _cubic_d_13_1(t, s):
-    return (
-        -(t + 9.0 * s) * t * (t + 4.0 * s),
-        -((t + 9.0 * s) ** 2) * (t + s),
-        5.0 * t * t * (t + 4.0 * s),
+    In the chart (x, y) of c's last nonzero coordinate, x and y the two
+    coordinates that follow it cyclically, c is the origin, and F's
+    degree-k parts F_k there are expanded exactly.  The line of direction
+    v = (s, t) meets F again at F_d(v) c - F_{d-1}(v) v: for a finite c the
+    lines of slope t/s, for c = E the lines z = t/s.  ValueError unless c's
+    multiplicity is exactly d - 1."""
+    d = poly.total_degree
+    k = max(i for i in range(3) if center[i])
+    frame = [(int(m == (k + 1) % 3), int(m == (k + 2) % 3), center[m]) for m in range(3)]
+    at_c = _substitute_projective(poly, frame)
+    if min(map(sum, at_c.coeffs)) != d - 1:
+        raise ValueError(f"{center} is not a point of multiplicity {d - 1} on {poly!r}")
+    lo, hi = (
+        BiPoly({e: a for e, a in at_c.coeffs.items() if sum(e) == n})(s, t) for n in (d - 1, d)
     )
-
-
-def _cubic_d_13_2(t, s):
-    return (
-        t * (t + 9.0 * s) * (2.0 * t + 27.0 * s),
-        (2.0 * t + 27.0 * s) ** 2 * (2.0 * t - 9.0 * s),
-        t * t * (5.0 * t + 72.0 * s),
-    )
+    x, y = -lo * s, -lo * t
+    return tuple(u * x + v * y + c * hi for u, v, c in frame)
 
 
 def _quartic_d_932(t, s):
+    """The quartic of d at -9/32, the one hand form: a pencil of lines
+    sweeps a quartic only from a triple point, and its singular points
+    (1, 1) and E are double."""
     return (
         -(9.0 * t + 32.0 * s) * (t + 8.0 * s) * t * (t + 3.0 * s),
         -((t + 8.0 * s) ** 2) * (3.0 * t + 8.0 * s) * (3.0 * t + 4.0 * s),
@@ -722,14 +718,14 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
     ("b1", SphereValue(1)): (
         _listed(
             ("line z = 0", _Z, partial(_line_z, 0.0)),
-            ("cubic", _CUBIC_B1_LEVEL1, _cubic_b1_level1),
+            ("cubic", _CUBIC_B1_LEVEL1, partial(_pencil, _CUBIC_B1_LEVEL1, _ONE_ONE)),
         ),
         _double("line") + _sheets("cubic"),
     ),
     ("b1", SphereValue(Fraction(4, 3))): (
         _listed(
-            ("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1, _conic_b1_43_1),
-            ("conic w = z(4-3z)", _CONIC_B1_43_2, _conic_b1_43_2),
+            ("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1, partial(_pencil, _CONIC_B1_43_1, _ORIGIN)),
+            ("conic w = z(4-3z)", _CONIC_B1_43_2, partial(_pencil, _CONIC_B1_43_2, _ORIGIN)),
         ),
         _double("conic #0") + _double("conic #1"),
     ),
@@ -756,7 +752,7 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
     ("c1", INF): (_den_factors(("cubic 1 + w^3 - 2zw", None)), _sheets("cubic")),
     ("c2", SphereValue(Fraction(-9, 64))): (
         _listed(
-            ("conic w + 8z^2", _C2_CONICS[0], partial(_conic_through_origin, _C2_CONICS[0])),
+            ("conic w + 8z^2", _C2_CONICS[0], partial(_pencil, _C2_CONICS[0], _ORIGIN)),
             ("conic 9(w-z)^2 + w - z^2", _C2_CONICS[1], None),
             ("conic 9(z-1)^2 + w - z^2", _C2_CONICS[2], None),
         ),
@@ -765,7 +761,7 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
     ("c2", INF): (_den_factors(("cubic", None)), _sheets("cubic")),
     ("d", INF): (
         _den_factors(
-            ("conic w + 8z^2", partial(_conic_through_origin, _C2_CONICS[0])),
+            ("conic w + 8z^2", partial(_pencil, _C2_CONICS[0], _ORIGIN)),
             ("line z = 1", partial(_line_z, 1.0)),
             ("cubic", None),
         ),
@@ -773,15 +769,15 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
     ),
     ("d", SphereValue(Fraction(-1, 3))): (
         _listed(
-            ("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1, _cubic_d_13_1),
-            ("cubic", _CUBIC_D_13_2, _cubic_d_13_2),
+            ("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1, partial(_pencil, _CUBIC_D_13_1, _E)),
+            ("cubic", _CUBIC_D_13_2, partial(_pencil, _CUBIC_D_13_2, _ONE_ONE)),
         ),
         _double("cubic #0") + _double("cubic #1"),
     ),
     ("d", SphereValue(Fraction(-9, 32))): (
         _listed(
             ("quartic", _QUARTIC_D_932, _quartic_d_932),
-            ("conic w + 8z^2 - 9zw", _CONIC_D_932, partial(_conic_through_origin, _CONIC_D_932)),
+            ("conic w + 8z^2 - 9zw", _CONIC_D_932, partial(_pencil, _CONIC_D_932, _ORIGIN)),
         ),
         _sheets("quartic") + _double("conic"),
     ),
@@ -804,34 +800,33 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
 def critical_fiber_components(family: BilliardFamily, lam) -> list[CurveComponent]:
     """Irreducible components (with multiplicities) of a critical level curve.
 
-    lam = 0 is reported as the parabola itself carrying the multiplicity of
-    the integral's numerator.  Components the literature-level tables give a
-    rational parametrization for carry one.
+    lam is looked up as the registry's critical value it equals within
+    :func:`sphere_eq`.  lam = 0 is reported as the parabola itself carrying
+    the multiplicity of the integral's numerator.  A component's
+    parametrization, where it has one, is the pencil of lines through a
+    point of multiplicity d - 1 on it (:func:`_pencil`) or, for lines and
+    for d's quartic at -9/32, which has no such point, a hand form.
     """
-    lam = SphereValue.coerce(lam)
-    if is_regular(family, lam):
+    value = _critical_value(family, lam)
+    if value is None:
+        lam = SphereValue.coerce(lam)
         raise ValueError(f"{lam!r} is a regular value of family {family.label()}")
-    if lam == SphereValue(0):
-        zero_order = first_integral(family).zero_order
-        return [CurveComponent("parabola", _CONIC, zero_order, _rational(_parabola))]
-    cell = _CELLS.get((family.tag, lam))
-    if cell is None:
-        raise ValueError(f"no component table for family {family.label()} at {lam!r}")
-    return cell[0](family, lam)
+    if value == SphereValue(0):
+        parabola = _rational(partial(_pencil, _CONIC, _ORIGIN))
+        return [CurveComponent("parabola", _CONIC, first_integral(family).zero_order, parabola)]
+    return _CELLS[(family.tag, value)][0](family, value)
 
 
-def _substitute_projective(poly: BiPoly, matrix: np.ndarray) -> BiPoly:
+def _substitute_projective(poly: BiPoly, matrix) -> BiPoly:
     """Image polynomial of {poly = 0} under the projective map: substitute
-    the inverse map's linear forms for z, w and t in the homogenization
-    (and set t = 1)."""
+    the inverse map's linear forms, the rows of ``matrix``, for z, w and t
+    in the homogenization (and set t = 1); exact when poly and the matrix
+    are."""
     d = poly.total_degree
-    lz, lw, lt = (
-        BiPoly({(1, 0): complex(a), (0, 1): complex(b), (0, 0): complex(c)})
-        for a, b, c in matrix
-    )
+    lz, lw, lt = (BiPoly({(1, 0): a, (0, 1): b, (0, 0): c}) for a, b, c in matrix)
     out = BiPoly({})
     for (i, j), c in poly.coeffs.items():
-        out = out + (lz.power(i) * lw.power(j) * lt.power(d - i - j)).scale(complex(c))
+        out = out + (lz.power(i) * lw.power(j) * lt.power(d - i - j)).scale(c)
     return out
 
 
@@ -843,8 +838,8 @@ def _mapped(psi, param):
 def component_product_residual(family: BilliardFamily, lam) -> float:
     """Relative coefficient residual of prod components^mult against the
     level polynomial (the denominator itself for lam = inf)."""
-    lam = SphereValue.coerce(lam)
     comps = critical_fiber_components(family, lam)
+    lam = _critical_value(family, lam)
     prod = BiPoly.const(1)
     for comp in comps:
         prod = prod * comp.poly.power(comp.multiplicity)
@@ -872,10 +867,12 @@ def fiber_type(family: BilliardFamily, lam) -> FiberModel:
     Regular values follow the generic table; the tabulated critical cells
     are reproduced exactly.  Critical cells without a published table (the
     a-family multiple fibers and the b1 and b2 fibers at infinity) are not
-    modeled.
+    modeled.  A critical lam is read as the registry's critical value it
+    equals within :func:`sphere_eq`.
     """
-    lam = SphereValue.coerce(lam)
-    if is_regular(family, lam):
+    value = _critical_value(family, lam)
+    if value is None:
+        lam = SphereValue.coerce(lam)
         spec = family.spec
         genus = 1 if spec.elliptic_fiber or spec.level_curves == "elliptic" else 0
         branch = tuple(branch_points(family, lam))
@@ -885,14 +882,14 @@ def fiber_type(family: BilliardFamily, lam) -> FiberModel:
         return FiberModel(
             family, lam, (FiberComponent(genus, "double", "level curve", branch),)
         )
-    if lam == SphereValue(0):
+    if value == SphereValue(0):
         return FiberModel(
-            family, lam, (FiberComponent(0, "bijective", "parabola (multiple)"),)
+            family, value, (FiberComponent(0, "bijective", "parabola (multiple)"),)
         )
-    cell = _CELLS.get((family.tag, lam))
-    if cell is None or cell[1] is None:
-        raise ValueError(f"no fiber table for family {family.label()} at {lam!r}")
-    return FiberModel(family, lam, cell[1])
+    fiber = _CELLS[(family.tag, value)][1]
+    if fiber is None:
+        raise ValueError(f"no fiber table for family {family.label()} at {value!r}")
+    return FiberModel(family, value, fiber)
 
 
 #: random lines tried before slicing gives up

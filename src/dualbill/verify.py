@@ -771,7 +771,8 @@ def check_tables(family: BilliardFamily, seed: int = 0, *, corrupt: bool = False
                 note(vres, "value: critical value", cp)
             (gz, gw), hess = gradient_hessian_projective(family, pt, reciprocal=recip)
             note(max(abs(gz), abs(gw)), "gradient: at critical point", cp)
-            deth = abs(np.linalg.det(hess))
+            (rzz, rzw), (rwz, rww) = hess
+            deth = abs(rzz * rww - rzw * rwz)
             note(0.0 if deth >= 1e-6 else 1.0, "hessian: Morse nondegeneracy", cp)
         for ip in row.indeterminacies:
             if not any(ip.eq(bp) for bp in indeterminacy_set(family)):

@@ -375,14 +375,17 @@ class TestCriticalComponents:
             comps = critical_fiber_components(fam, lam)
             return {c.name: c.parametrize(INF) for c in comps if c.parametrize}
 
+        # a pencil component's point at t = inf lies on the vertical line
+        # through its center (for d's first cubic, centered at E, on the
+        # line at infinity): these components all meet it again at E
         b1, d = BilliardFamily("b1"), BilliardFamily("d")
-        assert at_inf(b1, 1)["cubic"].eq(aff(0.0, -1.0))
+        assert at_inf(b1, 1)["cubic"].eq(E_INFINITY)
         conics = at_inf(b1, Fraction(4, 3))
         assert conics["conic w = 3z^2/(4z-1)"].eq(E_INFINITY)
-        assert conics["conic w = z(4-3z)"].eq(aff(1 / 3, 1.0))
+        assert conics["conic w = z(4-3z)"].eq(E_INFINITY)
         cubics = at_inf(d, Fraction(-1, 3))
-        assert cubics["cubic w(4z-1) = -z^2(5z-8)"].eq(aff(-0.2, -0.2))
-        assert cubics["cubic"].eq(aff(0.4, 1.6))
+        assert cubics["cubic w(4z-1) = -z^2(5z-8)"].eq(E_INFINITY)
+        assert cubics["cubic"].eq(E_INFINITY)
         assert at_inf(d, Fraction(-9, 32))["quartic"].eq(aff(-9 / 40, -9 / 40))
         (sextic,) = at_inf(d, Fraction(-1, 4)).values()
         assert sextic.eq(aff(-0.25, -0.25))
@@ -396,6 +399,60 @@ class TestCriticalComponents:
         for name, pt in lines:
             target = ProjectivePoint(1.0, 1.0, 0.0) if name == "line z = w" else E_INFINITY
             assert pt.eq(target), name
+
+    def test_pencil_components_within_1e12(self):
+        # every component swept by the pencil rule, as (family, level,
+        # index), at 50 seeded parameters and at t = inf, its point scaled
+        # to largest coordinate 1
+        rng = _rng_for(38, "pencil")
+        for tag, lam, k in (
+            ("b1", 0, 0), ("d", 0, 0),
+            ("b1", 1, 1), ("b1", Fraction(4, 3), 0), ("b1", Fraction(4, 3), 1),
+            ("c2", Fraction(-9, 64), 0),
+            ("d", Fraction(-1, 3), 0), ("d", Fraction(-1, 3), 1),
+            ("d", Fraction(-9, 32), 1), ("d", INF, 0),
+        ):
+            comp = critical_fiber_components(BilliardFamily(tag), lam)[k]
+            assert comp.parametrize.args[0].func.__name__ == "_pencil", (tag, lam, k)
+            scale = max(abs(complex(c)) for c in comp.poly.coeffs.values())
+            ts = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50)]
+            for t in ts + [INF]:
+                coords = comp.parametrize(t).coords
+                top = max(map(abs, coords))
+                assert abs(comp.poly.at(*(c / top for c in coords))) <= 1e-12 * scale, (tag, lam, t)
+
+    def test_origin_conics_match_the_sweep_by_slope(self):
+        # the three conics through the origin, against the slope sweep
+        # [-alpha s : -alpha t : beta] of alpha sigma + beta sigma^2
+        def by_slope(poly, t, s):
+            c = poly.coeffs.get
+            alpha = c((1, 0), 0) * s + c((0, 1), 0) * t
+            beta = c((2, 0), 0) * s * s + c((1, 1), 0) * s * t + c((0, 2), 0) * t * t
+            return -alpha * s, -alpha * t, beta
+
+        rng = _rng_for(38, "origin-conics")
+        ts = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50)]
+        for tag, lam, name in (
+            ("c2", Fraction(-9, 64), "conic w + 8z^2"),
+            ("d", INF, "conic w + 8z^2"),
+            ("d", Fraction(-9, 32), "conic w + 8z^2 - 9zw"),
+        ):
+            comps = critical_fiber_components(BilliardFamily(tag), lam)
+            conic = next(c for c in comps if c.name == name)
+            for t in ts:
+                assert conic.parametrize(t).eq(ProjectivePoint(*by_slope(conic.poly, t, 1.0)))
+            assert conic.parametrize(INF).eq(ProjectivePoint(*by_slope(conic.poly, 1.0, 0.0)))
+
+    def test_pencil_refuses_a_center_of_the_wrong_multiplicity(self):
+        from dualbill.curves import _CUBIC_B1_LEVEL1, _CUBIC_D_13_1, _E, _ORIGIN, _pencil
+
+        # d's first cubic is smooth at the origin, b1's cubic misses E, and
+        # (2, 0) is on neither
+        for poly, center in (
+            (_CUBIC_D_13_1, _ORIGIN), (_CUBIC_B1_LEVEL1, _E), (_CUBIC_D_13_1, (2, 0, 1)),
+        ):
+            with pytest.raises(ValueError, match="multiplicity 2"):
+                _pencil(poly, center, 0.5, 1.0)
 
     def test_quartic_component_against_parametrization(self):
         # the implicit quartic of the d-family level -9/32 is derived by
@@ -503,6 +560,44 @@ def test_critical_cells_pinned(tag):
         model = fiber_type(fam, lam)
         assert [(c.genus, c.covering, c.over) for c in model.components] == fiber, (tag, lam)
         assert len(model.components) == len(fiber)
+
+
+class TestRoundedCriticalLevels:
+    """A level equal to a critical value within sphere_eq's tolerance is
+    that critical value: its cell's components and fiber rows."""
+
+    CASES = [
+        ("b1", 1, 1 - 1e-11), ("b1", 1, 1 + 1e-12),
+        ("b1", Fraction(4, 3), 1.33333333333333), ("b1", Fraction(4, 3), 4 / 3 * (1 + 1e-12)),
+        ("b2", Fraction(4, 3), 1.33333333333333),
+        ("d", 0, 1e-12), ("d", 0, -1e-12j), ("b1", 0, 1e-12),
+        ("d", INF, 1e13), ("d", INF, -2e12), ("b1", INF, 1e13),
+        ("d", Fraction(-1, 3), -0.3333333333333), ("d", Fraction(-1, 4), -0.25 + 1e-12),
+    ]
+
+    @staticmethod
+    def _rows(fam, lam):
+        comps = [
+            (c.name, c.degree, c.multiplicity, c.parametrize is not None)
+            for c in critical_fiber_components(fam, lam)
+        ]
+        try:
+            fiber = fiber_type(fam, lam)
+        except ValueError:
+            return comps, None
+        return comps, (fiber.lam, fiber.components)
+
+    @pytest.mark.parametrize("tag,exact,rounded", CASES)
+    def test_rounded_level_reads_the_exact_cell(self, tag, exact, rounded):
+        fam = BilliardFamily(tag)
+        assert not is_regular(fam, rounded)
+        assert self._rows(fam, rounded) == self._rows(fam, exact)
+
+    def test_rounded_level_has_the_exact_product_residual(self):
+        d = BilliardFamily("d")
+        assert component_product_residual(d, -0.3333333333333) == component_product_residual(
+            d, Fraction(-1, 3)
+        )
 
 
 class TestFiberTables:
@@ -630,8 +725,9 @@ class TestComponentSingularPoints:
         assert abs(cubic.poly(1.0, 1.0)) < 1e-14
         gz, gw = self._grad_at(cubic.poly, 1.0, 1.0)
         assert max(abs(gz), abs(gw)) < 1e-14
-        # the cusp parameter is the double root t = 2 of the parametrization
-        assert cubic.parametrize(2.0).eq(ProjectivePoint.affine(1.0, 1.0))
+        # the pencil through the cusp reaches it at t = 0, where
+        # F_{d-1}(c; v) = -t^2 vanishes
+        assert cubic.parametrize(0.0).eq(ProjectivePoint.affine(1.0, 1.0))
 
     def test_d_932_quartic_cusp(self):
         comps = critical_fiber_components(BilliardFamily("d"), Fraction(-9, 32))

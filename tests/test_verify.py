@@ -146,6 +146,20 @@ class TestNegativeInjection:
         r = check_equivalences(3, corrupt=True)
         assert r.status == "fail" and r.witness is not None
 
+    @pytest.mark.parametrize("tag", ["b1", "c2", "d"])
+    def test_tables_with_a_singular_hessian(self, monkeypatch, tag):
+        # the Morse test takes the 2 x 2 determinant in closed form: a
+        # Hessian of rank one at every critical point fails it
+        real = verify.gradient_hessian_projective
+
+        def singular(*args, **kwargs):
+            grad, _ = real(*args, **kwargs)
+            return grad, np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
+
+        monkeypatch.setattr(verify, "gradient_hessian_projective", singular)
+        r = check_tables(BilliardFamily(tag), 3)
+        assert r.status == "fail" and r.witness["what"] == "hessian: Morse nondegeneracy"
+
     @pytest.mark.parametrize("tag,lam", _CELLS_OF_SEVERAL, ids=[f"{t}@{lam}" for t, lam in _CELLS_OF_SEVERAL])
     def test_tables_with_a_cell_cut_to_its_first_component(self, monkeypatch, tag, lam):
         # a critical point of a reducible cell is where two of its
