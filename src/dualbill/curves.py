@@ -7,15 +7,16 @@ are handled implicitly (polynomial plus line slicing).  Every rational curve,
 level curve or critical component, is a polynomial map homogeneous in (t, s)
 to [Z : W : T], taken at (t, 1), and at (1, 0) for t = inf.  A critical
 component of degree d is swept by the lines through a point of multiplicity
-d - 1 on it, one rule for all (:func:`_pencil`); only the lines and d's
-quartic at -9/32, whose singular points are double, keep hand forms, and
-d's irreducible sextic at -1/4 takes the level curves' form.  The double
-cover of a level curve by its invariant fiber branches where the curve
-crosses the parabola transversally; for the b and d families those branch
-parameters feed a genus-one model y^2 = p(t) whose half-periods, and so its
-periods, are closed forms in Carlson's R_F; only the legs of Abel steps,
-from a curve point along the straight segment to its nearest branch point,
-are integrated by quadrature.
+d - 1 on it, one rule for all, its center found from the component's
+polynomial, not listed (:func:`_swept`); only d's quartic at -9/32, whose
+singular points are double, keeps a hand form, and d's irreducible sextic
+at -1/4 takes the level curves' form.  The double cover of a level curve
+by its invariant fiber branches where the curve crosses the parabola
+transversally; for the b and d families those branch parameters feed a
+genus-one model y^2 = p(t) whose half-periods, and so its periods, are
+closed forms in Carlson's R_F; only the legs of Abel steps, from a curve
+point along the straight segment to its nearest branch point, are
+integrated by quadrature.
 
 What kind of curve and fiber a family has, its critical values and which
 family b2 is the image of are read from :mod:`dualbill.families`.  The
@@ -32,7 +33,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,11 +132,6 @@ def _parameter(t) -> SphereValue:
     if not isinstance(t, SphereValue) and cmath.isnan(t):
         raise ValueError(f"curve parameter {t!r} is not a number")
     return SphereValue.coerce(t)
-
-
-def _rational(form) -> Callable[[complex], ProjectivePoint] | None:
-    """The parametrization t -> point of a homogeneous form (None stays None)."""
-    return None if form is None else partial(_on_curve, form)
 
 
 def _times(x: complex, r: float) -> complex:
@@ -553,45 +549,58 @@ class CurveComponent:
 
 # forms of the critical components, homogeneous in (t, s) like the level curves
 
-def _line_z(c: complex, t, s):
-    """The line z = c, swept by w."""
-    return c * s, t, s
+#: the candidate centers after the family's base points; no line holds all three
+_COORDINATE_POINTS = (ProjectivePoint(0, 0, 1), E_INFINITY, ProjectivePoint(1, 0, 0))
 
 
-def _diagonal(t, s):
-    """The line z = w."""
-    return t, t, s
+def _gaussian(x):
+    """x as an int or a complex when its parts are integers, else None:
+    floats hold the sums and products of these exactly at the sizes here."""
+    x = complex(x)
+    if not (x.real.is_integer() and x.imag.is_integer()):
+        return None
+    return int(x.real) if x.imag == 0 else x
 
 
-#: pencil centers in exact homogeneous coordinates [z : w : t]
-_ORIGIN, _ONE_ONE, _E = (0, 0, 1), (1, 1, 1), (0, 1, 0)
-
-
-def _pencil(poly: BiPoly, center: tuple[int, int, int], t, s):
-    """The component F = {poly = 0} of degree d swept by the lines through
-    a point c of multiplicity d - 1 on it: each meets F in one more point.
-
-    In the chart (x, y) of c's last nonzero coordinate, x and y the two
-    coordinates that follow it cyclically, c is the origin, and F's
-    degree-k parts F_k there are expanded exactly.  The line of direction
-    v = (s, t) meets F again at F_d(v) c - F_{d-1}(v) v: for a finite c the
-    lines of slope t/s, for c = E the lines z = t/s.  ValueError unless c's
-    multiplicity is exactly d - 1."""
+def _swept(poly: BiPoly, family: BilliardFamily):
+    """The parametrization of the component F = {poly = 0} of degree d by
+    the lines through the first candidate c, the family's base points and
+    then ``_COORDINATE_POINTS``, where F has multiplicity exactly d - 1 (a
+    line: any candidate off it); None when there is none.  The test is
+    exact: F's denominators are cleared, c is divided by its last nonzero
+    coordinate, and F or c is skipped where a number is not a Gaussian
+    integer.  In the chart (x, y) of that coordinate, x and y the two that
+    follow it cyclically, c is the origin; F's parts there are expanded
+    once, for every point (:func:`_pencil`)."""
     d = poly.total_degree
-    k = max(i for i in range(3) if center[i])
-    frame = [(int(m == (k + 1) % 3), int(m == (k + 2) % 3), center[m]) for m in range(3)]
-    at_c = _substitute_projective(poly, frame)
-    if min(map(sum, at_c.coeffs)) != d - 1:
-        raise ValueError(f"{center} is not a point of multiplicity {d - 1} on {poly!r}")
-    lo, hi = (
-        BiPoly({e: a for e, a in at_c.coeffs.items() if sum(e) == n})(s, t) for n in (d - 1, d)
-    )
-    x, y = -lo * s, -lo * t
-    return tuple(u * x + v * y + c * hi for u, v, c in frame)
+    poly = poly.scale(math.lcm(*(a.denominator for a in poly.coeffs.values() if isinstance(a, Fraction))))
+    if None in map(_gaussian, poly.coeffs.values()):
+        return None
+    for point in (*family.spec.base_points, *_COORDINATE_POINTS):
+        k = max(i for i in range(3) if point.coords[i])
+        center = [_gaussian(a / point.coords[k]) for a in point.coords]
+        if None in center:
+            continue
+        frame = [(int(m == (k + 1) % 3), int(m == (k + 2) % 3), center[m]) for m in range(3)]
+        at_c = _substitute_projective(poly, frame)
+        if min(map(sum, at_c.coeffs)) == d - 1:
+            lo, hi = (BiPoly({e: a for e, a in at_c.coeffs.items() if sum(e) == n}) for n in (d - 1, d))
+            return partial(_on_curve, partial(_pencil, frame, lo, hi))
+    return None
+
+
+def _pencil(frame, lo: BiPoly, hi: BiPoly, t, s):
+    """The second point of F on the line of direction v = (s, t) through
+    the center c of ``frame``: F_d(v) c - F_{d-1}(v) v, with lo and hi
+    F's parts F_{d-1} and F_d at c.  For a finite c the lines of slope
+    t/s, for c = E the lines z = t/s."""
+    f, h = lo(s, t), hi(s, t)
+    x, y = -f * s, -f * t
+    return tuple(u * x + v * y + c * h for u, v, c in frame)
 
 
 def _quartic_d_932(t, s):
-    """The quartic of d at -9/32, the one hand form: a pencil of lines
+    """The quartic of d at -9/32, one of two hand forms: a pencil of lines
     sweeps a quartic only from a triple point, and its singular points
     (1, 1) and E are double."""
     return (
@@ -661,19 +670,22 @@ def _double(over: str) -> tuple[FiberComponent, ...]:
 
 
 def _listed(*entries):
-    """Components given as (name, polynomial, form or None), simple."""
-    return lambda family, lam: [CurveComponent(n, p, 1, _rational(f)) for n, p, f in entries]
+    """Components given as (name, polynomial), simple, swept by
+    :func:`_swept`, or as (name, polynomial, hand form)."""
+    return lambda family, lam: [
+        CurveComponent(name, poly, 1, partial(_on_curve, *form) if form else _swept(poly, family))
+        for name, poly, *form in entries
+    ]
 
 
-def _den_factors(*entries):
-    """Components at lam = inf: the integral's denominator factors, named as
-    (name, form or None)."""
+def _den_factors(*names):
+    """Components at lam = inf: the integral's denominator factors, named."""
 
     def build(family, lam):
         den = first_integral(family).den_factors
         return [
-            CurveComponent(name, poly, mult, _rational(form))
-            for (name, form), (poly, mult) in zip(entries, den)
+            CurveComponent(name, poly, mult, _swept(poly, family))
+            for name, (poly, mult) in zip(names, den)
         ]
 
     return build
@@ -685,8 +697,7 @@ def _a_at_infinity(*head):
 
     def build(family, lam):
         cs = _MODELS[family.tag].coefficients(family.n)
-        parabolas = ((f"parabola w = {c} z^2", None) for c in cs)
-        return _den_factors(*head, *parabolas)(family, lam)
+        return _den_factors(*head, *(f"parabola w = {c} z^2" for c in cs))(family, lam)
 
     return build
 
@@ -706,79 +717,53 @@ _SIX_CONICS = sum((_sheets(f"conic #{k}") for k in range(3)), ())
 
 _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...] | None]] = {
     ("a1", INF): (_a_at_infinity(), None),
-    ("a2", INF): (_a_at_infinity(("line z = 0", partial(_line_z, 0.0))), None),
-    ("b1", INF): (
-        _den_factors(
-            ("conic w + 3z^2", None),
-            ("line z = 1", partial(_line_z, 1.0)),
-            ("line z = w", _diagonal),
-        ),
-        None,
-    ),
+    ("a2", INF): (_a_at_infinity("line z = 0"), None),
+    ("b1", INF): (_den_factors("conic w + 3z^2", "line z = 1", "line z = w"), None),
     ("b1", SphereValue(1)): (
-        _listed(
-            ("line z = 0", _Z, partial(_line_z, 0.0)),
-            ("cubic", _CUBIC_B1_LEVEL1, partial(_pencil, _CUBIC_B1_LEVEL1, _ONE_ONE)),
-        ),
+        _listed(("line z = 0", _Z), ("cubic", _CUBIC_B1_LEVEL1)),
         _double("line") + _sheets("cubic"),
     ),
     ("b1", SphereValue(Fraction(4, 3))): (
-        _listed(
-            ("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1, partial(_pencil, _CONIC_B1_43_1, _ORIGIN)),
-            ("conic w = z(4-3z)", _CONIC_B1_43_2, partial(_pencil, _CONIC_B1_43_2, _ORIGIN)),
-        ),
+        _listed(("conic w = 3z^2/(4z-1)", _CONIC_B1_43_1), ("conic w = z(4-3z)", _CONIC_B1_43_2)),
         _double("conic #0") + _double("conic #1"),
     ),
     ("b2", INF): (
         _listed(
-            ("conic z^2+w^2+w+1", _Z * _Z + _W * _W + _W + _ONE, None),
-            ("line z = i", _Z - BiPoly.const(1j), partial(_line_z, 1j)),
-            ("line z = -i", _Z + BiPoly.const(1j), partial(_line_z, -1j)),
+            ("conic z^2+w^2+w+1", _Z * _Z + _W * _W + _W + _ONE),
+            ("line z = i", _Z - BiPoly.const(1j)),
+            ("line z = -i", _Z + BiPoly.const(1j)),
         ),
         None,
     ),
-    ("b2", SphereValue(1)): (
-        _image_components,
-        _double("conic (b-equivalence image of a line)") + _sheets("cubic"),
-    ),
+    ("b2", SphereValue(1)): (_image_components, _double("line") + _sheets("cubic")),
     ("b2", SphereValue(Fraction(4, 3))): (
         _image_components,
         _double("conic #0") + _double("conic #1"),
     ),
     ("c1", SphereValue(Fraction(27, 64))): (
-        _listed(*((f"conic #{k}", p, None) for k, p in enumerate(_C1_CONICS))),
+        _listed(*((f"conic #{k}", p) for k, p in enumerate(_C1_CONICS))),
         _SIX_CONICS,
     ),
-    ("c1", INF): (_den_factors(("cubic 1 + w^3 - 2zw", None)), _sheets("cubic")),
+    ("c1", INF): (_den_factors("cubic 1 + w^3 - 2zw"), _sheets("cubic")),
     ("c2", SphereValue(Fraction(-9, 64))): (
         _listed(
-            ("conic w + 8z^2", _C2_CONICS[0], partial(_pencil, _C2_CONICS[0], _ORIGIN)),
-            ("conic 9(w-z)^2 + w - z^2", _C2_CONICS[1], None),
-            ("conic 9(z-1)^2 + w - z^2", _C2_CONICS[2], None),
+            ("conic w + 8z^2", _C2_CONICS[0]),
+            ("conic 9(w-z)^2 + w - z^2", _C2_CONICS[1]),
+            ("conic 9(z-1)^2 + w - z^2", _C2_CONICS[2]),
         ),
         _SIX_CONICS,
     ),
-    ("c2", INF): (_den_factors(("cubic", None)), _sheets("cubic")),
+    ("c2", INF): (_den_factors("cubic"), _sheets("cubic")),
     ("d", INF): (
-        _den_factors(
-            ("conic w + 8z^2", partial(_pencil, _C2_CONICS[0], _ORIGIN)),
-            ("line z = 1", partial(_line_z, 1.0)),
-            ("cubic", None),
-        ),
+        _den_factors("conic w + 8z^2", "line z = 1", "cubic"),
         _sheets("conic w + 8z^2") + _double("line z = 1") + _sheets("cubic"),
     ),
     ("d", SphereValue(Fraction(-1, 3))): (
-        _listed(
-            ("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1, partial(_pencil, _CUBIC_D_13_1, _E)),
-            ("cubic", _CUBIC_D_13_2, partial(_pencil, _CUBIC_D_13_2, _ONE_ONE)),
-        ),
+        _listed(("cubic w(4z-1) = -z^2(5z-8)", _CUBIC_D_13_1), ("cubic", _CUBIC_D_13_2)),
         _double("cubic #0") + _double("cubic #1"),
     ),
     ("d", SphereValue(Fraction(-9, 32))): (
-        _listed(
-            ("quartic", _QUARTIC_D_932, _quartic_d_932),
-            ("conic w + 8z^2 - 9zw", _CONIC_D_932, partial(_pencil, _CONIC_D_932, _ORIGIN)),
-        ),
+        _listed(("quartic", _QUARTIC_D_932, _quartic_d_932), ("conic w + 8z^2 - 9zw", _CONIC_D_932)),
         _sheets("quartic") + _double("conic"),
     ),
     # the level curve is critical (degenerate cusp) but the fiber keeps the
@@ -789,7 +774,7 @@ _CELLS: dict[tuple[str, SphereValue], tuple[Callable, tuple[FiberComponent, ...]
                 "irreducible sextic (degenerate cusp at the origin)",
                 first_integral(family).level_polynomial(_as_fraction(lam.value)),
                 1,
-                _rational(partial(_level_d, lam.value.real, None)),
+                partial(_on_curve, partial(_level_d, lam.value.real, None)),
             )
         ],
         (FiberComponent(1, "double", "level curve"),),
@@ -802,19 +787,25 @@ def critical_fiber_components(family: BilliardFamily, lam) -> list[CurveComponen
 
     lam is looked up as the registry's critical value it equals within
     :func:`sphere_eq`.  lam = 0 is reported as the parabola itself carrying
-    the multiplicity of the integral's numerator.  A component's
-    parametrization, where it has one, is the pencil of lines through a
-    point of multiplicity d - 1 on it (:func:`_pencil`) or, for lines and
-    for d's quartic at -9/32, which has no such point, a hand form.
+    the multiplicity of the integral's numerator.  A parametrization is
+    found, not listed: the pencil through a point of multiplicity d - 1
+    found from the component's polynomial (:func:`_swept`).  Only d's
+    quartic at -9/32, which has no such point, and sextic at -1/4 keep hand
+    forms; b2's components at 1 and 4/3 carry b1's.  Cells are built once.
     """
     value = _critical_value(family, lam)
     if value is None:
         lam = SphereValue.coerce(lam)
         raise ValueError(f"{lam!r} is a regular value of family {family.label()}")
+    return list(_cell(family, value))
+
+
+@lru_cache(maxsize=None)
+def _cell(family: BilliardFamily, value: SphereValue) -> tuple[CurveComponent, ...]:
     if value == SphereValue(0):
-        parabola = _rational(partial(_pencil, _CONIC, _ORIGIN))
-        return [CurveComponent("parabola", _CONIC, first_integral(family).zero_order, parabola)]
-    return _CELLS[(family.tag, value)][0](family, value)
+        k = first_integral(family).zero_order
+        return (CurveComponent("parabola", _CONIC, k, _swept(_CONIC, family)),)
+    return tuple(_CELLS[(family.tag, value)][0](family, value))
 
 
 def _substitute_projective(poly: BiPoly, matrix) -> BiPoly:

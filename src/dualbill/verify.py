@@ -643,13 +643,11 @@ def check_abel_translation(
     acc = _Residuals()
     try:
         model = elliptic_model(family, lam)
-        for x in points:
+        for k, x in enumerate(points):
             t = curve_parameter(family, x).value
             if min(abs(t - r) for r in model.roots) < 1e-9:
-                return CheckReport(
-                    name, family.label(), params, "skipped", 0.0,
-                    {"reason": "orbit parameter on a branch point"},
-                )
+                detail = f"step {k} at t = {t!r}"
+                return _skipped(name, family, params, "orbit parameter on a branch point", detail, taken)
         vals = abel_steps(family, lam, points, model)
     except (ValueError, RuntimeError) as exc:
         acc.dropped[type(exc).__name__] += steps

@@ -25,7 +25,7 @@ from dualbill.curves import (
     tangency_gap,
 )
 from dualbill.geometry import E_INFINITY, PhasePoint, ProjectivePoint, conic_point
-from dualbill.integrals import critical_values, eval_integral, first_integral
+from dualbill.integrals import BiPoly, critical_values, eval_integral, first_integral
 from dualbill.numerics import INF, SphereValue, lattice_reduce
 from dualbill.verify import _rng_for
 
@@ -395,31 +395,46 @@ class TestCriticalComponents:
             (d, INF),
         ):
             lines += [(n, p) for n, p in at_inf(fam, lam).items() if n.startswith("line")]
-        assert len(lines) == 7
-        for name, pt in lines:
-            target = ProjectivePoint(1.0, 1.0, 0.0) if name == "line z = w" else E_INFINITY
+        # a line's point at t = inf is on the line of direction (0, 1)
+        # through its derived center: a2's z = 0, centered at [1:0:0], ends
+        # at the origin; b1's z = w, centered at E, on the line at infinity;
+        # the lines z = c, centered at a finite point, at E
+        assert [n for n, _ in lines] == [
+            "line z = 0", "line z = 0", "line z = 1", "line z = w", "line z = i", "line z = -i",
+            "line z = 1",
+        ]
+        e = E_INFINITY
+        targets = (aff(0.0, 0.0), e, e, ProjectivePoint(1.0, 1.0, 0.0), e, e, e)
+        for (name, pt), target in zip(lines, targets):
             assert pt.eq(target), name
 
     def test_pencil_components_within_1e12(self):
-        # every component swept by the pencil rule, as (family, level,
-        # index), at 50 seeded parameters and at t = inf, its point scaled
-        # to largest coordinate 1
+        # every component that the pencil rule sweeps, in every critical
+        # cell and for the a-families at N = 1-3, at 50 seeded parameters
+        # and at t = inf, its point scaled to largest coordinate 1
+        from dualbill.curves import _pencil
+
         rng = _rng_for(38, "pencil")
-        for tag, lam, k in (
-            ("b1", 0, 0), ("d", 0, 0),
-            ("b1", 1, 1), ("b1", Fraction(4, 3), 0), ("b1", Fraction(4, 3), 1),
-            ("c2", Fraction(-9, 64), 0),
-            ("d", Fraction(-1, 3), 0), ("d", Fraction(-1, 3), 1),
-            ("d", Fraction(-9, 32), 1), ("d", INF, 0),
-        ):
-            comp = critical_fiber_components(BilliardFamily(tag), lam)[k]
-            assert comp.parametrize.args[0].func.__name__ == "_pencil", (tag, lam, k)
-            scale = max(abs(complex(c)) for c in comp.poly.coeffs.values())
-            ts = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50)]
-            for t in ts + [INF]:
-                coords = comp.parametrize(t).coords
-                top = max(map(abs, coords))
-                assert abs(comp.poly.at(*(c / top for c in coords))) <= 1e-12 * scale, (tag, lam, t)
+        swept = 0
+        for tag in ("a1", "a2", "b1", "b2", "c1", "c2", "d"):
+            for n in (1, 2, 3) if tag in ("a1", "a2") else (None,):
+                fam = BilliardFamily(tag, n)
+                for lam in critical_values(fam):
+                    for comp in critical_fiber_components(fam, lam):
+                        form = getattr(comp.parametrize, "args", (None,))[0]
+                        if getattr(form, "func", None) is not _pencil:
+                            continue
+                        swept += 1
+                        scale = max(abs(complex(c)) for c in comp.poly.coeffs.values())
+                        ts = [complex(rng.uniform(-4, 4), rng.uniform(-4, 4)) for _ in range(50)]
+                        for t in ts + [INF]:
+                            coords = comp.parametrize(t).coords
+                            top = max(map(abs, coords))
+                            res = abs(comp.poly.at(*(c / top for c in coords)))
+                            assert res <= 1e-12 * scale, (fam.label(), lam, comp.name, t)
+        # a1: 3 parabolas at lam = 0 and 6 at inf; a2: 3 + 3 lines + 6;
+        # b1: 8, b2: 4, c1: 2, c2: 4, d: 7
+        assert swept == 9 + 12 + 8 + 4 + 2 + 4 + 7
 
     def test_origin_conics_match_the_sweep_by_slope(self):
         # the three conics through the origin, against the slope sweep
@@ -444,15 +459,49 @@ class TestCriticalComponents:
             assert conic.parametrize(INF).eq(ProjectivePoint(*by_slope(conic.poly, 1.0, 0.0)))
 
     def test_pencil_refuses_a_center_of_the_wrong_multiplicity(self):
-        from dualbill.curves import _CUBIC_B1_LEVEL1, _CUBIC_D_13_1, _E, _ORIGIN, _pencil
+        from dualbill.curves import _CUBIC_B1_LEVEL1, _swept
 
-        # d's first cubic is smooth at the origin, b1's cubic misses E, and
-        # (2, 0) is on neither
-        for poly, center in (
-            (_CUBIC_D_13_1, _ORIGIN), (_CUBIC_B1_LEVEL1, _E), (_CUBIC_D_13_1, (2, 0, 1)),
-        ):
-            with pytest.raises(ValueError, match="multiplicity 2"):
-                _pencil(poly, center, 0.5, 1.0)
+        # b1's cubic at 1 with its coefficient of w bent from -1 to -2:
+        # (1, 1) is no longer double, and the other candidates are simple
+        b1 = BilliardFamily("b1")
+        bent = _CUBIC_B1_LEVEL1 + BiPoly({(0, 1): -1})
+        assert _swept(_CUBIC_B1_LEVEL1, b1) is not None
+        assert _swept(bent, b1) is None
+
+    def test_components_without_a_center_are_not_parametrized(self):
+        # c1's conics at 27/64, over Q(eps), pass through no exact
+        # candidate; c2's cubic at inf has no double point among them
+        for tag, lam, count in (("c1", Fraction(27, 64), 3), ("c2", INF, 1)):
+            comps = critical_fiber_components(BilliardFamily(tag), lam)
+            assert [c.parametrize for c in comps] == [None] * count, tag
+        # the test is exact: the conic w + z^2/10 through the origin is
+        # swept with a rational coefficient and skipped with a float one
+        from dualbill.curves import _swept
+
+        b1 = BilliardFamily("b1")
+        assert _swept(BiPoly({(0, 1): 1, (2, 0): Fraction(1, 10)}), b1) is not None
+        assert _swept(BiPoly({(0, 1): 1, (2, 0): 0.1}), b1) is None
+
+    def test_expansion_at_the_center_runs_once_per_component(self, monkeypatch):
+        from dualbill import curves
+
+        calls = []
+        real = curves._substitute_projective
+        monkeypatch.setattr(curves, "_substitute_projective", lambda *a: calls.append(1) or real(*a))
+        curves._cell.cache_clear()
+        try:
+            (cubic,) = [
+                c for c in critical_fiber_components(BilliardFamily("b1"), 1) if c.degree == 3
+            ]
+            built = len(calls)
+            for k in range(50):
+                cubic.parametrize(0.1 * k + 0.3j)
+        finally:
+            curves._cell.cache_clear()
+        # for the line z = 0 and the cubic alike: the origin, simple on
+        # both, then (1, 1), off the line and double on the cubic; and no
+        # call for any of the 50 points
+        assert (built, len(calls)) == (4, 4)
 
     def test_quartic_component_against_parametrization(self):
         # the implicit quartic of the d-family level -9/32 is derived by
@@ -477,9 +526,9 @@ _B_43 = [(0, _D, "conic #0"), (0, _D, "conic #1")]
 _IMG = " (b-equivalence image)"
 CRITICAL_CELLS = {
     ("a1", 0): _PARABOLA,
-    ("a1", INF): ([("parabola w = -8 z^2", 2, 2, False)], None),
+    ("a1", INF): ([("parabola w = -8 z^2", 2, 2, True)], None),
     ("a2", 0): _PARABOLA_SQ,
-    ("a2", INF): ([("line z = 0", 1, 1, True), ("parabola w = -3 z^2", 2, 1, False)], None),
+    ("a2", INF): ([("line z = 0", 1, 1, True), ("parabola w = -3 z^2", 2, 1, True)], None),
     ("b1", 0): _PARABOLA_SQ,
     ("b1", 1): (
         [("line z = 0", 1, 1, True), ("cubic", 3, 1, True)],
@@ -489,31 +538,31 @@ CRITICAL_CELLS = {
         [("conic w = 3z^2/(4z-1)", 2, 1, True), ("conic w = z(4-3z)", 2, 1, True)], _B_43
     ),
     ("b1", INF): (
-        [("conic w + 3z^2", 2, 1, False), ("line z = 1", 1, 1, True), ("line z = w", 1, 1, True)],
+        [("conic w + 3z^2", 2, 1, True), ("line z = 1", 1, 1, True), ("line z = w", 1, 1, True)],
         None,
     ),
     ("b2", 0): _PARABOLA_SQ,
     ("b2", 1): (
         [("line z = 0" + _IMG, 1, 1, True), ("cubic" + _IMG, 3, 1, True)],
-        [(0, _D, "conic (b-equivalence image of a line)"), (0, _B, "cubic"), (0, _B, "cubic")],
+        [(0, _D, "line"), (0, _B, "cubic"), (0, _B, "cubic")],
     ),
     ("b2", Fraction(4, 3)): (
         [("conic w = 3z^2/(4z-1)" + _IMG, 2, 1, True), ("conic w = z(4-3z)" + _IMG, 2, 1, True)],
         _B_43,
     ),
     ("b2", INF): (
-        [("conic z^2+w^2+w+1", 2, 1, False), ("line z = i", 1, 1, True), ("line z = -i", 1, 1, True)],
+        [("conic z^2+w^2+w+1", 2, 1, True), ("line z = i", 1, 1, True), ("line z = -i", 1, 1, True)],
         None,
     ),
     ("c1", 0): _PARABOLA,
     ("c1", Fraction(27, 64)): ([(f"conic #{k}", 2, 1, False) for k in range(3)], _SIX_CONICS),
-    ("c1", INF): ([("cubic 1 + w^3 - 2zw", 3, 2, False)], [(0, _B, "cubic")] * 2),
+    ("c1", INF): ([("cubic 1 + w^3 - 2zw", 3, 2, True)], [(0, _B, "cubic")] * 2),
     ("c2", 0): _PARABOLA,
     ("c2", Fraction(-9, 64)): (
         [
             ("conic w + 8z^2", 2, 1, True),
-            ("conic 9(w-z)^2 + w - z^2", 2, 1, False),
-            ("conic 9(z-1)^2 + w - z^2", 2, 1, False),
+            ("conic 9(w-z)^2 + w - z^2", 2, 1, True),
+            ("conic 9(z-1)^2 + w - z^2", 2, 1, True),
         ],
         _SIX_CONICS,
     ),
@@ -532,7 +581,7 @@ CRITICAL_CELLS = {
         [(0, _B, "quartic"), (0, _B, "quartic"), (0, _D, "conic")],
     ),
     ("d", INF): (
-        [("conic w + 8z^2", 2, 1, True), ("line z = 1", 1, 1, True), ("cubic", 3, 1, False)],
+        [("conic w + 8z^2", 2, 1, True), ("line z = 1", 1, 1, True), ("cubic", 3, 1, True)],
         [(0, _B, "conic w + 8z^2")] * 2 + [(0, _D, "line z = 1")] + [(0, _B, "cubic")] * 2,
     ),
 }

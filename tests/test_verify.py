@@ -274,6 +274,28 @@ class TestNothingEvaluated:
         report = verify.check_abel_translation(B1, 2.0, steps=2)
         assert report.status == "pass" and report.params["evaluated"] == 2
 
+    def test_abel_orbit_on_a_branch_point_is_skipped_with_its_step(self, monkeypatch):
+        # one model root moved onto the parameter of orbit step 3: the
+        # report says where the check stopped, as every skipped orbit
+        # report does
+        real = verify.elliptic_model
+        points = verify._orbit_points(B1, lift_fiber(B1, 2.0, 2.7), 8)[0]
+        t = verify.curve_parameter(B1, points[3]).value
+
+        def moved(family, lam):
+            model = real(family, lam)
+            model.roots = [t, *model.roots[1:]]
+            return model
+
+        monkeypatch.setattr(verify, "elliptic_model", moved)
+        report = verify.check_abel_translation(B1, 2.0, 8)
+        assert report.status == "skipped"
+        assert report.witness == {
+            "reason": "orbit parameter on a branch point",
+            "detail": f"step 3 at t = {t!r}",
+            "steps_taken": 8,
+        }
+
 
 class TestCountsInParams:
     """Every report says how many samples it evaluated and how many it
