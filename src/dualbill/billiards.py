@@ -21,14 +21,14 @@ points and the tangency square root; the private kernel
 the conservation, translation and abel checks run it.  All three take the
 family's coefficient and singular set once per call, share the
 involution's arithmetic, :func:`_image`, and test each step against that
-set with :func:`_singular_near` before they take the next; the kernel
-tests the domain bound by :func:`_offset_stop`.
+set with :func:`_singular_near` before they take the next; :func:`orbit`
+and the kernel test the state a step reaches by one domain rule,
+:func:`_offset_stop`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot
 from typing import Literal
 
 from .families import ALL_FAMILY_TAGS, FAMILIES, FamilySpec
@@ -43,7 +43,7 @@ from .geometry import (
     on_conic,
     tangency_points,
 )
-from .numerics import ABS_EPS, INF, INF_THRESHOLD, REL_EPS, SphereValue
+from .numerics import INF, INF_THRESHOLD, SphereValue
 
 __all__ = [
     "BilliardFamily",
@@ -109,17 +109,14 @@ def _point_on_tangent(z0: complex, z1: complex | SphereValue) -> ProjectivePoint
     return _point(z1, 2.0 * z0 * z1 - z0 * z0, _ONE)
 
 
-def _check_singular(family: BilliardFamily, z0: complex | SphereValue, radius: float) -> None:
-    """Reject tangency parameters (a complex number or INF) too near a
-    singular one, as :func:`_singular_near` finds it, with an error that
-    names both."""
-    spec = family.spec
-    s = _singular_near(z0, spec.singular_finite, spec.singular_at_infinity, radius)
-    if s is not None:
-        raise SingularTangencyError(
-            f"tangency parameter {z0!r} is within reach of the "
-            f"singular parameter {s!r} of family {family.label()}"
-        )
+def _singular_error(family: BilliardFamily, z0: complex | SphereValue, s) -> SingularTangencyError:
+    """The refusal of the tangency parameter z0 (a complex number or INF)
+    within reach of the singular parameter s that :func:`_singular_near`
+    found for it, naming both."""
+    return SingularTangencyError(
+        f"tangency parameter {z0!r} is within reach of the "
+        f"singular parameter {s!r} of family {family.label()}"
+    )
 
 
 def _singular_near(z0, finite: tuple[complex, ...], at_infinity: bool, radius: float):
@@ -155,7 +152,10 @@ def involution(family: BilliardFamily, p: ProjectivePoint, q: ProjectivePoint) -
     z0 = _z_param(p)
     if z0 is INF:
         raise SingularTangencyError(_AT_E)
-    _check_singular(family, z0, SINGULAR_RADIUS)
+    spec = family.spec
+    s = _singular_near(z0, spec.singular_finite, spec.singular_at_infinity, SINGULAR_RADIUS)
+    if s is not None:
+        raise _singular_error(family, z0, s)
     return _point_on_tangent(z0, _involution_z(family, z0, _z_param(q)))
 
 
@@ -194,8 +194,9 @@ def _involution_z(family: BilliardFamily, z0, z1):
 def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
     """One application of the phase map F: (Q, P) -> (sigma_P(Q), P').
 
-    x must be a phase point (``PhasePoint.validate`` holds, as it does on
-    every iterate of :func:`orbit`): this map does not test it again.
+    x must be a phase point (``PhasePoint.validate`` holds, as it does by
+    construction on every iterate of :func:`orbit`): this map does not test
+    it again.
 
     sigma_P(Q) lies on the tangent line at P, so P is one of its two
     tangency candidates and P' is the other: the candidate farther from P,
@@ -215,8 +216,9 @@ def billiard_map(family: BilliardFamily, x: PhasePoint) -> PhasePoint:
             return PhasePoint(p, p)
         vertex = conic_point(0.0)
         return PhasePoint(vertex, vertex)
-    if _singular_near(z0, spec.singular_finite, spec.singular_at_infinity, SINGULAR_RADIUS) is not None:
-        _check_singular(family, z0, SINGULAR_RADIUS)
+    s = _singular_near(z0, spec.singular_finite, spec.singular_at_infinity, SINGULAR_RADIUS)
+    if s is not None:
+        raise _singular_error(family, z0, s)
     z, _, t = q.coords
     # every pole of f is a singular parameter, so f(z0) is a number here
     u = _image(spec.coefficient(family.n)(z0), INF if t == 0 else z / t - z0)
@@ -250,12 +252,14 @@ class OrbitRecord:
 SINGULARITY_GUARD = 1e-8
 #: coordinates beyond this modulus leave the supported numeric domain
 DOMAIN_BOUND = 1e100
-#: |t| beyond this keeps z/t and w/t of a canonical point within DOMAIN_BOUND
-_SAFE_T = 10.0 / DOMAIN_BOUND
+#: |z0| + |u| below this keeps the affine coordinates of P and Q within
+#: DOMAIN_BOUND: |z0^2 + 2 z0 u| <= 2 (|z0| + |u|)^2
+_SAFE_OFFSET = 0.5 * DOMAIN_BOUND**0.5
 
 
 def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
-    """Up to n iterates of the phase map, stopping early near singularities."""
+    """Up to n iterates of the phase map, stopping early near singularities
+    or past the numeric domain by the stop rule of :func:`_offset_orbit`."""
     x0.validate()
     points = [x0]
     x = x0
@@ -263,54 +267,26 @@ def orbit(family: BilliardFamily, x0: PhasePoint, n: int) -> OrbitRecord:
     spec = family.spec
     finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
     for _ in range(n):
-        if _singular_near(z0, finite, at_infinity, SINGULARITY_GUARD) is not None:
-            try:
-                _check_singular(family, z0, SINGULARITY_GUARD)
-            except SingularTangencyError as exc:
-                return OrbitRecord(points, "hit-singularity", str(exc))
+        s = _singular_near(z0, finite, at_infinity, SINGULARITY_GUARD)
+        if s is not None:
+            return OrbitRecord(points, "hit-singularity", str(_singular_error(family, z0, s)))
         if z0 is INF:
             return OrbitRecord(points, "left-numeric-domain", "tangency point at infinity")
         x = billiard_map(family, x)
-        (z, w, t), (qz, qw, qt) = x.p.coords, x.q.coords
-        # One test of the new iterate: Q' on the tangent line (-2z, t, w) at
-        # P' as line_contains decides it, which a NaN coordinate fails, and
-        # z/t, w/t within DOMAIN_BOUND, which coordinates of modulus at most
-        # 1 keep when |t| > _SAFE_T.  Only a failure looks at each fact alone.
-        u0 = -2.0 * z
-        at, aqt = abs(t), abs(qt)
-        if not (
-            abs(u0 * qz + t * qw + w * qt)
-            <= max(ABS_EPS, REL_EPS * hypot(abs(u0), at, abs(w)) * hypot(abs(qz), abs(qw), aqt))
-            and (at > _SAFE_T or t == 0)
-            and (aqt > _SAFE_T or qt == 0)
-        ):
-            stop = _stop_detail(x)
-            if stop:
-                return OrbitRecord(points, "left-numeric-domain", stop)
-        z0 = INF if t == 0 else z / t
+        (z, _, t), (qz, _, qt) = x.p.coords, x.q.coords
+        if t == 0:  # P' is E, and Q' on the infinity line or NaN
+            if qz != qz:
+                return OrbitRecord(points, "left-numeric-domain", "coordinates became nan")
+            z0 = INF
+        else:  # billiard_map returns an infinite Q' only with P' = E
+            z0 = z / t
+            u = qz / qt - z0
+            if not abs(z0) + abs(u) < _SAFE_OFFSET:
+                stop = _offset_stop(z0, u)
+                if stop:
+                    return OrbitRecord(points, "left-numeric-domain", stop)
         points.append(x)
     return OrbitRecord(points, "completed")
-
-
-def _stop_detail(x: PhasePoint) -> str:
-    """Why orbit stops at the iterate x, or "" when it may go on."""
-    # P first: billiard_map raises before it returns a NaN Q, so a NaN P
-    # reads as nan however large Q is
-    for z, w, t in (x.p.coords, x.q.coords):
-        if z != z or w != w or t != t:
-            return "coordinates became nan"
-        if t != 0 and max(abs(z / t), abs(w / t)) > DOMAIN_BOUND:
-            return "affine coordinates blew up"
-    try:  # P' is on the parabola by construction: conic_point, E or Q'
-        x.validate_incidence()
-    except ValueError as exc:
-        return str(exc)
-    return ""
-
-
-#: |z0| + |u| below this keeps the affine coordinates of P and Q within
-#: DOMAIN_BOUND: |z0^2 + 2 z0 u| <= 2 (|z0| + |u|)^2
-_SAFE_OFFSET = 0.5 * DOMAIN_BOUND**0.5
 
 
 def _offset_orbit(
@@ -322,11 +298,11 @@ def _offset_orbit(
 
     Q' lies at offset u' = -u/(1 + f(z0) u) (:func:`_image`), so its
     tangency parameters are z0 and z0 + 2u', and a step is (z0, u) ->
-    (z0 + 2u', -u').  The stops are those of :func:`orbit`, at the same
-    step and with the same details, and each step tests them in its order:
+    (z0 + 2u', -u').  :func:`orbit` stops by the same rule, at the same
+    step and with the same details, and each step tests its stops in order:
     the SINGULARITY_GUARD test of z0 by :func:`_singular_near`, which takes
     |z0| >= INF_THRESHOLD for the infinite point, worded by
-    ``_check_singular``; z0 = INF, left by a step with u' = INF (1 + f u =
+    :func:`_singular_error`; z0 = INF, left by a step with u' = INF (1 + f u =
     0), which sends P' to E; and, on the state the step reaches, a NaN or
     an affine coordinate of P' or Q' beyond DOMAIN_BOUND (:func:`_offset_stop`,
     asked only when |z0| + |u| is not below ``_SAFE_OFFSET``).  The a-family
@@ -344,11 +320,9 @@ def _offset_orbit(
     finite, at_infinity = spec.singular_finite, spec.singular_at_infinity
     z0s, us = [z0], [u]
     for k in range(n):
-        if _singular_near(z0, finite, at_infinity, SINGULARITY_GUARD) is not None:
-            try:
-                _check_singular(family, z0, SINGULARITY_GUARD)
-            except SingularTangencyError as exc:
-                return z0s, us, "hit-singularity", str(exc), k
+        s = _singular_near(z0, finite, at_infinity, SINGULARITY_GUARD)
+        if s is not None:
+            return z0s, us, "hit-singularity", str(_singular_error(family, z0, s)), k
         if z0 is INF:
             return z0s, us, "left-numeric-domain", "tangency point at infinity", k
         u = _image(f(z0), u)
@@ -366,9 +340,9 @@ def _offset_orbit(
 
 
 def _offset_stop(z0: complex, u: complex) -> str:
-    """Why the offset orbit stops at the state (z0, u), as
-    :func:`_stop_detail` decides it on the affine coordinates of P and then
-    of Q; "" when it may go on."""
+    """Why an orbit stops at the state (z0, u) a step reached: a NaN or an
+    affine coordinate beyond DOMAIN_BOUND, of P and then of Q; "" when it
+    may go on.  :func:`orbit` reads the state off P' and Q'."""
     for z, w in ((z0, z0 * z0), (z0 + u, z0 * z0 + 2.0 * z0 * u)):
         if z != z or w != w:
             return "coordinates became nan"

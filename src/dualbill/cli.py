@@ -148,7 +148,7 @@ def _parse_lambda(text: str) -> SphereValue:
     try:
         re_part = float(parts[0])
         im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        finite = math.isfinite(re_part) and math.isfinite(im_part)
+        finite = len(parts) <= 2 and math.isfinite(re_part) and math.isfinite(im_part)
     except ValueError:
         finite = False
     if not finite:
@@ -215,12 +215,12 @@ def _add_common(sub):
         help="level value: RE, RE,IM or 'inf'",
     )
     _add_output(sub)
+    sub.add_argument("--seed", type=int, default=None)
 
 
 def _add_output(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="path (default: stdout)")
-    sub.add_argument("--seed", type=int, default=None)
 
 
 def _seed_of(args) -> int:
@@ -495,6 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         "path (the report stream is unchanged)",
     )
     _add_output(p_check)
+    p_check.add_argument("--seed", type=int, default=None)
     p_check.set_defaults(func=cmd_check)
 
     p_curve = sub.add_parser("curve", help="level-curve data")

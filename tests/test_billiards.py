@@ -451,7 +451,8 @@ class TestOrbit:
 class TestStepWork:
     """Each orbit step tests each fact once: Q' off the parabola (in
     tangency_points), orbit's own stop guard and billiard_map's singular
-    guard, with no trip through the public involution."""
+    guard, with no trip through the public involution; the domain rule
+    that orbit shares with the offset kernel is asked only at a stop."""
 
     def test_calls_per_step(self, monkeypatch):
         fam = BilliardFamily("b1")
@@ -468,16 +469,24 @@ class TestStepWork:
             monkeypatch.setattr(module, name, counted)
 
         for module, name in ((geometry, "on_conic"), (billiards, "on_conic"),
-                             (billiards, "_singular_near"), (billiards, "_check_singular"),
-                             (billiards, "involution")):
+                             (billiards, "_singular_near"), (billiards, "_singular_error"),
+                             (billiards, "_offset_stop"), (billiards, "involution")):
             count(module, name)
         steps = 100
         rec = orbit(fam, x0, steps)
         assert (rec.reason, rec.steps_taken) == ("completed", steps)
         assert calls["on_conic"] <= steps + 1  # one more for x0.validate()
         assert calls["_singular_near"] <= 2 * steps
-        assert calls["_check_singular"] == 0  # it only words a stop or a refusal
+        assert calls["_singular_error"] == 0  # it only words a stop or a refusal
+        assert calls["_offset_stop"] == 0  # |z0| + |u| stays below _SAFE_OFFSET
         assert calls["involution"] == 0
+        # past _SAFE_OFFSET both engines ask the one rule once, at the stop
+        fam, z0, u, reason, _ = TestOffsetOrbit.EARLY_STOPS["blew up near the bound"]
+        x0, z0, u = TestOffsetOrbit.early_start(fam, z0, u)
+        for run in (lambda: orbit(fam, x0, 10).reason, lambda: billiards._offset_orbit(fam, z0, u, 10)[2]):
+            calls.clear()
+            assert run() == reason
+            assert calls["_offset_stop"] == 1
 
     @staticmethod
     def _phase_point(z0: complex) -> PhasePoint:
@@ -703,10 +712,12 @@ def _without_parameter(detail: str) -> str:
 
 
 def _singular_wording(fam: BilliardFamily, z0) -> str:
-    """The stop detail that ``_check_singular`` words for z0."""
-    with pytest.raises(SingularTangencyError) as exc:
-        billiards._check_singular(fam, z0, billiards.SINGULARITY_GUARD)
-    return str(exc.value)
+    """The stop detail that ``_singular_error`` words for z0 and the
+    singular parameter the guard finds within its reach."""
+    spec = fam.spec
+    s = billiards._singular_near(z0, spec.singular_finite, spec.singular_at_infinity, billiards.SINGULARITY_GUARD)
+    assert s is not None, z0
+    return str(billiards._singular_error(fam, z0, s))
 
 
 class TestOffsetOrbit:
@@ -734,7 +745,7 @@ class TestOffsetOrbit:
                 assert _without_parameter(detail) == _without_parameter(rec.detail)
                 assert len(z0s) == len(us) == taken + 1
                 if reason == "hit-singularity":
-                    # both stops are worded by _check_singular, each from its
+                    # both stops are worded by _singular_error, each from its
                     # own last parameter: the same text where those agree
                     assert detail == _singular_wording(fam, z0s[-1])
                     if z0s[-1] == rec.points[-1].p.z_sphere().value:

@@ -487,6 +487,23 @@ class TestBadInput:
         err = self.usage_error(["orbit", "--family", "b1", "--lambda", "nan"], capsys)
         assert "lambda" in err and "critical" not in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["orbit", "--family", "b1", "--lambda", "1,2,3"],
+            ["check", "conservation", "--family", "d", "--lambda", "1,0,junk"],
+            ["curve", "--family", "b1", "--lambda", "1,2,3", "--branch-points"],
+        ],
+        ids=["orbit", "check", "curve"],
+    )
+    def test_lambda_with_a_third_part(self, args, capsys):
+        err = self.usage_error(args, capsys)
+        assert "RE,IM" in err
+
+    def test_families_takes_no_seed(self, capsys):
+        err = self.usage_error(["families", "--seed", "5"], capsys)
+        assert "--seed" in err
+
     @staticmethod
     def _never_called(*args):
         raise AssertionError("ran before the output was opened")
